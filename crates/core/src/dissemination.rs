@@ -20,9 +20,11 @@
 //! Two pieces:
 //!
 //! * [`DisseminationCore`] — token knowledge `K_v`, the in-flight request
-//!   set, and the distinct-missing-token assignment queue ("assign each
-//!   eligible channel a *different* missing token, consumed front to
-//!   back" — Algorithm 1 lines 13–19).
+//!   set, and the distinct-missing-token assigner ("assign each eligible
+//!   channel a *different* missing token, lowest first" — Algorithm 1
+//!   lines 13–19). All three are bit words: starting a pass costs
+//!   O(k/64) and each assignment O(1), so a node with `k` missing tokens
+//!   and `d` eligible channels pays O(d + k/64) per pass, not O(k).
 //! * [`CompletenessLedger`] — the paper's `R_v` (whom we have informed of
 //!   our completeness) and `S_v` (who announced completeness to us), both
 //!   *monotone*: bits are only ever set. In the async port `R_v` doubles
@@ -66,10 +68,15 @@ pub struct DisseminationCore {
     know: TokenSet,
     /// Tokens with an outstanding (live) request on some channel.
     in_flight: TokenSet,
-    /// Requestable tokens of the current assignment pass, consumed front
-    /// to back (reused across passes to avoid per-pass allocation).
-    queue: Vec<TokenId>,
-    /// Next unassigned index into `queue`.
+    /// The current assignment pass: a bit-word *snapshot* of the
+    /// requestable tokens taken by the last `refill*`, in the layout of
+    /// [`TokenSet::as_words`]. A bit is cleared when its token is
+    /// assigned; nothing else touches it until the next refill, so tokens
+    /// released or learned mid-pass do not change what the pass offers.
+    /// Reused across passes (no per-pass allocation).
+    pass: Vec<u64>,
+    /// Index of the first non-zero word of `pass`, or `pass.len()` when
+    /// the pass is exhausted.
     cursor: usize,
 }
 
@@ -91,7 +98,7 @@ impl DisseminationCore {
         DisseminationCore {
             in_flight: TokenSet::new(know.universe()),
             know,
-            queue: Vec::new(),
+            pass: Vec::new(),
             cursor: 0,
         }
     }
@@ -120,7 +127,8 @@ impl DisseminationCore {
     }
 
     /// Retires an outstanding request for `t`: the token arrived (or its
-    /// channel died), so it becomes assignable again.
+    /// channel died), so it becomes assignable again — from the next
+    /// `refill*` on; the current pass is a snapshot and does not see it.
     pub fn release(&mut self, t: TokenId) {
         self.in_flight.remove(t);
     }
@@ -134,48 +142,85 @@ impl DisseminationCore {
     }
 
     /// Starts an assignment pass over **all** missing tokens without an
-    /// outstanding request, in increasing token order.
+    /// outstanding request, in increasing token order. O(k/64): the pass
+    /// is `!(know | in_flight)` word by word.
     pub fn refill(&mut self) {
-        self.queue.clear();
-        self.cursor = 0;
-        let in_flight = &self.in_flight;
-        // Split borrows: `queue` is disjoint from `know`/`in_flight`.
-        let know = &self.know;
-        self.queue
-            .extend(know.missing().filter(|&t| !in_flight.contains(t)));
+        self.pass.clear();
+        self.pass.extend(requestable(&self.know, &self.in_flight));
+        self.seek(0);
     }
 
-    /// Starts an assignment pass over the requestable subset of
-    /// `candidates` (missing and not in flight), preserving their order —
-    /// the multi-source algorithms restrict each pass to the active
-    /// source's tokens.
-    pub fn refill_from(&mut self, candidates: &[TokenId]) {
-        self.queue.clear();
-        self.cursor = 0;
-        let know = &self.know;
-        let in_flight = &self.in_flight;
-        self.queue.extend(
-            candidates
-                .iter()
-                .copied()
-                .filter(|&t| !know.contains(t) && !in_flight.contains(t)),
+    /// Starts an assignment pass over the requestable tokens of `scope`
+    /// (missing and not in flight), in increasing token order — the
+    /// multi-source algorithms restrict each pass to the active source's
+    /// tokens. O(k/64).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scope` is over a different universe.
+    pub fn refill_within(&mut self, scope: &TokenSet) {
+        assert_eq!(scope.universe(), self.know.universe(), "universe mismatch");
+        self.pass.clear();
+        self.pass.extend(
+            requestable(&self.know, &self.in_flight)
+                .zip(scope.as_words())
+                .map(|(requestable, &scope)| requestable & scope),
         );
+        self.seek(0);
+    }
+
+    /// [`refill_within`](DisseminationCore::refill_within) for a scope
+    /// given as a token list: O(k/64 + `candidates.len()`). The pass
+    /// offers the requestable candidates in increasing token order
+    /// whatever the order of the slice.
+    pub fn refill_from(&mut self, candidates: &[TokenId]) {
+        self.pass.clear();
+        self.pass.resize(self.know.as_words().len(), 0);
+        for &t in candidates {
+            if !self.know.contains(t) && !self.in_flight.contains(t) {
+                self.pass[t.index() / 64] |= 1 << (t.index() % 64);
+            }
+        }
+        self.seek(0);
+    }
+
+    /// Moves the cursor to the first non-zero pass word at or after `from`.
+    fn seek(&mut self, from: usize) {
+        self.cursor = self.pass[from..]
+            .iter()
+            .position(|&w| w != 0)
+            .map_or(self.pass.len(), |i| from + i);
     }
 
     /// Whether the current pass has tokens left to assign.
     pub fn has_assignable(&self) -> bool {
-        self.cursor < self.queue.len()
+        self.cursor < self.pass.len()
     }
 
     /// Assigns the next token of the current pass to a channel: marks it
     /// in flight and returns it, or `None` when the pass is exhausted.
-    /// Successive calls within one pass always return *distinct* tokens.
+    /// Successive calls within one pass always return *distinct* tokens,
+    /// in increasing order. O(1) amortized over the pass.
     pub fn assign_next(&mut self) -> Option<TokenId> {
-        let t = *self.queue.get(self.cursor)?;
-        self.cursor += 1;
+        let word = *self.pass.get(self.cursor)?;
+        let t = TokenId::new((self.cursor * 64) as u32 + word.trailing_zeros());
+        // `word & (word - 1)` clears the lowest set bit.
+        let rest = word & (word - 1);
+        self.pass[self.cursor] = rest;
+        if rest == 0 {
+            self.seek(self.cursor + 1);
+        }
         self.in_flight.insert(t);
         Some(t)
     }
+}
+
+/// `!(know | in_flight)` word by word, clipped to the universe: the tokens
+/// a pass may offer.
+fn requestable<'a>(know: &'a TokenSet, in_flight: &'a TokenSet) -> impl Iterator<Item = u64> + 'a {
+    know.missing_words()
+        .zip(in_flight.as_words())
+        .map(|(missing, &flying)| missing & !flying)
 }
 
 /// The paper's per-node completeness bookkeeping: `R_v` (informed peers)
@@ -343,6 +388,45 @@ mod tests {
     }
 
     #[test]
+    fn a_pass_is_a_snapshot_taken_by_refill() {
+        let a = TokenAssignment::single_source(2, 130, NodeId::new(0));
+        let mut core = DisseminationCore::from_assignment(NodeId::new(1), &a);
+        core.refill();
+        assert_eq!(core.assign_next(), Some(tid(0)));
+        assert_eq!(core.assign_next(), Some(tid(1)));
+        // t0 comes back mid-pass (its channel died, or it arrived): the
+        // pass in progress neither re-offers it nor loses its place.
+        core.release(tid(0));
+        assert_eq!(core.assign_next(), Some(tid(2)));
+        // Nor does it drop a token learned after the snapshot.
+        assert!(core.accept_token(tid(3)));
+        assert_eq!(core.assign_next(), Some(tid(3)));
+        // The next refill sees both changes.
+        core.release(tid(3));
+        core.refill();
+        assert_eq!(core.assign_next(), Some(tid(0)));
+        assert_eq!(core.assign_next(), Some(tid(4)));
+    }
+
+    #[test]
+    fn passes_cross_word_boundaries_and_stop_at_the_universe() {
+        let mut know = TokenSet::full(130);
+        for t in [63, 64, 129] {
+            know.remove(tid(t));
+        }
+        let mut core = DisseminationCore::with_knowledge(know);
+        core.refill();
+        let pass: Vec<TokenId> = std::iter::from_fn(|| core.assign_next()).collect();
+        assert_eq!(pass, vec![tid(63), tid(64), tid(129)]);
+        assert!(!core.has_assignable());
+        // An empty universe has nothing to assign.
+        let mut empty = DisseminationCore::with_knowledge(TokenSet::new(0));
+        empty.refill();
+        assert!(!empty.has_assignable());
+        assert_eq!(empty.assign_next(), None);
+    }
+
+    #[test]
     fn accept_token_is_at_most_once() {
         let a = TokenAssignment::single_source(2, 2, NodeId::new(0));
         let mut core = DisseminationCore::from_assignment(NodeId::new(1), &a);
@@ -366,6 +450,15 @@ mod tests {
         core.refill();
         assert_eq!(core.assign_next(), Some(tid(1)));
         assert_eq!(core.assign_next(), Some(tid(3)));
+        // The same scope as a set: everything in it is in flight.
+        let scope: TokenSet = [tid(0), tid(2), tid(3)].into_iter().collect();
+        core.refill_within(&scope);
+        assert!(!core.has_assignable());
+        core.release(tid(2));
+        core.release(tid(1));
+        core.refill_within(&scope);
+        assert_eq!(core.assign_next(), Some(tid(2)));
+        assert_eq!(core.assign_next(), None, "t1 is outside the scope");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use dynspread_graph::{NodeId, Round};
 use dynspread_sim::token::{TokenId, TokenSet};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// The per-round category of an adjacent edge (Section 3.1).
 ///
@@ -31,8 +31,11 @@ pub enum EdgeCategory {
 /// One tracked adjacent edge.
 #[derive(Clone, Debug, Default)]
 struct EdgeSlot {
-    /// Last round the edge was observed present.
-    last_seen: Option<Round>,
+    /// Whether the edge was present at the last `refresh`. A slot created
+    /// by `note_token`/`push_pending` for a node that is not a neighbor
+    /// stays unobserved — and untouched by `refresh` — until that node
+    /// shows up in a neighbor list.
+    observed: bool,
     /// Round of the most recent insertion.
     inserted_round: Round,
     /// Whether a token arrived over this edge since its last insertion.
@@ -41,73 +44,134 @@ struct EdgeSlot {
     pending: VecDeque<TokenId>,
 }
 
+impl EdgeSlot {
+    /// The slot of an edge (re)inserted in `round`.
+    fn inserted(round: Round) -> Self {
+        EdgeSlot {
+            observed: true,
+            inserted_round: round,
+            ..EdgeSlot::default()
+        }
+    }
+
+    /// Kills every outstanding request: each token becomes requestable
+    /// again.
+    fn release_pending(&mut self, in_flight: &mut TokenSet) {
+        for t in self.pending.drain(..) {
+            in_flight.remove(t);
+        }
+    }
+}
+
 /// Tracks the local view of all adjacent edges of one node: insertion
 /// rounds, contributiveness, and outstanding requests.
 ///
 /// The companion `in_flight` [`TokenSet`] (owned by the caller) mirrors the
-/// union of all pending queues; the tracker keeps it in sync through the
-/// `kill` callbacks.
+/// union of all pending queues; the tracker keeps it in sync by removing a
+/// request's token whenever it kills the request.
 ///
-/// Storage is **sparse** (an ordered map keyed by neighbor): a node only
-/// ever has state for edges it has actually seen. The dense
-/// `Vec<EdgeSlot>` this replaced cost `O(n)` per node — `O(n²)` across the
-/// network, which at `n = 8192` was ~5 GB of zeroed slots before the first
-/// round ran. A dead edge's entry is dropped outright: its pending
-/// requests are killed on removal and its `new`/`contributive` state is
-/// unconditionally reset on reinsertion, so absence and a default slot are
-/// indistinguishable.
+/// Storage is **sparse and flat**: one `(neighbor, slot)` pair per edge
+/// the node currently has, in a `Vec` sorted by neighbor ID — O(degree)
+/// memory per node (a dense per-node table would be O(n²) across the
+/// network). A dead edge's slot is dropped outright: its pending requests
+/// are killed on removal and its `new`/`contributive` state is
+/// unconditionally reset on reinsertion, so absence and a default slot
+/// are indistinguishable.
+///
+/// Costs, for a node of degree `d`: [`refresh`](EdgeTracker::refresh) is
+/// one `d`-element slice comparison when the neighbor list equals the
+/// previous round's, and otherwise one linear merge of the old slots with
+/// the new list, into a second buffer the tracker keeps (steady state
+/// allocates nothing); every per-edge query is a binary search,
+/// O(log d).
 #[derive(Clone, Debug)]
 pub struct EdgeTracker {
-    slots: BTreeMap<NodeId, EdgeSlot>,
+    /// Slots sorted by neighbor ID.
+    slots: Vec<(NodeId, EdgeSlot)>,
+    /// The merge target of the next topology change (always empty between
+    /// calls; kept for its capacity).
+    spare: Vec<(NodeId, EdgeSlot)>,
+    /// The neighbor list and round of the last `refresh`.
     prev_neighbors: Vec<NodeId>,
+    prev_round: Option<Round>,
 }
 
 impl EdgeTracker {
     /// Creates a tracker for a node in an `n`-node network.
     pub fn new(_n: usize) -> Self {
         EdgeTracker {
-            slots: BTreeMap::new(),
+            slots: Vec::new(),
+            spare: Vec::new(),
             prev_neighbors: Vec::new(),
+            prev_round: None,
         }
     }
 
     /// Refreshes history at the start of round `round` given the current
     /// (sorted) neighbor list. Outstanding requests on removed or freshly
     /// reinserted edges die; each dead request's token is removed from
-    /// `in_flight` (it becomes requestable again).
+    /// `in_flight` (it becomes requestable again). An edge counts as
+    /// present throughout only if it was also in the list of round
+    /// `round − 1`: a skipped round reinserts every edge.
     pub fn refresh(&mut self, round: Round, neighbors: &[NodeId], in_flight: &mut TokenSet) {
-        let mut prev = std::mem::take(&mut self.prev_neighbors);
-        for &u in &prev {
-            if neighbors.binary_search(&u).is_err() {
-                if let Some(mut slot) = self.slots.remove(&u) {
-                    for t in slot.pending.drain(..) {
-                        in_flight.remove(t);
-                    }
+        let consecutive = self.prev_round == Some(round.wrapping_sub(1));
+        self.prev_round = Some(round);
+        if consecutive && neighbors == self.prev_neighbors {
+            // Every edge was present last round and still is: nothing to
+            // reset, nothing to kill.
+            return;
+        }
+        let mut old = std::mem::take(&mut self.slots);
+        let mut merged = std::mem::take(&mut self.spare);
+        let mut incoming = neighbors.iter().copied().peekable();
+        for (u, mut slot) in old.drain(..) {
+            while let Some(w) = incoming.next_if(|&w| w < u) {
+                merged.push((w, EdgeSlot::inserted(round)));
+            }
+            if incoming.next_if_eq(&u).is_some() {
+                if !(consecutive && slot.observed) {
+                    // Reinserted (or first observed): history starts over.
+                    slot.release_pending(in_flight);
+                    slot.observed = true;
+                    slot.inserted_round = round;
+                    slot.contributive = false;
                 }
+                merged.push((u, slot));
+            } else if slot.observed {
+                slot.release_pending(in_flight);
+            } else {
+                merged.push((u, slot));
             }
         }
-        for &u in neighbors {
-            let slot = self.slots.entry(u).or_default();
-            let was_present = slot.last_seen == Some(round.wrapping_sub(1));
-            if !was_present {
-                slot.inserted_round = round;
-                slot.contributive = false;
-                for t in slot.pending.drain(..) {
-                    in_flight.remove(t);
-                }
-            }
-            slot.last_seen = Some(round);
-        }
-        prev.clear();
-        prev.extend_from_slice(neighbors);
-        self.prev_neighbors = prev;
+        merged.extend(incoming.map(|w| (w, EdgeSlot::inserted(round))));
+        self.slots = merged;
+        self.spare = old;
+        self.prev_neighbors.clear();
+        self.prev_neighbors.extend_from_slice(neighbors);
+    }
+
+    /// Where `u`'s slot is (`Ok`) or would be inserted (`Err`).
+    fn position(&self, u: NodeId) -> Result<usize, usize> {
+        self.slots.binary_search_by_key(&u, |&(w, _)| w)
+    }
+
+    fn slot(&self, u: NodeId) -> Option<&EdgeSlot> {
+        self.position(u).ok().map(|i| &self.slots[i].1)
+    }
+
+    /// The slot of `u`, created (unobserved) if the tracker has none.
+    fn slot_mut(&mut self, u: NodeId) -> &mut EdgeSlot {
+        let i = self.position(u).unwrap_or_else(|i| {
+            self.slots.insert(i, (u, EdgeSlot::default()));
+            i
+        });
+        &mut self.slots[i].1
     }
 
     /// Classifies the edge to current neighbor `u` in round `round`.
     pub fn classify(&self, u: NodeId, round: Round) -> EdgeCategory {
         let (inserted_round, contributive) = self
-            .slots
-            .get(&u)
+            .slot(u)
             .map_or((0, false), |s| (s.inserted_round, s.contributive));
         if inserted_round + 1 >= round {
             EdgeCategory::New
@@ -120,27 +184,28 @@ impl EdgeTracker {
 
     /// Marks the edge to `u` contributive (a token arrived over it).
     pub fn note_token(&mut self, u: NodeId) {
-        self.slots.entry(u).or_default().contributive = true;
+        self.slot_mut(u).contributive = true;
     }
 
     /// Records a request for `t` sent over the edge to `u`.
     pub fn push_pending(&mut self, u: NodeId, t: TokenId) {
-        self.slots.entry(u).or_default().pending.push_back(t);
+        self.slot_mut(u).pending.push_back(t);
     }
 
     /// Whether the edge to `u` has any outstanding request.
     pub fn has_pending(&self, u: NodeId) -> bool {
-        self.slots.get(&u).is_some_and(|s| !s.pending.is_empty())
+        self.slot(u).is_some_and(|s| !s.pending.is_empty())
     }
 
     /// Retires an outstanding request for `t` on the edge to `u` (the
     /// requested token arrived). Returns `true` if one was found.
     pub fn retire_pending(&mut self, u: NodeId, t: TokenId) -> bool {
-        let Some(slot) = self.slots.get_mut(&u) else {
+        let Ok(i) = self.position(u) else {
             return false;
         };
-        if let Some(pos) = slot.pending.iter().position(|p| *p == t) {
-            slot.pending.remove(pos);
+        let pending = &mut self.slots[i].1.pending;
+        if let Some(pos) = pending.iter().position(|p| *p == t) {
+            pending.remove(pos);
             true
         } else {
             false
@@ -150,10 +215,8 @@ impl EdgeTracker {
     /// Drops every outstanding request (used when the node becomes
     /// complete), clearing the matching `in_flight` entries.
     pub fn clear_all_pending(&mut self, in_flight: &mut TokenSet) {
-        for slot in self.slots.values_mut() {
-            for t in slot.pending.drain(..) {
-                in_flight.remove(t);
-            }
+        for (_, slot) in &mut self.slots {
+            slot.release_pending(in_flight);
         }
     }
 }
@@ -243,6 +306,79 @@ mod tests {
         assert!(fl.is_empty());
         assert!(!tr.has_pending(nid(1)));
         assert!(!tr.has_pending(nid(2)));
+    }
+
+    #[test]
+    fn unchanged_neighbor_list_ages_edges_and_keeps_requests() {
+        let mut tr = EdgeTracker::new(4);
+        let mut fl = TokenSet::new(4);
+        let nbrs = [nid(1), nid(3)];
+        tr.refresh(5, &nbrs, &mut fl);
+        fl.insert(tid(2));
+        tr.push_pending(nid(3), tid(2));
+        tr.note_token(nid(1));
+        assert_eq!(tr.classify(nid(1), 5), EdgeCategory::New);
+        // Two more rounds on the identical list: New → New → not new,
+        // with the request and the contributive mark carried along.
+        tr.refresh(6, &nbrs, &mut fl);
+        assert_eq!(tr.classify(nid(1), 6), EdgeCategory::New);
+        assert_eq!(tr.classify(nid(3), 6), EdgeCategory::New);
+        tr.refresh(7, &nbrs, &mut fl);
+        assert_eq!(tr.classify(nid(1), 7), EdgeCategory::Contributive);
+        assert_eq!(tr.classify(nid(3), 7), EdgeCategory::Idle);
+        assert!(tr.has_pending(nid(3)));
+        assert!(fl.contains(tid(2)));
+    }
+
+    #[test]
+    fn skipped_round_reinserts_even_an_unchanged_list() {
+        let mut tr = EdgeTracker::new(4);
+        let mut fl = TokenSet::new(4);
+        let nbrs = [nid(1), nid(3)];
+        for round in 1..=3 {
+            tr.refresh(round, &nbrs, &mut fl);
+        }
+        tr.note_token(nid(1));
+        fl.insert(tid(0));
+        tr.push_pending(nid(3), tid(0));
+        assert_eq!(tr.classify(nid(1), 3), EdgeCategory::Contributive);
+        // Round 4 never refreshed: in round 5 both edges are fresh
+        // insertions, so history resets and the request dies.
+        tr.refresh(5, &nbrs, &mut fl);
+        assert_eq!(tr.classify(nid(1), 5), EdgeCategory::New);
+        assert_eq!(tr.classify(nid(3), 5), EdgeCategory::New);
+        assert!(!tr.has_pending(nid(3)));
+        assert!(!fl.contains(tid(0)));
+        tr.refresh(6, &nbrs, &mut fl);
+        tr.refresh(7, &nbrs, &mut fl);
+        assert_eq!(tr.classify(nid(1), 7), EdgeCategory::Idle);
+    }
+
+    #[test]
+    fn merge_keeps_survivors_and_drops_the_rest() {
+        let mut tr = EdgeTracker::new(8);
+        let mut fl = TokenSet::new(8);
+        tr.refresh(1, &[nid(2), nid(4), nid(6)], &mut fl);
+        for (u, t) in [(nid(2), tid(0)), (nid(4), tid(1)), (nid(6), tid(2))] {
+            fl.insert(t);
+            tr.push_pending(u, t);
+        }
+        // 4 survives between two arrivals; 2 and 6 leave.
+        tr.refresh(2, &[nid(1), nid(4), nid(5), nid(7)], &mut fl);
+        assert!(tr.has_pending(nid(4)));
+        assert!(fl.contains(tid(1)));
+        for gone in [nid(2), nid(6)] {
+            assert!(!tr.has_pending(gone));
+        }
+        assert!(!fl.contains(tid(0)) && !fl.contains(tid(2)));
+        tr.refresh(3, &[nid(1), nid(4), nid(5), nid(7)], &mut fl);
+        tr.refresh(4, &[nid(1), nid(4), nid(5), nid(7)], &mut fl);
+        // 4 has been around since round 1, the arrivals since round 2.
+        for u in [nid(1), nid(4), nid(5), nid(7)] {
+            assert_eq!(tr.classify(u, 4), EdgeCategory::Idle);
+        }
+        assert_eq!(tr.classify(nid(4), 3), EdgeCategory::Idle);
+        assert_eq!(tr.classify(nid(5), 3), EdgeCategory::New);
     }
 
     #[test]

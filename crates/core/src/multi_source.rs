@@ -45,6 +45,10 @@ pub struct SourceMap {
     source_idx_of: Vec<u32>,
     /// For each source index, its tokens in increasing token order.
     tokens_of: Vec<Vec<TokenId>>,
+    /// For each source index, the same tokens as a set over `0..k` — the
+    /// scope of a request pass
+    /// ([`DisseminationCore::refill_within`]).
+    token_masks: Vec<TokenSet>,
 }
 
 impl SourceMap {
@@ -73,15 +77,19 @@ impl SourceMap {
         };
         let mut source_idx_of = Vec::with_capacity(k);
         let mut tokens_of = vec![Vec::new(); sources.len()];
+        let mut token_masks = vec![TokenSet::new(k); sources.len()];
         for (i, &src) in origin.iter().enumerate() {
-            let idx = sources.binary_search(&src).expect("source present") as u32;
-            source_idx_of.push(idx);
-            tokens_of[idx as usize].push(TokenId::new(i as u32));
+            let idx = sources.binary_search(&src).expect("source present");
+            let t = TokenId::new(i as u32);
+            source_idx_of.push(idx as u32);
+            tokens_of[idx].push(t);
+            token_masks[idx].insert(t);
         }
         SourceMap {
             sources,
             source_idx_of,
             tokens_of,
+            token_masks,
         }
     }
 
@@ -113,6 +121,11 @@ impl SourceMap {
     /// The tokens of the source with index `idx`.
     pub fn tokens_of(&self, idx: usize) -> &[TokenId] {
         &self.tokens_of[idx]
+    }
+
+    /// The tokens of the source with index `idx` as a set over `0..k`.
+    pub fn token_mask(&self, idx: usize) -> &TokenSet {
+        &self.token_masks[idx]
     }
 }
 
@@ -279,7 +292,7 @@ impl MultiSourceNode {
             return;
         };
         // One assignment pass restricted to the active source's tokens.
-        self.core.refill_from(self.map.tokens_of(active));
+        self.core.refill_within(self.map.token_mask(active));
         if self.core.has_assignable() {
             'outer: for category in [
                 EdgeCategory::New,

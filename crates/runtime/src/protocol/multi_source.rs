@@ -144,7 +144,7 @@ impl AsyncMultiSource {
     /// Opens a request toward `u` from the *current* assignment pass over
     /// `active`'s tokens, if `u` serves that source and the window is
     /// free. Callers must have refreshed the pass with
-    /// `core.refill_from(..)` since the last knowledge/in-flight change.
+    /// `core.refill_within(..)` since the last knowledge/in-flight change.
     fn assign_to(&mut self, active: usize, u: NodeId, ctx: &mut EventCtx<'_, AsyncMsMsg>) {
         if self.window.outstanding(u).is_some() || !self.ledgers[active].peer_complete(u) {
             return;
@@ -165,7 +165,7 @@ impl AsyncMultiSource {
         let Some(active) = self.active_source() else {
             return;
         };
-        self.core.refill_from(self.map.tokens_of(active));
+        self.core.refill_within(self.map.token_mask(active));
         self.assign_to(active, u, ctx);
     }
 
@@ -321,10 +321,10 @@ impl EventProtocol for AsyncMultiSource {
                 .sweep_stale(ctx.neighbors(), |t| core.release(t));
             // One active source and one assignment pass for the whole
             // heartbeat, mirroring the round protocol's per-round sweep
-            // instead of rebuilding the queue per neighbor.
+            // instead of re-taking the snapshot per neighbor.
             let active = self.active_source();
             if let Some(active) = active {
-                self.core.refill_from(self.map.tokens_of(active));
+                self.core.refill_within(self.map.token_mask(active));
             }
             for i in 0..ctx.neighbors().len() {
                 let u = ctx.neighbors()[i];

@@ -276,7 +276,7 @@ impl EventProtocol for AsyncSingleSource {
             // One assignment pass for the whole heartbeat (tokens released
             // mid-loop become assignable on the next one), mirroring the
             // round protocol's one-pass-per-round discipline instead of
-            // rebuilding the missing-token queue per neighbor.
+            // re-taking the missing-token snapshot per neighbor.
             self.core.refill();
             for i in 0..ctx.neighbors().len() {
                 let u = ctx.neighbors()[i];

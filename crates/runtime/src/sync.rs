@@ -315,7 +315,11 @@ pub struct UnicastSynchronizer<P: UnicastProtocol, A: UnicastAdversary<P::Msg>, 
     adversary: A,
     link: L,
     core: RoundCore<P::Msg>,
+    /// Last round's transmissions; reused as the next round's buffer once
+    /// the adversary has seen it.
     last_sent: Vec<SentRecord<P::Msg>>,
+    /// The one outbox every node's `send` fills and the engine drains.
+    outbox: Outbox<P::Msg>,
 }
 
 impl<P, A, L> UnicastSynchronizer<P, A, L>
@@ -361,6 +365,7 @@ where
             link,
             core,
             last_sent: Vec::new(),
+            outbox: Outbox::new(),
         }
     }
 
@@ -428,13 +433,13 @@ where
         }
         // 2. Nodes see neighbor IDs and queue messages; each message is
         //    metered at send time and routed through the link model.
-        let mut sent: Vec<SentRecord<P::Msg>> = Vec::new();
+        let mut sent = std::mem::take(&mut self.last_sent);
+        sent.clear();
         for (i, node) in self.nodes.iter_mut().enumerate() {
             let v = NodeId::new(i as u32);
             let neighbors = self.core.dg.current().neighbors(v);
-            let mut out = Outbox::new();
-            node.send(round, neighbors, &mut out);
-            for (to, msg) in out.into_messages() {
+            node.send(round, neighbors, &mut self.outbox);
+            for (to, msg) in self.outbox.drain() {
                 assert!(
                     self.core.dg.current().has_edge(v, to),
                     "round {round}: {v} sent to non-neighbor {to}"

@@ -52,6 +52,13 @@ impl<M> Outbox<M> {
     pub fn into_messages(self) -> Vec<(NodeId, M)> {
         self.messages
     }
+
+    /// Removes and yields the queued messages in send order, keeping the
+    /// outbox (and its buffer) for the next node — how the engines reuse
+    /// one outbox across a whole run.
+    pub fn drain(&mut self) -> impl Iterator<Item = (NodeId, M)> + '_ {
+        self.messages.drain(..)
+    }
 }
 
 impl<M> Default for Outbox<M> {
@@ -145,6 +152,18 @@ mod tests {
         let msgs = out.into_messages();
         assert_eq!(msgs[0].0, NodeId::new(1));
         assert_eq!(msgs[1].0, NodeId::new(2));
+    }
+
+    #[test]
+    fn drained_outbox_is_reusable() {
+        let mut out = Outbox::new();
+        out.send(NodeId::new(1), Ping);
+        out.send(NodeId::new(2), Ping);
+        let to: Vec<NodeId> = out.drain().map(|(to, _)| to).collect();
+        assert_eq!(to, vec![NodeId::new(1), NodeId::new(2)]);
+        assert!(out.is_empty());
+        out.send(NodeId::new(3), Ping);
+        assert_eq!(out.len(), 1);
     }
 
     #[test]

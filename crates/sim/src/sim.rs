@@ -147,7 +147,12 @@ pub struct UnicastSim<P: UnicastProtocol, A: UnicastAdversary<P::Msg>> {
     tracker: TokenTracker,
     cfg: SimConfig,
     stability: Option<StabilityChecker>,
+    /// Everything sent in the last round (the adaptive adversary's view).
+    /// The adversary is done with it before the send sweep starts, so the
+    /// same buffer collects the next round's records.
     last_sent: Vec<SentRecord<P::Msg>>,
+    /// The one outbox every node's `send` fills and the engine drains.
+    outbox: Outbox<P::Msg>,
     scratch: RoundScratch,
     algorithm_name: Arc<str>,
     adversary_name: Arc<str>,
@@ -197,6 +202,7 @@ impl<P: UnicastProtocol, A: UnicastAdversary<P::Msg>> UnicastSim<P, A> {
             cfg,
             stability,
             last_sent: Vec::new(),
+            outbox: Outbox::new(),
             algorithm_name: Arc::from(algorithm_name.into()),
             adversary_name,
             tracer: None,
@@ -304,13 +310,13 @@ impl<P: UnicastProtocol, A: UnicastAdversary<P::Msg>> UnicastSim<P, A> {
             }
         }
         // 2. Nodes see neighbor IDs and queue messages.
-        let mut sent: Vec<SentRecord<P::Msg>> = Vec::new();
+        let mut sent = std::mem::take(&mut self.last_sent);
+        sent.clear();
         for (i, node) in self.nodes.iter_mut().enumerate() {
             let v = NodeId::new(i as u32);
             let neighbors = self.dg.current().neighbors(v);
-            let mut out = Outbox::new();
-            node.send(round, neighbors, &mut out);
-            for (to, msg) in out.into_messages() {
+            node.send(round, neighbors, &mut self.outbox);
+            for (to, msg) in self.outbox.drain() {
                 assert!(
                     self.dg.current().has_edge(v, to),
                     "round {round}: {v} sent to non-neighbor {to}"

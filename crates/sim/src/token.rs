@@ -90,11 +90,15 @@ impl TokenSet {
 
     /// Creates the full set `{0, …, k-1}`.
     pub fn full(k: usize) -> Self {
-        let mut s = TokenSet::new(k);
-        for t in TokenId::all(k) {
-            s.insert(t);
+        let mut words = vec![u64::MAX; k.div_ceil(64)];
+        if let Some(last) = words.last_mut() {
+            *last = tail_mask(k);
         }
-        s
+        TokenSet {
+            words,
+            universe: k,
+            count: k,
+        }
     }
 
     /// The universe size `k`.
@@ -166,18 +170,29 @@ impl TokenSet {
     }
 
     /// Iterates the tokens in the set in increasing order.
+    ///
+    /// Walks the backing words and peels set bits with `trailing_zeros`:
+    /// O(k/64 + |set|), not one branch per universe element.
     pub fn iter(&self) -> impl Iterator<Item = TokenId> + '_ {
-        (0..self.universe)
-            .filter(move |&i| self.words[i / 64] >> (i % 64) & 1 == 1)
-            .map(|i| TokenId::new(i as u32))
+        word_bits(self.words.iter().copied())
     }
 
     /// Iterates the *missing* tokens in increasing order — the token
-    /// requests an incomplete node would generate.
+    /// requests an incomplete node would generate. O(k/64 + |missing|).
     pub fn missing(&self) -> impl Iterator<Item = TokenId> + '_ {
-        (0..self.universe)
-            .filter(move |&i| self.words[i / 64] >> (i % 64) & 1 == 0)
-            .map(|i| TokenId::new(i as u32))
+        word_bits(self.missing_words())
+    }
+
+    /// The complement of the set as bit words, with the bits beyond the
+    /// universe in the last word cleared — [`missing`](TokenSet::missing)
+    /// in the layout of [`as_words`](TokenSet::as_words).
+    pub fn missing_words(&self) -> impl Iterator<Item = u64> + '_ {
+        let last = self.words.len().wrapping_sub(1);
+        let tail = tail_mask(self.universe);
+        self.words
+            .iter()
+            .enumerate()
+            .map(move |(i, &w)| if i == last { !w & tail } else { !w })
     }
 
     /// Tokens present in `other` but missing here (what a neighbor could
@@ -216,6 +231,28 @@ impl TokenSet {
             .map(|(a, b)| (a | b).count_ones() as usize)
             .sum()
     }
+}
+
+/// The valid bits of the last word of a `k`-token set (all of them when
+/// `k` is a multiple of 64).
+#[inline]
+fn tail_mask(k: usize) -> u64 {
+    match k % 64 {
+        0 => u64::MAX,
+        r => (1u64 << r) - 1,
+    }
+}
+
+/// The tokens whose bits are set in `words`, in increasing order.
+fn word_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = TokenId> {
+    words.enumerate().flat_map(|(wi, word)| {
+        // Peel set bits low-to-high: `w & (w - 1)` clears the lowest one.
+        std::iter::successors((word != 0).then_some(word), |&w| {
+            let rest = w & (w - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |w| TokenId::new((wi * 64) as u32 + w.trailing_zeros()))
+    })
 }
 
 impl fmt::Debug for TokenSet {

@@ -53,6 +53,35 @@ proptest! {
     }
 
     #[test]
+    fn word_walks_match_a_per_bit_scan(
+        k in prop_oneof![Just(0usize), Just(1), Just(63), Just(64), Just(65), 0usize..300],
+        members in prop::collection::btree_set(0u32..300, 0..200),
+    ) {
+        let mut set = TokenSet::new(k);
+        for &t in &members {
+            if (t as usize) < k {
+                set.insert(TokenId::new(t));
+            }
+        }
+        let scan = |present: bool| -> Vec<TokenId> {
+            TokenId::all(k).filter(|&t| set.contains(t) == present).collect()
+        };
+        prop_assert_eq!(set.iter().collect::<Vec<_>>(), scan(true));
+        prop_assert_eq!(set.missing().collect::<Vec<_>>(), scan(false));
+        let full = TokenSet::full(k);
+        prop_assert!(full.is_full());
+        prop_assert_eq!(full.iter().collect::<Vec<_>>(), TokenId::all(k).collect::<Vec<_>>());
+        prop_assert_eq!(full.missing().count(), 0);
+        // `full` leaves no stray bits past the universe: it equals the
+        // set built token by token.
+        let mut built = TokenSet::new(k);
+        for t in TokenId::all(k) {
+            built.insert(t);
+        }
+        prop_assert_eq!(full, built);
+    }
+
+    #[test]
     fn union_count_is_commutative_and_bounded(
         k in 1usize..200,
         a in prop::collection::btree_set(0u32..200, 0..80),

@@ -167,6 +167,25 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
     Ok(cfg)
 }
 
+/// Parses a fraction or probability: a number in `[0, 1]` (NaN is not).
+fn parse_fraction(text: &str, what: &str) -> Result<f64, String> {
+    let x: f64 = text.parse().map_err(|e| format!("{what}: {e}"))?;
+    if (0.0..=1.0).contains(&x) {
+        Ok(x)
+    } else {
+        Err(format!("{what} must be in [0, 1], got {text}"))
+    }
+}
+
+/// Parses a count, period or duration that must be at least 1.
+fn parse_positive(text: &str, what: &str) -> Result<u64, String> {
+    match text.parse::<u64>() {
+        Ok(0) => Err(format!("{what} must be at least 1")),
+        Ok(x) => Ok(x),
+        Err(e) => Err(format!("{what}: {e}")),
+    }
+}
+
 /// Parses `--faults` segments: `stop:FRAC:AT`,
 /// `recover:FRAC:T0:T1[:amnesia|durable]`, `part:T0:T1`, comma-joined.
 fn parse_faults(spec: &str, n: usize, seed: u64) -> Result<FaultPlan, String> {
@@ -180,8 +199,8 @@ fn parse_faults(spec: &str, n: usize, seed: u64) -> Result<FaultPlan, String> {
                 }
                 plan = FaultPlan::crash_stop(
                     n,
-                    frac.parse().map_err(|e| format!("stop fraction: {e}"))?,
-                    at.parse().map_err(|e| format!("stop time: {e}"))?,
+                    parse_fraction(frac, "stop fraction")?,
+                    parse_positive(at, "stop time")?,
                     seed,
                 );
             }
@@ -196,18 +215,20 @@ fn parse_faults(spec: &str, n: usize, seed: u64) -> Result<FaultPlan, String> {
                 };
                 plan = FaultPlan::crash_recovery(
                     n,
-                    frac.parse().map_err(|e| format!("recover fraction: {e}"))?,
-                    t0.parse().map_err(|e| format!("recover start: {e}"))?,
-                    t1.parse().map_err(|e| format!("recover end: {e}"))?,
+                    parse_fraction(frac, "recover fraction")?,
+                    parse_positive(t0, "recover crash window")?,
+                    parse_positive(t1, "recover delay")?,
                     mode,
                     seed,
                 );
             }
             ["part", t0, t1] => {
-                plan = plan.with_random_partition(
-                    t0.parse().map_err(|e| format!("part start: {e}"))?,
-                    t1.parse().map_err(|e| format!("part heal: {e}"))?,
-                );
+                let start: u64 = t0.parse().map_err(|e| format!("part start: {e}"))?;
+                let heal: u64 = t1.parse().map_err(|e| format!("part heal: {e}"))?;
+                if start >= heal {
+                    return Err(format!("part must heal after it starts, got '{segment}'"));
+                }
+                plan = plan.with_random_partition(start, heal);
             }
             _ => return Err(format!("unknown fault segment '{segment}'")),
         }
@@ -230,7 +251,7 @@ fn parse_byz(spec: &str, n: usize, seed: u64) -> Result<MisbehaviorPlan, String>
     };
     Ok(MisbehaviorPlan::uniform(
         n,
-        frac.parse().map_err(|e| format!("byz fraction: {e}"))?,
+        parse_fraction(frac, "byz fraction")?,
         kind,
         seed,
     ))
@@ -246,14 +267,18 @@ fn parse_sessions(spec: &str, n: usize, seed: u64) -> Result<SessionWorkload, St
         };
         return Ok(SessionWorkload::uniform(
             n,
-            sessions.parse().map_err(|e| format!("sessions: {e}"))?,
-            k.parse().map_err(|e| format!("session k: {e}"))?,
-            spacing.parse().map_err(|e| format!("spacing: {e}"))?,
+            parse_positive(sessions, "sessions")? as usize,
+            parse_positive(k, "session k")? as usize,
+            parse_positive(spacing, "spacing")?,
             seed,
         ));
     }
     let text = std::fs::read_to_string(spec).map_err(|e| format!("reading {spec}: {e}"))?;
-    SessionWorkload::parse(n, &text)
+    let workload = SessionWorkload::parse(n, &text)?;
+    if workload.is_empty() {
+        return Err(format!("{spec}: no sessions in the trace"));
+    }
+    Ok(workload)
 }
 
 fn parse_topology(spec: &str) -> Result<Topology, String> {
@@ -264,10 +289,7 @@ fn parse_topology(spec: &str) -> Result<Topology, String> {
         ["star"] => Ok(Topology::Star),
         ["complete"] => Ok(Topology::Complete),
         ["tree"] => Ok(Topology::RandomTree),
-        ["gnp", p] => p
-            .parse()
-            .map(Topology::Gnp)
-            .map_err(|e| format!("gnp probability: {e}")),
+        ["gnp", p] => parse_fraction(p, "gnp probability").map(Topology::Gnp),
         ["sparse", c] => c
             .parse()
             .map(Topology::SparseConnected)
@@ -282,17 +304,21 @@ fn parse_topology(spec: &str) -> Result<Topology, String> {
 
 fn parse_adversary(spec: &str, n: usize, seed: u64) -> Result<Box<dyn Adversary>, String> {
     let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
+    let topology = |spec: &str| match parse_topology(spec)? {
+        Topology::NearRegular(_) if n < 3 => Err("regular:D needs --n of at least 3".to_string()),
+        topology => Ok(topology),
+    };
     match kind {
         "static" => {
-            let topo = parse_topology(rest)?;
+            let topo = topology(rest)?;
             Ok(Box::new(StaticAdversary::from_topology(topo, n, seed)))
         }
         "rewire" => {
             let (topo_spec, period) = rest
                 .rsplit_once(':')
                 .ok_or_else(|| "rewire needs TOPO:PERIOD".to_string())?;
-            let topo = parse_topology(topo_spec)?;
-            let period: u64 = period.parse().map_err(|e| format!("period: {e}"))?;
+            let topo = topology(topo_spec)?;
+            let period = parse_positive(period, "period")?;
             Ok(Box::new(PeriodicRewiring::new(topo, period, seed)))
         }
         "markov" => {
@@ -301,9 +327,9 @@ fn parse_adversary(spec: &str, n: usize, seed: u64) -> Result<Box<dyn Adversary>
                 return Err("markov needs P_ON:P_OFF:SIGMA".into());
             };
             Ok(Box::new(EdgeMarkovian::new(
-                p_on.parse().map_err(|e| format!("p_on: {e}"))?,
-                p_off.parse().map_err(|e| format!("p_off: {e}"))?,
-                sigma.parse().map_err(|e| format!("sigma: {e}"))?,
+                parse_fraction(p_on, "p_on")?,
+                parse_fraction(p_off, "p_off")?,
+                parse_positive(sigma, "sigma")?,
                 seed,
             )))
         }
@@ -316,9 +342,9 @@ fn parse_adversary(spec: &str, n: usize, seed: u64) -> Result<Box<dyn Adversary>
                 .rsplit_once(':')
                 .ok_or_else(|| "churn needs TOPO:C:SIGMA".to_string())?;
             Ok(Box::new(ChurnAdversary::new(
-                parse_topology(topo_spec)?,
+                topology(topo_spec)?,
                 churn.parse().map_err(|e| format!("churn: {e}"))?,
-                sigma.parse().map_err(|e| format!("sigma: {e}"))?,
+                parse_positive(sigma, "sigma")?,
                 seed,
             )))
         }
@@ -523,34 +549,36 @@ fn run(cfg: &Config) -> Result<String, String> {
     Ok(report.to_string())
 }
 
+const USAGE: &str = "\
+usage: spread [--alg ALG] [--adv ADV] [--n N] [--k K] [--s S] [--seed SEED] [--max-rounds R] [--kt0]
+              [--faults SPEC] [--byz FRAC:KIND] [--trace-out PATH] [--sessions SRC]
+ALG:  single-source | multi-source | unicast-flood | phased-flood | rlnc | oblivious
+      | async-single-source | async-multi-source | async-oblivious
+ADV:  static:TOPO | rewire:TOPO:PERIOD | markov:P_ON:P_OFF:SIGMA | churn:TOPO:C:SIGMA
+TOPO: path | cycle | star | complete | tree | gnp:P | sparse:C | regular:D
+SPEC: stop:FRAC:AT | recover:FRAC:T0:T1[:amnesia|durable] | part:T0:T1 (comma-joined)
+SRC:  a trace file (`ARRIVAL SOURCE K [LEAVE]` lines) | uniform:SESSIONS:K:SPACING";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args) {
+    // Flag errors exit 2, errors in a flag's value (found when the run is
+    // built) exit 1; both print the usage after the `error:` line.
+    let (code, error) = match parse_args(&args) {
         Ok(cfg) => match run(&cfg) {
-            Ok(text) => println!("{text}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
+            Ok(text) => {
+                println!("{text}");
+                return;
             }
+            Err(e) => (1, e),
         },
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!(
-                "usage: spread [--alg ALG] [--adv ADV] [--n N] [--k K] [--s S] \
-                 [--seed SEED] [--max-rounds R] [--kt0]\n\
-                 \x20             [--faults SPEC] [--byz FRAC:KIND] [--trace-out PATH] [--sessions SRC]\n\
-                 ALG:  single-source | multi-source | unicast-flood | phased-flood | rlnc | oblivious\n\
-                 \x20     | async-single-source | async-multi-source | async-oblivious\n\
-                 ADV:  static:TOPO | rewire:TOPO:PERIOD | markov:P_ON:P_OFF:SIGMA | churn:TOPO:C:SIGMA\n\
-                 TOPO: path | cycle | star | complete | tree | gnp:P | sparse:C | regular:D\n\
-                 SPEC: stop:FRAC:AT | recover:FRAC:T0:T1[:amnesia|durable] | part:T0:T1 (comma-joined)\n\
-                 SRC:  a trace file (`ARRIVAL SOURCE K [LEAVE]` lines) | uniform:SESSIONS:K:SPACING"
-            );
-            std::process::exit(if e == "help" { 0 } else { 2 });
+        Err(e) if e == "help" => {
+            eprintln!("{USAGE}");
+            return;
         }
-    }
+        Err(e) => (2, e),
+    };
+    eprintln!("error: {error}\n\n{USAGE}");
+    std::process::exit(code);
 }
 
 #[cfg(test)]
@@ -678,6 +706,84 @@ mod tests {
         assert!(parse_byz("0.25:false-claims", 8, 1).is_ok());
         assert!(parse_byz("0.25:mind-control", 8, 1).is_err());
         assert!(parse_byz("drop-acks", 8, 1).is_err());
+    }
+
+    #[test]
+    fn out_of_range_values_are_errors_not_panics() {
+        for adv in [
+            "static:gnp:2.0",
+            "static:gnp:-1",
+            "static:gnp:nan",
+            "rewire:tree:0",
+            "markov:2:0:1",
+            "markov:0:1.5:1",
+            "markov:.1:.1:0",
+            "churn:sparse:0.1:0:0",
+        ] {
+            let err = parse_adversary(adv, 8, 1).err();
+            assert!(err.is_some(), "{adv} must be rejected");
+            // The same value through the front door.
+            let cfg = Config {
+                adv: adv.into(),
+                n: 8,
+                ..Config::default()
+            };
+            assert_eq!(run(&cfg).err(), err, "{adv}");
+        }
+        assert!(parse_adversary("static:regular:3", 2, 1).is_err());
+        assert!(parse_adversary("static:regular:3", 3, 1).is_ok());
+        for byz in ["2:drop-acks", "-0.1:drop-acks", "nan:drop-acks"] {
+            assert!(parse_byz(byz, 8, 1).is_err(), "{byz}");
+        }
+        for faults in [
+            "stop:2:5",
+            "stop:0.2:0",
+            "recover:1.5:30:120",
+            "recover:0.2:0:120",
+            "recover:0.2:30:0",
+            "part:50:20",
+            "part:50:50",
+        ] {
+            assert!(parse_faults(faults, 8, 1).is_err(), "{faults}");
+        }
+        for sessions in ["uniform:0:4:10", "uniform:3:0:10", "uniform:3:4:0"] {
+            assert!(parse_sessions(sessions, 8, 3).is_err(), "{sessions}");
+        }
+        // Scenario values are only parsed once the run is built.
+        let scenario = Config {
+            alg: "async-single-source".into(),
+            n: 8,
+            ..Config::default()
+        };
+        for cfg in [
+            Config {
+                byz: Some("2:drop-acks".into()),
+                ..scenario.clone()
+            },
+            Config {
+                faults: Some("stop:2:5".into()),
+                ..scenario.clone()
+            },
+            Config {
+                sessions: Some("uniform:0:4:10".into()),
+                ..scenario.clone()
+            },
+            Config {
+                sessions: Some("uniform:3:0:10".into()),
+                ..scenario.clone()
+            },
+        ] {
+            assert!(run(&cfg).is_err(), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn empty_session_trace_is_an_error() {
+        let path = std::env::temp_dir().join(format!("spread-empty-{}.trace", std::process::id()));
+        std::fs::write(&path, "# no sessions yet\n\n").unwrap();
+        let parsed = parse_sessions(path.to_str().unwrap(), 8, 3);
+        std::fs::remove_file(&path).unwrap();
+        assert!(parsed.unwrap_err().contains("no sessions"));
     }
 
     #[test]

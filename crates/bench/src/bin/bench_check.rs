@@ -39,98 +39,128 @@
 //! missing baseline file is an error, and the comparisons use the same
 //! tolerance and wall floor (the session grid's *virtual* metrics —
 //! latency percentiles and envelope load — are deterministic and gated
-//! with no floor at all).
+//! with no floor at all). A grid family whose fresh cells match no
+//! baseline cell fails the gate (exit 1) rather than being skipped, and
+//! a malformed command line exits 2 with a usage message.
 
 use dynspread_bench::check::{
-    byzantine_deltas, core_deltas, faults_deltas, runtime_deltas, sessions_deltas, Delta, Json,
+    cell_deltas, core_deltas, CellSpec, Delta, Json, BYZANTINE, FAULTS, RUNTIME, SESSIONS,
 };
 
-fn load(path: &str) -> Json {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("bench_check: cannot read {path}: {e}"));
-    Json::parse(&text).unwrap_or_else(|e| panic!("bench_check: cannot parse {path}: {e}"))
+/// The grid families, in the order their deltas are printed.
+const GRIDS: [(&str, &CellSpec); 4] = [
+    ("--runtime", &RUNTIME),
+    ("--byzantine", &BYZANTINE),
+    ("--faults", &FAULTS),
+    ("--sessions", &SESSIONS),
+];
+
+const USAGE: &str = "usage: bench_check [--tolerance FRAC] [--min-wall-ms MS] \
+    [--runtime|--core|--byzantine|--faults|--sessions BASE.json FRESH.json]...";
+
+fn load(path: &str) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    Json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+}
+
+/// What the command line asks for.
+#[derive(Debug)]
+struct Request {
+    tolerance: f64,
+    min_wall_ms: f64,
+    /// `(family rank in GRIDS, baseline path, fresh path)`.
+    grids: Vec<(usize, String, String)>,
+    /// `(baseline path, fresh path)`.
+    core: Vec<(String, String)>,
+}
+
+/// Parses the command line; the error names the flag at fault.
+fn parse_args(args: &[String]) -> Result<Request, String> {
+    let mut req = Request {
+        tolerance: 0.30,
+        // Cells whose baseline wall time is under this are not gated: a
+        // single sub-50 ms run jitters past any tolerance on a shared
+        // runner.
+        min_wall_ms: 40.0,
+        grids: Vec::new(),
+        core: Vec::new(),
+    };
+    let mut i = 0;
+    while i < args.len() {
+        let flag = args[i].as_str();
+        let operands = |count: usize, what: &str| {
+            args.get(i + 1..i + 1 + count)
+                .ok_or_else(|| format!("{flag} needs {what}"))
+        };
+        let number = |example: &str| -> Result<f64, String> {
+            let what = format!("a number, e.g. {example}");
+            operands(1, &what)?[0]
+                .parse()
+                .map_err(|_| format!("{flag} needs {what}"))
+        };
+        match flag {
+            "--tolerance" => {
+                req.tolerance = number("0.30")?;
+                i += 2;
+            }
+            "--min-wall-ms" => {
+                req.min_wall_ms = number("40")?;
+                i += 2;
+            }
+            "--core" => {
+                let files = operands(2, "BASE.json FRESH.json")?;
+                req.core.push((files[0].clone(), files[1].clone()));
+                i += 3;
+            }
+            _ => {
+                let rank = GRIDS
+                    .iter()
+                    .position(|(f, _)| *f == flag)
+                    .ok_or_else(|| format!("unknown argument {flag}"))?;
+                let files = operands(2, "BASE.json FRESH.json")?;
+                req.grids.push((rank, files[0].clone(), files[1].clone()));
+                i += 3;
+            }
+        }
+    }
+    if req.core.is_empty() && req.grids.is_empty() {
+        return Err("nothing to compare".into());
+    }
+    // Families print in GRIDS order whatever order the flags came in.
+    req.grids.sort_by_key(|(rank, _, _)| *rank);
+    Ok(req)
+}
+
+/// Loads every requested pair and gathers its deltas: the core
+/// microbenches first, then the grid families.
+fn gather(req: &Request) -> Result<Vec<Delta>, String> {
+    let mut deltas = Vec::new();
+    for (base, fresh) in &req.core {
+        deltas.extend(core_deltas(&load(base)?, &load(fresh)?));
+    }
+    for (rank, base, fresh) in &req.grids {
+        let spec = GRIDS[*rank].1;
+        let family = cell_deltas(spec, &load(base)?, &load(fresh)?, req.min_wall_ms)
+            .map_err(|e| format!("{e} ({base} vs {fresh})"))?;
+        deltas.extend(family);
+    }
+    if deltas.is_empty() {
+        return Err("no comparable metrics: every matched cell is under the wall floor".into());
+    }
+    Ok(deltas)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut tolerance = 0.30f64;
-    // Cells whose baseline wall time is under this are not gated: a
-    // single sub-50 ms run jitters past any tolerance on a shared
-    // runner. --runtime arguments are gathered first so the floor flag
-    // works in any position.
-    let mut min_wall_ms = 40.0f64;
-    let mut runtime_files: Vec<(String, String)> = Vec::new();
-    let mut byzantine_files: Vec<(String, String)> = Vec::new();
-    let mut faults_files: Vec<(String, String)> = Vec::new();
-    let mut sessions_files: Vec<(String, String)> = Vec::new();
-    let mut deltas: Vec<Delta> = Vec::new();
-    let mut compared_files = 0usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tolerance" => {
-                tolerance = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--tolerance needs a number, e.g. 0.30");
-                i += 2;
-            }
-            "--min-wall-ms" => {
-                min_wall_ms = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--min-wall-ms needs a number, e.g. 40");
-                i += 2;
-            }
-            "--runtime" => {
-                runtime_files.push((args[i + 1].clone(), args[i + 2].clone()));
-                compared_files += 1;
-                i += 3;
-            }
-            "--byzantine" => {
-                byzantine_files.push((args[i + 1].clone(), args[i + 2].clone()));
-                i += 3;
-            }
-            "--faults" => {
-                faults_files.push((args[i + 1].clone(), args[i + 2].clone()));
-                i += 3;
-            }
-            "--sessions" => {
-                sessions_files.push((args[i + 1].clone(), args[i + 2].clone()));
-                i += 3;
-            }
-            "--core" => {
-                let (base, fresh) = (&args[i + 1], &args[i + 2]);
-                deltas.extend(core_deltas(&load(base), &load(fresh)));
-                compared_files += 1;
-                i += 3;
-            }
-            other => panic!("bench_check: unknown argument {other}"),
-        }
-    }
-    for (base, fresh) in &runtime_files {
-        deltas.extend(runtime_deltas(&load(base), &load(fresh), min_wall_ms));
-    }
-    for (base, fresh) in &byzantine_files {
-        deltas.extend(byzantine_deltas(&load(base), &load(fresh), min_wall_ms));
-        compared_files += 1;
-    }
-    for (base, fresh) in &faults_files {
-        deltas.extend(faults_deltas(&load(base), &load(fresh), min_wall_ms));
-        compared_files += 1;
-    }
-    for (base, fresh) in &sessions_files {
-        deltas.extend(sessions_deltas(&load(base), &load(fresh), min_wall_ms));
-        compared_files += 1;
-    }
-    assert!(
-        compared_files > 0,
-        "bench_check: nothing to compare; pass --runtime and/or --core BASE FRESH"
-    );
-    assert!(
-        !deltas.is_empty(),
-        "bench_check: no comparable metrics found — baseline and fresh artifacts share no cells"
-    );
+    let req = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("bench_check: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let tolerance = req.tolerance;
+    let deltas = gather(&req).unwrap_or_else(|e| {
+        eprintln!("bench_check: {e}");
+        std::process::exit(1);
+    });
 
     // The core microbenches are sub-millisecond medians with no wall
     // floor to exempt them, and CI runs bench_core right after the
@@ -177,5 +207,58 @@ fn main() {
         }
         eprintln!("(legitimate change? refresh the committed baselines in this PR)");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Request, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn a_missing_operand_is_an_error_naming_the_flag() {
+        for flag in [
+            "--runtime",
+            "--core",
+            "--byzantine",
+            "--faults",
+            "--sessions",
+        ] {
+            for operands in [&[][..], &["BASE.json"][..]] {
+                let mut args = vec!["--tolerance", "0.2", flag];
+                args.extend_from_slice(operands);
+                let err = parse(&args).expect_err("operand missing");
+                assert!(err.starts_with(flag), "{err}");
+            }
+        }
+        assert!(parse(&["--tolerance"]).unwrap_err().contains("--tolerance"));
+        assert!(parse(&["--min-wall-ms", "soon"]).is_err());
+        assert!(parse(&["--bogus"]).unwrap_err().contains("--bogus"));
+        assert!(parse(&["--tolerance", "0.2"]).is_err(), "no file pair");
+    }
+
+    #[test]
+    fn families_are_ordered_by_kind_not_by_flag_position() {
+        let req = parse(&[
+            "--sessions",
+            "s",
+            "s2",
+            "--min-wall-ms",
+            "7",
+            "--core",
+            "c",
+            "c2",
+            "--runtime",
+            "r",
+            "r2",
+        ])
+        .expect("well-formed");
+        assert_eq!(req.min_wall_ms, 7.0);
+        assert_eq!(req.core, [("c".to_string(), "c2".to_string())]);
+        let ranks: Vec<usize> = req.grids.iter().map(|g| g.0).collect();
+        assert_eq!(ranks, [0, 3]);
     }
 }

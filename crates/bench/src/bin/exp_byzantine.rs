@@ -2,9 +2,9 @@
 //!
 //! Sweeps the malicious fraction ∈ {0, 5%, 15%, 30%} × misbehavior kind
 //! (false claims, forged transfers, seq replay, dropped acks, mutated
-//! tokens) × all three async protocols, each cell one seeded run through
-//! the `dynspread_runtime::byzantine` drivers: wrapped nodes, recorded
-//! transcripts, post-run audit. Tabulated per cell:
+//! tokens) × all three async protocols, each cell one seeded
+//! `Scenario::byzantine` run: wrapped nodes, recorded transcripts,
+//! post-run audit. Tabulated per cell:
 //!
 //! * **done** — whether the run still reached full dissemination;
 //! * **coverage** — mean fraction of the token universe known by the
@@ -28,18 +28,15 @@
 //! times on matched cells, plus coverage/violations must not regress).
 
 use dynspread_analysis::table::{fmt_f64, Table};
-use dynspread_bench::{derive_seed, par_map};
+use dynspread_bench::{derive_seed, gate_args, par_map, write_gate_json};
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::{PeriodicRewiring, StaticAdversary};
 use dynspread_graph::{Graph, NodeId};
-use dynspread_runtime::byzantine::{
-    run_byzantine_multi_source, run_byzantine_oblivious, run_byzantine_single_source,
-    MisbehaviorKind, MisbehaviorPlan,
-};
+use dynspread_runtime::byzantine::{MisbehaviorKind, MisbehaviorPlan};
 use dynspread_runtime::link::{DropLink, LinkModelExt};
-use dynspread_runtime::protocol::{AsyncConfig, AsyncObliviousConfig};
+use dynspread_runtime::protocol::AsyncObliviousConfig;
+use dynspread_runtime::scenario::Scenario;
 use dynspread_sim::token::TokenAssignment;
-use std::io::Write as _;
 use std::time::Instant;
 
 const PROTOCOLS: [&str; 3] = [
@@ -80,55 +77,40 @@ fn run_cell(
     let start = Instant::now();
     let plan = plan_for(fraction, kind, derive_seed(seed, 0xB12));
     let link = || DropLink::new(0.1).with_jitter(1);
-    let (completed, coverage, violations, verdicts, injected) = match protocol {
+    // Every cell: complete graph (phase 1 of the oblivious arm), 10% drop
+    // + jitter, and the plan — the honest one too, so the fraction-0 row
+    // pays for transcripts and the audit like every other.
+    let scenario = |a: TokenAssignment| {
+        Scenario::from_assignment(a)
+            .topology(StaticAdversary::new(Graph::complete(N)))
+            .link(link())
+            .seed(seed)
+            .byzantine(plan.clone())
+            .max_time(150_000)
+    };
+    let (completed, coverage, report, evidence, injected) = match protocol {
         "async-single-source" => {
-            let a = TokenAssignment::single_source(N, 8, NodeId::new(0));
-            let out = run_byzantine_single_source(
-                &a,
-                StaticAdversary::new(Graph::complete(N)),
-                link(),
-                2,
-                seed,
-                AsyncConfig::default(),
-                &plan,
-                150_000,
-            );
-            for e in &out.evidence {
-                assert!(plan.is_malicious(e.culprit), "honest node indicted: {e:?}");
-            }
+            let out =
+                scenario(TokenAssignment::single_source(N, 8, NodeId::new(0))).run_single_source();
             (
                 out.completed,
                 out.honest_coverage,
-                out.report.violations_detected,
-                out.report.evidence_verdicts,
+                out.report,
+                out.evidence,
                 out.injected,
             )
         }
         "async-multi-source" => {
-            let a = TokenAssignment::round_robin_sources(N, 12, 4);
-            let out = run_byzantine_multi_source(
-                &a,
-                StaticAdversary::new(Graph::complete(N)),
-                link(),
-                2,
-                seed,
-                AsyncConfig::default(),
-                &plan,
-                150_000,
-            );
-            for e in &out.evidence {
-                assert!(plan.is_malicious(e.culprit), "honest node indicted: {e:?}");
-            }
+            let out = scenario(TokenAssignment::round_robin_sources(N, 12, 4)).run_multi_source();
             (
                 out.completed,
                 out.honest_coverage,
-                out.report.violations_detected,
-                out.report.evidence_verdicts,
+                out.report,
+                out.evidence,
                 out.injected,
             )
         }
         "async-oblivious" => {
-            let a = TokenAssignment::n_gossip(N);
             let cfg = AsyncObliviousConfig {
                 seed,
                 source_threshold: Some(1.0),
@@ -138,28 +120,26 @@ fn run_cell(
                 phase2_max_time: 300_000,
                 ..AsyncObliviousConfig::default()
             };
-            let out = run_byzantine_oblivious(
-                &a,
-                StaticAdversary::new(Graph::complete(N)),
+            let out = scenario(TokenAssignment::n_gossip(N)).run_oblivious(
                 PeriodicRewiring::new(Topology::RandomTree, 3, derive_seed(seed, 0xB13)),
                 link(),
-                link(),
                 &cfg,
-                &plan,
+                None,
             );
-            for e in &out.evidence {
-                assert!(plan.is_malicious(e.culprit), "honest node indicted: {e:?}");
-            }
             (
                 out.completed,
                 out.honest_coverage,
-                out.report.violations_detected,
-                out.report.evidence_verdicts,
+                out.report,
+                out.evidence,
                 out.injected,
             )
         }
         other => unreachable!("unknown protocol arm {other}"),
     };
+    for e in &evidence {
+        assert!(plan.is_malicious(e.culprit), "honest node indicted: {e:?}");
+    }
+    let (violations, verdicts) = (report.violations_detected, report.evidence_verdicts);
     if plan.byzantine_nodes() == 0 {
         assert_eq!(violations, 0, "{protocol}: honest run with verdicts");
         assert!(completed, "{protocol}: honest run must complete");
@@ -179,15 +159,7 @@ fn run_cell(
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_byzantine.json");
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else {
-            out_path = arg;
-        }
-    }
+    let (smoke, out_path) = gate_args("BENCH_byzantine.json");
     let fractions: &[f64] = if smoke {
         &[0.0, 0.15]
     } else {
@@ -258,12 +230,5 @@ fn main() {
     println!("coverage = mean honest-node fraction of the token universe;");
     println!("viol/nodes = auditor verdicts (soundness asserted per cell).");
 
-    let json = format!(
-        "{{\n  \"n\": {N},\n  \"smoke\": {smoke},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        json_cells.join(",\n")
-    );
-    let mut f = std::fs::File::create(&out_path).expect("create BENCH_byzantine.json");
-    f.write_all(json.as_bytes())
-        .expect("write BENCH_byzantine.json");
-    eprintln!("wrote {out_path}");
+    write_gate_json(&out_path, ("n", N), smoke, &json_cells);
 }

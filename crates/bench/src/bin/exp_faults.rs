@@ -2,10 +2,9 @@
 //! protocol ports.
 //!
 //! Sweeps crash fraction × recovery delay × partition episodes over all
-//! three async protocols, each cell one seeded run through the
-//! `dynspread_runtime::faults` drivers: a pure-data [`FaultPlan`], the
-//! engine's crash/recovery/partition machinery, and the protocols'
-//! self-healing hooks. Tabulated per cell:
+//! three async protocols, each cell one seeded `Scenario::faults` run:
+//! a pure-data [`FaultPlan`], the engine's crash/recovery/partition
+//! machinery, and the protocols' self-healing hooks. Tabulated per cell:
 //!
 //! * **done** — whether the run still reached full dissemination (it
 //!   must: every planted fault is crash-*recovery*, so the protocols
@@ -27,18 +26,15 @@
 //! --faults` gates fresh runs against the committed baseline.
 
 use dynspread_analysis::table::{fmt_f64, Table};
-use dynspread_bench::{derive_seed, par_map};
+use dynspread_bench::{derive_seed, gate_args, par_map, write_gate_json};
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::{PeriodicRewiring, StaticAdversary};
 use dynspread_graph::{Graph, NodeId};
-use dynspread_runtime::faults::{
-    run_faulty_multi_source, run_faulty_oblivious, run_faulty_single_source, FaultPlan,
-    RecoveryMode,
-};
+use dynspread_runtime::faults::{FaultPlan, RecoveryMode};
 use dynspread_runtime::link::{DropLink, LinkModelExt};
-use dynspread_runtime::protocol::{AsyncConfig, AsyncObliviousConfig};
+use dynspread_runtime::protocol::AsyncObliviousConfig;
+use dynspread_runtime::scenario::Scenario;
 use dynspread_sim::token::TokenAssignment;
-use std::io::Write as _;
 use std::time::Instant;
 
 const PROTOCOLS: [&str; 3] = [
@@ -114,49 +110,27 @@ fn run_cell(protocol: &'static str, crash_pct: u32, recovery_delay: u64, episode
     );
     let link = || DropLink::new(0.1).with_jitter(1);
     let start = Instant::now();
-    let (completed, coverage, crashes, recoveries, partitions) = match protocol {
+    let scenario = |a: TokenAssignment| {
+        Scenario::from_assignment(a)
+            .topology(StaticAdversary::new(Graph::complete(N)))
+            .link(link())
+            .seed(seed)
+            .max_time(500_000)
+    };
+    let (completed, coverage, report) = match protocol {
         "async-single-source" => {
-            let a = TokenAssignment::single_source(N, 8, NodeId::new(0));
-            let out = run_faulty_single_source(
-                &a,
-                StaticAdversary::new(Graph::complete(N)),
-                link(),
-                2,
-                seed,
-                AsyncConfig::default(),
-                &plan,
-                500_000,
-            );
-            (
-                out.completed,
-                out.live_coverage,
-                out.report.crashes,
-                out.report.recoveries,
-                out.report.partition_episodes,
-            )
+            let out = scenario(TokenAssignment::single_source(N, 8, NodeId::new(0)))
+                .faults(plan)
+                .run_single_source();
+            (out.completed, out.live_coverage, out.report)
         }
         "async-multi-source" => {
-            let a = TokenAssignment::round_robin_sources(N, 12, 4);
-            let out = run_faulty_multi_source(
-                &a,
-                StaticAdversary::new(Graph::complete(N)),
-                link(),
-                2,
-                seed,
-                AsyncConfig::default(),
-                &plan,
-                500_000,
-            );
-            (
-                out.completed,
-                out.live_coverage,
-                out.report.crashes,
-                out.report.recoveries,
-                out.report.partition_episodes,
-            )
+            let out = scenario(TokenAssignment::round_robin_sources(N, 12, 4))
+                .faults(plan)
+                .run_multi_source();
+            (out.completed, out.live_coverage, out.report)
         }
         "async-oblivious" => {
-            let a = TokenAssignment::n_gossip(N);
             let cfg = AsyncObliviousConfig {
                 seed,
                 source_threshold: Some(1.0),
@@ -168,26 +142,18 @@ fn run_cell(protocol: &'static str, crash_pct: u32, recovery_delay: u64, episode
             };
             // The walk phase runs fault-free; the plan hits the spread
             // phase, where recovery resyncs pull the rejoiners back up.
-            let out = run_faulty_oblivious(
-                &a,
-                StaticAdversary::new(Graph::complete(N)),
+            let out = scenario(TokenAssignment::n_gossip(N)).run_oblivious(
                 PeriodicRewiring::new(Topology::RandomTree, 3, derive_seed(seed, 0xF18)),
                 link(),
-                link(),
                 &cfg,
-                &FaultPlan::none(N),
-                &plan,
+                Some(&plan),
             );
-            (
-                out.completed,
-                out.live_coverage,
-                out.report.crashes,
-                out.report.recoveries,
-                out.report.partition_episodes,
-            )
+            (out.completed, out.live_coverage, out.report)
         }
         other => unreachable!("unknown protocol arm {other}"),
     };
+    let (crashes, recoveries, partitions) =
+        (report.crashes, report.recoveries, report.partition_episodes);
     assert!(
         completed,
         "{protocol} at {crash_pct}%/{recovery_delay}/{episodes}ep did not self-heal"
@@ -211,15 +177,7 @@ fn run_cell(protocol: &'static str, crash_pct: u32, recovery_delay: u64, episode
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_faults.json");
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else {
-            out_path = arg;
-        }
-    }
+    let (smoke, out_path) = gate_args("BENCH_faults.json");
     let scenarios: Vec<(u32, u64, u32)> = SCENARIOS
         .iter()
         .copied()
@@ -274,12 +232,5 @@ fn main() {
     println!("coverage = mean live-node fraction of the token universe;");
     println!("crash/recov/part = fault events fired (completion asserted per cell).");
 
-    let json = format!(
-        "{{\n  \"n\": {N},\n  \"smoke\": {smoke},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        json_cells.join(",\n")
-    );
-    let mut f = std::fs::File::create(&out_path).expect("create BENCH_faults.json");
-    f.write_all(json.as_bytes())
-        .expect("write BENCH_faults.json");
-    eprintln!("wrote {out_path}");
+    write_gate_json(&out_path, ("n", N), smoke, &json_cells);
 }

@@ -3,7 +3,7 @@
 //!
 //! The round-based Algorithm 2 cannot run over a lossy link at all: a
 //! dropped walk step silently destroys token ownership and phase 1 never
-//! ends. The `run_async_oblivious` port carries walk steps as acked,
+//! ends. The `Scenario::run_oblivious` port carries walk steps as acked,
 //! retransmitted ownership transfers, so this binary can sweep what the
 //! synchronous experiments never could — drop probability × jitter — and
 //! tabulate the cost of reliability:
@@ -27,7 +27,8 @@ use dynspread_bench::{derive_seed, par_map};
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
 use dynspread_runtime::link::{DropLink, LinkModelExt};
-use dynspread_runtime::protocol::{run_async_oblivious, AsyncObliviousConfig};
+use dynspread_runtime::protocol::AsyncObliviousConfig;
+use dynspread_runtime::scenario::Scenario;
 use dynspread_sim::token::TokenAssignment;
 
 const DROPS: [f64; 3] = [0.0, 0.15, 0.3];
@@ -48,7 +49,6 @@ struct Cell {
 }
 
 fn run_cell(n: usize, drop: f64, jitter: u64, seed: u64) -> Cell {
-    let assignment = TokenAssignment::n_gossip(n);
     let cfg = AsyncObliviousConfig {
         seed: derive_seed(seed, 0xA51),
         // Force the two-phase path at this scale; ~15% centers and γ = 1
@@ -60,14 +60,19 @@ fn run_cell(n: usize, drop: f64, jitter: u64, seed: u64) -> Cell {
         phase1_max_time: 50_000,
         ..AsyncObliviousConfig::default()
     };
-    let out = run_async_oblivious(
-        &assignment,
-        PeriodicRewiring::new(Topology::Gnp(0.15), 3, derive_seed(seed, 1)),
-        PeriodicRewiring::new(Topology::RandomTree, 3, derive_seed(seed, 2)),
-        DropLink::new(drop).with_jitter(jitter),
-        DropLink::new(drop).with_jitter(jitter),
-        &cfg,
-    );
+    let out = Scenario::from_assignment(TokenAssignment::n_gossip(n))
+        .topology(PeriodicRewiring::new(
+            Topology::Gnp(0.15),
+            3,
+            derive_seed(seed, 1),
+        ))
+        .link(DropLink::new(drop).with_jitter(jitter))
+        .run_oblivious(
+            PeriodicRewiring::new(Topology::RandomTree, 3, derive_seed(seed, 2)),
+            DropLink::new(drop).with_jitter(jitter),
+            &cfg,
+            None,
+        );
     let p1 = out.phase1.as_ref().expect("two-phase path forced");
     Cell {
         drop,

@@ -34,8 +34,8 @@
 
 use dynspread_analysis::table::{fmt_f64, Table};
 use dynspread_bench::{
-    default_adversary, derive_seed, run_multi_source_profiled, run_phased_flooding_profiled,
-    run_single_source_profiled,
+    default_adversary, derive_seed, gate_args, run_multi_source_profiled,
+    run_phased_flooding_profiled, run_single_source_profiled, write_gate_json,
 };
 use dynspread_graph::NodeId;
 use dynspread_runtime::engine::EventSim;
@@ -44,7 +44,6 @@ use dynspread_runtime::protocol::{AsyncConfig, AsyncSingleSource};
 use dynspread_sim::sim::SimConfig;
 use dynspread_sim::token::TokenAssignment;
 use dynspread_sim::{ProfileReport, RunReport};
-use std::io::Write as _;
 
 const PROTOCOLS: [&str; 4] = [
     "flooding",
@@ -140,15 +139,7 @@ fn cell_json(c: &Cell, profile: &ProfileReport) -> String {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_profile.json");
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else {
-            out_path = arg;
-        }
-    }
+    let (smoke, out_path) = gate_args("BENCH_profile.json");
     let sizes: &[usize] = if smoke { &[1024] } else { &[1024, 4096] };
     let k = 4;
     let base_seed = 20_260_729u64;
@@ -221,12 +212,5 @@ fn main() {
         print!("{profile}");
     }
 
-    let json = format!(
-        "{{\n  \"k\": {k},\n  \"smoke\": {smoke},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        json_cells.join(",\n")
-    );
-    let mut f = std::fs::File::create(&out_path).expect("create BENCH_profile.json");
-    f.write_all(json.as_bytes())
-        .expect("write BENCH_profile.json");
-    eprintln!("wrote {out_path}");
+    write_gate_json(&out_path, ("k", k), smoke, &json_cells);
 }

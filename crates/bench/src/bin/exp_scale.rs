@@ -16,7 +16,7 @@
 //! * **async-single-source** — the `AsyncSingleSource` event port under
 //!   `EventSim` with a latency-1 perfect link (the event engine's
 //!   calendar queue and zero-clone fan-out are on this path);
-//! * **async-oblivious** — the full two-phase `run_async_oblivious`
+//! * **async-oblivious** — the full two-phase `Scenario::run_oblivious`
 //!   pipeline (random-walk center reduction, then `AsyncMultiSource`)
 //!   with `k = 16` tokens, ~4 expected centers, and a denser
 //!   `SparseConnected(8)` phase-1 topology so center hand-offs happen at
@@ -38,20 +38,18 @@
 
 use dynspread_analysis::table::{fmt_f64, Table};
 use dynspread_bench::{
-    default_adversary, derive_seed, par_map, run_multi_source, run_phased_flooding_cfg,
-    run_single_source,
+    default_adversary, derive_seed, gate_args, par_map, run_multi_source, run_phased_flooding_cfg,
+    run_single_source, write_gate_json,
 };
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
 use dynspread_graph::NodeId;
 use dynspread_runtime::engine::EventSim;
 use dynspread_runtime::link::{LinkModelExt, PerfectLink};
-use dynspread_runtime::protocol::{
-    run_async_oblivious, AsyncConfig, AsyncObliviousConfig, AsyncSingleSource,
-};
+use dynspread_runtime::protocol::{AsyncConfig, AsyncObliviousConfig, AsyncSingleSource};
+use dynspread_runtime::scenario::Scenario;
 use dynspread_sim::sim::SimConfig;
 use dynspread_sim::token::TokenAssignment;
-use std::io::Write as _;
 use std::time::Instant;
 
 const PROTOCOLS: [&str; 5] = [
@@ -132,14 +130,19 @@ fn run_cell(protocol: &'static str, n: usize, k: usize, seed: u64) -> Cell {
                 phase2_max_time: 8 * max_rounds,
                 ..AsyncObliviousConfig::default()
             };
-            let out = run_async_oblivious(
-                &a,
-                PeriodicRewiring::new(Topology::SparseConnected(8.0), 3, seed),
-                default_adversary(derive_seed(seed, 0x0B2)),
-                PerfectLink.with_latency(1),
-                PerfectLink.with_latency(1),
-                &cfg,
-            );
+            let out = Scenario::from_assignment(a)
+                .topology(PeriodicRewiring::new(
+                    Topology::SparseConnected(8.0),
+                    3,
+                    seed,
+                ))
+                .link(PerfectLink.with_latency(1))
+                .run_oblivious(
+                    default_adversary(derive_seed(seed, 0x0B2)),
+                    PerfectLink.with_latency(1),
+                    &cfg,
+                    None,
+                );
             (out.completed, out.total_epochs(), out.total_events())
         }
         "async-single-source" => {
@@ -173,15 +176,7 @@ fn run_cell(protocol: &'static str, n: usize, k: usize, seed: u64) -> Cell {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_runtime.json");
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else {
-            out_path = arg;
-        }
-    }
+    let (smoke, out_path) = gate_args("BENCH_runtime.json");
     let sizes: &[usize] = if smoke {
         &[1024]
     } else {
@@ -250,12 +245,5 @@ fn main() {
 
     // Top-level k is the grid default; each cell records the k it
     // actually ran with (the async-oblivious arm overrides it).
-    let json = format!(
-        "{{\n  \"k\": {k},\n  \"smoke\": {smoke},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        json_cells.join(",\n")
-    );
-    let mut f = std::fs::File::create(&out_path).expect("create BENCH_runtime.json");
-    f.write_all(json.as_bytes())
-        .expect("write BENCH_runtime.json");
-    eprintln!("wrote {out_path}");
+    write_gate_json(&out_path, ("k", k), smoke, &json_cells);
 }

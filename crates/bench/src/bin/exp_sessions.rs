@@ -30,12 +30,11 @@
 //! baseline.
 
 use dynspread_analysis::table::{fmt_f64, Table};
-use dynspread_bench::{derive_seed, par_map};
+use dynspread_bench::{derive_seed, gate_args, par_map, write_gate_json};
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
 use dynspread_runtime::link::{DropLink, LinkModelExt};
 use dynspread_runtime::{Scenario, SessionWorkload};
-use std::io::Write as _;
 use std::time::Instant;
 
 /// Nodes on the shared network — every session's job spans all of them.
@@ -130,15 +129,7 @@ fn run_cell(sessions: usize, k: usize, spacing: u64) -> Cell {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_sessions.json");
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else {
-            out_path = arg;
-        }
-    }
+    let (smoke, out_path) = gate_args("BENCH_sessions.json");
     let scenarios: Vec<(usize, usize, u64)> = SCENARIOS
         .iter()
         .copied()
@@ -188,12 +179,5 @@ fn main() {
     println!("overlap = sessions that arrived before an earlier one finished;");
     println!("msgs = envelopes staged by all sessions (completion asserted per cell).");
 
-    let json = format!(
-        "{{\n  \"n\": {N},\n  \"smoke\": {smoke},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        json_cells.join(",\n")
-    );
-    let mut f = std::fs::File::create(&out_path).expect("create BENCH_sessions.json");
-    f.write_all(json.as_bytes())
-        .expect("write BENCH_sessions.json");
-    eprintln!("wrote {out_path}");
+    write_gate_json(&out_path, ("n", N), smoke, &json_cells);
 }

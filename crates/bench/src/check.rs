@@ -11,9 +11,13 @@
 //!
 //! What is compared:
 //!
-//! * **runtime grid** — cells are matched on `(protocol, n)` (the fresh
-//!   smoke run only has the `n = 1024` column; extra baseline cells are
-//!   ignored), metrics `ns_per_round` and `ns_per_event`;
+//! * **grid artifacts** — `exp_scale`, `exp_byzantine`, `exp_faults` and
+//!   `exp_sessions` all write `{…, "cells": [ … ]}`; [`cell_deltas`]
+//!   matches fresh cells to baseline cells on the key fields of the
+//!   family's [`CellSpec`] ([`RUNTIME`], [`BYZANTINE`], [`FAULTS`],
+//!   [`SESSIONS`]) and compares the spec's metrics. A fresh smoke run
+//!   covers a subset of the committed full grid; extra baseline cells
+//!   are ignored, but a family with no matching cell at all is an error;
 //! * **core microbenches** — the delta-data-plane costs
 //!   (`advance_connectivity*` per-round nanoseconds) and the end-to-end
 //!   `flooding`/`single_source` per-round costs. Baseline-vs-delta
@@ -270,216 +274,166 @@ impl fmt::Display for Delta {
     }
 }
 
-/// Pairs up the scale-grid cells of two `BENCH_runtime.json` documents by
-/// `(protocol, n)` and returns the `ns_per_round`/`ns_per_event` deltas
-/// for every cell present in both (a fresh `--smoke` run matches only its
-/// `n = 1024` column against the committed full grid).
+/// How one family of grid artifacts is compared: which fields identify a
+/// cell, how its metric keys are labelled, and which metrics sit behind
+/// the wall floor.
+#[derive(Debug)]
+pub struct CellSpec {
+    /// The family's name in error messages (`bench_check`'s flag without
+    /// the dashes).
+    pub family: &'static str,
+    /// Text that opens every metric key of the family.
+    pub prefix: &'static str,
+    /// The fields a cell is matched on, in label order, each with the
+    /// text that follows its value in the label. Strings match as they
+    /// are, numbers as integers.
+    pub key: &'static [(&'static str, &'static str)],
+    /// Metrics compared on every matched cell. These are *virtual* —
+    /// pure functions of the seeds, identical on every replay of
+    /// unchanged code — so any drift is a behavioral change, not runner
+    /// noise.
+    pub floor_free: &'static [&'static str],
+    /// Wall-clock metrics, compared only when the *baseline* cell's
+    /// `wall_ms` is at least the floor (or absent): a single sub-50 ms
+    /// run jitters far past any reasonable tolerance on a shared CI
+    /// runner, so tiny cells would make the gate cry wolf.
+    pub floored: &'static [&'static str],
+}
+
+/// `BENCH_runtime.json` (`exp_scale`): cells match on `(protocol, n)` —
+/// a fresh `--smoke` run has only the `n = 1024` column of the committed
+/// full grid.
+pub const RUNTIME: CellSpec = CellSpec {
+    family: "runtime",
+    prefix: "",
+    key: &[("protocol", "/"), ("n", "")],
+    floor_free: &[],
+    floored: &["ns_per_round", "ns_per_event"],
+};
+
+/// `BENCH_byzantine.json` (`exp_byzantine`): cells match on
+/// `(protocol, fraction_pct, kind)`. Most of the `n = 24` grid sits
+/// under the wall floor and stays ungated.
+pub const BYZANTINE: CellSpec = CellSpec {
+    family: "byzantine",
+    prefix: "byz ",
+    key: &[("protocol", "/"), ("fraction_pct", "%/"), ("kind", "")],
+    floor_free: &[],
+    floored: &["wall_ms"],
+};
+
+/// `BENCH_faults.json` (`exp_faults`): cells match on
+/// `(protocol, crash_pct, episodes)`. The recovery delay is not part of
+/// the key: the swept grid never reuses a `(crash %, episodes)` pair
+/// with two delays, so the shorter key keeps a delay re-tune from
+/// orphaning every baseline cell.
+pub const FAULTS: CellSpec = CellSpec {
+    family: "faults",
+    prefix: "faults ",
+    key: &[("protocol", "/"), ("crash_pct", "%/"), ("episodes", "ep")],
+    floor_free: &[],
+    floored: &["wall_ms"],
+};
+
+/// `BENCH_sessions.json` (`exp_sessions`): cells match on
+/// `(sessions, k, spacing)`. Most of what the session grid measures is
+/// virtual — per-session latency percentiles and the aggregate envelope
+/// load — so those are gated with no floor; on a healthy PR they are
+/// exactly 0%.
+pub const SESSIONS: CellSpec = CellSpec {
+    family: "sessions",
+    prefix: "sessions ",
+    key: &[("sessions", "x"), ("k", "/"), ("spacing", "")],
+    floor_free: &["p95_latency", "messages"],
+    floored: &["wall_ms"],
+};
+
+/// Pairs up the `cells` of two artifacts of one family by the spec's key
+/// and returns, for every fresh cell that has a baseline cell, the
+/// deltas of the spec's metrics present on both sides: the floor-free
+/// ones, then — unless the baseline cell's `wall_ms` is under
+/// `min_wall_ms` (pass `0.0` to gate everything) — the floored ones.
+/// Baseline cells the fresh run lacks, and fresh cells the baseline
+/// lacks, are ignored.
 ///
-/// Cells whose *baseline* wall time is below `min_wall_ms` are skipped:
-/// a single sub-50 ms run jitters far past any reasonable tolerance on a
-/// shared CI runner, so tiny cells would make the gate cry wolf. Pass
-/// `0.0` to gate everything.
-pub fn runtime_deltas(baseline: &Json, fresh: &Json, min_wall_ms: f64) -> Vec<Delta> {
-    let empty: &[Json] = &[];
-    let base_cells = baseline
-        .get("cells")
-        .and_then(Json::as_array)
-        .unwrap_or(empty);
-    let fresh_cells = fresh.get("cells").and_then(Json::as_array).unwrap_or(empty);
-    let cell_key = |c: &Json| -> Option<(String, u64)> {
-        Some((
-            c.get("protocol")?.as_str()?.to_string(),
-            c.get("n")?.as_f64()? as u64,
-        ))
-    };
+/// # Errors
+///
+/// Fails when *no* fresh cell has a baseline cell: a renamed key field
+/// or a re-tuned grid has orphaned the whole family, and skipping it
+/// would leave the gate green while comparing nothing.
+pub fn cell_deltas(
+    spec: &CellSpec,
+    baseline: &Json,
+    fresh: &Json,
+    min_wall_ms: f64,
+) -> Result<Vec<Delta>, String> {
+    let base_cells = keyed_cells(spec, baseline);
+    let mut matched = 0usize;
     let mut deltas = Vec::new();
-    for fc in fresh_cells {
-        let Some(key) = cell_key(fc) else { continue };
-        let Some(bc) = base_cells
-            .iter()
-            .find(|bc| cell_key(bc) == Some(key.clone()))
-        else {
+    for (key, fc) in keyed_cells(spec, fresh) {
+        let Some((_, bc)) = base_cells.iter().find(|(bk, _)| *bk == key) else {
             continue;
         };
+        matched += 1;
+        let label: String = spec
+            .key
+            .iter()
+            .zip(&key)
+            .map(|((_, after), value)| format!("{value}{after}"))
+            .collect();
         let base_wall = bc.get("wall_ms").and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if base_wall < min_wall_ms {
-            continue; // too small to measure reliably in one run
-        }
-        for metric in ["ns_per_round", "ns_per_event"] {
+        let floored: &[&str] = if base_wall < min_wall_ms {
+            &[] // too small to measure reliably in one run
+        } else {
+            spec.floored
+        };
+        for metric in spec.floor_free.iter().chain(floored) {
             if let (Some(b), Some(f)) = (
                 bc.get(metric).and_then(Json::as_f64),
                 fc.get(metric).and_then(Json::as_f64),
             ) {
                 deltas.push(Delta {
-                    key: format!("{}/{} {metric}", key.0, key.1),
+                    key: format!("{}{label} {metric}", spec.prefix),
                     baseline: b,
                     fresh: f,
                 });
             }
         }
     }
-    deltas
+    if matched == 0 {
+        return Err(format!(
+            "family {}: 0 comparable cells — no fresh cell matches a baseline cell on ({})",
+            spec.family,
+            spec.key
+                .iter()
+                .map(|(field, _)| *field)
+                .collect::<Vec<_>>()
+                .join(", ")
+        ));
+    }
+    Ok(deltas)
 }
 
-/// Pairs up the Byzantine-grid cells of two `BENCH_byzantine.json`
-/// documents by `(protocol, fraction_pct, kind)` and returns the
-/// `wall_ms` deltas for every cell present in both, with the same
-/// baseline wall floor as [`runtime_deltas`].
-///
-/// The Byzantine grid is observational for now — there is no committed
-/// baseline, so `bench_check` treats the baseline file as optional and
-/// skips the comparison when it is absent. Once a baseline lands, the
-/// wall floor keeps the sub-floor cells (most of the grid at `n = 24`)
-/// ungated.
-pub fn byzantine_deltas(baseline: &Json, fresh: &Json, min_wall_ms: f64) -> Vec<Delta> {
-    let empty: &[Json] = &[];
-    let base_cells = baseline
-        .get("cells")
-        .and_then(Json::as_array)
-        .unwrap_or(empty);
-    let fresh_cells = fresh.get("cells").and_then(Json::as_array).unwrap_or(empty);
-    let cell_key = |c: &Json| -> Option<(String, u64, String)> {
-        Some((
-            c.get("protocol")?.as_str()?.to_string(),
-            c.get("fraction_pct")?.as_f64()? as u64,
-            c.get("kind")?.as_str()?.to_string(),
-        ))
-    };
-    let mut deltas = Vec::new();
-    for fc in fresh_cells {
-        let Some(key) = cell_key(fc) else { continue };
-        let Some(bc) = base_cells
-            .iter()
-            .find(|bc| cell_key(bc) == Some(key.clone()))
-        else {
-            continue;
-        };
-        let base_wall = bc.get("wall_ms").and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if base_wall < min_wall_ms {
-            continue;
-        }
-        if let (Some(b), Some(f)) = (
-            bc.get("wall_ms").and_then(Json::as_f64),
-            fc.get("wall_ms").and_then(Json::as_f64),
-        ) {
-            deltas.push(Delta {
-                key: format!("byz {}/{}%/{} wall_ms", key.0, key.1, key.2),
-                baseline: b,
-                fresh: f,
-            });
-        }
-    }
-    deltas
-}
-
-/// Pairs up the fault-grid cells of two `BENCH_faults.json` documents by
-/// `(protocol, crash_pct, episodes)` and returns the `wall_ms` deltas
-/// for every cell present in both, with the same baseline wall floor as
-/// [`runtime_deltas`]. The recovery delay is not part of the key: the
-/// swept grid never reuses a `(crash %, episodes)` pair with two
-/// delays, so the shorter key keeps a future delay re-tune from
-/// silently orphaning every baseline cell.
-pub fn faults_deltas(baseline: &Json, fresh: &Json, min_wall_ms: f64) -> Vec<Delta> {
-    let empty: &[Json] = &[];
-    let base_cells = baseline
-        .get("cells")
-        .and_then(Json::as_array)
-        .unwrap_or(empty);
-    let fresh_cells = fresh.get("cells").and_then(Json::as_array).unwrap_or(empty);
-    let cell_key = |c: &Json| -> Option<(String, u64, u64)> {
-        Some((
-            c.get("protocol")?.as_str()?.to_string(),
-            c.get("crash_pct")?.as_f64()? as u64,
-            c.get("episodes")?.as_f64()? as u64,
-        ))
-    };
-    let mut deltas = Vec::new();
-    for fc in fresh_cells {
-        let Some(key) = cell_key(fc) else { continue };
-        let Some(bc) = base_cells
-            .iter()
-            .find(|bc| cell_key(bc) == Some(key.clone()))
-        else {
-            continue;
-        };
-        let base_wall = bc.get("wall_ms").and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if base_wall < min_wall_ms {
-            continue;
-        }
-        if let (Some(b), Some(f)) = (
-            bc.get("wall_ms").and_then(Json::as_f64),
-            fc.get("wall_ms").and_then(Json::as_f64),
-        ) {
-            deltas.push(Delta {
-                key: format!("faults {}/{}%/{}ep wall_ms", key.0, key.1, key.2),
-                baseline: b,
-                fresh: f,
-            });
-        }
-    }
-    deltas
-}
-
-/// Pairs up the session-grid cells of two `BENCH_sessions.json`
-/// documents by `(sessions, k, spacing)`.
-///
-/// Unlike the other grids, most of what `exp_sessions` measures is
-/// *virtual*: per-session latency percentiles and the aggregate
-/// envelope load are pure functions of the seeds, identical on every
-/// replay of an unchanged service layer. Those deltas (`p95_latency`,
-/// `messages`) are therefore gated with **no wall floor** — on a
-/// healthy PR they are exactly 0%, and any drift is a behavioral change
-/// in the mux or the protocols, not runner noise. The `wall_ms` delta
-/// keeps the usual baseline floor from [`runtime_deltas`].
-pub fn sessions_deltas(baseline: &Json, fresh: &Json, min_wall_ms: f64) -> Vec<Delta> {
-    let empty: &[Json] = &[];
-    let base_cells = baseline
-        .get("cells")
-        .and_then(Json::as_array)
-        .unwrap_or(empty);
-    let fresh_cells = fresh.get("cells").and_then(Json::as_array).unwrap_or(empty);
-    let cell_key = |c: &Json| -> Option<(u64, u64, u64)> {
-        Some((
-            c.get("sessions")?.as_f64()? as u64,
-            c.get("k")?.as_f64()? as u64,
-            c.get("spacing")?.as_f64()? as u64,
-        ))
-    };
-    let mut deltas = Vec::new();
-    for fc in fresh_cells {
-        let Some(key) = cell_key(fc) else { continue };
-        let Some(bc) = base_cells.iter().find(|bc| cell_key(bc) == Some(key)) else {
-            continue;
-        };
-        let label = format!("sessions {}x{}/{}", key.0, key.1, key.2);
-        for metric in ["p95_latency", "messages"] {
-            if let (Some(b), Some(f)) = (
-                bc.get(metric).and_then(Json::as_f64),
-                fc.get(metric).and_then(Json::as_f64),
-            ) {
-                deltas.push(Delta {
-                    key: format!("{label} {metric}"),
-                    baseline: b,
-                    fresh: f,
-                });
-            }
-        }
-        let base_wall = bc.get("wall_ms").and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if base_wall < min_wall_ms {
-            continue;
-        }
-        if let (Some(b), Some(f)) = (
-            bc.get("wall_ms").and_then(Json::as_f64),
-            fc.get("wall_ms").and_then(Json::as_f64),
-        ) {
-            deltas.push(Delta {
-                key: format!("{label} wall_ms"),
-                baseline: b,
-                fresh: f,
-            });
-        }
-    }
-    deltas
+/// The artifact's cells with their keys under `spec`, each key field
+/// rendered as it appears in metric labels; cells with a key field
+/// missing, or neither string nor number, are left out.
+fn keyed_cells<'a>(spec: &CellSpec, doc: &'a Json) -> Vec<(Vec<String>, &'a Json)> {
+    let cells = doc.get("cells").and_then(Json::as_array).unwrap_or(&[]);
+    cells
+        .iter()
+        .filter_map(|cell| {
+            let key = spec
+                .key
+                .iter()
+                .map(|(field, _)| match cell.get(field)? {
+                    Json::Str(s) => Some(s.clone()),
+                    Json::Num(x) => Some((*x as u64).to_string()),
+                    _ => None,
+                })
+                .collect::<Option<Vec<String>>>()?;
+            Some((key, cell))
+        })
+        .collect()
 }
 
 /// The `BENCH_core.json` metrics the gate compares: the live data plane's
@@ -590,7 +544,7 @@ mod tests {
             ("flooding", 1024, 120.0, 9.0),
             ("brand-new", 1024, 1.0, 1.0),
         ]);
-        let deltas = runtime_deltas(&baseline, &fresh, 0.0);
+        let deltas = cell_deltas(&RUNTIME, &baseline, &fresh, 0.0).unwrap();
         assert_eq!(deltas.len(), 2, "one matched cell, two metrics");
         assert_eq!(deltas[0].key, "flooding/1024 ns_per_round");
         assert!(deltas[0].regressed(0.15), "+20% beats a 15% tolerance");
@@ -613,11 +567,14 @@ mod tests {
         let baseline = doc(vec![cell("tiny", 12.0), cell("big", 500.0)]);
         let fresh = doc(vec![cell("tiny", 9.0), cell("big", 480.0)]);
         // Floor 40 ms: the 12 ms baseline cell is too jittery to gate.
-        let deltas = runtime_deltas(&baseline, &fresh, 40.0);
+        let deltas = cell_deltas(&RUNTIME, &baseline, &fresh, 40.0).unwrap();
         assert_eq!(deltas.len(), 2);
         assert!(deltas.iter().all(|d| d.key.starts_with("big/")));
         // Floor 0: everything is gated; missing wall_ms means "gate it".
-        assert_eq!(runtime_deltas(&baseline, &fresh, 0.0).len(), 4);
+        assert_eq!(
+            cell_deltas(&RUNTIME, &baseline, &fresh, 0.0).unwrap().len(),
+            4
+        );
     }
 
     #[test]
@@ -666,11 +623,16 @@ mod tests {
             cell("async-oblivious", 15.0, "seq-replay", 9.0),
             cell("async-oblivious", 30.0, "drop-acks", 50.0), // no baseline
         ]);
-        let deltas = byzantine_deltas(&baseline, &fresh, 40.0);
+        let deltas = cell_deltas(&BYZANTINE, &baseline, &fresh, 40.0).unwrap();
         assert_eq!(deltas.len(), 1, "sub-floor and unmatched cells skipped");
         assert_eq!(deltas[0].key, "byz async-oblivious/15%/drop-acks wall_ms");
         assert!(deltas[0].regressed(0.20), "+25% beats a 20% tolerance");
-        assert_eq!(byzantine_deltas(&baseline, &fresh, 0.0).len(), 2);
+        assert_eq!(
+            cell_deltas(&BYZANTINE, &baseline, &fresh, 0.0)
+                .unwrap()
+                .len(),
+            2
+        );
     }
 
     #[test]
@@ -693,11 +655,14 @@ mod tests {
             cell("async-single-source", 20.0, 1.0, 7.0),
             cell("async-oblivious", 10.0, 0.0, 70.0), // no baseline
         ]);
-        let deltas = faults_deltas(&baseline, &fresh, 40.0);
+        let deltas = cell_deltas(&FAULTS, &baseline, &fresh, 40.0).unwrap();
         assert_eq!(deltas.len(), 1, "sub-floor and unmatched cells skipped");
         assert_eq!(deltas[0].key, "faults async-oblivious/20%/1ep wall_ms");
         assert!(deltas[0].regressed(0.30), "+33% beats a 30% tolerance");
-        assert_eq!(faults_deltas(&baseline, &fresh, 0.0).len(), 2);
+        assert_eq!(
+            cell_deltas(&FAULTS, &baseline, &fresh, 0.0).unwrap().len(),
+            2
+        );
     }
 
     #[test]
@@ -721,12 +686,54 @@ mod tests {
         // The 8 ms baseline wall is under the floor, but the virtual
         // metrics are still compared: +44% p95 is a real behavioral
         // regression, not runner jitter.
-        let deltas = sessions_deltas(&baseline, &fresh, 40.0);
+        let deltas = cell_deltas(&SESSIONS, &baseline, &fresh, 40.0).unwrap();
         assert_eq!(deltas.len(), 2, "p95 + messages; wall under the floor");
         assert_eq!(deltas[0].key, "sessions 20x4/100 p95_latency");
         assert!(deltas[0].regressed(0.30));
         assert!(!deltas[1].regressed(0.0), "messages unchanged");
-        assert_eq!(sessions_deltas(&baseline, &fresh, 0.0).len(), 3);
+        assert_eq!(
+            cell_deltas(&SESSIONS, &baseline, &fresh, 0.0)
+                .unwrap()
+                .len(),
+            3
+        );
+    }
+
+    #[test]
+    fn a_family_with_no_matching_cell_is_an_error_not_a_skip() {
+        let cell = |p: &str, pct: f64, eps: f64| {
+            Json::Obj(vec![
+                ("protocol".into(), Json::Str(p.into())),
+                ("crash_pct".into(), Json::Num(pct)),
+                ("episodes".into(), Json::Num(eps)),
+                ("wall_ms".into(), Json::Num(90.0)),
+            ])
+        };
+        let doc = |cells: Vec<Json>| Json::Obj(vec![("cells".into(), Json::Arr(cells))]);
+        let baseline = doc(vec![cell("async-oblivious", 20.0, 1.0)]);
+        // A re-tuned grid: every fresh cell has a crash % the baseline
+        // never ran.
+        let retuned = doc(vec![
+            cell("async-oblivious", 25.0, 1.0),
+            cell("async-oblivious", 25.0, 0.0),
+        ]);
+        let err = cell_deltas(&FAULTS, &baseline, &retuned, 0.0).unwrap_err();
+        assert!(err.contains("family faults: 0 comparable cells"), "{err}");
+        // A renamed key field orphans the family just the same.
+        let renamed = doc(vec![Json::Obj(vec![
+            ("protocol".into(), Json::Str("async-oblivious".into())),
+            ("crash_percent".into(), Json::Num(20.0)),
+            ("episodes".into(), Json::Num(1.0)),
+            ("wall_ms".into(), Json::Num(90.0)),
+        ])]);
+        assert!(cell_deltas(&FAULTS, &baseline, &renamed, 0.0).is_err());
+        // Matched cells that all sit under the wall floor are *not* an
+        // error: the cells are comparable, just too small to time.
+        let same = doc(vec![cell("async-oblivious", 20.0, 1.0)]);
+        assert_eq!(
+            cell_deltas(&FAULTS, &baseline, &same, 100.0).unwrap().len(),
+            0
+        );
     }
 
     #[test]

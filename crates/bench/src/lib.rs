@@ -59,6 +59,40 @@ pub fn default_adversary(seed: u64) -> PeriodicRewiring {
     PeriodicRewiring::new(Topology::RandomTree, 3, seed)
 }
 
+/// Parses the gate binaries' command line, `[--smoke] [OUT.json]`:
+/// whether to run the reduced CI grid, and where the cells go
+/// (`default_out` when no path is given).
+pub fn gate_args(default_out: &str) -> (bool, String) {
+    let mut smoke = false;
+    let mut out_path = default_out.to_string();
+    for arg in std::env::args().skip(1) {
+        if arg == "--smoke" {
+            smoke = true;
+        } else {
+            out_path = arg;
+        }
+    }
+    (smoke, out_path)
+}
+
+/// Writes a gate binary's baseline file —
+/// `{"<param>": <value>, "smoke": …, "cells": [ … ]}` with one
+/// pre-rendered cell object per entry, the shape [`check`] parses — and
+/// reports the path on stderr.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+pub fn write_gate_json(out_path: &str, param: (&str, usize), smoke: bool, cells: &[String]) {
+    let (name, value) = param;
+    let json = format!(
+        "{{\n  \"{name}\": {value},\n  \"smoke\": {smoke},\n  \"cells\": [\n{}\n  ]\n}}\n",
+        cells.join(",\n")
+    );
+    std::fs::write(out_path, json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
+    eprintln!("wrote {out_path}");
+}
+
 /// Runs Single-Source-Unicast (Algorithm 1) to completion.
 pub fn run_single_source<A: UnicastAdversary<SsMsg>>(
     n: usize,

@@ -19,19 +19,20 @@
 //!    cannot produce) and deterministic (byte-identical verdicts under
 //!    seeded replay).
 //!
-//! The [`run`] drivers tie it together: wrapped protocols, recorded
-//! transcripts, post-run audit, and Byzantine-resilience metrics in the
-//! workspace [`RunReport`](dynspread_sim::RunReport).
+//! [`Scenario::byzantine`](crate::scenario::Scenario::byzantine) ties it
+//! together for any async port: wrapped protocols, recorded transcripts,
+//! post-run audit (both phases of the oblivious pipeline), and
+//! Byzantine-resilience metrics — honest-node coverage, injected-action
+//! count, and the Byzantine counters of the workspace
+//! [`RunReport`](dynspread_sim::RunReport). The honest plan
+//! ([`MisbehaviorPlan::honest`]) reproduces the plan-free run byte for
+//! byte, so any degradation measured under a malicious plan is
+//! attributable to the injected misbehavior alone.
 
 pub mod evidence;
 pub mod misbehave;
-pub mod run;
 pub mod transcript;
 
 pub use evidence::{check_evidence, AuditSetup, Evidence, Violation};
 pub use misbehave::{Misbehaving, MisbehaviorKind, MisbehaviorPlan, Tamper};
-pub use run::{
-    run_byzantine_multi_source, run_byzantine_oblivious, run_byzantine_single_source,
-    ByzantineObliviousOutcome, ByzantineOutcome,
-};
 pub use transcript::{AuditMsg, Direction, MsgKind, MsgSummary, Transcript, TranscriptEntry};

@@ -516,7 +516,7 @@ where
     /// the *link* semantics of a partition (cross-cut copies dropped) are
     /// enforced by wrapping the link model in
     /// [`PartitionLink`](crate::faults::PartitionLink) over the same
-    /// plan, which the `run_faulty_*` drivers do for you.
+    /// plan, which [`Scenario`](crate::scenario::Scenario) does for you.
     ///
     /// An empty plan ([`FaultPlan::none`]) schedules nothing and leaves
     /// the run byte-identical to one without a plan.

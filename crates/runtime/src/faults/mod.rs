@@ -20,16 +20,65 @@
 //!    [`EventProtocol::on_heal`](crate::engine::EventProtocol::on_heal)
 //!    to every live node. All of it is replay-identical from the seeds,
 //!    and an empty plan is *byte-identical* to running with no plan.
-//! 3. **Drivers** ([`run`]): `run_faulty_*` harnesses that inject a plan
-//!    into each async port, report degradation as live-node coverage, and
-//!    stamp crash/recovery/partition counters into the
+//! 3. **Driving it**: [`Scenario::faults`](crate::scenario::Scenario::faults)
+//!    injects a plan into any async port (and
+//!    [`Scenario::run_oblivious`](crate::scenario::Scenario::run_oblivious)
+//!    takes a second plan for its phase 2) — the engine gets the plan
+//!    via [`EventSim::set_fault_plan`](crate::engine::EventSim::set_fault_plan)
+//!    and the link is wrapped in [`PartitionLink`] over the same plan, so
+//!    any degradation measured is attributable to the injected faults
+//!    alone. Degradation is reported as **live coverage**
+//!    ([`coverage_over`] the nodes up at the end of the run), and the
+//!    crash/recovery/partition counters are stamped into the
 //!    [`RunReport`](dynspread_sim::RunReport).
 
 pub mod plan;
-pub mod run;
 
 pub use plan::{FaultPlan, NodeFault, PartitionEpisode, PartitionLink, RecoveryMode};
-pub use run::{
-    coverage_over, run_faulty_multi_source, run_faulty_oblivious, run_faulty_single_source,
-    FaultyObliviousOutcome, FaultyOutcome,
-};
+
+use dynspread_graph::NodeId;
+use dynspread_sim::token::TokenSet;
+
+/// Mean coverage of the `k`-token universe over the nodes selected by
+/// `include` (their index order matching the knowledge iterator); `1.0`
+/// when no node is selected.
+pub fn coverage_over<'a>(
+    k: usize,
+    knowledge: impl Iterator<Item = &'a TokenSet>,
+    mut include: impl FnMut(NodeId) -> bool,
+) -> f64 {
+    let mut sum = 0.0;
+    let mut picked = 0usize;
+    for (i, know) in knowledge.enumerate() {
+        if include(NodeId::new(i as u32)) {
+            sum += know.count() as f64 / k.max(1) as f64;
+            picked += 1;
+        }
+    }
+    if picked == 0 {
+        1.0
+    } else {
+        sum / picked as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dynspread_sim::token::TokenId;
+
+    #[test]
+    fn coverage_over_excludes_and_degenerates() {
+        let mut full = TokenSet::new(4);
+        for i in 0..4 {
+            full.insert(TokenId::new(i));
+        }
+        let empty = TokenSet::new(4);
+        let sets = [full, empty];
+        let all = coverage_over(4, sets.iter(), |_| true);
+        assert!((all - 0.5).abs() < 1e-12);
+        let first = coverage_over(4, sets.iter(), |v| v.index() == 0);
+        assert!((first - 1.0).abs() < 1e-12);
+        assert_eq!(coverage_over(4, sets.iter(), |_| false), 1.0);
+    }
+}

@@ -64,13 +64,11 @@
 //! * **The `Scenario` front door + multi-session service layer**
 //!   ([`scenario`], [`session`]): a builder-style [`scenario::Scenario`]
 //!   is the single entry point composing every axis above — faults,
-//!   Byzantine plans, and tracing in one run — with the legacy
-//!   `run_faulty_*` / `run_byzantine_*` / `run_async_oblivious*` drivers
-//!   reimplemented as byte-identical thin wrappers over it. The session
-//!   layer multiplexes many overlapping dissemination sessions (distinct
-//!   token universes, sources, arrival times) over one long-lived engine
-//!   via a typed [`session::WireEnvelope`], reporting per-session
-//!   completion latency on the shared virtual clock.
+//!   Byzantine plans, and tracing in one run. The session layer
+//!   multiplexes many overlapping dissemination sessions (distinct token
+//!   universes, sources, arrival times) over one long-lived engine via a
+//!   typed [`session::WireEnvelope`], reporting per-session completion
+//!   latency on the shared virtual clock.
 //!
 //! # How the event model relates to the paper's rounds
 //!

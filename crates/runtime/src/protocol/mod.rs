@@ -34,6 +34,17 @@
 //! retransmission windows (the crate-private `RequestWindow`) instead of
 //! per-round edge sweeps.
 //!
+//! # Running the ports
+//!
+//! [`Scenario`](crate::scenario::Scenario) is the driver for all three:
+//! `run_single_source` and `run_multi_source` run [`AsyncSingleSource`]
+//! and [`AsyncMultiSource`] to full dissemination, and `run_oblivious`
+//! runs [`AsyncOblivious`] as phase 1 of the two-phase pipeline, hands
+//! the resolved token owners over as sources, and runs
+//! [`AsyncMultiSource`] as phase 2 — each under any combination of link
+//! model, fault plan, Byzantine plan and tracer. The node types can also
+//! be put under a raw [`EventSim`](crate::engine::EventSim) directly.
+//!
 //! # Conformance contract
 //!
 //! Where the models coincide the ports must agree with the round-based
@@ -52,10 +63,7 @@ mod oblivious;
 mod single_source;
 
 pub use multi_source::{AsyncMsMsg, AsyncMultiSource};
-pub use oblivious::{
-    run_async_oblivious, run_async_oblivious_traced, AsyncOblMsg, AsyncOblivious,
-    AsyncObliviousConfig, AsyncObliviousOutcome,
-};
+pub use oblivious::{AsyncOblMsg, AsyncOblivious, AsyncObliviousConfig};
 pub use single_source::{AsyncSingleSource, AsyncSsMsg};
 
 use crate::event::VirtualTime;

@@ -42,21 +42,17 @@
 //!
 //! Phase 2 is the existing [`AsyncMultiSource`] core, fed with the
 //! harvested ownership map (owners = sources) and knowledge snapshot by
-//! [`run_async_oblivious`] — the same hand-off the synchronous
-//! `run_oblivious_multi_source` performs, against the asynchronous
-//! engine.
+//! [`Scenario::run_oblivious`](crate::scenario::Scenario::run_oblivious)
+//! — the same hand-off the synchronous `run_oblivious_multi_source`
+//! performs, against the asynchronous engine.
 
 use super::{AsyncConfig, RequestWindow, Retransmitter};
-use crate::engine::{EventCtx, EventProtocol, EventReport};
+use crate::engine::{EventCtx, EventProtocol};
 use crate::event::VirtualTime;
 use crate::faults::RecoveryMode;
-use crate::link::LinkModel;
-use crate::scenario::Scenario;
 use dynspread_core::walk::{elect_centers, WalkCore};
-use dynspread_graph::adversary::Adversary;
 use dynspread_graph::NodeId;
 use dynspread_sim::token::{TokenAssignment, TokenId, TokenSet};
-use dynspread_sim::trace::JsonlTracer;
 use std::collections::BTreeMap;
 
 /// Messages of the asynchronous random-walk phase.
@@ -93,8 +89,9 @@ const HEARTBEAT: u64 = 0;
 /// Per-node state of the asynchronous random-walk phase (phase 1 of the
 /// oblivious algorithm).
 ///
-/// Drive it with [`run_async_oblivious`] for the full two-phase pipeline,
-/// or directly under an [`EventSim`](crate::engine::EventSim) (no tracking: the phase's goal is
+/// Drive it with
+/// [`Scenario::run_oblivious`](crate::scenario::Scenario::run_oblivious)
+/// for the full two-phase pipeline, or directly under an [`EventSim`](crate::engine::EventSim) (no tracking: the phase's goal is
 /// center ownership, not dissemination — the run ends at quiescence):
 ///
 /// ```
@@ -478,157 +475,13 @@ impl Default for AsyncObliviousConfig {
     }
 }
 
-/// Result of a full asynchronous two-phase run.
-#[derive(Clone, Debug)]
-pub struct AsyncObliviousOutcome {
-    /// Phase-1 report (absent when the source count was below threshold
-    /// and the pipeline went straight to multi-source).
-    pub phase1: Option<EventReport>,
-    /// Phase-2 ([`AsyncMultiSource`](super::AsyncMultiSource)) report.
-    pub phase2: EventReport,
-    /// The elected centers (or the original sources if phase 1 was
-    /// skipped).
-    pub centers: Vec<NodeId>,
-    /// The phase-2 sources: the deduplicated token owners after phase 1.
-    pub sources: Vec<NodeId>,
-    /// Tokens whose resolved owner is not a center (deadline-frozen
-    /// fallback sources, the async analogue of the sync `stranded`).
-    pub stranded_tokens: usize,
-    /// Final per-node token knowledge after phase 2.
-    pub final_knowledge: Vec<TokenSet>,
-    /// Whether phase 2 reached full dissemination.
-    pub completed: bool,
-}
-
-impl AsyncObliviousOutcome {
-    /// Total link-layer transmissions across both phases.
-    pub fn total_transmissions(&self) -> u64 {
-        self.phase2.transmissions + self.phase1.as_ref().map_or(0, |r| r.transmissions)
-    }
-
-    /// Total engine events across both phases.
-    pub fn total_events(&self) -> u64 {
-        self.phase2.events + self.phase1.as_ref().map_or(0, |r| r.events)
-    }
-
-    /// Total topology epochs across both phases.
-    pub fn total_epochs(&self) -> u64 {
-        self.phase2.epochs + self.phase1.as_ref().map_or(0, |r| r.epochs)
-    }
-}
-
-/// Runs the full asynchronous Oblivious-Multi-Source-Unicast pipeline.
-///
-/// `adversary1`/`link1` drive phase 1 and `adversary2`/`link2` phase 2;
-/// the adversaries must be oblivious (the state-blind [`Adversary`]
-/// trait is exactly that guarantee). Phase 1 ends by *distributed*
-/// quiescence — every node locally sheds or (at the deadline) freezes
-/// its tokens and stops its heartbeat, draining the event queue — after
-/// which this driver harvests ownership and knowledge and hands the
-/// owners to the existing [`AsyncMultiSource`](super::AsyncMultiSource) core as sources, mirroring
-/// the synchronous `run_oblivious_multi_source` hand-off.
-///
-/// A token can end phase 1 with two claimants (the adversary removed the
-/// transfer's edge after delivery but before the ack); claimants are
-/// resolved deterministically, preferring a center over a frozen walker.
-/// Responsibility is never destroyed, so every token has at least one.
-///
-/// # Examples
-///
-/// ```
-/// use dynspread_graph::{generators::Topology, oblivious::PeriodicRewiring};
-/// use dynspread_runtime::link::{DropLink, LinkModelExt};
-/// use dynspread_runtime::protocol::{run_async_oblivious, AsyncObliviousConfig};
-/// use dynspread_sim::token::TokenAssignment;
-///
-/// // Every node a source, over links the round-based pipeline cannot
-/// // run on at all: 30% drop plus jitter.
-/// let assignment = TokenAssignment::n_gossip(12);
-/// let cfg = AsyncObliviousConfig {
-///     seed: 7,
-///     source_threshold: Some(1.0), // force the two-phase path at this scale
-///     center_probability: Some(0.25),
-///     ..AsyncObliviousConfig::default()
-/// };
-/// let out = run_async_oblivious(
-///     &assignment,
-///     PeriodicRewiring::new(Topology::Gnp(0.3), 3, 1),
-///     PeriodicRewiring::new(Topology::RandomTree, 3, 2),
-///     DropLink::new(0.3).with_jitter(2),
-///     DropLink::new(0.3).with_jitter(2),
-///     &cfg,
-/// );
-/// assert!(out.completed);
-/// assert!(!out.centers.is_empty());
-/// assert!(out.final_knowledge.iter().all(|k| k.is_full()));
-/// ```
-///
-/// # Panics
-///
-/// Panics if the assignment is invalid for the underlying engines (e.g.
-/// zero nodes).
-pub fn run_async_oblivious<A1, A2, L1, L2>(
-    assignment: &TokenAssignment,
-    adversary1: A1,
-    adversary2: A2,
-    link1: L1,
-    link2: L2,
-    cfg: &AsyncObliviousConfig,
-) -> AsyncObliviousOutcome
-where
-    A1: Adversary,
-    A2: Adversary,
-    L1: LinkModel,
-    L2: LinkModel,
-{
-    run_async_oblivious_traced(assignment, adversary1, adversary2, link1, link2, cfg, None)
-}
-
-/// Like [`run_async_oblivious`], but with an optional shared
-/// [`JsonlTracer`] receiving the deterministic trace of *both* internal
-/// engines, stitched by `phase` boundary records (`p:1` for the walk,
-/// `p:2` for the multi-source spread; the few-sources fast path emits
-/// only `p:2`). The caller keeps a clone of the tracer and reads the
-/// combined JSONL after the run. `None` is exactly
-/// [`run_async_oblivious`].
-pub fn run_async_oblivious_traced<A1, A2, L1, L2>(
-    assignment: &TokenAssignment,
-    adversary1: A1,
-    adversary2: A2,
-    link1: L1,
-    link2: L2,
-    cfg: &AsyncObliviousConfig,
-    tracer: Option<JsonlTracer>,
-) -> AsyncObliviousOutcome
-where
-    A1: Adversary,
-    A2: Adversary,
-    L1: LinkModel,
-    L2: LinkModel,
-{
-    let mut scenario = Scenario::from_assignment(assignment.clone())
-        .topology(adversary1)
-        .link(link1);
-    if let Some(tr) = tracer {
-        scenario = scenario.trace(tr);
-    }
-    let out = scenario.run_oblivious(adversary2, link2, cfg, None);
-    AsyncObliviousOutcome {
-        phase1: out.phase1,
-        phase2: out.phase2,
-        centers: out.centers,
-        sources: out.sources,
-        stranded_tokens: out.stranded_tokens,
-        final_knowledge: out.final_knowledge,
-        completed: out.completed,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EventSim, StopReason};
-    use crate::link::{DropLink, LinkModelExt, PerfectLink};
+    use crate::engine::{EventReport, EventSim, StopReason};
+    use crate::link::{DropLink, LinkModel, LinkModelExt, PerfectLink};
+    use crate::scenario::Scenario;
+    use dynspread_graph::adversary::Adversary;
     use dynspread_graph::generators::Topology;
     use dynspread_graph::oblivious::{PeriodicRewiring, StaticAdversary};
     use dynspread_graph::Graph;
@@ -787,14 +640,15 @@ mod tests {
             ..AsyncObliviousConfig::default()
         };
         let run = || {
-            run_async_oblivious(
-                &assignment,
-                PeriodicRewiring::new(Topology::Gnp(0.3), 3, 31),
-                PeriodicRewiring::new(Topology::RandomTree, 3, 32),
-                DropLink::new(0.3).with_jitter(2),
-                DropLink::new(0.3).with_jitter(2),
-                &cfg,
-            )
+            Scenario::from_assignment(assignment.clone())
+                .topology(PeriodicRewiring::new(Topology::Gnp(0.3), 3, 31))
+                .link(DropLink::new(0.3).with_jitter(2))
+                .run_oblivious(
+                    PeriodicRewiring::new(Topology::RandomTree, 3, 32),
+                    DropLink::new(0.3).with_jitter(2),
+                    &cfg,
+                    None,
+                )
         };
         let (a, b) = (run(), run());
         assert!(a.completed);
@@ -810,14 +664,14 @@ mod tests {
     #[test]
     fn direct_path_taken_for_few_sources() {
         let assignment = TokenAssignment::round_robin_sources(10, 8, 2);
-        let out = run_async_oblivious(
-            &assignment,
-            StaticAdversary::new(Graph::path(10)),
-            PeriodicRewiring::new(Topology::RandomTree, 3, 5),
-            PerfectLink,
-            PerfectLink,
-            &AsyncObliviousConfig::default(), // paper threshold ≫ 2 sources
-        );
+        let out = Scenario::from_assignment(assignment.clone())
+            .topology(StaticAdversary::new(Graph::path(10)))
+            .run_oblivious(
+                PeriodicRewiring::new(Topology::RandomTree, 3, 5),
+                PerfectLink,
+                &AsyncObliviousConfig::default(), // paper threshold ≫ 2 sources
+                None,
+            );
         assert!(out.phase1.is_none());
         assert!(out.completed);
         assert_eq!(out.centers, assignment.sources());

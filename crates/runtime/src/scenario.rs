@@ -1,12 +1,9 @@
 //! The unified `Scenario` front door: one builder for every async run.
 //!
-//! Historically each axis of the runtime grew its own driver —
-//! `run_async_*` for honest runs, `run_faulty_*` for crash/partition
-//! plans, `run_byzantine_*` for misbehavior injection — and the axes
-//! could not be combined: nothing could run a crash-recovery plan *and*
-//! a Byzantine plan *and* a deterministic trace in one execution. The
-//! [`Scenario`] builder replaces that driver zoo with a single
-//! composition point:
+//! Every axis of the runtime — dynamic topology, link model, crash and
+//! partition faults, Byzantine misbehavior, tracing, concurrent sessions
+//! — is one builder call, and any subset composes in a single
+//! execution:
 //!
 //! ```
 //! use dynspread_graph::{generators::Topology, oblivious::PeriodicRewiring};
@@ -32,25 +29,26 @@
 //! The execution core *always* arms every axis — absent plans are
 //! replaced by their proven-identity neutral elements
 //! ([`FaultPlan::none`], [`MisbehaviorPlan::honest`]) — so composed and
-//! single-axis runs go through literally the same code path:
+//! single-axis runs go through literally the same code path, one
+//! private phase runner shared by the three protocol entry points:
 //!
 //! * the link is wrapped in [`PartitionLink`] over the fault plan (an
 //!   empty plan is byte-identical to the raw link);
-//! * the nodes are wrapped in
-//!   [`Misbehaving`](crate::byzantine::Misbehaving) (an honest plan is
+//! * the nodes are wrapped in [`Misbehaving`] (an honest plan is
 //!   byte-identical to unwrapped nodes);
 //! * transcripts are recorded, and evidence audited, only when a real
 //!   Byzantine plan is present (recording is observation-only either
 //!   way).
 //!
-//! The legacy `run_faulty_*` / `run_byzantine_*` / `run_async_oblivious*`
-//! drivers are now thin wrappers over this builder and remain
-//! byte-identical to their historical outputs per seed (asserted by
-//! `tests/legacy_identity.rs`).
+//! `tests/legacy_identity.rs` at the workspace root holds hand-built
+//! raw-engine twins of these runs — unwrapped nodes, raw links, a
+//! hand-rolled hand-off — and compares the builder to them `Debug` byte
+//! for byte: they are the builder's reference implementation.
 
-use crate::byzantine::run::stamp_report;
-use crate::byzantine::{check_evidence, AuditMsg, AuditSetup, Evidence, MisbehaviorPlan, Tamper};
-use crate::engine::{EventReport, EventSim, StopReason};
+use crate::byzantine::{
+    check_evidence, AuditMsg, AuditSetup, Evidence, Misbehaving, MisbehaviorPlan, Tamper,
+};
+use crate::engine::{EventProtocol, EventReport, EventSim, StopReason};
 use crate::event::VirtualTime;
 use crate::faults::{coverage_over, FaultPlan, PartitionLink};
 use crate::link::{LinkModel, PerfectLink};
@@ -68,20 +66,26 @@ use dynspread_graph::oblivious::StaticAdversary;
 use dynspread_graph::{Graph, NodeId};
 use dynspread_sim::token::{TokenAssignment, TokenId, TokenSet};
 use dynspread_sim::RunReport;
+use std::collections::BTreeSet;
 use std::sync::Arc;
-
-use crate::engine::EventProtocol;
 
 /// Builder for one fully-configured asynchronous execution.
 ///
 /// See the [module docs](self) for the composition rules. The adversary
-/// and link default to a static complete graph over perfect links; every
-/// other knob has the drivers' historical default.
+/// and link default to a static complete graph over perfect links.
 #[derive(Clone, Debug)]
 pub struct Scenario<A = StaticAdversary, L = PerfectLink> {
-    assignment: TokenAssignment,
     adversary: A,
     link: L,
+    settings: Settings,
+}
+
+/// Everything a [`Scenario`] holds besides its adversary and link: the
+/// part that keeps its type when either is replaced, and what one engine
+/// run (a *phase*) is armed from.
+#[derive(Clone, Debug)]
+struct Settings {
+    assignment: TokenAssignment,
     ticks_per_round: VirtualTime,
     seed: u64,
     retransmit: AsyncConfig,
@@ -105,18 +109,20 @@ impl Scenario {
     pub fn from_assignment(assignment: TokenAssignment) -> Self {
         let n = assignment.node_count();
         Scenario {
-            assignment,
             adversary: StaticAdversary::new(Graph::complete(n)),
             link: PerfectLink,
-            ticks_per_round: 2,
-            seed: 0,
-            retransmit: AsyncConfig::default(),
-            max_time: 2_000_000,
-            faults: None,
-            byzantine: None,
-            tracer: None,
-            name: None,
-            sessions: Vec::new(),
+            settings: Settings {
+                assignment,
+                ticks_per_round: 2,
+                seed: 0,
+                retransmit: AsyncConfig::default(),
+                max_time: 2_000_000,
+                faults: None,
+                byzantine: None,
+                tracer: None,
+                name: None,
+                sessions: Vec::new(),
+            },
         }
     }
 }
@@ -125,36 +131,18 @@ impl<A, L> Scenario<A, L> {
     /// Replaces the dynamic-topology adversary.
     pub fn topology<A2: Adversary>(self, adversary: A2) -> Scenario<A2, L> {
         Scenario {
-            assignment: self.assignment,
             adversary,
             link: self.link,
-            ticks_per_round: self.ticks_per_round,
-            seed: self.seed,
-            retransmit: self.retransmit,
-            max_time: self.max_time,
-            faults: self.faults,
-            byzantine: self.byzantine,
-            tracer: self.tracer,
-            name: self.name,
-            sessions: self.sessions,
+            settings: self.settings,
         }
     }
 
     /// Replaces the link model.
     pub fn link<L2: LinkModel>(self, link: L2) -> Scenario<A, L2> {
         Scenario {
-            assignment: self.assignment,
             adversary: self.adversary,
             link,
-            ticks_per_round: self.ticks_per_round,
-            seed: self.seed,
-            retransmit: self.retransmit,
-            max_time: self.max_time,
-            faults: self.faults,
-            byzantine: self.byzantine,
-            tracer: self.tracer,
-            name: self.name,
-            sessions: self.sessions,
+            settings: self.settings,
         }
     }
 
@@ -165,66 +153,66 @@ impl<A, L> Scenario<A, L> {
     /// Panics if session specs over a different node count were already
     /// queued.
     pub fn assignment(mut self, assignment: TokenAssignment) -> Self {
-        if let Some(spec) = self.sessions.first() {
+        if let Some(spec) = self.settings.sessions.first() {
             assert_eq!(
                 spec.assignment.node_count(),
                 assignment.node_count(),
                 "session assignment node count"
             );
         }
-        self.assignment = assignment;
+        self.settings.assignment = assignment;
         self
     }
 
     /// Virtual ticks per topology epoch (default 2).
     pub fn ticks_per_round(mut self, ticks: VirtualTime) -> Self {
-        self.ticks_per_round = ticks;
+        self.settings.ticks_per_round = ticks;
         self
     }
 
     /// Engine seed (links, scheduling; default 0).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.settings.seed = seed;
         self
     }
 
     /// Retransmission tuning for the async ports (default
     /// [`AsyncConfig::default`]).
     pub fn retransmit(mut self, cfg: AsyncConfig) -> Self {
-        self.retransmit = cfg;
+        self.settings.retransmit = cfg;
         self
     }
 
     /// Hard cap on virtual time (default 2 000 000).
     pub fn max_time(mut self, max_time: VirtualTime) -> Self {
-        self.max_time = max_time;
+        self.settings.max_time = max_time;
         self
     }
 
     /// Names the [`RunReport`] (defaults to a `scenario-*` name per
     /// entry point).
     pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.name = Some(name.into());
+        self.settings.name = Some(name.into());
         self
     }
 
     /// Injects a crash/recovery/partition plan.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.settings.faults = Some(plan);
         self
     }
 
     /// Injects a Byzantine misbehavior plan; transcripts are recorded
     /// and audited, and the report's Byzantine counters stamped.
     pub fn byzantine(mut self, plan: MisbehaviorPlan) -> Self {
-        self.byzantine = Some(plan);
+        self.settings.byzantine = Some(plan);
         self
     }
 
     /// Attaches a deterministic JSONL tracer; the caller keeps a clone
     /// and reads the trace after the run.
     pub fn trace(mut self, tracer: JsonlTracer) -> Self {
-        self.tracer = Some(tracer);
+        self.settings.tracer = Some(tracer);
         self
     }
 
@@ -236,10 +224,10 @@ impl<A, L> Scenario<A, L> {
     pub fn session(mut self, spec: SessionSpec) -> Self {
         assert_eq!(
             spec.assignment.node_count(),
-            self.assignment.node_count(),
+            self.settings.assignment.node_count(),
             "session assignment node count"
         );
-        self.sessions.push(spec);
+        self.settings.sessions.push(spec);
         self
     }
 
@@ -251,11 +239,11 @@ impl<A, L> Scenario<A, L> {
     pub fn workload(mut self, workload: &SessionWorkload) -> Self {
         assert_eq!(
             workload.node_count(),
-            self.assignment.node_count(),
+            self.settings.assignment.node_count(),
             "session assignment node count"
         );
         for spec in workload.specs() {
-            self.sessions.push(spec.clone());
+            self.settings.sessions.push(spec.clone());
         }
         self
     }
@@ -263,8 +251,7 @@ impl<A, L> Scenario<A, L> {
 
 /// Outcome of a single-phase [`Scenario`] run.
 ///
-/// Superset of the legacy `FaultyOutcome` / `ByzantineOutcome`: every
-/// field is always computed, with the unused axes' fields at their
+/// Every field is always computed, with the unused axes' fields at their
 /// neutral values (empty evidence, coverage 1.0, zero injections).
 #[derive(Clone, Debug)]
 pub struct ScenarioOutcome {
@@ -277,20 +264,20 @@ pub struct ScenarioOutcome {
     pub evidence: Vec<Evidence>,
     /// Final per-node token knowledge.
     pub final_knowledge: Vec<TokenSet>,
-    /// Mean coverage over the nodes up at the end of the run.
+    /// Mean coverage over the nodes up at the end of the run: under
+    /// crash-stop plans the dead nodes can never learn anything, so
+    /// this measures what the survivors salvaged.
     pub live_coverage: f64,
     /// Mean coverage over the honest nodes.
     pub honest_coverage: f64,
     /// Misbehaving actions actually injected by the wrappers.
     pub injected: u64,
-    /// Whether the run reached full dissemination.
+    /// Whether the run reached full dissemination (all nodes, including
+    /// malicious ones and any that never recovered).
     pub completed: bool,
 }
 
 /// Outcome of a two-phase oblivious [`Scenario`] run.
-///
-/// Superset of the legacy `AsyncObliviousOutcome` /
-/// `FaultyObliviousOutcome` / `ByzantineObliviousOutcome`.
 #[derive(Clone, Debug)]
 pub struct ScenarioObliviousOutcome {
     /// Phase-1 report (absent on the few-sources fast path).
@@ -326,6 +313,23 @@ pub struct ScenarioObliviousOutcome {
     pub injected: u64,
     /// Whether phase 2 reached full dissemination.
     pub completed: bool,
+}
+
+impl ScenarioObliviousOutcome {
+    /// Total link-layer transmissions across both phases.
+    pub fn total_transmissions(&self) -> u64 {
+        self.phase2.transmissions + self.phase1.as_ref().map_or(0, |r| r.transmissions)
+    }
+
+    /// Total engine events across both phases.
+    pub fn total_events(&self) -> u64 {
+        self.phase2.events + self.phase1.as_ref().map_or(0, |r| r.events)
+    }
+
+    /// Total topology epochs across both phases.
+    pub fn total_epochs(&self) -> u64 {
+        self.phase2.epochs + self.phase1.as_ref().map_or(0, |r| r.epochs)
+    }
 }
 
 /// Per-session result of a [`Scenario::run_sessions`] execution.
@@ -400,93 +404,122 @@ impl ServiceOutcome {
     }
 }
 
-impl<A: Adversary, L: LinkModel> Scenario<A, L> {
-    /// Runs [`AsyncSingleSource`] under every configured axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a plan's node count differs from the assignment's, or
-    /// sessions were queued (use [`Scenario::run_sessions`]).
-    pub fn run_single_source(self) -> ScenarioOutcome {
-        let nodes = AsyncSingleSource::nodes(&self.assignment, self.retransmit);
-        let setup = AuditSetup::single_source(&self.assignment);
-        self.execute(nodes, setup, "scenario-async-single-source")
+/// The engine of one phase: misbehavior-wrapped nodes over a
+/// partition-wrapped link.
+type PhaseSim<P, A, L> = EventSim<Misbehaving<P>, A, PartitionLink<L>>;
+
+/// One finished engine run: the engine (kept for post-run inspection),
+/// its report, what the audit proved, and how many misbehaving actions
+/// the wrappers injected.
+struct PhaseRun<P: Tamper, A: Adversary, L: LinkModel> {
+    sim: PhaseSim<P, A, L>,
+    event: EventReport,
+    evidence: Vec<Evidence>,
+    injected: u64,
+}
+
+impl Settings {
+    /// The checks every protocol entry point starts with.
+    fn assert_runnable(&self) {
+        assert!(
+            self.sessions.is_empty(),
+            "queued sessions run through run_sessions, not the protocol drivers"
+        );
+        let n = self.assignment.node_count();
+        if let Some(plan) = &self.faults {
+            assert_eq!(plan.node_count(), n, "plan size");
+        }
+        if let Some(plan) = &self.byzantine {
+            assert_eq!(plan.node_count(), n, "plan size");
+        }
     }
 
-    /// Runs [`AsyncMultiSource`] under every configured axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a plan's node count differs from the assignment's, or
-    /// sessions were queued (use [`Scenario::run_sessions`]).
-    pub fn run_multi_source(self) -> ScenarioOutcome {
-        let (nodes, map) = AsyncMultiSource::nodes(&self.assignment, self.retransmit);
-        let setup = AuditSetup::multi_source(&self.assignment, &map);
-        self.execute(nodes, setup, "scenario-async-multi-source")
+    /// Stitches the two engines' traces of the oblivious pipeline with a
+    /// phase-boundary record.
+    fn mark_phase(&self, p: u32) {
+        if let Some(tr) = &self.tracer {
+            tr.append(&TraceRecord::Phase { p });
+        }
     }
 
-    /// The one execution core behind the single-phase entry points: arm
-    /// every axis (neutral elements when absent), run, audit, measure.
-    fn execute<P>(self, nodes: Vec<P>, setup: AuditSetup, fallback: &str) -> ScenarioOutcome
+    /// The one execution core behind every protocol entry point: arm
+    /// every axis over `nodes` (neutral elements when absent), run to
+    /// `max_time`, and audit the transcripts when a Byzantine plan is
+    /// present. `tracked` is the initial knowledge completion is tracked
+    /// against; an untracked run ends at quiescence. `setup` is only
+    /// called for an audit, after the run, so it can read the nodes'
+    /// final state.
+    fn run_phase<P, A, L>(
+        &self,
+        nodes: Vec<P>,
+        adversary: A,
+        link: L,
+        tracked: Option<&TokenAssignment>,
+        setup: impl FnOnce(&PhaseSim<P, A, L>) -> AuditSetup,
+    ) -> PhaseRun<P, A, L>
     where
         P: Tamper,
         P::Msg: AuditMsg,
+        A: Adversary,
+        L: LinkModel,
     {
-        let Scenario {
-            assignment,
-            adversary,
-            link,
-            ticks_per_round,
-            seed,
-            retransmit: _,
-            max_time,
-            faults,
-            byzantine,
-            tracer,
-            name,
-            sessions,
-        } = self;
-        assert!(
-            sessions.is_empty(),
-            "queued sessions run through run_sessions, not the protocol drivers"
-        );
-        let n = assignment.node_count();
-        let k = assignment.token_count();
-        if let Some(plan) = &faults {
-            assert_eq!(plan.node_count(), n, "plan size");
-        }
-        if let Some(plan) = &byzantine {
-            assert_eq!(plan.node_count(), n, "plan size");
-        }
-        let fplan = faults.unwrap_or_else(|| FaultPlan::none(n));
-        let bplan = byzantine
-            .clone()
-            .unwrap_or_else(|| MisbehaviorPlan::honest(n));
-        let nodes = bplan.wrap(nodes);
-        let mut sim = EventSim::with_tracking(
-            nodes,
-            adversary,
-            PartitionLink::new(link, Arc::new(fplan.clone())),
-            ticks_per_round,
-            seed,
-            &assignment,
-        );
+        let n = self.assignment.node_count();
+        let fplan = self.faults.clone().unwrap_or_else(|| FaultPlan::none(n));
+        let nodes = match &self.byzantine {
+            Some(plan) => plan.wrap(nodes),
+            None => MisbehaviorPlan::honest(n).wrap(nodes),
+        };
+        let link = PartitionLink::new(link, Arc::new(fplan.clone()));
+        let mut sim = match tracked {
+            Some(initial) => EventSim::with_tracking(
+                nodes,
+                adversary,
+                link,
+                self.ticks_per_round,
+                self.seed,
+                initial,
+            ),
+            None => EventSim::new(nodes, adversary, link, self.ticks_per_round, self.seed),
+        };
         sim.set_fault_plan(fplan);
-        if byzantine.is_some() {
+        if self.byzantine.is_some() {
             sim.record_transcripts();
         }
-        if let Some(tr) = &tracer {
+        if let Some(tr) = &self.tracer {
             sim.set_tracer(tr.clone());
         }
-        let event = sim.run(max_time);
-        let evidence = if byzantine.is_some() {
-            check_evidence(&setup, sim.transcripts())
+        let event = sim.run(self.max_time);
+        let evidence = if self.byzantine.is_some() {
+            check_evidence(&setup(&sim), sim.transcripts())
         } else {
             Vec::new()
         };
-        let name = name.unwrap_or_else(|| fallback.to_string());
-        let mut report = sim.run_report(name.as_str());
-        if let Some(plan) = &byzantine {
+        let injected = NodeId::all(n).map(|v| sim.node(v).injected()).sum();
+        PhaseRun {
+            sim,
+            event,
+            evidence,
+            injected,
+        }
+    }
+}
+
+impl<P: Tamper, A: Adversary, L: LinkModel> PhaseRun<P, A, L> {
+    /// Measures a tracked run into the single-phase outcome: the named
+    /// and stamped report, the final knowledge, and coverage over the
+    /// live and over the honest nodes.
+    fn into_outcome(self, settings: &Settings, name: &str) -> ScenarioOutcome {
+        let PhaseRun {
+            sim,
+            event,
+            evidence,
+            injected,
+        } = self;
+        let n = settings.assignment.node_count();
+        let k = settings.assignment.token_count();
+        let mut report = sim.run_report(name);
+        let byzantine = settings.byzantine.as_ref();
+        if let Some(plan) = byzantine {
             stamp_report(&mut report, plan, &evidence);
         }
         let tracker = sim.tracker().expect("tracking enabled");
@@ -494,8 +527,9 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
             .map(|v| tracker.knowledge(v).clone())
             .collect();
         let live_coverage = coverage_over(k, final_knowledge.iter(), |v| !sim.is_down(v));
-        let honest_coverage = coverage_over(k, final_knowledge.iter(), |v| !bplan.is_malicious(v));
-        let injected: u64 = NodeId::all(n).map(|v| sim.node(v).injected()).sum();
+        let honest_coverage = coverage_over(k, final_knowledge.iter(), |v| {
+            !byzantine.is_some_and(|plan| plan.is_malicious(v))
+        });
         let completed = event.stopped == StopReason::Complete;
         ScenarioOutcome {
             event,
@@ -508,21 +542,223 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
             completed,
         }
     }
+}
+
+/// Fills the Byzantine counters of a [`RunReport`]: plan size, proven
+/// violations, and distinct indicted nodes.
+fn stamp_report(report: &mut RunReport, plan: &MisbehaviorPlan, evidence: &[Evidence]) {
+    report.byzantine_nodes = plan.byzantine_nodes();
+    report.violations_detected = evidence.len() as u64;
+    report.evidence_verdicts = evidence
+        .iter()
+        .map(|e| e.culprit)
+        .collect::<BTreeSet<_>>()
+        .len() as u64;
+}
+
+/// What phase 2 of the oblivious pipeline starts from.
+struct HandOff {
+    /// Every node's phase-1 knowledge: phase 2's initial placement.
+    knowledge: TokenAssignment,
+    /// Each token's resolved owner: phase 2's sources.
+    map: Arc<SourceMap>,
+    crash_reclaimed: usize,
+    stolen_recovered: usize,
+    stranded: usize,
+}
+
+/// The crash- and Byzantine-tolerant phase-1 → phase-2 hand-off; see
+/// [`Scenario::run_oblivious`] for the resolution rules.
+fn resolve_hand_off<A: Adversary, L: LinkModel>(
+    sim1: &PhaseSim<AsyncOblivious, A, L>,
+    assignment: &TokenAssignment,
+    is_center: &[bool],
+) -> HandOff {
+    let n = assignment.node_count();
+    let k = assignment.token_count();
+    // Claimant preference: up beats down, then center beats walker,
+    // then (scanning ascending, replacing only on strict improvement)
+    // the lowest ID.
+    let rank =
+        |v: NodeId| -> u8 { u8::from(!sim1.is_down(v)) * 2 + u8::from(is_center[v.index()]) };
+    let mut owner_of: Vec<Option<NodeId>> = vec![None; k];
+    for v in NodeId::all(n) {
+        for t in sim1.node(v).inner().responsible_tokens() {
+            let slot = &mut owner_of[t.index()];
+            match *slot {
+                None => *slot = Some(v),
+                Some(prev) => {
+                    if rank(v) > rank(prev) {
+                        *slot = Some(v);
+                    }
+                }
+            }
+        }
+    }
+    let original_holder = |t: TokenId| {
+        assignment
+            .holders(t)
+            .next()
+            .expect("every token has an initial holder")
+    };
+    let mut ownership = TokenAssignment::empty(n, k);
+    let mut knowledge = TokenAssignment::empty(n, k);
+    let mut stranded = 0usize;
+    let mut crash_reclaimed = 0usize;
+    let mut stolen_recovered = 0usize;
+    for (ti, owner) in owner_of.iter().enumerate() {
+        let t = TokenId::new(ti as u32);
+        let mut v = owner.unwrap_or_else(|| {
+            // Every claimant was destroyed (forged-ack theft): recover
+            // from the token's original holder, which still knows it
+            // (knowledge is monotone).
+            stolen_recovered += 1;
+            original_holder(t)
+        });
+        if sim1.is_down(v) {
+            // Every claimant crash-stopped mid-walk. Re-home the token
+            // to a live node that knows it (knowledge is durable, so the
+            // crashed owner's upstream senders still do), preferring a
+            // center; the original assignment holder is the last resort.
+            crash_reclaimed += 1;
+            let knows = |u: NodeId| {
+                !sim1.is_down(u) && sim1.node(u).known_tokens().is_some_and(|kn| kn.contains(t))
+            };
+            v = NodeId::all(n)
+                .find(|&u| knows(u) && is_center[u.index()])
+                .or_else(|| NodeId::all(n).find(|&u| knows(u)))
+                .unwrap_or_else(|| original_holder(t));
+        }
+        ownership.add_holder(t, v);
+        if !is_center[v.index()] {
+            stranded += 1;
+        }
+    }
+    for v in NodeId::all(n) {
+        let know = sim1
+            .node(v)
+            .known_tokens()
+            .expect("walk nodes expose knowledge");
+        for t in know.iter() {
+            knowledge.add_holder(t, v);
+        }
+    }
+    HandOff {
+        knowledge,
+        map: Arc::new(SourceMap::from_assignment(&ownership)),
+        crash_reclaimed,
+        stolen_recovered,
+        stranded,
+    }
+}
+
+impl<A: Adversary, L: LinkModel> Scenario<A, L> {
+    /// Runs [`AsyncSingleSource`] under every configured axis.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a plan's node count differs from the assignment's, or
+    /// sessions were queued (use [`Scenario::run_sessions`]).
+    pub fn run_single_source(self) -> ScenarioOutcome {
+        let s = &self.settings;
+        let nodes = AsyncSingleSource::nodes(&s.assignment, s.retransmit);
+        let setup = AuditSetup::single_source(&s.assignment);
+        self.execute(nodes, setup, "scenario-async-single-source")
+    }
+
+    /// Runs [`AsyncMultiSource`] under every configured axis.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a plan's node count differs from the assignment's, or
+    /// sessions were queued (use [`Scenario::run_sessions`]).
+    pub fn run_multi_source(self) -> ScenarioOutcome {
+        let s = &self.settings;
+        let (nodes, map) = AsyncMultiSource::nodes(&s.assignment, s.retransmit);
+        let setup = AuditSetup::multi_source(&s.assignment, &map);
+        self.execute(nodes, setup, "scenario-async-multi-source")
+    }
+
+    /// A single-phase run: one tracked phase over the scenario's own
+    /// assignment.
+    fn execute<P>(self, nodes: Vec<P>, setup: AuditSetup, fallback: &str) -> ScenarioOutcome
+    where
+        P: Tamper,
+        P::Msg: AuditMsg,
+    {
+        let s = &self.settings;
+        s.assert_runnable();
+        s.run_phase(
+            nodes,
+            self.adversary,
+            self.link,
+            Some(&s.assignment),
+            |_| setup,
+        )
+        .into_outcome(s, s.name.as_deref().unwrap_or(fallback))
+    }
 
     /// Runs the full two-phase oblivious pipeline under every configured
     /// axis. The scenario's adversary/link/faults drive phase 1;
-    /// `adversary2`/`link2`/`faults2` drive phase 2; `cfg` supplies the
-    /// pipeline's seeds and timing (the scenario's own
-    /// `seed`/`ticks_per_round`/`retransmit`/`max_time` are not used, for
-    /// exact compatibility with the historical drivers). A Byzantine
-    /// plan applies to both phases, with both transcripts audited.
+    /// `adversary2`/`link2`/`faults2` drive phase 2 (each phase's engine
+    /// restarts the virtual clock, so the plans' times are phase-local).
+    /// `cfg` supplies the pipeline's seed, ticks per round, retransmit
+    /// tuning and per-phase time caps; the builder's own
+    /// `seed`/`ticks_per_round`/`retransmit`/`max_time` are unused. A
+    /// Byzantine plan applies to both phases, with both transcripts
+    /// audited, and a tracer receives both engines' traces stitched by
+    /// `phase` boundary records (`p:1` for the walk, `p:2` for the
+    /// spread).
     ///
-    /// The hand-off resolves each token's claimants by preferring live
-    /// over down, then center over walker, then the lowest ID; a token
-    /// whose every claimant was destroyed by forged acks is recovered
-    /// from its original holder (`stolen_recovered`), and one whose
-    /// resolved claimant is down at the hand-off is re-homed to a live
-    /// knower, preferring a center (`crash_reclaimed`).
+    /// With at most `cfg.source_threshold` sources (default
+    /// `n^{2/3} log^{5/3} n`) the pipeline is a single multi-source run: phase 1 is skipped,
+    /// only the phase-2 axes apply, only `p:2` is traced, and a report
+    /// name ending in `oblivious` ends in `multi-source` instead.
+    ///
+    /// Phase 1 ends by *distributed* quiescence — every node locally
+    /// sheds or (at the deadline) freezes its tokens and stops its
+    /// heartbeat, draining the event queue — after which the hand-off
+    /// harvests ownership and knowledge and makes the owners phase 2's
+    /// sources. A token can end phase 1 with two claimants (the
+    /// adversary or a crash severed the transfer's edge after delivery
+    /// but before the ack) or, under forged acks, with none. The
+    /// hand-off resolves each token's claimants by preferring live over
+    /// down, then center over walker, then the lowest ID; a token whose
+    /// every claimant was destroyed by forged acks is recovered from its
+    /// original holder (`stolen_recovered`), and one whose resolved
+    /// claimant is down at the hand-off is re-homed to a live knower,
+    /// preferring a center (`crash_reclaimed`).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dynspread_graph::{generators::Topology, oblivious::PeriodicRewiring};
+    /// use dynspread_runtime::link::{DropLink, LinkModelExt};
+    /// use dynspread_runtime::protocol::AsyncObliviousConfig;
+    /// use dynspread_runtime::scenario::Scenario;
+    /// use dynspread_sim::token::TokenAssignment;
+    ///
+    /// // Every node a source, over links the round-based pipeline cannot
+    /// // run on at all: 30% drop plus jitter.
+    /// let cfg = AsyncObliviousConfig {
+    ///     seed: 7,
+    ///     source_threshold: Some(1.0), // force the two-phase path at this scale
+    ///     center_probability: Some(0.25),
+    ///     ..AsyncObliviousConfig::default()
+    /// };
+    /// let out = Scenario::from_assignment(TokenAssignment::n_gossip(12))
+    ///     .topology(PeriodicRewiring::new(Topology::Gnp(0.3), 3, 1))
+    ///     .link(DropLink::new(0.3).with_jitter(2))
+    ///     .run_oblivious(
+    ///         PeriodicRewiring::new(Topology::RandomTree, 3, 2),
+    ///         DropLink::new(0.3).with_jitter(2),
+    ///         &cfg,
+    ///         None,
+    ///     );
+    /// assert!(out.completed);
+    /// assert!(!out.centers.is_empty());
+    /// assert!(out.final_knowledge.iter().all(|k| k.is_full()));
+    /// ```
     ///
     /// # Panics
     ///
@@ -540,87 +776,73 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
         L2: LinkModel,
     {
         let Scenario {
-            assignment,
             adversary,
             link,
-            ticks_per_round: _,
-            seed: _,
-            retransmit: _,
-            max_time: _,
-            faults,
-            byzantine,
-            tracer,
-            name,
-            sessions,
+            settings,
         } = self;
-        assert!(
-            sessions.is_empty(),
-            "queued sessions run through run_sessions, not the protocol drivers"
-        );
+        let phase1 = Settings {
+            ticks_per_round: cfg.ticks_per_round,
+            seed: cfg.seed ^ 0x5EED_0B71_0001u64,
+            retransmit: cfg.retransmit,
+            max_time: cfg.phase1_max_time,
+            ..settings
+        };
+        let phase2 = Settings {
+            seed: cfg.seed ^ 0x5EED_0B71_0002u64,
+            max_time: cfg.phase2_max_time,
+            faults: faults2.cloned(),
+            ..phase1.clone()
+        };
+        // A bad plan for either phase fails before any engine runs.
+        phase1.assert_runnable();
+        phase2.assert_runnable();
+        let assignment = &phase1.assignment;
         let n = assignment.node_count();
         let k = assignment.token_count();
-        if let Some(plan) = &faults {
-            assert_eq!(plan.node_count(), n, "phase-1 plan size");
-        }
-        if let Some(plan) = faults2 {
-            assert_eq!(plan.node_count(), n, "phase-2 plan size");
-        }
-        if let Some(plan) = &byzantine {
-            assert_eq!(plan.node_count(), n, "plan size");
-        }
-        let name = name.unwrap_or_else(|| "scenario-async-oblivious".to_string());
-        let s = assignment.sources().len();
-        let threshold = cfg.source_threshold.unwrap_or_else(|| source_threshold(n));
+        let name = phase2.name.as_deref().unwrap_or("scenario-async-oblivious");
+        let byzantine_nodes = phase2.byzantine.as_ref().map_or(0, |p| p.byzantine_nodes());
+        let single_phase = |out: ScenarioOutcome, centers, sources| ScenarioObliviousOutcome {
+            phase1: None,
+            phase2: out.event,
+            report: out.report,
+            evidence: out.evidence,
+            centers,
+            sources,
+            crash_reclaimed: 0,
+            stolen_recovered: 0,
+            stranded_tokens: 0,
+            final_knowledge: out.final_knowledge,
+            live_coverage: out.live_coverage,
+            honest_coverage: out.honest_coverage,
+            byzantine_nodes,
+            injected: out.injected,
+            completed: out.completed,
+        };
 
-        if (s as f64) <= threshold {
-            // Few sources: the pipeline is a single multi-source run and
-            // only the phase-2 axes apply. The report keeps the legacy
-            // fast-path convention of a multi-source name.
-            let fast_name = name
-                .strip_suffix("oblivious")
-                .map(|p| format!("{p}multi-source"))
-                .unwrap_or_else(|| name.clone());
-            if let Some(tr) = &tracer {
-                tr.append(&TraceRecord::Phase { p: 2 });
-            }
+        // ---- Fast path: few sources, phase 2 alone. ----
+        let threshold = cfg.source_threshold.unwrap_or_else(|| source_threshold(n));
+        if (assignment.sources().len() as f64) <= threshold {
+            let fast_name = match name.strip_suffix("oblivious") {
+                Some(prefix) => format!("{prefix}multi-source"),
+                None => name.to_string(),
+            };
             let centers = assignment.sources();
-            let sources = SourceMap::from_assignment(&assignment).sources().to_vec();
-            let byzantine_nodes = byzantine.as_ref().map_or(0, |p| p.byzantine_nodes());
-            let sub = Scenario {
-                assignment,
+            let sources = SourceMap::from_assignment(assignment).sources().to_vec();
+            phase2.mark_phase(2);
+            let out = Scenario {
                 adversary: adversary2,
                 link: link2,
-                ticks_per_round: cfg.ticks_per_round,
-                seed: cfg.seed ^ 0x5EED_0B71_0002u64,
-                retransmit: cfg.retransmit,
-                max_time: cfg.phase2_max_time,
-                faults: faults2.cloned(),
-                byzantine,
-                tracer,
-                name: Some(fast_name),
-                sessions: Vec::new(),
-            };
-            let out = sub.run_multi_source();
-            return ScenarioObliviousOutcome {
-                phase1: None,
-                phase2: out.event,
-                report: out.report,
-                evidence: out.evidence,
-                centers,
-                sources,
-                crash_reclaimed: 0,
-                stolen_recovered: 0,
-                stranded_tokens: 0,
-                final_knowledge: out.final_knowledge,
-                live_coverage: out.live_coverage,
-                honest_coverage: out.honest_coverage,
-                byzantine_nodes,
-                injected: out.injected,
-                completed: out.completed,
-            };
+                settings: Settings {
+                    name: Some(fast_name),
+                    ..phase2
+                },
+            }
+            .run_multi_source();
+            return single_phase(out, centers, sources);
         }
 
-        // ---- Phase 1: the walk phase, under every configured axis. ----
+        // ---- Phase 1: the walk, audited against the *inner*
+        // (honest-state) final claims. ----
         let f = center_count(n, k);
         let p_center = cfg
             .center_probability
@@ -628,191 +850,55 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
         let gamma = cfg
             .degree_threshold
             .unwrap_or_else(|| degree_threshold(n, f));
-        let fplan1 = faults.unwrap_or_else(|| FaultPlan::none(n));
-        let bplan = byzantine
-            .clone()
-            .unwrap_or_else(|| MisbehaviorPlan::honest(n));
         // The same election the walk nodes run internally, so
         // `is_center[v]` matches `node(v).is_center()` exactly.
         let is_center = elect_centers(n, p_center, cfg.seed);
         let centers: Vec<NodeId> = NodeId::all(n).filter(|v| is_center[v.index()]).collect();
-        let nodes = bplan.wrap(AsyncOblivious::nodes(
-            &assignment,
+        let walkers = AsyncOblivious::nodes(
+            assignment,
             p_center,
             gamma,
             cfg.seed,
             cfg.retransmit,
             cfg.phase1_deadline,
-        ));
-        let mut sim1 = EventSim::new(
-            nodes,
-            adversary,
-            PartitionLink::new(link, Arc::new(fplan1.clone())),
-            cfg.ticks_per_round,
-            cfg.seed ^ 0x5EED_0B71_0001u64,
         );
-        sim1.set_fault_plan(fplan1);
-        if byzantine.is_some() {
-            sim1.record_transcripts();
-        }
-        if let Some(tr) = &tracer {
-            tr.append(&TraceRecord::Phase { p: 1 });
-            sim1.set_tracer(tr.clone());
-        }
-        let phase1 = sim1.run(cfg.phase1_max_time);
-        let (c1, r1, p1) = sim1.fault_counters();
-
-        // ---- Audit phase 1 against the *inner* (honest-state) claims. ----
-        let mut evidence = Vec::new();
-        if byzantine.is_some() {
+        phase1.mark_phase(1);
+        let walk = phase1.run_phase(walkers, adversary, link, None, |sim| {
             let final_claims: Vec<Vec<TokenId>> = NodeId::all(n)
-                .map(|v| sim1.node(v).inner().responsible_tokens().collect())
+                .map(|v| sim.node(v).inner().responsible_tokens().collect())
                 .collect();
-            let setup1 = AuditSetup::oblivious(&assignment, is_center.clone(), final_claims);
-            evidence = check_evidence(&setup1, sim1.transcripts());
-        }
+            AuditSetup::oblivious(assignment, is_center.clone(), final_claims)
+        });
 
-        // ---- Crash- and Byzantine-tolerant hand-off. ----
-        // Claimant preference: up beats down, then center beats walker,
-        // then (scanning ascending, replacing only on strict improvement)
-        // the lowest ID.
-        let rank =
-            |v: NodeId| -> u8 { u8::from(!sim1.is_down(v)) * 2 + u8::from(is_center[v.index()]) };
-        let mut owner_of: Vec<Option<NodeId>> = vec![None; k];
-        for v in NodeId::all(n) {
-            for t in sim1.node(v).inner().responsible_tokens() {
-                let slot = &mut owner_of[t.index()];
-                match *slot {
-                    None => *slot = Some(v),
-                    Some(prev) => {
-                        if rank(v) > rank(prev) {
-                            *slot = Some(v);
-                        }
-                    }
-                }
-            }
-        }
-        let mut ownership = TokenAssignment::empty(n, k);
-        let mut knowledge = TokenAssignment::empty(n, k);
-        let mut stranded = 0usize;
-        let mut crash_reclaimed = 0usize;
-        let mut stolen_recovered = 0usize;
-        for (ti, owner) in owner_of.iter().enumerate() {
-            let t = TokenId::new(ti as u32);
-            let mut v = match *owner {
-                Some(v) => v,
-                None => {
-                    // Every claimant was destroyed (forged-ack theft):
-                    // recover from the token's original holder, which
-                    // still knows it (knowledge is monotone).
-                    stolen_recovered += 1;
-                    assignment
-                        .holders(t)
-                        .next()
-                        .expect("every token has an initial holder")
-                }
-            };
-            if sim1.is_down(v) {
-                // Every claimant crash-stopped mid-walk. Re-home the
-                // token to a live node that knows it (knowledge is
-                // durable, so the crashed owner's upstream senders still
-                // do), preferring a center; the original assignment
-                // holder is the last resort.
-                crash_reclaimed += 1;
-                let knows = |u: NodeId| {
-                    !sim1.is_down(u) && sim1.node(u).known_tokens().is_some_and(|kn| kn.contains(t))
-                };
-                v = NodeId::all(n)
-                    .find(|&u| knows(u) && is_center[u.index()])
-                    .or_else(|| NodeId::all(n).find(|&u| knows(u)))
-                    .unwrap_or_else(|| {
-                        assignment
-                            .holders(t)
-                            .next()
-                            .expect("every token has an initial holder")
-                    });
-            }
-            ownership.add_holder(t, v);
-            if !is_center[v.index()] {
-                stranded += 1;
-            }
-        }
-        for v in NodeId::all(n) {
-            let know = sim1
-                .node(v)
-                .known_tokens()
-                .expect("walk nodes expose knowledge");
-            for t in know.iter() {
-                knowledge.add_holder(t, v);
-            }
-        }
-        let map = Arc::new(SourceMap::from_assignment(&ownership));
+        // ---- Hand-off: resolved owners become phase 2's sources. ----
+        let hand_off = resolve_hand_off(&walk.sim, assignment, &is_center);
+        let (knowledge, map) = (&hand_off.knowledge, &hand_off.map);
         let sources = map.sources().to_vec();
 
-        // ---- Phase 2: multi-source from the resolved owners. ----
-        let fplan2 = faults2.cloned().unwrap_or_else(|| FaultPlan::none(n));
-        let nodes2 = bplan.wrap(
-            NodeId::all(n)
-                .map(|v| AsyncMultiSource::new(v, &knowledge, Arc::clone(&map), cfg.retransmit))
-                .collect(),
-        );
-        let mut sim2 = EventSim::with_tracking(
-            nodes2,
-            adversary2,
-            PartitionLink::new(link2, Arc::new(fplan2.clone())),
-            cfg.ticks_per_round,
-            cfg.seed ^ 0x5EED_0B71_0002u64,
-            &knowledge,
-        );
-        sim2.set_fault_plan(fplan2);
-        if byzantine.is_some() {
-            sim2.record_transcripts();
-        }
-        if let Some(tr) = &tracer {
-            tr.append(&TraceRecord::Phase { p: 2 });
-            sim2.set_tracer(tr.clone());
-        }
-        let phase2 = sim2.run(cfg.phase2_max_time);
-
-        if byzantine.is_some() {
-            let setup2 = AuditSetup::multi_source(&knowledge, &map);
-            evidence.extend(check_evidence(&setup2, sim2.transcripts()));
-        }
-
-        let mut report = sim2.run_report(name.as_str());
-        report.crashes += c1;
-        report.recoveries += r1;
-        report.partition_episodes += p1;
-        if let Some(plan) = &byzantine {
-            stamp_report(&mut report, plan, &evidence);
-        }
-        let tracker = sim2.tracker().expect("tracking enabled");
-        let final_knowledge: Vec<TokenSet> = NodeId::all(n)
-            .map(|v| tracker.knowledge(v).clone())
+        // ---- Phase 2: multi-source spread from the owners. ----
+        let spreaders = NodeId::all(n)
+            .map(|v| AsyncMultiSource::new(v, knowledge, Arc::clone(map), cfg.retransmit))
             .collect();
-        let live_coverage = coverage_over(k, final_knowledge.iter(), |v| !sim2.is_down(v));
-        let honest_coverage = coverage_over(k, final_knowledge.iter(), |v| !bplan.is_malicious(v));
-        let injected: u64 = NodeId::all(n)
-            .map(|v| sim1.node(v).injected() + sim2.node(v).injected())
-            .sum();
-        let completed = phase2.stopped == StopReason::Complete;
+        phase2.mark_phase(2);
+        let mut spread = phase2.run_phase(spreaders, adversary2, link2, Some(knowledge), |_| {
+            AuditSetup::multi_source(knowledge, map)
+        });
 
+        // The outcome spans both phases: phase 1's evidence first,
+        // injections and fault counters summed.
+        spread.evidence.splice(0..0, walk.evidence);
+        spread.injected += walk.injected;
+        let mut out = spread.into_outcome(&phase2, name);
+        let (crashes, recoveries, partition_episodes) = walk.sim.fault_counters();
+        out.report.crashes += crashes;
+        out.report.recoveries += recoveries;
+        out.report.partition_episodes += partition_episodes;
         ScenarioObliviousOutcome {
-            phase1: Some(phase1),
-            phase2,
-            report,
-            evidence,
-            centers,
-            sources,
-            crash_reclaimed,
-            stolen_recovered,
-            stranded_tokens: stranded,
-            final_knowledge,
-            live_coverage,
-            honest_coverage,
-            byzantine_nodes: byzantine.as_ref().map_or(0, |p| p.byzantine_nodes()),
-            injected,
-            completed,
+            phase1: Some(walk.event),
+            crash_reclaimed: hand_off.crash_reclaimed,
+            stolen_recovered: hand_off.stolen_recovered,
+            stranded_tokens: hand_off.stranded,
+            ..single_phase(out, centers, sources)
         }
     }
 
@@ -825,7 +911,7 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
     /// differs from the scenario's, or a Byzantine plan is present
     /// (misbehavior does not yet compose with the session mux).
     pub fn run_sessions(self) -> ServiceOutcome {
-        let retransmit = self.retransmit;
+        let retransmit = self.settings.retransmit;
         self.run_sessions_with(move |v, _idx, spec| {
             AsyncSingleSource::new(v, &spec.assignment, retransmit)
         })
@@ -846,55 +932,45 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
         F: Fn(NodeId, usize, &SessionSpec) -> P,
     {
         let Scenario {
-            assignment,
             adversary,
             link,
-            ticks_per_round,
-            seed,
-            retransmit: _,
-            max_time,
-            faults,
-            byzantine,
-            tracer,
-            name,
-            sessions,
+            settings: s,
         } = self;
-        let n = assignment.node_count();
+        let n = s.assignment.node_count();
         assert!(
-            !sessions.is_empty(),
+            !s.sessions.is_empty(),
             "no sessions queued: add .session(spec) before run_sessions"
         );
         assert!(
-            byzantine.is_none(),
+            s.byzantine.is_none(),
             "Byzantine plans do not yet compose with sessions; run them through the protocol drivers"
         );
-        if let Some(plan) = &faults {
+        if let Some(plan) = &s.faults {
             assert_eq!(plan.node_count(), n, "plan size");
         }
         let mut workload = SessionWorkload::new(n);
-        for spec in sessions {
+        for spec in s.sessions {
             workload.push(spec);
         }
         let (nodes, board) = SessionMux::nodes(&workload, factory);
-        let fplan = faults.unwrap_or_else(|| FaultPlan::none(n));
+        let fplan = s.faults.unwrap_or_else(|| FaultPlan::none(n));
         let mut sim = EventSim::new(
             nodes,
             adversary,
             PartitionLink::new(link, Arc::new(fplan.clone())),
-            ticks_per_round,
-            seed,
+            s.ticks_per_round,
+            s.seed,
         );
         sim.set_fault_plan(fplan);
-        if let Some(tr) = &tracer {
+        if let Some(tr) = &s.tracer {
             sim.set_tracer(tr.clone());
         }
-        let event = sim.run(max_time);
-        let name = name.unwrap_or_else(|| "session-service".to_string());
-        let report = sim.run_report(name.as_str());
+        let event = sim.run(s.max_time);
+        let report = sim.run_report(s.name.as_deref().unwrap_or("session-service"));
         let (decode_errors, foreign_drops) = NodeId::all(n)
             .map(|v| (sim.node(v).decode_errors(), sim.node(v).foreign_drops()))
             .fold((0, 0), |(d, f), (dd, ff)| (d + dd, f + ff));
-        let sessions = build_session_reports(&workload, &board, &report, &sim, ticks_per_round);
+        let sessions = build_session_reports(&workload, &board, &report, &sim, s.ticks_per_round);
         ServiceOutcome {
             event,
             report,
@@ -962,7 +1038,7 @@ where
 mod tests {
     use super::*;
     use crate::byzantine::MisbehaviorKind;
-    use crate::faults::RecoveryMode;
+    use crate::faults::{NodeFault, RecoveryMode};
     use crate::link::{DropLink, LinkModelExt};
     use dynspread_graph::generators::Topology;
     use dynspread_graph::oblivious::PeriodicRewiring;
@@ -1032,6 +1108,109 @@ mod tests {
         assert_eq!(format!("{:?}", a.event), format!("{:?}", b.event));
         assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
         assert_eq!(format!("{:?}", a.evidence), format!("{:?}", b.evidence));
+    }
+
+    #[test]
+    fn crash_recovery_plan_still_completes_and_counts() {
+        let n = 10;
+        let plan = FaultPlan::crash_recovery(n, 0.2, 200, 300, RecoveryMode::Amnesia, 5)
+            .with_random_partition(100, 400);
+        let out = Scenario::new(n, 6)
+            .topology(PeriodicRewiring::new(Topology::RandomTree, 3, 9))
+            .link(DropLink::new(0.2).with_jitter(2))
+            .seed(43)
+            .faults(plan)
+            .max_time(500_000)
+            .run_multi_source();
+        assert!(out.completed, "{}", out.report);
+        assert_eq!(out.report.crashes, 2);
+        assert_eq!(out.report.recoveries, 2);
+        assert_eq!(out.report.partition_episodes, 1);
+        assert!((out.live_coverage - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn crashed_owner_tokens_are_rehomed_at_the_handoff() {
+        let n = 8;
+        // Exactly one center (probability 0 still forces one), everyone
+        // high-degree on the complete graph: every walker hands its token
+        // to the center on the first heartbeat (t=2, confirmed same tick
+        // under PerfectLink). Crashing the center at t=10 therefore
+        // leaves every token with a down sole claimant.
+        let seed = 29;
+        let is_center = elect_centers(n, 0.0, seed);
+        let center = NodeId::new(
+            is_center
+                .iter()
+                .position(|&c| c)
+                .expect("one center forced") as u32,
+        );
+        let plan1 = FaultPlan::none(n).plant(
+            center,
+            NodeFault {
+                crash_at: 10,
+                recover_at: None,
+                mode: RecoveryMode::Amnesia,
+            },
+        );
+        let cfg = AsyncObliviousConfig {
+            seed,
+            source_threshold: Some(1.0),
+            center_probability: Some(0.0),
+            degree_threshold: Some(1.0),
+            phase1_deadline: 2_000,
+            phase1_max_time: 4_000,
+            ..AsyncObliviousConfig::default()
+        };
+        let out = Scenario::from_assignment(TokenAssignment::n_gossip(n))
+            .faults(plan1)
+            .run_oblivious(
+                StaticAdversary::new(Graph::complete(n)),
+                PerfectLink,
+                &cfg,
+                None,
+            );
+        assert_eq!(
+            out.crash_reclaimed, n,
+            "every token was claimed by the crashed center"
+        );
+        // The walkers' own tokens re-home to their live original holders
+        // (knowledge is durable); the center's own token falls back to
+        // the center itself, which is back up in the fault-free phase 2.
+        assert!(out.completed, "{}", out.report);
+        assert_eq!(out.report.crashes, 1);
+        assert_eq!(out.report.recoveries, 0);
+    }
+
+    #[test]
+    fn faulty_oblivious_is_replay_identical() {
+        let n = 12;
+        let plan1 = FaultPlan::crash_recovery(n, 0.25, 100, 150, RecoveryMode::Amnesia, 3);
+        let plan2 = FaultPlan::crash_recovery(n, 0.25, 200, 300, RecoveryMode::DurableSnapshot, 4)
+            .with_random_partition(50, 250);
+        let cfg = AsyncObliviousConfig {
+            seed: 31,
+            source_threshold: Some(1.0),
+            center_probability: Some(0.3),
+            phase1_deadline: 5_000,
+            phase1_max_time: 12_000,
+            ..AsyncObliviousConfig::default()
+        };
+        let run = || {
+            Scenario::from_assignment(TokenAssignment::n_gossip(n))
+                .topology(PeriodicRewiring::new(Topology::Gnp(0.3), 3, 61))
+                .link(DropLink::new(0.3).with_jitter(2))
+                .faults(plan1.clone())
+                .run_oblivious(
+                    PeriodicRewiring::new(Topology::RandomTree, 3, 62),
+                    DropLink::new(0.3).with_jitter(2),
+                    &cfg,
+                    Some(&plan2),
+                )
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert!(a.completed, "{}", a.report);
     }
 
     #[test]

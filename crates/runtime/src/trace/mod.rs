@@ -29,7 +29,7 @@
 //! `BENCH_*.json` baselines hold with the tracer compiled in but off.
 //!
 //! For the multi-engine pipeline
-//! [`run_async_oblivious_traced`](crate::protocol::run_async_oblivious_traced),
+//! [`Scenario::run_oblivious`](crate::scenario::Scenario::run_oblivious),
 //! the [`JsonlTracer`]'s cheaply-cloneable shared-buffer handle is the
 //! plumbing: install clones into each internal engine and read the
 //! stitched JSONL (with `phase` boundary records) from the clone you

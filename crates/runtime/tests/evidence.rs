@@ -14,12 +14,10 @@ use dynspread_core::walk::elect_centers;
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::{PeriodicRewiring, StaticAdversary};
 use dynspread_graph::{Graph, NodeId};
-use dynspread_runtime::byzantine::{
-    run_byzantine_multi_source, run_byzantine_oblivious, run_byzantine_single_source,
-    MisbehaviorKind, MisbehaviorPlan, Violation,
-};
+use dynspread_runtime::byzantine::{MisbehaviorKind, MisbehaviorPlan, Violation};
 use dynspread_runtime::link::{DropLink, LinkModelExt};
-use dynspread_runtime::protocol::{AsyncConfig, AsyncObliviousConfig};
+use dynspread_runtime::protocol::AsyncObliviousConfig;
+use dynspread_runtime::scenario::Scenario;
 use dynspread_sim::token::TokenAssignment;
 use proptest::prelude::*;
 
@@ -51,43 +49,38 @@ proptest! {
         let plan = MisbehaviorPlan::honest(n);
 
         let ss = TokenAssignment::single_source(n, 4, NodeId::new(0));
-        let out = run_byzantine_single_source(
-            &ss,
-            StaticAdversary::new(Graph::complete(n)),
-            link(),
-            2,
-            seed,
-            AsyncConfig::default(),
-            &plan,
-            200_000,
-        );
+        let out = Scenario::from_assignment(ss)
+            .topology(StaticAdversary::new(Graph::complete(n)))
+            .link(link())
+            .seed(seed)
+            .byzantine(plan.clone())
+            .max_time(200_000)
+            .run_single_source();
         prop_assert!(out.evidence.is_empty(), "ss honest indicted: {:?}", out.evidence);
         prop_assert_eq!(out.report.byzantine_nodes, 0);
         prop_assert_eq!(out.report.violations_detected, 0);
 
         let ms = TokenAssignment::round_robin_sources(n, 6, 3);
-        let out = run_byzantine_multi_source(
-            &ms,
-            PeriodicRewiring::new(Topology::Gnp(0.5), 3, seed ^ 1),
-            link(),
-            2,
-            seed,
-            AsyncConfig::default(),
-            &plan,
-            200_000,
-        );
+        let out = Scenario::from_assignment(ms)
+            .topology(PeriodicRewiring::new(Topology::Gnp(0.5), 3, seed ^ 1))
+            .link(link())
+            .seed(seed)
+            .byzantine(plan.clone())
+            .max_time(200_000)
+            .run_multi_source();
         prop_assert!(out.evidence.is_empty(), "ms honest indicted: {:?}", out.evidence);
 
         let obl = TokenAssignment::n_gossip(n);
-        let out = run_byzantine_oblivious(
-            &obl,
-            StaticAdversary::new(Graph::complete(n)),
-            PeriodicRewiring::new(Topology::RandomTree, 3, seed ^ 2),
-            link(),
-            link(),
-            &two_phase_config(seed),
-            &plan,
-        );
+        let out = Scenario::from_assignment(obl)
+            .topology(StaticAdversary::new(Graph::complete(n)))
+            .link(link())
+            .byzantine(plan)
+            .run_oblivious(
+                PeriodicRewiring::new(Topology::RandomTree, 3, seed ^ 2),
+                link(),
+                &two_phase_config(seed),
+                None,
+            );
         prop_assert!(out.evidence.is_empty(), "obl honest indicted: {:?}", out.evidence);
         prop_assert_eq!(out.stolen_recovered, 0, "honest runs never take the fallback");
     }
@@ -106,45 +99,40 @@ proptest! {
         prop_assert!(plan.byzantine_nodes() >= 1);
 
         let ss = TokenAssignment::single_source(n, 5, NodeId::new(0));
-        let out = run_byzantine_single_source(
-            &ss,
-            StaticAdversary::new(Graph::complete(n)),
-            link(),
-            2,
-            seed,
-            AsyncConfig::default(),
-            &plan,
-            200_000,
-        );
+        let out = Scenario::from_assignment(ss)
+            .topology(StaticAdversary::new(Graph::complete(n)))
+            .link(link())
+            .seed(seed)
+            .byzantine(plan.clone())
+            .max_time(200_000)
+            .run_single_source();
         for e in &out.evidence {
             prop_assert!(plan.is_malicious(e.culprit), "honest {} indicted: {:?}", e.culprit, e);
         }
 
         let ms = TokenAssignment::round_robin_sources(n, 6, 3);
-        let out = run_byzantine_multi_source(
-            &ms,
-            StaticAdversary::new(Graph::complete(n)),
-            link(),
-            2,
-            seed,
-            AsyncConfig::default(),
-            &plan,
-            200_000,
-        );
+        let out = Scenario::from_assignment(ms)
+            .topology(StaticAdversary::new(Graph::complete(n)))
+            .link(link())
+            .seed(seed)
+            .byzantine(plan.clone())
+            .max_time(200_000)
+            .run_multi_source();
         for e in &out.evidence {
             prop_assert!(plan.is_malicious(e.culprit), "honest {} indicted: {:?}", e.culprit, e);
         }
 
         let obl = TokenAssignment::n_gossip(n);
-        let out = run_byzantine_oblivious(
-            &obl,
-            StaticAdversary::new(Graph::complete(n)),
-            PeriodicRewiring::new(Topology::RandomTree, 3, seed ^ 2),
-            link(),
-            link(),
-            &two_phase_config(seed),
-            &plan,
-        );
+        let out = Scenario::from_assignment(obl)
+            .topology(StaticAdversary::new(Graph::complete(n)))
+            .link(link())
+            .byzantine(plan.clone())
+            .run_oblivious(
+                PeriodicRewiring::new(Topology::RandomTree, 3, seed ^ 2),
+                link(),
+                &two_phase_config(seed),
+                None,
+            );
         for e in &out.evidence {
             prop_assert!(plan.is_malicious(e.culprit), "honest {} indicted: {:?}", e.culprit, e);
         }
@@ -161,16 +149,13 @@ proptest! {
         let culprit = NodeId::new(3); // not the source: starts incomplete
         let assignment = TokenAssignment::single_source(n, 6, NodeId::new(0));
         let plan = MisbehaviorPlan::plant(n, culprit, MisbehaviorKind::FalseClaims, seed);
-        let out = run_byzantine_single_source(
-            &assignment,
-            StaticAdversary::new(Graph::complete(n)),
-            DropLink::new(drop).with_jitter(1),
-            2,
-            seed,
-            AsyncConfig::default(),
-            &plan,
-            200_000,
-        );
+        let out = Scenario::from_assignment(assignment)
+            .topology(StaticAdversary::new(Graph::complete(n)))
+            .link(DropLink::new(drop).with_jitter(1))
+            .seed(seed)
+            .byzantine(plan)
+            .max_time(200_000)
+            .run_single_source();
         if out.injected > 0 {
             prop_assert!(
                 out.evidence.iter().any(|e| e.culprit == culprit
@@ -197,15 +182,16 @@ proptest! {
             .find(|v| !centers[v.index()])
             .expect("p=0.25 never elects everyone at n=10");
         let plan = MisbehaviorPlan::plant(n, culprit, MisbehaviorKind::SeqReplay, seed);
-        let out = run_byzantine_oblivious(
-            &assignment,
-            StaticAdversary::new(Graph::complete(n)),
-            PeriodicRewiring::new(Topology::RandomTree, 3, seed ^ 2),
-            DropLink::new(0.2).with_jitter(1),
-            DropLink::new(0.2).with_jitter(1),
-            &cfg,
-            &plan,
-        );
+        let out = Scenario::from_assignment(assignment)
+            .topology(StaticAdversary::new(Graph::complete(n)))
+            .link(DropLink::new(0.2).with_jitter(1))
+            .byzantine(plan)
+            .run_oblivious(
+                PeriodicRewiring::new(Topology::RandomTree, 3, seed ^ 2),
+                DropLink::new(0.2).with_jitter(1),
+                &cfg,
+                None,
+            );
         if out.injected > 0 {
             prop_assert!(
                 out.evidence.iter().any(|e| e.culprit == culprit
@@ -232,16 +218,13 @@ fn planted_attacks_inject_and_convict() {
     let assignment = TokenAssignment::single_source(n, 6, NodeId::new(0));
     let culprit = NodeId::new(3);
     let plan = MisbehaviorPlan::plant(n, culprit, MisbehaviorKind::FalseClaims, 11);
-    let out = run_byzantine_single_source(
-        &assignment,
-        StaticAdversary::new(Graph::complete(n)),
-        DropLink::new(0.2).with_jitter(1),
-        2,
-        11,
-        AsyncConfig::default(),
-        &plan,
-        200_000,
-    );
+    let out = Scenario::from_assignment(assignment)
+        .topology(StaticAdversary::new(Graph::complete(n)))
+        .link(DropLink::new(0.2).with_jitter(1))
+        .seed(11)
+        .byzantine(plan)
+        .max_time(200_000)
+        .run_single_source();
     assert!(out.injected > 0, "planted false-claimer never fired");
     assert!(
         out.evidence
@@ -265,15 +248,16 @@ fn false_center_claim_is_convicted() {
     cfg.center_probability = Some(0.0); // nobody is a real center
     let culprit = NodeId::new(4);
     let plan = MisbehaviorPlan::plant(n, culprit, MisbehaviorKind::FalseClaims, 5);
-    let out = run_byzantine_oblivious(
-        &assignment,
-        StaticAdversary::new(Graph::complete(n)),
-        PeriodicRewiring::new(Topology::RandomTree, 3, 7),
-        DropLink::new(0.1).with_jitter(1),
-        DropLink::new(0.1).with_jitter(1),
-        &cfg,
-        &plan,
-    );
+    let out = Scenario::from_assignment(assignment)
+        .topology(StaticAdversary::new(Graph::complete(n)))
+        .link(DropLink::new(0.1).with_jitter(1))
+        .byzantine(plan)
+        .run_oblivious(
+            PeriodicRewiring::new(Topology::RandomTree, 3, 7),
+            DropLink::new(0.1).with_jitter(1),
+            &cfg,
+            None,
+        );
     assert!(out.injected > 0, "planted false center never announced");
     assert!(
         out.evidence
@@ -294,15 +278,16 @@ fn verdicts_are_replay_identical() {
     let assignment = TokenAssignment::n_gossip(n);
     let plan = MisbehaviorPlan::with_kinds(n, 0.3, &MisbehaviorKind::ALL, 29);
     let run = || {
-        run_byzantine_oblivious(
-            &assignment,
-            StaticAdversary::new(Graph::complete(n)),
-            PeriodicRewiring::new(Topology::RandomTree, 3, 31),
-            DropLink::new(0.25).duplicating(0.2).with_jitter(2),
-            DropLink::new(0.25).duplicating(0.2).with_jitter(2),
-            &two_phase_config(29),
-            &plan,
-        )
+        Scenario::from_assignment(assignment.clone())
+            .topology(StaticAdversary::new(Graph::complete(n)))
+            .link(DropLink::new(0.25).duplicating(0.2).with_jitter(2))
+            .byzantine(plan.clone())
+            .run_oblivious(
+                PeriodicRewiring::new(Topology::RandomTree, 3, 31),
+                DropLink::new(0.25).duplicating(0.2).with_jitter(2),
+                &two_phase_config(29),
+                None,
+            )
     };
     let (a, b) = (run(), run());
     assert_eq!(

@@ -1,7 +1,6 @@
 //! Acceptance tests for the [`Scenario`] builder: the fault and
-//! Byzantine axes — historically separate driver families — must
-//! compose in one run, with tracing stacked on top, and the whole
-//! composition must stay a pure function of its seeds.
+//! Byzantine axes must compose in one run, with tracing stacked on top,
+//! and the whole composition must stay a pure function of its seeds.
 
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
@@ -9,6 +8,7 @@ use dynspread_graph::NodeId;
 use dynspread_runtime::byzantine::{MisbehaviorKind, MisbehaviorPlan};
 use dynspread_runtime::faults::{FaultPlan, RecoveryMode};
 use dynspread_runtime::link::{DropLink, LinkModelExt};
+use dynspread_runtime::protocol::AsyncObliviousConfig;
 use dynspread_runtime::trace::JsonlTracer;
 use dynspread_runtime::Scenario;
 use dynspread_sim::TokenAssignment;
@@ -96,4 +96,48 @@ fn neutral_plans_compose_invisibly() {
     assert_eq!(neutral.report.byzantine_nodes, 0);
     assert!(neutral.evidence.is_empty());
     assert_eq!(bare.completed, neutral.completed);
+}
+
+/// The same for the two-phase pipeline, where the neutral pair arms
+/// *both* engines and the hand-off between them: the whole outcome —
+/// both engine reports, the workspace report, centers, sources,
+/// hand-off counters, final knowledge — and the stitched two-phase
+/// trace are byte-identical to the plan-free run.
+#[test]
+fn neutral_plans_leave_the_two_phase_pipeline_byte_identical() {
+    let n = 12usize;
+    let cfg = AsyncObliviousConfig {
+        seed: 19,
+        source_threshold: Some(1.0), // n sources ⇒ two-phase path
+        center_probability: Some(0.25),
+        phase1_deadline: 5_000,
+        phase1_max_time: 12_000,
+        ..AsyncObliviousConfig::default()
+    };
+    let run = |neutral: bool| {
+        let tracer = JsonlTracer::new();
+        let mut s = Scenario::from_assignment(TokenAssignment::n_gossip(n))
+            .topology(PeriodicRewiring::new(Topology::Gnp(0.3), 3, 6))
+            .link(DropLink::new(0.25).with_jitter(2))
+            .trace(tracer.clone());
+        let none = FaultPlan::none(n);
+        if neutral {
+            s = s.faults(none.clone()).byzantine(MisbehaviorPlan::honest(n));
+        }
+        let out = s.run_oblivious(
+            PeriodicRewiring::new(Topology::RandomTree, 3, 7),
+            DropLink::new(0.25).with_jitter(2),
+            &cfg,
+            neutral.then_some(&none),
+        );
+        (out, tracer.take_jsonl())
+    };
+    let (bare, bare_trace) = run(false);
+    let (neutral, neutral_trace) = run(true);
+
+    assert!(bare.phase1.is_some(), "two-phase path must run phase 1");
+    assert!(bare.completed, "{}", bare.report);
+    assert_eq!(format!("{bare:?}"), format!("{neutral:?}"));
+    assert!(bare_trace.contains("\"phase\""), "phase boundary records");
+    assert_eq!(bare_trace, neutral_trace);
 }

@@ -30,8 +30,9 @@ use dynspread::graph::{Graph, NodeId};
 use dynspread::runtime::engine::{EventReport, EventSim, StopReason};
 use dynspread::runtime::link::{DropLink, LinkModel, LinkModelExt, PerfectLink};
 use dynspread::runtime::protocol::{
-    run_async_oblivious, AsyncConfig, AsyncMultiSource, AsyncObliviousConfig, AsyncSingleSource,
+    AsyncConfig, AsyncMultiSource, AsyncObliviousConfig, AsyncSingleSource,
 };
+use dynspread::runtime::Scenario;
 use dynspread::sim::token::TokenSet;
 use dynspread::sim::{BroadcastSim, SimConfig, TokenAssignment, UnicastSim};
 
@@ -297,21 +298,22 @@ fn perfect_link_async_oblivious_matches_sync_across_adversaries() {
             },
         );
         assert!(sync_out.completed(), "{kind}: sync {}", sync_out.phase2);
-        let async_out = run_async_oblivious(
-            &assignment,
-            adversary(kind, n, seed),
-            adversary(kind, n, seed ^ 1),
-            PerfectLink,
-            PerfectLink,
-            &AsyncObliviousConfig {
-                seed,
-                source_threshold: Some(1.0),
-                center_probability: Some(0.25),
-                phase1_deadline: 20_000,
-                phase1_max_time: 50_000,
-                ..AsyncObliviousConfig::default()
-            },
-        );
+        let async_out = Scenario::from_assignment(assignment.clone())
+            .topology(adversary(kind, n, seed))
+            .link(PerfectLink)
+            .run_oblivious(
+                adversary(kind, n, seed ^ 1),
+                PerfectLink,
+                &AsyncObliviousConfig {
+                    seed,
+                    source_threshold: Some(1.0),
+                    center_probability: Some(0.25),
+                    phase1_deadline: 20_000,
+                    phase1_max_time: 50_000,
+                    ..AsyncObliviousConfig::default()
+                },
+                None,
+            );
         assert!(async_out.completed, "{kind}: async phase 2 incomplete");
         assert!(async_out.phase1.is_some(), "{kind}: phase 1 must run");
         // Same shared seed ⇒ the same center election as the sync run.
@@ -352,14 +354,15 @@ fn lossy_async_oblivious_completes_and_replays() {
         ..AsyncObliviousConfig::default()
     };
     let run = || {
-        run_async_oblivious(
-            &assignment,
-            adversary("churn", n, 19),
-            adversary("rewire", n, 20),
-            DropLink::new(0.3).with_jitter(2),
-            DropLink::new(0.3).with_jitter(2),
-            &cfg,
-        )
+        Scenario::from_assignment(assignment.clone())
+            .topology(adversary("churn", n, 19))
+            .link(DropLink::new(0.3).with_jitter(2))
+            .run_oblivious(
+                adversary("rewire", n, 20),
+                DropLink::new(0.3).with_jitter(2),
+                &cfg,
+                None,
+            )
     };
     let out = run();
     assert!(out.completed, "30% drop: {:?}", out.phase2);
@@ -431,22 +434,23 @@ fn stress_async_conformance_matrix_release_only() {
     let n = 40;
     let assignment = TokenAssignment::n_gossip(n);
     for seed in [9u64, 27] {
-        let out = run_async_oblivious(
-            &assignment,
-            adversary("rewire", n, seed),
-            adversary("churn", n, seed ^ 3),
-            DropLink::new(0.4).duplicating(0.2).with_jitter(2),
-            DropLink::new(0.3).with_jitter(2),
-            &AsyncObliviousConfig {
-                seed,
-                source_threshold: Some(1.0),
-                center_probability: Some(0.2),
-                phase1_deadline: 40_000,
-                phase1_max_time: 100_000,
-                phase2_max_time: 4_000_000,
-                ..AsyncObliviousConfig::default()
-            },
-        );
+        let out = Scenario::from_assignment(assignment.clone())
+            .topology(adversary("rewire", n, seed))
+            .link(DropLink::new(0.4).duplicating(0.2).with_jitter(2))
+            .run_oblivious(
+                adversary("churn", n, seed ^ 3),
+                DropLink::new(0.3).with_jitter(2),
+                &AsyncObliviousConfig {
+                    seed,
+                    source_threshold: Some(1.0),
+                    center_probability: Some(0.2),
+                    phase1_deadline: 40_000,
+                    phase1_max_time: 100_000,
+                    phase2_max_time: 4_000_000,
+                    ..AsyncObliviousConfig::default()
+                },
+                None,
+            );
         assert!(out.completed, "oblivious stress seed {seed}");
         assert!(out.final_knowledge.iter().all(TokenSet::is_full));
     }

@@ -16,9 +16,7 @@ use dynspread::graph::NodeId;
 use dynspread::runtime::engine::{EventProtocol, EventSim, StopReason};
 use dynspread::runtime::faults::{FaultPlan, PartitionLink, RecoveryMode};
 use dynspread::runtime::link::{DropLink, LinkModelExt};
-use dynspread::runtime::protocol::{
-    run_async_oblivious_traced, AsyncConfig, AsyncObliviousConfig, AsyncSingleSource,
-};
+use dynspread::runtime::protocol::{AsyncConfig, AsyncObliviousConfig, AsyncSingleSource};
 use dynspread::runtime::sync::{BroadcastSynchronizer, UnicastSynchronizer};
 use dynspread::runtime::trace::JsonlTracer;
 use dynspread::runtime::{Scenario, SessionSpec, SessionWorkload};
@@ -367,15 +365,20 @@ fn trace_arm(arm: &str, seed: u64) -> String {
                 phase1_max_time: 50_000,
                 ..AsyncObliviousConfig::default()
             };
-            let _ = run_async_oblivious_traced(
-                &assignment,
-                PeriodicRewiring::new(Topology::Gnp(0.25), 3, derive_seed(seed, 1)),
-                PeriodicRewiring::new(Topology::RandomTree, 3, derive_seed(seed, 2)),
-                DropLink::new(0.3).with_jitter(2),
-                DropLink::new(0.3).with_jitter(2),
-                &cfg,
-                Some(tracer.clone()),
-            );
+            let _ = Scenario::from_assignment(assignment)
+                .topology(PeriodicRewiring::new(
+                    Topology::Gnp(0.25),
+                    3,
+                    derive_seed(seed, 1),
+                ))
+                .link(DropLink::new(0.3).with_jitter(2))
+                .trace(tracer.clone())
+                .run_oblivious(
+                    PeriodicRewiring::new(Topology::RandomTree, 3, derive_seed(seed, 2)),
+                    DropLink::new(0.3).with_jitter(2),
+                    &cfg,
+                    None,
+                );
         }
         other => unreachable!("unknown arm {other}"),
     }

@@ -12,13 +12,11 @@ use dynspread::graph::generators::Topology;
 use dynspread::graph::oblivious::{EdgeMarkovian, PeriodicRewiring, StaticAdversary};
 use dynspread::graph::{Graph, NodeId};
 use dynspread::runtime::engine::EventSim;
-use dynspread::runtime::faults::{
-    run_faulty_multi_source, run_faulty_oblivious, run_faulty_single_source, FaultPlan,
-    PartitionLink, RecoveryMode,
-};
+use dynspread::runtime::faults::{FaultPlan, PartitionLink, RecoveryMode};
 use dynspread::runtime::link::{DropLink, LinkModelExt};
 use dynspread::runtime::protocol::{AsyncConfig, AsyncObliviousConfig, AsyncSingleSource};
 use dynspread::runtime::trace::JsonlTracer;
+use dynspread::runtime::Scenario;
 use dynspread::sim::TokenAssignment;
 use dynspread_bench::derive_seed;
 use std::sync::Arc;
@@ -38,16 +36,13 @@ fn single_source_self_heals_under_the_acceptance_faults() {
     let assignment = TokenAssignment::single_source(n, 10, NodeId::new(0));
     let plan = acceptance_plan(n, RecoveryMode::Amnesia, 11);
     let run = || {
-        run_faulty_single_source(
-            &assignment,
-            PeriodicRewiring::new(Topology::RandomTree, 3, 12),
-            DropLink::new(0.3).with_jitter(2),
-            2,
-            13,
-            AsyncConfig::default(),
-            &plan,
-            2_000_000,
-        )
+        Scenario::from_assignment(assignment.clone())
+            .topology(PeriodicRewiring::new(Topology::RandomTree, 3, 12))
+            .link(DropLink::new(0.3).with_jitter(2))
+            .seed(13)
+            .faults(plan.clone())
+            .max_time(2_000_000)
+            .run_single_source()
     };
     let out = run();
     assert!(out.completed, "{}", out.report);
@@ -70,16 +65,13 @@ fn multi_source_self_heals_under_the_acceptance_faults() {
     // Durable snapshots: recovered nodes keep their ledgers and window.
     let plan = acceptance_plan(n, RecoveryMode::DurableSnapshot, 21);
     let run = || {
-        run_faulty_multi_source(
-            &assignment,
-            EdgeMarkovian::new(0.08, 0.2, 2, 22),
-            DropLink::new(0.3).with_jitter(2),
-            2,
-            23,
-            AsyncConfig::default(),
-            &plan,
-            2_000_000,
-        )
+        Scenario::from_assignment(assignment.clone())
+            .topology(EdgeMarkovian::new(0.08, 0.2, 2, 22))
+            .link(DropLink::new(0.3).with_jitter(2))
+            .seed(23)
+            .faults(plan.clone())
+            .max_time(2_000_000)
+            .run_multi_source()
     };
     let out = run();
     assert!(out.completed, "{}", out.report);
@@ -107,16 +99,16 @@ fn oblivious_self_heals_with_both_phases_faulted() {
     let plan1 = acceptance_plan(n, RecoveryMode::Amnesia, 32);
     let plan2 = acceptance_plan(n, RecoveryMode::DurableSnapshot, 33);
     let run = || {
-        run_faulty_oblivious(
-            &assignment,
-            StaticAdversary::new(Graph::complete(n)),
-            PeriodicRewiring::new(Topology::RandomTree, 3, 34),
-            DropLink::new(0.3).with_jitter(2),
-            DropLink::new(0.3).with_jitter(2),
-            &cfg,
-            &plan1,
-            &plan2,
-        )
+        Scenario::from_assignment(assignment.clone())
+            .topology(StaticAdversary::new(Graph::complete(n)))
+            .link(DropLink::new(0.3).with_jitter(2))
+            .faults(plan1.clone())
+            .run_oblivious(
+                PeriodicRewiring::new(Topology::RandomTree, 3, 34),
+                DropLink::new(0.3).with_jitter(2),
+                &cfg,
+                Some(&plan2),
+            )
     };
     let out = run();
     assert!(out.completed, "{}", out.report);

@@ -1,39 +1,40 @@
-//! Byte-identity of the deprecated `run_*` driver zoo against the
-//! unified [`Scenario`](dynspread::runtime::Scenario) core.
+//! The [`Scenario`] builder against hand-built raw-engine twins.
 //!
-//! PR 10 reimplemented every `run_faulty_*` / `run_byzantine_*` /
-//! `run_async_oblivious*` driver as a thin wrapper over the `Scenario`
-//! builder. These tests pin that migration down: each *twin* below is a
-//! verbatim transplant of the pre-migration driver body (raw engines,
-//! raw links, hand-rolled hand-offs) and its outcome must match the
-//! wrapper's `Debug` representation byte for byte — reports, evidence,
-//! coverage floats, hand-off counters, everything. Any drift in the
-//! always-wrap strategy (empty `FaultPlan` / honest `MisbehaviorPlan`
-//! as pass-throughs) breaks these first.
+//! Each *twin* below spells one run out by hand — a raw `EventSim`, the
+//! raw link (wrapped in `PartitionLink` only where a fault plan is in
+//! play), nodes wrapped only where a Byzantine plan is, a hand-rolled
+//! hand-off — and the builder's outcome must match it `Debug` byte for
+//! byte: reports, event reports, evidence, coverage bits, hand-off
+//! counters, trace text. The twins are the builder's reference
+//! implementation: any drift in its always-arm-every-axis strategy
+//! (empty `FaultPlan` / honest `MisbehaviorPlan` as pass-throughs), in
+//! its engine seeds, or in where it stitches the phase records breaks
+//! these first.
+//!
+//! The twins started life as the bodies of the per-axis `run_*` drivers
+//! the builder replaced; the file and test names still say "legacy",
+//! "wrapper" and "old driver" because the test ids are pinned.
 
 use dynspread::graph::generators::Topology;
 use dynspread::graph::oblivious::PeriodicRewiring;
 use dynspread::graph::NodeId;
 use dynspread::runtime::byzantine::{
-    check_evidence, run_byzantine_multi_source, run_byzantine_oblivious,
-    run_byzantine_single_source, AuditSetup, Evidence, MisbehaviorKind, MisbehaviorPlan,
+    check_evidence, AuditSetup, Evidence, MisbehaviorKind, MisbehaviorPlan,
 };
 use dynspread::runtime::engine::{EventSim, StopReason};
-use dynspread::runtime::faults::{
-    run_faulty_multi_source, run_faulty_single_source, FaultPlan, PartitionLink, RecoveryMode,
-};
+use dynspread::runtime::faults::{FaultPlan, PartitionLink, RecoveryMode};
 use dynspread::runtime::link::{DropLink, LinkModelExt};
 use dynspread::runtime::protocol::{
-    run_async_oblivious_traced, AsyncConfig, AsyncMultiSource, AsyncObliviousConfig,
-    AsyncSingleSource,
+    AsyncConfig, AsyncMultiSource, AsyncObliviousConfig, AsyncSingleSource,
 };
 use dynspread::runtime::trace::JsonlTracer;
+use dynspread::runtime::Scenario;
 use dynspread::sim::token::{TokenAssignment, TokenSet};
 use dynspread::sim::RunReport;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// The old drivers' private coverage helper, transplanted.
+/// The twins' own coverage measure, independent of `faults::coverage_over`.
 fn coverage<'a>(
     k: usize,
     knowledge: impl Iterator<Item = &'a TokenSet>,
@@ -54,7 +55,7 @@ fn coverage<'a>(
     }
 }
 
-/// The old byzantine drivers' private report stamping, transplanted.
+/// The twins' own Byzantine report stamping.
 fn stamp(report: &mut RunReport, plan: &MisbehaviorPlan, evidence: &[Evidence]) {
     report.byzantine_nodes = plan.byzantine_nodes();
     report.violations_detected = evidence.len() as u64;
@@ -77,18 +78,17 @@ fn faulty_single_source_wrapper_matches_the_old_driver_byte_for_byte() {
         .with_random_partition(40, 300);
     let cfg = AsyncConfig::default();
 
-    let new = run_faulty_single_source(
-        &assignment,
-        adversary(3, 7),
-        DropLink::new(0.3).with_jitter(2),
-        2,
-        11,
-        cfg,
-        &plan,
-        2_000_000,
-    );
+    let new = Scenario::from_assignment(assignment.clone())
+        .topology(adversary(3, 7))
+        .link(DropLink::new(0.3).with_jitter(2))
+        .seed(11)
+        .retransmit(cfg)
+        .faults(plan.clone())
+        .max_time(2_000_000)
+        .name("faulty-async-single-source")
+        .run_single_source();
 
-    // Old body, verbatim: raw tracking engine + PartitionLink + plan.
+    // The twin: raw tracking engine + PartitionLink + plan.
     let nodes = AsyncSingleSource::nodes(&assignment, cfg);
     let mut sim = EventSim::with_tracking(
         nodes,
@@ -122,16 +122,15 @@ fn faulty_multi_source_wrapper_matches_the_old_driver_byte_for_byte() {
     let plan = FaultPlan::crash_stop(n, 0.2, 40, 17);
     let cfg = AsyncConfig::default();
 
-    let new = run_faulty_multi_source(
-        &assignment,
-        adversary(3, 9),
-        DropLink::new(0.2),
-        2,
-        21,
-        cfg,
-        &plan,
-        500_000,
-    );
+    let new = Scenario::from_assignment(assignment.clone())
+        .topology(adversary(3, 9))
+        .link(DropLink::new(0.2))
+        .seed(21)
+        .retransmit(cfg)
+        .faults(plan.clone())
+        .max_time(500_000)
+        .name("faulty-async-multi-source")
+        .run_multi_source();
 
     let (nodes, _map) = AsyncMultiSource::nodes(&assignment, cfg);
     let mut sim = EventSim::with_tracking(
@@ -165,19 +164,18 @@ fn byzantine_single_source_wrapper_matches_the_old_driver_byte_for_byte() {
     let plan = MisbehaviorPlan::uniform(n, 0.25, MisbehaviorKind::FalseClaims, 3);
     let cfg = AsyncConfig::default();
 
-    let new = run_byzantine_single_source(
-        &assignment,
-        adversary(3, 5),
-        DropLink::new(0.2).with_jitter(1),
-        2,
-        13,
-        cfg,
-        &plan,
-        1_000_000,
-    );
+    let new = Scenario::from_assignment(assignment.clone())
+        .topology(adversary(3, 5))
+        .link(DropLink::new(0.2).with_jitter(1))
+        .seed(13)
+        .retransmit(cfg)
+        .byzantine(plan.clone())
+        .max_time(1_000_000)
+        .name("byz-async-single-source")
+        .run_single_source();
 
-    // Old body, verbatim: wrapped nodes, RAW link (no PartitionLink),
-    // transcripts on, audit, manual stamp.
+    // The twin: wrapped nodes, RAW link (no PartitionLink), transcripts
+    // on, audit, manual stamp.
     let nodes = plan.wrap(AsyncSingleSource::nodes(&assignment, cfg));
     let mut sim = EventSim::with_tracking(
         nodes,
@@ -216,16 +214,15 @@ fn byzantine_multi_source_wrapper_matches_the_old_driver_byte_for_byte() {
     let plan = MisbehaviorPlan::uniform(n, 0.25, MisbehaviorKind::DropAcks, 8);
     let cfg = AsyncConfig::default();
 
-    let new = run_byzantine_multi_source(
-        &assignment,
-        adversary(3, 6),
-        DropLink::new(0.2),
-        2,
-        19,
-        cfg,
-        &plan,
-        1_000_000,
-    );
+    let new = Scenario::from_assignment(assignment.clone())
+        .topology(adversary(3, 6))
+        .link(DropLink::new(0.2))
+        .seed(19)
+        .retransmit(cfg)
+        .byzantine(plan.clone())
+        .max_time(1_000_000)
+        .name("byz-async-multi-source")
+        .run_multi_source();
 
     let (nodes, map) = AsyncMultiSource::nodes(&assignment, cfg);
     let nodes = plan.wrap(nodes);
@@ -259,10 +256,10 @@ fn byzantine_multi_source_wrapper_matches_the_old_driver_byte_for_byte() {
     assert_eq!(new.completed, event.stopped == StopReason::Complete);
 }
 
-/// The two-phase Byzantine oblivious pipeline is the hardest wrapper
-/// (combined hand-off subsuming three legacy variants); rather than
-/// transplant its 150-line body, pin it replay-style against itself and
-/// against the structural invariants the old driver guaranteed.
+/// The two-phase Byzantine oblivious pipeline has no twin (its hand-off
+/// alone is 70 lines); it is pinned replay-style against itself, against
+/// its structural invariants, and — on the fast path — against the
+/// single-phase entry point.
 #[test]
 fn byzantine_oblivious_wrapper_is_replay_identical_and_structurally_sound() {
     let n = 14usize;
@@ -275,15 +272,17 @@ fn byzantine_oblivious_wrapper_is_replay_identical_and_structurally_sound() {
         ..AsyncObliviousConfig::default()
     };
     let run = || {
-        run_byzantine_oblivious(
-            &assignment,
-            adversary(3, 2),
-            adversary(3, 4),
-            DropLink::new(0.2).with_jitter(1),
-            DropLink::new(0.2).with_jitter(1),
-            &cfg,
-            &plan,
-        )
+        Scenario::from_assignment(assignment.clone())
+            .topology(adversary(3, 2))
+            .link(DropLink::new(0.2).with_jitter(1))
+            .byzantine(plan.clone())
+            .name("byz-async-oblivious")
+            .run_oblivious(
+                adversary(3, 4),
+                DropLink::new(0.2).with_jitter(1),
+                &cfg,
+                None,
+            )
     };
     let a = run();
     let b = run();
@@ -296,33 +295,32 @@ fn byzantine_oblivious_wrapper_is_replay_identical_and_structurally_sound() {
     assert!(a.evidence.iter().all(|e| plan.is_malicious(e.culprit)));
 
     // Fast path (source threshold not overridden ⇒ one source is below
-    // it): must reduce to the multi-source driver under the phase-2 salt.
+    // it): must reduce to `run_multi_source` under the phase-2 salt and
+    // timing, with the report renamed `…oblivious` → `…multi-source`.
     let single = TokenAssignment::single_source(n, 6, NodeId::new(0));
     let fast_cfg = AsyncObliviousConfig {
         seed: 9,
         ..AsyncObliviousConfig::default()
     };
-    let fast = run_byzantine_oblivious(
-        &single,
-        adversary(3, 2),
-        adversary(3, 4),
-        DropLink::new(0.2),
-        DropLink::new(0.2),
-        &fast_cfg,
-        &plan,
-    );
-    let direct = run_byzantine_multi_source(
-        &single,
-        adversary(3, 4),
-        DropLink::new(0.2),
-        fast_cfg.ticks_per_round,
-        fast_cfg.seed ^ 0x5EED_0B71_0002u64,
-        fast_cfg.retransmit,
-        &plan,
-        fast_cfg.phase2_max_time,
-    );
+    let fast = Scenario::from_assignment(single.clone())
+        .topology(adversary(3, 2))
+        .link(DropLink::new(0.2))
+        .byzantine(plan.clone())
+        .name("byz-async-oblivious")
+        .run_oblivious(adversary(3, 4), DropLink::new(0.2), &fast_cfg, None);
+    let direct = Scenario::from_assignment(single)
+        .topology(adversary(3, 4))
+        .link(DropLink::new(0.2))
+        .ticks_per_round(fast_cfg.ticks_per_round)
+        .seed(fast_cfg.seed ^ 0x5EED_0B71_0002u64)
+        .retransmit(fast_cfg.retransmit)
+        .byzantine(plan.clone())
+        .max_time(fast_cfg.phase2_max_time)
+        .name("byz-async-multi-source")
+        .run_multi_source();
     assert!(fast.phase1.is_none());
     assert_eq!(format!("{:?}", fast.phase2), format!("{:?}", direct.event));
+    assert_eq!(format!("{:?}", fast.report), format!("{:?}", direct.report));
     assert_eq!(
         format!("{:?}", fast.evidence),
         format!("{:?}", direct.evidence)
@@ -333,10 +331,8 @@ fn byzantine_oblivious_wrapper_is_replay_identical_and_structurally_sound() {
     );
 }
 
-/// The honest oblivious pipeline now routes through `Scenario` too.
-/// This twin is the pre-migration `run_async_oblivious_traced` two-phase
-/// body, verbatim: raw engines, the center-preferring claimant
-/// resolution, and the stitched `Phase` trace records.
+/// The honest two-phase pipeline: raw engines, the center-preferring
+/// claimant resolution, and the stitched `Phase` trace records.
 #[test]
 fn honest_oblivious_wrapper_matches_the_old_driver_byte_for_byte() {
     use dynspread::core::multi_source::SourceMap;
@@ -360,17 +356,13 @@ fn honest_oblivious_wrapper_matches_the_old_driver_byte_for_byte() {
     let link = || DropLink::new(0.3).with_jitter(2);
 
     let new_tracer = JsonlTracer::new();
-    let new = run_async_oblivious_traced(
-        &assignment,
-        adversary1(),
-        adversary2(),
-        link(),
-        link(),
-        &cfg,
-        Some(new_tracer.clone()),
-    );
+    let new = Scenario::from_assignment(assignment.clone())
+        .topology(adversary1())
+        .link(link())
+        .trace(new_tracer.clone())
+        .run_oblivious(adversary2(), link(), &cfg, None);
 
-    // ---- Old phase 1. ----
+    // ---- Twin phase 1. ----
     let tracer = JsonlTracer::new();
     let f = center_count(n, k);
     let p_center = cfg.center_probability.unwrap_or((f / n as f64).min(1.0));
@@ -401,7 +393,7 @@ fn honest_oblivious_wrapper_matches_the_old_driver_byte_for_byte() {
     sim1.set_tracer(tracer.clone());
     let phase1 = sim1.run(cfg.phase1_max_time);
 
-    // ---- Old hand-off: prefer a center among double claimants. ----
+    // ---- Twin hand-off: prefer a center among double claimants. ----
     let mut owner_of: Vec<Option<NodeId>> = vec![None; k];
     for v in NodeId::all(n) {
         let node = sim1.node(v);
@@ -436,7 +428,7 @@ fn honest_oblivious_wrapper_matches_the_old_driver_byte_for_byte() {
     let map = Arc::new(SourceMap::from_assignment(&ownership));
     let sources = map.sources().to_vec();
 
-    // ---- Old phase 2. ----
+    // ---- Twin phase 2. ----
     let nodes2: Vec<AsyncMultiSource> = NodeId::all(n)
         .map(|v| AsyncMultiSource::new(v, &knowledge, Arc::clone(&map), cfg.retransmit))
         .collect();
@@ -483,15 +475,16 @@ fn honest_oblivious_trace_is_replay_identical_through_the_wrapper() {
     };
     let run = || {
         let tracer = JsonlTracer::new();
-        let out = run_async_oblivious_traced(
-            &assignment,
-            PeriodicRewiring::new(Topology::Gnp(0.3), 3, 1),
-            adversary(3, 2),
-            DropLink::new(0.3).with_jitter(2),
-            DropLink::new(0.3).with_jitter(2),
-            &cfg,
-            Some(tracer.clone()),
-        );
+        let out = Scenario::from_assignment(assignment.clone())
+            .topology(PeriodicRewiring::new(Topology::Gnp(0.3), 3, 1))
+            .link(DropLink::new(0.3).with_jitter(2))
+            .trace(tracer.clone())
+            .run_oblivious(
+                adversary(3, 2),
+                DropLink::new(0.3).with_jitter(2),
+                &cfg,
+                None,
+            );
         (format!("{out:?}"), tracer.take_jsonl())
     };
     let (out_a, trace_a) = run();

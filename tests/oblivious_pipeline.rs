@@ -1,14 +1,15 @@
 //! Integration tests of the full Oblivious-Multi-Source pipeline
 //! (Algorithm 2): phase hand-off invariants, accounting conservation,
 //! and end-to-end correctness — for both the round-based pipeline and
-//! the asynchronous `run_async_oblivious` port.
+//! the asynchronous `Scenario::run_oblivious` port.
 
 use dynspread::core::oblivious::{run_oblivious_multi_source, ObliviousConfig};
 use dynspread::graph::generators::Topology;
 use dynspread::graph::oblivious::{EdgeMarkovian, PeriodicRewiring, StaticAdversary};
 use dynspread::graph::Graph;
 use dynspread::runtime::link::{DropLink, LinkModelExt, PerfectLink};
-use dynspread::runtime::protocol::{run_async_oblivious, AsyncObliviousConfig};
+use dynspread::runtime::protocol::AsyncObliviousConfig;
+use dynspread::runtime::Scenario;
 use dynspread::sim::message::MessageClass;
 use dynspread::sim::token::TokenSet;
 use dynspread::sim::TokenAssignment;
@@ -138,14 +139,15 @@ fn async_two_phase_config(seed: u64) -> AsyncObliviousConfig {
 fn async_pipeline_completes_on_n_gossip_over_lossy_links() {
     let n = 18;
     let assignment = TokenAssignment::n_gossip(n);
-    let out = run_async_oblivious(
-        &assignment,
-        PeriodicRewiring::new(Topology::Gnp(0.25), 3, 1),
-        PeriodicRewiring::new(Topology::RandomTree, 3, 2),
-        DropLink::new(0.3).with_jitter(2),
-        DropLink::new(0.3).with_jitter(2),
-        &async_two_phase_config(3),
-    );
+    let out = Scenario::from_assignment(assignment)
+        .topology(PeriodicRewiring::new(Topology::Gnp(0.25), 3, 1))
+        .link(DropLink::new(0.3).with_jitter(2))
+        .run_oblivious(
+            PeriodicRewiring::new(Topology::RandomTree, 3, 2),
+            DropLink::new(0.3).with_jitter(2),
+            &async_two_phase_config(3),
+            None,
+        );
     assert!(out.completed, "{:?}", out.phase2);
     assert!(out.phase1.is_some());
     assert!(!out.centers.is_empty());
@@ -160,14 +162,15 @@ fn async_hand_off_conserves_ownership() {
     // owners — the hand-off invariants behind the SourceMap construction.
     let n = 16;
     let assignment = TokenAssignment::n_gossip(n);
-    let out = run_async_oblivious(
-        &assignment,
-        EdgeMarkovian::new(0.1, 0.2, 2, 7),
-        PeriodicRewiring::new(Topology::RandomTree, 3, 8),
-        DropLink::new(0.2),
-        PerfectLink,
-        &async_two_phase_config(9),
-    );
+    let out = Scenario::from_assignment(assignment)
+        .topology(EdgeMarkovian::new(0.1, 0.2, 2, 7))
+        .link(DropLink::new(0.2))
+        .run_oblivious(
+            PeriodicRewiring::new(Topology::RandomTree, 3, 8),
+            PerfectLink,
+            &async_two_phase_config(9),
+            None,
+        );
     assert!(out.completed);
     assert!(!out.sources.is_empty());
     assert!(out.sources.len() <= n, "at most one source per node");
@@ -194,14 +197,15 @@ fn async_deadline_fallback_still_completes() {
         phase1_max_time: 1_000,
         ..async_two_phase_config(11)
     };
-    let out = run_async_oblivious(
-        &assignment,
-        PeriodicRewiring::new(Topology::Gnp(0.3), 3, 12),
-        PeriodicRewiring::new(Topology::RandomTree, 3, 13),
-        PerfectLink,
-        PerfectLink,
-        &cfg,
-    );
+    let out = Scenario::from_assignment(assignment)
+        .topology(PeriodicRewiring::new(Topology::Gnp(0.3), 3, 12))
+        .link(PerfectLink)
+        .run_oblivious(
+            PeriodicRewiring::new(Topology::RandomTree, 3, 13),
+            PerfectLink,
+            &cfg,
+            None,
+        );
     assert!(out.completed, "{:?}", out.phase2);
     assert!(
         out.stranded_tokens > 0,
@@ -214,14 +218,15 @@ fn async_deadline_fallback_still_completes() {
 fn async_direct_path_taken_for_few_sources() {
     let n = 16;
     let assignment = TokenAssignment::round_robin_sources(n, 8, 2);
-    let out = run_async_oblivious(
-        &assignment,
-        StaticAdversary::new(Graph::path(n)),
-        PeriodicRewiring::new(Topology::RandomTree, 3, 10),
-        PerfectLink,
-        PerfectLink,
-        &AsyncObliviousConfig::default(), // paper threshold ≫ 2 sources
-    );
+    let out = Scenario::from_assignment(assignment.clone())
+        .topology(StaticAdversary::new(Graph::path(n)))
+        .link(PerfectLink)
+        .run_oblivious(
+            PeriodicRewiring::new(Topology::RandomTree, 3, 10),
+            PerfectLink,
+            &AsyncObliviousConfig::default(),
+            None,
+        );
     assert!(out.phase1.is_none());
     assert!(out.completed);
     assert_eq!(out.centers, assignment.sources());
@@ -255,22 +260,21 @@ fn forged_transfer_acks_cannot_destroy_honest_ownership() {
     // from its original holder (never panic), end with all k tokens
     // owned by someone, and the auditor must pin each destroyed token
     // on the thief.
-    use dynspread::runtime::byzantine::{
-        run_byzantine_oblivious, MisbehaviorKind, MisbehaviorPlan, Violation,
-    };
+    use dynspread::runtime::byzantine::{MisbehaviorKind, MisbehaviorPlan, Violation};
     let n = 14;
     let assignment = TokenAssignment::n_gossip(n);
     let plan = MisbehaviorPlan::with_kinds(n, 0.25, &[MisbehaviorKind::ForgeTransfers], 21);
     assert!(plan.byzantine_nodes() >= 2);
-    let out = run_byzantine_oblivious(
-        &assignment,
-        StaticAdversary::new(Graph::complete(n)),
-        PeriodicRewiring::new(Topology::RandomTree, 3, 22),
-        DropLink::new(0.1).with_jitter(1),
-        DropLink::new(0.1).with_jitter(1),
-        &async_two_phase_config(21),
-        &plan,
-    );
+    let out = Scenario::from_assignment(assignment)
+        .topology(StaticAdversary::new(Graph::complete(n)))
+        .link(DropLink::new(0.1).with_jitter(1))
+        .byzantine(plan.clone())
+        .run_oblivious(
+            PeriodicRewiring::new(Topology::RandomTree, 3, 22),
+            DropLink::new(0.1).with_jitter(1),
+            &async_two_phase_config(21),
+            None,
+        );
     // The honest runner would panic on a destroyed claimant; the
     // Byzantine driver recovers instead, and the thefts are convicted.
     assert!(out.injected > 0, "planted thieves never stole anything");

@@ -173,10 +173,11 @@ fn perfect_link_multi_source_matches_sync_engine() {
 /// pure observation).
 #[test]
 fn honest_byzantine_wrap_is_an_identity_and_counters_default_to_zero() {
-    use dynspread::runtime::byzantine::{run_byzantine_single_source, MisbehaviorPlan};
+    use dynspread::runtime::byzantine::MisbehaviorPlan;
     use dynspread::runtime::engine::EventSim;
     use dynspread::runtime::link::DropLink;
     use dynspread::runtime::protocol::{AsyncConfig, AsyncSingleSource};
+    use dynspread::runtime::Scenario;
 
     let (n, k) = (10, 6);
     let assignment = TokenAssignment::single_source(n, k, NodeId::new(0));
@@ -206,22 +207,19 @@ fn honest_byzantine_wrap_is_an_identity_and_counters_default_to_zero() {
         &assignment,
     );
     let honest_event = honest.run(200_000);
-    let honest_report = honest.run_report("byz-async-single-source");
+    let honest_report = honest.run_report("scenario-async-single-source");
     assert_eq!(honest_report.byzantine_nodes, 0);
     assert_eq!(honest_report.violations_detected, 0);
     assert_eq!(honest_report.evidence_verdicts, 0);
 
-    // Same run through the Byzantine driver with an all-honest plan.
-    let out = run_byzantine_single_source(
-        &assignment,
-        PeriodicRewiring::new(Topology::RandomTree, 3, 9),
-        DropLink::new(0.2).with_jitter(1),
-        2,
-        33,
-        AsyncConfig::default(),
-        &MisbehaviorPlan::honest(n),
-        200_000,
-    );
+    // Same run through the builder with an all-honest plan.
+    let out = Scenario::from_assignment(assignment)
+        .topology(PeriodicRewiring::new(Topology::RandomTree, 3, 9))
+        .link(DropLink::new(0.2).with_jitter(1))
+        .seed(33)
+        .byzantine(MisbehaviorPlan::honest(n))
+        .max_time(200_000)
+        .run_single_source();
     assert_eq!(format!("{:?}", out.event), format!("{honest_event:?}"));
     assert_eq!(format!("{:?}", out.report), format!("{honest_report:?}"));
     assert!(out.evidence.is_empty());
@@ -231,15 +229,16 @@ fn honest_byzantine_wrap_is_an_identity_and_counters_default_to_zero() {
 
 /// The crash/recovery/partition counters are part of the equivalence
 /// contract too: sync engines and fault-free event runs report zeros
-/// (with the Display line hidden), and routing a run through the faulty
-/// driver with an empty [`FaultPlan`] is an identity — same engine
+/// (with the Display line hidden), and routing a run through the builder
+/// with an empty [`FaultPlan`] is an identity — same engine
 /// report, same workspace report, byte for byte.
 #[test]
 fn fault_counters_default_to_zero_and_empty_plan_is_identity() {
     use dynspread::runtime::engine::EventSim;
-    use dynspread::runtime::faults::{run_faulty_single_source, FaultPlan};
+    use dynspread::runtime::faults::FaultPlan;
     use dynspread::runtime::link::DropLink;
     use dynspread::runtime::protocol::{AsyncConfig, AsyncSingleSource};
+    use dynspread::runtime::Scenario;
 
     let (n, k) = (10, 6);
     let assignment = TokenAssignment::single_source(n, k, NodeId::new(0));
@@ -269,23 +268,20 @@ fn fault_counters_default_to_zero_and_empty_plan_is_identity() {
         &assignment,
     );
     let honest_event = honest.run(200_000);
-    let honest_report = honest.run_report("faulty-async-single-source");
+    let honest_report = honest.run_report("scenario-async-single-source");
     assert_eq!(honest_report.crashes, 0);
     assert_eq!(honest_report.recoveries, 0);
     assert_eq!(honest_report.partition_episodes, 0);
     assert!(!format!("{honest_report}").contains("faults:"));
 
-    // Same run through the faulty driver with an empty plan.
-    let out = run_faulty_single_source(
-        &assignment,
-        PeriodicRewiring::new(Topology::RandomTree, 3, 9),
-        DropLink::new(0.2).with_jitter(1),
-        2,
-        33,
-        AsyncConfig::default(),
-        &FaultPlan::none(n),
-        200_000,
-    );
+    // Same run through the builder with an empty plan.
+    let out = Scenario::from_assignment(assignment)
+        .topology(PeriodicRewiring::new(Topology::RandomTree, 3, 9))
+        .link(DropLink::new(0.2).with_jitter(1))
+        .seed(33)
+        .faults(FaultPlan::none(n))
+        .max_time(200_000)
+        .run_single_source();
     assert_eq!(format!("{:?}", out.event), format!("{honest_event:?}"));
     assert_eq!(format!("{:?}", out.report), format!("{honest_report:?}"));
     assert!(out.completed);

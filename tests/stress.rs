@@ -79,12 +79,10 @@ fn fault_stress_self_healing_at_scale() {
     // must replay byte-identically from its seeds.
     use dynspread::graph::oblivious::StaticAdversary;
     use dynspread::graph::Graph;
-    use dynspread::runtime::faults::{
-        run_faulty_multi_source, run_faulty_oblivious, run_faulty_single_source, FaultPlan,
-        RecoveryMode,
-    };
+    use dynspread::runtime::faults::{FaultPlan, RecoveryMode};
     use dynspread::runtime::link::{DropLink, LinkModelExt};
-    use dynspread::runtime::protocol::{AsyncConfig, AsyncObliviousConfig};
+    use dynspread::runtime::protocol::AsyncObliviousConfig;
+    use dynspread::runtime::Scenario;
 
     let n = 40usize;
     let link = || DropLink::new(0.3).duplicating(0.3).with_jitter(2);
@@ -95,32 +93,26 @@ fn fault_stress_self_healing_at_scale() {
     assert_eq!(plan().crashed_nodes().count(), 6, "15% of 40 nodes");
 
     let ss_assignment = TokenAssignment::single_source(n, 40, NodeId::new(0));
-    let ss = run_faulty_single_source(
-        &ss_assignment,
-        PeriodicRewiring::new(Topology::RandomTree, 3, 82),
-        link(),
-        2,
-        83,
-        AsyncConfig::default(),
-        &plan(),
-        10_000_000,
-    );
+    let ss = Scenario::from_assignment(ss_assignment)
+        .topology(PeriodicRewiring::new(Topology::RandomTree, 3, 82))
+        .link(link())
+        .seed(83)
+        .faults(plan())
+        .max_time(10_000_000)
+        .run_single_source();
     assert!(ss.completed, "single-source: {}", ss.report);
     assert_eq!(ss.report.crashes, 6);
     assert_eq!(ss.report.recoveries, 6);
     assert_eq!(ss.report.partition_episodes, 1);
 
     let ms_assignment = TokenAssignment::round_robin_sources(n, 40, 8);
-    let ms = run_faulty_multi_source(
-        &ms_assignment,
-        PeriodicRewiring::new(Topology::RandomTree, 3, 84),
-        link(),
-        2,
-        85,
-        AsyncConfig::default(),
-        &plan(),
-        10_000_000,
-    );
+    let ms = Scenario::from_assignment(ms_assignment)
+        .topology(PeriodicRewiring::new(Topology::RandomTree, 3, 84))
+        .link(link())
+        .seed(85)
+        .faults(plan())
+        .max_time(10_000_000)
+        .run_multi_source();
     assert!(ms.completed, "multi-source: {}", ms.report);
     assert_eq!(ms.report.crashes, 6);
 
@@ -134,16 +126,16 @@ fn fault_stress_self_healing_at_scale() {
         ..AsyncObliviousConfig::default()
     };
     let run = || {
-        run_faulty_oblivious(
-            &obl_assignment,
-            StaticAdversary::new(Graph::complete(n)),
-            PeriodicRewiring::new(Topology::RandomTree, 3, 87),
-            link(),
-            link(),
-            &cfg,
-            &plan(),
-            &plan(),
-        )
+        Scenario::from_assignment(obl_assignment.clone())
+            .topology(StaticAdversary::new(Graph::complete(n)))
+            .link(link())
+            .faults(plan())
+            .run_oblivious(
+                PeriodicRewiring::new(Topology::RandomTree, 3, 87),
+                link(),
+                &cfg,
+                Some(&plan()),
+            )
     };
     let obl = run();
     assert!(obl.completed, "oblivious: {}", obl.report);
@@ -166,11 +158,10 @@ fn byzantine_stress_soundness_at_scale() {
     // verdicts included — must be byte-identical under seeded replay.
     use dynspread::graph::oblivious::StaticAdversary;
     use dynspread::graph::Graph;
-    use dynspread::runtime::byzantine::{
-        run_byzantine_oblivious, MisbehaviorKind, MisbehaviorPlan,
-    };
+    use dynspread::runtime::byzantine::{MisbehaviorKind, MisbehaviorPlan};
     use dynspread::runtime::link::{DropLink, LinkModelExt};
     use dynspread::runtime::protocol::AsyncObliviousConfig;
+    use dynspread::runtime::Scenario;
 
     let n = 40usize;
     let assignment = TokenAssignment::n_gossip(n);
@@ -185,15 +176,16 @@ fn byzantine_stress_soundness_at_scale() {
         ..AsyncObliviousConfig::default()
     };
     let run = || {
-        run_byzantine_oblivious(
-            &assignment,
-            StaticAdversary::new(Graph::complete(n)),
-            PeriodicRewiring::new(Topology::RandomTree, 3, 78),
-            DropLink::new(0.3).duplicating(0.3).with_jitter(2),
-            DropLink::new(0.3).duplicating(0.3).with_jitter(2),
-            &cfg,
-            &plan,
-        )
+        Scenario::from_assignment(assignment.clone())
+            .topology(StaticAdversary::new(Graph::complete(n)))
+            .link(DropLink::new(0.3).duplicating(0.3).with_jitter(2))
+            .byzantine(plan.clone())
+            .run_oblivious(
+                PeriodicRewiring::new(Topology::RandomTree, 3, 78),
+                DropLink::new(0.3).duplicating(0.3).with_jitter(2),
+                &cfg,
+                None,
+            )
     };
     let out = run();
     assert!(out.injected > 0, "six malicious nodes never misbehaved");

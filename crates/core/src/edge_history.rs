@@ -112,7 +112,8 @@ impl EdgeTracker {
     /// reinserted edges die; each dead request's token is removed from
     /// `in_flight` (it becomes requestable again). An edge counts as
     /// present throughout only if it was also in the list of round
-    /// `round − 1`: a skipped round reinserts every edge.
+    /// `round − 1`: a skipped round reinserts every edge — unless the
+    /// caller vouches for the gap with [`resume`](EdgeTracker::resume).
     pub fn refresh(&mut self, round: Round, neighbors: &[NodeId], in_flight: &mut TokenSet) {
         let consecutive = self.prev_round == Some(round.wrapping_sub(1));
         self.prev_round = Some(round);
@@ -148,6 +149,21 @@ impl EdgeTracker {
         self.spare = old;
         self.prev_neighbors.clear();
         self.prev_neighbors.extend_from_slice(neighbors);
+    }
+
+    /// Declares that in every round since the last
+    /// [`refresh`](EdgeTracker::refresh) and before `round` the neighbor
+    /// list was the one that refresh saw, so the refreshes that were skipped
+    /// would all have taken the nothing-changed path. The `refresh(round, …)`
+    /// that follows then reads the gap as continuous presence instead of as
+    /// every edge having been reinserted. This is what a node that
+    /// [parked](dynspread_sim::protocol::Outbox::park) calls when it is
+    /// woken: the engine only skips it while its neighbor list stands still.
+    /// A no-op on a tracker that was never refreshed.
+    pub fn resume(&mut self, round: Round) {
+        if self.prev_round.is_some() {
+            self.prev_round = Some(round.wrapping_sub(1));
+        }
     }
 
     /// Where `u`'s slot is (`Ok`) or would be inserted (`Err`).
@@ -352,6 +368,31 @@ mod tests {
         tr.refresh(6, &nbrs, &mut fl);
         tr.refresh(7, &nbrs, &mut fl);
         assert_eq!(tr.classify(nid(1), 7), EdgeCategory::Idle);
+    }
+
+    #[test]
+    fn resumed_gap_is_continuous_presence() {
+        let mut tr = EdgeTracker::new(4);
+        let mut fl = TokenSet::new(4);
+        let nbrs = [nid(1), nid(3)];
+        for round in 1..=3 {
+            tr.refresh(round, &nbrs, &mut fl);
+        }
+        tr.note_token(nid(1));
+        fl.insert(tid(0));
+        tr.push_pending(nid(3), tid(0));
+        // Rounds 4..=8 skipped with the list standing still; in round 9
+        // node 3 leaves and node 2 arrives.
+        tr.resume(9);
+        tr.refresh(9, &[nid(1), nid(2)], &mut fl);
+        assert_eq!(tr.classify(nid(1), 9), EdgeCategory::Contributive);
+        assert_eq!(tr.classify(nid(2), 9), EdgeCategory::New);
+        assert!(!fl.contains(tid(0)), "the request died with its edge");
+        // Resuming a tracker that never refreshed invents no history.
+        let mut fresh = EdgeTracker::new(4);
+        fresh.resume(5);
+        fresh.refresh(5, &nbrs, &mut fl);
+        assert_eq!(fresh.classify(nid(1), 5), EdgeCategory::New);
     }
 
     #[test]

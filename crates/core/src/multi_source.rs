@@ -196,6 +196,9 @@ pub struct MultiSourceNode {
     requests_to_answer: Vec<(NodeId, TokenId)>,
     /// Local edge histories and outstanding-request queues.
     edges: EdgeTracker,
+    /// Whether the last `send` parked (see [`Outbox::park`]): the next one
+    /// tells the edge tracker that the rounds in between changed nothing.
+    parked: bool,
 }
 
 impl MultiSourceNode {
@@ -228,6 +231,7 @@ impl MultiSourceNode {
             requests_arriving: Vec::new(),
             requests_to_answer: Vec::new(),
             edges: EdgeTracker::new(n),
+            parked: false,
             map,
         }
     }
@@ -320,8 +324,12 @@ impl UnicastProtocol for MultiSourceNode {
     type Msg = MsMsg;
 
     fn send(&mut self, round: Round, neighbors: &[NodeId], out: &mut Outbox<MsMsg>) {
+        if std::mem::take(&mut self.parked) {
+            self.edges.resume(round);
+        }
         self.edges
             .refresh(round, neighbors, self.core.in_flight_mut());
+        let queued = out.len();
         // The three tasks run in parallel (Section 3.2.1); a node may send
         // an announcement, a token, and a request over the same edge in the
         // same round — they are separate messages and metered separately.
@@ -329,6 +337,14 @@ impl UnicastProtocol for MultiSourceNode {
         self.send_answers(neighbors, out);
         if !self.is_complete() {
             self.send_requests(round, neighbors, out);
+        }
+        // A silent round changed no ledger, no knowledge and no in-flight
+        // request, and left no request to answer; those (not edge age,
+        // which only orders requests) decide what is sent, so silent stays
+        // silent until a neighbor changes or a message arrives.
+        self.parked = out.len() == queued;
+        if self.parked {
+            out.park();
         }
     }
 

@@ -112,6 +112,9 @@ pub struct SingleSourceNode {
     /// contributive) — instrumentation for the futile-round analysis
     /// (Definition 3.3, Lemmas 3.2/3.3).
     requests_by_category: [u64; 3],
+    /// Whether the last `send` parked (see [`Outbox::park`]): the next one
+    /// tells the edge tracker that the rounds in between changed nothing.
+    parked: bool,
 }
 
 /// Dense index of an [`EdgeCategory`] for instrumentation arrays.
@@ -151,6 +154,7 @@ impl SingleSourceNode {
             requests_to_answer: Vec::new(),
             edges: EdgeTracker::new(n),
             requests_by_category: [0; 3],
+            parked: false,
         }
     }
 
@@ -254,12 +258,27 @@ impl UnicastProtocol for SingleSourceNode {
     type Msg = SsMsg;
 
     fn send(&mut self, round: Round, neighbors: &[NodeId], out: &mut Outbox<SsMsg>) {
+        if std::mem::take(&mut self.parked) {
+            self.edges.resume(round);
+        }
         self.edges
             .refresh(round, neighbors, self.core.in_flight_mut());
         if self.is_complete() {
             self.send_complete(neighbors, out);
+            // Every neighbor is now informed and every request answered or
+            // dead: nothing more to say until an edge or a request arrives.
+            self.parked = true;
         } else {
+            let queued = out.len();
             self.send_incomplete(round, neighbors, out);
+            // A silent round leaves `K_v`, the in-flight set and `S_v` as
+            // they were, and those alone decide whether anything is sent
+            // (edge age only orders the requests): silent stays silent
+            // until a neighbor changes or a message arrives.
+            self.parked = out.len() == queued && self.requests_to_answer.is_empty();
+        }
+        if self.parked {
+            out.park();
         }
     }
 

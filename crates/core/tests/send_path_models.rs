@@ -191,6 +191,15 @@ enum TrackerOp {
         skip: u64,
         neighbors: Option<BTreeSet<u32>>,
     },
+    /// A parked stretch: `gap` rounds pass with the neighbor list standing
+    /// still and no refresh, then the tracker is resumed and refreshed
+    /// with this neighbor set (`None`: still the same list). The reference
+    /// is refreshed in every one of those rounds, as a node that never
+    /// parks would be.
+    ResumeAfter {
+        gap: u64,
+        neighbors: Option<BTreeSet<u32>>,
+    },
     NoteToken(u32),
     PushPending(u32, u32),
     RetirePending(u32, u32),
@@ -201,7 +210,8 @@ fn tracker_op() -> impl Strategy<Value = TrackerOp> {
     let node = || 0u32..TRACKER_NODES;
     let token = || 0u32..TRACKER_TOKENS;
     let neighbors = || prop::collection::btree_set(node(), 0..8);
-    // Mostly consecutive rounds; sometimes a gap.
+    // Mostly consecutive rounds; sometimes a gap (which, without a
+    // `resume`, must reinsert every edge).
     let skip = || prop_oneof![Just(0u64), Just(0u64), Just(0u64), 0u64..3];
     prop_oneof![
         (skip(), neighbors()).prop_map(|(skip, n)| TrackerOp::Refresh {
@@ -210,6 +220,14 @@ fn tracker_op() -> impl Strategy<Value = TrackerOp> {
         }),
         skip().prop_map(|skip| TrackerOp::Refresh {
             skip,
+            neighbors: None
+        }),
+        (0u64..5, neighbors()).prop_map(|(gap, n)| TrackerOp::ResumeAfter {
+            gap,
+            neighbors: Some(n)
+        }),
+        (0u64..5).prop_map(|gap| TrackerOp::ResumeAfter {
+            gap,
             neighbors: None
         }),
         node().prop_map(TrackerOp::NoteToken),
@@ -295,6 +313,19 @@ proptest! {
                     if let Some(set) = neighbors {
                         last_neighbors = set.into_iter().map(NodeId::new).collect();
                     }
+                    tracker.refresh(round, &last_neighbors, &mut in_flight);
+                    model.refresh(round, &last_neighbors, &mut model_in_flight);
+                }
+                TrackerOp::ResumeAfter { gap, neighbors } => {
+                    for _ in 0..gap {
+                        round += 1;
+                        model.refresh(round, &last_neighbors, &mut model_in_flight);
+                    }
+                    round += 1;
+                    if let Some(set) = neighbors {
+                        last_neighbors = set.into_iter().map(NodeId::new).collect();
+                    }
+                    tracker.resume(round);
                     tracker.refresh(round, &last_neighbors, &mut in_flight);
                     model.refresh(round, &last_neighbors, &mut model_in_flight);
                 }

@@ -100,14 +100,13 @@ impl fmt::Display for Edge {
 
 /// An ordered set of undirected edges.
 ///
-/// Hybrid representation tuned for the simulator's hot loop:
-///
-/// * a `Vec<Edge>` kept sorted in normalized lexicographic order, so
-///   iteration is deterministic (adversaries and algorithms iterate edge
-///   sets while holding seeded RNGs, and runs must be reproducible) and
-///   set difference is a linear scan;
-/// * a word-packed adjacency bitmap (`rows[lo]` has bit `hi` set), grown on
-///   demand, making membership tests O(1).
+/// One representation: a `Vec<Edge>` kept sorted in normalized
+/// lexicographic order. Iteration is deterministic (adversaries and
+/// algorithms iterate edge sets while holding seeded RNGs, and runs must be
+/// reproducible), membership is a binary search, set difference is a linear
+/// merge, and a clone is one `memcpy` of `8·m` bytes — nothing whose size
+/// depends on `n` is allocated, which is what lets a topology sample or a
+/// snapshot clone at `n` in the thousands cost what its edges cost.
 ///
 /// Single-edge insert/remove keeps the vector sorted via binary search
 /// (an `memmove` of `Copy` pairs — cheap at simulator scales), with an O(1)
@@ -124,18 +123,10 @@ impl fmt::Display for Edge {
 /// es.insert(Edge::new(NodeId::new(1), NodeId::new(0)));
 /// assert_eq!(es.len(), 1);
 /// ```
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct EdgeSet {
-    /// Sorted in (lo, hi) order.
+    /// Strictly sorted in (lo, hi) order.
     edges: Vec<Edge>,
-    /// Flat word-packed bitmap: bit `hi` of row `lo` lives at
-    /// `bits[lo * stride + hi/64]`. One allocation, so cloning an edge set
-    /// is a single memcpy. Grown geometrically on first touch.
-    bits: Vec<u64>,
-    /// Number of allocated rows (max `lo` touched + 1).
-    rows: usize,
-    /// Words per row (covers max `hi` touched, power of two).
-    stride: usize,
 }
 
 impl EdgeSet {
@@ -144,118 +135,57 @@ impl EdgeSet {
         EdgeSet::default()
     }
 
-    #[inline]
-    fn bit_is_set(&self, e: Edge) -> bool {
-        let (row, bit) = (e.lo().index(), e.hi().index());
-        row < self.rows
-            && bit / 64 < self.stride
-            && self.bits[row * self.stride + bit / 64] >> (bit % 64) & 1 == 1
-    }
-
-    /// Grows the bitmap so `(row, colw)` is addressable.
-    #[cold]
-    fn grow(&mut self, row: usize, colw: usize) {
-        if colw >= self.stride {
-            let new_stride = (colw + 1).next_power_of_two();
-            let mut nb = vec![0u64; self.rows.max(row + 1) * new_stride];
-            for r in 0..self.rows {
-                nb[r * new_stride..r * new_stride + self.stride]
-                    .copy_from_slice(&self.bits[r * self.stride..(r + 1) * self.stride]);
-            }
-            self.bits = nb;
-            self.stride = new_stride;
-            self.rows = self.rows.max(row + 1);
-        } else if row >= self.rows {
-            // Geometric row growth keeps repeated appends amortized O(1).
-            self.rows = (row + 1).max(self.rows * 2);
-            self.bits.resize(self.rows * self.stride, 0);
-        }
-    }
-
-    #[inline]
-    fn set_bit(&mut self, e: Edge) {
-        let (row, bit) = (e.lo().index(), e.hi().index());
-        if row >= self.rows || bit / 64 >= self.stride {
-            self.grow(row, bit / 64);
-        }
-        self.bits[row * self.stride + bit / 64] |= 1 << (bit % 64);
-    }
-
-    #[inline]
-    fn clear_bit(&mut self, e: Edge) {
-        let (row, bit) = (e.lo().index(), e.hi().index());
-        if row < self.rows && bit / 64 < self.stride {
-            self.bits[row * self.stride + bit / 64] &= !(1 << (bit % 64));
-        }
-    }
-
-    fn rebuild_bits(&mut self) {
-        self.bits.fill(0);
-        let edges = std::mem::take(&mut self.edges);
-        for &e in &edges {
-            self.set_bit(e);
-        }
-        self.edges = edges;
-    }
-
-    /// Builds from an already sorted, deduplicated edge vector — the bulk
-    /// path behind `FromIterator` and `Graph::from_edges` (one sort, one
-    /// bitmap allocation, no per-edge shifting).
+    /// Wraps an already sorted, deduplicated edge vector — the bulk path
+    /// behind `FromIterator` and `Graph::from_edges`.
     pub(crate) fn from_sorted_vec(edges: Vec<Edge>) -> Self {
         debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "not sorted/deduped");
-        let mut set = EdgeSet {
-            edges,
-            bits: Vec::new(),
-            rows: 0,
-            stride: 0,
-        };
-        if let Some(max_hi) = set.edges.iter().map(|e| e.hi().index()).max() {
-            let max_lo = set.edges.last().expect("nonempty").lo().index();
-            set.stride = (max_hi / 64 + 1).next_power_of_two();
-            set.rows = max_lo + 1;
-            set.bits = vec![0; set.rows * set.stride];
-            let edges = std::mem::take(&mut set.edges);
-            for &e in &edges {
-                set.bits[e.lo().index() * set.stride + e.hi().index() / 64] |=
-                    1 << (e.hi().index() % 64);
-            }
-            set.edges = edges;
-        }
-        set
+        EdgeSet { edges }
     }
 
     /// Inserts an edge; returns `true` if it was not already present.
     pub fn insert(&mut self, e: Edge) -> bool {
-        if self.bit_is_set(e) {
-            return false;
-        }
-        self.set_bit(e);
         match self.edges.last() {
-            Some(&last) if last >= e => {
-                let pos = self.edges.partition_point(|&x| x < e);
-                self.edges.insert(pos, e);
+            Some(&last) if last >= e => match self.edges.binary_search(&e) {
+                Ok(_) => false,
+                Err(pos) => {
+                    self.edges.insert(pos, e);
+                    true
+                }
+            },
+            _ => {
+                self.edges.push(e);
+                true
             }
-            _ => self.edges.push(e),
         }
-        true
     }
 
     /// Removes an edge; returns `true` if it was present.
     pub fn remove(&mut self, e: Edge) -> bool {
-        if !self.bit_is_set(e) {
-            return false;
+        match self.edges.binary_search(&e) {
+            Ok(pos) => {
+                self.edges.remove(pos);
+                true
+            }
+            Err(_) => false,
         }
-        self.clear_bit(e);
-        let pos = self.edges.partition_point(|&x| x < e);
-        debug_assert!(self.edges[pos] == e);
-        self.edges.remove(pos);
-        true
     }
 
-    /// Whether the edge is present — O(1) via the adjacency bitmap.
+    /// Whether the edge is present — a binary search, O(log m).
     #[inline]
     pub fn contains(&self, e: Edge) -> bool {
-        self.bit_is_set(e)
+        self.edges.binary_search(&e).is_ok()
+    }
+
+    /// A membership test for queries made in **ascending** edge order: the
+    /// returned closure walks the sorted vector once over all its calls, so
+    /// `q` ordered queries cost O(m + q) in total instead of O(q log m).
+    pub(crate) fn ascending_probe(&self) -> impl FnMut(Edge) -> bool + '_ {
+        let mut rest = self.edges.as_slice();
+        move |e| {
+            let passed = rest.iter().take_while(|&&x| x < e).count();
+            rest = &rest[passed..];
+            rest.first() == Some(&e)
+        }
     }
 
     /// Number of edges.
@@ -285,12 +215,10 @@ impl EdgeSet {
     ///
     /// This is the primitive behind the paper's `E_r^+ = E_r \ E_{r-1}`
     /// (inserted edges) and `E_r^- = E_{r-1} \ E_r` (removed edges).
-    /// Runs in O(|self|) thanks to `other`'s O(1) membership bitmap.
+    /// One linear merge of the two sorted vectors: O(|self| + |other|).
     pub fn difference<'a>(&'a self, other: &'a EdgeSet) -> impl Iterator<Item = Edge> + 'a {
-        self.edges
-            .iter()
-            .copied()
-            .filter(move |&e| !other.contains(e))
+        let mut in_other = other.ascending_probe();
+        self.edges.iter().copied().filter(move |&e| !in_other(e))
     }
 
     /// Applies a whole round delta in one three-way merge: removes
@@ -345,7 +273,6 @@ impl EdgeSet {
                 (true, false, false) => buf.push(e),
                 (true, true, false) => {
                     rm_n += 1;
-                    self.clear_bit(e);
                     on_remove(e);
                 }
                 (true, true, true) => {
@@ -362,7 +289,6 @@ impl EdgeSet {
                 (false, rm_absent, true) => {
                     debug_assert!(!rm_absent, "delta inconsistent: removes absent edge {e}");
                     ins_n += 1;
-                    self.set_bit(e);
                     on_insert(e);
                     buf.push(e);
                 }
@@ -379,15 +305,6 @@ impl EdgeSet {
     }
 }
 
-impl PartialEq for EdgeSet {
-    fn eq(&self, other: &Self) -> bool {
-        // The bitmaps are derived state; the sorted vectors are canonical.
-        self.edges == other.edges
-    }
-}
-
-impl Eq for EdgeSet {}
-
 impl FromIterator<Edge> for EdgeSet {
     fn from_iter<T: IntoIterator<Item = Edge>>(iter: T) -> Self {
         let mut edges: Vec<Edge> = iter.into_iter().collect();
@@ -402,7 +319,6 @@ impl Extend<Edge> for EdgeSet {
         self.edges.extend(iter);
         self.edges.sort_unstable();
         self.edges.dedup();
-        self.rebuild_bits();
     }
 }
 
@@ -510,19 +426,23 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_interleaved_keeps_bitmap_consistent() {
+    fn insert_remove_interleaved_keeps_vector_sorted() {
         let mut es = EdgeSet::new();
         for i in 0..20u32 {
             assert!(es.insert(e(i, i + 1)));
         }
         for i in (0..20u32).step_by(2) {
             assert!(es.remove(e(i, i + 1)));
+            assert!(!es.remove(e(i, i + 1)));
             assert!(!es.contains(e(i, i + 1)));
+            assert!(es.contains(e(i + 1, i + 2)));
         }
         assert_eq!(es.len(), 10);
         // Reinsert in reverse order (exercises the non-append path).
         for i in (0..20u32).step_by(2).rev() {
             assert!(es.insert(e(i, i + 1)));
+            assert!(!es.insert(e(i, i + 1)));
+            assert!(es.as_slice().windows(2).all(|w| w[0] < w[1]));
         }
         let expect: Vec<Edge> = (0..20u32).map(|i| e(i, i + 1)).collect();
         assert_eq!(es.iter().collect::<Vec<_>>(), expect);
@@ -575,13 +495,126 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_bitmap_capacity() {
+    fn equality_is_by_contents_whatever_the_mutation_path() {
         // Same final contents, built along different mutation paths.
         let mut a = EdgeSet::new();
-        a.insert(e(30, 31)); // grows rows/words
+        a.insert(e(30, 31));
         a.remove(e(30, 31));
+        a.insert(e(2, 3));
         a.insert(e(0, 1));
-        let b: EdgeSet = [e(0, 1)].into_iter().collect();
+        let b: EdgeSet = [e(0, 1), e(2, 3)].into_iter().collect();
+        let mut c = EdgeSet::new();
+        c.extend([e(2, 3), e(0, 1), e(3, 2)]);
         assert_eq!(a, b);
+        assert_eq!(b, c);
+        assert_ne!(a, [e(0, 1)].into_iter().collect());
+    }
+
+    /// Every mutating and querying operation of the sorted-vector set
+    /// against a `BTreeSet<Edge>` driven by the same seeded op sequence.
+    #[test]
+    fn edge_set_matches_a_btreeset_model() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..14u32);
+            let draw = |rng: &mut StdRng| loop {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v {
+                    return e(u, v);
+                }
+            };
+            let mut set = EdgeSet::new();
+            let mut model: BTreeSet<Edge> = BTreeSet::new();
+            let mut buf = Vec::new();
+            for _ in 0..120 {
+                match rng.gen_range(0..5u32) {
+                    0 => {
+                        let x = draw(&mut rng);
+                        assert_eq!(set.insert(x), model.insert(x), "insert {x}");
+                    }
+                    1 => {
+                        let x = draw(&mut rng);
+                        assert_eq!(set.remove(x), model.remove(&x), "remove {x}");
+                    }
+                    2 => {
+                        let batch: Vec<Edge> =
+                            (0..rng.gen_range(0..6)).map(|_| draw(&mut rng)).collect();
+                        set.extend(batch.iter().copied());
+                        model.extend(batch);
+                    }
+                    3 => {
+                        // A consistent delta: remove present edges, insert
+                        // absent ones, plus one edge removed and put back.
+                        let present: Vec<Edge> = model.iter().copied().collect();
+                        let mut removed: BTreeSet<Edge> = (0..rng.gen_range(0..4))
+                            .filter_map(|_| present.get(rng.gen_range(0..present.len().max(1))))
+                            .copied()
+                            .collect();
+                        let mut inserted: BTreeSet<Edge> = (0..rng.gen_range(0..4))
+                            .map(|_| draw(&mut rng))
+                            .filter(|x| !model.contains(x))
+                            .collect();
+                        let both = present.first().copied();
+                        removed.extend(both);
+                        inserted.extend(both);
+                        let (ins, rm): (Vec<Edge>, Vec<Edge>) = (
+                            inserted.into_iter().collect(),
+                            removed.into_iter().collect(),
+                        );
+                        let (mut net_in, mut net_out) = (Vec::new(), Vec::new());
+                        let counts = set.apply_sorted_delta(
+                            &ins,
+                            &rm,
+                            &mut buf,
+                            |x| net_in.push(x),
+                            |x| net_out.push(x),
+                        );
+                        assert_eq!(counts, (ins.len(), rm.len()));
+                        for x in &rm {
+                            model.remove(x);
+                        }
+                        model.extend(ins.iter().copied());
+                        let net = |xs: &[Edge], other: &[Edge]| -> Vec<Edge> {
+                            xs.iter().copied().filter(|x| !other.contains(x)).collect()
+                        };
+                        assert_eq!(net_in, net(&ins, &rm));
+                        assert_eq!(net_out, net(&rm, &ins));
+                    }
+                    _ => {
+                        let other: BTreeSet<Edge> =
+                            (0..rng.gen_range(0..10)).map(|_| draw(&mut rng)).collect();
+                        let other_set: EdgeSet = other.iter().copied().collect();
+                        assert_eq!(
+                            set.difference(&other_set).collect::<Vec<_>>(),
+                            model.difference(&other).copied().collect::<Vec<_>>()
+                        );
+                        assert_eq!(
+                            other_set.difference(&set).collect::<Vec<_>>(),
+                            other.difference(&model).copied().collect::<Vec<_>>()
+                        );
+                    }
+                }
+                assert_eq!(set.as_slice(), model.iter().copied().collect::<Vec<_>>());
+                assert_eq!(set.len(), model.len());
+                assert_eq!(set.is_empty(), model.is_empty());
+                for u in 0..n {
+                    for v in (u + 1)..n {
+                        assert_eq!(set.contains(e(u, v)), model.contains(&e(u, v)));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ascending_probe_answers_ordered_queries_in_one_walk() {
+        let es: EdgeSet = [e(0, 2), e(1, 3), e(4, 5)].into_iter().collect();
+        let mut probe = es.ascending_probe();
+        let asked = [e(0, 1), e(0, 2), e(0, 2), e(1, 2), e(4, 5), e(6, 7)];
+        let got: Vec<bool> = asked.iter().map(|&q| probe(q)).collect();
+        assert_eq!(got, [false, true, true, false, true, false]);
+        assert!(!EdgeSet::new().ascending_probe()(e(0, 1)));
     }
 }

@@ -43,6 +43,42 @@ fn random_tree_edges<R: Rng>(n: usize, rng: &mut R) -> Vec<Edge> {
         .collect()
 }
 
+/// The edges a generator has already picked, probed once per candidate.
+///
+/// A `HashSet` with a two-multiply hasher in place of SipHash: the keys are
+/// node pairs this module drew from its own RNG, so nothing can craft
+/// collisions, and hashing was a third of a sparse sample's cost. The hasher
+/// is a fixed function of the key (no per-process seed), and the set is never
+/// iterated, so the generators stay deterministic.
+type SeenEdges = std::collections::HashSet<Edge, std::hash::BuildHasherDefault<PairHasher>>;
+
+fn seen_edges(edges: &[Edge]) -> SeenEdges {
+    let mut seen = SeenEdges::with_capacity_and_hasher(2 * edges.len(), Default::default());
+    seen.extend(edges.iter().copied());
+    seen
+}
+
+/// Multiply–rotate mixing of the two `u32` endpoint writes `Edge`'s derived
+/// `Hash` makes (the FxHash step).
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl std::hash::Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b as u32);
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.0 = (self.0.rotate_left(5) ^ x as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
 /// An Erdős–Rényi `G(n, p)` sample, made connected by adding a minimal set
 /// of repair edges between components.
 pub fn gnp_connected<R: Rng>(n: usize, p: f64, rng: &mut R) -> Graph {
@@ -73,7 +109,7 @@ pub fn random_connected_with_edges<R: Rng>(n: usize, target_edges: usize, rng: &
     // build once — the set is only ever probed, never iterated, so the
     // unordered container cannot leak nondeterminism into the result.
     let mut edges = random_tree_edges(n, rng);
-    let mut seen: std::collections::HashSet<Edge> = edges.iter().copied().collect();
+    let mut seen = seen_edges(&edges);
     let max_edges = n * (n - 1) / 2;
     let want = target_edges.clamp(edges.len(), max_edges);
     let mut attempts = 0usize;
@@ -118,7 +154,7 @@ pub fn near_regular<R: Rng>(n: usize, d: usize, rng: &mut R) -> Graph {
     // state so the graph is built once in bulk at the end (a per-pair
     // `insert_edge` would shift the flat CSR arrays O(n + m) per edge).
     let mut deg = vec![2usize; n];
-    let mut seen: std::collections::HashSet<Edge> = edges.iter().copied().collect();
+    let mut seen = seen_edges(&edges);
     let mut stall = 0usize;
     while stall < 50 {
         let deficient: Vec<NodeId> = NodeId::all(n).filter(|&v| deg[v.index()] < d).collect();

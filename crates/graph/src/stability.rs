@@ -96,11 +96,13 @@ impl StabilityChecker {
     pub fn observe(&mut self, g: &Graph) -> Result<(), StabilityViolation> {
         self.round += 1;
         let r = self.round;
-        // Check removals: edges tracked but no longer present.
+        // Check removals: edges tracked but no longer present (both sides
+        // are in edge order, so this is one merge walk).
+        let mut present = g.edges().ascending_probe();
         let removed: Vec<(Edge, Round)> = self
             .inserted_at
             .iter()
-            .filter(|(e, _)| !g.edges().contains(**e))
+            .filter(|(e, _)| !present(**e))
             .map(|(e, ins)| (*e, *ins))
             .collect();
         for (e, ins) in removed {
@@ -190,8 +192,11 @@ impl StabilityEnforcer {
         }
         self.round += 1;
         let r = self.round;
-        self.inserted_at
-            .retain(|e, _| proposal.edges().contains(*e));
+        {
+            // `retain` visits keys in ascending order: one merge walk.
+            let mut present = proposal.edges().ascending_probe();
+            self.inserted_at.retain(|e, _| present(*e));
+        }
         for e in proposal.edges().iter() {
             self.inserted_at.entry(e).or_insert(r);
         }

@@ -7,8 +7,9 @@ use dynspread_graph::stability::{check_schedule, StabilityEnforcer};
 use dynspread_graph::{DynamicGraph, Edge, Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use rand::seq::SliceRandom;
+use rand::{Rng, RngCore, SeedableRng};
+use std::collections::{BTreeSet, HashSet};
 
 fn topology_strategy() -> impl Strategy<Value = Topology> {
     prop_oneof![
@@ -22,8 +23,167 @@ fn topology_strategy() -> impl Strategy<Value = Topology> {
     ]
 }
 
+/// The random-attachment tree the generators start from (their private
+/// `random_tree_edges`, draw for draw).
+fn reference_tree_edges(n: usize, rng: &mut StdRng) -> Vec<Edge> {
+    if n <= 1 {
+        return Vec::new();
+    }
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.shuffle(rng);
+    (1..n)
+        .map(|i| {
+            let parent = order[rng.gen_range(0..i)];
+            Edge::new(NodeId::new(order[i]), NodeId::new(parent))
+        })
+        .collect()
+}
+
+/// `random_connected_with_edges` as it was before the cheap membership
+/// probe and the bucketed `from_edges`: SipHash `HashSet` rejection, one
+/// global sort.
+fn reference_sparse(n: usize, target_edges: usize, rng: &mut StdRng) -> BTreeSet<Edge> {
+    let mut edges = reference_tree_edges(n, rng);
+    if n >= 2 {
+        let mut seen: HashSet<Edge> = edges.iter().copied().collect();
+        let max_edges = n * (n - 1) / 2;
+        let want = target_edges.clamp(edges.len(), max_edges);
+        let mut attempts = 0usize;
+        while edges.len() < want && attempts < 20 * max_edges + 100 {
+            attempts += 1;
+            let u = rng.gen_range(0..n as u32);
+            let v = rng.gen_range(0..n as u32);
+            if u != v {
+                let e = Edge::new(NodeId::new(u), NodeId::new(v));
+                if seen.insert(e) {
+                    edges.push(e);
+                }
+            }
+        }
+    }
+    edges.into_iter().collect()
+}
+
+/// `near_regular` as it was, likewise.
+fn reference_near_regular(n: usize, d: usize, rng: &mut StdRng) -> BTreeSet<Edge> {
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.shuffle(rng);
+    let mut edges: Vec<Edge> = (0..n)
+        .map(|i| Edge::new(NodeId::new(order[i]), NodeId::new(order[(i + 1) % n])))
+        .collect();
+    if d > 2 {
+        let mut deg = vec![2usize; n];
+        let mut seen: HashSet<Edge> = edges.iter().copied().collect();
+        let mut stall = 0usize;
+        while stall < 50 {
+            let deficient: Vec<NodeId> = NodeId::all(n).filter(|&v| deg[v.index()] < d).collect();
+            if deficient.len() < 2 {
+                break;
+            }
+            let a = *deficient.choose(rng).expect("nonempty");
+            let b = *deficient.choose(rng).expect("nonempty");
+            if a != b && seen.insert(Edge::new(a, b)) {
+                edges.push(Edge::new(a, b));
+                deg[a.index()] += 1;
+                deg[b.index()] += 1;
+                stall = 0;
+            } else {
+                stall += 1;
+            }
+        }
+    }
+    edges.into_iter().collect()
+}
+
+/// `g` holds exactly `model`: the sorted edge list, every CSR row, and
+/// `has_edge` on every pair including `u == v`.
+fn assert_graph_is(g: &Graph, model: &BTreeSet<Edge>) {
+    assert_eq!(
+        g.edges().as_slice(),
+        model.iter().copied().collect::<Vec<_>>()
+    );
+    for u in g.nodes() {
+        let row: Vec<NodeId> = model
+            .iter()
+            .filter(|e| e.touches(u))
+            .map(|e| e.other(u))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        assert_eq!(g.neighbors(u), row.as_slice(), "row {u}");
+        for v in g.nodes() {
+            let expect = u != v && model.contains(&Edge::new(u, v));
+            assert_eq!(g.has_edge(u, v), expect, "has_edge({u}, {v})");
+            assert_eq!(u != v && g.edges().contains(Edge::new(u, v)), expect);
+        }
+    }
+}
+
+/// The sampled families are bit-identical to the old construction and leave
+/// the RNG where it left it: same draws, same canonical graph.
+#[test]
+fn sampled_graphs_match_the_old_construction() {
+    for seed in 0..12u64 {
+        for n in [3usize, 4, 9, 33, 120] {
+            for c in [1.0f64, 2.0, 8.0] {
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let g = Topology::SparseConnected(c).sample(n, &mut a);
+                let model = reference_sparse(n, (c * n as f64) as usize, &mut b);
+                assert_graph_is(&g, &model);
+                assert_eq!(a.next_u64(), b.next_u64(), "sparse({c}) n={n} seed={seed}");
+            }
+            for d in [2usize, 3, 6] {
+                let d = d.min(n - 1).max(2);
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let g = Topology::NearRegular(d).sample(n, &mut a);
+                let model = reference_near_regular(n, d, &mut b);
+                assert_graph_is(&g, &model);
+                assert_eq!(a.next_u64(), b.next_u64(), "regular({d}) n={n} seed={seed}");
+            }
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let g = Topology::RandomTree.sample(n, &mut a);
+            let model: BTreeSet<Edge> = reference_tree_edges(n, &mut b).into_iter().collect();
+            assert_graph_is(&g, &model);
+            assert_eq!(a.next_u64(), b.next_u64(), "tree n={n} seed={seed}");
+        }
+    }
+}
+
+#[test]
+fn has_edge_on_degenerate_graphs() {
+    assert_graph_is(&Graph::empty(0), &BTreeSet::new());
+    assert_graph_is(&Graph::empty(5), &BTreeSet::new());
+    let g = Graph::empty(3);
+    // Out-of-range nodes are not neighbors of anything.
+    assert!(!g.has_edge(NodeId::new(7), NodeId::new(1)));
+    assert!(!g.has_edge(NodeId::new(1), NodeId::new(7)));
+    assert!(!Graph::path(3).has_edge(NodeId::new(2), NodeId::new(3)));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Bulk construction (bucketed sort, duplicates, any order) agrees with
+    /// edge-by-edge insertion on the edge list, every row and `has_edge`.
+    #[test]
+    fn bulk_build_matches_the_edge_set_model(
+        n in 2usize..30,
+        picks in prop::collection::vec((0u32..30, 0u32..30), 0..120),
+    ) {
+        let list: Vec<Edge> = picks
+            .into_iter()
+            .map(|(u, v)| (u % n as u32, v % n as u32))
+            .filter(|(u, v)| u != v)
+            .map(|(u, v)| Edge::new(NodeId::new(u), NodeId::new(v)))
+            .collect();
+        let model: BTreeSet<Edge> = list.iter().copied().collect();
+        assert_graph_is(&Graph::from_edges(n, list.iter().copied()), &model);
+        let mut incremental = Graph::empty(n);
+        for &e in &list {
+            incremental.insert_edge(e);
+        }
+        assert_graph_is(&incremental, &model);
+    }
 
     #[test]
     fn every_generator_yields_connected_graphs(

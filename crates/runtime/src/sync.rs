@@ -31,11 +31,12 @@ use crate::link::LinkModel;
 use crate::mailbox::Mailbox;
 use dynspread_graph::dynamic::GraphUpdate;
 use dynspread_graph::stability::StabilityChecker;
-use dynspread_graph::{DynamicGraph, NodeId, Round, UnionFind};
+use dynspread_graph::{DynamicGraph, NodeId, Round};
 use dynspread_sim::adversary::{BroadcastAdversary, SentRecord, UnicastAdversary};
-use dynspread_sim::message::{MessagePayload, MAX_TOKENS_PER_MESSAGE};
+use dynspread_sim::message::{MessageClass, MessagePayload, MAX_TOKENS_PER_MESSAGE};
 use dynspread_sim::meter::MessageMeter;
 use dynspread_sim::protocol::{BroadcastProtocol, Outbox, UnicastProtocol};
+use dynspread_sim::round::RoundScratch;
 use dynspread_sim::sim::SimConfig;
 use dynspread_sim::token::TokenAssignment;
 use dynspread_sim::trace::{emit, TraceRecord, Tracer};
@@ -53,8 +54,8 @@ struct Flight<M> {
 }
 
 /// Shared round plumbing of both adapters: graph, metering, tracking,
-/// link planning, and the connectivity/receiver scratch (mirrors the sync
-/// engines' per-round state machine).
+/// link planning, and the same [`RoundScratch`] (active set, receiver
+/// marks, connectivity) the sync engines drive their rounds with.
 struct RoundCore<M> {
     dg: DynamicGraph,
     meter: MessageMeter,
@@ -77,11 +78,7 @@ struct RoundCore<M> {
     /// Extra copies beyond one per surviving transmission.
     link_dups: u64,
     tracer: Option<Box<dyn Tracer>>,
-    // Connectivity scratch (same incremental rule as the sync engines).
-    uf: UnionFind,
-    touched: Vec<bool>,
-    receivers: Vec<u32>,
-    was_connected: bool,
+    scratch: RoundScratch,
     algorithm_name: Arc<str>,
     adversary_name: Arc<str>,
 }
@@ -113,10 +110,7 @@ impl<M> RoundCore<M> {
             link_drops: 0,
             link_dups: 0,
             tracer: None,
-            uf: UnionFind::new(n),
-            touched: vec![false; n],
-            receivers: Vec::new(),
-            was_connected: false,
+            scratch: RoundScratch::new(n),
             algorithm_name,
             adversary_name,
         }
@@ -135,11 +129,8 @@ impl<M> RoundCore<M> {
         self.dg.apply(update);
         if self.cfg.check_connectivity {
             let removed = self.dg.last_delta().removed.len();
-            if !(self.was_connected && removed == 0) {
-                self.was_connected = self.dg.current().is_connected_with(&mut self.uf);
-            }
             assert!(
-                self.was_connected,
+                self.scratch.check_connected(self.dg.current(), removed),
                 "adversary produced a disconnected graph in round {round}"
             );
         }
@@ -252,18 +243,30 @@ impl<M> RoundCore<M> {
         }
     }
 
-    /// Moves every copy due this round into its destination mailbox.
-    fn collect_arrivals(&mut self, round: Round) {
+    /// Delivers this round's arrivals. Every copy due now moves into its
+    /// destination's mailbox and marks the destination a receiver, so the
+    /// sweep visits only mailboxes that hold something: receivers in
+    /// ascending ID order, each consuming its mailbox in FIFO order.
+    fn deliver_arrivals(&mut self, round: Round, mut receive: impl FnMut(NodeId, NodeId, &M)) {
         while let Some((at, flight)) = self.queue.pop_due(round) {
+            self.scratch.mark_receiver(flight.to);
             self.mailboxes[flight.to.index()].deliver(at, flight.from, flight.msg);
         }
-    }
-
-    fn mark_receiver(&mut self, v: NodeId) {
-        let i = v.index();
-        if !self.touched[i] {
-            self.touched[i] = true;
-            self.receivers.push(v.value());
+        let mut from = 0;
+        while let Some(v) = self.scratch.next_receiver(from) {
+            from = v.index() + 1;
+            while let Some(env) = self.mailboxes[v.index()].pop() {
+                self.copies_delivered += 1;
+                receive(v, env.from, &env.msg);
+                emit(
+                    &mut self.tracer,
+                    TraceRecord::Delivered {
+                        t: round,
+                        from: env.from.value(),
+                        to: v.value(),
+                    },
+                );
+            }
         }
     }
 
@@ -421,24 +424,25 @@ where
             .adversary
             .evolve(round, self.core.dg.current(), &self.last_sent);
         self.core.install_round(round, update, n);
+        let delta = self.core.dg.last_delta();
         if self.core.cfg.charge_neighbor_discovery {
-            for _ in 0..self.core.dg.last_delta().inserted.len() {
-                self.core
-                    .meter
-                    .record_unicast(dynspread_sim::message::MessageClass::Control);
-                self.core
-                    .meter
-                    .record_unicast(dynspread_sim::message::MessageClass::Control);
-            }
+            self.core
+                .meter
+                .record_unicasts(MessageClass::Control, 2 * delta.inserted.len() as u64);
         }
-        // 2. Nodes see neighbor IDs and queue messages; each message is
-        //    metered at send time and routed through the link model.
+        self.core.scratch.wake_endpoints(delta);
+        // 2. Active nodes see neighbor IDs and queue messages; each message
+        //    is metered at send time and routed through the link model.
         let mut sent = std::mem::take(&mut self.last_sent);
         sent.clear();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            let v = NodeId::new(i as u32);
+        let mut from = 0;
+        while let Some(v) = self.core.scratch.next_active(from) {
+            from = v.index() + 1;
             let neighbors = self.core.dg.current().neighbors(v);
-            node.send(round, neighbors, &mut self.outbox);
+            self.nodes[v.index()].send(round, neighbors, &mut self.outbox);
+            if self.outbox.take_parked() {
+                self.core.scratch.park(v);
+            }
             for (to, msg) in self.outbox.drain() {
                 assert!(
                     self.core.dg.current().has_edge(v, to),
@@ -454,50 +458,22 @@ where
             }
         }
         // 3. Delivery: everything due this round lands in mailboxes, then
-        //    each node consumes its arrivals in FIFO order.
-        self.core.collect_arrivals(round);
-        for i in 0..n {
-            let v = NodeId::new(i as u32);
-            while let Some(env) = self.core.mailboxes[i].pop() {
-                self.core.copies_delivered += 1;
-                self.nodes[i].receive(round, env.from, &env.msg);
-                self.core.mark_receiver(v);
-                emit(
-                    &mut self.core.tracer,
-                    TraceRecord::Delivered {
-                        t: round,
-                        from: env.from.value(),
-                        to: v.value(),
-                    },
-                );
-            }
+        //    each receiver consumes its arrivals in FIFO order.
+        let nodes = &mut self.nodes;
+        self.core.deliver_arrivals(round, |to, sender, msg| {
+            nodes[to.index()].receive(round, sender, msg)
+        });
+        let mut from = 0;
+        while let Some(v) = self.core.scratch.next_live(from) {
+            from = v.index() + 1;
+            self.nodes[v.index()].end_round(round);
         }
-        for node in self.nodes.iter_mut() {
-            node.end_round(round);
-        }
-        // 4. Global observation over this round's receivers, ascending ID.
-        self.core.receivers.sort_unstable();
-        let core = &mut self.core;
-        for idx in 0..core.receivers.len() {
-            let id = core.receivers[idx];
-            core.touched[id as usize] = false;
-            let v = NodeId::new(id);
-            let gained = core
-                .tracker
-                .sync_node(v, self.nodes[v.index()].known_tokens(), round);
-            if gained > 0 {
-                emit(
-                    &mut core.tracer,
-                    TraceRecord::Coverage {
-                        t: round,
-                        node: v.value(),
-                        gained: gained as u32,
-                        known: self.nodes[v.index()].known_tokens().count() as u32,
-                    },
-                );
-            }
-        }
-        core.receivers.clear();
+        // 4. Global observation over this round's receivers.
+        let (core, nodes) = (&mut self.core, &self.nodes);
+        core.scratch
+            .sync_tracker(round, &mut core.tracker, &mut core.tracer, |v| {
+                nodes[v.index()].known_tokens()
+            });
         self.last_sent = sent;
         round
     }
@@ -743,50 +719,20 @@ where
                 }
             }
         }
-        // 4. Delivery via mailboxes, FIFO per node.
-        self.core.collect_arrivals(round);
-        for i in 0..n {
-            let v = NodeId::new(i as u32);
-            while let Some(env) = self.core.mailboxes[i].pop() {
-                self.core.copies_delivered += 1;
-                self.nodes[i].receive(round, env.from, &env.msg);
-                self.core.mark_receiver(v);
-                emit(
-                    &mut self.core.tracer,
-                    TraceRecord::Delivered {
-                        t: round,
-                        from: env.from.value(),
-                        to: v.value(),
-                    },
-                );
-            }
-        }
+        // 4. Delivery via mailboxes, FIFO per receiver.
+        let nodes = &mut self.nodes;
+        self.core.deliver_arrivals(round, |to, sender, msg| {
+            nodes[to.index()].receive(round, sender, msg)
+        });
         for node in self.nodes.iter_mut() {
             node.end_round(round);
         }
-        // 5. Global observation, ascending receiver ID.
-        self.core.receivers.sort_unstable();
-        let core = &mut self.core;
-        for idx in 0..core.receivers.len() {
-            let id = core.receivers[idx];
-            core.touched[id as usize] = false;
-            let v = NodeId::new(id);
-            let gained = core
-                .tracker
-                .sync_node(v, self.nodes[v.index()].known_tokens(), round);
-            if gained > 0 {
-                emit(
-                    &mut core.tracer,
-                    TraceRecord::Coverage {
-                        t: round,
-                        node: v.value(),
-                        gained: gained as u32,
-                        known: self.nodes[v.index()].known_tokens().count() as u32,
-                    },
-                );
-            }
-        }
-        core.receivers.clear();
+        // 5. Global observation over this round's receivers.
+        let (core, nodes) = (&mut self.core, &self.nodes);
+        core.scratch
+            .sync_tracker(round, &mut core.tracker, &mut core.tracer, |v| {
+                nodes[v.index()].known_tokens()
+            });
         round
     }
 

@@ -22,7 +22,10 @@
 //! * **Engines** ([`sim`]): [`UnicastSim`] and [`BroadcastSim`] drive
 //!   protocols against adversaries, asserting the model invariants
 //!   (connectivity, bandwidth, neighbor-only delivery) every round and
-//!   producing [`run::RunReport`]s.
+//!   producing [`run::RunReport`]s. The unicast engine calls only its
+//!   active set ([`round`]): a node that
+//!   [parks](protocol::Outbox::park) is skipped until an adjacent edge
+//!   changes or a message reaches it.
 //! * **Observability** ([`trace`], [`profile`]): the two-channel layer —
 //!   a deterministic structured trace (JSONL, a pure function of the
 //!   seed) and an opt-in wall-clock self-profiler with log2-bucketed
@@ -82,6 +85,7 @@ pub mod message;
 pub mod meter;
 pub mod profile;
 pub mod protocol;
+pub mod round;
 pub mod run;
 pub mod sim;
 pub mod token;

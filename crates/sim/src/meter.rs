@@ -111,10 +111,21 @@ impl MessageMeter {
     ///
     /// Panics if no round is open.
     pub fn record_unicast(&mut self, class: MessageClass) {
+        self.record_unicasts(class, 1);
+    }
+
+    /// Records `count` unicast messages of one class at once — the KT0
+    /// hello exchange charges two per inserted edge, thousands on a rewire
+    /// round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no round is open.
+    pub fn record_unicasts(&mut self, class: MessageClass, count: u64) {
         let r = self.current_round.expect("no round open") as usize - 1;
-        self.rounds[r].unicast += 1;
-        self.unicast_total += 1;
-        self.by_class[class.index()] += 1;
+        self.rounds[r].unicast += count;
+        self.unicast_total += count;
+        self.by_class[class.index()] += count;
     }
 
     /// Records one local broadcast of the given class (counts 1 message
@@ -242,6 +253,25 @@ impl MessageMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counted_record_equals_that_many_single_records() {
+        let (mut one_by_one, mut counted) = (MessageMeter::new(), MessageMeter::new());
+        for m in [&mut one_by_one, &mut counted] {
+            m.begin_round(1);
+            m.record_unicast(MessageClass::Token);
+            m.begin_round(2);
+        }
+        for _ in 0..6 {
+            one_by_one.record_unicast(MessageClass::Control);
+        }
+        counted.record_unicasts(MessageClass::Control, 6);
+        counted.record_unicasts(MessageClass::Control, 0);
+        assert_eq!(counted.total(), 7);
+        assert_eq!(counted.by_class(MessageClass::Control), 6);
+        assert_eq!(counted.round_series(), one_by_one.round_series());
+        assert_eq!(counted.unicast_total(), one_by_one.unicast_total());
+    }
 
     #[test]
     fn totals_and_classes_accumulate() {

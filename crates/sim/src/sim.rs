@@ -14,19 +14,27 @@
 //! constraint, and unicast destinations are actual neighbors. Both engines
 //! sync the [`TokenTracker`] after every round, which is how termination is
 //! detected (the tracker is a global observer; protocols never see it).
+//!
+//! A round costs what it touches. [`UnicastSim`] calls `send` and
+//! `end_round` only on its **active set** — nodes that have not
+//! [parked](crate::protocol::Outbox::park), woken again by an adjacent edge
+//! change or a delivery — and both engines diff only the round's receivers
+//! against the tracker; see [`crate::round`] for the bookkeeping and why the
+//! execution is the one a whole-network sweep produces.
 
 use crate::adversary::{BroadcastAdversary, SentRecord, UnicastAdversary};
 use crate::message::{MessageClass, MessagePayload, MAX_TOKENS_PER_MESSAGE};
 use crate::meter::MessageMeter;
 use crate::profile::{self, Phase, Profiler};
 use crate::protocol::{BroadcastProtocol, Outbox, UnicastProtocol};
+use crate::round::RoundScratch;
 use crate::run::RunReport;
 use crate::token::TokenAssignment;
 use crate::trace::{emit, TraceRecord, Tracer};
 use crate::tracker::TokenTracker;
 use dynspread_graph::dynamic::GraphUpdate;
 use dynspread_graph::stability::StabilityChecker;
-use dynspread_graph::{DynamicGraph, NodeId, Round, UnionFind};
+use dynspread_graph::{DynamicGraph, NodeId, Round};
 use std::sync::Arc;
 
 /// Engine configuration.
@@ -77,64 +85,6 @@ impl SimConfig {
             max_rounds,
             ..SimConfig::default()
         }
-    }
-}
-
-/// Reusable per-round scratch shared by both engines: the union–find buffer
-/// for the connectivity check and the receiver set for incremental tracker
-/// syncing — allocated once per engine, not once per round.
-struct RoundScratch {
-    uf: UnionFind,
-    touched: Vec<bool>,
-    receivers: Vec<u32>,
-    /// Whether last round's graph was verified connected — lets rounds whose
-    /// delta removed no edges skip the union–find pass entirely (a connected
-    /// graph stays connected under pure insertions).
-    was_connected: bool,
-}
-
-impl RoundScratch {
-    fn new(n: usize) -> Self {
-        RoundScratch {
-            uf: UnionFind::new(n),
-            touched: vec![false; n],
-            receivers: Vec::new(),
-            was_connected: false,
-        }
-    }
-
-    #[inline]
-    fn mark(&mut self, v: NodeId) {
-        let i = v.index();
-        if !self.touched[i] {
-            self.touched[i] = true;
-            self.receivers.push(v.value());
-        }
-    }
-
-    /// Incremental per-round connectivity verdict for `g`, given that this
-    /// round's delta removed `removed_edges` edges.
-    fn check_connected(&mut self, g: &dynspread_graph::Graph, removed_edges: usize) -> bool {
-        if !(self.was_connected && removed_edges == 0) {
-            self.was_connected = g.is_connected_with(&mut self.uf);
-        }
-        self.was_connected
-    }
-
-    /// Visits this round's marked receivers in ascending ID order (matching
-    /// the historical whole-network sweep, so learning logs are unchanged),
-    /// clearing the marks for the next round. Both engines' tracker syncs
-    /// go through here.
-    fn drain_receivers(&mut self, mut f: impl FnMut(NodeId)) {
-        self.receivers.sort_unstable();
-        let mut i = 0;
-        while i < self.receivers.len() {
-            let id = self.receivers[i];
-            self.touched[id as usize] = false;
-            f(NodeId::new(id));
-            i += 1;
-        }
-        self.receivers.clear();
     }
 }
 
@@ -301,21 +251,26 @@ impl<P: UnicastProtocol, A: UnicastAdversary<P::Msg>> UnicastSim<P, A> {
             );
         }
         self.meter.begin_round(round);
+        let delta = self.dg.last_delta();
         if self.cfg.charge_neighbor_discovery {
             // KT0: both endpoints of every freshly inserted edge exchange
             // a hello message before the round's payload traffic.
-            for _ in 0..self.dg.last_delta().inserted.len() {
-                self.meter.record_unicast(MessageClass::Control);
-                self.meter.record_unicast(MessageClass::Control);
-            }
+            self.meter
+                .record_unicasts(MessageClass::Control, 2 * delta.inserted.len() as u64);
         }
-        // 2. Nodes see neighbor IDs and queue messages.
+        self.scratch.wake_endpoints(delta);
+        // 2. Active nodes see neighbor IDs and queue messages (a parked
+        //    node would queue nothing).
         let mut sent = std::mem::take(&mut self.last_sent);
         sent.clear();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            let v = NodeId::new(i as u32);
+        let mut from = 0;
+        while let Some(v) = self.scratch.next_active(from) {
+            from = v.index() + 1;
             let neighbors = self.dg.current().neighbors(v);
-            node.send(round, neighbors, &mut self.outbox);
+            self.nodes[v.index()].send(round, neighbors, &mut self.outbox);
+            if self.outbox.take_parked() {
+                self.scratch.park(v);
+            }
             for (to, msg) in self.outbox.drain() {
                 assert!(
                     self.dg.current().has_edge(v, to),
@@ -342,7 +297,7 @@ impl<P: UnicastProtocol, A: UnicastAdversary<P::Msg>> UnicastSim<P, A> {
         // 3. Delivery (synchronous: all sends happen before any receive).
         for rec in &sent {
             self.nodes[rec.to.index()].receive(round, rec.from, &rec.msg);
-            self.scratch.mark(rec.to);
+            self.scratch.mark_receiver(rec.to);
             emit(
                 &mut self.tracer,
                 TraceRecord::Delivered {
@@ -353,29 +308,18 @@ impl<P: UnicastProtocol, A: UnicastAdversary<P::Msg>> UnicastSim<P, A> {
             );
         }
         profile::lap(&mut self.prof, Phase::Delivery);
-        for node in self.nodes.iter_mut() {
-            node.end_round(round);
+        let mut from = 0;
+        while let Some(v) = self.scratch.next_live(from) {
+            from = v.index() + 1;
+            self.nodes[v.index()].end_round(round);
         }
         profile::lap(&mut self.prof, Phase::EndRound);
-        // 4. Global observation — incremental: only nodes that received a
-        //    message this round can have learned tokens, so only they are
-        //    diffed (in ascending ID order, preserving the learning-log
-        //    order of a whole-network sweep).
-        let (tracker, nodes, tracer) = (&mut self.tracker, &self.nodes, &mut self.tracer);
-        self.scratch.drain_receivers(|v| {
-            let gained = tracker.sync_node(v, nodes[v.index()].known_tokens(), round);
-            if gained > 0 {
-                emit(
-                    tracer,
-                    TraceRecord::Coverage {
-                        t: round,
-                        node: v.value(),
-                        gained: gained as u32,
-                        known: nodes[v.index()].known_tokens().count() as u32,
-                    },
-                );
-            }
-        });
+        // 4. Global observation over this round's receivers.
+        let nodes = &self.nodes;
+        self.scratch
+            .sync_tracker(round, &mut self.tracker, &mut self.tracer, |v| {
+                nodes[v.index()].known_tokens()
+            });
         profile::lap(&mut self.prof, Phase::TrackerSync);
         self.last_sent = sent;
         round
@@ -429,6 +373,9 @@ pub struct BroadcastSim<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>> {
     tracker: TokenTracker,
     cfg: SimConfig,
     stability: Option<StabilityChecker>,
+    /// Every node's broadcast choice of the current round, refilled in
+    /// place each round.
+    choices: Vec<Option<P::Msg>>,
     scratch: RoundScratch,
     algorithm_name: Arc<str>,
     adversary_name: Arc<str>,
@@ -470,6 +417,7 @@ impl<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>> BroadcastSim<P, A> {
         BroadcastSim {
             dg: DynamicGraph::new(nodes.len()),
             scratch: RoundScratch::new(nodes.len()),
+            choices: Vec::with_capacity(nodes.len()),
             nodes,
             adversary,
             meter: MessageMeter::with_sampling(cfg.meter_sampling),
@@ -533,11 +481,9 @@ impl<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>> BroadcastSim<P, A> {
     pub fn step(&mut self) -> Round {
         let round = self.dg.round() + 1;
         // 1. Nodes commit their broadcast choices first…
-        let choices: Vec<Option<P::Msg>> = self
-            .nodes
-            .iter_mut()
-            .map(|node| node.broadcast(round))
-            .collect();
+        let mut choices = std::mem::take(&mut self.choices);
+        choices.clear();
+        choices.extend(self.nodes.iter_mut().map(|node| node.broadcast(round)));
         profile::lap(&mut self.prof, Phase::ProtocolSend);
         // 2. …then the (strongly adaptive) adversary picks the topology;
         //    deltas and unchanged rounds are applied to the live snapshot.
@@ -607,7 +553,7 @@ impl<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>> BroadcastSim<P, A> {
                 self.link_sends += neighbors.len() as u64;
                 for &w in neighbors {
                     self.nodes[w.index()].receive(round, v, msg);
-                    self.scratch.mark(w);
+                    self.scratch.mark_receiver(w);
                     emit(
                         &mut self.tracer,
                         TraceRecord::Delivered {
@@ -625,24 +571,14 @@ impl<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>> BroadcastSim<P, A> {
             node.end_round(round);
         }
         profile::lap(&mut self.prof, Phase::EndRound);
-        // 4. Global observation — incremental over this round's receivers
-        //    (ascending ID order; see `UnicastSim::step`).
-        let (tracker, nodes, tracer) = (&mut self.tracker, &self.nodes, &mut self.tracer);
-        self.scratch.drain_receivers(|v| {
-            let gained = tracker.sync_node(v, nodes[v.index()].known_tokens(), round);
-            if gained > 0 {
-                emit(
-                    tracer,
-                    TraceRecord::Coverage {
-                        t: round,
-                        node: v.value(),
-                        gained: gained as u32,
-                        known: nodes[v.index()].known_tokens().count() as u32,
-                    },
-                );
-            }
-        });
+        // 4. Global observation over this round's receivers.
+        let nodes = &self.nodes;
+        self.scratch
+            .sync_tracker(round, &mut self.tracker, &mut self.tracer, |v| {
+                nodes[v.index()].known_tokens()
+            });
         profile::lap(&mut self.prof, Phase::TrackerSync);
+        self.choices = choices;
         round
     }
 

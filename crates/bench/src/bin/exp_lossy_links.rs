@@ -27,14 +27,14 @@ use dynspread_sim::sim::SimConfig;
 use dynspread_sim::token::TokenAssignment;
 use dynspread_sim::RunReport;
 
-fn run_lossy(n: usize, k: usize, drop_p: f64, arm: u8, seed: u64) -> (RunReport, u64, u64) {
+fn run_lossy(n: usize, k: usize, drop_p: f64, arm: u8, seed: u64) -> RunReport {
     let assignment = TokenAssignment::single_source(n, k, NodeId::new(0));
     let cfg = SimConfig::with_max_rounds(2_000_000);
     let link = PerfectLink.lossy(drop_p);
     let link_seed = derive_seed(seed, 0x11);
     macro_rules! run {
         ($adv:expr) => {{
-            let mut sim = UnicastSynchronizer::new(
+            UnicastSynchronizer::new(
                 "single-source-unicast",
                 SingleSourceNode::nodes(&assignment),
                 $adv,
@@ -42,10 +42,8 @@ fn run_lossy(n: usize, k: usize, drop_p: f64, arm: u8, seed: u64) -> (RunReport,
                 cfg,
                 link,
                 link_seed,
-            );
-            let report = sim.run_to_completion();
-            let (tx, scheduled, _) = sim.link_stats();
-            (report, tx, tx - scheduled)
+            )
+            .run_to_completion()
         }};
     }
     match arm {
@@ -77,8 +75,7 @@ fn main() {
         .collect();
     let runs = par_map(jobs, |(p, arm, name, s)| {
         let seed = derive_seed(base_seed, ((arm as u64) << 32) | s as u64);
-        let (report, tx, dropped) = run_lossy(n, k, p, arm, seed);
-        (p, name, s, report, tx, dropped)
+        (p, name, s, run_lossy(n, k, p, arm, seed))
     });
 
     let mut table = Table::new(&[
@@ -94,7 +91,7 @@ fn main() {
     ]);
     // Baseline rounds per arm at p = 0 (seed 0) for the stretch summary.
     let mut baseline = [0u64; 2];
-    for (p, name, s, report, tx, dropped) in &runs {
+    for (p, name, s, report) in &runs {
         if *p == 0.0 {
             assert!(report.completed, "lossless {name} seed#{s}: {report}");
         }
@@ -102,7 +99,6 @@ fn main() {
             let arm = usize::from(*name != arms[0].1);
             baseline[arm] = report.rounds;
         }
-        let _ = tx;
         table.row_owned(vec![
             name.to_string(),
             fmt_f64(*p),
@@ -110,7 +106,7 @@ fn main() {
             report.completed.to_string(),
             report.rounds.to_string(),
             report.total_messages.to_string(),
-            dropped.to_string(),
+            report.link_drops.to_string(),
             report.tc().to_string(),
             fmt_f64(report.competitive_residual(1.0)),
         ]);
@@ -118,7 +114,7 @@ fn main() {
     println!("{}", table.render());
 
     println!("round stretch vs lossless (seed 0):");
-    for (p, name, s, report, _, _) in &runs {
+    for (p, name, s, report) in &runs {
         if *s == 0 && *p > 0.0 && report.completed {
             let arm = usize::from(*name != arms[0].1);
             println!(

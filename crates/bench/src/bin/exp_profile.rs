@@ -1,9 +1,10 @@
 //! `exp_profile` — wall-clock phase attribution of the engines.
 //!
 //! Channel 2 of the observability layer, applied: runs the four
-//! non-pipelined protocol arms of the scale grid with the engines'
-//! self-profiler enabled (`enable_profiling`) and records where each
-//! run's wall time actually goes, per [`Phase`](dynspread_sim::Phase).
+//! non-pipelined protocol arms of the scale grid, plus Algorithm 1 on the
+//! round engine's link transport (a lossy, jittery synchronizer), with the
+//! engines' self-profiler enabled (`enable_profiling`) and records where
+//! each run's wall time actually goes, per [`Phase`](dynspread_sim::Phase).
 //! The first deliverable is evidence for the scale roadmap item: the
 //! `n = 4096` single-source cell names the dominant phase behind the
 //! sync engines' superlinear ns/event growth (the suspected O(n)
@@ -37,19 +38,22 @@ use dynspread_bench::{
     default_adversary, derive_seed, gate_args, run_multi_source_profiled,
     run_phased_flooding_profiled, run_single_source_profiled, write_gate_json,
 };
+use dynspread_core::single_source::SingleSourceNode;
 use dynspread_graph::NodeId;
 use dynspread_runtime::engine::EventSim;
 use dynspread_runtime::link::{LinkModelExt, PerfectLink};
 use dynspread_runtime::protocol::{AsyncConfig, AsyncSingleSource};
+use dynspread_runtime::sync::UnicastSynchronizer;
 use dynspread_sim::sim::SimConfig;
 use dynspread_sim::token::TokenAssignment;
 use dynspread_sim::{ProfileReport, RunReport};
 
-const PROTOCOLS: [&str; 4] = [
+const PROTOCOLS: [&str; 5] = [
     "flooding",
     "single-source",
     "multi-source",
     "async-single-source",
+    "sync-lossy-single-source",
 ];
 
 /// Same deterministic meter-sampling factor as the `exp_scale` flooding
@@ -93,6 +97,20 @@ fn run_cell(protocol: &'static str, n: usize, k: usize, seed: u64) -> Cell {
             sim.enable_profiling();
             let _ = sim.run(8 * max_rounds);
             sim.run_report("async-single-source")
+        }
+        "sync-lossy-single-source" => {
+            let assignment = TokenAssignment::single_source(n, k, NodeId::new(0));
+            let mut sim = UnicastSynchronizer::new(
+                "single-source-unicast",
+                SingleSourceNode::nodes(&assignment),
+                default_adversary(seed),
+                &assignment,
+                SimConfig::with_max_rounds(max_rounds),
+                PerfectLink.lossy(0.1).with_jitter(1),
+                derive_seed(seed, 0x5CA1E),
+            );
+            sim.enable_profiling();
+            sim.run_to_completion()
         }
         other => unreachable!("unknown protocol arm {other}"),
     };
@@ -152,7 +170,10 @@ fn main() {
     let mut cells = Vec::new();
     for (si, &n) in sizes.iter().enumerate() {
         for (pi, &p) in PROTOCOLS.iter().enumerate() {
-            let seed = derive_seed(base_seed, (si * PROTOCOLS.len() + pi) as u64);
+            // Stride 4 is the arm count the grid started with: a later arm
+            // must not reseed the recorded cells (it shares its seed with
+            // arm 0 of the next size — another protocol, nothing to correlate).
+            let seed = derive_seed(base_seed, (si * 4 + pi) as u64);
             cells.push(run_cell(p, n, k, seed));
         }
     }

@@ -19,11 +19,14 @@
 //!
 //! Two execution surfaces sit on top:
 //!
-//! * **Synchronizer adapters** ([`sync::UnicastSynchronizer`],
+//! * **Synchronizers** ([`sync::UnicastSynchronizer`],
 //!   [`sync::BroadcastSynchronizer`]) run the *existing* round-based
 //!   [`UnicastProtocol`](dynspread_sim::protocol::UnicastProtocol) /
 //!   [`BroadcastProtocol`](dynspread_sim::protocol::BroadcastProtocol)
-//!   implementations unchanged, mapping one tick to one round. Under
+//!   implementations unchanged, mapping one tick to one round. They are
+//!   `dynspread_sim`'s round engines themselves, built with
+//!   [`sync::LinkTransport`] — a link model, the event queue and the
+//!   mailboxes — in place of the synchronous `Direct` transport. Under
 //!   [`link::PerfectLink`] they reproduce the synchronous engines'
 //!   [`RunReport`](dynspread_sim::RunReport)s **byte-for-byte**; under
 //!   lossy/latent links they answer questions the paper's model cannot
@@ -79,9 +82,9 @@
 //! link model; delivery becomes mailbox arrival at a scheduled tick. The
 //! synchronous model is recovered exactly as the special case
 //! `latency = 0, loss = 0, duplication = 0` with all nodes activating at
-//! every tick — which is what the synchronizer adapters implement, and why
-//! their perfect-link runs are bit-identical to `UnicastSim`/
-//! `BroadcastSim`.
+//! every tick — which is what the synchronizers run over a perfect link,
+//! and why those runs are bit-identical to `UnicastSim`/`BroadcastSim` on
+//! the `Direct` transport.
 //!
 //! # Example
 //!

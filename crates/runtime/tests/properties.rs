@@ -4,16 +4,22 @@
 //!   delivered **exactly once**;
 //! * seeded lossy/jittery/duplicating runs are **replay-identical**: the
 //!   same seed reproduces the same execution byte-for-byte, in both the
-//!   synchronizer adapters and the asynchronous event engine.
+//!   synchronizer adapters and the asynchronous event engine;
+//! * the round engines' two transports agree: over `PerfectLink` the link
+//!   transport reproduces `Direct` byte-for-byte, in both communication
+//!   modes, whatever the adversary family and `SimConfig` flags.
 
+use dynspread_core::flooding::PhasedFlooding;
 use dynspread_core::single_source::SingleSourceNode;
 use dynspread_graph::generators::Topology;
-use dynspread_graph::oblivious::{PeriodicRewiring, StaticAdversary};
-use dynspread_graph::NodeId;
+use dynspread_graph::oblivious::{
+    ChurnAdversary, EdgeMarkovian, PeriodicRewiring, StaticAdversary,
+};
+use dynspread_graph::{Graph, NodeId};
 use dynspread_runtime::engine::{EventCtx, EventProtocol, EventSim, StopReason};
 use dynspread_runtime::link::{LinkModelExt, PerfectLink};
-use dynspread_runtime::sync::UnicastSynchronizer;
-use dynspread_sim::sim::SimConfig;
+use dynspread_runtime::sync::{BroadcastSynchronizer, UnicastSynchronizer};
+use dynspread_sim::sim::{BroadcastSim, SimConfig, UnicastSim};
 use dynspread_sim::token::TokenAssignment;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -59,6 +65,91 @@ impl EventProtocol for Announcer {
             ctx.broadcast(me);
             ctx.set_timer(2, 0);
         }
+    }
+}
+
+/// Runs one seeded execution on `Direct` and on the link transport over
+/// `PerfectLink`, in the given communication mode, and returns each side's
+/// `(RunReport Debug, learning log Debug)`. `family` picks the adversary;
+/// `stable` turns on the online check of the σ that family guarantees.
+fn both_transports(
+    broadcast: bool,
+    (n, k, seed): (usize, usize, u64),
+    family: u8,
+    charge_neighbor_discovery: bool,
+    stable: bool,
+) -> [(String, String); 2] {
+    let assignment = TokenAssignment::single_source(n, k, NodeId::new(0));
+    let sigma = if family == 3 { 2 } else { 3 };
+    let cfg = SimConfig {
+        max_rounds: 200_000,
+        check_stability: stable.then_some(sigma),
+        charge_neighbor_discovery,
+        ..SimConfig::default()
+    };
+    macro_rules! fingerprint {
+        ($sim:expr) => {{
+            let mut sim = $sim;
+            let report = sim.run_to_completion();
+            assert!(report.completed, "{report}");
+            (format!("{report:?}"), format!("{:?}", sim.tracker().log()))
+        }};
+    }
+    macro_rules! run {
+        ($adv:expr) => {
+            if broadcast {
+                let nodes = || PhasedFlooding::nodes(&assignment);
+                [
+                    fingerprint!(BroadcastSim::new(
+                        "alg",
+                        nodes(),
+                        $adv,
+                        &assignment,
+                        cfg.clone()
+                    )),
+                    fingerprint!(BroadcastSynchronizer::new(
+                        "alg",
+                        nodes(),
+                        $adv,
+                        &assignment,
+                        cfg.clone(),
+                        PerfectLink,
+                        seed ^ 0x5EED,
+                    )),
+                ]
+            } else {
+                let nodes = || SingleSourceNode::nodes(&assignment);
+                [
+                    fingerprint!(UnicastSim::new(
+                        "alg",
+                        nodes(),
+                        $adv,
+                        &assignment,
+                        cfg.clone()
+                    )),
+                    fingerprint!(UnicastSynchronizer::new(
+                        "alg",
+                        nodes(),
+                        $adv,
+                        &assignment,
+                        cfg.clone(),
+                        PerfectLink,
+                        seed ^ 0x5EED,
+                    )),
+                ]
+            }
+        };
+    }
+    match family {
+        0 => run!(StaticAdversary::new(Graph::cycle(n))),
+        1 => run!(PeriodicRewiring::new(Topology::RandomTree, 3, seed)),
+        2 => run!(ChurnAdversary::new(
+            Topology::SparseConnected(2.0),
+            2,
+            3,
+            seed
+        )),
+        _ => run!(EdgeMarkovian::new(0.08, 0.2, 2, seed)),
     }
 }
 
@@ -132,6 +223,25 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 
+    /// The equivalence contract, searched: the link transport over
+    /// `PerfectLink` reproduces `Direct` byte-for-byte — report and learning
+    /// log — in both modes, for every adversary family and with either
+    /// `SimConfig` flag on.
+    #[test]
+    fn perfect_link_transport_reproduces_direct(
+        broadcast in prop::bool::ANY,
+        n in 4usize..20,
+        k in 1usize..12,
+        seed in 0u64..10_000,
+        family in 0u8..4,
+        charge_neighbor_discovery in prop::bool::ANY,
+        stable in prop::bool::ANY,
+    ) {
+        let [direct, link] =
+            both_transports(broadcast, (n, k, seed), family, charge_neighbor_discovery, stable);
+        prop_assert_eq!(direct, link);
+    }
+
     /// The asynchronous event engine is replay-identical too, including
     /// timer-driven retransmissions racing lossy deliveries.
     #[test]
@@ -183,4 +293,40 @@ fn link_stat_invariants_hold_under_loss_and_duplication() {
     // Zero latency: every scheduled copy arrives within its round.
     assert_eq!(delivered, scheduled);
     assert_eq!(sim.in_flight(), 0);
+    // A drop sheds one transmission, a duplicate adds one copy.
+    assert!(report.link_drops > 0 && report.link_duplicates > 0);
+    assert_eq!(scheduled, tx - report.link_drops + report.link_duplicates);
+}
+
+/// `SimConfig::meter_sampling` reaches the broadcast engine whatever its
+/// transport: a sampled run over a link says so in its report and keeps the
+/// exact run's totals.
+#[test]
+fn broadcast_over_a_link_honours_meter_sampling() {
+    let n = 40;
+    let assignment = TokenAssignment::round_robin_sources(n, 12, 4);
+    let run = |meter_sampling| {
+        let cfg = SimConfig {
+            max_rounds: 100_000,
+            meter_sampling,
+            ..SimConfig::default()
+        };
+        BroadcastSynchronizer::new(
+            "flood",
+            PhasedFlooding::nodes(&assignment),
+            PeriodicRewiring::new(Topology::RandomTree, 3, 21),
+            &assignment,
+            cfg,
+            PerfectLink.lossy(0.1),
+            5,
+        )
+        .run_to_completion()
+    };
+    let (exact, sampled) = (run(1), run(64));
+    assert!(exact.completed, "{exact}");
+    assert_eq!(exact.meter_sampling, 1);
+    assert_eq!(sampled.meter_sampling, 64);
+    assert_eq!(sampled.total_messages, exact.total_messages);
+    assert_eq!(sampled.rounds, exact.rounds);
+    assert_eq!(sampled.learnings, exact.learnings);
 }

@@ -19,13 +19,17 @@
 //! * **Adaptive adversaries** ([`adversary`]): the strongly adaptive
 //!   interfaces; every oblivious `dynspread_graph` adversary lifts into
 //!   them.
-//! * **Engines** ([`sim`]): [`UnicastSim`] and [`BroadcastSim`] drive
-//!   protocols against adversaries, asserting the model invariants
+//! * **Engines** ([`sim`]): [`UnicastSim`] and [`BroadcastSim`] — one
+//!   round loop per communication mode, the only ones in the workspace —
+//!   drive protocols against adversaries, asserting the model invariants
 //!   (connectivity, bandwidth, neighbor-only delivery) every round and
-//!   producing [`run::RunReport`]s. The unicast engine calls only its
-//!   active set ([`round`]): a node that
-//!   [parks](protocol::Outbox::park) is skipped until an adjacent edge
-//!   changes or a message reaches it.
+//!   producing [`run::RunReport`]s. Each is generic over a
+//!   [`sim::Transport`] that carries the round's messages to `receive`:
+//!   [`sim::Direct`], the default, is the paper's synchronous lossless
+//!   model; `dynspread-runtime`'s synchronizers are the same engines over
+//!   a link transport. The unicast engine calls only its active set
+//!   ([`round`]): a node that [parks](protocol::Outbox::park) is skipped
+//!   until an adjacent edge changes or a message reaches it.
 //! * **Observability** ([`trace`], [`profile`]): the two-channel layer —
 //!   a deterministic structured trace (JSONL, a pure function of the
 //!   seed) and an opt-in wall-clock self-profiler with log2-bucketed

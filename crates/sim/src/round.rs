@@ -1,12 +1,14 @@
-//! Per-round engine scratch shared by every round engine.
+//! Per-round scratch of the round engines.
 //!
 //! [`RoundScratch`] is the state a round engine keeps *between* its phases
 //! and that is not part of the model: which nodes are worth calling this
 //! round (the **active set**), which nodes a message reached this round
 //! (the **receiver marks**), and the buffers of the incremental
-//! connectivity check. The synchronous engines in [`crate::sim`] and the
-//! synchronizers in `dynspread-runtime` hold one each and drive it the same
-//! way, which is half of why they stay byte-identical under a perfect link.
+//! connectivity check. Each engine in [`crate::sim`] holds one and drives
+//! it; the engine's [`Transport`](crate::sim::Transport) only marks the
+//! receivers it hands messages to (through
+//! [`RoundIo::scratch`](crate::sim::RoundIo)), so parking and waking work
+//! the same whether a message arrives in its round or three rounds late.
 //!
 //! # The active set
 //!
@@ -24,10 +26,10 @@
 //!   marks are folded into the active set by [`RoundScratch::sync_tracker`]
 //!   at the end of the round, so the node sends again from the next round).
 //!
-//! Per round an engine then calls `send` over [`next_active`]
-//! (parking the nodes that asked to), `receive` for each delivery, and
-//! `end_round` over [`next_live`] — the still-active nodes plus this round's
-//! receivers. Protocols that never park are always active, and every sweep
+//! Per round the unicast engine then calls `send` over [`next_active`]
+//! (parking the nodes that asked to), its transport calls `receive` for
+//! each delivery, and the engine calls `end_round` over [`next_live`] — the
+//! still-active nodes plus this round's receivers. Protocols that never park are always active, and every sweep
 //! visits all of them, as the whole-network loops did.
 //!
 //! [`next_active`]: RoundScratch::next_active

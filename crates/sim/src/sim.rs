@@ -1,6 +1,7 @@
-//! The synchronous round engine.
+//! The round engines: one loop per communication mode, over a transport.
 //!
-//! Two engines, one per communication mode:
+//! The paper's model has two round shapes, and this module holds the only
+//! loop for each:
 //!
 //! * [`UnicastSim`] — rewire-then-send rounds: the adversary commits `G_r`
 //!   (seeing last round's traffic if adaptive), nodes learn their neighbor
@@ -9,11 +10,19 @@
 //!   broadcast first, the (strongly adaptive) adversary picks `G_r` knowing
 //!   the choices, then delivery happens.
 //!
-//! Both engines assert the model invariants every round: the graph is
-//! connected, has the right node count, messages respect the bandwidth
-//! constraint, and unicast destinations are actual neighbors. Both engines
-//! sync the [`TokenTracker`] after every round, which is how termination is
-//! detected (the tracker is a global observer; protocols never see it).
+//! How a round's messages get from `send`/`broadcast` to `receive` is the
+//! engine's [`Transport`]. [`Direct`] — the default, and what `new` builds —
+//! is the paper's model: every message arrives in the round it was sent,
+//! exactly once. `dynspread-runtime`'s synchronizers are these same engines
+//! over a link transport (a link model, an event queue, mailboxes), so a
+//! message may also arrive late, twice, or never. Everything that is not
+//! carrying messages belongs to the engine and is therefore the same under
+//! every transport: the adversary interaction, the model invariants
+//! asserted every round (the graph is connected and has the right node
+//! count, messages respect the bandwidth constraint, unicast destinations
+//! are actual neighbors), metering at send time, the [`TokenTracker`] sync
+//! that ends a round and detects termination (the tracker is a global
+//! observer; protocols never see it), the trace and the profiler.
 //!
 //! A round costs what it touches. [`UnicastSim`] calls `send` and
 //! `end_round` only on its **active set** — nodes that have not
@@ -29,7 +38,7 @@ use crate::profile::{self, Phase, Profiler};
 use crate::protocol::{BroadcastProtocol, Outbox, UnicastProtocol};
 use crate::round::RoundScratch;
 use crate::run::RunReport;
-use crate::token::TokenAssignment;
+use crate::token::{TokenAssignment, TokenSet};
 use crate::trace::{emit, TraceRecord, Tracer};
 use crate::tracker::TokenTracker;
 use dynspread_graph::dynamic::GraphUpdate;
@@ -88,31 +97,257 @@ impl SimConfig {
     }
 }
 
-/// Synchronous engine for the **unicast** communication model.
-pub struct UnicastSim<P: UnicastProtocol, A: UnicastAdversary<P::Msg>> {
-    nodes: Vec<P>,
-    adversary: A,
+/// The part of an engine's state its [`Transport`] works on while it
+/// carries a round's messages.
+pub struct RoundIo {
+    /// Receiver marks (see [`RoundIo::delivered`]).
+    pub scratch: RoundScratch,
+    /// The engine's trace stream, for link-fate records.
+    pub tracer: Option<Box<dyn Tracer>>,
+    /// The engine's profiler, for transports with phases of their own.
+    pub prof: Option<Profiler>,
+}
+
+impl RoundIo {
+    /// Records that `to` was handed a message from `from` in `round`: marks
+    /// it a receiver and emits [`TraceRecord::Delivered`].
+    #[inline]
+    pub fn delivered(&mut self, round: Round, from: NodeId, to: NodeId) {
+        self.scratch.mark_receiver(to);
+        let (from, to) = (from.value(), to.value());
+        emit(
+            &mut self.tracer,
+            TraceRecord::Delivered { t: round, from, to },
+        );
+    }
+}
+
+/// How the messages sent in a round reach `receive`.
+///
+/// The engine has already checked, metered and traced (`Send` /
+/// `Broadcast`) a message when it hands it over. The transport decides
+/// when, how often and whether it arrives; for every copy that does, it
+/// calls `receive(to, from, msg)` and then [`RoundIo::delivered`].
+pub trait Transport<M> {
+    /// Takes one unicast message, called during the send sweep in send
+    /// order. The engine keeps the message for the adversary and passes the
+    /// whole round's worth to [`deliver`](Transport::deliver) as `sent`.
+    fn unicast(&mut self, round: Round, from: NodeId, to: NodeId, msg: &M, io: &mut RoundIo);
+
+    /// Takes one local broadcast, addressed to `from`'s round-`round`
+    /// neighbors. Called after the topology is installed, in ascending
+    /// broadcaster order.
+    fn broadcast<F: FnMut(NodeId, NodeId, &M)>(
+        &mut self,
+        round: Round,
+        from: NodeId,
+        neighbors: &[NodeId],
+        msg: M,
+        io: &mut RoundIo,
+        receive: F,
+    );
+
+    /// The delivery phase, after every send of the round: hands over
+    /// whatever is due now and was not handed over already. `sent` is the
+    /// round's unicast traffic in send order (empty in a broadcast round).
+    fn deliver<F: FnMut(NodeId, NodeId, &M)>(
+        &mut self,
+        round: Round,
+        sent: &[SentRecord<M>],
+        io: &mut RoundIo,
+        receive: F,
+    );
+
+    /// Adds the transport's own counters to a report the engine built.
+    fn stamp(&self, report: &mut RunReport);
+}
+
+/// The paper's transport: synchronous and lossless. A unicast message is
+/// received in the delivery phase of its round, in send order (all sends
+/// happen before any receive); a local broadcast reaches every round-`r`
+/// neighbor as it is handed over.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Direct;
+
+impl<M> Transport<M> for Direct {
+    fn unicast(&mut self, _: Round, _: NodeId, _: NodeId, _: &M, _: &mut RoundIo) {}
+
+    fn broadcast<F: FnMut(NodeId, NodeId, &M)>(
+        &mut self,
+        round: Round,
+        from: NodeId,
+        neighbors: &[NodeId],
+        msg: M,
+        io: &mut RoundIo,
+        mut receive: F,
+    ) {
+        for &to in neighbors {
+            receive(to, from, &msg);
+            io.delivered(round, from, to);
+        }
+    }
+
+    fn deliver<F: FnMut(NodeId, NodeId, &M)>(
+        &mut self,
+        round: Round,
+        sent: &[SentRecord<M>],
+        io: &mut RoundIo,
+        mut receive: F,
+    ) {
+        for rec in sent {
+            receive(rec.to, rec.from, &rec.msg);
+            io.delivered(round, rec.from, rec.to);
+        }
+    }
+
+    fn stamp(&self, _: &mut RunReport) {}
+}
+
+/// What both engines keep besides their nodes, adversary and transport.
+struct Core {
     dg: DynamicGraph,
     meter: MessageMeter,
     tracker: TokenTracker,
     cfg: SimConfig,
     stability: Option<StabilityChecker>,
+    io: RoundIo,
+    algorithm_name: Arc<str>,
+    adversary_name: Arc<str>,
+    /// Per-link copies handed to the transport (see `RunReport::link_sends`).
+    link_sends: u64,
+}
+
+impl Core {
+    /// Validates every node's initial knowledge (`known`, in node order)
+    /// against the assignment and builds the round state.
+    fn new<'a>(
+        algorithm_name: String,
+        adversary_name: &str,
+        known: impl ExactSizeIterator<Item = &'a TokenSet>,
+        assignment: &TokenAssignment,
+        cfg: SimConfig,
+        meter: MessageMeter,
+    ) -> Self {
+        let n = known.len();
+        assert_eq!(n, assignment.node_count(), "node count mismatch");
+        let tracker = TokenTracker::new(assignment);
+        for (v, know) in NodeId::all(n).zip(known) {
+            assert_eq!(
+                know.universe(),
+                assignment.token_count(),
+                "{v}: token universe mismatch"
+            );
+            assert!(
+                know == tracker.knowledge(v),
+                "{v}: initial knowledge differs from assignment"
+            );
+        }
+        Core {
+            dg: DynamicGraph::new(n),
+            meter,
+            tracker,
+            stability: cfg.check_stability.map(StabilityChecker::new),
+            cfg,
+            io: RoundIo {
+                scratch: RoundScratch::new(n),
+                tracer: None,
+                prof: None,
+            },
+            algorithm_name: Arc::from(algorithm_name),
+            adversary_name: Arc::from(adversary_name),
+            link_sends: 0,
+        }
+    }
+
+    /// Installs the adversary's `G_r` (deltas and unchanged rounds are
+    /// applied to the live snapshot), asserts the model invariants on it,
+    /// and opens the round on the trace and the meter.
+    fn install_round(&mut self, round: Round, update: GraphUpdate) {
+        if let GraphUpdate::Full(g) = &update {
+            assert_eq!(
+                g.node_count(),
+                self.tracker.node_count(),
+                "adversary changed the node count in round {round}"
+            );
+        }
+        self.dg.apply(update);
+        profile::lap(&mut self.io.prof, Phase::AdversaryEvolve);
+        if self.cfg.check_connectivity {
+            let removed = self.dg.last_delta().removed.len();
+            assert!(
+                self.io.scratch.check_connected(self.dg.current(), removed),
+                "adversary produced a disconnected graph in round {round}"
+            );
+        }
+        if let Some(chk) = self.stability.as_mut() {
+            chk.observe(self.dg.current())
+                .expect("adversary violated σ-edge stability");
+        }
+        profile::lap(&mut self.io.prof, Phase::Connectivity);
+        if self.io.tracer.is_some() {
+            let delta = self.dg.last_delta();
+            let (inserted, removed) = (delta.inserted.len() as u64, delta.removed.len() as u64);
+            emit(
+                &mut self.io.tracer,
+                TraceRecord::Round {
+                    r: round,
+                    inserted,
+                    removed,
+                },
+            );
+        }
+        self.meter.begin_round(round);
+    }
+
+    /// The global observation that ends a round, over its receivers.
+    fn observe<'a>(&mut self, round: Round, known: impl Fn(NodeId) -> &'a TokenSet) {
+        let io = &mut self.io;
+        io.scratch
+            .sync_tracker(round, &mut self.tracker, &mut io.tracer, known);
+        profile::lap(&mut io.prof, Phase::TrackerSync);
+    }
+
+    fn capped(&self) -> bool {
+        self.dg.round() >= self.cfg.max_rounds
+    }
+
+    /// The report so far, before the transport's stamp. Names are shared
+    /// `Arc<str>`s captured at construction, so this allocates no strings.
+    fn report(&self) -> RunReport {
+        let mut report = RunReport::from_meters(
+            self.algorithm_name.clone(),
+            self.adversary_name.clone(),
+            self.tracker.node_count(),
+            self.tracker.token_count(),
+            self.dg.round(),
+            self.tracker.all_complete(),
+            &self.meter,
+            self.dg.meter(),
+            self.tracker.total_learnings(),
+        );
+        report.link_sends = self.link_sends;
+        report.profile = self.io.prof.as_ref().map(|p| Box::new(p.report()));
+        report
+    }
+}
+
+/// Round engine for the **unicast** communication model.
+pub struct UnicastSim<P: UnicastProtocol, A: UnicastAdversary<P::Msg>, T = Direct> {
+    nodes: Vec<P>,
+    adversary: A,
+    transport: T,
+    core: Core,
     /// Everything sent in the last round (the adaptive adversary's view).
     /// The adversary is done with it before the send sweep starts, so the
     /// same buffer collects the next round's records.
     last_sent: Vec<SentRecord<P::Msg>>,
     /// The one outbox every node's `send` fills and the engine drains.
     outbox: Outbox<P::Msg>,
-    scratch: RoundScratch,
-    algorithm_name: Arc<str>,
-    adversary_name: Arc<str>,
-    tracer: Option<Box<dyn Tracer>>,
-    prof: Option<Profiler>,
-    link_sends: u64,
 }
 
 impl<P: UnicastProtocol, A: UnicastAdversary<P::Msg>> UnicastSim<P, A> {
-    /// Creates an engine over one protocol instance per node.
+    /// Creates the synchronous engine (the [`Direct`] transport) over one
+    /// protocol instance per node.
     ///
     /// # Panics
     ///
@@ -126,71 +361,75 @@ impl<P: UnicastProtocol, A: UnicastAdversary<P::Msg>> UnicastSim<P, A> {
         assignment: &TokenAssignment,
         cfg: SimConfig,
     ) -> Self {
-        assert_eq!(nodes.len(), assignment.node_count(), "node count mismatch");
-        let tracker = TokenTracker::new(assignment);
-        for (i, node) in nodes.iter().enumerate() {
-            let v = NodeId::new(i as u32);
-            assert_eq!(
-                node.known_tokens().universe(),
-                assignment.token_count(),
-                "{v}: token universe mismatch"
-            );
-            assert!(
-                node.known_tokens() == tracker.knowledge(v),
-                "{v}: initial knowledge differs from assignment"
-            );
-        }
-        let stability = cfg.check_stability.map(StabilityChecker::new);
-        let adversary_name: Arc<str> = Arc::from(<A as UnicastAdversary<P::Msg>>::name(&adversary));
+        Self::with_transport(algorithm_name, nodes, adversary, assignment, cfg, Direct)
+    }
+}
+
+impl<P, A, T> UnicastSim<P, A, T>
+where
+    P: UnicastProtocol,
+    A: UnicastAdversary<P::Msg>,
+    T: Transport<P::Msg>,
+{
+    /// Creates an engine whose messages travel over `transport`.
+    ///
+    /// # Panics
+    ///
+    /// Same validation as [`UnicastSim::new`].
+    pub fn with_transport(
+        algorithm_name: impl Into<String>,
+        nodes: Vec<P>,
+        adversary: A,
+        assignment: &TokenAssignment,
+        cfg: SimConfig,
+        transport: T,
+    ) -> Self {
+        let core = Core::new(
+            algorithm_name.into(),
+            <A as UnicastAdversary<P::Msg>>::name(&adversary),
+            nodes.iter().map(|node| node.known_tokens()),
+            assignment,
+            cfg,
+            MessageMeter::new(),
+        );
         UnicastSim {
-            dg: DynamicGraph::new(nodes.len()),
-            scratch: RoundScratch::new(nodes.len()),
             nodes,
             adversary,
-            meter: MessageMeter::new(),
-            tracker,
-            cfg,
-            stability,
+            transport,
+            core,
             last_sent: Vec::new(),
             outbox: Outbox::new(),
-            algorithm_name: Arc::from(algorithm_name.into()),
-            adversary_name,
-            tracer: None,
-            prof: None,
-            link_sends: 0,
         }
     }
 
     /// Installs a [`Tracer`] receiving this engine's deterministic trace
-    /// stream (round boundaries, sends, deliveries, coverage deltas).
-    /// Tracing is off by default; when off, every hook point is one
-    /// predictable branch.
+    /// stream (round boundaries, sends, the transport's link fates,
+    /// deliveries, coverage deltas). Tracing is off by default; when off,
+    /// every hook point is one predictable branch.
     pub fn set_tracer(&mut self, tracer: impl Tracer + 'static) {
-        self.tracer = Some(Box::new(tracer));
+        self.core.io.tracer = Some(Box::new(tracer));
     }
 
     /// Enables wall-clock self-profiling: phase attribution is collected
     /// from here on and attached to reports as
     /// [`RunReport::profile`].
     pub fn enable_profiling(&mut self) {
-        let mut prof = Profiler::new();
-        prof.begin();
-        self.prof = Some(prof);
+        self.core.io.prof = Some(Profiler::new());
     }
 
     /// The tracker (read-only global observer).
     pub fn tracker(&self) -> &TokenTracker {
-        &self.tracker
+        &self.core.tracker
     }
 
-    /// The message meter.
+    /// The message meter (counts sends, whatever the transport does next).
     pub fn meter(&self) -> &MessageMeter {
-        &self.meter
+        &self.core.meter
     }
 
     /// The dynamic graph (current snapshot + TC accounting).
     pub fn dynamic_graph(&self) -> &DynamicGraph {
-        &self.dg
+        &self.core.dg
     }
 
     /// Immutable access to a node's protocol state.
@@ -209,183 +448,125 @@ impl<P: UnicastProtocol, A: UnicastAdversary<P::Msg>> UnicastSim<P, A> {
         &self.adversary
     }
 
+    /// The transport (e.g. to read a link transport's counters).
+    pub fn transport(&self) -> &T {
+        &self.transport
+    }
+
     /// Executes one round. Returns the round number just executed.
     pub fn step(&mut self) -> Round {
-        let round = self.dg.round() + 1;
-        // 1. Adversary commits G_r (sees last round's traffic if adaptive);
-        //    deltas and unchanged rounds are applied to the live snapshot.
+        let core = &mut self.core;
+        let round = core.dg.round() + 1;
+        // 1. Adversary commits G_r (sees last round's traffic if adaptive).
         let update = self
             .adversary
-            .evolve(round, self.dg.current(), &self.last_sent);
-        if let GraphUpdate::Full(g) = &update {
-            assert_eq!(
-                g.node_count(),
-                self.nodes.len(),
-                "adversary changed the node count in round {round}"
-            );
-        }
-        self.dg.apply(update);
-        profile::lap(&mut self.prof, Phase::AdversaryEvolve);
-        if self.cfg.check_connectivity {
-            let removed = self.dg.last_delta().removed.len();
-            assert!(
-                self.scratch.check_connected(self.dg.current(), removed),
-                "adversary produced a disconnected graph in round {round}"
-            );
-        }
-        if let Some(chk) = self.stability.as_mut() {
-            chk.observe(self.dg.current())
-                .expect("adversary violated σ-edge stability");
-        }
-        profile::lap(&mut self.prof, Phase::Connectivity);
-        if self.tracer.is_some() {
-            let delta = self.dg.last_delta();
-            let (inserted, removed) = (delta.inserted.len() as u64, delta.removed.len() as u64);
-            emit(
-                &mut self.tracer,
-                TraceRecord::Round {
-                    r: round,
-                    inserted,
-                    removed,
-                },
-            );
-        }
-        self.meter.begin_round(round);
-        let delta = self.dg.last_delta();
-        if self.cfg.charge_neighbor_discovery {
+            .evolve(round, core.dg.current(), &self.last_sent);
+        core.install_round(round, update);
+        let delta = core.dg.last_delta();
+        if core.cfg.charge_neighbor_discovery {
             // KT0: both endpoints of every freshly inserted edge exchange
             // a hello message before the round's payload traffic.
-            self.meter
+            core.meter
                 .record_unicasts(MessageClass::Control, 2 * delta.inserted.len() as u64);
         }
-        self.scratch.wake_endpoints(delta);
+        let io = &mut core.io;
+        io.scratch.wake_endpoints(delta);
         // 2. Active nodes see neighbor IDs and queue messages (a parked
-        //    node would queue nothing).
+        //    node would queue nothing); each message is metered at send
+        //    time and handed to the transport.
         let mut sent = std::mem::take(&mut self.last_sent);
         sent.clear();
         let mut from = 0;
-        while let Some(v) = self.scratch.next_active(from) {
+        while let Some(v) = io.scratch.next_active(from) {
             from = v.index() + 1;
-            let neighbors = self.dg.current().neighbors(v);
+            let neighbors = core.dg.current().neighbors(v);
             self.nodes[v.index()].send(round, neighbors, &mut self.outbox);
             if self.outbox.take_parked() {
-                self.scratch.park(v);
+                io.scratch.park(v);
             }
             for (to, msg) in self.outbox.drain() {
                 assert!(
-                    self.dg.current().has_edge(v, to),
+                    core.dg.current().has_edge(v, to),
                     "round {round}: {v} sent to non-neighbor {to}"
                 );
                 assert!(
                     msg.token_count() <= MAX_TOKENS_PER_MESSAGE,
                     "round {round}: {v} exceeded the bandwidth constraint"
                 );
-                self.meter.record_unicast(msg.class());
-                self.link_sends += 1;
+                core.meter.record_unicast(msg.class());
+                core.link_sends += 1;
                 emit(
-                    &mut self.tracer,
+                    &mut io.tracer,
                     TraceRecord::Send {
                         t: round,
                         from: v.value(),
                         to: to.value(),
                     },
                 );
+                self.transport.unicast(round, v, to, &msg, io);
                 sent.push(SentRecord { from: v, to, msg });
             }
         }
-        profile::lap(&mut self.prof, Phase::ProtocolSend);
-        // 3. Delivery (synchronous: all sends happen before any receive).
-        for rec in &sent {
-            self.nodes[rec.to.index()].receive(round, rec.from, &rec.msg);
-            self.scratch.mark_receiver(rec.to);
-            emit(
-                &mut self.tracer,
-                TraceRecord::Delivered {
-                    t: round,
-                    from: rec.from.value(),
-                    to: rec.to.value(),
-                },
-            );
-        }
-        profile::lap(&mut self.prof, Phase::Delivery);
+        profile::lap(&mut io.prof, Phase::ProtocolSend);
+        // 3. Delivery: whatever the transport has for this round.
+        let nodes = &mut self.nodes;
+        self.transport.deliver(round, &sent, io, |to, sender, msg| {
+            nodes[to.index()].receive(round, sender, msg)
+        });
+        profile::lap(&mut io.prof, Phase::Delivery);
         let mut from = 0;
-        while let Some(v) = self.scratch.next_live(from) {
+        while let Some(v) = io.scratch.next_live(from) {
             from = v.index() + 1;
             self.nodes[v.index()].end_round(round);
         }
-        profile::lap(&mut self.prof, Phase::EndRound);
+        profile::lap(&mut io.prof, Phase::EndRound);
         // 4. Global observation over this round's receivers.
         let nodes = &self.nodes;
-        self.scratch
-            .sync_tracker(round, &mut self.tracker, &mut self.tracer, |v| {
-                nodes[v.index()].known_tokens()
-            });
-        profile::lap(&mut self.prof, Phase::TrackerSync);
+        core.observe(round, |v| nodes[v.index()].known_tokens());
         self.last_sent = sent;
         round
     }
 
     /// Runs until every node is complete or `max_rounds` is hit.
     pub fn run_to_completion(&mut self) -> RunReport {
-        while !self.tracker.all_complete() && self.dg.round() < self.cfg.max_rounds {
-            self.step();
-        }
-        self.report()
+        self.run_until(|sim| sim.core.tracker.all_complete())
     }
 
     /// Runs until `pred(self)` is true (checked after each round) or
     /// `max_rounds` is hit.
     pub fn run_until<F: FnMut(&Self) -> bool>(&mut self, mut pred: F) -> RunReport {
-        while !pred(self) && self.dg.round() < self.cfg.max_rounds {
+        while !pred(self) && !self.core.capped() {
             self.step();
         }
         self.report()
     }
 
     /// Builds the report for the execution so far.
-    ///
-    /// Names are shared `Arc<str>`s captured at construction, so building a
-    /// report allocates no strings.
     pub fn report(&self) -> RunReport {
-        let mut report = RunReport::from_meters(
-            self.algorithm_name.clone(),
-            self.adversary_name.clone(),
-            self.nodes.len(),
-            self.tracker.token_count(),
-            self.dg.round(),
-            self.tracker.all_complete(),
-            &self.meter,
-            self.dg.meter(),
-            self.tracker.total_learnings(),
-        );
-        report.link_sends = self.link_sends;
-        report.profile = self.prof.as_ref().map(|p| Box::new(p.report()));
+        let mut report = self.core.report();
+        self.transport.stamp(&mut report);
         report
     }
 }
 
-/// Synchronous engine for the **local broadcast** communication model.
-pub struct BroadcastSim<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>> {
+/// Round engine for the **local broadcast** communication model.
+///
+/// Each local broadcast is metered once (Definition 1.1); what happens per
+/// neighbor is the transport's business, so over a lossy link different
+/// neighbors of one broadcaster can independently miss the same broadcast.
+pub struct BroadcastSim<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>, T = Direct> {
     nodes: Vec<P>,
     adversary: A,
-    dg: DynamicGraph,
-    meter: MessageMeter,
-    tracker: TokenTracker,
-    cfg: SimConfig,
-    stability: Option<StabilityChecker>,
+    transport: T,
+    core: Core,
     /// Every node's broadcast choice of the current round, refilled in
     /// place each round.
     choices: Vec<Option<P::Msg>>,
-    scratch: RoundScratch,
-    algorithm_name: Arc<str>,
-    adversary_name: Arc<str>,
-    tracer: Option<Box<dyn Tracer>>,
-    prof: Option<Profiler>,
-    link_sends: u64,
 }
 
 impl<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>> BroadcastSim<P, A> {
-    /// Creates an engine over one protocol instance per node.
+    /// Creates the synchronous engine (the [`Direct`] transport) over one
+    /// protocol instance per node.
     ///
     /// # Panics
     ///
@@ -397,68 +578,72 @@ impl<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>> BroadcastSim<P, A> {
         assignment: &TokenAssignment,
         cfg: SimConfig,
     ) -> Self {
-        assert_eq!(nodes.len(), assignment.node_count(), "node count mismatch");
-        let tracker = TokenTracker::new(assignment);
-        for (i, node) in nodes.iter().enumerate() {
-            let v = NodeId::new(i as u32);
-            assert_eq!(
-                node.known_tokens().universe(),
-                assignment.token_count(),
-                "{v}: token universe mismatch"
-            );
-            assert!(
-                node.known_tokens() == tracker.knowledge(v),
-                "{v}: initial knowledge differs from assignment"
-            );
-        }
-        let stability = cfg.check_stability.map(StabilityChecker::new);
-        let adversary_name: Arc<str> =
-            Arc::from(<A as BroadcastAdversary<P::Msg>>::name(&adversary));
+        Self::with_transport(algorithm_name, nodes, adversary, assignment, cfg, Direct)
+    }
+}
+
+impl<P, A, T> BroadcastSim<P, A, T>
+where
+    P: BroadcastProtocol,
+    A: BroadcastAdversary<P::Msg>,
+    T: Transport<P::Msg>,
+{
+    /// Creates an engine whose messages travel over `transport`.
+    ///
+    /// # Panics
+    ///
+    /// Same validation as [`UnicastSim::new`].
+    pub fn with_transport(
+        algorithm_name: impl Into<String>,
+        nodes: Vec<P>,
+        adversary: A,
+        assignment: &TokenAssignment,
+        cfg: SimConfig,
+        transport: T,
+    ) -> Self {
+        let meter = MessageMeter::with_sampling(cfg.meter_sampling);
+        let core = Core::new(
+            algorithm_name.into(),
+            <A as BroadcastAdversary<P::Msg>>::name(&adversary),
+            nodes.iter().map(|node| node.known_tokens()),
+            assignment,
+            cfg,
+            meter,
+        );
         BroadcastSim {
-            dg: DynamicGraph::new(nodes.len()),
-            scratch: RoundScratch::new(nodes.len()),
             choices: Vec::with_capacity(nodes.len()),
             nodes,
             adversary,
-            meter: MessageMeter::with_sampling(cfg.meter_sampling),
-            tracker,
-            cfg,
-            stability,
-            algorithm_name: Arc::from(algorithm_name.into()),
-            adversary_name,
-            tracer: None,
-            prof: None,
-            link_sends: 0,
+            transport,
+            core,
         }
     }
 
     /// Installs a tracer (channel 1 of the observability layer). See
     /// [`UnicastSim::set_tracer`] for the determinism contract.
     pub fn set_tracer(&mut self, tracer: impl Tracer + 'static) {
-        self.tracer = Some(Box::new(tracer));
+        self.core.io.tracer = Some(Box::new(tracer));
     }
 
     /// Enables wall-clock self-profiling (channel 2). See
     /// [`UnicastSim::enable_profiling`].
     pub fn enable_profiling(&mut self) {
-        let mut prof = Profiler::new();
-        prof.begin();
-        self.prof = Some(prof);
+        self.core.io.prof = Some(Profiler::new());
     }
 
     /// The tracker (read-only global observer).
     pub fn tracker(&self) -> &TokenTracker {
-        &self.tracker
+        &self.core.tracker
     }
 
-    /// The message meter.
+    /// The message meter (counts broadcasts, not per-link copies).
     pub fn meter(&self) -> &MessageMeter {
-        &self.meter
+        &self.core.meter
     }
 
     /// The dynamic graph (current snapshot + TC accounting).
     pub fn dynamic_graph(&self) -> &DynamicGraph {
-        &self.dg
+        &self.core.dg
     }
 
     /// Immutable access to a node's protocol state.
@@ -477,61 +662,37 @@ impl<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>> BroadcastSim<P, A> {
         &self.adversary
     }
 
+    /// The transport (e.g. to read a link transport's counters).
+    pub fn transport(&self) -> &T {
+        &self.transport
+    }
+
     /// Executes one round. Returns the round number just executed.
     pub fn step(&mut self) -> Round {
-        let round = self.dg.round() + 1;
+        let core = &mut self.core;
+        let round = core.dg.round() + 1;
         // 1. Nodes commit their broadcast choices first…
-        let mut choices = std::mem::take(&mut self.choices);
-        choices.clear();
-        choices.extend(self.nodes.iter_mut().map(|node| node.broadcast(round)));
-        profile::lap(&mut self.prof, Phase::ProtocolSend);
-        // 2. …then the (strongly adaptive) adversary picks the topology;
-        //    deltas and unchanged rounds are applied to the live snapshot.
-        let update = self.adversary.evolve(round, self.dg.current(), &choices);
-        if let GraphUpdate::Full(g) = &update {
-            assert_eq!(
-                g.node_count(),
-                self.nodes.len(),
-                "adversary changed the node count in round {round}"
-            );
-        }
-        self.dg.apply(update);
-        profile::lap(&mut self.prof, Phase::AdversaryEvolve);
-        if self.cfg.check_connectivity {
-            let removed = self.dg.last_delta().removed.len();
-            assert!(
-                self.scratch.check_connected(self.dg.current(), removed),
-                "adversary produced a disconnected graph in round {round}"
-            );
-        }
-        if let Some(chk) = self.stability.as_mut() {
-            chk.observe(self.dg.current())
-                .expect("adversary violated σ-edge stability");
-        }
-        profile::lap(&mut self.prof, Phase::Connectivity);
-        if self.tracer.is_some() {
-            let delta = self.dg.last_delta();
-            let (inserted, removed) = (delta.inserted.len() as u64, delta.removed.len() as u64);
-            emit(
-                &mut self.tracer,
-                TraceRecord::Round {
-                    r: round,
-                    inserted,
-                    removed,
-                },
-            );
-        }
-        self.meter.begin_round(round);
-        // 3. Metering + delivery: one message per broadcasting node.
-        // Metering is batched per round (class tallies flushed once), with
-        // class inspection and the bandwidth assert sampled at the
-        // configured deterministic factor — see `SimConfig::meter_sampling`.
-        let sampling = self.meter.sampling();
+        self.choices.clear();
+        self.choices
+            .extend(self.nodes.iter_mut().map(|node| node.broadcast(round)));
+        profile::lap(&mut core.io.prof, Phase::ProtocolSend);
+        // 2. …then the (strongly adaptive) adversary picks the topology.
+        let update = self
+            .adversary
+            .evolve(round, core.dg.current(), &self.choices);
+        core.install_round(round, update);
+        let io = &mut core.io;
+        // 3. Metering + hand-over: one message per broadcasting node, to
+        // all its round-r neighbors. Metering is batched per round (class
+        // tallies flushed once), with class inspection and the bandwidth
+        // assert sampled at the configured deterministic factor — see
+        // `SimConfig::meter_sampling`.
+        let sampling = core.meter.sampling();
         let mut class_counts = [0u64; MessageClass::ALL.len()];
         let mut total = 0u64;
-        for (i, choice) in choices.iter().enumerate() {
+        let nodes = &mut self.nodes;
+        for (v, choice) in NodeId::all(nodes.len()).zip(self.choices.drain(..)) {
             if let Some(msg) = choice {
-                let v = NodeId::new(i as u32);
                 if total.is_multiple_of(sampling) {
                     assert!(
                         msg.token_count() <= MAX_TOKENS_PER_MESSAGE,
@@ -541,82 +702,54 @@ impl<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>> BroadcastSim<P, A> {
                 }
                 total += 1;
                 emit(
-                    &mut self.tracer,
+                    &mut io.tracer,
                     TraceRecord::Broadcast {
                         t: round,
                         from: v.value(),
                     },
                 );
-                // Deliver to all round-r neighbors. Each delivery is one
-                // per-link copy for `link_sends` (see `RunReport::link_sends`).
-                let neighbors = self.dg.current().neighbors(v);
-                self.link_sends += neighbors.len() as u64;
-                for &w in neighbors {
-                    self.nodes[w.index()].receive(round, v, msg);
-                    self.scratch.mark_receiver(w);
-                    emit(
-                        &mut self.tracer,
-                        TraceRecord::Delivered {
-                            t: round,
-                            from: v.value(),
-                            to: w.value(),
-                        },
-                    );
-                }
+                // Each neighbor is one per-link copy for `link_sends`.
+                let neighbors = core.dg.current().neighbors(v);
+                core.link_sends += neighbors.len() as u64;
+                self.transport
+                    .broadcast(round, v, neighbors, msg, io, |to, sender, msg| {
+                        nodes[to.index()].receive(round, sender, msg)
+                    });
             }
         }
-        self.meter.record_broadcast_batch(&class_counts, total);
-        profile::lap(&mut self.prof, Phase::Delivery);
-        for node in self.nodes.iter_mut() {
+        core.meter.record_broadcast_batch(&class_counts, total);
+        self.transport.deliver(round, &[], io, |to, sender, msg| {
+            nodes[to.index()].receive(round, sender, msg)
+        });
+        profile::lap(&mut io.prof, Phase::Delivery);
+        for node in nodes.iter_mut() {
             node.end_round(round);
         }
-        profile::lap(&mut self.prof, Phase::EndRound);
+        profile::lap(&mut io.prof, Phase::EndRound);
         // 4. Global observation over this round's receivers.
         let nodes = &self.nodes;
-        self.scratch
-            .sync_tracker(round, &mut self.tracker, &mut self.tracer, |v| {
-                nodes[v.index()].known_tokens()
-            });
-        profile::lap(&mut self.prof, Phase::TrackerSync);
-        self.choices = choices;
+        core.observe(round, |v| nodes[v.index()].known_tokens());
         round
     }
 
     /// Runs until every node is complete or `max_rounds` is hit.
     pub fn run_to_completion(&mut self) -> RunReport {
-        while !self.tracker.all_complete() && self.dg.round() < self.cfg.max_rounds {
-            self.step();
-        }
-        self.report()
+        self.run_until(|sim| sim.core.tracker.all_complete())
     }
 
     /// Runs until `pred(self)` is true (checked after each round) or
     /// `max_rounds` is hit.
     pub fn run_until<F: FnMut(&Self) -> bool>(&mut self, mut pred: F) -> RunReport {
-        while !pred(self) && self.dg.round() < self.cfg.max_rounds {
+        while !pred(self) && !self.core.capped() {
             self.step();
         }
         self.report()
     }
 
     /// Builds the report for the execution so far.
-    ///
-    /// Names are shared `Arc<str>`s captured at construction, so building a
-    /// report allocates no strings.
     pub fn report(&self) -> RunReport {
-        let mut report = RunReport::from_meters(
-            self.algorithm_name.clone(),
-            self.adversary_name.clone(),
-            self.nodes.len(),
-            self.tracker.token_count(),
-            self.dg.round(),
-            self.tracker.all_complete(),
-            &self.meter,
-            self.dg.meter(),
-            self.tracker.total_learnings(),
-        );
-        report.link_sends = self.link_sends;
-        report.profile = self.prof.as_ref().map(|p| Box::new(p.report()));
+        let mut report = self.core.report();
+        self.transport.stamp(&mut report);
         report
     }
 }

@@ -257,6 +257,10 @@ pub struct CompletenessLedger {
     informed: Vec<u64>,
     /// `S_v`: peers that announced completeness to us, word-packed.
     known_complete: Vec<u64>,
+    /// `|S_v|`, kept by [`Self::note_peer_complete`] and [`Self::reset`] so
+    /// the multi-source active-source scan asks `S_v ≠ ∅` per source
+    /// without reading the words.
+    complete_count: usize,
 }
 
 /// Sets bit `i`; returns `true` iff it was previously clear.
@@ -284,6 +288,7 @@ impl CompletenessLedger {
             n,
             informed: vec![0; n.div_ceil(64)],
             known_complete: vec![0; n.div_ceil(64)],
+            complete_count: 0,
         }
     }
 
@@ -291,7 +296,9 @@ impl CompletenessLedger {
     /// this was news (monotone: never unset).
     pub fn note_peer_complete(&mut self, u: NodeId) -> bool {
         debug_assert!(u.index() < self.n, "{u} out of range");
-        set_bit(&mut self.known_complete, u.index())
+        let news = set_bit(&mut self.known_complete, u.index());
+        self.complete_count += usize::from(news);
+        news
     }
 
     /// Whether `u` is known to be complete (`u ∈ S_v`).
@@ -302,7 +309,7 @@ impl CompletenessLedger {
 
     /// Whether any peer is known complete (`S_v ≠ ∅`).
     pub fn any_peer_complete(&self) -> bool {
-        self.known_complete.iter().any(|&w| w != 0)
+        self.complete_count > 0
     }
 
     /// The peers known complete, in increasing ID order.
@@ -351,6 +358,7 @@ impl CompletenessLedger {
     pub fn reset(&mut self) {
         self.informed.fill(0);
         self.known_complete.fill(0);
+        self.complete_count = 0;
     }
 }
 
@@ -505,6 +513,7 @@ mod tests {
         assert!(ledger.needs_inform(NodeId::new(1)));
         // A fresh incarnation re-earns the bits normally.
         assert!(ledger.note_peer_complete(NodeId::new(69)));
+        assert!(ledger.any_peer_complete());
     }
 
     #[test]

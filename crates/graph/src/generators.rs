@@ -52,8 +52,10 @@ fn random_tree_edges<R: Rng>(n: usize, rng: &mut R) -> Vec<Edge> {
 /// iterated, so the generators stay deterministic.
 type SeenEdges = std::collections::HashSet<Edge, std::hash::BuildHasherDefault<PairHasher>>;
 
-fn seen_edges(edges: &[Edge]) -> SeenEdges {
-    let mut seen = SeenEdges::with_capacity_and_hasher(2 * edges.len(), Default::default());
+/// `edges` as a set with room for `capacity` edges in all: the caller's
+/// bound on its final edge count, so filling up to it never rehashes.
+fn seen_edges(edges: &[Edge], capacity: usize) -> SeenEdges {
+    let mut seen = SeenEdges::with_capacity_and_hasher(capacity, Default::default());
     seen.extend(edges.iter().copied());
     seen
 }
@@ -109,9 +111,9 @@ pub fn random_connected_with_edges<R: Rng>(n: usize, target_edges: usize, rng: &
     // build once — the set is only ever probed, never iterated, so the
     // unordered container cannot leak nondeterminism into the result.
     let mut edges = random_tree_edges(n, rng);
-    let mut seen = seen_edges(&edges);
     let max_edges = n * (n - 1) / 2;
     let want = target_edges.clamp(edges.len(), max_edges);
+    let mut seen = seen_edges(&edges, want);
     let mut attempts = 0usize;
     let attempt_cap = 20 * max_edges + 100;
     while edges.len() < want && attempts < attempt_cap {
@@ -154,7 +156,8 @@ pub fn near_regular<R: Rng>(n: usize, d: usize, rng: &mut R) -> Graph {
     // state so the graph is built once in bulk at the end (a per-pair
     // `insert_edge` would shift the flat CSR arrays O(n + m) per edge).
     let mut deg = vec![2usize; n];
-    let mut seen = seen_edges(&edges);
+    // Only nodes below degree `d` are ever paired: at most n·d/2 edges.
+    let mut seen = seen_edges(&edges, n * d / 2);
     let mut stall = 0usize;
     while stall < 50 {
         let deficient: Vec<NodeId> = NodeId::all(n).filter(|&v| deg[v.index()] < d).collect();

@@ -37,7 +37,11 @@ use rand::{Rng, SeedableRng};
 /// messages total (Section 1).
 #[derive(Clone, Debug)]
 pub struct StaticAdversary {
-    graph: Graph,
+    /// `None` until the first round of a [`StaticAdversary::complete`]
+    /// adversary.
+    graph: Option<Graph>,
+    /// Node count of the complete graph built when `graph` is `None`.
+    n: usize,
 }
 
 impl StaticAdversary {
@@ -47,8 +51,18 @@ impl StaticAdversary {
     ///
     /// Panics if `graph` is not connected.
     pub fn new(graph: Graph) -> Self {
-        assert!(graph.is_connected(), "static topology must be connected");
-        StaticAdversary { graph }
+        StaticAdversary {
+            n: graph.node_count(),
+            graph: Some(checked(graph)),
+        }
+    }
+
+    /// The complete graph on `n` nodes for every round, built (and checked
+    /// like [`StaticAdversary::new`] checks) on the first round rather than
+    /// here: a default a caller replaces before running costs nothing, where
+    /// `K_n` itself is `n(n−1)/2` edges.
+    pub fn complete(n: usize) -> Self {
+        StaticAdversary { graph: None, n }
     }
 
     /// Samples a static topology from a family.
@@ -56,16 +70,27 @@ impl StaticAdversary {
         let mut rng = StdRng::seed_from_u64(seed);
         StaticAdversary::new(topology.sample(n, &mut rng))
     }
+
+    fn graph(&mut self) -> &Graph {
+        let n = self.n;
+        self.graph
+            .get_or_insert_with(|| checked(Graph::complete(n)))
+    }
+}
+
+fn checked(graph: Graph) -> Graph {
+    assert!(graph.is_connected(), "static topology must be connected");
+    graph
 }
 
 impl Adversary for StaticAdversary {
     fn graph_for_round(&mut self, _round: Round, _prev: &Graph) -> Graph {
-        self.graph.clone()
+        self.graph().clone()
     }
 
     fn evolve(&mut self, round: Round, _prev: &Graph) -> GraphUpdate {
         if round == 1 {
-            GraphUpdate::Full(self.graph.clone())
+            GraphUpdate::Full(self.graph().clone())
         } else {
             GraphUpdate::Unchanged
         }

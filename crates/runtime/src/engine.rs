@@ -3,7 +3,7 @@
 //!
 //! An [`EventProtocol`] node never sees a round barrier. It reacts to
 //! three stimuli — [`on_start`](EventProtocol::on_start) at time 0, one
-//! [`on_message`](EventProtocol::on_message) per consumed mailbox envelope,
+//! [`on_message`](EventProtocol::on_message) per delivered message copy,
 //! and [`on_timer`](EventProtocol::on_timer) for timers it armed itself —
 //! and may send messages or arm new timers from any of them through the
 //! [`EventCtx`]. The engine pops events from the seeded calendar queue in
@@ -28,7 +28,6 @@ use crate::byzantine::transcript::{AuditMsg, Direction, MsgSummary, Transcript};
 use crate::event::{EventQueue, VirtualTime};
 use crate::faults::{FaultPlan, RecoveryMode};
 use crate::link::LinkModel;
-use crate::mailbox::Mailbox;
 use dynspread_graph::adversary::Adversary;
 use dynspread_graph::{DynamicGraph, NodeId, Round};
 use dynspread_sim::message::MessageClass;
@@ -81,7 +80,7 @@ impl<M: Clone> EventCtx<'_, M> {
     }
 
     /// Queues a message to `to` (routed through the link model; it may be
-    /// dropped, delayed, or duplicated before reaching `to`'s mailbox).
+    /// dropped, delayed, or duplicated before reaching `to`).
     ///
     /// The edge is the channel: if `{me, to}` is not an edge of the
     /// current topology epoch when the send is made, there is no medium
@@ -227,7 +226,7 @@ pub trait EventProtocol {
     /// Called once per node at virtual time 0, in ascending node order.
     fn on_start(&mut self, ctx: &mut EventCtx<'_, Self::Msg>);
 
-    /// Called for each message copy consumed from this node's mailbox.
+    /// Called for each message copy delivered to this node.
     fn on_message(&mut self, from: NodeId, msg: &Self::Msg, ctx: &mut EventCtx<'_, Self::Msg>);
 
     /// Called when a timer armed via [`EventCtx::set_timer`] fires.
@@ -292,7 +291,7 @@ pub struct EventReport {
     pub unroutable: u64,
     /// Copies that survived the link and were scheduled.
     pub copies_scheduled: u64,
-    /// Copies consumed from mailboxes.
+    /// Copies handed to a live receiver's handler.
     pub copies_delivered: u64,
     /// Protocol-reported retransmissions (see
     /// [`EventCtx::note_retransmission`]).
@@ -346,7 +345,9 @@ enum Event<M> {
 /// The asynchronous discrete-event engine.
 ///
 /// One engine instance owns the nodes, the virtual clock, the event queue,
-/// the mailboxes, the link model, and the evolving topology.
+/// the link model, and the evolving topology. An arriving copy is handed to
+/// its receiver's handler by the event that delivers it; no per-node
+/// mailbox sits in between.
 pub struct EventSim<P: EventProtocol, A: Adversary, L: LinkModel> {
     nodes: Vec<P>,
     adversary: A,
@@ -354,7 +355,6 @@ pub struct EventSim<P: EventProtocol, A: Adversary, L: LinkModel> {
     dg: DynamicGraph,
     ticks_per_round: VirtualTime,
     queue: EventQueue<Event<P::Msg>>,
-    mailboxes: Vec<Mailbox<P::Msg>>,
     rng: StdRng,
     clock: VirtualTime,
     tracker: Option<TokenTracker>,
@@ -421,7 +421,6 @@ where
             dg: DynamicGraph::new(n),
             ticks_per_round,
             queue: EventQueue::new(),
-            mailboxes: (0..n).map(|_| Mailbox::with_capacity(4)).collect(),
             rng: StdRng::seed_from_u64(seed),
             clock: 0,
             tracker: None,
@@ -607,13 +606,11 @@ where
         &self.nodes[v.index()]
     }
 
-    /// Largest mailbox backlog observed on any node.
+    /// Largest mailbox backlog observed on any node. An arriving copy is
+    /// consumed by the same event that delivers it, so no node ever holds
+    /// more than one: 0 until the first delivery, 1 from then on.
     pub fn max_mailbox_high_water(&self) -> usize {
-        self.mailboxes
-            .iter()
-            .map(|m| m.high_water())
-            .max()
-            .unwrap_or(0)
+        usize::from(self.copies_delivered > 0)
     }
 
     /// Summarizes the execution so far as a [`RunReport`], the common
@@ -896,9 +893,6 @@ where
                     // property.)
                 }
                 Event::Deliver { to, from, msg } => {
-                    // Arrival goes through the mailbox, then is consumed.
-                    self.mailboxes[to.index()].deliver(self.clock, from, msg);
-                    let env = self.mailboxes[to.index()].pop().expect("just delivered");
                     self.copies_delivered += 1;
                     if let Some(summarize) = self.summarize {
                         // Logged at consumption, before any sends the
@@ -906,28 +900,21 @@ where
                         // its own acknowledgment in transcript order.
                         self.transcripts[to.index()].append(
                             Direction::Received,
-                            env.from,
+                            from,
                             self.clock,
-                            summarize(&env.msg),
+                            summarize(&msg),
                         );
                     }
                     emit(
                         &mut self.tracer,
                         TraceRecord::Delivered {
                             t: self.clock,
-                            from: env.from.value(),
+                            from: from.value(),
                             to: to.value(),
                         },
                     );
                     profile::lap(&mut self.prof, Phase::Delivery);
-                    self.dispatch(
-                        to,
-                        Event::Deliver {
-                            to,
-                            from: env.from,
-                            msg: env.msg,
-                        },
-                    );
+                    self.dispatch(to, Event::Deliver { to, from, msg });
                 }
                 Event::Timer { node, id, gen } => {
                     if self.down[node.index()] || gen != self.incarnation[node.index()] {
@@ -1028,7 +1015,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::PerfectLink;
+    use crate::link::{LinkModelExt, PerfectLink};
     use dynspread_graph::oblivious::StaticAdversary;
     use dynspread_graph::Graph;
 
@@ -1110,6 +1097,54 @@ mod tests {
         assert_eq!(&*report.algorithm, "blind");
         assert!(!report.completed, "no tracking ⇒ never reported complete");
         assert!(report.to_string().contains("1 unroutable"));
+    }
+
+    #[test]
+    fn mailbox_high_water_is_zero_until_a_delivery_is_consumed() {
+        let blind = |target| BlindSender {
+            target: NodeId::new(target),
+            received: 0,
+        };
+        // Everyone targets node 2, which crashes while the copies are in
+        // flight: 0 → 2 and 2 → 2 have no edge on the path, and 1 → 2 is
+        // scheduled but evaporates at the down receiver.
+        let mut sim = EventSim::new(
+            vec![blind(2), blind(2), blind(2)],
+            StaticAdversary::new(Graph::path(3)),
+            PerfectLink.with_latency(2),
+            1,
+            3,
+        );
+        sim.set_fault_plan(crate::faults::FaultPlan::none(3).plant(
+            NodeId::new(2),
+            crate::faults::NodeFault {
+                crash_at: 1,
+                recover_at: None,
+                mode: RecoveryMode::Amnesia,
+            },
+        ));
+        assert_eq!(sim.max_mailbox_high_water(), 0, "before run");
+        let report = sim.run(100);
+        assert_eq!(
+            (report.copies_scheduled, report.copies_delivered),
+            (1, 0),
+            "{report}"
+        );
+        assert_eq!(sim.max_mailbox_high_water(), 0, "nothing consumed");
+
+        // Every node floods node 0 in one tick: each copy is consumed as it
+        // arrives, so the backlog never exceeds one.
+        let mut sim = EventSim::new(
+            vec![blind(1), blind(0), blind(0), blind(0)],
+            StaticAdversary::new(Graph::star(4)),
+            PerfectLink,
+            1,
+            3,
+        );
+        assert_eq!(sim.max_mailbox_high_water(), 0, "before run");
+        let report = sim.run(100);
+        assert_eq!(report.copies_delivered, 4, "{report}");
+        assert_eq!(sim.max_mailbox_high_water(), 1);
     }
 
     /// Re-arms a 1-tick heartbeat forever, broadcasting on every beat.

@@ -12,7 +12,8 @@
 //!   queue ordered by `(time, scheduling order)`, so ties break
 //!   deterministically and executions are replay-identical from a seed;
 //! * per-node [`mailbox::Mailbox`]es decoupling message *arrival* from
-//!   *consumption*;
+//!   *consumption* where a round's delivery phase separates the two (the
+//!   synchronizers; the event engine consumes a copy as it arrives);
 //! * composable [`link::LinkModel`]s (fixed/seeded-random latency, drop
 //!   probability, duplication; reordering falls out of jitter), all drawing
 //!   from one seeded RNG stream.
@@ -79,7 +80,7 @@
 //! phase, and an atomic delivery phase. The runtime unbundles them. The
 //! topology commit becomes an *epoch* on the virtual clock (the adversary
 //! interfaces are reused unchanged); sends become events planned through a
-//! link model; delivery becomes mailbox arrival at a scheduled tick. The
+//! link model; delivery becomes arrival at a scheduled tick. The
 //! synchronous model is recovered exactly as the special case
 //! `latency = 0, loss = 0, duplication = 0` with all nodes activating at
 //! every tick — which is what the synchronizers run over a perfect link,

@@ -1,12 +1,11 @@
 //! Per-node mailboxes: the arrival side of the runtime.
 //!
-//! A delivery copy that survives its [`crate::link::LinkModel`] lands in
-//! the destination node's [`Mailbox`] at its scheduled virtual time; the
-//! executing engine later drains the mailbox and hands each envelope to
-//! the node's protocol. Decoupling *arrival* from *consumption* is what
-//! lets the same machinery serve both the synchronizer adapters (arrivals
-//! accumulate during a round, consumed at the round's delivery phase) and
-//! the event engine (consumed immediately after arrival).
+//! Under the synchronizers a delivery copy that survives its
+//! [`crate::link::LinkModel`] lands in the destination node's [`Mailbox`] at
+//! its scheduled round; arrivals accumulate there until that round's
+//! delivery phase drains the mailbox and hands each envelope to the node's
+//! protocol. The event engine has no such phase — the event that delivers a
+//! copy also dispatches it — so it keeps no mailboxes.
 
 use crate::event::VirtualTime;
 use dynspread_graph::NodeId;

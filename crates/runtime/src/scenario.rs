@@ -63,7 +63,7 @@ use dynspread_core::oblivious::{center_count, degree_threshold, source_threshold
 use dynspread_core::walk::elect_centers;
 use dynspread_graph::adversary::Adversary;
 use dynspread_graph::oblivious::StaticAdversary;
-use dynspread_graph::{Graph, NodeId};
+use dynspread_graph::NodeId;
 use dynspread_sim::token::{TokenAssignment, TokenId, TokenSet};
 use dynspread_sim::RunReport;
 use std::collections::BTreeSet;
@@ -72,7 +72,9 @@ use std::sync::Arc;
 /// Builder for one fully-configured asynchronous execution.
 ///
 /// See the [module docs](self) for the composition rules. The adversary
-/// and link default to a static complete graph over perfect links.
+/// and link default to a static complete graph over perfect links; the
+/// graph is built on the first topology epoch, so replacing it through
+/// [`Scenario::topology`] never pays for `K_n`.
 #[derive(Clone, Debug)]
 pub struct Scenario<A = StaticAdversary, L = PerfectLink> {
     adversary: A,
@@ -109,7 +111,7 @@ impl Scenario {
     pub fn from_assignment(assignment: TokenAssignment) -> Self {
         let n = assignment.node_count();
         Scenario {
-            adversary: StaticAdversary::new(Graph::complete(n)),
+            adversary: StaticAdversary::complete(n),
             link: PerfectLink,
             settings: Settings {
                 assignment,
@@ -1042,6 +1044,7 @@ mod tests {
     use crate::link::{DropLink, LinkModelExt};
     use dynspread_graph::generators::Topology;
     use dynspread_graph::oblivious::PeriodicRewiring;
+    use dynspread_graph::Graph;
 
     #[test]
     fn builder_defaults_run_to_completion() {

@@ -3,12 +3,13 @@
 //! and the whole composition must stay a pure function of its seeds.
 
 use dynspread_graph::generators::Topology;
-use dynspread_graph::oblivious::PeriodicRewiring;
-use dynspread_graph::NodeId;
+use dynspread_graph::oblivious::{PeriodicRewiring, StaticAdversary};
+use dynspread_graph::{Graph, NodeId};
 use dynspread_runtime::byzantine::{MisbehaviorKind, MisbehaviorPlan};
 use dynspread_runtime::faults::{FaultPlan, RecoveryMode};
-use dynspread_runtime::link::{DropLink, LinkModelExt};
+use dynspread_runtime::link::{DropLink, LinkModel, LinkModelExt};
 use dynspread_runtime::protocol::AsyncObliviousConfig;
+use dynspread_runtime::session::SessionSpec;
 use dynspread_runtime::trace::JsonlTracer;
 use dynspread_runtime::Scenario;
 use dynspread_sim::TokenAssignment;
@@ -140,4 +141,77 @@ fn neutral_plans_leave_the_two_phase_pipeline_byte_identical() {
     assert_eq!(format!("{bare:?}"), format!("{neutral:?}"));
     assert!(bare_trace.contains("\"phase\""), "phase boundary records");
     assert_eq!(bare_trace, neutral_trace);
+}
+
+/// Runs `scenario()` once on its default topology and once with the
+/// complete graph built up front and passed in: outcome `Debug` and JSONL
+/// trace must match byte for byte.
+fn assert_default_topology_is_the_complete_graph<L: LinkModel, O: std::fmt::Debug>(
+    n: usize,
+    scenario: impl Fn() -> Scenario<StaticAdversary, L>,
+    run: impl Fn(Scenario<StaticAdversary, L>) -> O,
+) {
+    let traced = |explicit: bool| {
+        let tracer = JsonlTracer::new();
+        let mut s = scenario().trace(tracer.clone());
+        if explicit {
+            s = s.topology(StaticAdversary::new(Graph::complete(n)));
+        }
+        (format!("{:?}", run(s)), tracer.take_jsonl())
+    };
+    let (default, default_trace) = traced(false);
+    let (explicit, explicit_trace) = traced(true);
+    assert!(default_trace.contains("\"deliver\""), "the run ran");
+    assert_eq!(default, explicit);
+    assert_eq!(default_trace, explicit_trace);
+}
+
+/// The default topology is built on its first epoch, not by the builder;
+/// a run over it is still the run over an explicit `K_n`, through every
+/// entry point that can keep the default.
+#[test]
+fn default_topology_equals_an_explicit_complete_graph() {
+    let n = 9usize;
+    let link = || DropLink::new(0.2).with_jitter(2);
+    assert_default_topology_is_the_complete_graph(
+        n,
+        || {
+            Scenario::from_assignment(TokenAssignment::single_source(n, 5, NodeId::new(2)))
+                .link(link())
+                .seed(3)
+        },
+        |s| {
+            let out = s.run_single_source();
+            assert!(out.completed, "{}", out.report);
+            out
+        },
+    );
+    assert_default_topology_is_the_complete_graph(
+        n,
+        || {
+            Scenario::from_assignment(TokenAssignment::round_robin_sources(n, 6, 3))
+                .link(link())
+                .seed(5)
+        },
+        |s| {
+            let out = s.run_multi_source();
+            assert!(out.completed, "{}", out.report);
+            out
+        },
+    );
+    assert_default_topology_is_the_complete_graph(
+        n,
+        || {
+            Scenario::new(n, 2)
+                .link(link())
+                .seed(7)
+                .session(SessionSpec::single_source("a", 0, n, 2, NodeId::new(0)))
+                .session(SessionSpec::single_source("b", 6, n, 3, NodeId::new(4)))
+        },
+        |s| {
+            let out = s.run_sessions();
+            assert_eq!(out.completed_sessions(), 2, "{}", out.report);
+            out
+        },
+    );
 }

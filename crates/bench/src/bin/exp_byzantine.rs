@@ -17,15 +17,17 @@
 //! The binary asserts auditor soundness on every cell (only planted
 //! nodes indicted; zero verdicts at fraction 0) — these are the repo's
 //! first Byzantine-resilience numbers, and they double as an end-to-end
-//! soundness sweep.
+//! soundness sweep. Every column is a pure function of the seeds: no wall
+//! time is recorded, so re-running the bin reproduces
+//! `BENCH_byzantine.json` byte for byte.
 //!
 //! Usage:
 //!   `cargo run --release -p dynspread-bench --bin exp_byzantine [--smoke] [OUT.json]`
 //!
 //! `--smoke` runs the fraction ∈ {0, 15%} columns only — the CI guard.
 //! Results go to `BENCH_byzantine.json` (default); `bench_check
-//! --byzantine` gates fresh runs against the committed baseline (wall
-//! times on matched cells, plus coverage/violations must not regress).
+//! --byzantine` demands that a fresh run equal the committed file on every
+//! column of every cell it shares with it.
 
 use dynspread_analysis::table::{fmt_f64, Table};
 use dynspread_bench::{derive_seed, gate_args, par_map, write_gate_json};
@@ -37,7 +39,6 @@ use dynspread_runtime::link::{DropLink, LinkModelExt};
 use dynspread_runtime::protocol::AsyncObliviousConfig;
 use dynspread_runtime::scenario::Scenario;
 use dynspread_sim::token::TokenAssignment;
-use std::time::Instant;
 
 const PROTOCOLS: [&str; 3] = [
     "async-single-source",
@@ -58,7 +59,6 @@ struct Cell {
     violations: u64,
     verdicts: u64,
     injected: u64,
-    wall_ns: u64,
 }
 
 fn plan_for(fraction: f64, kind: Option<MisbehaviorKind>, seed: u64) -> MisbehaviorPlan {
@@ -74,7 +74,6 @@ fn run_cell(
     kind: Option<MisbehaviorKind>,
     seed: u64,
 ) -> Cell {
-    let start = Instant::now();
     let plan = plan_for(fraction, kind, derive_seed(seed, 0xB12));
     let link = || DropLink::new(0.1).with_jitter(1);
     // Every cell: complete graph (phase 1 of the oblivious arm), 10% drop
@@ -154,7 +153,6 @@ fn run_cell(
         violations,
         verdicts,
         injected,
-        wall_ns: start.elapsed().as_nanos() as u64,
     }
 }
 
@@ -184,8 +182,7 @@ fn main() {
             // smoke grid is a subset of the full grid's fractions, and
             // bench_check matches cells on (protocol, fraction, kind) —
             // an index-derived seed would hand the "same" cell different
-            // executions in smoke vs full runs, making their wall times
-            // incomparable.
+            // executions in smoke vs full runs.
             let pct = (frac * 100.0) as u64;
             for (ki, kind) in kinds.into_iter().enumerate() {
                 let seed = derive_seed(base_seed, (pi as u64 * 101 + pct) * 16 + ki as u64);
@@ -196,7 +193,7 @@ fn main() {
     let cells = par_map(jobs, |(p, frac, kind, seed)| run_cell(p, frac, kind, seed));
 
     let mut table = Table::new(&[
-        "protocol", "byz %", "kind", "byz", "done", "coverage", "viol", "nodes", "inj", "wall ms",
+        "protocol", "byz %", "kind", "byz", "done", "coverage", "viol", "nodes", "inj",
     ]);
     let mut json_cells = Vec::new();
     for c in &cells {
@@ -210,10 +207,9 @@ fn main() {
             c.violations.to_string(),
             c.verdicts.to_string(),
             c.injected.to_string(),
-            fmt_f64(c.wall_ns as f64 / 1e6),
         ]);
         json_cells.push(format!(
-            "    {{\"protocol\": \"{}\", \"fraction_pct\": {}, \"kind\": \"{}\", \"byzantine_nodes\": {}, \"completed\": {}, \"coverage\": {:.4}, \"violations\": {}, \"verdicts\": {}, \"injected\": {}, \"wall_ms\": {:.1}}}",
+            "    {{\"protocol\": \"{}\", \"fraction_pct\": {}, \"kind\": \"{}\", \"byzantine_nodes\": {}, \"completed\": {}, \"coverage\": {:.4}, \"violations\": {}, \"verdicts\": {}, \"injected\": {}}}",
             c.protocol,
             c.fraction_pct,
             c.kind,
@@ -223,12 +219,11 @@ fn main() {
             c.violations,
             c.verdicts,
             c.injected,
-            c.wall_ns as f64 / 1e6,
         ));
     }
     println!("{}", table.render());
     println!("coverage = mean honest-node fraction of the token universe;");
     println!("viol/nodes = auditor verdicts (soundness asserted per cell).");
 
-    write_gate_json(&out_path, ("n", N), smoke, &json_cells);
+    write_gate_json(&out_path, &[("n", N.to_string())], smoke, &json_cells);
 }

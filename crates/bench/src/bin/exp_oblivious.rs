@@ -22,7 +22,7 @@ fn main() {
     let n = 40usize;
     let nf = n as f64;
     println!("Theorem 3.8 reproduction: oblivious two-phase algorithm, n = {n}, s = min(k, n)");
-    println!("(log factors dropped at laptop scale; see DESIGN.md)\n");
+    println!("(log factors dropped at laptop scale; see table1.rs's module doc)\n");
 
     let ks = [n / 2, n, 2 * n, 4 * n, 8 * n];
     let mut table = Table::new(&[

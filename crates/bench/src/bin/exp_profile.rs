@@ -233,5 +233,5 @@ fn main() {
         print!("{profile}");
     }
 
-    write_gate_json(&out_path, ("k", k), smoke, &json_cells);
+    write_gate_json(&out_path, &[("k", k.to_string())], smoke, &json_cells);
 }

@@ -23,23 +23,28 @@
 //!   tree-sparse `n`; the deadline fallback guarantees the cell
 //!   terminates even when some walks don't converge.
 //!
-//! Every cell is one seeded end-to-end run through `par_map` (parallel
-//! output is byte-identical to serial; `DYNSPREAD_THREADS=1` to check).
-//! Results go to `BENCH_runtime.json` — ns/round and ns/event at each
-//! `n` — alongside `BENCH_core.json`, so the perf trajectory has scale
-//! points. `crates/runtime/README.md` explains how to read the file.
+//! Every cell is one seeded end-to-end run through `par_map`. Results go
+//! to `BENCH_runtime.json`: per cell the counts (`completed`, `rounds`,
+//! `events` — pure functions of the seeds, identical whatever
+//! `DYNSPREAD_THREADS` says) and three timing fields (`wall_ms`,
+//! `ns_per_round`, `ns_per_event`) that are printed and recorded for
+//! orientation and never compared; the file's `recorded` header says which
+//! commit and how many cores produced them. Speed claims go through
+//! `benchmark/` parent/change pairs instead. `crates/runtime/README.md`
+//! explains how to read the file.
 //!
 //! Usage:
 //!   `cargo run --release -p dynspread-bench --bin exp_scale [--smoke] [OUT.json]`
 //!
 //! `--smoke` runs only the smallest grid column (`n = 1024`) — the CI
 //! guard that keeps the scale path building and running on every PR, and
-//! the fresh side of the `bench_check` perf-regression gate.
+//! the fresh side of `bench_check --runtime`, which demands that its
+//! counts equal the committed file's.
 
 use dynspread_analysis::table::{fmt_f64, Table};
 use dynspread_bench::{
     default_adversary, derive_seed, gate_args, par_map, run_multi_source, run_phased_flooding_cfg,
-    run_single_source, write_gate_json,
+    run_single_source, worker_count, write_gate_json,
 };
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
@@ -175,6 +180,23 @@ fn run_cell(protocol: &'static str, n: usize, k: usize, seed: u64) -> Cell {
     }
 }
 
+/// Where the timing fields come from, as a JSON object: the checked-out
+/// commit (`-dirty` when the tree has uncommitted changes on top of it,
+/// `unknown` outside a git checkout) and the cores the grid ran across.
+fn recorded_on() -> String {
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or("unknown".to_string(), |s| s.trim().to_string());
+    format!(
+        "{{\"commit\": \"{commit}\", \"cores\": {}}}",
+        worker_count()
+    )
+}
+
 fn main() {
     let (smoke, out_path) = gate_args("BENCH_runtime.json");
     let sizes: &[usize] = if smoke {
@@ -245,5 +267,6 @@ fn main() {
 
     // Top-level k is the grid default; each cell records the k it
     // actually ran with (the async-oblivious arm overrides it).
-    write_gate_json(&out_path, ("k", k), smoke, &json_cells);
+    let header = [("k", k.to_string()), ("recorded", recorded_on())];
+    write_gate_json(&out_path, &header, smoke, &json_cells);
 }

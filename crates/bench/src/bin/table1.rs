@@ -12,7 +12,8 @@
 //!
 //! i.e. amortized = `O(n^{5/2} log^{5/4} n / k^{3/4})`: messages per token
 //! *decrease* with exponent −3/4 in `k`. At laptop scale the polylog
-//! factors and thresholds exceed `n`, so (as documented in DESIGN.md) the
+//! factors and thresholds exceed `n` (the reproduction notes in
+//! `dynspread_core::oblivious` say why its config has overrides), so the
 //! harness uses the same formulas with the log factors dropped
 //! (`threshold = n^{2/3}`, `f = √n·k^{1/4}` capped at `n/2`) and checks the
 //! **shape**: the measured amortized-vs-k exponent and the crossover
@@ -33,7 +34,7 @@ fn main() {
         .unwrap_or(48);
     let seed = 42u64;
     println!("Table 1 reproduction: n = {n}, seed = {seed}");
-    println!("(log factors dropped at laptop scale; see DESIGN.md)\n");
+    println!("(log factors dropped at laptop scale; see table1.rs's module doc)\n");
 
     let nf = n as f64;
     let rows: Vec<(&str, usize)> = vec![
@@ -107,6 +108,6 @@ fn main() {
     );
     println!(
         "shape check: amortized cost should fall with k and undercut plain \
-         multi-source for large s — see EXPERIMENTS.md (T1) for recorded values"
+         multi-source for large s (this binary's module doc has the paper's table)"
     );
 }

@@ -1,28 +1,22 @@
-//! Perf-regression checking for the committed bench baselines.
+//! The exact behaviour gate over the committed `BENCH_*.json` baselines.
 //!
-//! The perf artifacts (`BENCH_runtime.json` from `exp_scale`,
-//! `BENCH_core.json` from `bench_core`) were, until PR 5, write-only:
-//! CI regenerated them but compared them against nothing, so a scheduler
-//! or data-plane regression could land silently. This module is the read
-//! side: a dependency-free JSON parser (the workspace is offline — no
-//! serde) plus the delta computation the `bench_check` binary uses to
-//! gate CI, comparing a freshly measured run against the committed
-//! baseline with a generous tolerance that absorbs runner noise.
+//! Everything the paper states is a count, and for a fixed seed this
+//! simulator reproduces every count exactly — so the regression gate is
+//! *equality*. `exp_scale`, `exp_byzantine`, `exp_faults` and
+//! `exp_sessions` each write `{…, "cells": [ … ]}`; [`compare_cells`]
+//! matches every fresh cell to its committed twin on the key fields of the
+//! family's [`CellSpec`] ([`RUNTIME`], [`BYZANTINE`], [`FAULTS`],
+//! [`SESSIONS`]) and demands that every other field be equal, apart from
+//! the spec's declared timing fields. A fresh `--smoke` run covers a subset
+//! of the committed full grid, so committed cells without a fresh twin are
+//! ignored; a fresh cell without a committed twin is an error.
 //!
-//! What is compared:
+//! Wall time is not gated here: one unpaired sample against a number
+//! recorded on another machine says nothing. Speed is claimed through
+//! alternating parent/change pairs of `benchmark/` (see its README). A
+//! baseline is refreshed by re-running its `exp_*` bin.
 //!
-//! * **grid artifacts** — `exp_scale`, `exp_byzantine`, `exp_faults` and
-//!   `exp_sessions` all write `{…, "cells": [ … ]}`; [`cell_deltas`]
-//!   matches fresh cells to baseline cells on the key fields of the
-//!   family's [`CellSpec`] ([`RUNTIME`], [`BYZANTINE`], [`FAULTS`],
-//!   [`SESSIONS`]) and compares the spec's metrics. A fresh smoke run
-//!   covers a subset of the committed full grid; extra baseline cells
-//!   are ignored, but a family with no matching cell at all is an error;
-//! * **core microbenches** — the delta-data-plane costs
-//!   (`advance_connectivity*` per-round nanoseconds) and the end-to-end
-//!   `flooding`/`single_source` per-round costs. Baseline-vs-delta
-//!   *speedups* are deliberately not gated: both sides move with the
-//!   runner, so the ratio is noisier than the absolute delta cost.
+//! The parser is dependency-free (the workspace is offline — no serde).
 
 use std::fmt;
 
@@ -64,7 +58,7 @@ impl Json {
     /// Object field lookup (`None` for non-objects and missing keys).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Obj(fields) => field(fields, key),
             _ => None,
         }
     }
@@ -92,6 +86,11 @@ impl Json {
             _ => None,
         }
     }
+}
+
+/// The value of an object's field `key`, if it has one.
+fn field<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
+    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -233,236 +232,190 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
         .ok_or_else(|| format!("invalid number at byte {start}"))
 }
 
-/// One compared metric: a baseline value and its fresh measurement.
-#[derive(Clone, Debug)]
-pub struct Delta {
-    /// Human-readable metric key, e.g. `flooding/1024 ns_per_round`.
-    pub key: String,
-    /// The committed baseline value.
-    pub baseline: f64,
-    /// The freshly measured value.
-    pub fresh: f64,
-}
-
-impl Delta {
-    /// Relative change: `(fresh − baseline) / baseline`.
-    pub fn relative(&self) -> f64 {
-        if self.baseline > 0.0 {
-            (self.fresh - self.baseline) / self.baseline
-        } else {
-            0.0
-        }
-    }
-
-    /// Whether the fresh value regressed beyond the tolerance (e.g.
-    /// `0.30` = 30% slower than the baseline).
-    pub fn regressed(&self, tolerance: f64) -> bool {
-        self.baseline > 0.0 && self.fresh > self.baseline * (1.0 + tolerance)
-    }
-}
-
-impl fmt::Display for Delta {
+impl fmt::Display for Json {
+    /// Compact JSON, for naming cells and values in gate messages.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:<44} {:>12.0} {:>12.0} {:>+8.1}%",
-            self.key,
-            self.baseline,
-            self.fresh,
-            self.relative() * 100.0
-        )
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(x) => write!(f, "{x}"),
+            Json::Str(s) => write!(f, "{s:?}"),
+            Json::Arr(items) => {
+                let items: Vec<String> = items.iter().map(Json::to_string).collect();
+                write!(f, "[{}]", items.join(", "))
+            }
+            Json::Obj(fields) => {
+                let fields: Vec<String> =
+                    fields.iter().map(|(k, v)| format!("{k:?}: {v}")).collect();
+                write!(f, "{{{}}}", fields.join(", "))
+            }
+        }
     }
 }
 
 /// How one family of grid artifacts is compared: which fields identify a
-/// cell, how its metric keys are labelled, and which metrics sit behind
-/// the wall floor.
+/// cell and which are wall-clock readings. Every other field is a pure
+/// function of the seeds and must be equal.
 #[derive(Debug)]
 pub struct CellSpec {
-    /// The family's name in error messages (`bench_check`'s flag without
-    /// the dashes).
+    /// The family's name: `bench_check`'s flag without the dashes, and the
+    /// `BENCH_<family>.json` it gates.
     pub family: &'static str,
-    /// Text that opens every metric key of the family.
-    pub prefix: &'static str,
-    /// The fields a cell is matched on, in label order, each with the
-    /// text that follows its value in the label. Strings match as they
-    /// are, numbers as integers.
-    pub key: &'static [(&'static str, &'static str)],
-    /// Metrics compared on every matched cell. These are *virtual* —
-    /// pure functions of the seeds, identical on every replay of
-    /// unchanged code — so any drift is a behavioral change, not runner
-    /// noise.
-    pub floor_free: &'static [&'static str],
-    /// Wall-clock metrics, compared only when the *baseline* cell's
-    /// `wall_ms` is at least the floor (or absent): a single sub-50 ms
-    /// run jitters far past any reasonable tolerance on a shared CI
-    /// runner, so tiny cells would make the gate cry wolf.
-    pub floored: &'static [&'static str],
+    /// The fields a cell is matched on, compared as JSON values.
+    pub key: &'static [&'static str],
+    /// Timing fields: recorded and printed, never compared.
+    pub timing: &'static [&'static str],
 }
 
 /// `BENCH_runtime.json` (`exp_scale`): cells match on `(protocol, n)` —
 /// a fresh `--smoke` run has only the `n = 1024` column of the committed
-/// full grid.
+/// full grid. The only family that records wall time.
 pub const RUNTIME: CellSpec = CellSpec {
     family: "runtime",
-    prefix: "",
-    key: &[("protocol", "/"), ("n", "")],
-    floor_free: &[],
-    floored: &["ns_per_round", "ns_per_event"],
+    key: &["protocol", "n"],
+    timing: &["wall_ms", "ns_per_round", "ns_per_event"],
 };
 
 /// `BENCH_byzantine.json` (`exp_byzantine`): cells match on
-/// `(protocol, fraction_pct, kind)`. Most of the `n = 24` grid sits
-/// under the wall floor and stays ungated.
+/// `(protocol, fraction_pct, kind)`.
 pub const BYZANTINE: CellSpec = CellSpec {
     family: "byzantine",
-    prefix: "byz ",
-    key: &[("protocol", "/"), ("fraction_pct", "%/"), ("kind", "")],
-    floor_free: &[],
-    floored: &["wall_ms"],
+    key: &["protocol", "fraction_pct", "kind"],
+    timing: &[],
 };
 
 /// `BENCH_faults.json` (`exp_faults`): cells match on
 /// `(protocol, crash_pct, episodes)`. The recovery delay is not part of
-/// the key: the swept grid never reuses a `(crash %, episodes)` pair
-/// with two delays, so the shorter key keeps a delay re-tune from
-/// orphaning every baseline cell.
+/// the key — the swept grid never reuses a `(crash %, episodes)` pair
+/// with two delays — so it is compared like any other column.
 pub const FAULTS: CellSpec = CellSpec {
     family: "faults",
-    prefix: "faults ",
-    key: &[("protocol", "/"), ("crash_pct", "%/"), ("episodes", "ep")],
-    floor_free: &[],
-    floored: &["wall_ms"],
+    key: &["protocol", "crash_pct", "episodes"],
+    timing: &[],
 };
 
 /// `BENCH_sessions.json` (`exp_sessions`): cells match on
-/// `(sessions, k, spacing)`. Most of what the session grid measures is
-/// virtual — per-session latency percentiles and the aggregate envelope
-/// load — so those are gated with no floor; on a healthy PR they are
-/// exactly 0%.
+/// `(sessions, k, spacing)`.
 pub const SESSIONS: CellSpec = CellSpec {
     family: "sessions",
-    prefix: "sessions ",
-    key: &[("sessions", "x"), ("k", "/"), ("spacing", "")],
-    floor_free: &["p95_latency", "messages"],
-    floored: &["wall_ms"],
+    key: &["sessions", "k", "spacing"],
+    timing: &[],
 };
 
-/// Pairs up the `cells` of two artifacts of one family by the spec's key
-/// and returns, for every fresh cell that has a baseline cell, the
-/// deltas of the spec's metrics present on both sides: the floor-free
-/// ones, then — unless the baseline cell's `wall_ms` is under
-/// `min_wall_ms` (pass `0.0` to gate everything) — the floored ones.
-/// Baseline cells the fresh run lacks, and fresh cells the baseline
-/// lacks, are ignored.
+/// What one family's comparison covered.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Compared {
+    /// Fresh cells, each matched to its committed twin.
+    pub cells: usize,
+    /// Fields compared over those cells (none of them a key or timing
+    /// field).
+    pub values: usize,
+}
+
+/// Compares the `cells` of a fresh artifact against the committed one of
+/// the same family: every fresh cell must have a committed cell with equal
+/// key fields, and the two must agree on every field that is neither a key
+/// nor a timing field of `spec`. Committed cells the fresh run lacks are
+/// ignored.
 ///
 /// # Errors
 ///
-/// Fails when *no* fresh cell has a baseline cell: a renamed key field
-/// or a re-tuned grid has orphaned the whole family, and skipping it
-/// would leave the gate green while comparing nothing.
-pub fn cell_deltas(
-    spec: &CellSpec,
-    baseline: &Json,
-    fresh: &Json,
-    min_wall_ms: f64,
-) -> Result<Vec<Delta>, String> {
-    let base_cells = keyed_cells(spec, baseline);
-    let mut matched = 0usize;
-    let mut deltas = Vec::new();
-    for (key, fc) in keyed_cells(spec, fresh) {
-        let Some((_, bc)) = base_cells.iter().find(|(bk, _)| *bk == key) else {
+/// One line per defect, each naming the family and the cell: an artifact
+/// without a `cells` array, a cell that lacks a key field or repeats
+/// another's key, a fresh cell with no committed twin, and every column
+/// whose committed and fresh values differ (or that only one side has).
+pub fn compare_cells(spec: &CellSpec, committed: &Json, fresh: &Json) -> Result<Compared, String> {
+    let committed = keyed_cells(spec, "committed", committed)?;
+    let fresh = keyed_cells(spec, "fresh", fresh)?;
+    let family = spec.family;
+    let mut values = 0usize;
+    let mut defects = Vec::new();
+    for (key, cell) in &fresh {
+        let label = render_key(spec, key);
+        let Some((_, twin)) = committed.iter().find(|(k, _)| k == key) else {
+            defects.push(format!(
+                "{family} [{label}]: fresh cell has no committed twin"
+            ));
             continue;
         };
-        matched += 1;
-        let label: String = spec
-            .key
-            .iter()
-            .zip(&key)
-            .map(|((_, after), value)| format!("{value}{after}"))
-            .collect();
-        let base_wall = bc.get("wall_ms").and_then(Json::as_f64).unwrap_or(f64::MAX);
-        let floored: &[&str] = if base_wall < min_wall_ms {
-            &[] // too small to measure reliably in one run
-        } else {
-            spec.floored
-        };
-        for metric in spec.floor_free.iter().chain(floored) {
-            if let (Some(b), Some(f)) = (
-                bc.get(metric).and_then(Json::as_f64),
-                fc.get(metric).and_then(Json::as_f64),
-            ) {
-                deltas.push(Delta {
-                    key: format!("{}{label} {metric}", spec.prefix),
-                    baseline: b,
-                    fresh: f,
-                });
+        // The committed cell's columns in file order, then any column only
+        // the fresh cell has.
+        let only_fresh = cell.iter().filter(|(name, _)| field(twin, name).is_none());
+        for (name, _) in twin.iter().chain(only_fresh) {
+            if spec.key.contains(&name.as_str()) || spec.timing.contains(&name.as_str()) {
+                continue;
+            }
+            values += 1;
+            let (was, is) = (field(twin, name), field(cell, name));
+            if was != is {
+                let show = |v: Option<&Json>| v.map_or("absent".to_string(), Json::to_string);
+                defects.push(format!(
+                    "{family} [{label}] {name}: committed {}, fresh {}",
+                    show(was),
+                    show(is)
+                ));
             }
         }
     }
-    if matched == 0 {
-        return Err(format!(
-            "family {}: 0 comparable cells — no fresh cell matches a baseline cell on ({})",
-            spec.family,
-            spec.key
-                .iter()
-                .map(|(field, _)| *field)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-    }
-    Ok(deltas)
-}
-
-/// The artifact's cells with their keys under `spec`, each key field
-/// rendered as it appears in metric labels; cells with a key field
-/// missing, or neither string nor number, are left out.
-fn keyed_cells<'a>(spec: &CellSpec, doc: &'a Json) -> Vec<(Vec<String>, &'a Json)> {
-    let cells = doc.get("cells").and_then(Json::as_array).unwrap_or(&[]);
-    cells
-        .iter()
-        .filter_map(|cell| {
-            let key = spec
-                .key
-                .iter()
-                .map(|(field, _)| match cell.get(field)? {
-                    Json::Str(s) => Some(s.clone()),
-                    Json::Num(x) => Some((*x as u64).to_string()),
-                    _ => None,
-                })
-                .collect::<Option<Vec<String>>>()?;
-            Some((key, cell))
+    if defects.is_empty() {
+        Ok(Compared {
+            cells: fresh.len(),
+            values,
         })
-        .collect()
+    } else {
+        Err(defects.join("\n"))
+    }
 }
 
-/// The `BENCH_core.json` metrics the gate compares: the live data plane's
-/// absolute per-round costs (speedup ratios are deliberately ungated).
-pub fn core_deltas(baseline: &Json, fresh: &Json) -> Vec<Delta> {
-    let paths: [&[&str]; 4] = [
-        &["advance_connectivity_delta_ns_per_round"],
-        &["advance_connectivity_4096", "delta_ns_per_round"],
-        &["flooding", "ns_per_round"],
-        &["single_source", "ns_per_round"],
-    ];
-    let lookup = |doc: &Json, path: &[&str]| -> Option<f64> {
-        let mut cur = doc;
-        for key in path {
-            cur = cur.get(key)?;
+/// A cell's key-field values under its spec, and its fields.
+type KeyedCell<'a> = (Vec<&'a Json>, &'a [(String, Json)]);
+
+/// The artifact's cells with their keys under `spec`; `side` says which
+/// artifact it is in error messages.
+fn keyed_cells<'a>(
+    spec: &CellSpec,
+    side: &str,
+    doc: &'a Json,
+) -> Result<Vec<KeyedCell<'a>>, String> {
+    let family = spec.family;
+    let cells = doc
+        .get("cells")
+        .and_then(Json::as_array)
+        .ok_or_else(|| format!("{family}: {side} artifact has no \"cells\" array"))?;
+    let mut keyed: Vec<KeyedCell<'a>> = Vec::with_capacity(cells.len());
+    for cell in cells {
+        let Json::Obj(fields) = cell else {
+            return Err(format!("{family}: {side} cell {cell} is not an object"));
+        };
+        let key = spec
+            .key
+            .iter()
+            .map(|field| {
+                cell.get(field).ok_or_else(|| {
+                    format!("{family}: {side} cell {cell} lacks key field {field:?}")
+                })
+            })
+            .collect::<Result<Vec<&Json>, String>>()?;
+        if keyed.iter().any(|(k, _)| *k == key) {
+            return Err(format!(
+                "{family} [{}]: {side} artifact has this cell twice",
+                render_key(spec, &key)
+            ));
         }
-        cur.as_f64()
-    };
-    let mut deltas = Vec::new();
-    for path in paths {
-        if let (Some(b), Some(f)) = (lookup(baseline, path), lookup(fresh, path)) {
-            deltas.push(Delta {
-                key: format!("core {}", path.join(".")),
-                baseline: b,
-                fresh: f,
-            });
-        }
+        keyed.push((key, fields));
     }
-    deltas
+    Ok(keyed)
+}
+
+/// `protocol="flooding" n=1024`: the cell's name in gate messages.
+fn render_key(spec: &CellSpec, key: &[&Json]) -> String {
+    let parts: Vec<String> = spec
+        .key
+        .iter()
+        .zip(key)
+        .map(|(field, value)| format!("{field}={value}"))
+        .collect();
+    parts.join(" ")
 }
 
 #[cfg(test)]
@@ -512,238 +465,117 @@ mod tests {
         assert_eq!(doc.get("y"), Some(&Json::Null));
     }
 
-    fn grid(cells: &[(&str, u64, f64, f64)]) -> Json {
-        Json::Obj(vec![(
-            "cells".into(),
-            Json::Arr(
-                cells
-                    .iter()
-                    .map(|&(p, n, round, event)| {
-                        Json::Obj(vec![
-                            ("protocol".into(), Json::Str(p.into())),
-                            ("n".into(), Json::Num(n as f64)),
-                            ("ns_per_round".into(), Json::Num(round)),
-                            ("ns_per_event".into(), Json::Num(event)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )])
+    /// An artifact with the given cells, each the inside of a JSON object.
+    fn grid(cells: &[&str]) -> Json {
+        let cells: Vec<String> = cells.iter().map(|c| format!("{{{c}}}")).collect();
+        Json::parse(&format!(r#"{{"cells": [{}]}}"#, cells.join(", "))).expect("parses")
     }
 
-    #[test]
-    fn runtime_deltas_match_on_protocol_and_n() {
-        // Baseline: full grid. Fresh: smoke (1024 only) + a new protocol
-        // absent from the baseline (ignored).
-        let baseline = grid(&[
-            ("flooding", 1024, 100.0, 10.0),
-            ("flooding", 2048, 200.0, 20.0),
-            ("single-source", 1024, 50.0, 5.0),
-        ]);
-        let fresh = grid(&[
-            ("flooding", 1024, 120.0, 9.0),
-            ("brand-new", 1024, 1.0, 1.0),
-        ]);
-        let deltas = cell_deltas(&RUNTIME, &baseline, &fresh, 0.0).unwrap();
-        assert_eq!(deltas.len(), 2, "one matched cell, two metrics");
-        assert_eq!(deltas[0].key, "flooding/1024 ns_per_round");
-        assert!(deltas[0].regressed(0.15), "+20% beats a 15% tolerance");
-        assert!(!deltas[0].regressed(0.30), "+20% is inside a 30% tolerance");
-        assert!(!deltas[1].regressed(0.0), "ns_per_event improved");
-    }
+    const OBLIVIOUS: &str = r#""protocol": "async-oblivious", "crash_pct": 20, "episodes": 1, "completed": true, "events": 5048"#;
+    const SINGLE: &str = r#""protocol": "async-single-source", "crash_pct": 20, "episodes": 1, "completed": true, "events": 900"#;
 
     #[test]
-    fn runtime_deltas_skip_cells_below_the_wall_floor() {
-        let cell = |p: &str, wall_ms: f64| {
-            Json::Obj(vec![
-                ("protocol".into(), Json::Str(p.into())),
-                ("n".into(), Json::Num(1024.0)),
-                ("wall_ms".into(), Json::Num(wall_ms)),
-                ("ns_per_round".into(), Json::Num(100.0)),
-                ("ns_per_event".into(), Json::Num(10.0)),
-            ])
-        };
-        let doc = |cells: Vec<Json>| Json::Obj(vec![("cells".into(), Json::Arr(cells))]);
-        let baseline = doc(vec![cell("tiny", 12.0), cell("big", 500.0)]);
-        let fresh = doc(vec![cell("tiny", 9.0), cell("big", 480.0)]);
-        // Floor 40 ms: the 12 ms baseline cell is too jittery to gate.
-        let deltas = cell_deltas(&RUNTIME, &baseline, &fresh, 40.0).unwrap();
-        assert_eq!(deltas.len(), 2);
-        assert!(deltas.iter().all(|d| d.key.starts_with("big/")));
-        // Floor 0: everything is gated; missing wall_ms means "gate it".
+    fn a_smoke_subset_equal_on_every_column_passes() {
+        let full_only =
+            r#""protocol": "async-oblivious", "crash_pct": 10, "episodes": 1, "events": 4000"#;
+        let committed = grid(&[OBLIVIOUS, full_only, SINGLE]);
+        let compared = compare_cells(&FAULTS, &committed, &grid(&[SINGLE, OBLIVIOUS]));
+        // completed + events on each of the two fresh cells
         assert_eq!(
-            cell_deltas(&RUNTIME, &baseline, &fresh, 0.0).unwrap().len(),
-            4
+            compared,
+            Ok(Compared {
+                cells: 2,
+                values: 4
+            })
         );
     }
 
     #[test]
-    fn core_deltas_follow_nested_paths_and_tolerate_missing() {
-        let baseline = Json::parse(
-            r#"{"advance_connectivity_delta_ns_per_round": 8000,
-                "advance_connectivity_4096": {"delta_ns_per_round": 90000},
-                "flooding": {"ns_per_round": 1500}}"#,
-        )
-        .unwrap();
-        let fresh = Json::parse(
-            r#"{"advance_connectivity_delta_ns_per_round": 9000,
-                "advance_connectivity_4096": {"delta_ns_per_round": 80000},
-                "flooding": {"ns_per_round": 1500},
-                "single_source": {"ns_per_round": 6000}}"#,
-        )
-        .unwrap();
-        let deltas = core_deltas(&baseline, &fresh);
-        // single_source is missing from the baseline → 3 comparable keys.
-        assert_eq!(deltas.len(), 3);
-        assert!((deltas[0].relative() - 0.125).abs() < 1e-9);
-        assert!(deltas[0].regressed(0.10));
+    fn an_off_by_one_names_family_cell_column_and_both_values() {
+        let fresh = grid(&[&OBLIVIOUS.replace("5048", "5049"), SINGLE]);
+        let err = compare_cells(&FAULTS, &grid(&[OBLIVIOUS, SINGLE]), &fresh).unwrap_err();
+        assert_eq!(
+            err,
+            "faults [protocol=\"async-oblivious\" crash_pct=20 episodes=1] events: \
+             committed 5048, fresh 5049"
+        );
+    }
+
+    #[test]
+    fn a_column_only_one_side_has_is_a_mismatch() {
+        let (without, with) = (
+            grid(&[OBLIVIOUS]),
+            grid(&[&format!(r#"{OBLIVIOUS}, "wall_ms": 3.5"#)]),
+        );
+        let err = compare_cells(&FAULTS, &without, &with).unwrap_err();
         assert!(
-            !deltas[1].regressed(0.10),
-            "improvement is never a regression"
+            err.ends_with("wall_ms: committed absent, fresh 3.5"),
+            "{err}"
+        );
+        let err = compare_cells(&FAULTS, &with, &without).unwrap_err();
+        assert!(
+            err.ends_with("wall_ms: committed 3.5, fresh absent"),
+            "{err}"
         );
     }
 
     #[test]
-    fn byzantine_deltas_match_on_protocol_fraction_and_kind() {
-        let cell = |p: &str, pct: f64, kind: &str, wall: f64| {
-            Json::Obj(vec![
-                ("protocol".into(), Json::Str(p.into())),
-                ("fraction_pct".into(), Json::Num(pct)),
-                ("kind".into(), Json::Str(kind.into())),
-                ("wall_ms".into(), Json::Num(wall)),
-            ])
-        };
-        let doc = |cells: Vec<Json>| Json::Obj(vec![("cells".into(), Json::Arr(cells))]);
-        let baseline = doc(vec![
-            cell("async-oblivious", 15.0, "drop-acks", 80.0),
-            cell("async-oblivious", 15.0, "seq-replay", 8.0),
-        ]);
-        let fresh = doc(vec![
-            cell("async-oblivious", 15.0, "drop-acks", 100.0),
-            cell("async-oblivious", 15.0, "seq-replay", 9.0),
-            cell("async-oblivious", 30.0, "drop-acks", 50.0), // no baseline
-        ]);
-        let deltas = cell_deltas(&BYZANTINE, &baseline, &fresh, 40.0).unwrap();
-        assert_eq!(deltas.len(), 1, "sub-floor and unmatched cells skipped");
-        assert_eq!(deltas[0].key, "byz async-oblivious/15%/drop-acks wall_ms");
-        assert!(deltas[0].regressed(0.20), "+25% beats a 20% tolerance");
+    fn a_fresh_cell_without_a_committed_twin_is_an_error() {
+        let fresh = grid(&[OBLIVIOUS, &OBLIVIOUS.replace("20", "25")]);
+        let err = compare_cells(&FAULTS, &grid(&[OBLIVIOUS]), &fresh).unwrap_err();
         assert_eq!(
-            cell_deltas(&BYZANTINE, &baseline, &fresh, 0.0)
-                .unwrap()
-                .len(),
-            2
+            err,
+            "faults [protocol=\"async-oblivious\" crash_pct=25 episodes=1]: \
+             fresh cell has no committed twin"
         );
     }
 
     #[test]
-    fn faults_deltas_match_on_protocol_crash_pct_and_episodes() {
-        let cell = |p: &str, pct: f64, eps: f64, wall: f64| {
-            Json::Obj(vec![
-                ("protocol".into(), Json::Str(p.into())),
-                ("crash_pct".into(), Json::Num(pct)),
-                ("episodes".into(), Json::Num(eps)),
-                ("wall_ms".into(), Json::Num(wall)),
-            ])
-        };
-        let doc = |cells: Vec<Json>| Json::Obj(vec![("cells".into(), Json::Arr(cells))]);
-        let baseline = doc(vec![
-            cell("async-oblivious", 20.0, 1.0, 90.0),
-            cell("async-single-source", 20.0, 1.0, 6.0),
-        ]);
-        let fresh = doc(vec![
-            cell("async-oblivious", 20.0, 1.0, 120.0),
-            cell("async-single-source", 20.0, 1.0, 7.0),
-            cell("async-oblivious", 10.0, 0.0, 70.0), // no baseline
-        ]);
-        let deltas = cell_deltas(&FAULTS, &baseline, &fresh, 40.0).unwrap();
-        assert_eq!(deltas.len(), 1, "sub-floor and unmatched cells skipped");
-        assert_eq!(deltas[0].key, "faults async-oblivious/20%/1ep wall_ms");
-        assert!(deltas[0].regressed(0.30), "+33% beats a 30% tolerance");
+    fn a_cell_without_a_key_field_is_an_error() {
+        let committed = grid(&[OBLIVIOUS]);
+        let renamed = grid(&[&OBLIVIOUS.replace("crash_pct", "crash_percent")]);
+        let err = compare_cells(&FAULTS, &committed, &renamed).unwrap_err();
+        assert!(err.starts_with("faults: fresh cell {"), "{err}");
+        assert!(err.ends_with("lacks key field \"crash_pct\""), "{err}");
+        let err = compare_cells(&FAULTS, &renamed, &committed).unwrap_err();
+        assert!(err.starts_with("faults: committed cell {"), "{err}");
+        assert!(compare_cells(&FAULTS, &Json::Null, &committed).is_err());
+    }
+
+    #[test]
+    fn keys_match_as_values_so_12_and_12_5_are_different_cells() {
+        let (twelve, and_a_half) = (
+            OBLIVIOUS.replace("20", "12"),
+            OBLIVIOUS.replace("20", "12.5").replace("5048", "7"),
+        );
+        let committed = grid(&[&twelve, &and_a_half]);
+        assert!(compare_cells(&FAULTS, &committed, &grid(&[&and_a_half])).is_ok());
+        let twice = grid(&[&and_a_half, &and_a_half]);
+        let err = compare_cells(&FAULTS, &committed, &twice).unwrap_err();
+        assert!(err.ends_with("fresh artifact has this cell twice"), "{err}");
+    }
+
+    #[test]
+    fn timing_fields_may_differ() {
+        let cell = r#""protocol": "flooding", "n": 1024, "rounds": 3084, "wall_ms": 340.7, "ns_per_round": 110473, "ns_per_event": 109"#;
+        let faster = cell.replace("340.7", "12").replace("110473", "9");
+        let compared = compare_cells(&RUNTIME, &grid(&[cell]), &grid(&[&faster]));
         assert_eq!(
-            cell_deltas(&FAULTS, &baseline, &fresh, 0.0).unwrap().len(),
-            2
+            compared,
+            Ok(Compared {
+                cells: 1,
+                values: 1
+            })
         );
-    }
-
-    #[test]
-    fn sessions_deltas_gate_virtual_metrics_without_a_wall_floor() {
-        let cell = |s: f64, p95: f64, msgs: f64, wall: f64| {
-            Json::Obj(vec![
-                ("sessions".into(), Json::Num(s)),
-                ("k".into(), Json::Num(4.0)),
-                ("spacing".into(), Json::Num(100.0)),
-                ("p95_latency".into(), Json::Num(p95)),
-                ("messages".into(), Json::Num(msgs)),
-                ("wall_ms".into(), Json::Num(wall)),
-            ])
-        };
-        let doc = |cells: Vec<Json>| Json::Obj(vec![("cells".into(), Json::Arr(cells))]);
-        let baseline = doc(vec![cell(20.0, 900.0, 5000.0, 8.0)]);
-        let fresh = doc(vec![
-            cell(20.0, 1300.0, 5000.0, 9.0),
-            cell(40.0, 700.0, 9000.0, 20.0), // no baseline
-        ]);
-        // The 8 ms baseline wall is under the floor, but the virtual
-        // metrics are still compared: +44% p95 is a real behavioral
-        // regression, not runner jitter.
-        let deltas = cell_deltas(&SESSIONS, &baseline, &fresh, 40.0).unwrap();
-        assert_eq!(deltas.len(), 2, "p95 + messages; wall under the floor");
-        assert_eq!(deltas[0].key, "sessions 20x4/100 p95_latency");
-        assert!(deltas[0].regressed(0.30));
-        assert!(!deltas[1].regressed(0.0), "messages unchanged");
+        let err = compare_cells(
+            &RUNTIME,
+            &grid(&[cell]),
+            &grid(&[&faster.replace("3084", "3085")]),
+        )
+        .unwrap_err();
         assert_eq!(
-            cell_deltas(&SESSIONS, &baseline, &fresh, 0.0)
-                .unwrap()
-                .len(),
-            3
+            err,
+            "runtime [protocol=\"flooding\" n=1024] rounds: committed 3084, fresh 3085"
         );
-    }
-
-    #[test]
-    fn a_family_with_no_matching_cell_is_an_error_not_a_skip() {
-        let cell = |p: &str, pct: f64, eps: f64| {
-            Json::Obj(vec![
-                ("protocol".into(), Json::Str(p.into())),
-                ("crash_pct".into(), Json::Num(pct)),
-                ("episodes".into(), Json::Num(eps)),
-                ("wall_ms".into(), Json::Num(90.0)),
-            ])
-        };
-        let doc = |cells: Vec<Json>| Json::Obj(vec![("cells".into(), Json::Arr(cells))]);
-        let baseline = doc(vec![cell("async-oblivious", 20.0, 1.0)]);
-        // A re-tuned grid: every fresh cell has a crash % the baseline
-        // never ran.
-        let retuned = doc(vec![
-            cell("async-oblivious", 25.0, 1.0),
-            cell("async-oblivious", 25.0, 0.0),
-        ]);
-        let err = cell_deltas(&FAULTS, &baseline, &retuned, 0.0).unwrap_err();
-        assert!(err.contains("family faults: 0 comparable cells"), "{err}");
-        // A renamed key field orphans the family just the same.
-        let renamed = doc(vec![Json::Obj(vec![
-            ("protocol".into(), Json::Str("async-oblivious".into())),
-            ("crash_percent".into(), Json::Num(20.0)),
-            ("episodes".into(), Json::Num(1.0)),
-            ("wall_ms".into(), Json::Num(90.0)),
-        ])]);
-        assert!(cell_deltas(&FAULTS, &baseline, &renamed, 0.0).is_err());
-        // Matched cells that all sit under the wall floor are *not* an
-        // error: the cells are comparable, just too small to time.
-        let same = doc(vec![cell("async-oblivious", 20.0, 1.0)]);
-        assert_eq!(
-            cell_deltas(&FAULTS, &baseline, &same, 100.0).unwrap().len(),
-            0
-        );
-    }
-
-    #[test]
-    fn delta_display_is_tabular() {
-        let d = Delta {
-            key: "flooding/1024 ns_per_round".into(),
-            baseline: 100.0,
-            fresh: 130.0,
-        };
-        let line = d.to_string();
-        assert!(line.contains("+30.0%"), "{line}");
     }
 }

@@ -20,7 +20,7 @@
 //! Theorem 3.8: total message complexity `O(n^{5/2} k^{1/4} log^{5/4} n)`,
 //! i.e. amortized `O(n^{5/2} log^{5/4} n / k^{3/4})` — Table 1.
 //!
-//! ## Reproduction notes (see DESIGN.md)
+//! ## Reproduction notes
 //!
 //! * Centers announce themselves once per inserted adjacent edge (class
 //!   [`MessageClass::CenterAnnounce`]); this cost is bounded by `TC(E)` and

@@ -100,7 +100,7 @@ impl Graph {
     /// Builds a graph on `n` nodes from an edge iterator.
     ///
     /// Duplicate edges are deduplicated. This is the bulk path: the edge
-    /// list is put in order by [`sort_dedup_by_rows`] (skipped when it
+    /// list is put in order by `sort_dedup_by_rows` (skipped when it
     /// already is), then one counting pass and a single contiguous fill of
     /// the CSR arrays — no per-node allocations and no per-edge shifting.
     ///

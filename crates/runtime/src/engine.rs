@@ -27,7 +27,7 @@
 use crate::byzantine::transcript::{AuditMsg, Direction, MsgSummary, Transcript};
 use crate::event::{EventQueue, VirtualTime};
 use crate::faults::{FaultPlan, RecoveryMode};
-use crate::link::LinkModel;
+use crate::link::{LinkModel, LinkPlanner};
 use dynspread_graph::adversary::Adversary;
 use dynspread_graph::{DynamicGraph, NodeId, Round};
 use dynspread_sim::message::MessageClass;
@@ -36,8 +36,6 @@ use dynspread_sim::token::{TokenAssignment, TokenSet};
 use dynspread_sim::trace::{emit, TraceRecord, Tracer};
 use dynspread_sim::tracker::TokenTracker;
 use dynspread_sim::RunReport;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 /// One queued send: a payload plus a range of destinations in the
@@ -351,11 +349,10 @@ enum Event<M> {
 pub struct EventSim<P: EventProtocol, A: Adversary, L: LinkModel> {
     nodes: Vec<P>,
     adversary: A,
-    link: L,
+    planner: LinkPlanner<L>,
     dg: DynamicGraph,
     ticks_per_round: VirtualTime,
     queue: EventQueue<Event<P::Msg>>,
-    rng: StdRng,
     clock: VirtualTime,
     tracker: Option<TokenTracker>,
     // Fault injection (None = fault-free: `down` stays all-false and
@@ -375,16 +372,12 @@ pub struct EventSim<P: EventProtocol, A: Adversary, L: LinkModel> {
     ops: Vec<SendOp<P::Msg>>,
     dests: Vec<NodeId>,
     timers: Vec<(VirtualTime, u64)>,
-    fates: Vec<VirtualTime>,
     plan: Vec<(NodeId, VirtualTime)>,
     events: u64,
     transmissions: u64,
     unroutable: u64,
-    copies_scheduled: u64,
     copies_delivered: u64,
     retransmissions: u64,
-    link_drops: u64,
-    link_dups: u64,
     tracer: Option<Box<dyn Tracer>>,
     prof: Option<Profiler>,
 }
@@ -417,11 +410,10 @@ where
         EventSim {
             nodes,
             adversary,
-            link,
+            planner: LinkPlanner::new(link, seed),
             dg: DynamicGraph::new(n),
             ticks_per_round,
             queue: EventQueue::new(),
-            rng: StdRng::seed_from_u64(seed),
             clock: 0,
             tracker: None,
             fault_plan: None,
@@ -435,16 +427,12 @@ where
             ops: Vec::new(),
             dests: Vec::new(),
             timers: Vec::new(),
-            fates: Vec::new(),
             plan: Vec::new(),
             events: 0,
             transmissions: 0,
             unroutable: 0,
-            copies_scheduled: 0,
             copies_delivered: 0,
             retransmissions: 0,
-            link_drops: 0,
-            link_dups: 0,
             tracer: None,
             prof: None,
         }
@@ -648,8 +636,8 @@ where
             evidence_verdicts: 0,
             meter_sampling: 1,
             link_sends: self.transmissions,
-            link_drops: self.link_drops,
-            link_duplicates: self.link_dups,
+            link_drops: self.planner.drops,
+            link_duplicates: self.planner.dups,
             retransmissions: self.retransmissions,
             crashes: self.crashes,
             recoveries: self.recoveries,
@@ -765,49 +753,10 @@ where
                     );
                     continue;
                 }
-                self.fates.clear();
-                self.link
-                    .plan(v, to, self.clock, &mut self.rng, &mut self.fates);
-                match self.fates.len() {
-                    0 => {
-                        self.link_drops += 1;
-                        emit(
-                            &mut self.tracer,
-                            TraceRecord::Dropped {
-                                t: self.clock,
-                                from: v.value(),
-                                to: to.value(),
-                            },
-                        );
-                    }
-                    1 => {}
-                    k => self.link_dups += (k - 1) as u64,
-                }
-                for &delay in &self.fates {
+                for &delay in self.planner.plan(self.clock, v, to, &mut self.tracer) {
                     self.plan.push((to, self.clock + delay));
-                    emit(
-                        &mut self.tracer,
-                        TraceRecord::Scheduled {
-                            t: self.clock,
-                            from: v.value(),
-                            to: to.value(),
-                            at: self.clock + delay,
-                        },
-                    );
-                }
-                if self.fates.len() > 1 {
-                    emit(
-                        &mut self.tracer,
-                        TraceRecord::Duplicated {
-                            t: self.clock,
-                            from: v.value(),
-                            to: to.value(),
-                            extra: (self.fates.len() - 1) as u32,
-                        },
-                    );
                 }
             }
-            self.copies_scheduled += self.plan.len() as u64;
             let mut payload = Some(op.msg);
             let last = self.plan.len().wrapping_sub(1);
             for (i, &(to, at)) in self.plan.iter().enumerate() {
@@ -1001,7 +950,7 @@ where
             events: self.events,
             transmissions: self.transmissions,
             unroutable: self.unroutable,
-            copies_scheduled: self.copies_scheduled,
+            copies_scheduled: self.planner.copies_scheduled,
             copies_delivered: self.copies_delivered,
             retransmissions: self.retransmissions,
             learnings: self

@@ -26,8 +26,9 @@
 
 use crate::event::VirtualTime;
 use dynspread_graph::NodeId;
+use dynspread_sim::trace::{TraceRecord, Tracer};
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// Plans the delivery fate of transmissions on a point-to-point link.
 ///
@@ -130,6 +131,79 @@ pub trait LinkModelExt: LinkModel + Sized {
 }
 
 impl<L: LinkModel> LinkModelExt for L {}
+
+/// A link model with everything one engine needs to consult it: the seeded
+/// RNG stream the model draws from, the per-transmission fate buffer, and
+/// the counters and trace records of each transmission's link fate. The
+/// event engine and the synchronizers' link transport both plan through
+/// this, so the two account and trace a transmission identically.
+pub(crate) struct LinkPlanner<L> {
+    link: L,
+    rng: StdRng,
+    /// The plan for the transmission at hand, one delay per copy.
+    fates: Vec<VirtualTime>,
+    /// Copies that survived the link.
+    pub(crate) copies_scheduled: u64,
+    /// Transmissions whose every copy the link dropped.
+    pub(crate) drops: u64,
+    /// Extra copies beyond one per surviving transmission.
+    pub(crate) dups: u64,
+}
+
+impl<L: LinkModel> LinkPlanner<L> {
+    pub(crate) fn new(link: L, seed: u64) -> Self {
+        LinkPlanner {
+            link,
+            rng: StdRng::seed_from_u64(seed),
+            fates: Vec::new(),
+            copies_scheduled: 0,
+            drops: 0,
+            dups: 0,
+        }
+    }
+
+    /// Plans one transmission `from → to` made at `now` and returns the
+    /// delay of each copy to deliver, counting and tracing its link fate.
+    #[inline]
+    pub(crate) fn plan(
+        &mut self,
+        now: VirtualTime,
+        from: NodeId,
+        to: NodeId,
+        tracer: &mut Option<Box<dyn Tracer>>,
+    ) -> &[VirtualTime] {
+        self.fates.clear();
+        self.link
+            .plan(from, to, now, &mut self.rng, &mut self.fates);
+        let copies = self.fates.len();
+        self.copies_scheduled += copies as u64;
+        match copies {
+            0 => self.drops += 1,
+            k => self.dups += (k - 1) as u64,
+        }
+        if let Some(tracer) = tracer.as_deref_mut() {
+            self.trace_fate(now, from.value(), to.value(), tracer);
+        }
+        &self.fates
+    }
+
+    /// The records of the transmission just planned: `Dropped`, or
+    /// `Scheduled` per copy plus `Duplicated` if there is more than one.
+    fn trace_fate(&self, t: VirtualTime, from: u32, to: u32, tracer: &mut dyn Tracer) {
+        let copies = self.fates.len();
+        if copies == 0 {
+            tracer.record(&TraceRecord::Dropped { t, from, to });
+        }
+        for &delay in &self.fates {
+            let at = t + delay;
+            tracer.record(&TraceRecord::Scheduled { t, from, to, at });
+        }
+        if copies > 1 {
+            let extra = (copies - 1) as u32;
+            tracer.record(&TraceRecord::Duplicated { t, from, to, extra });
+        }
+    }
+}
 
 /// The identity channel: every transmission arrives exactly once with zero
 /// delay. Under this model the synchronizer adapters reproduce the

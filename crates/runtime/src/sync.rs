@@ -33,7 +33,7 @@
 //!   Within a node, arrivals are consumed in `(time, scheduling order)` FIFO order.
 
 use crate::event::{EventQueue, VirtualTime};
-use crate::link::LinkModel;
+use crate::link::{LinkModel, LinkPlanner};
 use crate::mailbox::Mailbox;
 use dynspread_graph::{NodeId, Round};
 use dynspread_sim::adversary::{BroadcastAdversary, SentRecord, UnicastAdversary};
@@ -41,10 +41,7 @@ use dynspread_sim::profile::{self, Phase};
 use dynspread_sim::protocol::{BroadcastProtocol, UnicastProtocol};
 use dynspread_sim::sim::{BroadcastSim, RoundIo, SimConfig, Transport, UnicastSim};
 use dynspread_sim::token::TokenAssignment;
-use dynspread_sim::trace::{emit, TraceRecord, Tracer};
 use dynspread_sim::RunReport;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::ops::{Deref, DerefMut};
 
 /// A copy in flight: who it is for, who sent it, and the payload.
@@ -58,107 +55,43 @@ struct Flight<M> {
 /// surviving copies wait on an event queue until their arrival round, then
 /// in their destination's mailbox until that round's delivery phase.
 pub struct LinkTransport<M, L> {
-    link: L,
-    rng: StdRng,
+    planner: LinkPlanner<L>,
     queue: EventQueue<Flight<M>>,
     mailboxes: Vec<Mailbox<M>>,
-    /// The link's plan for the transmission at hand, one delay per copy.
-    fates: Vec<VirtualTime>,
     /// Per-broadcast fan-out plan `(destination, arrival time)`, reused
     /// across broadcasters so the payload can be cloned per surviving
     /// copy (move-last) instead of per neighbor.
     plan: Vec<(NodeId, VirtualTime)>,
     transmissions: u64,
-    copies_scheduled: u64,
     copies_delivered: u64,
-    /// Transmissions whose every copy the link dropped.
-    link_drops: u64,
-    /// Extra copies beyond one per surviving transmission.
-    link_dups: u64,
 }
 
 impl<M, L: LinkModel> LinkTransport<M, L> {
     fn new(link: L, link_seed: u64, n: usize) -> Self {
         LinkTransport {
-            link,
-            rng: StdRng::seed_from_u64(link_seed),
+            planner: LinkPlanner::new(link, link_seed),
             queue: EventQueue::new(),
             mailboxes: (0..n).map(|_| Mailbox::with_capacity(4)).collect(),
-            fates: Vec::new(),
             plan: Vec::new(),
             transmissions: 0,
-            copies_scheduled: 0,
             copies_delivered: 0,
-            link_drops: 0,
-            link_dups: 0,
         }
     }
 
     fn link_stats(&self) -> (u64, u64, u64) {
         (
             self.transmissions,
-            self.copies_scheduled,
+            self.planner.copies_scheduled,
             self.copies_delivered,
         )
-    }
-
-    /// Plans one transmission into `self.fates`, counting and tracing its
-    /// link fate: `Dropped`, or `Scheduled` per copy plus `Duplicated` if
-    /// there is more than one.
-    fn plan_link(
-        &mut self,
-        round: Round,
-        from: NodeId,
-        to: NodeId,
-        tracer: &mut Option<Box<dyn Tracer>>,
-    ) {
-        self.transmissions += 1;
-        self.fates.clear();
-        self.link
-            .plan(from, to, round, &mut self.rng, &mut self.fates);
-        let copies = self.fates.len();
-        self.copies_scheduled += copies as u64;
-        let (from, to) = (from.value(), to.value());
-        if copies == 0 {
-            self.link_drops += 1;
-            emit(tracer, TraceRecord::Dropped { t: round, from, to });
-            return;
-        }
-        self.link_dups += (copies - 1) as u64;
-        if tracer.is_some() {
-            for &delay in &self.fates {
-                let at = round + delay;
-                emit(
-                    tracer,
-                    TraceRecord::Scheduled {
-                        t: round,
-                        from,
-                        to,
-                        at,
-                    },
-                );
-            }
-            if copies > 1 {
-                let extra = (copies - 1) as u32;
-                emit(
-                    tracer,
-                    TraceRecord::Duplicated {
-                        t: round,
-                        from,
-                        to,
-                        extra,
-                    },
-                );
-            }
-        }
     }
 }
 
 impl<M: Clone, L: LinkModel> Transport<M> for LinkTransport<M, L> {
     fn unicast(&mut self, round: Round, from: NodeId, to: NodeId, msg: &M, io: &mut RoundIo) {
         profile::lap(&mut io.prof, Phase::ProtocolSend);
-        self.plan_link(round, from, to, &mut io.tracer);
-        for &delay in &self.fates {
+        self.transmissions += 1;
+        for &delay in self.planner.plan(round, from, to, &mut io.tracer) {
             let msg = msg.clone();
             self.queue.schedule(round + delay, Flight { to, from, msg });
         }
@@ -178,10 +111,11 @@ impl<M: Clone, L: LinkModel> Transport<M> for LinkTransport<M, L> {
         _receive: F,
     ) {
         self.plan.clear();
+        self.transmissions += neighbors.len() as u64;
         for &to in neighbors {
-            self.plan_link(round, from, to, &mut io.tracer);
+            let fates = self.planner.plan(round, from, to, &mut io.tracer);
             self.plan
-                .extend(self.fates.iter().map(|&delay| (to, round + delay)));
+                .extend(fates.iter().map(|&delay| (to, round + delay)));
         }
         if let Some((&(last_to, last_at), rest)) = self.plan.split_last() {
             for &(to, at) in rest {
@@ -221,8 +155,8 @@ impl<M: Clone, L: LinkModel> Transport<M> for LinkTransport<M, L> {
     }
 
     fn stamp(&self, report: &mut RunReport) {
-        report.link_drops = self.link_drops;
-        report.link_duplicates = self.link_dups;
+        report.link_drops = self.planner.drops;
+        report.link_duplicates = self.planner.dups;
     }
 }
 

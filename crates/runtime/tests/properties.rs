@@ -18,6 +18,7 @@ use dynspread_graph::oblivious::{
 use dynspread_graph::{Graph, NodeId};
 use dynspread_runtime::engine::{EventCtx, EventProtocol, EventSim, StopReason};
 use dynspread_runtime::link::{LinkModelExt, PerfectLink};
+use dynspread_runtime::protocol::{AsyncConfig, AsyncSingleSource};
 use dynspread_runtime::sync::{BroadcastSynchronizer, UnicastSynchronizer};
 use dynspread_sim::sim::{BroadcastSim, SimConfig, UnicastSim};
 use dynspread_sim::token::TokenAssignment;
@@ -272,18 +273,20 @@ proptest! {
 }
 
 /// Deterministic non-property check: a duplicating link inflates copies,
-/// a lossy link sheds them, and the counters stay consistent.
+/// a lossy link sheds them, and the counters stay consistent — in both
+/// engines that plan through the shared link planner.
 #[test]
 fn link_stat_invariants_hold_under_loss_and_duplication() {
     let (n, k) = (12, 8);
     let assignment = TokenAssignment::single_source(n, k, NodeId::new(0));
+    let link = || PerfectLink.duplicating(0.3).lossy(0.2);
     let mut sim = UnicastSynchronizer::new(
         "ss",
         SingleSourceNode::nodes(&assignment),
         PeriodicRewiring::new(Topology::RandomTree, 3, 9),
         &assignment,
         SimConfig::with_max_rounds(200_000),
-        PerfectLink.duplicating(0.3).lossy(0.2),
+        link(),
         13,
     );
     let report = sim.run_to_completion();
@@ -296,6 +299,25 @@ fn link_stat_invariants_hold_under_loss_and_duplication() {
     // A drop sheds one transmission, a duplicate adds one copy.
     assert!(report.link_drops > 0 && report.link_duplicates > 0);
     assert_eq!(scheduled, tx - report.link_drops + report.link_duplicates);
+
+    // The event engine: the same identity, less the sends that never
+    // reached the link for lack of an edge.
+    let mut sim = EventSim::with_tracking(
+        AsyncSingleSource::nodes(&assignment, AsyncConfig::default()),
+        PeriodicRewiring::new(Topology::RandomTree, 3, 9),
+        link(),
+        2,
+        13,
+        &assignment,
+    );
+    let event = sim.run(200_000);
+    assert_eq!(event.stopped, StopReason::Complete, "{event}");
+    let report = sim.run_report("async-ss");
+    assert!(report.link_drops > 0 && report.link_duplicates > 0);
+    assert_eq!(
+        event.copies_scheduled,
+        event.transmissions - event.unroutable - report.link_drops + report.link_duplicates
+    );
 }
 
 /// `SimConfig::meter_sampling` reaches the broadcast engine whatever its

@@ -26,8 +26,8 @@ pub enum MessageClass {
     Request,
     /// A random-walk token step (Algorithm 2, phase 1).
     Walk,
-    /// A center self-announcement (Algorithm 2; see DESIGN.md substitution
-    /// notes — bounded by `TC(E)`).
+    /// A center self-announcement (Algorithm 2; see the reproduction notes
+    /// in `dynspread_core::oblivious` — bounded by `TC(E)`).
     CenterAnnounce,
     /// Any other control traffic.
     Control,

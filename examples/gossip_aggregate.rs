@@ -28,7 +28,8 @@ fn main() {
     let assignment = TokenAssignment::n_gossip(n);
     let cfg = ObliviousConfig {
         seed: 7,
-        // Laptop-scale parameters (see DESIGN.md): force the two-phase
+        // Laptop-scale parameters (see the reproduction notes in
+        // `dynspread::core::oblivious`): force the two-phase
         // path and elect ~25% of nodes as centers.
         source_threshold: Some(1.0),
         center_probability: Some(0.25),

@@ -54,7 +54,7 @@
 //! assert!(report.competitive_residual(1.0) <= 4.0 * ((n * n + n * k) as f64));
 //! ```
 //!
-//! # Running the experiments and benches
+//! # Running the experiments
 //!
 //! The experiment binaries live in the `dynspread-bench` crate; each
 //! regenerates one of the paper's quantitative artifacts:
@@ -72,19 +72,13 @@
 //! per-job seeds — output is byte-identical regardless of core count. Set
 //! `DYNSPREAD_THREADS=1` to force serial execution.
 //!
-//! Criterion-style micro benches and the perf-trajectory summary:
-//!
-//! ```text
-//! cargo bench -p dynspread-bench                                # all benches
-//! cargo run --release -p dynspread-bench --bin bench_core       # BENCH_core.json
-//! ```
-//!
-//! `bench_core` rewrites `BENCH_core.json` with the median
-//! `DynamicGraph` update + connectivity cost per round at `n = 512` for
-//! the frozen seed baseline vs. the delta-applied data plane (plus
-//! end-to-end ns/round for flooding and single-source), so future PRs can
-//! track regressions. The interactive CLI is `cargo run --release --bin
-//! spread -- --help`.
+//! Behaviour is gated exactly: `bench_check` demands that fresh
+//! `exp_{scale,byzantine,faults,sessions} --smoke` cells equal the
+//! committed `BENCH_*.json` on every deterministic column, and a baseline
+//! is refreshed by re-running its `exp_*` bin. Wall time is claimed through
+//! alternating parent/change pairs of the standalone `benchmark/` package
+//! (`benchmark/README.md`). The interactive CLI is `cargo run --release
+//! --bin spread -- --help`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

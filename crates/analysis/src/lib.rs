@@ -13,7 +13,7 @@
 //!   (Theorem 3.1) and `c(n²s + nk)` (Theorem 3.5).
 //! * [`progress`] — per-round token-learning curves (the quantity the
 //!   Section 2 lower bound throttles).
-//! * [`table`] — aligned ASCII tables and CSV output, used to regenerate
+//! * [`table`] — aligned ASCII tables, used to regenerate
 //!   the paper's Table 1 and the per-theorem experiment reports.
 //! * [`trace`] — deterministic-trace analysis: per-kind event census,
 //!   coverage-vs-virtual-time progress curves, and a two-trace diff

@@ -53,35 +53,6 @@ pub fn column_chart(values: &[f64], width: usize, height: usize) -> String {
     out
 }
 
-/// Renders a series as a single-line sparkline using eighth-block glyphs.
-///
-/// # Examples
-///
-/// ```
-/// use dynspread_analysis::plot::sparkline;
-///
-/// let s = sparkline(&[1.0, 2.0, 4.0, 8.0]);
-/// assert_eq!(s.chars().count(), 4);
-/// ```
-pub fn sparkline(values: &[f64]) -> String {
-    const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    if values.is_empty() {
-        return String::new();
-    }
-    let max = values.iter().copied().fold(0.0f64, f64::max);
-    values
-        .iter()
-        .map(|&v| {
-            if max <= 0.0 {
-                GLYPHS[0]
-            } else {
-                let idx = ((v / max) * 7.0).round().clamp(0.0, 7.0) as usize;
-                GLYPHS[idx]
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,26 +91,11 @@ mod tests {
     #[test]
     fn empty_series_is_handled() {
         assert!(column_chart(&[], 10, 3).contains("empty"));
-        assert_eq!(sparkline(&[]), "");
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_dimensions_panic() {
         let _ = column_chart(&[1.0], 0, 3);
-    }
-
-    #[test]
-    fn sparkline_is_monotone_in_value() {
-        let s: Vec<char> = sparkline(&[0.0, 4.0, 8.0]).chars().collect();
-        assert_eq!(s.len(), 3);
-        assert!(s[0] < s[1] || s[0] == '▁');
-        assert_eq!(s[2], '█');
-    }
-
-    #[test]
-    fn sparkline_all_equal_is_full_blocks() {
-        let s = sparkline(&[2.0, 2.0]);
-        assert_eq!(s, "██");
     }
 }

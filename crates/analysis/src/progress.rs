@@ -18,24 +18,6 @@ pub fn cumulative(learnings_per_round: &[u64]) -> Vec<u64> {
         .collect()
 }
 
-/// The maximum learnings in any single round.
-pub fn max_per_round(learnings_per_round: &[u64]) -> u64 {
-    learnings_per_round.iter().copied().max().unwrap_or(0)
-}
-
-/// The first round (1-based) at which the cumulative learnings reach
-/// `target`, if ever.
-pub fn round_reaching(learnings_per_round: &[u64], target: u64) -> Option<u64> {
-    let mut total = 0u64;
-    for (i, &x) in learnings_per_round.iter().enumerate() {
-        total += x;
-        if total >= target {
-            return Some(i as u64 + 1);
-        }
-    }
-    None
-}
-
 /// Fraction of rounds with zero learnings (the adversary's "stall rate").
 pub fn stall_fraction(learnings_per_round: &[u64]) -> f64 {
     if learnings_per_round.is_empty() {
@@ -53,20 +35,6 @@ mod tests {
     fn cumulative_sums() {
         assert_eq!(cumulative(&[1, 0, 2, 3]), vec![1, 1, 3, 6]);
         assert!(cumulative(&[]).is_empty());
-    }
-
-    #[test]
-    fn max_per_round_handles_empty() {
-        assert_eq!(max_per_round(&[]), 0);
-        assert_eq!(max_per_round(&[2, 7, 3]), 7);
-    }
-
-    #[test]
-    fn round_reaching_finds_first_crossing() {
-        assert_eq!(round_reaching(&[1, 0, 2, 3], 3), Some(3));
-        assert_eq!(round_reaching(&[1, 0, 2, 3], 1), Some(1));
-        assert_eq!(round_reaching(&[1, 0, 2, 3], 7), None);
-        assert_eq!(round_reaching(&[5], 0), Some(1));
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! ASCII tables and CSV output for experiment results.
+//! ASCII tables for experiment results.
 //!
 //! The benchmark harness prints the paper's tables as aligned ASCII (so a
-//! terminal run reads like the paper) and optionally writes CSV for
-//! plotting.
+//! terminal run reads like the paper).
 
 use std::fmt::Write as _;
 
@@ -96,29 +95,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as CSV (RFC-4180-ish; cells containing commas or
-    /// quotes are quoted).
-    pub fn to_csv(&self) -> String {
-        let escape = |cell: &str| {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        let mut write_row = |cells: &[String]| {
-            let line: Vec<String> = cells.iter().map(|c| escape(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        write_row(&self.headers);
-        for row in &self.rows {
-            write_row(row);
-        }
-        out
-    }
 }
 
 /// Formats a float compactly for table cells (`1234.5` → `"1234.5"`,
@@ -158,22 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new(&["name", "note"]);
-        t.row(&["a,b", "say \"hi\""]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn csv_has_header_line() {
-        let t = Table::new(&["n", "m"]);
-        assert_eq!(t.to_csv(), "n,m\n");
-        assert!(t.is_empty());
-    }
-
-    #[test]
     fn fmt_f64_modes() {
         assert_eq!(fmt_f64(0.0), "0");
         assert_eq!(fmt_f64(1234.5), "1234.5");
@@ -185,6 +145,7 @@ mod tests {
     #[test]
     fn row_owned_appends() {
         let mut t = Table::new(&["a"]);
+        assert!(t.is_empty());
         t.row_owned(vec!["x".to_string()]);
         assert_eq!(t.len(), 1);
         assert!(t.render().contains('x'));

@@ -167,6 +167,10 @@ mod tests {
         let mut trace = sample_trace();
         let _ = writeln!(trace, "not json at all");
         assert_eq!(kind_counts(&trace)["invalid"], 1);
+        // A node ID past 32 bits is garbage too, not node 0's send.
+        let _ = writeln!(trace, r#"{{"k":"send","t":1,"from":4294967296,"to":1}}"#);
+        let counts = kind_counts(&trace);
+        assert_eq!((counts["invalid"], counts["send"]), (2, 1));
     }
 
     #[test]

@@ -10,12 +10,8 @@
 
 use dynspread_analysis::fit::power_law_fit;
 use dynspread_analysis::table::{fmt_f64, Table};
-use dynspread_bench::{par_map, run_multi_source};
-use dynspread_core::oblivious::{run_oblivious_multi_source, ObliviousConfig};
-use dynspread_graph::generators::Topology;
-use dynspread_graph::oblivious::PeriodicRewiring;
+use dynspread_bench::{par_map, run_oblivious_vs_multi_source};
 use dynspread_sim::message::MessageClass;
-use dynspread_sim::token::TokenAssignment;
 
 fn main() {
     let seed = 37u64;
@@ -40,29 +36,8 @@ fn main() {
     // Both arms of every k cell are independent seeded runs: fan across
     // cores (results return in input order, so tables are unchanged).
     let runs = par_map(ks.into_iter().enumerate().collect(), |(i, k)| {
-        let s = k.min(n);
-        let assignment = TokenAssignment::round_robin_sources(n, k, s);
-        let f = (nf.sqrt() * (k as f64).powf(0.25)).min(nf / 2.0);
-        let cfg = ObliviousConfig {
-            seed: seed + i as u64,
-            source_threshold: Some(nf.powf(2.0 / 3.0)),
-            center_probability: Some((f / nf).min(0.5)),
-            degree_threshold: Some(nf / f),
-            phase1_max_rounds: 300_000,
-            phase2_max_rounds: 4_000_000,
-        };
-        let out = run_oblivious_multi_source(
-            &assignment,
-            PeriodicRewiring::new(Topology::Gnp(0.15), 3, seed + 100 + i as u64),
-            PeriodicRewiring::new(Topology::RandomTree, 3, seed + 200 + i as u64),
-            &cfg,
-        );
-        let ms = run_multi_source(
-            &assignment,
-            PeriodicRewiring::new(Topology::RandomTree, 3, seed + 300 + i as u64),
-            4_000_000,
-        );
-        (k, s, out, ms)
+        let (out, ms) = run_oblivious_vs_multi_source(n, k, i, seed);
+        (k, k.min(n), out, ms)
     });
     for (k, s, out, ms) in runs {
         assert!(out.completed(), "k={k}: oblivious run failed");

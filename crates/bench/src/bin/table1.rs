@@ -21,11 +21,7 @@
 
 use dynspread_analysis::fit::power_law_fit;
 use dynspread_analysis::table::{fmt_f64, Table};
-use dynspread_bench::{par_map, run_multi_source};
-use dynspread_core::oblivious::{run_oblivious_multi_source, ObliviousConfig};
-use dynspread_graph::generators::Topology;
-use dynspread_graph::oblivious::PeriodicRewiring;
-use dynspread_sim::token::TokenAssignment;
+use dynspread_bench::{par_map, run_oblivious_vs_multi_source};
 
 fn main() {
     let n: usize = std::env::args()
@@ -59,29 +55,8 @@ fn main() {
     // cores; par_map returns rows in input order.
     let runs = par_map(rows.into_iter().enumerate().collect(), |(i, (label, k))| {
         let k = k.max(2);
-        let s = k.min(n);
-        let assignment = TokenAssignment::round_robin_sources(n, k, s);
-        let f = (nf.sqrt() * (k as f64).powf(0.25)).min(nf / 2.0);
-        let cfg = ObliviousConfig {
-            seed: seed + i as u64,
-            source_threshold: Some(nf.powf(2.0 / 3.0)),
-            center_probability: Some((f / nf).min(0.5)),
-            degree_threshold: Some(nf / f),
-            phase1_max_rounds: 200_000,
-            phase2_max_rounds: 2_000_000,
-        };
-        let out = run_oblivious_multi_source(
-            &assignment,
-            PeriodicRewiring::new(Topology::Gnp(0.15), 3, seed + 100 + i as u64),
-            PeriodicRewiring::new(Topology::RandomTree, 3, seed + 200 + i as u64),
-            &cfg,
-        );
-        let ms = run_multi_source(
-            &assignment,
-            PeriodicRewiring::new(Topology::RandomTree, 3, seed + 300 + i as u64),
-            2_000_000,
-        );
-        (label, k, s, out, ms)
+        let (out, ms) = run_oblivious_vs_multi_source(n, k, i, seed);
+        (label, k, k.min(n), out, ms)
     });
     for (label, k, s, out, ms) in runs {
         assert!(out.completed(), "oblivious run for k={k} did not complete");

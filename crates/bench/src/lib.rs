@@ -50,6 +50,7 @@ pub use parallel::{derive_seed, par_map, par_runs, worker_count};
 
 use dynspread_core::flooding::PhasedFlooding;
 use dynspread_core::multi_source::MultiSourceNode;
+use dynspread_core::oblivious::{run_oblivious_multi_source, ObliviousConfig, ObliviousOutcome};
 use dynspread_core::single_source::{RequestPolicy, SingleSourceNode, SsMsg};
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
@@ -67,18 +68,35 @@ pub fn default_adversary(seed: u64) -> PeriodicRewiring {
 
 /// Parses the gate binaries' command line, `[--smoke] [OUT.json]`:
 /// whether to run the reduced CI grid, and where the cells go
-/// (`default_out` when no path is given).
+/// (`default_out` when no path is given). Any other `--flag` or a second
+/// path prints `error: …` and the usage to stderr and exits with status 2.
 pub fn gate_args(default_out: &str) -> (bool, String) {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    parse_gate_args(args, default_out).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: {bin} [--smoke] [OUT.json]");
+        std::process::exit(2);
+    })
+}
+
+fn parse_gate_args(
+    args: impl Iterator<Item = String>,
+    default_out: &str,
+) -> Result<(bool, String), String> {
     let mut smoke = false;
-    let mut out_path = default_out.to_string();
-    for arg in std::env::args().skip(1) {
+    let mut out_path = None;
+    for arg in args {
         if arg == "--smoke" {
             smoke = true;
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag `{arg}`"));
+        } else if let Some(first) = &out_path {
+            return Err(format!("two output paths, `{first}` and `{arg}`"));
         } else {
-            out_path = arg;
+            out_path = Some(arg);
         }
     }
-    (smoke, out_path)
+    Ok((smoke, out_path.unwrap_or_else(|| default_out.to_string())))
 }
 
 /// Writes a gate binary's baseline file —
@@ -222,24 +240,8 @@ where
 }
 
 /// Runs phased flooding (the naive local-broadcast algorithm) to
-/// completion.
-pub fn run_phased_flooding<A>(
-    assignment: &TokenAssignment,
-    adversary: A,
-    max_rounds: Round,
-) -> RunReport
-where
-    A: BroadcastAdversary<dynspread_core::flooding::BcastMsg>,
-{
-    run_phased_flooding_cfg(
-        assignment,
-        adversary,
-        SimConfig::with_max_rounds(max_rounds),
-    )
-}
-
-/// Runs phased flooding with an explicit engine configuration — the scale
-/// grid uses this to enable sampled metering
+/// completion with an explicit engine configuration — the scale grid uses
+/// this to enable sampled metering
 /// (`SimConfig::meter_sampling`), which keeps the `n = 8192` flooding
 /// cell from being dominated by ~200 M per-message meter updates.
 pub fn run_phased_flooding_cfg<A>(
@@ -253,6 +255,47 @@ where
     let nodes = PhasedFlooding::nodes(assignment);
     let mut sim = BroadcastSim::new("phased-flooding", nodes, adversary, assignment, cfg);
     sim.run_to_completion()
+}
+
+/// One cell of the Table 1 / Theorem 3.8 experiment, the run behind both
+/// `table1` and `exp_oblivious`: `k` tokens spread round-robin over
+/// `s = min(k, n)` sources, disseminated by the oblivious two-phase
+/// algorithm (phase 1 on `G(n, 0.15)`, phase 2 on random trees, both
+/// rewired every 3 rounds) and by plain Multi-Source-Unicast (random
+/// trees). `i` is the cell's index in its bin's `k` grid and offsets every
+/// seed. The config uses the paper's formulas with the log factors dropped
+/// (`threshold = n^{2/3}`, `f = √n·k^{1/4}` capped at `n/2`; `table1.rs`'s
+/// module doc says why).
+pub fn run_oblivious_vs_multi_source(
+    n: usize,
+    k: usize,
+    i: usize,
+    seed: u64,
+) -> (ObliviousOutcome, RunReport) {
+    let nf = n as f64;
+    let seed = seed + i as u64;
+    let assignment = TokenAssignment::round_robin_sources(n, k, k.min(n));
+    let f = (nf.sqrt() * (k as f64).powf(0.25)).min(nf / 2.0);
+    let cfg = ObliviousConfig {
+        seed,
+        source_threshold: Some(nf.powf(2.0 / 3.0)),
+        center_probability: Some((f / nf).min(0.5)),
+        degree_threshold: Some(nf / f),
+        phase1_max_rounds: 300_000,
+        phase2_max_rounds: 4_000_000,
+    };
+    let out = run_oblivious_multi_source(
+        &assignment,
+        PeriodicRewiring::new(Topology::Gnp(0.15), 3, seed + 100),
+        PeriodicRewiring::new(Topology::RandomTree, 3, seed + 200),
+        &cfg,
+    );
+    let ms = run_multi_source(
+        &assignment,
+        PeriodicRewiring::new(Topology::RandomTree, 3, seed + 300),
+        4_000_000,
+    );
+    (out, ms)
 }
 
 #[cfg(test)]
@@ -277,8 +320,25 @@ mod tests {
     #[test]
     fn phased_flooding_runner_completes() {
         let a = TokenAssignment::round_robin_sources(8, 4, 4);
-        let report = run_phased_flooding(&a, default_adversary(3), 1_000);
+        let cfg = SimConfig::with_max_rounds(1_000);
+        let report = run_phased_flooding_cfg(&a, default_adversary(3), cfg);
         assert!(report.completed);
+    }
+
+    #[test]
+    fn gate_args_take_one_flag_and_one_path_and_reject_the_rest() {
+        let parse = |args: &[&str]| parse_gate_args(args.iter().map(|s| s.to_string()), "D.json");
+        assert_eq!(parse(&[]), Ok((false, "D.json".to_string())));
+        assert_eq!(parse(&["--smoke"]), Ok((true, "D.json".to_string())));
+        assert_eq!(
+            parse(&["o.json", "--smoke"]),
+            Ok((true, "o.json".to_string()))
+        );
+        assert!(parse(&["--somke"]).unwrap_err().contains("`--somke`"));
+        assert!(parse(&["--smoke", "--out", "o.json"]).is_err());
+        assert!(parse(&["a.json", "b.json"])
+            .unwrap_err()
+            .contains("`b.json`"));
     }
 
     #[test]

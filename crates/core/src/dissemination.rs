@@ -169,21 +169,6 @@ impl DisseminationCore {
         self.seek(0);
     }
 
-    /// [`refill_within`](DisseminationCore::refill_within) for a scope
-    /// given as a token list: O(k/64 + `candidates.len()`). The pass
-    /// offers the requestable candidates in increasing token order
-    /// whatever the order of the slice.
-    pub fn refill_from(&mut self, candidates: &[TokenId]) {
-        self.pass.clear();
-        self.pass.resize(self.know.as_words().len(), 0);
-        for &t in candidates {
-            if !self.know.contains(t) && !self.in_flight.contains(t) {
-                self.pass[t.index() / 64] |= 1 << (t.index() % 64);
-            }
-        }
-        self.seek(0);
-    }
-
     /// Moves the cursor to the first non-zero pass word at or after `from`.
     fn seek(&mut self, from: usize) {
         self.cursor = self.pass[from..]
@@ -312,22 +297,6 @@ impl CompletenessLedger {
         self.complete_count > 0
     }
 
-    /// The peers known complete, in increasing ID order.
-    pub fn complete_peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.known_complete
-            .iter()
-            .enumerate()
-            .flat_map(|(wi, &word)| {
-                // Peel set bits low-to-high: `w & (w - 1)` clears the
-                // lowest one.
-                std::iter::successors((word != 0).then_some(word), |&w| {
-                    let rest = w & (w - 1);
-                    (rest != 0).then_some(rest)
-                })
-                .map(move |w| NodeId::new((wi * 64) as u32 + w.trailing_zeros()))
-            })
-    }
-
     /// Whether `u` still needs to be informed of our completeness
     /// (`u ∉ R_v`).
     pub fn needs_inform(&self, u: NodeId) -> bool {
@@ -446,11 +415,14 @@ mod tests {
     }
 
     #[test]
-    fn refill_from_respects_scope_and_flight() {
+    fn refill_within_respects_scope_and_flight() {
         let a = TokenAssignment::round_robin_sources(3, 4, 2);
         let mut core = DisseminationCore::from_assignment(NodeId::new(2), &a);
         // Scope: tokens {0, 2} (source 0's tokens under round-robin s=2).
-        core.refill_from(&[tid(0), tid(2)]);
+        let mut scope = TokenSet::new(4);
+        scope.insert(tid(0));
+        scope.insert(tid(2));
+        core.refill_within(&scope);
         assert_eq!(core.assign_next(), Some(tid(0)));
         assert_eq!(core.assign_next(), Some(tid(2)));
         assert_eq!(core.assign_next(), None);
@@ -458,8 +430,8 @@ mod tests {
         core.refill();
         assert_eq!(core.assign_next(), Some(tid(1)));
         assert_eq!(core.assign_next(), Some(tid(3)));
-        // The same scope as a set: everything in it is in flight.
-        let scope: TokenSet = [tid(0), tid(2), tid(3)].into_iter().collect();
+        // A wider scope: everything in it is in flight.
+        scope.insert(tid(3));
         core.refill_within(&scope);
         assert!(!core.has_assignable());
         core.release(tid(2));
@@ -478,17 +450,12 @@ mod tests {
     }
 
     #[test]
-    fn ledger_bit_iteration_crosses_word_boundaries() {
+    fn ledger_bits_cross_word_boundaries() {
         let mut ledger = CompletenessLedger::new(200);
         let peers = [0u32, 63, 64, 127, 128, 199];
         for &p in peers.iter().rev() {
             assert!(ledger.note_peer_complete(NodeId::new(p)));
         }
-        assert_eq!(
-            ledger.complete_peers().collect::<Vec<_>>(),
-            peers.iter().map(|&p| NodeId::new(p)).collect::<Vec<_>>(),
-            "ascending ID order across words"
-        );
         for &p in &peers {
             assert!(ledger.peer_complete(NodeId::new(p)));
             assert!(!ledger.note_peer_complete(NodeId::new(p)));
@@ -522,10 +489,7 @@ mod tests {
         assert!(!ledger.any_peer_complete());
         assert!(ledger.note_peer_complete(NodeId::new(3)));
         assert!(ledger.any_peer_complete());
-        assert_eq!(
-            ledger.complete_peers().collect::<Vec<_>>(),
-            vec![NodeId::new(3)]
-        );
+        assert!(ledger.peer_complete(NodeId::new(3)));
         assert_eq!(ledger.informed_count(), 0);
         assert!(ledger.mark_informed(NodeId::new(1)));
         assert!(!ledger.mark_informed(NodeId::new(1)));

@@ -175,11 +175,6 @@ impl SingleSourceNode {
         self.id
     }
 
-    /// The nodes that have announced completeness to this node (`S_v`).
-    pub fn known_complete_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.ledger.complete_peers()
-    }
-
     /// Classifies the edge to current neighbor `u` in round `round`.
     pub fn classify_edge(&self, u: NodeId, round: Round) -> EdgeCategory {
         self.edges.classify(u, round)

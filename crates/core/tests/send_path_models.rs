@@ -64,7 +64,6 @@ enum AssignerOp {
     Release(u32),
     Refill,
     RefillWithin(BTreeSet<u32>),
-    RefillFrom(BTreeSet<u32>),
     Assign,
 }
 
@@ -75,7 +74,6 @@ fn assigner_op() -> impl Strategy<Value = AssignerOp> {
         (0u32..192).prop_map(AssignerOp::Release),
         Just(AssignerOp::Refill),
         scope().prop_map(AssignerOp::RefillWithin),
-        scope().prop_map(AssignerOp::RefillFrom),
         // Assignments dominate, as they do in a send sweep.
         Just(AssignerOp::Assign),
         Just(AssignerOp::Assign),
@@ -276,11 +274,6 @@ proptest! {
                         mask.insert(t);
                     }
                     core.refill_within(&mask);
-                    model.refill_from(scope.into_iter());
-                }
-                AssignerOp::RefillFrom(raw) => {
-                    let scope = tokens_in_universe(&raw, k);
-                    core.refill_from(&scope);
                     model.refill_from(scope.into_iter());
                 }
                 AssignerOp::Assign => {

@@ -6,10 +6,8 @@
 //! `TC(E) = Σ_r |E_r^+|`. Since `G_0` is empty, deletions are always bounded
 //! by insertions, so only insertions are charged (footnote 5).
 //!
-//! [`DynamicGraph`] tracks the current snapshot, the per-round deltas, and
-//! the running [`TopologyMeter`]. It optionally retains the history **as
-//! deltas** for offline analysis; snapshots are reconstructed on demand by
-//! replay, so history mode no longer clones a full `Graph` per round.
+//! [`DynamicGraph`] tracks the current snapshot, the latest round's delta,
+//! and the running [`TopologyMeter`].
 
 use crate::edge::{Edge, EdgeSet};
 use crate::graph::Graph;
@@ -92,8 +90,6 @@ pub struct DynamicGraph {
     round: Round,
     meter: TopologyMeter,
     last_delta: RoundDelta,
-    /// Per-round deltas (index 0 = round 1), retained only in history mode.
-    history: Option<Vec<RoundDelta>>,
 }
 
 impl DynamicGraph {
@@ -104,18 +100,7 @@ impl DynamicGraph {
             round: 0,
             meter: TopologyMeter::default(),
             last_delta: RoundDelta::default(),
-            history: None,
         }
-    }
-
-    /// Like [`DynamicGraph::new`], but retains the full history **as
-    /// per-round deltas** for offline analysis; memory grows with the total
-    /// number of topological changes rather than `rounds × |E|`. Snapshots
-    /// are reconstructed on demand via [`DynamicGraph::snapshot_at`].
-    pub fn with_history(n: usize) -> Self {
-        let mut dg = DynamicGraph::new(n);
-        dg.history = Some(Vec::new());
-        dg
     }
 
     /// Number of nodes.
@@ -150,28 +135,6 @@ impl DynamicGraph {
     /// [`advance`]: DynamicGraph::advance
     pub fn last_delta(&self) -> &RoundDelta {
         &self.last_delta
-    }
-
-    /// Recorded per-round deltas (index 0 = round 1), if constructed via
-    /// [`DynamicGraph::with_history`].
-    pub fn history(&self) -> Option<&[RoundDelta]> {
-        self.history.as_deref()
-    }
-
-    /// Reconstructs the snapshot `G_r` by replaying recorded deltas.
-    ///
-    /// Returns `None` unless constructed via [`DynamicGraph::with_history`]
-    /// and `r` is at most the current round. `r = 0` yields the empty `G_0`.
-    pub fn snapshot_at(&self, r: Round) -> Option<Graph> {
-        let history = self.history.as_deref()?;
-        if r > self.round {
-            return None;
-        }
-        let mut g = Graph::empty(self.current.node_count());
-        for delta in &history[..r as usize] {
-            g.apply_delta(&delta.inserted, &delta.removed);
-        }
-        Some(g)
     }
 
     /// Installs the snapshot of round `r+1` and updates the meter.
@@ -256,9 +219,6 @@ impl DynamicGraph {
         self.meter.deletions += delta.removed.len() as u64;
         self.last_delta = delta;
         self.round += 1;
-        if let Some(h) = &mut self.history {
-            h.push(self.last_delta.clone());
-        }
         &self.last_delta
     }
 }
@@ -359,22 +319,9 @@ mod tests {
     }
 
     #[test]
-    fn history_replays_all_snapshots() {
-        let mut dg = DynamicGraph::with_history(3);
-        dg.advance(Graph::path(3));
-        dg.advance(Graph::star(3));
-        assert_eq!(dg.history().unwrap().len(), 2); // deltas of rounds 1, 2
-        assert_eq!(dg.snapshot_at(0).unwrap().edge_count(), 0);
-        assert_eq!(dg.snapshot_at(1).unwrap(), Graph::path(3));
-        assert_eq!(dg.snapshot_at(2).unwrap(), Graph::star(3));
-        assert!(dg.snapshot_at(3).is_none());
-        assert!(DynamicGraph::new(3).snapshot_at(0).is_none());
-    }
-
-    #[test]
     fn apply_delta_and_unchanged_match_full_advance() {
-        let mut a = DynamicGraph::with_history(4);
-        let mut b = DynamicGraph::with_history(4);
+        let mut a = DynamicGraph::new(4);
+        let mut b = DynamicGraph::new(4);
         // Round 1: same full snapshot.
         a.advance(Graph::path(4));
         b.apply(GraphUpdate::Full(Graph::path(4)));
@@ -391,7 +338,6 @@ mod tests {
         assert_eq!(a.meter(), b.meter());
         assert_eq!(a.round(), b.round());
         assert_eq!(a.last_delta(), b.last_delta());
-        assert_eq!(a.snapshot_at(3), b.snapshot_at(3));
     }
 
     #[test]

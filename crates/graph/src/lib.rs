@@ -47,7 +47,6 @@ pub mod dynamic;
 pub mod edge;
 pub mod generators;
 pub mod graph;
-pub mod metrics;
 pub mod node;
 pub mod oblivious;
 pub mod stability;

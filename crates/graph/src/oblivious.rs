@@ -112,7 +112,6 @@ pub struct PeriodicRewiring {
     topology: Topology,
     period: u64,
     rng: StdRng,
-    current: Option<Graph>,
     name: String,
 }
 
@@ -128,7 +127,6 @@ impl PeriodicRewiring {
             topology,
             period,
             rng: StdRng::seed_from_u64(seed),
-            current: None,
             name: format!("rewire({topology:?}, ρ={period})"),
         }
     }
@@ -136,11 +134,11 @@ impl PeriodicRewiring {
 
 impl Adversary for PeriodicRewiring {
     fn graph_for_round(&mut self, round: Round, prev: &Graph) -> Graph {
-        let due = (round - 1).is_multiple_of(self.period);
-        if due || self.current.is_none() {
-            self.current = Some(self.topology.sample(prev.node_count(), &mut self.rng));
+        // Single source of truth: drive the update path, return a snapshot.
+        match self.evolve(round, prev) {
+            GraphUpdate::Full(g) => g,
+            _ => prev.clone(),
         }
-        self.current.clone().expect("just set")
     }
 
     fn evolve(&mut self, round: Round, prev: &Graph) -> GraphUpdate {

@@ -45,9 +45,10 @@ proptest! {
         ),
         use_delta in prop::bool::ANY,
     ) {
-        let mut dg = DynamicGraph::with_history(n);
+        let mut dg = DynamicGraph::new(n);
         let mut prev_edges: Vec<Edge> = Vec::new();
-        let mut naive_snapshots = vec![Graph::empty(n)];
+        let mut naive_snapshots = Vec::new();
+        let mut deltas: Vec<RoundDelta> = Vec::new();
         for raw in &rounds {
             let mut edges: Vec<Edge> = raw
                 .iter()
@@ -72,13 +73,15 @@ proptest! {
                 dg.apply(GraphUpdate::Full(next.clone()));
             }
             assert_same_graph(dg.current(), &next);
+            deltas.push(dg.last_delta().clone());
             naive_snapshots.push(next);
             prev_edges = edges;
         }
-        // Delta-replayed history reconstructs every snapshot.
-        for (r, want) in naive_snapshots.iter().enumerate() {
-            let got = dg.snapshot_at(r as u64).expect("history retained");
-            assert_same_graph(&got, want);
+        // Replaying the reported deltas reconstructs every snapshot.
+        let mut replayed = Graph::empty(n);
+        for (delta, want) in deltas.iter().zip(&naive_snapshots) {
+            replayed.apply_delta(&delta.inserted, &delta.removed);
+            assert_same_graph(&replayed, want);
         }
     }
 

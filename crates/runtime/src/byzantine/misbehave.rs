@@ -128,11 +128,6 @@ impl MisbehaviorPlan {
         self.roles[v.index()].is_some()
     }
 
-    /// The kind node `v` runs, if malicious.
-    pub fn kind_of(&self, v: NodeId) -> Option<MisbehaviorKind> {
-        self.roles[v.index()]
-    }
-
     /// The malicious nodes, in ascending ID order.
     pub fn malicious(&self) -> Vec<NodeId> {
         self.roles
@@ -194,12 +189,12 @@ pub trait Tamper: EventProtocol {
         neighbors: &[NodeId],
     ) -> Vec<(NodeId, Self::Msg)>;
 
-    /// The `ForgeTransfers` response to an incoming message: `Some((t,
-    /// ack))` means "acknowledge the transfer of `t` and destroy it" —
-    /// the wrapper swallows the delivery (the honest state never sees
-    /// it) and sends the forged ack. `None` for everything that is not
-    /// an ownership transfer.
-    fn theft_response(&self, from: NodeId, msg: &Self::Msg) -> Option<(TokenId, Self::Msg)>;
+    /// The `ForgeTransfers` response to an incoming message: `Some(ack)`
+    /// means "acknowledge the transfer and destroy the token" — the
+    /// wrapper swallows the delivery (the honest state never sees it) and
+    /// sends the forged ack. `None` for everything that is not an
+    /// ownership transfer.
+    fn theft_response(&self, from: NodeId, msg: &Self::Msg) -> Option<Self::Msg>;
 }
 
 /// Picks a token id different from `t` (mod the universe of `known`),
@@ -243,7 +238,7 @@ impl Tamper for AsyncSingleSource {
         Vec::new()
     }
 
-    fn theft_response(&self, _: NodeId, _: &AsyncSsMsg) -> Option<(TokenId, AsyncSsMsg)> {
+    fn theft_response(&self, _: NodeId, _: &AsyncSsMsg) -> Option<AsyncSsMsg> {
         None
     }
 }
@@ -281,7 +276,7 @@ impl Tamper for AsyncMultiSource {
         Vec::new()
     }
 
-    fn theft_response(&self, _: NodeId, _: &AsyncMsMsg) -> Option<(TokenId, AsyncMsMsg)> {
+    fn theft_response(&self, _: NodeId, _: &AsyncMsMsg) -> Option<AsyncMsMsg> {
         None
     }
 }
@@ -343,17 +338,14 @@ impl Tamper for AsyncOblivious {
         out
     }
 
-    fn theft_response(&self, _from: NodeId, msg: &AsyncOblMsg) -> Option<(TokenId, AsyncOblMsg)> {
+    fn theft_response(&self, _from: NodeId, msg: &AsyncOblMsg) -> Option<AsyncOblMsg> {
         let AsyncOblMsg::Walk { token, seq } = msg else {
             return None;
         };
-        Some((
-            *token,
-            AsyncOblMsg::WalkAck {
-                token: *token,
-                seq: *seq,
-            },
-        ))
+        Some(AsyncOblMsg::WalkAck {
+            token: *token,
+            seq: *seq,
+        })
     }
 }
 
@@ -374,7 +366,6 @@ pub struct Misbehaving<P: Tamper> {
     kind: Option<MisbehaviorKind>,
     rng: StdRng,
     injected: u64,
-    stolen: Vec<TokenId>,
 }
 
 impl<P: Tamper> Misbehaving<P> {
@@ -385,7 +376,6 @@ impl<P: Tamper> Misbehaving<P> {
             kind,
             rng: StdRng::seed_from_u64(seed),
             injected: 0,
-            stolen: Vec::new(),
         }
     }
 
@@ -403,11 +393,6 @@ impl<P: Tamper> Misbehaving<P> {
     /// recipient; drops, mutations, replays, and thefts one each).
     pub fn injected(&self) -> u64 {
         self.injected
-    }
-
-    /// Tokens this node acknowledged and destroyed (`ForgeTransfers`).
-    pub fn stolen_tokens(&self) -> &[TokenId] {
-        &self.stolen
     }
 
     /// Post-handler tampering over the ops staged since `mark`.
@@ -481,14 +466,13 @@ impl<P: Tamper> EventProtocol for Misbehaving<P> {
 
     fn on_message(&mut self, from: NodeId, msg: &P::Msg, ctx: &mut EventCtx<'_, P::Msg>) {
         if self.kind == Some(MisbehaviorKind::ForgeTransfers) {
-            if let Some((token, ack)) = self.inner.theft_response(from, msg) {
+            if let Some(ack) = self.inner.theft_response(from, msg) {
                 if self.rng.gen_bool(0.75) {
                     // Acknowledge and destroy: the sender releases its
                     // responsibility, the honest state never accepts the
                     // token. The transcript still shows our ack — which
                     // is exactly what convicts us.
                     ctx.send(from, ack);
-                    self.stolen.push(token);
                     self.injected += 1;
                     return;
                 }

@@ -173,7 +173,7 @@ impl AuditMsg for AsyncOblMsg {
 pub enum Direction {
     /// The node sent this message (recorded before link planning).
     Sent,
-    /// The node consumed this message copy from its mailbox.
+    /// The node was handed this message copy.
     Received,
 }
 

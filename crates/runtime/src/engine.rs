@@ -344,8 +344,7 @@ enum Event<M> {
 ///
 /// One engine instance owns the nodes, the virtual clock, the event queue,
 /// the link model, and the evolving topology. An arriving copy is handed to
-/// its receiver's handler by the event that delivers it; no per-node
-/// mailbox sits in between.
+/// its receiver's handler by the event that delivers it.
 pub struct EventSim<P: EventProtocol, A: Adversary, L: LinkModel> {
     nodes: Vec<P>,
     adversary: A,
@@ -354,6 +353,8 @@ pub struct EventSim<P: EventProtocol, A: Adversary, L: LinkModel> {
     ticks_per_round: VirtualTime,
     queue: EventQueue<Event<P::Msg>>,
     clock: VirtualTime,
+    /// Whether [`EventSim::run`] has scheduled the nodes' `Start` events.
+    started: bool,
     tracker: Option<TokenTracker>,
     // Fault injection (None = fault-free: `down` stays all-false and
     // `incarnation` all-zero, so every path below behaves identically to
@@ -415,6 +416,7 @@ where
             ticks_per_round,
             queue: EventQueue::new(),
             clock: 0,
+            started: false,
             tracker: None,
             fault_plan: None,
             down: vec![false; n],
@@ -518,10 +520,7 @@ where
             self.nodes.len(),
             "fault plan sized for a different network"
         );
-        assert!(
-            self.clock == 0 && self.events == 0,
-            "set_fault_plan must precede run()"
-        );
+        assert!(!self.started, "set_fault_plan must precede run()");
         for v in plan.crashed_nodes() {
             let f = plan.fault_of(v).expect("listed as crashed");
             self.queue.schedule(f.crash_at, Event::Crash(v));
@@ -807,10 +806,15 @@ where
     }
 
     /// Runs the execution until completion (with tracking), quiescence, or
-    /// the virtual-time cap.
+    /// the virtual-time cap. After a [`StopReason::TimeLimit`] stop it may be
+    /// called again with a larger cap: the execution resumes where it
+    /// stopped, and the split run is the one-shot run.
     pub fn run(&mut self, max_time: VirtualTime) -> EventReport {
-        for v in NodeId::all(self.nodes.len()) {
-            self.queue.schedule(0, Event::Start(v));
+        if !self.started {
+            self.started = true;
+            for v in NodeId::all(self.nodes.len()) {
+                self.queue.schedule(0, Event::Start(v));
+            }
         }
         let stopped = loop {
             if self

@@ -10,10 +10,10 @@
 //!
 //! * a virtual clock and a seeded [`event::EventQueue`] — a calendar
 //!   queue ordered by `(time, scheduling order)`, so ties break
-//!   deterministically and executions are replay-identical from a seed;
-//! * per-node [`mailbox::Mailbox`]es decoupling message *arrival* from
-//!   *consumption* where a round's delivery phase separates the two (the
-//!   synchronizers; the event engine consumes a copy as it arrives);
+//!   deterministically and executions are replay-identical from a seed
+//!   (a copy is handed to its receiver as it is popped: by the event that
+//!   delivers it in the event engine, by the delivery phase of its arrival
+//!   round in the synchronizers);
 //! * composable [`link::LinkModel`]s (fixed/seeded-random latency, drop
 //!   probability, duplication; reordering falls out of jitter), all drawing
 //!   from one seeded RNG stream.
@@ -26,11 +26,12 @@
 //!   [`BroadcastProtocol`](dynspread_sim::protocol::BroadcastProtocol)
 //!   implementations unchanged, mapping one tick to one round. They are
 //!   `dynspread_sim`'s round engines themselves, built with
-//!   [`sync::LinkTransport`] — a link model, the event queue and the
-//!   mailboxes — in place of the synchronous `Direct` transport. Under
-//!   [`link::PerfectLink`] they reproduce the synchronous engines'
-//!   [`RunReport`](dynspread_sim::RunReport)s **byte-for-byte**; under
-//!   lossy/latent links they answer questions the paper's model cannot
+//!   [`sync::LinkTransport`] — a link model and the event queue — in
+//!   place of the synchronous `Direct` transport. Under
+//!   [`link::PerfectLink`] they make the synchronous engines' `receive`
+//!   calls in the same order, so
+//!   [`RunReport`](dynspread_sim::RunReport)s, learning logs and delivery
+//!   traces match **byte-for-byte**; under lossy/latent links they answer questions the paper's model cannot
 //!   pose, e.g. how Algorithm 1's request/response handshake degrades when
 //!   responses can vanish.
 //! * **The event engine** ([`engine::EventSim`]) drops the round barrier
@@ -124,7 +125,6 @@ pub mod engine;
 pub mod event;
 pub mod faults;
 pub mod link;
-pub mod mailbox;
 pub mod protocol;
 pub mod scenario;
 pub mod session;
@@ -136,7 +136,6 @@ pub use engine::{EventCtx, EventProtocol, EventReport, EventSim, StopReason};
 pub use event::{EventQueue, VirtualTime};
 pub use faults::{FaultPlan, PartitionLink, RecoveryMode};
 pub use link::{DropLink, LinkModel, LinkModelExt, PerfectLink};
-pub use mailbox::{Envelope, Mailbox};
 pub use protocol::{AsyncConfig, AsyncMultiSource, AsyncSingleSource};
 pub use scenario::{Scenario, ScenarioObliviousOutcome, ScenarioOutcome, ServiceOutcome};
 pub use session::{

@@ -105,29 +105,6 @@ pub trait LinkModelExt: LinkModel + Sized {
         );
         Duplicating { p, inner: self }
     }
-
-    /// Per-edge hook: routes each transmission to `self` when
-    /// `pred(from, to)` holds and to `other` otherwise, so different
-    /// edges of one network can have different channel characteristics
-    /// (a lossy radio fringe around a wired core, one congested
-    /// backbone link, …).
-    ///
-    /// `pred` must be a pure function of the endpoints — it is consulted
-    /// on every transmission and determinism relies on it not keeping
-    /// state. Edges are undirected but transmissions are not: `pred` sees
-    /// `(sender, receiver)`, so an asymmetric predicate models
-    /// direction-dependent links.
-    fn per_edge<O, F>(self, other: O, pred: F) -> EdgeSelect<Self, O, F>
-    where
-        O: LinkModel,
-        F: Fn(NodeId, NodeId) -> bool,
-    {
-        EdgeSelect {
-            matched: self,
-            other,
-            pred,
-        }
-    }
 }
 
 impl<L: LinkModel> LinkModelExt for L {}
@@ -247,51 +224,6 @@ impl DropLink {
     /// Panics if `p` is not in `[0, 1]`.
     pub fn new(p: f64) -> Self {
         PerfectLink.lossy(p)
-    }
-}
-
-/// See [`LinkModelExt::per_edge`]: a two-way switch between link models,
-/// keyed on the transmission's endpoints.
-#[derive(Clone, Copy, Debug)]
-pub struct EdgeSelect<A, B, F> {
-    matched: A,
-    other: B,
-    pred: F,
-}
-
-impl<A, B, F> LinkModel for EdgeSelect<A, B, F>
-where
-    A: LinkModel,
-    B: LinkModel,
-    F: Fn(NodeId, NodeId) -> bool,
-{
-    fn plan(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        now: VirtualTime,
-        rng: &mut StdRng,
-        fates: &mut Vec<VirtualTime>,
-    ) {
-        if (self.pred)(from, to) {
-            self.matched.plan(from, to, now, rng, fates);
-        } else {
-            self.other.plan(from, to, now, rng, fates);
-        }
-    }
-
-    fn min_latency(&self) -> VirtualTime {
-        // Either branch can carry a transmission, so only their common
-        // lower bound is sound.
-        self.matched.min_latency().min(self.other.min_latency())
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "per-edge({} | {})",
-            self.matched.describe(),
-            self.other.describe()
-        )
     }
 }
 
@@ -525,26 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn per_edge_routes_by_endpoints() {
-        let mut rng = StdRng::seed_from_u64(7);
-        // Transmissions out of node 0 get 5 ticks of latency; the rest are
-        // dropped outright.
-        let link = PerfectLink
-            .with_latency(5)
-            .per_edge(PerfectLink.lossy(1.0), |from, _to| from == NodeId::new(0));
-        let mut fates = Vec::new();
-        link.plan(NodeId::new(0), NodeId::new(1), 0, &mut rng, &mut fates);
-        assert_eq!(fates, vec![5]);
-        fates.clear();
-        link.plan(NodeId::new(1), NodeId::new(0), 0, &mut rng, &mut fates);
-        assert!(fates.is_empty(), "reverse direction takes the other model");
-        assert_eq!(
-            link.describe(),
-            "per-edge(perfect+lat(5) | perfect+lossy(1))"
-        );
-    }
-
-    #[test]
     fn min_latency_bounds_every_planned_fate() {
         // Structural expectations per combinator.
         assert_eq!(PerfectLink.min_latency(), 0);
@@ -554,15 +466,6 @@ mod tests {
         assert_eq!(
             PerfectLink.with_latency(4).duplicating(0.5).min_latency(),
             4
-        );
-        assert_eq!(
-            PerfectLink
-                .with_latency(2)
-                .per_edge(PerfectLink.with_latency(5), |from, _| from
-                    == NodeId::new(0))
-                .min_latency(),
-            2,
-            "per-edge takes the smaller branch bound"
         );
         // Soundness: no planned fate ever undercuts the bound.
         let link = PerfectLink

@@ -225,12 +225,6 @@ impl AsyncOblivious {
         self.walk.is_center()
     }
 
-    /// Whether the node froze at its deadline with tokens still in
-    /// transit (it will be a fallback phase-2 source for them).
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Tokens this node is still responsible for (queued, in an open
     /// transfer, or collected if a center), in increasing token order.
     pub fn responsible_tokens(&self) -> impl Iterator<Item = TokenId> + '_ {

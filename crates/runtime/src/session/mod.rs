@@ -3,8 +3,8 @@
 //! Production shape for this reproduction is not one process per run but
 //! a persistent dynamic network serving a *stream* of overlapping
 //! dissemination sessions — distinct token universes, sources, and
-//! arrival times — multiplexed over shared links, mailboxes, and fault
-//! plans. This module provides that layer:
+//! arrival times — multiplexed over shared links, one event queue, and
+//! fault plans. This module provides that layer:
 //!
 //! * [`wire`] — the typed serialization boundary: [`SessionId`] stamps,
 //!   the [`WireEnvelope`] byte format, and `bincodec` codecs for the

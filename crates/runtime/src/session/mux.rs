@@ -120,11 +120,6 @@ impl SessionBoard {
         self.n
     }
 
-    /// Number of sessions tracked.
-    pub fn session_count(&self) -> usize {
-        self.cells.lock().expect("board poisoned").len()
-    }
-
     /// This session's accounting snapshot.
     pub fn stats(&self, session: usize) -> SessionStats {
         let cells = self.cells.lock().expect("board poisoned");

@@ -4,22 +4,24 @@
 //! a [`Transport`]. This module supplies the transport that is about links
 //! — [`LinkTransport`] routes every transmitted message through a
 //! [`LinkModel`] and the runtime's event queue: each copy that survives the
-//! link arrives in the destination's [`Mailbox`] at `send round + delay`
-//! and is consumed in that round's delivery phase. One virtual-clock tick
-//! equals one round. [`UnicastSynchronizer`] and [`BroadcastSynchronizer`]
-//! are [`UnicastSim`] and [`BroadcastSim`] built with it, driving the
-//! *unchanged* `UnicastProtocol`/`BroadcastProtocol` state machines.
+//! link waits on the queue until round `send round + delay` and is handed
+//! to its receiver in that round's delivery phase, straight from the queue.
+//! One virtual-clock tick equals one round. [`UnicastSynchronizer`] and
+//! [`BroadcastSynchronizer`] are [`UnicastSim`] and [`BroadcastSim`] built
+//! with it, driving the *unchanged* `UnicastProtocol`/`BroadcastProtocol`
+//! state machines.
 //!
 //! **Equivalence contract**: under [`PerfectLink`](crate::link::PerfectLink)
 //! (zero latency, no loss, no duplication) every copy arrives in the round
-//! it was sent, and the rest of the round — adversary interaction,
-//! model-invariant assertions, metering, tracker sync order — is the same
-//! engine code as under [`Direct`](dynspread_sim::sim::Direct), so the
-//! produced [`RunReport`] and learning log are byte-for-byte identical to
-//! the synchronous engines' for the same seed. What can differ between the
-//! two transports is the order of `receive` calls *across* receivers
-//! (`Direct` hands over in send order, mailboxes are consumed receiver by
-//! receiver), which no node can observe. This is tested in
+//! it was sent, and the queue's `(time, scheduling order)` order is then
+//! send order — the order [`Direct`](dynspread_sim::sim::Direct) hands
+//! over in. The rest of the round — adversary interaction, model-invariant
+//! assertions, metering, tracker sync order — is the same engine code, so
+//! the two transports make the same `receive` calls in the same order: the
+//! [`RunReport`], the learning log and the trace (less the link
+//! transport's own `sched` records; in a broadcast round the `deliver`
+//! records follow the round's `bcast` records instead of interleaving with
+//! them) are byte-for-byte identical for the same seed. This is tested in
 //! `tests/runtime_equivalence.rs` at the workspace root and searched by a
 //! proptest in `crates/runtime/tests/properties.rs`.
 //!
@@ -30,11 +32,10 @@
 //! * **In-flight messages are not tied to the edge** that carried them:
 //!   once the link model schedules a copy, it arrives at its time even if
 //!   the adversary has since removed the edge (the copy is "in the air").
-//!   Within a node, arrivals are consumed in `(time, scheduling order)` FIFO order.
+//!   Copies due in the same round are received in scheduling order.
 
 use crate::event::{EventQueue, VirtualTime};
 use crate::link::{LinkModel, LinkPlanner};
-use crate::mailbox::Mailbox;
 use dynspread_graph::{NodeId, Round};
 use dynspread_sim::adversary::{BroadcastAdversary, SentRecord, UnicastAdversary};
 use dynspread_sim::profile::{self, Phase};
@@ -52,12 +53,11 @@ struct Flight<M> {
 }
 
 /// The [`Transport`] that plans every transmission through a [`LinkModel`]:
-/// surviving copies wait on an event queue until their arrival round, then
-/// in their destination's mailbox until that round's delivery phase.
+/// surviving copies wait on an event queue until the delivery phase of
+/// their arrival round.
 pub struct LinkTransport<M, L> {
     planner: LinkPlanner<L>,
     queue: EventQueue<Flight<M>>,
-    mailboxes: Vec<Mailbox<M>>,
     /// Per-broadcast fan-out plan `(destination, arrival time)`, reused
     /// across broadcasters so the payload can be cloned per surviving
     /// copy (move-last) instead of per neighbor.
@@ -67,11 +67,10 @@ pub struct LinkTransport<M, L> {
 }
 
 impl<M, L: LinkModel> LinkTransport<M, L> {
-    fn new(link: L, link_seed: u64, n: usize) -> Self {
+    fn new(link: L, link_seed: u64) -> Self {
         LinkTransport {
             planner: LinkPlanner::new(link, link_seed),
             queue: EventQueue::new(),
-            mailboxes: (0..n).map(|_| Mailbox::with_capacity(4)).collect(),
             plan: Vec::new(),
             transmissions: 0,
             copies_delivered: 0,
@@ -128,10 +127,8 @@ impl<M: Clone, L: LinkModel> Transport<M> for LinkTransport<M, L> {
         profile::lap(&mut io.prof, Phase::LinkPlanning);
     }
 
-    /// Every copy due now moves into its destination's mailbox and marks
-    /// the destination a receiver, so the sweep visits only mailboxes that
-    /// hold something: receivers in ascending ID order, each consuming its
-    /// mailbox in FIFO order.
+    /// Hands over every copy due now, in the queue's `(time, scheduling
+    /// order)` order.
     fn deliver<F: FnMut(NodeId, NodeId, &M)>(
         &mut self,
         round: Round,
@@ -139,18 +136,10 @@ impl<M: Clone, L: LinkModel> Transport<M> for LinkTransport<M, L> {
         io: &mut RoundIo,
         mut receive: F,
     ) {
-        while let Some((at, flight)) = self.queue.pop_due(round) {
-            io.scratch.mark_receiver(flight.to);
-            self.mailboxes[flight.to.index()].deliver(at, flight.from, flight.msg);
-        }
-        let mut next = 0;
-        while let Some(v) = io.scratch.next_receiver(next) {
-            next = v.index() + 1;
-            while let Some(env) = self.mailboxes[v.index()].pop() {
-                self.copies_delivered += 1;
-                receive(v, env.from, &env.msg);
-                io.delivered(round, env.from, v);
-            }
+        while let Some((_, flight)) = self.queue.pop_due(round) {
+            self.copies_delivered += 1;
+            receive(flight.to, flight.from, &flight.msg);
+            io.delivered(round, flight.from, flight.to);
         }
     }
 
@@ -188,7 +177,7 @@ where
         link: L,
         link_seed: u64,
     ) -> Self {
-        let transport = LinkTransport::new(link, link_seed, nodes.len());
+        let transport = LinkTransport::new(link, link_seed);
         UnicastSynchronizer(UnicastSim::with_transport(
             algorithm_name,
             nodes,
@@ -252,7 +241,7 @@ where
         link: L,
         link_seed: u64,
     ) -> Self {
-        let transport = LinkTransport::new(link, link_seed, nodes.len());
+        let transport = LinkTransport::new(link, link_seed);
         BroadcastSynchronizer(BroadcastSim::with_transport(
             algorithm_name,
             nodes,

@@ -6,8 +6,10 @@
 //!   same seed reproduces the same execution byte-for-byte, in both the
 //!   synchronizer adapters and the asynchronous event engine;
 //! * the round engines' two transports agree: over `PerfectLink` the link
-//!   transport reproduces `Direct` byte-for-byte, in both communication
-//!   modes, whatever the adversary family and `SimConfig` flags.
+//!   transport reproduces `Direct` byte-for-byte — reports, learning logs
+//!   and the order of deliveries — in both communication modes, whatever
+//!   the adversary family and `SimConfig` flags;
+//! * an event-engine run split at arbitrary time caps is the one-shot run.
 
 use dynspread_core::flooding::PhasedFlooding;
 use dynspread_core::single_source::SingleSourceNode;
@@ -17,9 +19,10 @@ use dynspread_graph::oblivious::{
 };
 use dynspread_graph::{Graph, NodeId};
 use dynspread_runtime::engine::{EventCtx, EventProtocol, EventSim, StopReason};
-use dynspread_runtime::link::{LinkModelExt, PerfectLink};
+use dynspread_runtime::link::{DropLink, LinkModelExt, PerfectLink};
 use dynspread_runtime::protocol::{AsyncConfig, AsyncSingleSource};
 use dynspread_runtime::sync::{BroadcastSynchronizer, UnicastSynchronizer};
+use dynspread_runtime::trace::JsonlTracer;
 use dynspread_sim::sim::{BroadcastSim, SimConfig, UnicastSim};
 use dynspread_sim::token::TokenAssignment;
 use proptest::prelude::*;
@@ -71,15 +74,20 @@ impl EventProtocol for Announcer {
 
 /// Runs one seeded execution on `Direct` and on the link transport over
 /// `PerfectLink`, in the given communication mode, and returns each side's
-/// `(RunReport Debug, learning log Debug)`. `family` picks the adversary;
-/// `stable` turns on the online check of the σ that family guarantees.
+/// `(RunReport Debug, learning log Debug, comparable trace)`. The
+/// comparable trace is what the two transports must agree on: in a unicast
+/// run the whole JSONL trace less the link transport's own `sched` records;
+/// in a broadcast run — where `Direct` hands a broadcast over as it is
+/// made and the link transport after the round's last one — the `deliver`
+/// records, in order. `family` picks the adversary; `stable` turns on the
+/// online check of the σ that family guarantees.
 fn both_transports(
     broadcast: bool,
     (n, k, seed): (usize, usize, u64),
     family: u8,
     charge_neighbor_discovery: bool,
     stable: bool,
-) -> [(String, String); 2] {
+) -> [(String, String, String); 2] {
     let assignment = TokenAssignment::single_source(n, k, NodeId::new(0));
     let sigma = if family == 3 { 2 } else { 3 };
     let cfg = SimConfig {
@@ -91,9 +99,27 @@ fn both_transports(
     macro_rules! fingerprint {
         ($sim:expr) => {{
             let mut sim = $sim;
+            let tracer = JsonlTracer::new();
+            sim.set_tracer(tracer.clone());
             let report = sim.run_to_completion();
             assert!(report.completed, "{report}");
-            (format!("{report:?}"), format!("{:?}", sim.tracker().log()))
+            let trace: String = tracer
+                .take_jsonl()
+                .split_inclusive('\n')
+                .filter(|line| {
+                    if broadcast {
+                        line.starts_with("{\"k\":\"deliver\"")
+                    } else {
+                        !line.starts_with("{\"k\":\"sched\"")
+                    }
+                })
+                .collect();
+            assert!(trace.contains("\"deliver\""), "nothing to compare");
+            (
+                format!("{report:?}"),
+                format!("{:?}", sim.tracker().log()),
+                trace,
+            )
         }};
     }
     macro_rules! run {
@@ -225,9 +251,9 @@ proptest! {
     }
 
     /// The equivalence contract, searched: the link transport over
-    /// `PerfectLink` reproduces `Direct` byte-for-byte — report and learning
-    /// log — in both modes, for every adversary family and with either
-    /// `SimConfig` flag on.
+    /// `PerfectLink` reproduces `Direct` byte-for-byte — report, learning
+    /// log and the same deliveries in the same order — in both modes, for
+    /// every adversary family and with either `SimConfig` flag on.
     #[test]
     fn perfect_link_transport_reproduces_direct(
         broadcast in prop::bool::ANY,
@@ -241,6 +267,47 @@ proptest! {
         let [direct, link] =
             both_transports(broadcast, (n, k, seed), family, charge_neighbor_discovery, stable);
         prop_assert_eq!(direct, link);
+    }
+
+    /// `EventSim::run` is resumable: stopping at each of an ascending
+    /// sequence of time caps and running on is the one-shot run to the last
+    /// cap — same `EventReport`, same `RunReport`, same trace, byte for byte
+    /// — with retransmission timers racing lossy, jittery deliveries over a
+    /// rewiring topology.
+    #[test]
+    fn a_run_split_at_time_caps_is_the_one_shot_run(
+        n in 4usize..12,
+        k in 1usize..6,
+        seed in 0u64..10_000,
+        drop_centi in 0u64..40,
+        jitter in 0u64..4,
+        caps in prop::collection::vec(0u64..600, 1..7),
+    ) {
+        let mut caps = caps;
+        caps.sort_unstable();
+        let assignment = TokenAssignment::single_source(n, k, NodeId::new(0));
+        let run = |caps: &[u64]| {
+            let mut sim = EventSim::with_tracking(
+                AsyncSingleSource::nodes(&assignment, AsyncConfig::default()),
+                PeriodicRewiring::new(Topology::RandomTree, 3, seed),
+                DropLink::new(drop_centi as f64 / 100.0).with_jitter(jitter),
+                2,
+                seed ^ 0xC0FFEE,
+                &assignment,
+            );
+            let tracer = JsonlTracer::new();
+            sim.set_tracer(tracer.clone());
+            let mut last = None;
+            for &cap in caps {
+                last = Some(sim.run(cap));
+            }
+            (
+                format!("{:?}", last.expect("at least one cap")),
+                format!("{:?}", sim.run_report("async-ss")),
+                tracer.take_jsonl(),
+            )
+        };
+        prop_assert_eq!(run(&caps), run(&caps[caps.len() - 1..]));
     }
 
     /// The asynchronous event engine is replay-identical too, including

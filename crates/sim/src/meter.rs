@@ -6,29 +6,12 @@
 //! communication is by unicast, messages to different neighbors are counted
 //! separately."
 //!
-//! The meter counts at *send time* and classifies by [`MessageClass`]; it
-//! also records a per-round series so experiments can analyze progress.
+//! The meter counts at *send time* and classifies by [`MessageClass`].
 
 use crate::message::MessageClass;
 use dynspread_graph::Round;
 
-/// Per-round message counts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoundCounts {
-    /// Unicast messages sent this round.
-    pub unicast: u64,
-    /// Local-broadcast messages (each counts 1 regardless of degree).
-    pub broadcast: u64,
-}
-
-impl RoundCounts {
-    /// Total messages this round under Definition 1.1.
-    pub fn total(&self) -> u64 {
-        self.unicast + self.broadcast
-    }
-}
-
-/// Totals and per-class/per-round breakdowns of message complexity.
+/// Totals and per-class breakdown of message complexity.
 ///
 /// # Examples
 ///
@@ -43,15 +26,14 @@ impl RoundCounts {
 /// m.record_broadcast(MessageClass::Token);
 /// assert_eq!(m.total(), 3);
 /// assert_eq!(m.by_class(MessageClass::Token), 2);
-/// assert_eq!(m.round_series().len(), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct MessageMeter {
     unicast_total: u64,
     broadcast_total: u64,
     by_class: [u64; MessageClass::ALL.len()],
-    rounds: Vec<RoundCounts>,
-    current_round: Option<Round>,
+    /// The open round (1-based); 0 before the first `begin_round`.
+    current_round: Round,
     /// Deterministic per-class attribution sampling factor (1 = exact);
     /// see [`MessageMeter::record_broadcast_batch`].
     sampling: u64,
@@ -70,8 +52,7 @@ impl MessageMeter {
             unicast_total: 0,
             broadcast_total: 0,
             by_class: [0; MessageClass::ALL.len()],
-            rounds: Vec::new(),
-            current_round: None,
+            current_round: 0,
             sampling: 1,
         }
     }
@@ -99,10 +80,9 @@ impl MessageMeter {
     ///
     /// Panics if rounds are opened out of order.
     pub fn begin_round(&mut self, round: Round) {
-        let expected = self.rounds.len() as Round + 1;
+        let expected = self.current_round + 1;
         assert_eq!(round, expected, "rounds must be opened in order");
-        self.rounds.push(RoundCounts::default());
-        self.current_round = Some(round);
+        self.current_round = round;
     }
 
     /// Records one unicast message of the given class.
@@ -122,8 +102,7 @@ impl MessageMeter {
     ///
     /// Panics if no round is open.
     pub fn record_unicasts(&mut self, class: MessageClass, count: u64) {
-        let r = self.current_round.expect("no round open") as usize - 1;
-        self.rounds[r].unicast += count;
+        self.assert_round_open();
         self.unicast_total += count;
         self.by_class[class.index()] += count;
     }
@@ -135,8 +114,7 @@ impl MessageMeter {
     ///
     /// Panics if no round is open.
     pub fn record_broadcast(&mut self, class: MessageClass) {
-        let r = self.current_round.expect("no round open") as usize - 1;
-        self.rounds[r].broadcast += 1;
+        self.assert_round_open();
         self.broadcast_total += 1;
         self.by_class[class.index()] += 1;
     }
@@ -171,8 +149,7 @@ impl MessageMeter {
         class_counts: &[u64; MessageClass::ALL.len()],
         total: u64,
     ) {
-        let r = self.current_round.expect("no round open") as usize - 1;
-        self.rounds[r].broadcast += total;
+        self.assert_round_open();
         self.broadcast_total += total;
         if total == 0 {
             return;
@@ -214,6 +191,10 @@ impl MessageMeter {
         }
     }
 
+    fn assert_round_open(&self) {
+        assert!(self.current_round > 0, "no round open");
+    }
+
     /// Total message complexity (Definition 1.1).
     pub fn total(&self) -> u64 {
         self.unicast_total + self.broadcast_total
@@ -232,21 +213,6 @@ impl MessageMeter {
     /// Total messages of a class.
     pub fn by_class(&self, class: MessageClass) -> u64 {
         self.by_class[class.index()]
-    }
-
-    /// The per-round series (index 0 = round 1).
-    pub fn round_series(&self) -> &[RoundCounts] {
-        &self.rounds
-    }
-
-    /// Amortized messages per token: `total / k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn amortized_per_token(&self, k: usize) -> f64 {
-        assert!(k > 0, "k must be positive");
-        self.total() as f64 / k as f64
     }
 }
 
@@ -269,7 +235,6 @@ mod tests {
         counted.record_unicasts(MessageClass::Control, 0);
         assert_eq!(counted.total(), 7);
         assert_eq!(counted.by_class(MessageClass::Control), 6);
-        assert_eq!(counted.round_series(), one_by_one.round_series());
         assert_eq!(counted.unicast_total(), one_by_one.unicast_total());
     }
 
@@ -292,22 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn per_round_series() {
-        let mut m = MessageMeter::new();
-        m.begin_round(1);
-        m.record_unicast(MessageClass::Token);
-        m.begin_round(2);
-        m.begin_round(3);
-        m.record_broadcast(MessageClass::Token);
-        m.record_broadcast(MessageClass::Token);
-        let s = m.round_series();
-        assert_eq!(s.len(), 3);
-        assert_eq!(s[0].total(), 1);
-        assert_eq!(s[1].total(), 0);
-        assert_eq!(s[2].broadcast, 2);
-    }
-
-    #[test]
     #[should_panic(expected = "in order")]
     fn out_of_order_round_panics() {
         let mut m = MessageMeter::new();
@@ -319,22 +268,6 @@ mod tests {
     fn recording_before_round_panics() {
         let mut m = MessageMeter::new();
         m.record_unicast(MessageClass::Token);
-    }
-
-    #[test]
-    fn amortized_per_token() {
-        let mut m = MessageMeter::new();
-        m.begin_round(1);
-        for _ in 0..10 {
-            m.record_unicast(MessageClass::Token);
-        }
-        assert_eq!(m.amortized_per_token(5), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn amortized_zero_k_panics() {
-        MessageMeter::new().amortized_per_token(0);
     }
 
     #[test]
@@ -356,7 +289,6 @@ mod tests {
         for c in MessageClass::ALL {
             assert_eq!(a.by_class(c), b.by_class(c));
         }
-        assert_eq!(a.round_series(), b.round_series());
     }
 
     #[test]
@@ -372,7 +304,7 @@ mod tests {
         m.record_broadcast_batch(&counts, 10);
         assert_eq!(m.total(), 10, "totals are always exact");
         assert_eq!(m.by_class(MessageClass::Token), 10);
-        assert_eq!(m.round_series()[0].broadcast, 10);
+        assert_eq!(m.broadcast_total(), 10);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub enum Phase {
     LinkPlanning,
     /// Transcript recording (the Byzantine accountability channel).
     Transcript,
-    /// Mailbox delivery and protocol `receive` consumption.
+    /// Handing due copies to protocol `receive`.
     Delivery,
     /// The synchronous engines' `end_round` sweep.
     EndRound,

@@ -7,8 +7,9 @@
 //! connectivity check. Each engine in [`crate::sim`] holds one and drives
 //! it; the engine's [`Transport`](crate::sim::Transport) only marks the
 //! receivers it hands messages to (through
-//! [`RoundIo::scratch`](crate::sim::RoundIo)), so parking and waking work
-//! the same whether a message arrives in its round or three rounds late.
+//! [`RoundIo::delivered`](crate::sim::RoundIo::delivered)), so parking and
+//! waking work the same whether a message arrives in its round or three
+//! rounds late.
 //!
 //! # The active set
 //!
@@ -110,7 +111,7 @@ impl RoundScratch {
 
     /// The first of this round's receivers with index `>= from`.
     #[inline]
-    pub fn next_receiver(&self, from: usize) -> Option<NodeId> {
+    fn next_receiver(&self, from: usize) -> Option<NodeId> {
         next_set(from, self.received.len(), |wi| self.received[wi])
     }
 

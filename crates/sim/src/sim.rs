@@ -14,8 +14,8 @@
 //! engine's [`Transport`]. [`Direct`] — the default, and what `new` builds —
 //! is the paper's model: every message arrives in the round it was sent,
 //! exactly once. `dynspread-runtime`'s synchronizers are these same engines
-//! over a link transport (a link model, an event queue, mailboxes), so a
-//! message may also arrive late, twice, or never. Everything that is not
+//! over a link transport (a link model and an event queue), so a message
+//! may also arrive late, twice, or never. Everything that is not
 //! carrying messages belongs to the engine and is therefore the same under
 //! every transport: the adversary interaction, the model invariants
 //! asserted every round (the graph is connected and has the right node
@@ -53,8 +53,6 @@ pub struct SimConfig {
     pub max_rounds: Round,
     /// Verify σ-edge stability of the adversary's schedule online.
     pub check_stability: Option<u64>,
-    /// Assert per-round connectivity (always cheap: one union–find pass).
-    pub check_connectivity: bool,
     /// Charge KT0-style neighbor discovery (unicast engine only): two
     /// control messages per inserted edge, modelling the "hello" exchange
     /// the paper notes makes unknown and known neighborhood information
@@ -80,7 +78,6 @@ impl Default for SimConfig {
         SimConfig {
             max_rounds: 1_000_000,
             check_stability: None,
-            check_connectivity: true,
             charge_neighbor_discovery: false,
             meter_sampling: 1,
         }
@@ -101,7 +98,7 @@ impl SimConfig {
 /// carries a round's messages.
 pub struct RoundIo {
     /// Receiver marks (see [`RoundIo::delivered`]).
-    pub scratch: RoundScratch,
+    pub(crate) scratch: RoundScratch,
     /// The engine's trace stream, for link-fate records.
     pub tracer: Option<Box<dyn Tracer>>,
     /// The engine's profiler, for transports with phases of their own.
@@ -272,13 +269,11 @@ impl Core {
         }
         self.dg.apply(update);
         profile::lap(&mut self.io.prof, Phase::AdversaryEvolve);
-        if self.cfg.check_connectivity {
-            let removed = self.dg.last_delta().removed.len();
-            assert!(
-                self.io.scratch.check_connected(self.dg.current(), removed),
-                "adversary produced a disconnected graph in round {round}"
-            );
-        }
+        let removed = self.dg.last_delta().removed.len();
+        assert!(
+            self.io.scratch.check_connected(self.dg.current(), removed),
+            "adversary produced a disconnected graph in round {round}"
+        );
         if let Some(chk) = self.stability.as_mut() {
             chk.observe(self.dg.current())
                 .expect("adversary violated σ-edge stability");

@@ -195,13 +195,6 @@ impl TokenSet {
             .map(move |(i, &w)| if i == last { !w & tail } else { !w })
     }
 
-    /// Tokens present in `other` but missing here (what a neighbor could
-    /// teach us).
-    pub fn missing_from<'a>(&'a self, other: &'a TokenSet) -> impl Iterator<Item = TokenId> + 'a {
-        assert_eq!(self.universe, other.universe, "universe mismatch");
-        other.iter().filter(move |&t| !self.contains(t))
-    }
-
     /// In-place union; returns the number of newly added tokens.
     pub fn union_with(&mut self, other: &TokenSet) -> usize {
         assert_eq!(self.universe, other.universe, "universe mismatch");
@@ -461,18 +454,6 @@ mod tests {
         let mut c = a.clone();
         c.union_with(&b);
         assert_eq!(c.count(), 4);
-    }
-
-    #[test]
-    fn missing_from_lists_learnable_tokens() {
-        let mut a = TokenSet::new(6);
-        a.insert(TokenId::new(0));
-        let mut b = TokenSet::new(6);
-        b.insert(TokenId::new(0));
-        b.insert(TokenId::new(2));
-        b.insert(TokenId::new(5));
-        let learnable: Vec<usize> = a.missing_from(&b).map(|t| t.index()).collect();
-        assert_eq!(learnable, vec![2, 5]);
     }
 
     #[test]

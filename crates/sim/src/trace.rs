@@ -133,9 +133,9 @@ pub enum TraceRecord {
         /// Intended destination.
         to: u32,
     },
-    /// A copy consumed from a mailbox.
+    /// A copy handed to its receiver.
     Delivered {
-        /// Virtual time of consumption.
+        /// Virtual time of the hand-over.
         t: u64,
         /// Original sender.
         from: u32,
@@ -318,7 +318,7 @@ impl TraceRecord {
     /// Parses one JSONL line produced by [`TraceRecord::write_jsonl`].
     ///
     /// Returns `None` for lines that are not well-formed trace records
-    /// (unknown kind, missing field, non-numeric value).
+    /// (unknown kind, missing field, non-numeric or out-of-range value).
     pub fn parse_line(line: &str) -> Option<TraceRecord> {
         let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
         let mut kind: Option<&str> = None;
@@ -346,91 +346,92 @@ impl TraceRecord {
                 .find(|(k, _)| *k == name)
                 .map(|&(_, v)| v)
         };
+        // Node IDs, episodes and counts are 32-bit: a value that does not
+        // fit is malformed, not some other node.
+        let get32 = |name: &str| -> Option<u32> { u32::try_from(get(name)?).ok() };
         let rec = match kind? {
             "round" => TraceRecord::Round {
                 r: get("r")?,
                 inserted: get("ins")?,
                 removed: get("del")?,
             },
-            "phase" => TraceRecord::Phase {
-                p: get("p")? as u32,
-            },
+            "phase" => TraceRecord::Phase { p: get32("p")? },
             "send" => TraceRecord::Send {
                 t: get("t")?,
-                from: get("from")? as u32,
-                to: get("to")? as u32,
+                from: get32("from")?,
+                to: get32("to")?,
             },
             "bcast" => TraceRecord::Broadcast {
                 t: get("t")?,
-                from: get("from")? as u32,
+                from: get32("from")?,
             },
             "sched" => TraceRecord::Scheduled {
                 t: get("t")?,
-                from: get("from")? as u32,
-                to: get("to")? as u32,
+                from: get32("from")?,
+                to: get32("to")?,
                 at: get("at")?,
             },
             "drop" => TraceRecord::Dropped {
                 t: get("t")?,
-                from: get("from")? as u32,
-                to: get("to")? as u32,
+                from: get32("from")?,
+                to: get32("to")?,
             },
             "dup" => TraceRecord::Duplicated {
                 t: get("t")?,
-                from: get("from")? as u32,
-                to: get("to")? as u32,
-                extra: get("extra")? as u32,
+                from: get32("from")?,
+                to: get32("to")?,
+                extra: get32("extra")?,
             },
             "unroutable" => TraceRecord::Unroutable {
                 t: get("t")?,
-                from: get("from")? as u32,
-                to: get("to")? as u32,
+                from: get32("from")?,
+                to: get32("to")?,
             },
             "deliver" => TraceRecord::Delivered {
                 t: get("t")?,
-                from: get("from")? as u32,
-                to: get("to")? as u32,
+                from: get32("from")?,
+                to: get32("to")?,
             },
             "timer_armed" => TraceRecord::TimerArmed {
                 t: get("t")?,
-                node: get("node")? as u32,
+                node: get32("node")?,
                 id: get("id")?,
                 at: get("at")?,
             },
             "timer_fired" => TraceRecord::TimerFired {
                 t: get("t")?,
-                node: get("node")? as u32,
+                node: get32("node")?,
                 id: get("id")?,
             },
             "retransmit" => TraceRecord::Retransmission {
                 t: get("t")?,
-                node: get("node")? as u32,
+                node: get32("node")?,
             },
             "backoff_reset" => TraceRecord::BackoffReset {
                 t: get("t")?,
-                node: get("node")? as u32,
+                node: get32("node")?,
             },
             "crash" => TraceRecord::NodeCrashed {
                 t: get("t")?,
-                node: get("node")? as u32,
+                node: get32("node")?,
             },
             "recover" => TraceRecord::NodeRecovered {
                 t: get("t")?,
-                node: get("node")? as u32,
+                node: get32("node")?,
             },
             "part" => TraceRecord::PartitionStarted {
                 t: get("t")?,
-                episode: get("ep")? as u32,
+                episode: get32("ep")?,
             },
             "heal" => TraceRecord::PartitionHealed {
                 t: get("t")?,
-                episode: get("ep")? as u32,
+                episode: get32("ep")?,
             },
             "cov" => TraceRecord::Coverage {
                 t: get("t")?,
-                node: get("node")? as u32,
-                gained: get("gained")? as u32,
-                known: get("known")? as u32,
+                node: get32("node")?,
+                gained: get32("gained")?,
+                known: get32("known")?,
             },
             _ => return None,
         };
@@ -621,6 +622,31 @@ mod tests {
         assert_eq!(TraceRecord::parse_line("not json"), None);
         assert_eq!(TraceRecord::parse_line("{\"k\":\"nope\"}"), None);
         assert_eq!(TraceRecord::parse_line("{\"k\":\"send\",\"t\":1}"), None);
+    }
+
+    #[test]
+    fn parse_rejects_values_that_overflow_a_32_bit_field() {
+        // Every 32-bit field of every kind: 2³² + v would narrow to v.
+        let mut checked = 0;
+        for rec in samples() {
+            let mut line = String::new();
+            rec.write_jsonl(&mut line);
+            for key in ["p", "from", "to", "extra", "node", "ep", "gained", "known"] {
+                let needle = format!("\"{key}\":");
+                let Some(start) = line.find(&needle).map(|i| i + needle.len()) else {
+                    continue;
+                };
+                let end = start + line[start..].find([',', '}']).expect("value ends");
+                let v: u64 = line[start..end].parse().expect("numeric");
+                let wide = format!("{}{}{}", &line[..start], (1u64 << 32) + v, &line[end..]);
+                assert_eq!(TraceRecord::parse_line(&wide), None, "{wide}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 26, "every narrowed field of every kind");
+        // The largest node ID fits, and 64-bit fields keep their range.
+        let line = "{\"k\":\"send\",\"t\":4294967296,\"from\":4294967295,\"to\":1}";
+        assert!(TraceRecord::parse_line(line).is_some());
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! * [`core`] — Algorithms 1 & 2, Multi-Source-Unicast, flooding,
 //!   baselines, the potential adversary of Theorem 2.3, random walks.
 //! * [`runtime`] — the deterministic discrete-event runtime: virtual
-//!   clock, seeded event queue, per-node mailboxes, composable lossy /
-//!   latent link models, synchronizer adapters that run the round-based
-//!   protocols unchanged (byte-identical to [`sim`] under a perfect
-//!   link), the asynchronous `EventProtocol` engine, and native async
+//!   clock, seeded event queue, composable lossy / latent link models,
+//!   synchronizer adapters that run the round-based protocols unchanged
+//!   (the same `receive` calls in the same order as [`sim`] under a
+//!   perfect link), the asynchronous `EventProtocol` engine, and native async
 //!   ports of the dissemination algorithms with explicit retransmission
 //!   (`runtime::protocol`; conformance contract in
 //!   `crates/runtime/README.md`).

@@ -19,7 +19,7 @@
 //! * [`ScriptedAdversary`] — replays an explicit schedule.
 
 use crate::adversary::Adversary;
-use crate::connectivity::{bridges, connect_components};
+use crate::connectivity::{connect_components, BridgeIndex};
 use crate::dynamic::{GraphUpdate, RoundDelta};
 use crate::edge::Edge;
 use crate::generators::Topology;
@@ -28,7 +28,6 @@ use crate::node::{NodeId, Round};
 use crate::stability::StabilityEnforcer;
 use rand::distributions::{Distribution, Geometric};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// The adversary that never changes the topology: a static network.
@@ -254,14 +253,13 @@ impl EdgeMarkovian {
         if self.p_off <= 0.0 || g.edge_count() == 0 {
             return;
         }
-        let pinned: std::collections::BTreeSet<Edge> =
-            self.enforcer.pinned_edges().into_iter().collect();
+        let pinned = self.enforcer.pinned_edges();
         let present = g.edges().as_slice();
         let geom = Geometric::new(self.p_off);
         let mut i = geom.sample(&mut self.rng);
         while (i as usize) < present.len() {
             let e = present[i as usize];
-            if !pinned.contains(&e) {
+            if pinned.binary_search(&e).is_err() {
                 deaths.push(e);
             }
             i += 1 + geom.sample(&mut self.rng);
@@ -339,6 +337,20 @@ impl Adversary for EdgeMarkovian {
 /// non-bridges, so `TC(E)` grows by at most `churn` per round after the
 /// initial topology — making the adversary-competitive budget directly
 /// proportional to the churn-rate knob.
+///
+/// # Cost
+///
+/// Every deletion draws uniformly among the present edges that are neither
+/// bridges nor σ-pinned, and removals create bridges, so the bridges are
+/// kept current by a [`BridgeIndex`]: a round costs one O(n + m) pass, one
+/// more per deleted spanning-tree edge (about (n − 1)/m of the draws),
+/// and a walk up the tree — O(depth) — per other deletion. The draw itself
+/// is rank arithmetic over the sorted edge list, with no candidate list:
+/// of `m` present edges `m − |bridges ∪ pinned|` are eligible, and the
+/// drawn rank is resolved by stepping over the excluded edges. That rests
+/// on `bridges ⊆ E` and `pinned ⊆ E` holding throughout a round — they do
+/// at its start (the enforcer tracks exactly the present edges), and an
+/// edge removed mid-round was by construction neither.
 #[derive(Debug)]
 pub struct ChurnAdversary {
     topology: Topology,
@@ -346,6 +358,9 @@ pub struct ChurnAdversary {
     enforcer: StabilityEnforcer,
     rng: StdRng,
     current: Option<Graph>,
+    bridges: BridgeIndex,
+    /// `bridges ∪ pinned`, sorted: the edges a deletion may not draw.
+    excluded: Vec<Edge>,
     name: String,
 }
 
@@ -359,6 +374,8 @@ impl ChurnAdversary {
             enforcer: StabilityEnforcer::new(sigma),
             rng: StdRng::seed_from_u64(seed),
             current: None,
+            bridges: BridgeIndex::default(),
+            excluded: Vec::new(),
             name: format!("churn({topology:?}, c={churn}, σ={sigma})"),
         }
     }
@@ -381,23 +398,35 @@ impl Adversary for ChurnAdversary {
             return GraphUpdate::Full(clamped);
         };
         // Delete up to `churn` non-bridge edges that are mature enough,
-        // recomputing bridges after each deletion (removals create bridges).
-        let pinned: std::collections::BTreeSet<Edge> =
-            self.enforcer.pinned_edges().into_iter().collect();
+        // each drawn uniformly among the eligible ones in edge order.
+        let pinned = self.enforcer.pinned_edges();
         let mut removed = Vec::new();
         for _ in 0..self.churn {
-            let bridge_set: std::collections::BTreeSet<Edge> = bridges(g).into_iter().collect();
-            let candidates: Vec<Edge> = g
-                .edges()
-                .iter()
-                .filter(|e| !bridge_set.contains(e) && !pinned.contains(e))
-                .collect();
-            if let Some(&e) = candidates.as_slice().choose(&mut self.rng) {
-                g.remove_edge(e);
-                removed.push(e);
-            } else {
+            // Removals create bridges: bring the index up to the graph.
+            match removed.last() {
+                None => self.bridges.rebuild(g),
+                Some(&e) => self.bridges.delete(g, e),
+            }
+            merge_sorted(self.bridges.bridges(), &pinned, &mut self.excluded);
+            let present = g.edges().as_slice();
+            debug_assert!(self.excluded.windows(2).all(|w| w[0] < w[1]));
+            debug_assert!(self.excluded.iter().all(|&e| g.edges().contains(e)));
+            let eligible = present.len() - self.excluded.len();
+            if eligible == 0 {
                 break;
             }
+            // The `rank`-th eligible edge sits `skipped` places further on,
+            // past the excluded edges at or before it.
+            let rank = self.rng.gen_range(0..eligible);
+            let skipped = self
+                .excluded
+                .iter()
+                .enumerate()
+                .take_while(|&(j, &x)| x <= present[rank + j])
+                .count();
+            let e = present[rank + skipped];
+            g.remove_edge(e);
+            removed.push(e);
         }
         // Insert up to `churn` random absent edges.
         let mut inserted = Vec::new();
@@ -433,6 +462,21 @@ impl Adversary for ChurnAdversary {
     fn name(&self) -> &str {
         &self.name
     }
+}
+
+/// Writes the union of the sorted, duplicate-free `a` and `b` into `out`,
+/// sorted and duplicate-free.
+fn merge_sorted(a: &[Edge], b: &[Edge], out: &mut Vec<Edge>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let next = a[i].min(b[j]);
+        i += (a[i] == next) as usize;
+        j += (b[j] == next) as usize;
+        out.push(next);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 /// Replays an explicit schedule `G_1, …, G_x`, clamping to the last graph

@@ -9,7 +9,7 @@
 use dynspread_graph::adversary::Adversary;
 use dynspread_graph::dynamic::GraphUpdate;
 use dynspread_graph::generators::Topology;
-use dynspread_graph::oblivious::ChurnAdversary;
+use dynspread_graph::oblivious::{ChurnAdversary, EdgeMarkovian};
 use dynspread_graph::{DynamicGraph, Edge};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,15 +38,13 @@ impl Fnv {
     }
 }
 
-/// 200 rounds of the `async_lossy` churn adversary, hashing every update
-/// exactly as the adversary emits it (initial sample, then the inserted
-/// and removed lists in draw order).
-fn churn_schedule_hash(seed: u64) -> u64 {
-    let n = 256;
-    let mut adversary = ChurnAdversary::new(Topology::SparseConnected(3.0), 8, 3, seed);
+/// Drives `adversary` for `rounds` rounds on `n` nodes, hashing every
+/// update exactly as it is emitted (initial sample, then the inserted and
+/// removed lists in draw order).
+fn schedule_hash(mut adversary: impl Adversary, n: usize, rounds: u64) -> u64 {
     let mut dg = DynamicGraph::new(n);
     let mut h = Fnv::new();
-    for round in 1..=200 {
+    for round in 1..=rounds {
         let update = adversary.evolve(round, dg.current());
         match &update {
             GraphUpdate::Full(g) => {
@@ -63,17 +61,23 @@ fn churn_schedule_hash(seed: u64) -> u64 {
         dg.apply(update);
     }
     assert!(
-        dg.topological_changes() > 200,
+        dg.topological_changes() > rounds,
         "the schedule must actually churn"
     );
     h.0
+}
+
+/// The `async_lossy` churn adversary's schedule.
+fn churn_schedule_hash(seed: u64, n: usize, rounds: u64) -> u64 {
+    let adversary = ChurnAdversary::new(Topology::SparseConnected(3.0), 8, 3, seed);
+    schedule_hash(adversary, n, rounds)
 }
 
 #[test]
 fn churn_adversary_schedules_are_pinned() {
     let got: Vec<u64> = [7, 41, 20260930]
         .into_iter()
-        .map(churn_schedule_hash)
+        .map(|seed| churn_schedule_hash(seed, 256, 200))
         .collect();
     assert_eq!(
         got,
@@ -83,6 +87,33 @@ fn churn_adversary_schedules_are_pinned() {
             0x8cad_293e_ceb5_541b
         ],
         "ChurnAdversary(SparseConnected(3.0), 8, 3) drew a different schedule: {got:#x?}"
+    );
+}
+
+#[test]
+fn churn_adversary_schedules_are_pinned_at_benchmark_size() {
+    // The benchmark cell's own shape: DFS trees thousands deep, which
+    // n = 256 never reaches, at the two seeds the claims are made on.
+    let got: Vec<u64> = [7, 20260930]
+        .into_iter()
+        .map(|seed| churn_schedule_hash(seed, 4096, 60))
+        .collect();
+    assert_eq!(
+        got,
+        [0x10a0_57da_4f06_ffd6, 0xcb19_b9af_6f19_e802],
+        "ChurnAdversary(SparseConnected(3.0), 8, 3) at n = 4096 drew a different schedule: {got:#x?}"
+    );
+}
+
+#[test]
+fn edge_markovian_schedule_is_pinned() {
+    // Some 300 births a round stay pinned for two more and a fifth of the
+    // present edges are hit by each death sweep: 7155 of the sweeps' hits
+    // over these 60 rounds land on a pinned edge and must be passed over.
+    let got = schedule_hash(EdgeMarkovian::new(0.01, 0.2, 3, 20260930), 256, 60);
+    assert_eq!(
+        got, 0x284f_d148_cb96_62f9,
+        "EdgeMarkovian(0.01, 0.2, σ = 3) drew a different schedule: {got:#x}"
     );
 }
 

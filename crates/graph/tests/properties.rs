@@ -1,6 +1,6 @@
 //! Property-based tests of the dynamic-graph substrate.
 
-use dynspread_graph::connectivity::{bridges, connect_components};
+use dynspread_graph::connectivity::{bridges, connect_components, BridgeIndex};
 use dynspread_graph::dynamic::{topological_changes, GraphUpdate, RoundDelta};
 use dynspread_graph::generators::Topology;
 use dynspread_graph::stability::{check_schedule, StabilityEnforcer};
@@ -160,6 +160,87 @@ fn has_edge_on_degenerate_graphs() {
     assert!(!Graph::path(3).has_edge(NodeId::new(2), NodeId::new(3)));
 }
 
+/// The bridges of `g` by definition: the edges whose removal splits a
+/// component.
+fn bridges_by_component_count(g: &Graph) -> Vec<Edge> {
+    let components = g.component_count();
+    g.edges()
+        .iter()
+        .filter(|&e| {
+            let mut h = g.clone();
+            h.remove_edge(e);
+            h.component_count() > components
+        })
+        .collect()
+}
+
+/// Deletes seeded non-bridge edges from `g` until only bridges are left,
+/// checking the index after every deletion against a fresh one and against
+/// the definition. Returns how many deletions took the tree-edge arm
+/// (rebuild) and how many the non-tree arm (walk).
+fn delete_non_bridges_checking_the_index(mut g: Graph, rng: &mut StdRng) -> (usize, usize) {
+    let mut index = BridgeIndex::new(&g);
+    assert_eq!(index.bridges(), bridges_by_component_count(&g));
+    let (mut rebuilds, mut walks) = (0, 0);
+    loop {
+        let deletable: Vec<Edge> = g
+            .edges()
+            .iter()
+            .filter(|e| index.bridges().binary_search(e).is_err())
+            .collect();
+        let Some(&e) = deletable.choose(rng) else {
+            break;
+        };
+        if index.is_tree_edge(e) {
+            rebuilds += 1;
+        } else {
+            walks += 1;
+        }
+        g.remove_edge(e);
+        index.delete(&g, e);
+        assert_eq!(index.bridges(), BridgeIndex::new(&g).bridges(), "after {e}");
+        assert_eq!(index.bridges(), bridges_by_component_count(&g), "after {e}");
+    }
+    // Only bridges are left: a spanning forest.
+    assert_eq!(g.edge_count() + g.component_count(), g.node_count());
+    (rebuilds, walks)
+}
+
+/// `BridgeIndex::delete` keeps the bridges exact under any sequence of
+/// non-bridge deletions, through both of its arms.
+#[test]
+fn bridge_index_stays_exact_under_non_bridge_deletions() {
+    let mut rng = StdRng::seed_from_u64(20260930);
+    let mut graphs = vec![
+        Graph::path(17),
+        Graph::cycle(17),
+        Graph::complete(9),
+        // Two components: the second DFS root starts mid-pass.
+        Graph::from_edges(
+            14,
+            Graph::complete(7).edges().iter().flat_map(|e| {
+                let (lo, hi) = (e.lo().value() + 7, e.hi().value() + 7);
+                [e, Edge::new(NodeId::new(lo), NodeId::new(hi))]
+            }),
+        ),
+    ];
+    let samples = (topology_strategy(), 3usize..40);
+    for _ in 0..48 {
+        let (topology, n) = samples.generate(&mut rng);
+        graphs.push(topology.sample(n, &mut rng));
+    }
+    let (mut rebuilds, mut walks) = (0, 0);
+    for g in graphs {
+        let (r, w) = delete_non_bridges_checking_the_index(g, &mut rng);
+        rebuilds += r;
+        walks += w;
+    }
+    assert!(
+        rebuilds > 0 && walks > 0,
+        "{rebuilds} rebuilds, {walks} walks"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -275,17 +356,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = topology.sample(n, &mut rng);
-        let bridge_set: std::collections::BTreeSet<Edge> = bridges(&g).into_iter().collect();
-        let components = g.component_count();
-        for e in g.edges().iter() {
-            let mut h = g.clone();
-            h.remove_edge(e);
-            if bridge_set.contains(&e) {
-                prop_assert_eq!(h.component_count(), components + 1);
-            } else {
-                prop_assert_eq!(h.component_count(), components);
-            }
-        }
+        prop_assert_eq!(bridges(&g), bridges_by_component_count(&g));
     }
 
     #[test]

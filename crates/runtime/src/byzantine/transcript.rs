@@ -26,13 +26,24 @@ use dynspread_sim::token::TokenId;
 /// stable across platforms and runs).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_from(OFFSET, bytes)
+}
+
+/// Continues an FNV-1a state over more bytes:
+/// `fnv1a(a ‖ b) == fnv1a_from(fnv1a(a), b)`.
+fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(PRIME);
     }
     h
+}
+
+/// One link of the chain, `fnv1a(chain ‖ bytes)`, without building the
+/// concatenation.
+fn chain_link(chain: u64, bytes: &[u8]) -> u64 {
+    fnv1a_from(fnv1a(&chain.to_le_bytes()), bytes)
 }
 
 /// The protocol-level message family of a transcript entry, shared across
@@ -92,7 +103,7 @@ impl MsgSummary {
         bytes[7..15].copy_from_slice(&self.seq.unwrap_or(0).to_le_bytes());
         bytes[15] = self.source.is_some() as u8;
         bytes[16..20].copy_from_slice(&self.source.map_or(0, |s| s.index() as u32).to_le_bytes());
-        fnv1a(&[&h.to_le_bytes()[..], &bytes[..]].concat())
+        chain_link(h, &bytes)
     }
 }
 
@@ -214,10 +225,9 @@ impl Transcript {
         at: VirtualTime,
         summary: MsgSummary,
     ) {
-        let mut h = self.chain;
-        let peer_bytes = (peer.index() as u32).to_le_bytes();
-        h = fnv1a(&[&h.to_le_bytes()[..], &[dir as u8], &peer_bytes[..]].concat());
-        h = fnv1a(&[&h.to_le_bytes()[..], &at.to_le_bytes()].concat());
+        let [p0, p1, p2, p3] = (peer.index() as u32).to_le_bytes();
+        let h = chain_link(self.chain, &[dir as u8, p0, p1, p2, p3]);
+        let h = chain_link(h, &at.to_le_bytes());
         self.chain = summary.digest_into(h);
         self.entries.push(TranscriptEntry {
             dir,
@@ -275,6 +285,29 @@ mod tests {
         assert_ne!(t1.chain_hash(), t3.chain_hash(), "order matters");
         assert_eq!(t1.len(), 2);
         assert!(!t1.is_empty());
+    }
+
+    #[test]
+    fn chain_hash_is_pinned() {
+        // All three message families, both directions. The chain is a
+        // format — two builds must agree on a replay's digest — so its
+        // value is pinned, not only its determinism.
+        let (token, seq) = (TokenId::new(4), 0x0102_0304_0506);
+        let walk_ack = AsyncOblMsg::WalkAck { token, seq };
+        let entries = [
+            (1, 5, AsyncSsMsg::Request(TokenId::new(3)).summarize()),
+            (1, 9, AsyncSsMsg::Token(TokenId::new(3)).summarize()),
+            (2, 12, AsyncMsMsg::Completeness(NodeId::new(7)).summarize()),
+            (2, 13, AsyncMsMsg::Ack(NodeId::new(7)).summarize()),
+            (4000, 1 << 40, AsyncOblMsg::Walk { token, seq }.summarize()),
+            (4000, 3 << 40, walk_ack.summarize()),
+        ];
+        let mut t = Transcript::new();
+        for (i, (peer, at, summary)) in entries.into_iter().enumerate() {
+            let dir = [Direction::Sent, Direction::Received][i % 2];
+            t.append(dir, NodeId::new(peer), at, summary);
+        }
+        assert_eq!(t.chain_hash(), 0xfbda_fe13_5c3d_5fa9);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! Channel 2 of the observability layer, applied: runs the four
 //! non-pipelined protocol arms of the scale grid, plus Algorithm 1 on the
-//! round engine's link transport (a lossy, jittery synchronizer), with the
+//! round engine's link transport (a lossy, jittery synchronizer) and the
+//! asynchronous multi-source port at `oblivious_pipeline`'s phase-2 token
+//! placement (`k = s = 16`, whatever the grid's `k`), with the
 //! engines' self-profiler enabled (`enable_profiling`) and records where
 //! each run's wall time actually goes, per [`Phase`](dynspread_sim::Phase).
 //! The first deliverable is evidence for the scale roadmap item: the
@@ -40,20 +42,21 @@ use dynspread_bench::{
 };
 use dynspread_core::single_source::SingleSourceNode;
 use dynspread_graph::NodeId;
-use dynspread_runtime::engine::EventSim;
+use dynspread_runtime::engine::{EventProtocol, EventSim};
 use dynspread_runtime::link::{LinkModelExt, PerfectLink};
-use dynspread_runtime::protocol::{AsyncConfig, AsyncSingleSource};
+use dynspread_runtime::protocol::{AsyncConfig, AsyncMultiSource, AsyncSingleSource};
 use dynspread_runtime::sync::UnicastSynchronizer;
 use dynspread_sim::sim::SimConfig;
 use dynspread_sim::token::TokenAssignment;
 use dynspread_sim::{ProfileReport, RunReport};
 
-const PROTOCOLS: [&str; 5] = [
+const PROTOCOLS: [&str; 6] = [
     "flooding",
     "single-source",
     "multi-source",
     "async-single-source",
     "sync-lossy-single-source",
+    "async-multi-source",
 ];
 
 /// Same deterministic meter-sampling factor as the `exp_scale` flooding
@@ -65,6 +68,28 @@ struct Cell {
     protocol: &'static str,
     n: usize,
     report: RunReport,
+}
+
+/// The event-engine arms: `nodes` over latency-1 perfect links, two ticks
+/// to the adversary's round, profiled.
+fn run_async<P: EventProtocol>(
+    nodes: Vec<P>,
+    assignment: &TokenAssignment,
+    seed: u64,
+    max_time: u64,
+    name: &str,
+) -> RunReport {
+    let mut sim = EventSim::with_tracking(
+        nodes,
+        default_adversary(seed),
+        PerfectLink.with_latency(1),
+        2,
+        derive_seed(seed, 0x5CA1E),
+        assignment,
+    );
+    sim.enable_profiling();
+    let _ = sim.run(max_time);
+    sim.run_report(name)
 }
 
 fn run_cell(protocol: &'static str, n: usize, k: usize, seed: u64) -> Cell {
@@ -85,18 +110,14 @@ fn run_cell(protocol: &'static str, n: usize, k: usize, seed: u64) -> Cell {
             run_multi_source_profiled(&a, default_adversary(seed), max_rounds)
         }
         "async-single-source" => {
-            let assignment = TokenAssignment::single_source(n, k, NodeId::new(0));
-            let mut sim = EventSim::with_tracking(
-                AsyncSingleSource::nodes(&assignment, AsyncConfig::default()),
-                default_adversary(seed),
-                PerfectLink.with_latency(1),
-                2,
-                derive_seed(seed, 0x5CA1E),
-                &assignment,
-            );
-            sim.enable_profiling();
-            let _ = sim.run(8 * max_rounds);
-            sim.run_report("async-single-source")
+            let a = TokenAssignment::single_source(n, k, NodeId::new(0));
+            let nodes = AsyncSingleSource::nodes(&a, AsyncConfig::default());
+            run_async(nodes, &a, seed, 8 * max_rounds, protocol)
+        }
+        "async-multi-source" => {
+            let a = TokenAssignment::round_robin_sources(n, 16, 16);
+            let (nodes, _) = AsyncMultiSource::nodes(&a, AsyncConfig::default());
+            run_async(nodes, &a, seed, 8 * max_rounds, protocol)
         }
         "sync-lossy-single-source" => {
             let assignment = TokenAssignment::single_source(n, k, NodeId::new(0));
@@ -171,8 +192,8 @@ fn main() {
     for (si, &n) in sizes.iter().enumerate() {
         for (pi, &p) in PROTOCOLS.iter().enumerate() {
             // Stride 4 is the arm count the grid started with: a later arm
-            // must not reseed the recorded cells (it shares its seed with
-            // arm 0 of the next size — another protocol, nothing to correlate).
+            // must not reseed the recorded cells (it shares its seed with an
+            // arm of the next size — another protocol, nothing to correlate).
             let seed = derive_seed(base_seed, (si * 4 + pi) as u64);
             cells.push(run_cell(p, n, k, seed));
         }

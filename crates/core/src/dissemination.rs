@@ -17,7 +17,7 @@
 //!   engine feeds per-neighbor retransmission windows and reliability is
 //!   the protocol's (explicit retransmission + receiver-side dedup).
 //!
-//! Two pieces:
+//! Three pieces:
 //!
 //! * [`DisseminationCore`] — token knowledge `K_v`, the in-flight request
 //!   set, and the distinct-missing-token assigner ("assign each eligible
@@ -27,12 +27,18 @@
 //!   and `d` eligible channels pays O(d + k/64) per pass, not O(k).
 //! * [`CompletenessLedger`] — the paper's `R_v` (whom we have informed of
 //!   our completeness) and `S_v` (who announced completeness to us), both
-//!   *monotone*: bits are only ever set. In the async port `R_v` doubles
+//!   *monotone*: bits are only ever set. In the async ports `R_v` doubles
 //!   as acknowledgment state (set on `Ack`, not on send), which is what
 //!   makes announcement retransmission idempotent.
+//! * [`PeerLedger`] — the same `R_v(x)` / `S_v(x)` for all `s` sources at
+//!   once, stored per peer *heard from* instead of per node of the
+//!   network: the asynchronous multi-source port's ledger.
 
+use dynspread_graph::node::IdHasher;
 use dynspread_graph::NodeId;
 use dynspread_sim::token::{TokenAssignment, TokenId, TokenSet};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Token knowledge plus the distinct-missing-token request assigner shared
 /// by every dissemination protocol, round-based or asynchronous.
@@ -211,8 +217,12 @@ fn requestable<'a>(know: &'a TokenSet, in_flight: &'a TokenSet) -> impl Iterator
 /// The paper's per-node completeness bookkeeping: `R_v` (informed peers)
 /// and `S_v` (peers known to be complete), as monotone bit vectors.
 ///
-/// The single-source algorithm keeps one ledger; the multi-source
-/// algorithms keep one per source (`R_v(x)`, `S_v(x)`). The asynchronous
+/// The single-source protocols, round-based and asynchronous, keep one
+/// (at `s = 1`, `2n` bits is already minimal); the round-based
+/// `MultiSourceNode` keeps one per source (`R_v(x)`, `S_v(x)`), because a
+/// synchronous run lasts thousands of rounds and a node meets about half
+/// the network — [`PeerLedger`]'s rows measured `unicast_sparse` 1.00–1.11
+/// → 1.32–1.42 s and 31.5 → 70.9 MB there. The asynchronous
 /// ports reuse `R_v` as *acknowledgment* state: a peer is marked informed
 /// only when its `Ack` arrives, so unacked announcements keep being
 /// retransmitted and the at-most-once "announce ever" budget of the
@@ -329,6 +339,154 @@ impl CompletenessLedger {
         self.known_complete.fill(0);
         self.complete_count = 0;
     }
+}
+
+/// `R_v(x)` and `S_v(x)` of all `s` sources, keyed by peer: for each peer
+/// `u` this node has *heard from*, a row of two source masks — the sources
+/// `u` acknowledged (`u ∈ R_v(x)`) and those it announced itself complete
+/// for (`u ∈ S_v(x)`). The asynchronous multi-source port's ledger.
+///
+/// `s` [`CompletenessLedger`]s cost `s/4` bytes per node *of the network*,
+/// met or not — 64 MB of `oblivious_pipeline`'s 212 MB peak at `n = 4096`,
+/// `s = 16` — while an asynchronous run is over within 60–150 epochs, each
+/// node having met a few dozen peers. A row (≈ 25 bytes) is created by the
+/// first *write* about a peer, an absent one reads as all-zero, and a
+/// heartbeat's per-neighbor questions are mask operations on one row
+/// instead of a walk over `s` ledgers. Rows sit in a hash map over the
+/// fixed [`IdHasher`], keyed by `(peer, mask word)` so that they are inline
+/// at any `s`; the protocol only ever probes it.
+///
+/// Source masks (`mine` below) are `⌈s/64⌉` words, bit `idx % 64` of word
+/// `idx / 64` for source index `idx`, bits at or above `s` clear.
+///
+/// ```
+/// use dynspread_core::dissemination::PeerLedger;
+/// use dynspread_graph::NodeId;
+///
+/// let (mut ledger, u) = (PeerLedger::new(3), NodeId::new(7));
+/// let mine = [0b101]; // we are complete for sources 0 and 2
+/// assert_eq!(ledger.lowest_owed(&mine, u), Some(0));
+/// assert!(ledger.mark_informed(0, u));
+/// assert_eq!(ledger.lowest_owed(&mine, u), Some(2));
+/// // `u` may yet be complete for source 1, the one we lack — until it
+/// // says so, which makes source 1 the request focus.
+/// assert!(ledger.worth_probing(&mine, u));
+/// assert!(ledger.note_peer_complete(1, u));
+/// assert!(!ledger.worth_probing(&mine, u));
+/// assert_eq!(ledger.active_source(&mine), Some(1));
+/// ```
+#[derive(Clone, Debug)]
+pub struct PeerLedger {
+    /// `s`, the number of sources.
+    sources: usize,
+    /// `(u, w) → [acked, complete]`: word `w` of `u`'s two source masks.
+    rows: HashMap<(NodeId, u32), [u64; 2], BuildHasherDefault<IdHasher>>,
+    /// Source mask of `{x : S_v(x) ≠ ∅}`. `S_v(x)` only grows within an
+    /// incarnation, so one bit per source stands in for `|S_v(x)|`.
+    heard: Vec<u64>,
+}
+
+/// Which half of a row: `R_v(·)[u]` or `S_v(·)[u]`.
+const ACKED: usize = 0;
+const COMPLETE: usize = 1;
+
+impl PeerLedger {
+    /// Creates an empty ledger over `sources` sources.
+    pub fn new(sources: usize) -> Self {
+        PeerLedger {
+            sources,
+            rows: HashMap::default(),
+            heard: vec![0; sources.div_ceil(64)],
+        }
+    }
+
+    /// Word `w` of one of `u`'s masks; zero for a peer never written.
+    fn word(&self, u: NodeId, w: usize, half: usize) -> u64 {
+        self.rows.get(&(u, w as u32)).map_or(0, |row| row[half])
+    }
+
+    /// Sets source `idx`'s bit in one of `u`'s masks, creating the row;
+    /// returns `true` iff it was clear.
+    fn set(&mut self, idx: usize, u: NodeId, half: usize) -> bool {
+        debug_assert!(idx < self.sources, "source index {idx} out of range");
+        let row = self.rows.entry((u, (idx / 64) as u32)).or_default();
+        set_bit(std::slice::from_mut(&mut row[half]), idx % 64)
+    }
+
+    /// Records that `u` announced completeness w.r.t. source `idx`.
+    /// Returns `true` iff this was news (monotone: never unset).
+    pub fn note_peer_complete(&mut self, idx: usize, u: NodeId) -> bool {
+        set_bit(&mut self.heard, idx);
+        self.set(idx, u, COMPLETE)
+    }
+
+    /// Whether `u` is known complete w.r.t. source `idx` (`u ∈ S_v(x)`).
+    pub fn peer_complete(&self, idx: usize, u: NodeId) -> bool {
+        get_bit(&[self.word(u, idx / 64, COMPLETE)], idx % 64)
+    }
+
+    /// Whether any peer is known complete w.r.t. source `idx`
+    /// (`S_v(x) ≠ ∅`).
+    pub fn any_peer_complete(&self, idx: usize) -> bool {
+        get_bit(&self.heard, idx)
+    }
+
+    /// Whether `u` has yet to acknowledge our completeness w.r.t. source
+    /// `idx` (`u ∉ R_v(x)`).
+    pub fn needs_inform(&self, idx: usize, u: NodeId) -> bool {
+        !get_bit(&[self.word(u, idx / 64, ACKED)], idx % 64)
+    }
+
+    /// Records `u`'s acknowledgment for source `idx`. Returns `true` iff
+    /// this was news (monotone: never unset).
+    pub fn mark_informed(&mut self, idx: usize, u: NodeId) -> bool {
+        self.set(idx, u, ACKED)
+    }
+
+    /// The minimum source in `mine` (the sources this node is complete
+    /// for) that `u` has not acknowledged: the announcement `u` is owed.
+    pub fn lowest_owed(&self, mine: &[u64], u: NodeId) -> Option<usize> {
+        lowest_bit((0..mine.len()).map(|w| mine[w] & !self.word(u, w, ACKED)))
+    }
+
+    /// Whether probing `u` could still teach us something: some source
+    /// outside `mine` that `u` is not yet known complete for.
+    pub fn worth_probing(&self, mine: &[u64], u: NodeId) -> bool {
+        (0..mine.len()).any(|w| {
+            // The last word's bits at or above `s` name no source.
+            let valid = match self.sources - w * 64 {
+                rest if rest < 64 => (1u64 << rest) - 1,
+                _ => !0,
+            };
+            valid & !mine[w] & !self.word(u, w, COMPLETE) != 0
+        })
+    }
+
+    /// The minimum source outside `mine` with a known-complete peer: the
+    /// request focus ("the minimum `x ∉ I_v` with `S_v(x) ≠ ∅`").
+    pub fn active_source(&self, mine: &[u64]) -> Option<usize> {
+        lowest_bit(
+            self.heard
+                .iter()
+                .zip(mine)
+                .map(|(&heard, &mine)| heard & !mine),
+        )
+    }
+
+    /// Forgets everything, rows included: crash-amnesia, as
+    /// [`CompletenessLedger::reset`].
+    pub fn reset(&mut self) {
+        self.rows.clear();
+        self.heard.fill(0);
+    }
+}
+
+/// Index of the lowest set bit of a mask given word by word.
+fn lowest_bit(words: impl Iterator<Item = u64>) -> Option<usize> {
+    words
+        .enumerate()
+        .find(|&(_, word)| word != 0)
+        .map(|(w, word)| w * 64 + word.trailing_zeros() as usize)
 }
 
 #[cfg(test)]

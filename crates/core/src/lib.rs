@@ -58,7 +58,7 @@ pub mod walk;
 
 pub use adaptive::{RequestCuttingAdversary, StableRequestCutter};
 pub use baselines::{TreeBroadcastStatic, UnicastFlooding};
-pub use dissemination::{CompletenessLedger, DisseminationCore};
+pub use dissemination::{CompletenessLedger, DisseminationCore, PeerLedger};
 pub use edge_history::EdgeCategory;
 pub use flooding::{BcastMsg, FloodingBroadcast, PhasedFlooding, RoundRobinBroadcast};
 pub use leader_election::{ElectionMode, ElectionNode};

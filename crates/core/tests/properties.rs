@@ -1,5 +1,6 @@
 //! Property-based tests of the core algorithm machinery.
 
+use dynspread_core::dissemination::{CompletenessLedger, PeerLedger};
 use dynspread_core::flooding::PhasedFlooding;
 use dynspread_core::gf2::{Gf2Basis, Gf2Vector};
 use dynspread_core::leader_election::{run_election, ElectionMode};
@@ -14,7 +15,7 @@ use dynspread_sim::sim::{BroadcastSim, SimConfig};
 use dynspread_sim::token::{TokenId, TokenSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -164,6 +165,76 @@ proptest! {
         // Eager converges within n − 1 rounds on any connected dynamics.
         if eager {
             prop_assert!(report.rounds <= n as u64);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(60))]
+
+    /// [`PeerLedger`] against the structure it replaced in the asynchronous
+    /// multi-source port — one [`CompletenessLedger`] per source — and its
+    /// mask queries against that port's former per-source loops, written
+    /// out below. `s = 65` and `s = 130` cross the mask-word boundary.
+    #[test]
+    fn peer_ledger_matches_one_completeness_ledger_per_source(
+        which in 0usize..6,
+        seed in 0u64..1_000_000,
+    ) {
+        let s = [1, 4, 16, 64, 65, 130][which];
+        let n = 7usize;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ledger = PeerLedger::new(s);
+        let mut model: Vec<CompletenessLedger> =
+            (0..s).map(|_| CompletenessLedger::new(n)).collect();
+        for _ in 0..80 {
+            let idx = rng.gen_range(0..s);
+            let u = NodeId::new(rng.gen_range(0..n as u32));
+            match rng.gen_range(0..24u32) {
+                0 => {
+                    ledger.reset();
+                    model.iter_mut().for_each(CompletenessLedger::reset);
+                }
+                // A peer saturates: the only way `worth_probing` turns
+                // false or `lowest_owed` runs dry at s = 130.
+                1 => for x in 0..s {
+                    prop_assert_eq!(ledger.note_peer_complete(x, u), model[x].note_peer_complete(u));
+                },
+                2 => for x in 0..s {
+                    prop_assert_eq!(ledger.mark_informed(x, u), model[x].mark_informed(u));
+                },
+                3..=12 => prop_assert_eq!(
+                    ledger.note_peer_complete(idx, u),
+                    model[idx].note_peer_complete(u)
+                ),
+                _ => prop_assert_eq!(ledger.mark_informed(idx, u), model[idx].mark_informed(u)),
+            }
+            for (x, of_source) in model.iter().enumerate() {
+                prop_assert_eq!(ledger.any_peer_complete(x), of_source.any_peer_complete());
+                for v in NodeId::all(n) {
+                    prop_assert_eq!(ledger.needs_inform(x, v), of_source.needs_inform(v));
+                    prop_assert_eq!(ledger.peer_complete(x, v), of_source.peer_complete(v));
+                }
+            }
+            // A random own complete-for mask: sparse, even or nearly full.
+            let density = [0.05, 0.5, 0.97][rng.gen_range(0..3usize)];
+            let complete_wrt: Vec<bool> = (0..s).map(|_| rng.gen_bool(density)).collect();
+            let mut mine = vec![0u64; s.div_ceil(64)];
+            for x in (0..s).filter(|&x| complete_wrt[x]) {
+                mine[x / 64] |= 1 << (x % 64);
+            }
+            for v in NodeId::all(n) {
+                // `announce_to`, `owes_announcement`, `worth_probing`.
+                let owed = (0..s).find(|&x| complete_wrt[x] && model[x].needs_inform(v));
+                let owes = (0..s).any(|x| complete_wrt[x] && model[x].needs_inform(v));
+                let probe = (0..s).any(|x| !complete_wrt[x] && !model[x].peer_complete(v));
+                prop_assert_eq!(ledger.lowest_owed(&mine, v), owed);
+                prop_assert_eq!(ledger.lowest_owed(&mine, v).is_some(), owes);
+                prop_assert_eq!(ledger.worth_probing(&mine, v), probe);
+            }
+            // `active_source`.
+            let active = (0..s).find(|&x| !complete_wrt[x] && model[x].any_peer_complete());
+            prop_assert_eq!(ledger.active_source(&mine), active);
         }
     }
 }

@@ -10,7 +10,7 @@
 use crate::connectivity::connect_components;
 use crate::edge::Edge;
 use crate::graph::Graph;
-use crate::node::NodeId;
+use crate::node::{IdHasher, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -45,12 +45,11 @@ fn random_tree_edges<R: Rng>(n: usize, rng: &mut R) -> Vec<Edge> {
 
 /// The edges a generator has already picked, probed once per candidate.
 ///
-/// A `HashSet` with a two-multiply hasher in place of SipHash: the keys are
-/// node pairs this module drew from its own RNG, so nothing can craft
-/// collisions, and hashing was a third of a sparse sample's cost. The hasher
-/// is a fixed function of the key (no per-process seed), and the set is never
+/// A `HashSet` with [`IdHasher`] in place of SipHash: the keys are node
+/// pairs this module drew from its own RNG, so nothing can craft collisions,
+/// and hashing was a third of a sparse sample's cost. The set is never
 /// iterated, so the generators stay deterministic.
-type SeenEdges = std::collections::HashSet<Edge, std::hash::BuildHasherDefault<PairHasher>>;
+type SeenEdges = std::collections::HashSet<Edge, std::hash::BuildHasherDefault<IdHasher>>;
 
 /// `edges` as a set with room for `capacity` edges in all: the caller's
 /// bound on its final edge count, so filling up to it never rehashes.
@@ -58,27 +57,6 @@ fn seen_edges(edges: &[Edge], capacity: usize) -> SeenEdges {
     let mut seen = SeenEdges::with_capacity_and_hasher(capacity, Default::default());
     seen.extend(edges.iter().copied());
     seen
-}
-
-/// Multiply–rotate mixing of the two `u32` endpoint writes `Edge`'s derived
-/// `Hash` makes (the FxHash step).
-#[derive(Default)]
-struct PairHasher(u64);
-
-impl std::hash::Hasher for PairHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(b as u32);
-        }
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.0 = (self.0.rotate_left(5) ^ x as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
 }
 
 /// An Erdős–Rényi `G(n, p)` sample, made connected by adding a minimal set

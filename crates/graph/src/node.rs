@@ -83,6 +83,33 @@ impl From<NodeId> for u32 {
     }
 }
 
+/// A fixed hasher for keys made of node IDs (a [`NodeId`], an
+/// [`Edge`](crate::edge::Edge), a `(NodeId, u32)` pair): one multiply–rotate
+/// step per `u32` written (the FxHash step) in place of SipHash.
+///
+/// For keys the program produces itself, so nothing can craft collisions.
+/// It is a fixed function of the key (no per-process seed); a set or map
+/// over it must still only be probed, never iterated, wherever output has
+/// to be deterministic.
+#[derive(Default)]
+pub struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b as u32);
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.0 = (self.0.rotate_left(5) ^ x as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
 /// A round number. Rounds are 1-based as in the paper: "round `r` starts at
 /// time `r - 1` and ends at time `r`"; round 0 denotes the initial empty
 /// graph `G_0 = (V, ∅)`.

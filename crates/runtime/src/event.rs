@@ -21,6 +21,13 @@
 //! constant-time, and the FIFO-per-tick structure makes the `(time,
 //! scheduling order)` total order a property of the layout instead of a
 //! comparator invariant.
+//!
+//! **Memory contract.** A bucket that drains hands its buffer to a spare
+//! pool and the next bucket to fill takes one from it, so retained storage
+//! follows the high-water mark of what was *simultaneously* pending — one
+//! buffer per bucket occupied at the same time — not the ticks elapsed.
+//! (Left in place, every bucket keeps the capacity of its fullest tick
+//! until the wheel wraps: 1024 buffers for a backlog spanning thirty.)
 
 /// A point on the runtime's virtual clock, in abstract ticks.
 ///
@@ -80,6 +87,9 @@ pub struct EventQueue<T> {
     overflow_min: VirtualTime,
     /// Scratch for overflow migration (retained to avoid reallocation).
     overflow_scratch: Vec<(VirtualTime, T)>,
+    /// The empty buffers of drained buckets, for the next ones to fill:
+    /// a bucket in `slots` holds capacity only while it is occupied.
+    spare: Vec<std::collections::VecDeque<T>>,
     wheel_len: usize,
     len: usize,
 }
@@ -98,6 +108,7 @@ impl<T> EventQueue<T> {
             overflow: Vec::new(),
             overflow_min: VirtualTime::MAX,
             overflow_scratch: Vec::new(),
+            spare: Vec::new(),
             wheel_len: 0,
             len: 0,
         }
@@ -118,10 +129,7 @@ impl<T> EventQueue<T> {
         );
         self.len += 1;
         if at < self.base + SLOTS as u64 {
-            let slot = (at & SLOT_MASK) as usize;
-            self.slots[slot].push_back(payload);
-            self.occupancy[slot / 64] |= 1 << (slot % 64);
-            self.wheel_len += 1;
+            self.push_into_wheel(at, payload);
             if at < self.cursor {
                 self.cursor = at;
             }
@@ -129,6 +137,21 @@ impl<T> EventQueue<T> {
             self.overflow.push((at, payload));
             self.overflow_min = self.overflow_min.min(at);
         }
+    }
+
+    /// Appends to the bucket of `at`, which lies inside the wheel window;
+    /// an unoccupied bucket takes a spare buffer first.
+    fn push_into_wheel(&mut self, at: VirtualTime, payload: T) {
+        let slot = (at & SLOT_MASK) as usize;
+        let bucket = &mut self.slots[slot];
+        if bucket.capacity() == 0 {
+            if let Some(buffer) = self.spare.pop() {
+                *bucket = buffer;
+            }
+        }
+        bucket.push_back(payload);
+        self.occupancy[slot / 64] |= 1 << (slot % 64);
+        self.wheel_len += 1;
     }
 
     /// The earliest pending time: sweeps the wheel's occupancy bitmap from
@@ -173,19 +196,18 @@ impl<T> EventQueue<T> {
             self.cursor = at;
             let horizon = at + SLOTS as u64;
             self.overflow_min = VirtualTime::MAX;
+            let mut waiting = std::mem::take(&mut self.overflow);
             let mut keep = std::mem::take(&mut self.overflow_scratch);
-            for (t, payload) in self.overflow.drain(..) {
+            for (t, payload) in waiting.drain(..) {
                 if t < horizon {
-                    let slot = (t & SLOT_MASK) as usize;
-                    self.slots[slot].push_back(payload);
-                    self.occupancy[slot / 64] |= 1 << (slot % 64);
-                    self.wheel_len += 1;
+                    self.push_into_wheel(t, payload);
                 } else {
                     self.overflow_min = self.overflow_min.min(t);
                     keep.push((t, payload));
                 }
             }
-            self.overflow_scratch = std::mem::replace(&mut self.overflow, keep);
+            self.overflow = keep;
+            self.overflow_scratch = waiting;
         }
         let slot = (at & SLOT_MASK) as usize;
         let payload = self.slots[slot]
@@ -193,6 +215,7 @@ impl<T> EventQueue<T> {
             .expect("peeked bucket is occupied");
         if self.slots[slot].is_empty() {
             self.occupancy[slot / 64] &= !(1 << (slot % 64));
+            self.spare.push(std::mem::take(&mut self.slots[slot]));
         }
         self.wheel_len -= 1;
         self.len -= 1;

@@ -16,7 +16,9 @@
 //!   doubles (capped at [`AsyncConfig::max_interval`]) while it does not.
 //! * **Ack/dedup state.** Announcements are acknowledged; the ack bit is
 //!   the monotone `R_v` of the shared
-//!   [`CompletenessLedger`](dynspread_core::dissemination::CompletenessLedger).
+//!   [`CompletenessLedger`](dynspread_core::dissemination::CompletenessLedger)
+//!   (single source) or
+//!   [`PeerLedger`](dynspread_core::dissemination::PeerLedger) (multi-source).
 //!   Token application is at-most-once by construction
 //!   (`DisseminationCore::accept_token` is a set insert), so duplicated
 //!   or retransmitted deliveries are harmless.
@@ -203,7 +205,7 @@ pub(crate) struct RequestWindow {
 }
 
 impl RequestWindow {
-    pub(crate) fn new(_n: usize) -> Self {
+    pub(crate) fn new() -> Self {
         RequestWindow {
             slots: std::collections::BTreeMap::new(),
         }
@@ -300,7 +302,7 @@ mod tests {
 
     #[test]
     fn window_lifecycle() {
-        let mut w = RequestWindow::new(4);
+        let mut w = RequestWindow::new();
         let (u, v) = (NodeId::new(1), NodeId::new(3));
         let (a, b) = (TokenId::new(5), TokenId::new(7));
         assert_eq!(w.outstanding(u), None);
@@ -319,7 +321,7 @@ mod tests {
 
     #[test]
     fn clear_all_releases_everything() {
-        let mut w = RequestWindow::new(3);
+        let mut w = RequestWindow::new();
         w.open(NodeId::new(0), TokenId::new(1));
         w.open(NodeId::new(2), TokenId::new(2));
         let mut released = Vec::new();

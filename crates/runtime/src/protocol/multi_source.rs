@@ -11,7 +11,7 @@
 use super::{AsyncConfig, RequestWindow, Retransmitter};
 use crate::engine::{EventCtx, EventProtocol};
 use crate::faults::RecoveryMode;
-use dynspread_core::dissemination::{CompletenessLedger, DisseminationCore};
+use dynspread_core::dissemination::{DisseminationCore, PeerLedger};
 use dynspread_core::multi_source::SourceMap;
 use dynspread_graph::NodeId;
 use dynspread_sim::token::{TokenAssignment, TokenId, TokenSet};
@@ -34,6 +34,12 @@ pub enum AsyncMsMsg {
 }
 
 /// Per-node state of the asynchronous Multi-Source-Unicast port.
+///
+/// Nothing here is sized by `n`: completeness state is a [`PeerLedger`]
+/// (rows per peer heard from) where the round-based `MultiSourceNode` keeps
+/// `s` dense `CompletenessLedger`s, because an asynchronous run is over
+/// once each node has met a few dozen peers — the dense ledgers were 64 MB
+/// of `oblivious_pipeline`'s 212 MB peak at `n = 4096`, `s = 16`.
 ///
 /// ```
 /// use dynspread_graph::{oblivious::StaticAdversary, Graph};
@@ -62,8 +68,11 @@ pub struct AsyncMultiSource {
     core: DisseminationCore,
     /// Per source: how many of its tokens we hold.
     have_count: Vec<usize>,
-    /// Per source `x`: `R_v(x)` (ack state) / `S_v(x)`.
-    ledgers: Vec<CompletenessLedger>,
+    /// Source mask of the sources we are complete for (`complete_wrt`),
+    /// kept in step with `have_count`.
+    mine: Vec<u64>,
+    /// `R_v(x)` (ack state) / `S_v(x)` of every source `x`, by peer.
+    ledger: PeerLedger,
     /// One outstanding request per neighbor.
     window: RequestWindow,
     /// Heartbeat pacing with adaptive backoff.
@@ -91,12 +100,17 @@ impl AsyncMultiSource {
         for t in core.known_tokens().iter() {
             have_count[map.source_index_of(t)] += 1;
         }
+        let mut mine = vec![0u64; s.div_ceil(64)];
+        for idx in (0..s).filter(|&idx| have_count[idx] == map.tokens_of(idx).len()) {
+            mine[idx / 64] |= 1 << (idx % 64);
+        }
         AsyncMultiSource {
             id: v,
             core,
             have_count,
-            ledgers: (0..s).map(|_| CompletenessLedger::new(n)).collect(),
-            window: RequestWindow::new(n),
+            mine,
+            ledger: PeerLedger::new(s),
+            window: RequestWindow::new(),
             pacer: Retransmitter::new(cfg),
             map,
         }
@@ -137,8 +151,7 @@ impl AsyncMultiSource {
     /// The minimum incomplete source with a known-complete peer — the
     /// request focus ("pick the minimum `x ∉ I_v` with `S_v(x) ≠ ∅`").
     fn active_source(&self) -> Option<usize> {
-        (0..self.map.source_count())
-            .find(|&idx| !self.complete_wrt(idx) && self.ledgers[idx].any_peer_complete())
+        self.ledger.active_source(&self.mine)
     }
 
     /// Opens a request toward `u` from the *current* assignment pass over
@@ -146,7 +159,7 @@ impl AsyncMultiSource {
     /// free. Callers must have refreshed the pass with
     /// `core.refill_within(..)` since the last knowledge/in-flight change.
     fn assign_to(&mut self, active: usize, u: NodeId, ctx: &mut EventCtx<'_, AsyncMsMsg>) {
-        if self.window.outstanding(u).is_some() || !self.ledgers[active].peer_complete(u) {
+        if self.window.outstanding(u).is_some() || !self.ledger.peer_complete(active, u) {
             return;
         }
         if let Some(t) = self.core.assign_next() {
@@ -173,25 +186,20 @@ impl AsyncMultiSource {
     /// complete-w.r.t. source, mirroring the round algorithm's
     /// one-announcement-per-edge-per-round rule per heartbeat.
     fn announce_to(&mut self, u: NodeId, ctx: &mut EventCtx<'_, AsyncMsMsg>) {
-        for idx in 0..self.map.source_count() {
-            if self.complete_wrt(idx) && self.ledgers[idx].needs_inform(u) {
-                ctx.send(u, AsyncMsMsg::Completeness(self.map.sources()[idx]));
-                return;
-            }
+        if let Some(idx) = self.ledger.lowest_owed(&self.mine, u) {
+            ctx.send(u, AsyncMsMsg::Completeness(self.map.sources()[idx]));
         }
     }
 
     /// Whether any current announcement work remains toward `u`.
     fn owes_announcement(&self, u: NodeId) -> bool {
-        (0..self.map.source_count())
-            .any(|idx| self.complete_wrt(idx) && self.ledgers[idx].needs_inform(u))
+        self.ledger.lowest_owed(&self.mine, u).is_some()
     }
 
     /// Whether probing `u` could still teach us something: some source we
     /// are incomplete for, with `u` not yet known complete for it.
     fn worth_probing(&self, u: NodeId) -> bool {
-        (0..self.map.source_count())
-            .any(|idx| !self.complete_wrt(idx) && !self.ledgers[idx].peer_complete(u))
+        self.ledger.worth_probing(&self.mine, u)
     }
 }
 
@@ -226,7 +234,7 @@ impl EventProtocol for AsyncMultiSource {
                     .sources()
                     .binary_search(x)
                     .expect("announced source must be a source");
-                if self.ledgers[idx].note_peer_complete(from) {
+                if self.ledger.note_peer_complete(idx, from) {
                     self.pacer.note_progress();
                     ctx.note_backoff_reset();
                 }
@@ -241,7 +249,7 @@ impl EventProtocol for AsyncMultiSource {
                     .sources()
                     .binary_search(x)
                     .expect("acked source must be a source");
-                if self.ledgers[idx].mark_informed(from) {
+                if self.ledger.mark_informed(idx, from) {
                     self.pacer.note_progress();
                     ctx.note_backoff_reset();
                 }
@@ -263,9 +271,10 @@ impl EventProtocol for AsyncMultiSource {
                     self.have_count[idx] += 1;
                     if self.complete_wrt(idx) {
                         // Newly complete w.r.t. this source: announce it.
+                        self.mine[idx / 64] |= 1 << (idx % 64);
                         for i in 0..ctx.neighbors().len() {
                             let u = ctx.neighbors()[i];
-                            if self.ledgers[idx].needs_inform(u) {
+                            if self.ledger.needs_inform(idx, u) {
                                 ctx.send(u, AsyncMsMsg::Completeness(self.map.sources()[idx]));
                             }
                         }
@@ -284,14 +293,12 @@ impl EventProtocol for AsyncMultiSource {
     fn on_recover(&mut self, mode: RecoveryMode, ctx: &mut EventCtx<'_, AsyncMsMsg>) {
         if mode == RecoveryMode::Amnesia {
             // Volatile state is gone: open request windows (tokens become
-            // assignable again) and every per-source ledger — both who we
-            // believe complete and who acked us. Token knowledge (`core`,
+            // assignable again) and the ledger — both who we believe
+            // complete and who acked us. Token knowledge (`core`,
             // and with it `have_count`) is durable.
             let core = &mut self.core;
             self.window.clear_all(|t| core.release(t));
-            for ledger in &mut self.ledgers {
-                ledger.reset();
-            }
+            self.ledger.reset();
         }
         // Rejoin like a fresh start: re-announce what we are complete
         // for, probe if incomplete, arm a prompt heartbeat.

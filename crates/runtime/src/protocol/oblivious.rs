@@ -175,7 +175,7 @@ impl AsyncOblivious {
                 gamma,
                 seed,
             ),
-            window: RequestWindow::new(n),
+            window: RequestWindow::new(),
             transfer_seq: BTreeMap::new(),
             next_seq: 1,
             seen: BTreeMap::new(),

@@ -97,7 +97,7 @@ impl AsyncSingleSource {
             id: v,
             core: DisseminationCore::from_assignment(v, assignment),
             ledger: CompletenessLedger::new(n),
-            window: RequestWindow::new(n),
+            window: RequestWindow::new(),
             pacer: Retransmitter::new(cfg),
             retransmitted_requests: 0,
             duplicate_tokens: 0,

@@ -873,7 +873,12 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
         });
 
         // ---- Hand-off: resolved owners become phase 2's sources. ----
+        // Phase 1's engine (nodes, queue, transcripts) is dropped here,
+        // before phase 2's is built: all that outlives the hand-off is
+        // its fault counters.
         let hand_off = resolve_hand_off(&walk.sim, assignment, &is_center);
+        let (crashes, recoveries, partition_episodes) = walk.sim.fault_counters();
+        drop(walk.sim);
         let (knowledge, map) = (&hand_off.knowledge, &hand_off.map);
         let sources = map.sources().to_vec();
 
@@ -891,7 +896,6 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
         spread.evidence.splice(0..0, walk.evidence);
         spread.injected += walk.injected;
         let mut out = spread.into_outcome(&phase2, name);
-        let (crashes, recoveries, partition_episodes) = walk.sim.fault_counters();
         out.report.crashes += crashes;
         out.report.recoveries += recoveries;
         out.report.partition_episodes += partition_episodes;

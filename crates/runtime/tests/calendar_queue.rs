@@ -204,3 +204,128 @@ fn interleaved_schedule_pop_matches_heap_at_tick_granularity() {
     }
     assert_eq!(wheel.len(), heap.len());
 }
+
+/// Both queues under one schedule, compared at every pop.
+struct Lockstep {
+    wheel: EventQueue<u32>,
+    heap: HeapQueue,
+    next_payload: u32,
+}
+
+impl Lockstep {
+    fn new() -> Self {
+        Lockstep {
+            wheel: EventQueue::new(),
+            heap: HeapQueue::new(),
+            next_payload: 0,
+        }
+    }
+
+    fn schedule(&mut self, at: VirtualTime, count: usize) {
+        for _ in 0..count {
+            self.wheel.schedule(at, self.next_payload);
+            self.heap.schedule(at, self.next_payload);
+            self.next_payload += 1;
+        }
+    }
+
+    /// Pops everything due at `now` from both; returns how many.
+    fn drain_due(&mut self, now: VirtualTime) -> usize {
+        let mut popped = 0;
+        loop {
+            let (a, b) = (self.wheel.pop_due(now), self.heap.pop_due(now));
+            assert_eq!(a, b, "pop_due({now}) diverged");
+            if a.is_none() {
+                assert_eq!(self.wheel.len(), self.heap.len());
+                return popped;
+            }
+            popped += 1;
+        }
+    }
+
+    /// Pops the earliest entry from both; returns its time.
+    fn pop(&mut self) -> Option<VirtualTime> {
+        assert_eq!(self.wheel.next_time(), self.heap.next_time());
+        let (a, b) = (self.wheel.pop(), self.heap.pop());
+        assert_eq!(a, b, "pop diverged");
+        a.map(|(at, _)| at)
+    }
+}
+
+// The three places a bucket's buffer changes hands. A drained bucket gives
+// its buffer to the spare pool and the next bucket to fill takes it, so a
+// buffer outlives the tick it was grown for; none of that may show in the
+// pop order.
+
+#[test]
+fn a_bucket_drained_and_refilled_within_its_tick_stays_fifo() {
+    let mut q = Lockstep::new();
+    for tick in 1..200u64 {
+        q.schedule(tick, 30);
+        assert_eq!(q.drain_due(tick), 30);
+        // The bucket just gave its buffer up; handlers of the drained
+        // entries now schedule into the same tick and the next one, in
+        // alternation, so two buckets draw on the pool at once.
+        for _ in 0..10 {
+            q.schedule(tick, 1);
+            q.schedule(tick + 1, 2);
+        }
+        assert_eq!(q.drain_due(tick), 10);
+        // Drained a second time within the tick, refilled a third.
+        q.schedule(tick, 3);
+        assert_eq!(q.drain_due(tick), 3);
+        assert_eq!(q.drain_due(tick + 1), 20);
+    }
+    assert_eq!(q.pop(), None);
+}
+
+#[test]
+fn buffers_spared_before_an_overflow_migration_serve_the_migrated_entries() {
+    let mut q = Lockstep::new();
+    let mut base = 0u64;
+    for round in 0..12u64 {
+        // Near ticks of uneven size fill the pool as they drain...
+        for tick in 1..=20u64 {
+            q.schedule(base + tick, 1 + ((tick * 7 + round) % 40) as usize);
+        }
+        // ...while entries beyond the horizon wait in the overflow, in an
+        // order that is not their time order, two of them sharing a tick.
+        for far in [2_500u64, 1_100, 2_500, 1_101, 3_900, 1_100] {
+            q.schedule(base + far, 3);
+        }
+        // Draining the wheel makes the next pop migrate: `base + 1_100`
+        // and `base + 1_101` land in buckets that take spare buffers, the
+        // rest stay behind for the next jumps.
+        q.drain_due(base + 20);
+        for expect in [1_100u64, 1_101, 2_500, 3_900] {
+            assert_eq!(q.pop(), Some(base + expect));
+            q.drain_due(base + expect);
+        }
+        assert_eq!(q.pop(), None);
+        base += 3_900;
+    }
+}
+
+#[test]
+fn far_timers_interleaved_with_dense_near_ticks_keep_the_total_order() {
+    // The event engine's shape: every tick delivers a dense burst that
+    // schedules the next tick's burst (latency 1), heartbeat timers at
+    // every backoff step, and now and then a timer past the horizon.
+    let mut q = Lockstep::new();
+    let mut rng = StdRng::seed_from_u64(4);
+    q.schedule(1, 200);
+    for tick in 1..600u64 {
+        let due = q.drain_due(tick);
+        assert!(due >= 100, "tick {tick} delivered {due}");
+        for i in 0..due.min(300) {
+            q.schedule(tick + 1, 1);
+            if i % 4 == 0 {
+                q.schedule(tick + (2 << rng.gen_range(0..5u32)), 1);
+            }
+            if i % 97 == 0 {
+                q.schedule(tick + rng.gen_range(1_000..3_000u64), 1);
+            }
+        }
+    }
+    while q.pop().is_some() {}
+}

@@ -8,17 +8,25 @@
 //! [`Scenario::topology`] before running, so building it eagerly was pure
 //! waste that no per-layer metric saw.
 //!
-//! One `#[test]` only: the counters are process-wide, and a second test
-//! thread would allocate into the measurement.
+//! It also guards what a run *retains*: the event queue's storage must
+//! follow what is pending at once, not the ticks that have elapsed, and the
+//! multi-source port's completeness state the peers a node heard from, not
+//! `n·s` — the two owners of 180 of the 212 MB `oblivious_pipeline` used to
+//! peak at.
+//!
+//! The counters are process-wide, so the tests here take [`SERIAL`] first:
+//! a second test thread would otherwise allocate into the measurement.
 
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
 use dynspread_graph::NodeId;
+use dynspread_runtime::event::EventQueue;
 use dynspread_runtime::link::{LinkModelExt, PerfectLink};
 use dynspread_runtime::Scenario;
 use dynspread_sim::TokenAssignment;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Bytes ever requested, bytes currently live, and the live high-water
 /// mark since the last [`measure`] began.
@@ -67,8 +75,27 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
 
 const MIB: usize = 1 << 20;
 
+/// Held by each test for its whole body (see the module doc).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Peak live bytes of a whole `run_multi_source` to completion, builder
+/// included, over trees rewired every 3 rounds with latency-1 perfect
+/// links: the shape of `oblivious_pipeline`'s phase 2.
+fn multi_source_peak(n: usize, k: usize, s: usize) -> usize {
+    let (out, _, peak) = measure(|| {
+        Scenario::from_assignment(TokenAssignment::round_robin_sources(n, k, s))
+            .topology(PeriodicRewiring::new(Topology::RandomTree, 3, 11))
+            .link(PerfectLink.with_latency(1))
+            .seed(5)
+            .run_multi_source()
+    });
+    assert!(out.completed, "{}", out.report);
+    peak
+}
+
 #[test]
 fn a_scenario_allocates_what_its_run_uses() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // The builder, at the benchmark's async size: token placement in, a
     // replaced topology out. With the eager default this requested 201 MB
     // (K_4096: edge list, sort, adjacency); now it is a few hundred bytes.
@@ -82,19 +109,59 @@ fn a_scenario_allocates_what_its_run_uses() {
     );
     drop(scenario);
 
-    // A full run, builder included: peak live bytes of `run_multi_source`
-    // at n = 1024 over rewired trees. 13.35 MiB when this bound was
-    // recorded — nodes, ledgers, tracker and the event queue's backlog.
-    let (out, _, peak) = measure(|| {
-        Scenario::from_assignment(TokenAssignment::round_robin_sources(1024, 8, 4))
-            .topology(PeriodicRewiring::new(Topology::RandomTree, 3, 11))
-            .link(PerfectLink.with_latency(1))
-            .seed(5)
-            .run_multi_source()
+    // The event queue alone: a window of 10 000 pending entries slid over
+    // 5 000 ticks, each popped entry scheduling one into the next tick.
+    // Two buckets are ever occupied at once, so two buffers exist, plus
+    // the overflow list and its scratch, which carry one tick's entries
+    // each time the window passes the wheel's horizon: 2.03 MiB, 8.9
+    // windows, with every capacity rounded up to a power of two. When
+    // drained buckets kept their buffers it was one 10 000-entry buffer
+    // per wheel slot, 400 MB.
+    type Entry = [u64; 3];
+    const WINDOW: usize = 10_000;
+    let ((), _, peak) = measure(|| {
+        let mut queue: EventQueue<Entry> = EventQueue::new();
+        for i in 0..WINDOW {
+            queue.schedule(1, [i as u64; 3]);
+        }
+        for tick in 1..=5_000 {
+            while let Some((_, entry)) = queue.pop_due(tick) {
+                queue.schedule(tick + 1, entry);
+            }
+        }
+        assert_eq!(queue.len(), WINDOW);
     });
-    assert!(out.completed, "{}", out.report);
     assert!(
-        peak < 16 * MIB,
+        peak < 10 * WINDOW * std::mem::size_of::<Entry>(),
+        "a {WINDOW}-entry window peaked at {peak} live bytes"
+    );
+
+    // A full run at n = 1024: 4.12 MiB when this bound was recorded —
+    // nodes, tracker and the event queue's backlog (13.35 MiB with dense
+    // per-source ledgers and one retained buffer per tick elapsed).
+    let peak = multi_source_peak(1024, 8, 4);
+    assert!(
+        peak < 5 * MIB,
         "an n = 1024 multi-source run peaked at {peak} live bytes"
+    );
+
+    // The size `oblivious_pipeline` pays for in phase 2: 24.7 MiB
+    // recorded, where the dense ledgers alone were 64 MiB.
+    let peak = multi_source_peak(4096, 16, 16);
+    assert!(
+        peak < 32 * MIB,
+        "an n = 4096, s = 16 multi-source run peaked at {peak} live bytes"
+    );
+}
+
+#[test]
+#[ignore = "seconds in release, minutes in debug; CI runs it in the release job"]
+fn the_footprint_holds_at_n_16384() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let peak = multi_source_peak(16_384, 16, 16);
+    // 104.2 MiB recorded; 1.6 GB before, 1 GiB of it ledgers.
+    assert!(
+        peak < 128 * MIB,
+        "an n = 16 384, s = 16 multi-source run peaked at {peak} live bytes"
     );
 }

@@ -12,13 +12,9 @@
 
 use dynspread_analysis::progress::stall_fraction;
 use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_bench::arms::run_section2;
 use dynspread_core::flooding::RoundRobinBroadcast;
-use dynspread_core::lower_bound::{
-    bernoulli_assignment, LaggedPotentialAdversary, PotentialAdversary,
-};
-use dynspread_sim::sim::{BroadcastSim, SimConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dynspread_core::lower_bound::{LaggedPotentialAdversary, PotentialAdversary};
 
 fn main() {
     let seed = 71u64;
@@ -33,54 +29,42 @@ fn main() {
         "messages",
         "stall fraction",
     ]);
-    // Both arms per n are independent seeded runs: fan across cores.
+    // Both arms per n are independent seeded runs: fan across cores. Same
+    // seed, so same K' sets and initial assignment for the two of them.
     let runs = dynspread_bench::par_map(
         [16usize, 24, 32].into_iter().enumerate().collect(),
         |(i, n)| {
-            let k = n / 2;
-            let cap = 30 * (n * k) as u64;
-            // Strong arm.
-            let mut rng = StdRng::seed_from_u64(seed + i as u64);
-            let assignment = bernoulli_assignment(n, k, 0.25, &mut rng);
-            let mut sim = BroadcastSim::new(
-                "round-robin",
-                RoundRobinBroadcast::nodes(&assignment),
-                PotentialAdversary::new(&assignment, 0.25, seed + 100 + i as u64),
-                &assignment,
-                SimConfig::with_max_rounds(cap),
-            );
-            let strong = sim.run_to_completion();
+            let nodes = RoundRobinBroadcast::nodes;
+            let seed = seed + i as u64;
+            let (strong, sim) =
+                run_section2("round-robin", nodes, PotentialAdversary::new, n, seed, 30);
             let strong_stalls = stall_fraction(sim.tracker().learnings_per_round());
-            // Weak arm (same K' seed, same initial assignment).
-            let mut sim = BroadcastSim::new(
+            let (weak, sim) = run_section2(
                 "round-robin",
-                RoundRobinBroadcast::nodes(&assignment),
-                LaggedPotentialAdversary::new(&assignment, 0.25, seed + 100 + i as u64),
-                &assignment,
-                SimConfig::with_max_rounds(cap),
+                nodes,
+                LaggedPotentialAdversary::new,
+                n,
+                seed,
+                30,
             );
-            let weak = sim.run_to_completion();
             let weak_stalls = stall_fraction(sim.tracker().learnings_per_round());
             (n, strong, strong_stalls, weak, weak_stalls)
         },
     );
     for (n, strong, strong_stalls, weak, weak_stalls) in runs {
-        table.row_owned(vec![
-            n.to_string(),
-            "strongly adaptive".into(),
-            strong.completed.to_string(),
-            strong.rounds.to_string(),
-            strong.total_messages.to_string(),
-            fmt_f64(strong_stalls),
-        ]);
-        table.row_owned(vec![
-            n.to_string(),
-            "weakly adaptive".into(),
-            weak.completed.to_string(),
-            weak.rounds.to_string(),
-            weak.total_messages.to_string(),
-            fmt_f64(weak_stalls),
-        ]);
+        for (adversary, report, stalls) in [
+            ("strongly adaptive", strong, strong_stalls),
+            ("weakly adaptive", weak, weak_stalls),
+        ] {
+            table.row_owned(vec![
+                n.to_string(),
+                adversary.into(),
+                report.completed.to_string(),
+                report.rounds.to_string(),
+                report.total_messages.to_string(),
+                fmt_f64(stalls),
+            ]);
+        }
     }
     println!("{}", table.render());
     println!(

@@ -21,10 +21,9 @@
 //! byte-identical to serial — set `DYNSPREAD_THREADS=1` to check).
 
 use dynspread_analysis::table::{fmt_f64, Table};
-use dynspread_bench::{derive_seed, par_map};
+use dynspread_bench::arms::{link_sweep, link_sweep_adversary, LINK_SWEEP_ARMS};
+use dynspread_bench::derive_seed;
 use dynspread_core::single_source::SingleSourceNode;
-use dynspread_graph::generators::Topology;
-use dynspread_graph::oblivious::{ChurnAdversary, PeriodicRewiring};
 use dynspread_graph::NodeId;
 use dynspread_runtime::engine::{EventSim, StopReason};
 use dynspread_runtime::link::{DropLink, LinkModelExt};
@@ -41,67 +40,41 @@ struct Cell {
     stopped: StopReason,
 }
 
-fn run_cell(n: usize, k: usize, drop_p: f64, arm: u8, seed: u64) -> Cell {
+fn run_cell(n: usize, k: usize, drop_p: f64, arm: usize, seed: u64) -> Cell {
     let assignment = TokenAssignment::single_source(n, k, NodeId::new(0));
-    macro_rules! cell {
-        ($mk_adv:expr) => {{
-            let mut sync_sim = UnicastSim::new(
-                "single-source-unicast",
-                SingleSourceNode::nodes(&assignment),
-                $mk_adv,
-                &assignment,
-                SimConfig::with_max_rounds(2_000_000),
-            );
-            let sync = sync_sim.run_to_completion();
-            let mut async_sim = EventSim::with_tracking(
-                AsyncSingleSource::nodes(&assignment, AsyncConfig::default()),
-                $mk_adv,
-                DropLink::new(drop_p).with_jitter(2),
-                2,
-                derive_seed(seed, 0xEE),
-                &assignment,
-            );
-            let event_report = async_sim.run(4_000_000);
-            Cell {
-                sync,
-                async_report: async_sim.run_report("async-single-source"),
-                final_time: event_report.final_time,
-                events: event_report.events,
-                stopped: event_report.stopped,
-            }
-        }};
-    }
-    match arm {
-        0 => cell!(PeriodicRewiring::new(Topology::RandomTree, 3, seed)),
-        _ => cell!(ChurnAdversary::new(
-            Topology::SparseConnected(2.0),
-            2,
-            3,
-            seed
-        )),
+    let mut sync_sim = UnicastSim::new(
+        "single-source-unicast",
+        SingleSourceNode::nodes(&assignment),
+        link_sweep_adversary(arm, seed),
+        &assignment,
+        SimConfig::with_max_rounds(2_000_000),
+    );
+    let sync = sync_sim.run_to_completion();
+    let mut async_sim = EventSim::with_tracking(
+        AsyncSingleSource::nodes(&assignment, AsyncConfig::default()),
+        link_sweep_adversary(arm, seed),
+        DropLink::new(drop_p).with_jitter(2),
+        2,
+        derive_seed(seed, 0xEE),
+        &assignment,
+    );
+    let event_report = async_sim.run(4_000_000);
+    Cell {
+        sync,
+        async_report: async_sim.run_report("async-single-source"),
+        final_time: event_report.final_time,
+        events: event_report.events,
+        stopped: event_report.stopped,
     }
 }
 
 fn main() {
-    let base_seed = 47u64;
     let (n, k) = (24, 16);
-    let seeds_per_cell = 3usize;
     println!("Async vs sync: Algorithm 1 and its EventProtocol port (n={n}, k={k})");
     println!("async arm: explicit retransmission + acked announcements over drop+jitter(2)\n");
 
     let drops = [0.0, 0.15, 0.3];
-    let arms: [(u8, &str); 2] = [(0, "rewire(tree,ρ=3)"), (1, "churn(c=2,σ=3)")];
-    let jobs: Vec<(f64, u8, &str, usize)> = drops
-        .iter()
-        .flat_map(|&p| {
-            arms.iter()
-                .flat_map(move |&(arm, name)| (0..seeds_per_cell).map(move |s| (p, arm, name, s)))
-        })
-        .collect();
-    let runs = par_map(jobs, |(p, arm, name, s)| {
-        let seed = derive_seed(base_seed, ((arm as u64) << 32) | s as u64);
-        (p, name, s, run_cell(n, k, p, arm, seed))
-    });
+    let runs = link_sweep(47, &drops, |p, arm, seed| run_cell(n, k, p, arm, seed));
 
     let mut table = Table::new(&[
         "adversary",
@@ -117,7 +90,8 @@ fn main() {
         "sync msgs",
         "msg ×",
     ]);
-    for (p, name, s, cell) in &runs {
+    for (p, arm, s, cell) in &runs {
+        let name = LINK_SWEEP_ARMS[*arm];
         assert!(cell.sync.completed, "sync reference failed: {}", cell.sync);
         assert_eq!(
             cell.stopped,

@@ -29,37 +29,11 @@
 //! --byzantine` demands that a fresh run equal the committed file on every
 //! column of every cell it shares with it.
 
-use dynspread_analysis::table::{fmt_f64, Table};
-use dynspread_bench::{derive_seed, gate_args, par_map, write_gate_json};
-use dynspread_graph::generators::Topology;
-use dynspread_graph::oblivious::{PeriodicRewiring, StaticAdversary};
-use dynspread_graph::{Graph, NodeId};
+use dynspread_bench::arms::{run_port, PORTS as PROTOCOLS, PORT_N as N};
+use dynspread_bench::check::BYZANTINE;
+use dynspread_bench::row::{render_table, write_gate_json, Row};
+use dynspread_bench::{derive_seed, gate_args, par_map};
 use dynspread_runtime::byzantine::{MisbehaviorKind, MisbehaviorPlan};
-use dynspread_runtime::link::{DropLink, LinkModelExt};
-use dynspread_runtime::protocol::AsyncObliviousConfig;
-use dynspread_runtime::scenario::Scenario;
-use dynspread_sim::token::TokenAssignment;
-
-const PROTOCOLS: [&str; 3] = [
-    "async-single-source",
-    "async-multi-source",
-    "async-oblivious",
-];
-
-/// Nodes per cell — large enough that 5% rounds to ≥ 1 malicious node.
-const N: usize = 24;
-
-struct Cell {
-    protocol: &'static str,
-    fraction_pct: u32,
-    kind: &'static str,
-    byzantine_nodes: usize,
-    completed: bool,
-    coverage: f64,
-    violations: u64,
-    verdicts: u64,
-    injected: u64,
-}
 
 fn plan_for(fraction: f64, kind: Option<MisbehaviorKind>, seed: u64) -> MisbehaviorPlan {
     match kind {
@@ -73,87 +47,36 @@ fn run_cell(
     fraction: f64,
     kind: Option<MisbehaviorKind>,
     seed: u64,
-) -> Cell {
+) -> Row {
+    // Every cell carries the plan — the honest one too, so the fraction-0
+    // row pays for transcripts and the audit like every other.
     let plan = plan_for(fraction, kind, derive_seed(seed, 0xB12));
-    let link = || DropLink::new(0.1).with_jitter(1);
-    // Every cell: complete graph (phase 1 of the oblivious arm), 10% drop
-    // + jitter, and the plan — the honest one too, so the fraction-0 row
-    // pays for transcripts and the audit like every other.
-    let scenario = |a: TokenAssignment| {
-        Scenario::from_assignment(a)
-            .topology(StaticAdversary::new(Graph::complete(N)))
-            .link(link())
-            .seed(seed)
-            .byzantine(plan.clone())
-            .max_time(150_000)
-    };
-    let (completed, coverage, report, evidence, injected) = match protocol {
-        "async-single-source" => {
-            let out =
-                scenario(TokenAssignment::single_source(N, 8, NodeId::new(0))).run_single_source();
-            (
-                out.completed,
-                out.honest_coverage,
-                out.report,
-                out.evidence,
-                out.injected,
-            )
-        }
-        "async-multi-source" => {
-            let out = scenario(TokenAssignment::round_robin_sources(N, 12, 4)).run_multi_source();
-            (
-                out.completed,
-                out.honest_coverage,
-                out.report,
-                out.evidence,
-                out.injected,
-            )
-        }
-        "async-oblivious" => {
-            let cfg = AsyncObliviousConfig {
-                seed,
-                source_threshold: Some(1.0),
-                center_probability: Some(0.2),
-                phase1_deadline: 20_000,
-                phase1_max_time: 50_000,
-                phase2_max_time: 300_000,
-                ..AsyncObliviousConfig::default()
-            };
-            let out = scenario(TokenAssignment::n_gossip(N)).run_oblivious(
-                PeriodicRewiring::new(Topology::RandomTree, 3, derive_seed(seed, 0xB13)),
-                link(),
-                &cfg,
-                None,
-            );
-            (
-                out.completed,
-                out.honest_coverage,
-                out.report,
-                out.evidence,
-                out.injected,
-            )
-        }
-        other => unreachable!("unknown protocol arm {other}"),
-    };
-    for e in &evidence {
+    let out = run_port(
+        protocol,
+        seed,
+        (150_000, 300_000),
+        0xB13,
+        None,
+        Some(plan.clone()),
+    );
+    for e in &out.evidence {
         assert!(plan.is_malicious(e.culprit), "honest node indicted: {e:?}");
     }
-    let (violations, verdicts) = (report.violations_detected, report.evidence_verdicts);
+    let violations = out.report.violations_detected;
     if plan.byzantine_nodes() == 0 {
         assert_eq!(violations, 0, "{protocol}: honest run with verdicts");
-        assert!(completed, "{protocol}: honest run must complete");
+        assert!(out.completed, "{protocol}: honest run must complete");
     }
-    Cell {
-        protocol,
-        fraction_pct: (fraction * 100.0).round() as u32,
-        kind: kind.map_or("none", MisbehaviorKind::label),
-        byzantine_nodes: plan.byzantine_nodes(),
-        completed,
-        coverage,
-        violations,
-        verdicts,
-        injected,
-    }
+    Row::default()
+        .text("protocol", "protocol", protocol)
+        .col("fraction_pct", "byz %", (fraction * 100.0).round() as u32)
+        .text("kind", "kind", kind.map_or("none", MisbehaviorKind::label))
+        .col("byzantine_nodes", "byz", plan.byzantine_nodes())
+        .col("completed", "done", out.completed)
+        .fixed("coverage", "coverage", out.honest_coverage, 4)
+        .col("violations", "viol", violations)
+        .col("verdicts", "nodes", out.report.evidence_verdicts)
+        .col("injected", "inj", out.injected)
 }
 
 fn main() {
@@ -190,40 +113,17 @@ fn main() {
             }
         }
     }
-    let cells = par_map(jobs, |(p, frac, kind, seed)| run_cell(p, frac, kind, seed));
+    let rows = par_map(jobs, |(p, frac, kind, seed)| run_cell(p, frac, kind, seed));
 
-    let mut table = Table::new(&[
-        "protocol", "byz %", "kind", "byz", "done", "coverage", "viol", "nodes", "inj",
-    ]);
-    let mut json_cells = Vec::new();
-    for c in &cells {
-        table.row_owned(vec![
-            c.protocol.to_string(),
-            c.fraction_pct.to_string(),
-            c.kind.to_string(),
-            c.byzantine_nodes.to_string(),
-            c.completed.to_string(),
-            fmt_f64(c.coverage),
-            c.violations.to_string(),
-            c.verdicts.to_string(),
-            c.injected.to_string(),
-        ]);
-        json_cells.push(format!(
-            "    {{\"protocol\": \"{}\", \"fraction_pct\": {}, \"kind\": \"{}\", \"byzantine_nodes\": {}, \"completed\": {}, \"coverage\": {:.4}, \"violations\": {}, \"verdicts\": {}, \"injected\": {}}}",
-            c.protocol,
-            c.fraction_pct,
-            c.kind,
-            c.byzantine_nodes,
-            c.completed,
-            c.coverage,
-            c.violations,
-            c.verdicts,
-            c.injected,
-        ));
-    }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
     println!("coverage = mean honest-node fraction of the token universe;");
     println!("viol/nodes = auditor verdicts (soundness asserted per cell).");
 
-    write_gate_json(&out_path, &[("n", N.to_string())], smoke, &json_cells);
+    write_gate_json(
+        &out_path,
+        Some(&BYZANTINE),
+        &[("n", N.to_string())],
+        smoke,
+        &rows,
+    );
 }

@@ -27,25 +27,11 @@
 //! --faults` demands that a fresh run equal the committed file on every
 //! column of every cell it shares with it.
 
-use dynspread_analysis::table::{fmt_f64, Table};
-use dynspread_bench::{derive_seed, gate_args, par_map, write_gate_json};
-use dynspread_graph::generators::Topology;
-use dynspread_graph::oblivious::{PeriodicRewiring, StaticAdversary};
-use dynspread_graph::{Graph, NodeId};
+use dynspread_bench::arms::{run_port, PORTS as PROTOCOLS, PORT_N as N};
+use dynspread_bench::check::FAULTS;
+use dynspread_bench::row::{render_table, write_gate_json, Row};
+use dynspread_bench::{derive_seed, gate_args, par_map};
 use dynspread_runtime::faults::{FaultPlan, RecoveryMode};
-use dynspread_runtime::link::{DropLink, LinkModelExt};
-use dynspread_runtime::protocol::AsyncObliviousConfig;
-use dynspread_runtime::scenario::Scenario;
-use dynspread_sim::token::TokenAssignment;
-
-const PROTOCOLS: [&str; 3] = [
-    "async-single-source",
-    "async-multi-source",
-    "async-oblivious",
-];
-
-/// Nodes per cell — large enough that 10% rounds to ≥ 2 crashed nodes.
-const N: usize = 24;
 
 /// `(crash %, recovery delay, partition episodes)` — the swept
 /// scenarios. Crashes land in the first 10 ticks — before any node can
@@ -60,18 +46,6 @@ const SCENARIOS: [(u32, u64, u32); 5] = [
     (20, 1000, 0),
     (20, 1000, 1),
 ];
-
-struct Cell {
-    protocol: &'static str,
-    crash_pct: u32,
-    recovery_delay: u64,
-    episodes: u32,
-    completed: bool,
-    coverage: f64,
-    crashes: u64,
-    recoveries: u64,
-    partitions: u64,
-}
 
 fn plan_for(crash_pct: u32, recovery_delay: u64, episodes: u32, seed: u64) -> FaultPlan {
     let mut plan = if crash_pct == 0 {
@@ -92,7 +66,7 @@ fn plan_for(crash_pct: u32, recovery_delay: u64, episodes: u32, seed: u64) -> Fa
     plan
 }
 
-fn run_cell(protocol: &'static str, crash_pct: u32, recovery_delay: u64, episodes: u32) -> Cell {
+fn run_cell(protocol: &'static str, crash_pct: u32, recovery_delay: u64, episodes: u32) -> Row {
     // Seeds derive from the scenario's *values*, not its grid index, so
     // a smoke cell is byte-identical to the same cell in the full grid,
     // which is what bench_check compares it against.
@@ -108,70 +82,26 @@ fn run_cell(protocol: &'static str, crash_pct: u32, recovery_delay: u64, episode
         episodes,
         derive_seed(seed, 0xF17),
     );
-    let link = || DropLink::new(0.1).with_jitter(1);
-    let scenario = |a: TokenAssignment| {
-        Scenario::from_assignment(a)
-            .topology(StaticAdversary::new(Graph::complete(N)))
-            .link(link())
-            .seed(seed)
-            .max_time(500_000)
-    };
-    let (completed, coverage, report) = match protocol {
-        "async-single-source" => {
-            let out = scenario(TokenAssignment::single_source(N, 8, NodeId::new(0)))
-                .faults(plan)
-                .run_single_source();
-            (out.completed, out.live_coverage, out.report)
-        }
-        "async-multi-source" => {
-            let out = scenario(TokenAssignment::round_robin_sources(N, 12, 4))
-                .faults(plan)
-                .run_multi_source();
-            (out.completed, out.live_coverage, out.report)
-        }
-        "async-oblivious" => {
-            let cfg = AsyncObliviousConfig {
-                seed,
-                source_threshold: Some(1.0),
-                center_probability: Some(0.2),
-                phase1_deadline: 20_000,
-                phase1_max_time: 50_000,
-                phase2_max_time: 500_000,
-                ..AsyncObliviousConfig::default()
-            };
-            // The walk phase runs fault-free; the plan hits the spread
-            // phase, where recovery resyncs pull the rejoiners back up.
-            let out = scenario(TokenAssignment::n_gossip(N)).run_oblivious(
-                PeriodicRewiring::new(Topology::RandomTree, 3, derive_seed(seed, 0xF18)),
-                link(),
-                &cfg,
-                Some(&plan),
-            );
-            (out.completed, out.live_coverage, out.report)
-        }
-        other => unreachable!("unknown protocol arm {other}"),
-    };
-    let (crashes, recoveries, partitions) =
-        (report.crashes, report.recoveries, report.partition_episodes);
+    let out = run_port(protocol, seed, (500_000, 500_000), 0xF18, Some(plan), None);
+    let (crashes, partitions) = (out.report.crashes, out.report.partition_episodes);
     assert!(
-        completed,
+        out.completed,
         "{protocol} at {crash_pct}%/{recovery_delay}/{episodes}ep did not self-heal"
     );
     if crash_pct == 0 && episodes == 0 {
         assert_eq!(crashes, 0, "{protocol}: fault-free run recorded crashes");
         assert_eq!(partitions, 0, "{protocol}: fault-free run saw a partition");
     }
-    Cell {
-        protocol,
-        crash_pct,
-        recovery_delay,
-        episodes,
-        completed,
-        coverage,
-        crashes,
-        recoveries,
-        partitions,
-    }
+    Row::default()
+        .text("protocol", "protocol", protocol)
+        .col("crash_pct", "crash %", crash_pct)
+        .col("recovery_delay", "delay", recovery_delay)
+        .col("episodes", "part", episodes)
+        .col("completed", "done", out.completed)
+        .fixed("coverage", "coverage", out.live_coverage, 4)
+        .col("crashes", "crash", crashes)
+        .col("recoveries", "recov", out.report.recoveries)
+        .col("partitions", "part", partitions)
 }
 
 fn main() {
@@ -192,40 +122,17 @@ fn main() {
             jobs.push((p, pct, delay, eps));
         }
     }
-    let cells = par_map(jobs, |(p, pct, delay, eps)| run_cell(p, pct, delay, eps));
+    let rows = par_map(jobs, |(p, pct, delay, eps)| run_cell(p, pct, delay, eps));
 
-    let mut table = Table::new(&[
-        "protocol", "crash %", "delay", "part", "done", "coverage", "crash", "recov", "part",
-    ]);
-    let mut json_cells = Vec::new();
-    for c in &cells {
-        table.row_owned(vec![
-            c.protocol.to_string(),
-            c.crash_pct.to_string(),
-            c.recovery_delay.to_string(),
-            c.episodes.to_string(),
-            c.completed.to_string(),
-            fmt_f64(c.coverage),
-            c.crashes.to_string(),
-            c.recoveries.to_string(),
-            c.partitions.to_string(),
-        ]);
-        json_cells.push(format!(
-            "    {{\"protocol\": \"{}\", \"crash_pct\": {}, \"recovery_delay\": {}, \"episodes\": {}, \"completed\": {}, \"coverage\": {:.4}, \"crashes\": {}, \"recoveries\": {}, \"partitions\": {}}}",
-            c.protocol,
-            c.crash_pct,
-            c.recovery_delay,
-            c.episodes,
-            c.completed,
-            c.coverage,
-            c.crashes,
-            c.recoveries,
-            c.partitions,
-        ));
-    }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
     println!("coverage = mean live-node fraction of the token universe;");
     println!("crash/recov/part = fault events fired (completion asserted per cell).");
 
-    write_gate_json(&out_path, &[("n", N.to_string())], smoke, &json_cells);
+    write_gate_json(
+        &out_path,
+        Some(&FAULTS),
+        &[("n", N.to_string())],
+        smoke,
+        &rows,
+    );
 }

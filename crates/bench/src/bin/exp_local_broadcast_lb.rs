@@ -15,12 +15,9 @@ use dynspread_analysis::fit::power_law_fit;
 use dynspread_analysis::plot::column_chart;
 use dynspread_analysis::progress::{cumulative, stall_fraction};
 use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_bench::arms::run_section2;
 use dynspread_core::flooding::{PhasedFlooding, RoundRobinBroadcast};
-use dynspread_core::lower_bound::{bernoulli_assignment, PotentialAdversary};
-use dynspread_graph::Round;
-use dynspread_sim::sim::{BroadcastSim, SimConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dynspread_core::lower_bound::PotentialAdversary;
 
 fn main() {
     let seed = 11u64;
@@ -44,18 +41,14 @@ fn main() {
     // Every n is an independent seeded run: fan across cores; the closure
     // extracts everything the report rows need before the sim is dropped.
     let runs = dynspread_bench::par_map(ns.into_iter().enumerate().collect(), |(i, n)| {
-        let k = n / 2;
-        let mut rng = StdRng::seed_from_u64(seed + i as u64);
-        let assignment = bernoulli_assignment(n, k, 0.25, &mut rng);
-        let adversary = PotentialAdversary::new(&assignment, 0.25, seed + 100 + i as u64);
-        let mut sim = BroadcastSim::new(
+        let (report, sim) = run_section2(
             "phased-flooding",
-            PhasedFlooding::nodes(&assignment),
-            adversary,
-            &assignment,
-            SimConfig::with_max_rounds(2 * (n * k) as Round),
+            PhasedFlooding::nodes,
+            PotentialAdversary::new,
+            n,
+            seed + i as u64,
+            2,
         );
-        let report = sim.run_to_completion();
         let max_phi = sim
             .adversary()
             .potential_increases()
@@ -66,7 +59,7 @@ fn main() {
             .into_iter()
             .map(|v| v as f64)
             .collect();
-        (n, k, report, max_phi, curve)
+        (n, n / 2, report, max_phi, curve)
     });
     for (n, k, report, max_phi, curve) in runs {
         assert!(report.completed, "phased flooding must complete: {report}");
@@ -103,18 +96,14 @@ fn main() {
     println!("round-robin flooding arm (no phase structure):");
     let mut stall_table = Table::new(&["n", "completed?", "stall fraction (zero-learning rounds)"]);
     for (i, &n) in [16usize, 32].iter().enumerate() {
-        let k = n / 2;
-        let mut rng = StdRng::seed_from_u64(seed + 50 + i as u64);
-        let assignment = bernoulli_assignment(n, k, 0.25, &mut rng);
-        let adversary = PotentialAdversary::new(&assignment, 0.25, seed + 150 + i as u64);
-        let mut sim = BroadcastSim::new(
+        let (report, sim) = run_section2(
             "round-robin",
-            RoundRobinBroadcast::nodes(&assignment),
-            adversary,
-            &assignment,
-            SimConfig::with_max_rounds(4 * (n * k) as Round),
+            RoundRobinBroadcast::nodes,
+            PotentialAdversary::new,
+            n,
+            seed + 50 + i as u64,
+            4,
         );
-        let report = sim.run_to_completion();
         let stalls = stall_fraction(sim.tracker().learnings_per_round());
         stall_table.row_owned(vec![
             n.to_string(),

@@ -16,10 +16,9 @@
 //! byte-identical to serial — set `DYNSPREAD_THREADS=1` to check).
 
 use dynspread_analysis::table::{fmt_f64, Table};
-use dynspread_bench::{derive_seed, par_map};
+use dynspread_bench::arms::{link_sweep, link_sweep_adversary, LINK_SWEEP_ARMS};
+use dynspread_bench::derive_seed;
 use dynspread_core::single_source::SingleSourceNode;
-use dynspread_graph::generators::Topology;
-use dynspread_graph::oblivious::{ChurnAdversary, PeriodicRewiring};
 use dynspread_graph::NodeId;
 use dynspread_runtime::link::{LinkModelExt, PerfectLink};
 use dynspread_runtime::sync::UnicastSynchronizer;
@@ -27,56 +26,27 @@ use dynspread_sim::sim::SimConfig;
 use dynspread_sim::token::TokenAssignment;
 use dynspread_sim::RunReport;
 
-fn run_lossy(n: usize, k: usize, drop_p: f64, arm: u8, seed: u64) -> RunReport {
+fn run_lossy(n: usize, k: usize, drop_p: f64, arm: usize, seed: u64) -> RunReport {
     let assignment = TokenAssignment::single_source(n, k, NodeId::new(0));
-    let cfg = SimConfig::with_max_rounds(2_000_000);
-    let link = PerfectLink.lossy(drop_p);
-    let link_seed = derive_seed(seed, 0x11);
-    macro_rules! run {
-        ($adv:expr) => {{
-            UnicastSynchronizer::new(
-                "single-source-unicast",
-                SingleSourceNode::nodes(&assignment),
-                $adv,
-                &assignment,
-                cfg,
-                link,
-                link_seed,
-            )
-            .run_to_completion()
-        }};
-    }
-    match arm {
-        0 => run!(PeriodicRewiring::new(Topology::RandomTree, 3, seed)),
-        _ => run!(ChurnAdversary::new(
-            Topology::SparseConnected(2.0),
-            2,
-            3,
-            seed
-        )),
-    }
+    UnicastSynchronizer::new(
+        "single-source-unicast",
+        SingleSourceNode::nodes(&assignment),
+        link_sweep_adversary(arm, seed),
+        &assignment,
+        SimConfig::with_max_rounds(2_000_000),
+        PerfectLink.lossy(drop_p),
+        derive_seed(seed, 0x11),
+    )
+    .run_to_completion()
 }
 
 fn main() {
-    let base_seed = 29u64;
     let (n, k) = (24, 16);
-    let seeds_per_cell = 3usize;
     println!("Lossy links: Single-Source-Unicast under message drop (n={n}, k={k})");
     println!("model: paper rounds + per-send Bernoulli drop; meter counts transmissions\n");
 
     let drops = [0.0, 0.1, 0.2, 0.35, 0.5];
-    let arms: [(u8, &str); 2] = [(0, "rewire(tree,ρ=3)"), (1, "churn(c=2,σ=3)")];
-    let jobs: Vec<(f64, u8, &str, usize)> = drops
-        .iter()
-        .flat_map(|&p| {
-            arms.iter()
-                .flat_map(move |&(arm, name)| (0..seeds_per_cell).map(move |s| (p, arm, name, s)))
-        })
-        .collect();
-    let runs = par_map(jobs, |(p, arm, name, s)| {
-        let seed = derive_seed(base_seed, ((arm as u64) << 32) | s as u64);
-        (p, name, s, run_lossy(n, k, p, arm, seed))
-    });
+    let runs = link_sweep(29, &drops, |p, arm, seed| run_lossy(n, k, p, arm, seed));
 
     let mut table = Table::new(&[
         "adversary",
@@ -91,13 +61,13 @@ fn main() {
     ]);
     // Baseline rounds per arm at p = 0 (seed 0) for the stretch summary.
     let mut baseline = [0u64; 2];
-    for (p, name, s, report) in &runs {
+    for (p, arm, s, report) in &runs {
+        let name = LINK_SWEEP_ARMS[*arm];
         if *p == 0.0 {
             assert!(report.completed, "lossless {name} seed#{s}: {report}");
         }
         if *p == 0.0 && *s == 0 {
-            let arm = usize::from(*name != arms[0].1);
-            baseline[arm] = report.rounds;
+            baseline[*arm] = report.rounds;
         }
         table.row_owned(vec![
             name.to_string(),
@@ -114,12 +84,12 @@ fn main() {
     println!("{}", table.render());
 
     println!("round stretch vs lossless (seed 0):");
-    for (p, name, s, report) in &runs {
+    for (p, arm, s, report) in &runs {
         if *s == 0 && *p > 0.0 && report.completed {
-            let arm = usize::from(*name != arms[0].1);
             println!(
-                "  {name} p={p}: ×{:.2}",
-                report.rounds as f64 / baseline[arm].max(1) as f64
+                "  {} p={p}: ×{:.2}",
+                LINK_SWEEP_ARMS[*arm],
+                report.rounds as f64 / baseline[*arm].max(1) as f64
             );
         }
     }

@@ -41,20 +41,10 @@
 //! the fresh side of `bench_check --runtime`, which demands that its
 //! counts equal the committed file's.
 
-use dynspread_analysis::table::{fmt_f64, Table};
-use dynspread_bench::{
-    default_adversary, derive_seed, gate_args, par_map, run_multi_source, run_phased_flooding_cfg,
-    run_single_source, worker_count, write_gate_json,
-};
-use dynspread_graph::generators::Topology;
-use dynspread_graph::oblivious::PeriodicRewiring;
-use dynspread_graph::NodeId;
-use dynspread_runtime::engine::EventSim;
-use dynspread_runtime::link::{LinkModelExt, PerfectLink};
-use dynspread_runtime::protocol::{AsyncConfig, AsyncObliviousConfig, AsyncSingleSource};
-use dynspread_runtime::scenario::Scenario;
-use dynspread_sim::sim::SimConfig;
-use dynspread_sim::token::TokenAssignment;
+use dynspread_bench::arms::{arm_seed, run_arm};
+use dynspread_bench::check::RUNTIME;
+use dynspread_bench::row::{render_table, write_gate_json, Row};
+use dynspread_bench::{gate_args, par_map, worker_count};
 use std::time::Instant;
 
 const PROTOCOLS: [&str; 5] = [
@@ -65,31 +55,11 @@ const PROTOCOLS: [&str; 5] = [
     "async-oblivious",
 ];
 
-/// Deterministic meter-attribution sampling for the flooding arm.
-const FLOOD_METER_SAMPLING: u64 = 64;
-
 /// Token count of the async-oblivious arm (needs enough tokens/sources
 /// for the two-phase pipeline to be meaningful; recorded per cell).
 const OBLIVIOUS_K: usize = 16;
 
-struct Cell {
-    protocol: &'static str,
-    n: usize,
-    /// Tokens the cell actually ran with (the async-oblivious arm
-    /// overrides the grid default).
-    k: usize,
-    completed: bool,
-    /// Rounds for the synchronous arms, topology epochs for the async arm.
-    rounds: u64,
-    /// Unit of scheduler work: metered messages for the synchronous arms,
-    /// processed events (starts + deliveries + timers) for the async arm.
-    events: u64,
-    wall_ns: u64,
-}
-
-fn run_cell(protocol: &'static str, n: usize, k: usize, seed: u64) -> Cell {
-    let max_rounds = 500_000;
-    let start = Instant::now();
+fn run_cell(protocol: &'static str, n: usize, k: usize, seed: u64) -> Row {
     // The async-oblivious arm overrides k; every cell records the k it
     // actually ran with.
     let k = if protocol == "async-oblivious" {
@@ -97,87 +67,33 @@ fn run_cell(protocol: &'static str, n: usize, k: usize, seed: u64) -> Cell {
     } else {
         k
     };
-    let (completed, rounds, events) = match protocol {
-        "flooding" => {
-            let a = TokenAssignment::single_source(n, k, NodeId::new(0));
-            let cfg = SimConfig {
-                max_rounds,
-                meter_sampling: FLOOD_METER_SAMPLING,
-                ..SimConfig::default()
-            };
-            let r = run_phased_flooding_cfg(&a, default_adversary(seed), cfg);
-            (r.completed, r.rounds, r.total_messages)
-        }
-        "single-source" => {
-            let r = run_single_source(n, k, default_adversary(seed), max_rounds);
-            (r.completed, r.rounds, r.total_messages)
-        }
-        "multi-source" => {
-            let a = TokenAssignment::round_robin_sources(n, k, k.min(4));
-            let r = run_multi_source(&a, default_adversary(seed), max_rounds);
-            (r.completed, r.rounds, r.total_messages)
-        }
-        "async-oblivious" => {
-            // Two-phase pipeline: k tokens spread over k sources, ~4
-            // expected centers regardless of n, everyone high-degree
-            // (γ = 1) so tokens hand off to discovered centers. The
-            // deadline fallback (stranded owners become phase-2 sources)
-            // bounds phase 1 even if some walks don't converge.
-            let a = TokenAssignment::round_robin_sources(n, k, k);
-            let cfg = AsyncObliviousConfig {
-                seed: derive_seed(seed, 0x0B1),
-                source_threshold: Some(1.0),
-                center_probability: Some(4.0 / n as f64),
-                degree_threshold: Some(1.0),
-                ticks_per_round: 2,
-                phase1_deadline: 2_048,
-                phase1_max_time: 4_096,
-                phase2_max_time: 8 * max_rounds,
-                ..AsyncObliviousConfig::default()
-            };
-            let out = Scenario::from_assignment(a)
-                .topology(PeriodicRewiring::new(
-                    Topology::SparseConnected(8.0),
-                    3,
-                    seed,
-                ))
-                .link(PerfectLink.with_latency(1))
-                .run_oblivious(
-                    default_adversary(derive_seed(seed, 0x0B2)),
-                    PerfectLink.with_latency(1),
-                    &cfg,
-                    None,
-                );
-            (out.completed, out.total_epochs(), out.total_events())
-        }
-        "async-single-source" => {
-            let assignment = TokenAssignment::single_source(n, k, NodeId::new(0));
-            let mut sim = EventSim::with_tracking(
-                AsyncSingleSource::nodes(&assignment, AsyncConfig::default()),
-                default_adversary(seed),
-                PerfectLink.with_latency(1),
-                2,
-                derive_seed(seed, 0x5CA1E),
-                &assignment,
-            );
-            let report = sim.run(8 * max_rounds);
-            (
-                sim.tracker().expect("tracking enabled").all_complete(),
-                report.epochs,
-                report.events,
-            )
-        }
-        other => unreachable!("unknown protocol arm {other}"),
-    };
-    Cell {
-        protocol,
-        n,
-        k,
-        completed,
-        rounds,
-        events,
-        wall_ns: start.elapsed().as_nanos() as u64,
-    }
+    let start = Instant::now();
+    let run = run_arm(protocol, n, k, seed, false);
+    let wall_ns = start.elapsed().as_nanos() as f64;
+    assert!(
+        run.completed,
+        "{protocol} did not complete at n = {n} within the cap"
+    );
+    Row::default()
+        .text("protocol", "protocol", protocol)
+        .col("n", "n", n)
+        .json("k", k)
+        .col("completed", "done", run.completed)
+        .col("rounds", "rounds", run.rounds)
+        .col("events", "events", run.events)
+        .fixed("wall_ms", "wall ms", wall_ns / 1e6, 1)
+        .fixed(
+            "ns_per_round",
+            "ns/round",
+            wall_ns / run.rounds.max(1) as f64,
+            0,
+        )
+        .fixed(
+            "ns_per_event",
+            "ns/event",
+            wall_ns / run.events.max(1) as f64,
+            0,
+        )
 }
 
 /// Where the timing fields come from, as a JSON object: the checked-out
@@ -205,7 +121,6 @@ fn main() {
         &[1024, 2048, 4096, 8192]
     };
     let k = 4;
-    let base_seed = 20_260_729u64;
     println!(
         "Scale grid: n ∈ {sizes:?} × {PROTOCOLS:?}, k = {k} (async-oblivious: k = {OBLIVIOUS_K}){}",
         if smoke { " (smoke)" } else { "" }
@@ -215,58 +130,20 @@ fn main() {
         .iter()
         .enumerate()
         .flat_map(|(si, &n)| {
-            PROTOCOLS.iter().enumerate().map(move |(pi, &p)| {
-                (
-                    n,
-                    p,
-                    derive_seed(base_seed, (si * PROTOCOLS.len() + pi) as u64),
-                )
-            })
+            PROTOCOLS
+                .iter()
+                .enumerate()
+                .map(move |(pi, &p)| (n, p, arm_seed(PROTOCOLS.len(), si, pi)))
         })
         .collect();
-    let cells = par_map(jobs, |(n, p, seed)| run_cell(p, n, k, seed));
+    let rows = par_map(jobs, |(n, p, seed)| run_cell(p, n, k, seed));
 
-    let mut table = Table::new(&[
-        "protocol", "n", "done", "rounds", "events", "wall ms", "ns/round", "ns/event",
-    ]);
-    let mut json_cells = Vec::new();
-    for c in &cells {
-        assert!(
-            c.completed,
-            "{} did not complete at n = {} within the cap",
-            c.protocol, c.n
-        );
-        let ns_per_round = c.wall_ns as f64 / c.rounds.max(1) as f64;
-        let ns_per_event = c.wall_ns as f64 / c.events.max(1) as f64;
-        table.row_owned(vec![
-            c.protocol.to_string(),
-            c.n.to_string(),
-            c.completed.to_string(),
-            c.rounds.to_string(),
-            c.events.to_string(),
-            fmt_f64(c.wall_ns as f64 / 1e6),
-            fmt_f64(ns_per_round),
-            fmt_f64(ns_per_event),
-        ]);
-        json_cells.push(format!(
-            "    {{\"protocol\": \"{}\", \"n\": {}, \"k\": {}, \"completed\": {}, \"rounds\": {}, \"events\": {}, \"wall_ms\": {:.1}, \"ns_per_round\": {:.0}, \"ns_per_event\": {:.0}}}",
-            c.protocol,
-            c.n,
-            c.k,
-            c.completed,
-            c.rounds,
-            c.events,
-            c.wall_ns as f64 / 1e6,
-            ns_per_round,
-            ns_per_event,
-        ));
-    }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
     println!("rounds = topology epochs for the async arm; events = metered");
     println!("messages (sync) or processed engine events (async).");
 
     // Top-level k is the grid default; each cell records the k it
     // actually ran with (the async-oblivious arm overrides it).
     let header = [("k", k.to_string()), ("recorded", recorded_on())];
-    write_gate_json(&out_path, &header, smoke, &json_cells);
+    write_gate_json(&out_path, Some(&RUNTIME), &header, smoke, &rows);
 }

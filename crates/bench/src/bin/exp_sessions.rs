@@ -31,8 +31,9 @@
 //! `bench_check --sessions` demands that a fresh run equal the committed
 //! file on every column of every cell it shares with it.
 
-use dynspread_analysis::table::Table;
-use dynspread_bench::{derive_seed, gate_args, par_map, write_gate_json};
+use dynspread_bench::check::SESSIONS;
+use dynspread_bench::row::{render_table, write_gate_json, Row};
+use dynspread_bench::{derive_seed, gate_args, par_map};
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
 use dynspread_runtime::link::{DropLink, LinkModelExt};
@@ -52,20 +53,7 @@ const SCENARIOS: [(usize, usize, u64); 5] = [
     (40, 4, 50),
 ];
 
-struct Cell {
-    sessions: usize,
-    k: usize,
-    spacing: u64,
-    completed: usize,
-    overlapped: usize,
-    p50: u64,
-    p95: u64,
-    max: u64,
-    messages: u64,
-    events: u64,
-}
-
-fn run_cell(sessions: usize, k: usize, spacing: u64) -> Cell {
+fn run_cell(sessions: usize, k: usize, spacing: u64) -> Row {
     // Seeds derive from the scenario's *values*, not its grid index, so
     // a smoke cell is byte-identical to the same cell in the full grid,
     // which is what bench_check compares it against.
@@ -111,18 +99,18 @@ fn run_cell(sessions: usize, k: usize, spacing: u64) -> Cell {
         );
     }
 
-    Cell {
-        sessions,
-        k,
-        spacing,
-        completed: out.completed_sessions(),
-        overlapped,
-        p50: out.latency_percentile(0.50).expect("completed sessions"),
-        p95: out.latency_percentile(0.95).expect("completed sessions"),
-        max: out.latency_percentile(1.0).expect("completed sessions"),
-        messages: out.total_session_messages(),
-        events: out.event.events,
-    }
+    let latency = |q| out.latency_percentile(q).expect("completed sessions");
+    Row::default()
+        .col("sessions", "sessions", sessions)
+        .col("k", "k", k)
+        .col("spacing", "spacing", spacing)
+        .col("completed", "done", out.completed_sessions())
+        .col("overlapped", "overlap", overlapped)
+        .col("p50_latency", "p50", latency(0.50))
+        .col("p95_latency", "p95", latency(0.95))
+        .col("max_latency", "max", latency(1.0))
+        .col("messages", "msgs", out.total_session_messages())
+        .json("events", out.event.events)
 }
 
 fn main() {
@@ -137,42 +125,18 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
-    let cells = par_map(scenarios, |(s, k, sp)| run_cell(s, k, sp));
+    let rows = par_map(scenarios, |(s, k, sp)| run_cell(s, k, sp));
 
-    let mut table = Table::new(&[
-        "sessions", "k", "spacing", "done", "overlap", "p50", "p95", "max", "msgs",
-    ]);
-    let mut json_cells = Vec::new();
-    for c in &cells {
-        table.row_owned(vec![
-            c.sessions.to_string(),
-            c.k.to_string(),
-            c.spacing.to_string(),
-            c.completed.to_string(),
-            c.overlapped.to_string(),
-            c.p50.to_string(),
-            c.p95.to_string(),
-            c.max.to_string(),
-            c.messages.to_string(),
-        ]);
-        json_cells.push(format!(
-            "    {{\"sessions\": {}, \"k\": {}, \"spacing\": {}, \"completed\": {}, \"overlapped\": {}, \"p50_latency\": {}, \"p95_latency\": {}, \"max_latency\": {}, \"messages\": {}, \"events\": {}}}",
-            c.sessions,
-            c.k,
-            c.spacing,
-            c.completed,
-            c.overlapped,
-            c.p50,
-            c.p95,
-            c.max,
-            c.messages,
-            c.events,
-        ));
-    }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
     println!("p50/p95/max = per-session completion latency on the shared virtual clock;");
     println!("overlap = sessions that arrived before an earlier one finished;");
     println!("msgs = envelopes staged by all sessions (completion asserted per cell).");
 
-    write_gate_json(&out_path, &[("n", N.to_string())], smoke, &json_cells);
+    write_gate_json(
+        &out_path,
+        Some(&SESSIONS),
+        &[("n", N.to_string())],
+        smoke,
+        &rows,
+    );
 }

@@ -3,8 +3,16 @@
 //! Shared runners used by the experiment binaries (`src/bin/*.rs`), and
 //! the exact behaviour gate over the committed `BENCH_*.json` baselines
 //! ([`check`]). Every binary regenerates one of the paper's quantitative
-//! artifacts — the tables below are the index, and each binary's module
-//! doc states the claim it checks and the shape to expect.
+//! artifacts — the tables below are the index (the root `README.md` carries
+//! a copy), and each binary's module doc states the claim it checks and the
+//! shape to expect.
+//!
+//! What two binaries share is written once, here: a grid cell is a
+//! [`row::Row`] of `(JSON name, table label, value)` columns from which
+//! both the printed table and the gate file are rendered, and the protocol
+//! arms of the scale/profile grids, the three async ports of the
+//! fault/Byzantine grids, the link sweeps' grid and the Section 2
+//! lower-bound setup are the functions of [`arms`].
 //!
 //! | binary | paper artifact |
 //! |---|---|
@@ -17,10 +25,14 @@
 //! | `exp_random_walk` | Lemma 3.7 |
 //! | `exp_stability_ablation` | σ-stability ablation (design choice of §3.1) |
 //! | `exp_priority_ablation` | request-priority ablation (Algorithm 1) |
+//! | `exp_adaptivity_gap` | footnote 4 (strongly vs weakly adaptive adversary) |
+//! | `exp_time_vs_messages` | Section 1.2 (time vs messages tradeoff) |
+//! | `exp_network_coding` | Section 1.2 (token forwarding vs network coding) |
 //!
-//! Two binaries step *outside* the paper's lossless synchronous model via
-//! the `dynspread-runtime` synchronizer (the round-based protocols run
-//! unchanged; every send is routed through a seeded link model):
+//! The rest step *outside* the paper's lossless synchronous model via
+//! `dynspread-runtime` (the synchronizer runs the round-based protocols
+//! unchanged, every send routed through a seeded link model; the event
+//! engine runs their asynchronous ports):
 //!
 //! | binary | scenario |
 //! |---|---|
@@ -29,7 +41,7 @@
 //! | `exp_async_vs_sync` | retransmission premium of the async ports vs the lossless sync reference |
 //! | `exp_scale` | n ∈ {1k, 2k, 4k, 8k} grid over flooding / single-source / multi-source / async single-source / async oblivious; writes `BENCH_runtime.json` (counts, plus wall time for orientation) |
 //! | `exp_oblivious_async` | drop × jitter sweep of the asynchronous two-phase oblivious pipeline |
-//! | `exp_profile` | wall-clock phase attribution of the engines (self-profiler); writes `BENCH_profile.json` |
+//! | `exp_profile` | wall-clock phase attribution of the engines (self-profiler) on `exp_scale`'s arm definitions; writes `BENCH_profile.json` |
 //! | `exp_faults` | crash-recovery × partition sweep of the async ports, self-healing asserted per cell; writes `BENCH_faults.json` |
 //! | `exp_byzantine` | malicious fraction × misbehavior kind sweep, auditor soundness asserted per cell; writes `BENCH_byzantine.json` |
 //! | `exp_sessions` | multi-session service sweep: arrival traces replayed through `Scenario::run_sessions`, per-session latency percentiles + aggregate envelope load; writes `BENCH_sessions.json` |
@@ -43,20 +55,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod arms;
 pub mod check;
 pub mod parallel;
+pub mod row;
 
-pub use parallel::{derive_seed, par_map, par_runs, worker_count};
+pub use parallel::{derive_seed, par_map, worker_count};
 
-use dynspread_core::flooding::PhasedFlooding;
 use dynspread_core::multi_source::MultiSourceNode;
 use dynspread_core::oblivious::{run_oblivious_multi_source, ObliviousConfig, ObliviousOutcome};
 use dynspread_core::single_source::{RequestPolicy, SingleSourceNode, SsMsg};
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
 use dynspread_graph::{NodeId, Round};
-use dynspread_sim::adversary::{BroadcastAdversary, UnicastAdversary};
-use dynspread_sim::sim::{BroadcastSim, SimConfig, UnicastSim};
+use dynspread_sim::adversary::UnicastAdversary;
+use dynspread_sim::sim::{SimConfig, UnicastSim};
 use dynspread_sim::token::TokenAssignment;
 use dynspread_sim::RunReport;
 
@@ -99,28 +112,6 @@ fn parse_gate_args(
     Ok((smoke, out_path.unwrap_or_else(|| default_out.to_string())))
 }
 
-/// Writes a gate binary's baseline file —
-/// `{"<name>": <value>, …, "smoke": …, "cells": [ … ]}` with one
-/// pre-rendered JSON value per header entry and one pre-rendered cell
-/// object per cell, the shape [`check`] parses — and reports the path on
-/// stderr.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written.
-pub fn write_gate_json(out_path: &str, header: &[(&str, String)], smoke: bool, cells: &[String]) {
-    let header: String = header
-        .iter()
-        .map(|(name, value)| format!("  \"{name}\": {value},\n"))
-        .collect();
-    let json = format!(
-        "{{\n{header}  \"smoke\": {smoke},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        cells.join(",\n")
-    );
-    std::fs::write(out_path, json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
-}
-
 /// Runs Single-Source-Unicast (Algorithm 1) to completion.
 pub fn run_single_source<A: UnicastAdversary<SsMsg>>(
     n: usize,
@@ -156,68 +147,6 @@ pub fn run_single_source_with_policy<A: UnicastAdversary<SsMsg>>(
     sim.run_to_completion()
 }
 
-/// Runs Single-Source-Unicast with wall-clock self-profiling enabled —
-/// the report carries [`RunReport::profile`] phase attribution. Used by
-/// `exp_profile`.
-pub fn run_single_source_profiled<A: UnicastAdversary<SsMsg>>(
-    n: usize,
-    k: usize,
-    adversary: A,
-    max_rounds: Round,
-) -> RunReport {
-    let assignment = TokenAssignment::single_source(n, k, NodeId::new(0));
-    let nodes = NodeId::all(n)
-        .map(|v| SingleSourceNode::with_policy(v, &assignment, RequestPolicy::Prioritized))
-        .collect();
-    let mut sim = UnicastSim::new(
-        "single-source-unicast",
-        nodes,
-        adversary,
-        &assignment,
-        SimConfig::with_max_rounds(max_rounds),
-    );
-    sim.enable_profiling();
-    sim.run_to_completion()
-}
-
-/// Runs Multi-Source-Unicast with wall-clock self-profiling enabled
-/// (see [`run_single_source_profiled`]).
-pub fn run_multi_source_profiled<A>(
-    assignment: &TokenAssignment,
-    adversary: A,
-    max_rounds: Round,
-) -> RunReport
-where
-    A: UnicastAdversary<dynspread_core::multi_source::MsMsg>,
-{
-    let (nodes, _map) = MultiSourceNode::nodes(assignment);
-    let mut sim = UnicastSim::new(
-        "multi-source-unicast",
-        nodes,
-        adversary,
-        assignment,
-        SimConfig::with_max_rounds(max_rounds),
-    );
-    sim.enable_profiling();
-    sim.run_to_completion()
-}
-
-/// Runs phased flooding with wall-clock self-profiling enabled
-/// (see [`run_single_source_profiled`]).
-pub fn run_phased_flooding_profiled<A>(
-    assignment: &TokenAssignment,
-    adversary: A,
-    cfg: SimConfig,
-) -> RunReport
-where
-    A: BroadcastAdversary<dynspread_core::flooding::BcastMsg>,
-{
-    let nodes = PhasedFlooding::nodes(assignment);
-    let mut sim = BroadcastSim::new("phased-flooding", nodes, adversary, assignment, cfg);
-    sim.enable_profiling();
-    sim.run_to_completion()
-}
-
 /// Runs Multi-Source-Unicast to completion on an arbitrary single-holder
 /// assignment.
 pub fn run_multi_source<A>(
@@ -236,24 +165,6 @@ where
         assignment,
         SimConfig::with_max_rounds(max_rounds),
     );
-    sim.run_to_completion()
-}
-
-/// Runs phased flooding (the naive local-broadcast algorithm) to
-/// completion with an explicit engine configuration — the scale grid uses
-/// this to enable sampled metering
-/// (`SimConfig::meter_sampling`), which keeps the `n = 8192` flooding
-/// cell from being dominated by ~200 M per-message meter updates.
-pub fn run_phased_flooding_cfg<A>(
-    assignment: &TokenAssignment,
-    adversary: A,
-    cfg: SimConfig,
-) -> RunReport
-where
-    A: BroadcastAdversary<dynspread_core::flooding::BcastMsg>,
-{
-    let nodes = PhasedFlooding::nodes(assignment);
-    let mut sim = BroadcastSim::new("phased-flooding", nodes, adversary, assignment, cfg);
     sim.run_to_completion()
 }
 
@@ -314,14 +225,6 @@ mod tests {
     fn multi_source_runner_completes() {
         let a = TokenAssignment::round_robin_sources(8, 8, 4);
         let report = run_multi_source(&a, default_adversary(2), 200_000);
-        assert!(report.completed);
-    }
-
-    #[test]
-    fn phased_flooding_runner_completes() {
-        let a = TokenAssignment::round_robin_sources(8, 4, 4);
-        let cfg = SimConfig::with_max_rounds(1_000);
-        let report = run_phased_flooding_cfg(&a, default_adversary(3), cfg);
         assert!(report.completed);
     }
 

@@ -85,18 +85,6 @@ where
         .collect()
 }
 
-/// Convenience: runs `f(job_index, derived_seed)` for `count` repetitions
-/// in parallel, deterministic in `base_seed`.
-pub fn par_runs<R: Send>(
-    count: usize,
-    base_seed: u64,
-    f: impl Fn(usize, u64) -> R + Sync,
-) -> Vec<R> {
-    par_map((0..count).collect(), |i| {
-        f(i, derive_seed(base_seed, i as u64))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,15 +120,6 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), a.len(), "seed collision");
         assert_ne!(derive_seed(42, 0), derive_seed(43, 0));
-    }
-
-    #[test]
-    fn par_runs_passes_indices_and_seeds() {
-        let out = par_runs(10, 7, |i, s| (i, s));
-        for (i, (idx, seed)) in out.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*seed, derive_seed(7, i as u64));
-        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //!   Byzantine plan is present (recording is observation-only either
 //!   way).
 //!
-//! `tests/legacy_identity.rs` at the workspace root holds hand-built
+//! `tests/scenario_identity.rs` at the workspace root holds hand-built
 //! raw-engine twins of these runs — unwrapped nodes, raw links, a
 //! hand-rolled hand-off — and compares the builder to them `Debug` byte
 //! for byte: they are the builder's reference implementation.

@@ -14,7 +14,9 @@
 //!   --k    K       tokens                                 [64]
 //!   --s    S       sources (multi-source / rlnc / oblivious) [4]
 //!   --seed SEED    RNG seed                               [42]
-//!   --max-rounds R round cap                              [1000000]
+//!   --max-rounds R round cap; for async-* algorithms R caps virtual
+//!                  ticks (two per round); the oblivious pipelines cap
+//!                  each phase at min(its default, R)       [1000000]
 //!   --kt0          charge neighbor-discovery hellos (unicast algorithms)
 //!
 //! Scenario flags (async-* algorithms only, backed by the unified
@@ -352,8 +354,8 @@ fn parse_adversary(spec: &str, n: usize, seed: u64) -> Result<Box<dyn Adversary>
     }
 }
 
-/// Builds the Scenario axes shared by every async-* algorithm, runs
-/// `go`, and flushes the trace file if one was requested.
+/// Builds the Scenario axes shared by every async-* algorithm, runs the
+/// one `cfg.alg` names, and flushes the trace file if one was requested.
 fn run_scenario(cfg: &Config, assignment: TokenAssignment) -> Result<String, String> {
     let adversary = parse_adversary(&cfg.adv, cfg.n, cfg.seed)?;
     let mut scenario = Scenario::from_assignment(assignment)
@@ -419,9 +421,15 @@ fn run_scenario(cfg: &Config, assignment: TokenAssignment) -> Result<String, Str
         }
         "async-oblivious" => {
             let adversary2 = parse_adversary(&cfg.adv, cfg.n, cfg.seed + 1)?;
+            // `run_oblivious` takes its caps from the config, not the
+            // builder: cap each phase at --max-rounds here.
+            let defaults = AsyncObliviousConfig::default();
             let ob_cfg = AsyncObliviousConfig {
                 seed: cfg.seed,
-                ..AsyncObliviousConfig::default()
+                phase1_deadline: defaults.phase1_deadline.min(cfg.max_rounds),
+                phase1_max_time: defaults.phase1_max_time.min(cfg.max_rounds),
+                phase2_max_time: defaults.phase2_max_time.min(cfg.max_rounds),
+                ..defaults
             };
             let faults2 = cfg
                 .faults
@@ -524,10 +532,13 @@ fn run(cfg: &Config) -> Result<String, String> {
         "oblivious" => {
             let a = TokenAssignment::round_robin_sources(cfg.n, cfg.k, cfg.s);
             let adversary2 = parse_adversary(&cfg.adv, cfg.n, cfg.seed + 1)?;
+            let defaults = ObliviousConfig::default();
             let ob_cfg = ObliviousConfig {
                 seed: cfg.seed,
                 source_threshold: Some((cfg.n as f64).powf(2.0 / 3.0)),
-                ..ObliviousConfig::default()
+                phase1_max_rounds: defaults.phase1_max_rounds.min(cfg.max_rounds),
+                phase2_max_rounds: defaults.phase2_max_rounds.min(cfg.max_rounds),
+                ..defaults
             };
             let out = run_oblivious_multi_source(&a, adversary, adversary2, &ob_cfg);
             let mut text = String::new();
@@ -557,7 +568,8 @@ ALG:  single-source | multi-source | unicast-flood | phased-flood | rlnc | obliv
 ADV:  static:TOPO | rewire:TOPO:PERIOD | markov:P_ON:P_OFF:SIGMA | churn:TOPO:C:SIGMA
 TOPO: path | cycle | star | complete | tree | gnp:P | sparse:C | regular:D
 SPEC: stop:FRAC:AT | recover:FRAC:T0:T1[:amnesia|durable] | part:T0:T1 (comma-joined)
-SRC:  a trace file (`ARRIVAL SOURCE K [LEAVE]` lines) | uniform:SESSIONS:K:SPACING";
+SRC:  a trace file (`ARRIVAL SOURCE K [LEAVE]` lines) | uniform:SESSIONS:K:SPACING
+R:    round cap; for async-* algorithms it caps virtual ticks (two per round)";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -664,6 +676,22 @@ mod tests {
             let out = run(&cfg).unwrap_or_else(|e| panic!("{alg}: {e}"));
             assert!(out.contains("completed"), "{alg} output: {out}");
         }
+    }
+
+    #[test]
+    fn max_rounds_caps_each_phase_of_the_oblivious_pipeline() {
+        let cfg = parse_args(&args("--alg oblivious --n 16 --k 16 --s 16 --max-rounds 1")).unwrap();
+        let out = run(&cfg).unwrap();
+        let phase2 = out.lines().find(|l| l.contains("(phase2)")).expect(&out);
+        assert!(phase2.ends_with("DID NOT COMPLETE in 1 rounds"), "{out}");
+        // Uncapped, the same run completes — in more than one round.
+        let out = run(&Config {
+            max_rounds: 1_000_000,
+            ..cfg
+        })
+        .unwrap();
+        let phase2 = out.lines().find(|l| l.contains("(phase2)")).expect(&out);
+        assert!(phase2.contains("): completed in "), "{out}");
     }
 
     #[test]

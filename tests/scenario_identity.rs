@@ -12,8 +12,7 @@
 //! these first.
 //!
 //! The twins started life as the bodies of the per-axis `run_*` drivers
-//! the builder replaced; the file and test names still say "legacy",
-//! "wrapper" and "old driver" because the test ids are pinned.
+//! the builder replaced.
 
 use dynspread::graph::generators::Topology;
 use dynspread::graph::oblivious::PeriodicRewiring;
@@ -71,7 +70,7 @@ fn adversary(epoch: u64, seed: u64) -> PeriodicRewiring {
 }
 
 #[test]
-fn faulty_single_source_wrapper_matches_the_old_driver_byte_for_byte() {
+fn faulty_single_source_matches_the_raw_engine_twin_byte_for_byte() {
     let n = 14usize;
     let assignment = TokenAssignment::single_source(n, 8, NodeId::new(0));
     let plan = FaultPlan::crash_recovery(n, 0.2, 30, 120, RecoveryMode::Amnesia, 5)
@@ -116,7 +115,7 @@ fn faulty_single_source_wrapper_matches_the_old_driver_byte_for_byte() {
 }
 
 #[test]
-fn faulty_multi_source_wrapper_matches_the_old_driver_byte_for_byte() {
+fn faulty_multi_source_matches_the_raw_engine_twin_byte_for_byte() {
     let n = 12usize;
     let assignment = TokenAssignment::round_robin_sources(n, 9, 3);
     let plan = FaultPlan::crash_stop(n, 0.2, 40, 17);
@@ -158,7 +157,7 @@ fn faulty_multi_source_wrapper_matches_the_old_driver_byte_for_byte() {
 }
 
 #[test]
-fn byzantine_single_source_wrapper_matches_the_old_driver_byte_for_byte() {
+fn byzantine_single_source_matches_the_raw_engine_twin_byte_for_byte() {
     let n = 12usize;
     let assignment = TokenAssignment::single_source(n, 6, NodeId::new(0));
     let plan = MisbehaviorPlan::uniform(n, 0.25, MisbehaviorKind::FalseClaims, 3);
@@ -208,7 +207,7 @@ fn byzantine_single_source_wrapper_matches_the_old_driver_byte_for_byte() {
 }
 
 #[test]
-fn byzantine_multi_source_wrapper_matches_the_old_driver_byte_for_byte() {
+fn byzantine_multi_source_matches_the_raw_engine_twin_byte_for_byte() {
     let n = 12usize;
     let assignment = TokenAssignment::round_robin_sources(n, 8, 2);
     let plan = MisbehaviorPlan::uniform(n, 0.25, MisbehaviorKind::DropAcks, 8);
@@ -261,7 +260,7 @@ fn byzantine_multi_source_wrapper_matches_the_old_driver_byte_for_byte() {
 /// its structural invariants, and — on the fast path — against the
 /// single-phase entry point.
 #[test]
-fn byzantine_oblivious_wrapper_is_replay_identical_and_structurally_sound() {
+fn byzantine_oblivious_is_replay_identical_and_structurally_sound() {
     let n = 14usize;
     let assignment = TokenAssignment::n_gossip(n);
     let plan = MisbehaviorPlan::uniform(n, 0.2, MisbehaviorKind::ForgeTransfers, 4);
@@ -334,7 +333,7 @@ fn byzantine_oblivious_wrapper_is_replay_identical_and_structurally_sound() {
 /// The honest two-phase pipeline: raw engines, the center-preferring
 /// claimant resolution, and the stitched `Phase` trace records.
 #[test]
-fn honest_oblivious_wrapper_matches_the_old_driver_byte_for_byte() {
+fn honest_oblivious_matches_the_raw_engine_twin_byte_for_byte() {
     use dynspread::core::multi_source::SourceMap;
     use dynspread::core::oblivious::{center_count, degree_threshold};
     use dynspread::runtime::engine::EventProtocol;
@@ -464,7 +463,7 @@ fn honest_oblivious_wrapper_matches_the_old_driver_byte_for_byte() {
 /// The honest oblivious pipeline's stitched two-phase JSONL trace and
 /// outcome must also be reproducible run-to-run.
 #[test]
-fn honest_oblivious_trace_is_replay_identical_through_the_wrapper() {
+fn honest_oblivious_trace_is_replay_identical_through_the_builder() {
     let n = 12usize;
     let assignment = TokenAssignment::n_gossip(n);
     let cfg = AsyncObliviousConfig {

@@ -22,15 +22,13 @@
 //! `BENCH_byzantine.json` byte for byte.
 //!
 //! Usage:
-//!   `cargo run --release -p dynspread-bench --bin exp_byzantine [--smoke] [OUT.json]`
+//!   `cargo run --release -p dynspread-bench --bin exp_byzantine [OUT.json]`
 //!
-//! `--smoke` runs the fraction ∈ {0, 15%} columns only — the CI guard.
-//! Results go to `BENCH_byzantine.json` (default); `bench_check
-//! --byzantine` demands that a fresh run equal the committed file on every
-//! column of every cell it shares with it.
+//! Results go to `BENCH_byzantine.json` (default), which
+//! `tests/committed_baselines.rs` compares with a fresh run's byte for
+//! byte.
 
 use dynspread_bench::arms::{run_port, PORTS as PROTOCOLS, PORT_N as N};
-use dynspread_bench::check::BYZANTINE;
 use dynspread_bench::row::{render_table, write_gate_json, Row};
 use dynspread_bench::{derive_seed, gate_args, par_map};
 use dynspread_runtime::byzantine::{MisbehaviorKind, MisbehaviorPlan};
@@ -80,32 +78,22 @@ fn run_cell(
 }
 
 fn main() {
-    let (smoke, out_path) = gate_args("BENCH_byzantine.json");
-    let fractions: &[f64] = if smoke {
-        &[0.0, 0.15]
-    } else {
-        &[0.0, 0.05, 0.15, 0.30]
-    };
+    let out_path = gate_args("BENCH_byzantine.json");
+    let fractions = [0.0, 0.05, 0.15, 0.30];
     let base_seed = 20_260_807u64;
-    println!(
-        "Byzantine grid: n = {N}, fraction ∈ {fractions:?} × kind × {PROTOCOLS:?}{}",
-        if smoke { " (smoke)" } else { "" }
-    );
+    println!("Byzantine grid: n = {N}, fraction ∈ {fractions:?} × kind × {PROTOCOLS:?}");
 
     // Fraction 0 collapses to one honest row per protocol.
     let mut jobs: Vec<(&'static str, f64, Option<MisbehaviorKind>, u64)> = Vec::new();
     for (pi, &p) in PROTOCOLS.iter().enumerate() {
-        for &frac in fractions {
+        for frac in fractions {
             let kinds: Vec<Option<MisbehaviorKind>> = if frac == 0.0 {
                 vec![None]
             } else {
                 MisbehaviorKind::ALL.iter().copied().map(Some).collect()
             };
-            // Seed from the fraction's *value*, not its grid index: the
-            // smoke grid is a subset of the full grid's fractions, and
-            // bench_check matches cells on (protocol, fraction, kind) —
-            // an index-derived seed would hand the "same" cell different
-            // executions in smoke vs full runs.
+            // Seed from the fraction's *value*, not its grid index, so a
+            // fraction added to the grid reseeds no recorded cell.
             let pct = (frac * 100.0) as u64;
             for (ki, kind) in kinds.into_iter().enumerate() {
                 let seed = derive_seed(base_seed, (pi as u64 * 101 + pct) * 16 + ki as u64);
@@ -119,11 +107,5 @@ fn main() {
     println!("coverage = mean honest-node fraction of the token universe;");
     println!("viol/nodes = auditor verdicts (soundness asserted per cell).");
 
-    write_gate_json(
-        &out_path,
-        Some(&BYZANTINE),
-        &[("n", N.to_string())],
-        smoke,
-        &rows,
-    );
+    write_gate_json(&out_path, &[("n", N.to_string())], &rows);
 }

@@ -20,15 +20,13 @@
 //! re-running the bin reproduces `BENCH_faults.json` byte for byte.
 //!
 //! Usage:
-//!   `cargo run --release -p dynspread-bench --bin exp_faults [--smoke] [OUT.json]`
+//!   `cargo run --release -p dynspread-bench --bin exp_faults [OUT.json]`
 //!
-//! `--smoke` runs the crash fraction ∈ {0, 20%} scenarios only — the CI
-//! guard. Results go to `BENCH_faults.json` (default); `bench_check
-//! --faults` demands that a fresh run equal the committed file on every
-//! column of every cell it shares with it.
+//! Results go to `BENCH_faults.json` (default), which
+//! `tests/committed_baselines.rs` compares with a fresh run's byte for
+//! byte.
 
 use dynspread_bench::arms::{run_port, PORTS as PROTOCOLS, PORT_N as N};
-use dynspread_bench::check::FAULTS;
 use dynspread_bench::row::{render_table, write_gate_json, Row};
 use dynspread_bench::{derive_seed, gate_args, par_map};
 use dynspread_runtime::faults::{FaultPlan, RecoveryMode};
@@ -68,8 +66,7 @@ fn plan_for(crash_pct: u32, recovery_delay: u64, episodes: u32, seed: u64) -> Fa
 
 fn run_cell(protocol: &'static str, crash_pct: u32, recovery_delay: u64, episodes: u32) -> Row {
     // Seeds derive from the scenario's *values*, not its grid index, so
-    // a smoke cell is byte-identical to the same cell in the full grid,
-    // which is what bench_check compares it against.
+    // a scenario added to the grid reseeds no recorded cell.
     let base_seed = 20_260_807u64;
     let pi = PROTOCOLS.iter().position(|&p| p == protocol).unwrap() as u64;
     let seed = derive_seed(
@@ -105,20 +102,12 @@ fn run_cell(protocol: &'static str, crash_pct: u32, recovery_delay: u64, episode
 }
 
 fn main() {
-    let (smoke, out_path) = gate_args("BENCH_faults.json");
-    let scenarios: Vec<(u32, u64, u32)> = SCENARIOS
-        .iter()
-        .copied()
-        .filter(|&(pct, _, _)| !smoke || pct == 0 || pct == 20)
-        .collect();
-    println!(
-        "Fault grid: n = {N}, scenarios {scenarios:?} × {PROTOCOLS:?}{}",
-        if smoke { " (smoke)" } else { "" }
-    );
+    let out_path = gate_args("BENCH_faults.json");
+    println!("Fault grid: n = {N}, scenarios {SCENARIOS:?} × {PROTOCOLS:?}");
 
     let mut jobs: Vec<(&'static str, u32, u64, u32)> = Vec::new();
     for &p in &PROTOCOLS {
-        for &(pct, delay, eps) in &scenarios {
+        for &(pct, delay, eps) in &SCENARIOS {
             jobs.push((p, pct, delay, eps));
         }
     }
@@ -128,11 +117,5 @@ fn main() {
     println!("coverage = mean live-node fraction of the token universe;");
     println!("crash/recov/part = fault events fired (completion asserted per cell).");
 
-    write_gate_json(
-        &out_path,
-        Some(&FAULTS),
-        &[("n", N.to_string())],
-        smoke,
-        &rows,
-    );
+    write_gate_json(&out_path, &[("n", N.to_string())], &rows);
 }

@@ -8,7 +8,7 @@
 //! `oblivious_pipeline`'s phase-2 token placement (`k = s = 16`, whatever
 //! the grid's `k`), with the engines' self-profiler enabled
 //! (`enable_profiling`) and records where each run's wall time actually
-//! goes, per [`Phase`](dynspread_sim::Phase).
+//! goes, per [`Phase`].
 //! The first deliverable is evidence for the scale roadmap item: the
 //! `n = 4096` single-source cell names the dominant phase behind the
 //! sync engines' superlinear ns/event growth (the suspected O(n)
@@ -23,25 +23,21 @@
 //! must tile the engine loop, so un-instrumented glue beyond 10% means a
 //! hook is missing.
 //!
-//! Results go to `BENCH_profile.json` (per-phase ns/laps/sparse log2
-//! histogram, attributed fraction, dominant phase per cell).
-//! `crates/runtime/README.md` § "Tracing & profiling" explains how to
-//! read it. The file is **not** gated by `bench_check` — phase shares
-//! are diagnostics, not regression metrics; the gated wall times live in
-//! `BENCH_runtime.json`.
+//! The nanoseconds are printed, not recorded. `BENCH_profile.json` holds
+//! per cell what the seeds determine — `completed` and each phase's lap
+//! count in [`Phase::ALL`] order, the per-layer work proxy with no noise in
+//! it — so re-running the bin reproduces the file byte for byte, which
+//! `tests/committed_baselines.rs` demands. `crates/runtime/README.md`
+//! § "Tracing & profiling" explains how to read both outputs.
 //!
 //! Usage:
-//!   `cargo run --release -p dynspread-bench --bin exp_profile [--smoke] [OUT.json]`
-//!
-//! `--smoke` runs only `n = 1024` — the CI guard that keeps the profile
-//! path exercised on every PR. The full run adds `n = 4096`, including
-//! the single-source cell the roadmap item is about.
+//!   `cargo run --release -p dynspread-bench --bin exp_profile [OUT.json]`
 
 use dynspread_analysis::table::fmt_f64;
 use dynspread_bench::arms::{arm_seed, run_arm};
 use dynspread_bench::gate_args;
 use dynspread_bench::row::{render_table, write_gate_json, Row};
-use dynspread_sim::ProfileReport;
+use dynspread_sim::{Phase, ProfileReport};
 
 const PROTOCOLS: [&str; 6] = [
     "flooding",
@@ -59,29 +55,15 @@ const SEED_STRIDE: usize = 4;
 /// `oblivious_pipeline`'s phase-2 placement, whatever the grid's `k`.
 const PIPELINE_K: usize = 16;
 
-/// The profile's phases as a JSON array, one object per line (the
-/// workspace has no serde).
-fn phases_json(profile: &ProfileReport) -> String {
-    let phases: Vec<String> = profile
-        .phases
+/// The lap count of every phase that ran, as a JSON array in
+/// [`Phase::ALL`] order (the report's own order is by the clock).
+fn laps_json(profile: &ProfileReport) -> String {
+    let laps: Vec<String> = Phase::ALL
         .iter()
-        .map(|p| {
-            let hist: Vec<String> = p
-                .hist
-                .iter()
-                .map(|&(bucket, count)| format!("[{bucket}, {count}]"))
-                .collect();
-            format!(
-                "      {{\"phase\": \"{}\", \"ns\": {}, \"laps\": {}, \"mean_ns\": {:.0}, \"hist\": [{}]}}",
-                p.phase,
-                p.ns,
-                p.laps,
-                p.mean_ns(),
-                hist.join(", ")
-            )
-        })
+        .filter_map(|phase| profile.phases.iter().find(|p| p.phase == phase.label()))
+        .map(|p| format!("{{\"phase\": \"{}\", \"laps\": {}}}", p.phase, p.laps))
         .collect();
-    format!("[\n{}\n    ]", phases.join(",\n"))
+    format!("[{}]", laps.join(", "))
 }
 
 fn run_cell(protocol: &'static str, n: usize, k: usize, seed: u64) -> (Row, Box<ProfileReport>) {
@@ -108,23 +90,20 @@ fn run_cell(protocol: &'static str, n: usize, k: usize, seed: u64) -> (Row, Box<
         .text("protocol", "protocol", protocol)
         .col("n", "n", n)
         .json("completed", run.completed)
-        .json("total_ns", profile.total_ns)
         .table("wall ms", fmt_f64(profile.total_ns as f64 / 1e6))
-        .json("attributed_fraction", format_args!("{attributed:.4}"))
         .table("attributed", format!("{:.1}%", attributed * 100.0))
-        .text("dominant", "dominant phase", dominant.phase)
+        .table("dominant phase", dominant.phase)
         .table("dominant share", format!("{:.1}%", share * 100.0))
-        .json("phases", phases_json(&profile));
+        .json("phases", laps_json(&profile));
     (row, profile)
 }
 
 fn main() {
-    let (smoke, out_path) = gate_args("BENCH_profile.json");
-    let sizes: &[usize] = if smoke { &[1024] } else { &[1024, 4096] };
+    let out_path = gate_args("BENCH_profile.json");
+    let sizes = [1024, 4096];
     let k = 4;
     println!(
-        "Profile grid: n ∈ {sizes:?} × {PROTOCOLS:?}, k = {k}{} — serial (wall-clock attribution)",
-        if smoke { " (smoke)" } else { "" }
+        "Profile grid: n ∈ {sizes:?} × {PROTOCOLS:?}, k = {k} — serial (wall-clock attribution)"
     );
 
     // Serial on purpose: see the module docs.
@@ -151,5 +130,5 @@ fn main() {
         print!("{profile}");
     }
 
-    write_gate_json(&out_path, None, &[("k", k.to_string())], smoke, &rows);
+    write_gate_json(&out_path, &[("k", k.to_string())], &rows);
 }

@@ -26,25 +26,20 @@
 //! Every cell is one seeded end-to-end run through `par_map`. Results go
 //! to `BENCH_runtime.json`: per cell the counts (`completed`, `rounds`,
 //! `events` — pure functions of the seeds, identical whatever
-//! `DYNSPREAD_THREADS` says) and three timing fields (`wall_ms`,
-//! `ns_per_round`, `ns_per_event`) that are printed and recorded for
-//! orientation and never compared; the file's `recorded` header says which
-//! commit and how many cores produced them. Speed claims go through
-//! `benchmark/` parent/change pairs instead. `crates/runtime/README.md`
-//! explains how to read the file.
+//! `DYNSPREAD_THREADS` says), so re-running the bin reproduces the file
+//! byte for byte, which `tests/committed_baselines.rs` demands. The three
+//! timing columns (`wall ms`, `ns/round`, `ns/event`) are printed for
+//! orientation and recorded nowhere. Speed claims go through `benchmark/`
+//! parent/change pairs instead. `crates/runtime/README.md` explains how to
+//! read the file.
 //!
 //! Usage:
-//!   `cargo run --release -p dynspread-bench --bin exp_scale [--smoke] [OUT.json]`
-//!
-//! `--smoke` runs only the smallest grid column (`n = 1024`) — the CI
-//! guard that keeps the scale path building and running on every PR, and
-//! the fresh side of `bench_check --runtime`, which demands that its
-//! counts equal the committed file's.
+//!   `cargo run --release -p dynspread-bench --bin exp_scale [OUT.json]`
 
+use dynspread_analysis::table::fmt_f64;
 use dynspread_bench::arms::{arm_seed, run_arm};
-use dynspread_bench::check::RUNTIME;
 use dynspread_bench::row::{render_table, write_gate_json, Row};
-use dynspread_bench::{gate_args, par_map, worker_count};
+use dynspread_bench::{gate_args, par_map};
 use std::time::Instant;
 
 const PROTOCOLS: [&str; 5] = [
@@ -81,49 +76,17 @@ fn run_cell(protocol: &'static str, n: usize, k: usize, seed: u64) -> Row {
         .col("completed", "done", run.completed)
         .col("rounds", "rounds", run.rounds)
         .col("events", "events", run.events)
-        .fixed("wall_ms", "wall ms", wall_ns / 1e6, 1)
-        .fixed(
-            "ns_per_round",
-            "ns/round",
-            wall_ns / run.rounds.max(1) as f64,
-            0,
-        )
-        .fixed(
-            "ns_per_event",
-            "ns/event",
-            wall_ns / run.events.max(1) as f64,
-            0,
-        )
-}
-
-/// Where the timing fields come from, as a JSON object: the checked-out
-/// commit (`-dirty` when the tree has uncommitted changes on top of it,
-/// `unknown` outside a git checkout) and the cores the grid ran across.
-fn recorded_on() -> String {
-    let commit = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map_or("unknown".to_string(), |s| s.trim().to_string());
-    format!(
-        "{{\"commit\": \"{commit}\", \"cores\": {}}}",
-        worker_count()
-    )
+        .table("wall ms", fmt_f64(wall_ns / 1e6))
+        .table("ns/round", fmt_f64(wall_ns / run.rounds.max(1) as f64))
+        .table("ns/event", fmt_f64(wall_ns / run.events.max(1) as f64))
 }
 
 fn main() {
-    let (smoke, out_path) = gate_args("BENCH_runtime.json");
-    let sizes: &[usize] = if smoke {
-        &[1024]
-    } else {
-        &[1024, 2048, 4096, 8192]
-    };
+    let out_path = gate_args("BENCH_runtime.json");
+    let sizes = [1024, 2048, 4096, 8192];
     let k = 4;
     println!(
-        "Scale grid: n ∈ {sizes:?} × {PROTOCOLS:?}, k = {k} (async-oblivious: k = {OBLIVIOUS_K}){}",
-        if smoke { " (smoke)" } else { "" }
+        "Scale grid: n ∈ {sizes:?} × {PROTOCOLS:?}, k = {k} (async-oblivious: k = {OBLIVIOUS_K})"
     );
 
     let jobs: Vec<(usize, &'static str, u64)> = sizes
@@ -144,6 +107,5 @@ fn main() {
 
     // Top-level k is the grid default; each cell records the k it
     // actually ran with (the async-oblivious arm overrides it).
-    let header = [("k", k.to_string()), ("recorded", recorded_on())];
-    write_gate_json(&out_path, Some(&RUNTIME), &header, smoke, &rows);
+    write_gate_json(&out_path, &[("k", k.to_string())], &rows);
 }

@@ -23,15 +23,12 @@
 //! for byte.
 //!
 //! Usage:
-//!   `cargo run --release -p dynspread-bench --bin exp_sessions [--smoke] [OUT.json]`
+//!   `cargo run --release -p dynspread-bench --bin exp_sessions [OUT.json]`
 //!
-//! `--smoke` runs the 5- and 20-session traces only — the CI guard,
-//! which keeps the ISSUE's ≥ 20-session overlapping acceptance workload
-//! in every PR run. Results go to `BENCH_sessions.json` (default);
-//! `bench_check --sessions` demands that a fresh run equal the committed
-//! file on every column of every cell it shares with it.
+//! Results go to `BENCH_sessions.json` (default), which
+//! `tests/committed_baselines.rs` compares with a fresh run's byte for
+//! byte.
 
-use dynspread_bench::check::SESSIONS;
 use dynspread_bench::row::{render_table, write_gate_json, Row};
 use dynspread_bench::{derive_seed, gate_args, par_map};
 use dynspread_graph::generators::Topology;
@@ -55,8 +52,7 @@ const SCENARIOS: [(usize, usize, u64); 5] = [
 
 fn run_cell(sessions: usize, k: usize, spacing: u64) -> Row {
     // Seeds derive from the scenario's *values*, not its grid index, so
-    // a smoke cell is byte-identical to the same cell in the full grid,
-    // which is what bench_check compares it against.
+    // a scenario added to the grid reseeds no recorded cell.
     let base_seed = 20_260_807u64;
     let seed = derive_seed(base_seed, sessions as u64 * 1009 + k as u64 * 31 + spacing);
     let workload = SessionWorkload::uniform(N, sessions, k, spacing, derive_seed(seed, 0x5E5));
@@ -114,29 +110,15 @@ fn run_cell(sessions: usize, k: usize, spacing: u64) -> Row {
 }
 
 fn main() {
-    let (smoke, out_path) = gate_args("BENCH_sessions.json");
-    let scenarios: Vec<(usize, usize, u64)> = SCENARIOS
-        .iter()
-        .copied()
-        .filter(|&(s, _, _)| !smoke || s == 5 || s == 20)
-        .collect();
-    println!(
-        "Session grid: n = {N}, (sessions, k, spacing) {scenarios:?}{}",
-        if smoke { " (smoke)" } else { "" }
-    );
+    let out_path = gate_args("BENCH_sessions.json");
+    println!("Session grid: n = {N}, (sessions, k, spacing) {SCENARIOS:?}");
 
-    let rows = par_map(scenarios, |(s, k, sp)| run_cell(s, k, sp));
+    let rows = par_map(SCENARIOS.to_vec(), |(s, k, sp)| run_cell(s, k, sp));
 
     println!("{}", render_table(&rows));
     println!("p50/p95/max = per-session completion latency on the shared virtual clock;");
     println!("overlap = sessions that arrived before an earlier one finished;");
     println!("msgs = envelopes staged by all sessions (completion asserted per cell).");
 
-    write_gate_json(
-        &out_path,
-        Some(&SESSIONS),
-        &[("n", N.to_string())],
-        smoke,
-        &rows,
-    );
+    write_gate_json(&out_path, &[("n", N.to_string())], &rows);
 }

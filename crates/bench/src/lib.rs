@@ -1,62 +1,31 @@
 //! # dynspread-bench — benchmark and experiment harness
 //!
-//! Shared runners used by the experiment binaries (`src/bin/*.rs`), and
-//! the exact behaviour gate over the committed `BENCH_*.json` baselines
-//! ([`check`]). Every binary regenerates one of the paper's quantitative
-//! artifacts — the tables below are the index (the root `README.md` carries
-//! a copy), and each binary's module doc states the claim it checks and the
-//! shape to expect.
+//! Shared runners used by the experiment binaries (`src/bin/*.rs`). Every
+//! binary regenerates one of the paper's quantitative artifacts or steps
+//! outside its lossless synchronous model via `dynspread-runtime`; the root
+//! `README.md` § Experiment binaries is the index, and each binary's module
+//! doc states the claim it checks and the shape to expect.
 //!
 //! What two binaries share is written once, here: a grid cell is a
 //! [`row::Row`] of `(JSON name, table label, value)` columns from which
-//! both the printed table and the gate file are rendered, and the protocol
-//! arms of the scale/profile grids, the three async ports of the
+//! both the printed table and the committed file are rendered, and the
+//! protocol arms of the scale/profile grids, the three async ports of the
 //! fault/Byzantine grids, the link sweeps' grid and the Section 2
 //! lower-bound setup are the functions of [`arms`].
 //!
-//! | binary | paper artifact |
-//! |---|---|
-//! | `table1` | Table 1 (amortized cost of the oblivious algorithm vs k) |
-//! | `fig1_free_edges` | Figure 1 / Lemma 2.2 (free-edge graph structure) |
-//! | `exp_local_broadcast_lb` | Theorem 2.3 (local-broadcast lower bound) |
-//! | `exp_single_source` | Theorems 3.1 and 3.4 |
-//! | `exp_multi_source` | Theorems 3.5 and 3.6 |
-//! | `exp_oblivious` | Theorem 3.8 |
-//! | `exp_random_walk` | Lemma 3.7 |
-//! | `exp_stability_ablation` | σ-stability ablation (design choice of §3.1) |
-//! | `exp_priority_ablation` | request-priority ablation (Algorithm 1) |
-//! | `exp_adaptivity_gap` | footnote 4 (strongly vs weakly adaptive adversary) |
-//! | `exp_time_vs_messages` | Section 1.2 (time vs messages tradeoff) |
-//! | `exp_network_coding` | Section 1.2 (token forwarding vs network coding) |
-//!
-//! The rest step *outside* the paper's lossless synchronous model via
-//! `dynspread-runtime` (the synchronizer runs the round-based protocols
-//! unchanged, every send routed through a seeded link model; the event
-//! engine runs their asynchronous ports):
-//!
-//! | binary | scenario |
-//! |---|---|
-//! | `exp_lossy_links` | message-drop sweep: handshake degradation vs drop probability |
-//! | `exp_latency_sweep` | delivery-delay sweep: round stretch vs fixed latency + jitter |
-//! | `exp_async_vs_sync` | retransmission premium of the async ports vs the lossless sync reference |
-//! | `exp_scale` | n ∈ {1k, 2k, 4k, 8k} grid over flooding / single-source / multi-source / async single-source / async oblivious; writes `BENCH_runtime.json` (counts, plus wall time for orientation) |
-//! | `exp_oblivious_async` | drop × jitter sweep of the asynchronous two-phase oblivious pipeline |
-//! | `exp_profile` | wall-clock phase attribution of the engines (self-profiler) on `exp_scale`'s arm definitions; writes `BENCH_profile.json` |
-//! | `exp_faults` | crash-recovery × partition sweep of the async ports, self-healing asserted per cell; writes `BENCH_faults.json` |
-//! | `exp_byzantine` | malicious fraction × misbehavior kind sweep, auditor soundness asserted per cell; writes `BENCH_byzantine.json` |
-//! | `exp_sessions` | multi-session service sweep: arrival traces replayed through `Scenario::run_sessions`, per-session latency percentiles + aggregate envelope load; writes `BENCH_sessions.json` |
-//! | `bench_check` | CI behaviour gate: fresh `exp_{scale,byzantine,faults,sessions} --smoke` cells must equal the committed baselines on every deterministic column (see [`check`]) |
-//!
-//! Wall time is not gated here. Speed is claimed through alternating
-//! parent/change pairs of the standalone `benchmark/` package; behaviour is
-//! gated exactly by `bench_check`; a baseline is refreshed by re-running
-//! its `exp_*` bin.
+//! Five binaries (`exp_{scale,profile,faults,byzantine,sessions}`) write a
+//! `BENCH_*.json` at the repo root. Such a file holds only what the seeds
+//! determine, so the behaviour gate is a comparison of bytes:
+//! `tests/committed_baselines.rs` runs each of the five and demands the
+//! committed file back. A baseline is refreshed by re-running its bin with
+//! no arguments and committing the result. Wall time is not gated here:
+//! speed is claimed through alternating parent/change pairs of the
+//! standalone `benchmark/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arms;
-pub mod check;
 pub mod parallel;
 pub mod row;
 
@@ -79,15 +48,14 @@ pub fn default_adversary(seed: u64) -> PeriodicRewiring {
     PeriodicRewiring::new(Topology::RandomTree, 3, seed)
 }
 
-/// Parses the gate binaries' command line, `[--smoke] [OUT.json]`:
-/// whether to run the reduced CI grid, and where the cells go
-/// (`default_out` when no path is given). Any other `--flag` or a second
-/// path prints `error: …` and the usage to stderr and exits with status 2.
-pub fn gate_args(default_out: &str) -> (bool, String) {
+/// Parses the gate binaries' command line, `[OUT.json]`: where the cells
+/// go (`default_out` when no path is given). A `--flag` or a second path
+/// prints `error: …` and the usage to stderr and exits with status 2.
+pub fn gate_args(default_out: &str) -> String {
     let mut args = std::env::args();
     let bin = args.next().unwrap_or_default();
     parse_gate_args(args, default_out).unwrap_or_else(|e| {
-        eprintln!("error: {e}\nusage: {bin} [--smoke] [OUT.json]");
+        eprintln!("error: {e}\nusage: {bin} [OUT.json]");
         std::process::exit(2);
     })
 }
@@ -95,13 +63,10 @@ pub fn gate_args(default_out: &str) -> (bool, String) {
 fn parse_gate_args(
     args: impl Iterator<Item = String>,
     default_out: &str,
-) -> Result<(bool, String), String> {
-    let mut smoke = false;
+) -> Result<String, String> {
     let mut out_path = None;
     for arg in args {
-        if arg == "--smoke" {
-            smoke = true;
-        } else if arg.starts_with("--") {
+        if arg.starts_with("--") {
             return Err(format!("unknown flag `{arg}`"));
         } else if let Some(first) = &out_path {
             return Err(format!("two output paths, `{first}` and `{arg}`"));
@@ -109,7 +74,7 @@ fn parse_gate_args(
             out_path = Some(arg);
         }
     }
-    Ok((smoke, out_path.unwrap_or_else(|| default_out.to_string())))
+    Ok(out_path.unwrap_or_else(|| default_out.to_string()))
 }
 
 /// Runs Single-Source-Unicast (Algorithm 1) to completion.
@@ -229,16 +194,11 @@ mod tests {
     }
 
     #[test]
-    fn gate_args_take_one_flag_and_one_path_and_reject_the_rest() {
+    fn gate_args_take_one_path_and_reject_the_rest() {
         let parse = |args: &[&str]| parse_gate_args(args.iter().map(|s| s.to_string()), "D.json");
-        assert_eq!(parse(&[]), Ok((false, "D.json".to_string())));
-        assert_eq!(parse(&["--smoke"]), Ok((true, "D.json".to_string())));
-        assert_eq!(
-            parse(&["o.json", "--smoke"]),
-            Ok((true, "o.json".to_string()))
-        );
-        assert!(parse(&["--somke"]).unwrap_err().contains("`--somke`"));
-        assert!(parse(&["--smoke", "--out", "o.json"]).is_err());
+        assert_eq!(parse(&[]), Ok("D.json".to_string()));
+        assert_eq!(parse(&["o.json"]), Ok("o.json".to_string()));
+        assert!(parse(&["--out", "o.json"]).unwrap_err().contains("`--out`"));
         assert!(parse(&["a.json", "b.json"])
             .unwrap_err()
             .contains("`b.json`"));

@@ -5,13 +5,11 @@
 //! ASCII table and write a `BENCH_*.json` from the same cells. Both come
 //! from the rows — [`render_table`] lays out the labelled columns,
 //! [`gate_json`] the named ones, and is the one place that knows the
-//! `{"…": …, "smoke": …, "cells": [ … ]}` format [`crate::check::Json`]
-//! reads back — so a column is added, renamed or dropped on one line of its
-//! bin. The family's [`CellSpec`] rides along to the writer, which refuses a
-//! row without one of the spec's key or timing columns: a renamed key fails
-//! the bin that emits it, not `bench_check` at the end of CI.
+//! `{"…": …, "cells": [ … ]}` format — so a column is added, renamed or
+//! dropped on one line of its bin. The file is compared with a fresh run's
+//! byte for byte (`tests/committed_baselines.rs`), one cell per line, so
+//! what reads the wall clock is [`Row::table`]d, never recorded.
 
-use crate::check::CellSpec;
 use dynspread_analysis::table::{fmt_f64, Table};
 use std::fmt::Display;
 
@@ -114,34 +112,9 @@ pub fn render_table(rows: &[Row]) -> String {
 }
 
 /// Renders a gate bin's baseline file —
-/// `{"<name>": <value>, …, "smoke": …, "cells": [ … ]}` with one
-/// pre-rendered JSON value per header entry and one object per row, the
-/// shape [`crate::check`] parses.
-///
-/// # Errors
-///
-/// Names the family, the cell and the column when a row lacks one of the
-/// key or timing columns `spec` declares for the file's family (`None`: an
-/// ungated file, nothing to check).
-pub fn gate_json(
-    spec: Option<&CellSpec>,
-    header: &[(&str, String)],
-    smoke: bool,
-    rows: &[Row],
-) -> Result<String, String> {
-    if let Some(spec) = spec {
-        let keys = spec.key.iter().map(|column| ("key", column));
-        let timing = spec.timing.iter().map(|column| ("timing", column));
-        for (role, column) in keys.chain(timing) {
-            let lacks = |row: &&Row| !row.columns.iter().any(|c| c.name == Some(*column));
-            if let Some(row) = rows.iter().find(lacks) {
-                let (family, cell) = (spec.family, row.json_cell());
-                return Err(format!(
-                    "{family}: cell {cell} lacks {role} column {column:?}"
-                ));
-            }
-        }
-    }
+/// `{"<name>": <value>, …, "cells": [ … ]}` with one pre-rendered JSON
+/// value per header entry and one object, on one line, per row.
+pub fn gate_json(header: &[(&str, String)], rows: &[Row]) -> String {
     let header: String = header
         .iter()
         .map(|(name, value)| format!("  \"{name}\": {value},\n"))
@@ -150,10 +123,10 @@ pub fn gate_json(
         .iter()
         .map(|row| format!("    {}", row.json_cell()))
         .collect();
-    Ok(format!(
-        "{{\n{header}  \"smoke\": {smoke},\n  \"cells\": [\n{}\n  ]\n}}\n",
+    format!(
+        "{{\n{header}  \"cells\": [\n{}\n  ]\n}}\n",
         cells.join(",\n")
-    ))
+    )
 }
 
 /// Writes [`gate_json`]'s rendering to `out_path` and reports the path on
@@ -161,16 +134,9 @@ pub fn gate_json(
 ///
 /// # Panics
 ///
-/// Panics if a row lacks a column its family's spec declares, or the file
-/// cannot be written.
-pub fn write_gate_json(
-    out_path: &str,
-    spec: Option<&CellSpec>,
-    header: &[(&str, String)],
-    smoke: bool,
-    rows: &[Row],
-) {
-    let json = gate_json(spec, header, smoke, rows).unwrap_or_else(|e| panic!("{e}"));
+/// Panics if the file cannot be written.
+pub fn write_gate_json(out_path: &str, header: &[(&str, String)], rows: &[Row]) {
+    let json = gate_json(header, rows);
     std::fs::write(out_path, json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     eprintln!("wrote {out_path}");
 }

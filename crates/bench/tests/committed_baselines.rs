@@ -1,27 +1,125 @@
-//! The committed `BENCH_*.json` baselines are well-formed for the gate that
-//! reads them: a stale or hand-edited file fails `cargo test --workspace`,
-//! not only the release job's last step.
+//! The behaviour gate. A committed `BENCH_*.json` holds only what the seeds
+//! determine, so each test runs the bin that writes one and demands the
+//! committed bytes back: all 88 cells of the four grids and the 78 lap
+//! counts of the profile grid, any byte of them. A failure quotes the first
+//! differing line of both sides — a file holds one cell per line with named
+//! columns, so the line is the `(cell, column, committed, fresh)` report.
+//!
+//! `faults` and `sessions` take tens of milliseconds in release and run in
+//! every `cargo test --workspace`; the other three take seconds in release
+//! and minutes in debug, and run under the release job's `--ignored`. A new
+//! deterministic artefact joins the gate by committing its file and adding
+//! one test here.
 
-use dynspread_bench::check::{compare_cells, Json, BYZANTINE, FAULTS, RUNTIME, SESSIONS};
+use dynspread_analysis::trace::first_divergence;
+use std::process::Command;
+use std::sync::Mutex;
+
+/// Held while a bin runs: `exp_scale` fans out over every core and
+/// `exp_profile` reads the wall clock, so the grids take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// `Ok` when `fresh` is `committed` byte for byte; otherwise the gate's
+/// failure message for the file called `file`.
+fn same_bytes(file: &str, committed: &str, fresh: &str) -> Result<(), String> {
+    if committed == fresh {
+        return Ok(());
+    }
+    let (c, f): (Vec<&str>, Vec<&str>) = (committed.lines().collect(), fresh.lines().collect());
+    let differing = c.len().abs_diff(f.len()) + c.iter().zip(&f).filter(|(c, f)| c != f).count();
+    let first =
+        first_divergence(committed, fresh).map_or("only in how lines end".to_string(), |d| {
+            format!(
+                "the first at line {}:\n  committed: {}\n  fresh:     {}",
+                d.line,
+                d.left.as_deref().unwrap_or("<end of file>"),
+                d.right.as_deref().unwrap_or("<end of file>")
+            )
+        });
+    Err(format!(
+        "{file}: {differing} line(s) differ from a fresh run, {first}\n\
+         legitimate change? re-run the bin and commit the file"
+    ))
+}
+
+/// Runs `bin` with a scratch output path and demands `BENCH_<family>.json`
+/// at the repo root back.
+fn gate(bin: &str, family: &str) {
+    let file = format!("BENCH_{family}.json");
+    let fresh_path = std::env::temp_dir().join(format!("dynspread-{}-{file}", std::process::id()));
+    let out = {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        Command::new(bin).arg(&fresh_path).output().expect("spawn")
+    };
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{bin} failed: {stderr}");
+    let fresh = std::fs::read_to_string(&fresh_path).expect("the bin wrote its file");
+    std::fs::remove_file(&fresh_path).expect("clean up");
+    let committed_path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    let committed = std::fs::read_to_string(&committed_path)
+        .unwrap_or_else(|e| panic!("read {committed_path}: {e}"));
+    if let Err(report) = same_bytes(&file, &committed, &fresh) {
+        panic!("{report}");
+    }
+}
 
 #[test]
-fn cells_are_keyed_uniquely_and_only_runtime_carries_timing_fields() {
-    for spec in [&RUNTIME, &BYZANTINE, &FAULTS, &SESSIONS] {
-        let root = env!("CARGO_MANIFEST_DIR");
-        let path = format!("{root}/../../BENCH_{}.json", spec.family);
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
-        let cells = doc.get("cells").and_then(Json::as_array).expect("cells");
-        // Keying is the gate's own: a file compared with itself passes iff
-        // every cell has the family's key fields and no key repeats.
-        let compared = compare_cells(spec, &doc, &doc).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(compared.cells, cells.len(), "{path}");
-        assert!(compared.values >= compared.cells, "{path}");
-        for cell in cells {
-            for field in RUNTIME.timing {
-                let (has, may) = (cell.get(field).is_some(), spec.timing.contains(field));
-                assert_eq!(has, may, "{path} cell {cell}: {field}");
-            }
-        }
-    }
+fn faults() {
+    gate(env!("CARGO_BIN_EXE_exp_faults"), "faults");
+}
+
+#[test]
+fn sessions() {
+    gate(env!("CARGO_BIN_EXE_exp_sessions"), "sessions");
+}
+
+#[test]
+#[ignore = "seconds in release, minutes in debug; CI runs it in the release job"]
+fn byzantine() {
+    gate(env!("CARGO_BIN_EXE_exp_byzantine"), "byzantine");
+}
+
+#[test]
+#[ignore = "seconds in release, minutes in debug; CI runs it in the release job"]
+fn runtime() {
+    gate(env!("CARGO_BIN_EXE_exp_scale"), "runtime");
+}
+
+#[test]
+#[ignore = "seconds in release, minutes in debug; CI runs it in the release job"]
+fn profile() {
+    gate(env!("CARGO_BIN_EXE_exp_profile"), "profile");
+}
+
+#[test]
+fn a_difference_is_reported_by_file_count_and_first_line_of_both_sides() {
+    let cell = |events: u32| format!("    {{\"n\": 24, \"events\": {events}}}");
+    let file = |cells: &[String]| format!("{{\n  \"cells\": [\n{}\n  ]\n}}\n", cells.join(",\n"));
+    let committed = file(&[cell(5048), cell(977)]);
+    assert_eq!(same_bytes("BENCH_x.json", &committed, &committed), Ok(()));
+
+    let planted = file(&[cell(5048), cell(978)]);
+    assert_eq!(
+        same_bytes("BENCH_x.json", &committed, &planted).unwrap_err(),
+        "BENCH_x.json: 1 line(s) differ from a fresh run, the first at line 4:\n  \
+         committed:     {\"n\": 24, \"events\": 977}\n  \
+         fresh:         {\"n\": 24, \"events\": 978}\n\
+         legitimate change? re-run the bin and commit the file"
+    );
+
+    // A cell more on either side is a difference, not a subset to skip.
+    let longer = file(&[cell(5048), cell(977), cell(1)]);
+    let report = same_bytes("BENCH_x.json", &committed, &longer).unwrap_err();
+    assert!(report.contains("4 line(s) differ"), "{report}");
+    assert!(
+        report.contains("fresh:         {\"n\": 24, \"events\": 977},"),
+        "{report}"
+    );
+    let report = same_bytes("BENCH_x.json", &longer, &committed).unwrap_err();
+    assert!(
+        report.contains("committed:     {\"n\": 24, \"events\": 977},"),
+        "{report}"
+    );
+    let report = same_bytes("BENCH_x.json", &committed, "").unwrap_err();
+    assert!(report.contains("fresh:     <end of file>"), "{report}");
 }

@@ -292,14 +292,18 @@ fn parse_topology(spec: &str) -> Result<Topology, String> {
         ["complete"] => Ok(Topology::Complete),
         ["tree"] => Ok(Topology::RandomTree),
         ["gnp", p] => parse_fraction(p, "gnp probability").map(Topology::Gnp),
-        ["sparse", c] => c
-            .parse()
-            .map(Topology::SparseConnected)
-            .map_err(|e| format!("sparse factor: {e}")),
-        ["regular", d] => d
-            .parse()
-            .map(Topology::NearRegular)
-            .map_err(|e| format!("regular degree: {e}")),
+        ["sparse", c] => match c.parse::<f64>() {
+            Ok(x) if x.is_finite() && x >= 0.0 => Ok(Topology::SparseConnected(x)),
+            Ok(_) => Err(format!(
+                "sparse factor must be finite and at least 0, got {c}"
+            )),
+            Err(e) => Err(format!("sparse factor: {e}")),
+        },
+        ["regular", d] => match d.parse::<usize>() {
+            Ok(d) if d >= 2 => Ok(Topology::NearRegular(d)),
+            Ok(_) => Err("regular degree must be at least 2".to_string()),
+            Err(e) => Err(format!("regular degree: {e}")),
+        },
         _ => Err(format!("unknown topology '{spec}'")),
     }
 }
@@ -343,12 +347,18 @@ fn parse_adversary(spec: &str, n: usize, seed: u64) -> Result<Box<dyn Adversary>
             let (topo_spec, churn) = head
                 .rsplit_once(':')
                 .ok_or_else(|| "churn needs TOPO:C:SIGMA".to_string())?;
-            Ok(Box::new(ChurnAdversary::new(
-                topology(topo_spec)?,
-                churn.parse().map_err(|e| format!("churn: {e}"))?,
-                parse_positive(sigma, "sigma")?,
-                seed,
-            )))
+            let topo = topology(topo_spec)?;
+            // The adversary makes up to 50·C + 50 insertion attempts a
+            // round, so an unbounded C is a run that never prints.
+            let churn: usize = churn.parse().map_err(|e| format!("churn: {e}"))?;
+            let pairs = n.saturating_mul(n.saturating_sub(1)) / 2;
+            if churn > pairs {
+                return Err(format!(
+                    "churn must be at most n(n-1)/2 = {pairs}, got {churn}"
+                ));
+            }
+            let sigma = parse_positive(sigma, "sigma")?;
+            Ok(Box::new(ChurnAdversary::new(topo, churn, sigma, seed)))
         }
         _ => Err(format!("unknown adversary '{spec}'")),
     }
@@ -747,6 +757,14 @@ mod tests {
             "markov:0:1.5:1",
             "markov:.1:.1:0",
             "churn:sparse:0.1:0:0",
+            "static:sparse:nan",
+            "static:sparse:inf",
+            "static:sparse:-1",
+            "static:regular:0",
+            "static:regular:1",
+            // 28 pairs at n = 8; unbounded, the run spins in the insertion loop.
+            "churn:sparse:2.0:29:3",
+            "churn:sparse:2.0:99999999999:3",
         ] {
             let err = parse_adversary(adv, 8, 1).err();
             assert!(err.is_some(), "{adv} must be rejected");

@@ -72,10 +72,11 @@
 //! per-job seeds — output is byte-identical regardless of core count. Set
 //! `DYNSPREAD_THREADS=1` to force serial execution.
 //!
-//! Behaviour is gated exactly: `bench_check` demands that fresh
-//! `exp_{scale,byzantine,faults,sessions} --smoke` cells equal the
-//! committed `BENCH_*.json` on every deterministic column, and a baseline
-//! is refreshed by re-running its `exp_*` bin. Wall time is claimed through
+//! Behaviour is gated exactly: a committed `BENCH_*.json` holds only what
+//! the seeds determine, `crates/bench/tests/committed_baselines.rs` runs
+//! `exp_{scale,profile,byzantine,faults,sessions}` and demands the
+//! committed bytes back, and a baseline is refreshed by re-running its
+//! `exp_*` bin with no arguments. Wall time is claimed through
 //! alternating parent/change pairs of the standalone `benchmark/` package
 //! (`benchmark/README.md`). The interactive CLI is `cargo run --release
 //! --bin spread -- --help`.

@@ -192,14 +192,19 @@ pub fn check_evidence(setup: &AuditSetup, transcripts: &[Transcript]) -> Vec<Evi
         "setup/transcript node count mismatch"
     );
     let mut verdicts = Vec::new();
+    // One node's log decoded at a time: the audit holds the largest single
+    // transcript, not all of them.
+    let mut entries = Vec::new();
     for (i, transcript) in transcripts.iter().enumerate() {
-        audit_node(setup, NodeId::new(i as u32), transcript, &mut verdicts);
+        entries.clear();
+        entries.reserve(transcript.len());
+        entries.extend(transcript.entries());
+        audit_node(setup, NodeId::new(i as u32), &entries, &mut verdicts);
     }
     verdicts
 }
 
-fn audit_node(setup: &AuditSetup, v: NodeId, t: &Transcript, out: &mut Vec<Evidence>) {
-    let entries = t.entries();
+fn audit_node(setup: &AuditSetup, v: NodeId, entries: &[TranscriptEntry], out: &mut Vec<Evidence>) {
     let mut known = setup.initial[v.index()].clone();
     // Receiver-side walk state: per-peer highest applied seq, every walk
     // receive seen, and the entry index of each fresh receive.

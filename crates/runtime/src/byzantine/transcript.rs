@@ -16,6 +16,21 @@
 //! protocol opts in by implementing [`AuditMsg`] for its message type —
 //! done here for all three async ports, without touching their honest
 //! handler code.
+//!
+//! A transcript grows with every message copy, so it is stored as one
+//! append-only byte log of compact records, one per entry:
+//!
+//! * a header byte — [`Direction`] in bit 0, [`MsgKind`] in bits 1–3, and
+//!   one presence bit each for token (bit 4), seq (bit 5) and source
+//!   (bit 6);
+//! * then LEB128 varints: the peer, the `at` delta from the previous entry
+//!   (wrapping, so any `u64` sequence is lossless; the engine's clock only
+//!   rises, so it is mostly one byte), and whichever of token, seq and
+//!   source are present.
+//!
+//! That is ≈ 5 B an entry on the benchmark's Byzantine shape.
+//! [`Transcript::entries`] decodes the log on the fly; the chain hash is
+//! taken over fixed-width bytes and does not depend on this layout.
 
 use crate::event::VirtualTime;
 use crate::protocol::{AsyncMsMsg, AsyncOblMsg, AsyncSsMsg};
@@ -66,6 +81,21 @@ pub enum MsgKind {
     WalkAck,
     /// A center self-identification.
     CenterAnnounce,
+}
+
+impl MsgKind {
+    /// Every kind, in discriminant order: a record header's three kind bits
+    /// index this table.
+    const ALL: [MsgKind; 8] = [
+        MsgKind::Probe,
+        MsgKind::Completeness,
+        MsgKind::Ack,
+        MsgKind::Request,
+        MsgKind::Token,
+        MsgKind::Walk,
+        MsgKind::WalkAck,
+        MsgKind::CenterAnnounce,
+    ];
 }
 
 /// What a transcript records about one message: the protocol facts the
@@ -201,18 +231,66 @@ pub struct TranscriptEntry {
     pub summary: MsgSummary,
 }
 
-/// One node's append-only, chain-hashed message log.
-#[derive(Clone, Debug, Default)]
+/// Record header bit 0: the [`Direction`].
+const DIR_BIT: u8 = 1;
+/// Record header bits 1–3: the [`MsgKind`].
+const KIND_SHIFT: u32 = 1;
+const KIND_MASK: u8 = 0b111;
+/// Record header bits 4–6: which optional fields follow the peer and time.
+const HAS_TOKEN: u8 = 1 << 4;
+const HAS_SEQ: u8 = 1 << 5;
+const HAS_SOURCE: u8 = 1 << 6;
+
+/// Appends `value` as an LEB128 varint: seven bits a byte, low first, the
+/// high bit set on every byte but the last.
+fn put_varint(log: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        log.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    log.push(value as u8);
+}
+
+/// Reads one LEB128 varint off the front of `bytes`.
+fn take_varint(bytes: &mut &[u8]) -> u64 {
+    let mut value = 0;
+    for shift in (0..64).step_by(7) {
+        let (&b, rest) = bytes
+            .split_first()
+            .expect("transcript record ends inside a varint");
+        *bytes = rest;
+        value |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return value;
+        }
+    }
+    unreachable!("transcript varint longer than a u64")
+}
+
+/// One node's append-only, chain-hashed message log, stored as the compact
+/// records the module doc describes.
+#[derive(Clone, Debug)]
 pub struct Transcript {
-    entries: Vec<TranscriptEntry>,
+    log: Vec<u8>,
+    len: usize,
+    /// `at` of the last entry: the base of the next record's time delta.
+    last_at: VirtualTime,
     chain: u64,
+}
+
+impl Default for Transcript {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Transcript {
     /// An empty transcript.
     pub fn new() -> Self {
         Transcript {
-            entries: Vec::new(),
+            log: Vec::new(),
+            len: 0,
+            last_at: 0,
             chain: fnv1a(b"dynspread-transcript-v1"),
         }
     }
@@ -229,17 +307,66 @@ impl Transcript {
         let h = chain_link(self.chain, &[dir as u8, p0, p1, p2, p3]);
         let h = chain_link(h, &at.to_le_bytes());
         self.chain = summary.digest_into(h);
-        self.entries.push(TranscriptEntry {
-            dir,
-            peer,
-            at,
-            summary,
-        });
+
+        let MsgSummary {
+            kind,
+            token,
+            seq,
+            source,
+        } = summary;
+        let presence = |present: bool, bit: u8| if present { bit } else { 0 };
+        self.log.push(
+            dir as u8
+                | (kind as u8) << KIND_SHIFT
+                | presence(token.is_some(), HAS_TOKEN)
+                | presence(seq.is_some(), HAS_SEQ)
+                | presence(source.is_some(), HAS_SOURCE),
+        );
+        put_varint(&mut self.log, peer.index() as u64);
+        put_varint(&mut self.log, at.wrapping_sub(self.last_at));
+        if let Some(t) = token {
+            put_varint(&mut self.log, t.index() as u64);
+        }
+        if let Some(s) = seq {
+            put_varint(&mut self.log, s);
+        }
+        if let Some(x) = source {
+            put_varint(&mut self.log, x.index() as u64);
+        }
+        self.last_at = at;
+        self.len += 1;
     }
 
-    /// The recorded entries, in execution order.
-    pub fn entries(&self) -> &[TranscriptEntry] {
-        &self.entries
+    /// The recorded entries, in execution order, decoded from the log.
+    pub fn entries(&self) -> impl Iterator<Item = TranscriptEntry> + '_ {
+        let mut rest = self.log.as_slice();
+        let mut at: VirtualTime = 0;
+        std::iter::from_fn(move || {
+            let (&header, tail) = rest.split_first()?;
+            rest = tail;
+            let peer = NodeId::new(take_varint(&mut rest) as u32);
+            at = at.wrapping_add(take_varint(&mut rest));
+            // Struct fields evaluate in source order: token, seq, source,
+            // the order `append` wrote them in.
+            let mut field = |bit: u8| (header & bit != 0).then(|| take_varint(&mut rest));
+            let summary = MsgSummary {
+                kind: MsgKind::ALL[usize::from(header >> KIND_SHIFT & KIND_MASK)],
+                token: field(HAS_TOKEN).map(|t| TokenId::new(t as u32)),
+                seq: field(HAS_SEQ),
+                source: field(HAS_SOURCE).map(|x| NodeId::new(x as u32)),
+            };
+            let dir = if header & DIR_BIT == 0 {
+                Direction::Sent
+            } else {
+                Direction::Received
+            };
+            Some(TranscriptEntry {
+                dir,
+                peer,
+                at,
+                summary,
+            })
+        })
     }
 
     /// The running chain digest over every appended entry — the
@@ -251,12 +378,12 @@ impl Transcript {
 
     /// Number of recorded entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 }
 
@@ -285,6 +412,86 @@ mod tests {
         assert_ne!(t1.chain_hash(), t3.chain_hash(), "order matters");
         assert_eq!(t1.len(), 2);
         assert!(!t1.is_empty());
+    }
+
+    #[test]
+    fn default_is_new() {
+        let (d, n) = (Transcript::default(), Transcript::new());
+        assert_eq!(d.chain_hash(), n.chain_hash());
+        assert_eq!((d.len(), d.is_empty()), (n.len(), n.is_empty()));
+    }
+
+    #[test]
+    fn msg_kind_fits_the_three_header_bits() {
+        // Exhaustive on purpose: a ninth kind stops this compiling, and
+        // needs a wider header before a transcript can record it.
+        let code = |kind: MsgKind| match kind {
+            MsgKind::Probe => 0,
+            MsgKind::Completeness => 1,
+            MsgKind::Ack => 2,
+            MsgKind::Request => 3,
+            MsgKind::Token => 4,
+            MsgKind::Walk => 5,
+            MsgKind::WalkAck => 6,
+            MsgKind::CenterAnnounce => 7,
+        };
+        assert_eq!(MsgKind::ALL.len(), usize::from(KIND_MASK) + 1);
+        for (i, &kind) in MsgKind::ALL.iter().enumerate() {
+            assert_eq!((code(kind), kind as usize), (i, i));
+        }
+    }
+
+    #[test]
+    fn records_round_trip() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+
+        // Mostly small values (the real shape), with the field type's
+        // maximum and uniform draws over its range mixed in. `max` is an
+        // all-ones mask: `u32::MAX` or `u64::MAX`.
+        fn draw(rng: &mut StdRng, max: u64) -> u64 {
+            match rng.gen_range(0..4) {
+                0 => max,
+                1 => rng.next_u64() & max,
+                _ => rng.gen_range(0..300),
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x7a5c);
+        for _ in 0..64 {
+            let mut t = Transcript::new();
+            let mut want = Vec::new();
+            let mut at: VirtualTime = 0;
+            for _ in 0..rng.gen_range(0..300) {
+                // `at` mostly rises, sometimes stays or falls, sometimes
+                // jumps to either end of the `u64` range.
+                at = match rng.gen_range(0..8) {
+                    0 => at.wrapping_sub(draw(&mut rng, u64::MAX)),
+                    1 => [0, u64::MAX][rng.gen_range(0..2usize)],
+                    2 => at,
+                    _ => at.wrapping_add(draw(&mut rng, u64::MAX)),
+                };
+                let presence = rng.gen_range(0..8u8);
+                let summary = MsgSummary {
+                    kind: MsgKind::ALL[rng.gen_range(0..8usize)],
+                    token: (presence & 1 != 0)
+                        .then(|| TokenId::new(draw(&mut rng, u32::MAX.into()) as u32)),
+                    seq: (presence & 2 != 0).then(|| draw(&mut rng, u64::MAX)),
+                    source: (presence & 4 != 0)
+                        .then(|| NodeId::new(draw(&mut rng, u32::MAX.into()) as u32)),
+                };
+                let entry = TranscriptEntry {
+                    dir: [Direction::Sent, Direction::Received][rng.gen_range(0..2usize)],
+                    peer: NodeId::new(draw(&mut rng, u32::MAX.into()) as u32),
+                    at,
+                    summary,
+                };
+                t.append(entry.dir, entry.peer, entry.at, entry.summary);
+                want.push(entry);
+            }
+            assert_eq!(t.entries().collect::<Vec<_>>(), want);
+            assert_eq!(t.len(), want.len());
+            assert_eq!(t.is_empty(), want.is_empty());
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! follow what is pending at once, not the ticks that have elapsed, and the
 //! multi-source port's completeness state the peers a node heard from, not
 //! `n·s` — the two owners of 180 of the 212 MB `oblivious_pipeline` used to
-//! peak at.
+//! peak at. And an audited run's transcripts must cost a few bytes per
+//! recorded message, the lever on `service_mix`'s Byzantine cell.
 //!
 //! The counters are process-wide, so the tests here take [`SERIAL`] first:
 //! a second test thread would otherwise allocate into the measurement.
@@ -20,9 +21,10 @@
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
 use dynspread_graph::NodeId;
+use dynspread_runtime::byzantine::Transcript;
 use dynspread_runtime::event::EventQueue;
 use dynspread_runtime::link::{LinkModelExt, PerfectLink};
-use dynspread_runtime::Scenario;
+use dynspread_runtime::{AsyncConfig, AsyncMultiSource, EventSim, Scenario, StopReason};
 use dynspread_sim::TokenAssignment;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -151,6 +153,48 @@ fn a_scenario_allocates_what_its_run_uses() {
     assert!(
         peak < 32 * MIB,
         "an n = 4096, s = 16 multi-source run peaked at {peak} live bytes"
+    );
+}
+
+/// Peak live bytes of one `EventSim` multi-source run at n = 512, and the
+/// transcript entries it recorded (none unless `audited`).
+fn multi_source_run(audited: bool) -> (usize, usize) {
+    let assignment = TokenAssignment::round_robin_sources(512, 8, 4);
+    let ((completed, entries), _, peak) = measure(|| {
+        let (nodes, _) = AsyncMultiSource::nodes(&assignment, AsyncConfig::default());
+        let mut sim = EventSim::with_tracking(
+            nodes,
+            PeriodicRewiring::new(Topology::RandomTree, 3, 11),
+            PerfectLink.with_latency(1),
+            2,
+            5,
+            &assignment,
+        );
+        if audited {
+            sim.record_transcripts();
+        }
+        let report = sim.run(2_000_000);
+        let entries: usize = sim.transcripts().iter().map(Transcript::len).sum();
+        (report.stopped == StopReason::Complete, entries)
+    });
+    assert!(completed);
+    (peak, entries)
+}
+
+#[test]
+fn an_audited_message_costs_a_few_bytes() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (plain, none) = multi_source_run(false);
+    let (audited, entries) = multi_source_run(true);
+    assert_eq!(none, 0);
+    assert!(entries > 10_000, "only {entries} transcript entries");
+    // What recording adds is the transcripts' byte logs, `Vec` slack
+    // included: 6.83 B an entry over 231 522 entries when this bound was
+    // recorded (81.4 B when each entry was a 56 B `TranscriptEntry`).
+    let per_entry = audited.saturating_sub(plain) as f64 / entries as f64;
+    assert!(
+        per_entry <= 8.0,
+        "{per_entry:.1} bytes per transcript entry ({entries} entries)"
     );
 }
 

@@ -74,6 +74,11 @@
 //!   universes, sources, arrival times) over one long-lived engine via a
 //!   typed [`session::WireEnvelope`], reporting per-session completion
 //!   latency on the shared virtual clock.
+//! * **A run as a value** ([`spec`]): [`spec::ScenarioSpec`] types
+//!   everything `spread`'s flags describe — algorithm, adversary, sizes,
+//!   seed, faults, Byzantine plan, sessions — parsed by the one module that
+//!   knows the grammar, checked by one function, and built into the values
+//!   above.
 //!
 //! # How the event model relates to the paper's rounds
 //!
@@ -128,6 +133,7 @@ pub mod link;
 pub mod protocol;
 pub mod scenario;
 pub mod session;
+pub mod spec;
 pub mod sync;
 pub mod trace;
 

@@ -158,6 +158,14 @@ impl SessionWorkload {
             if k == 0 {
                 return Err(format!("line {}: k must be positive", lineno + 1));
             }
+            // Token ids are `u32`.
+            if k > u64::from(u32::MAX) {
+                return Err(format!(
+                    "line {}: k must be at most {}",
+                    lineno + 1,
+                    u32::MAX
+                ));
+            }
             let mut spec = SessionSpec::single_source(
                 format!("s{}", workload.specs.len()),
                 arrival,
@@ -272,6 +280,10 @@ mod tests {
         assert!(SessionWorkload::parse(4, "0 0 0").is_err());
         assert!(SessionWorkload::parse(4, "5 0 4 5").is_err());
         assert!(SessionWorkload::parse(4, "x 0 4").is_err());
+        assert_eq!(
+            SessionWorkload::parse(4, "0 0 4\n0 0 4294967296").unwrap_err(),
+            "line 2: k must be at most 4294967295"
+        );
     }
 
     #[test]

@@ -424,3 +424,34 @@ fn trace_jsonl_is_byte_identical_under_replay_for_every_arm() {
         assert_ne!(first, other, "{arm}: trace ignores its seed");
     }
 }
+
+/// Byte length and FNV-1a hash of each arm's JSONL trace at seed 41. The
+/// replay test above compares a run with itself; these pin the bytes, so
+/// a change to the writer (field order, digit formatting, a tag) or to
+/// the engines' event order fails here even when it is deterministic.
+const TRACE_PINS: [(&str, usize, u64); 6] = [
+    ("flooding", 150_006, 0xbca5_b259_b8bb_50ac),
+    ("single-source", 59_215, 0xa041_d67c_fdb5_8946),
+    ("multi-source", 117_811, 0x1f9c_55b1_4eb3_036f),
+    ("async-single-source", 81_059, 0x2d93_1aba_553d_22eb),
+    (
+        "faulted-async-single-source",
+        107_593,
+        0xe1ac_c9ec_308f_239f,
+    ),
+    ("async-oblivious", 489_718, 0x6e2f_8f01_eb95_7d9f),
+];
+
+#[test]
+fn trace_jsonl_bytes_are_pinned_for_every_arm() {
+    use dynspread::runtime::byzantine::transcript::fnv1a;
+    assert_eq!(TRACE_PINS.map(|(arm, ..)| arm), TRACE_ARMS);
+    let got: Vec<(&str, usize, u64)> = TRACE_PINS
+        .iter()
+        .map(|&(arm, ..)| {
+            let jsonl = trace_arm(arm, 41);
+            (arm, jsonl.len(), fnv1a(jsonl.as_bytes()))
+        })
+        .collect();
+    assert_eq!(got, TRACE_PINS, "trace bytes moved");
+}

@@ -10,17 +10,30 @@
 use dynspread_sim::trace::TraceRecord;
 use std::collections::BTreeMap;
 
-/// Per-kind record counts of one trace, in kind-tag order.
+/// Every line of a trace, decoded on its own: `None` where the line is
+/// not a canonical record (see `TraceRecord::parse_line`).
+fn records(jsonl: &str) -> impl Iterator<Item = Option<TraceRecord>> + '_ {
+    jsonl.lines().map(TraceRecord::parse_line)
+}
+
+/// Per-kind record counts of one trace, keyed by kind tag (so ordered
+/// alphabetically by tag). Kinds that do not occur are absent.
 ///
 /// Unparseable lines are counted under the synthetic kind `"invalid"` so
 /// a corrupted trace is visible rather than silently shrunk.
 pub fn kind_counts(jsonl: &str) -> BTreeMap<&'static str, u64> {
-    let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for line in jsonl.lines() {
-        let kind = TraceRecord::parse_line(line).map_or("invalid", |r| r.kind());
-        *counts.entry(kind).or_insert(0) += 1;
+    const INVALID: usize = TraceRecord::KINDS.len();
+    let mut counts = [0u64; INVALID + 1];
+    for rec in records(jsonl) {
+        counts[rec.map_or(INVALID, |r| r.kind_index())] += 1;
     }
-    counts
+    TraceRecord::KINDS
+        .iter()
+        .copied()
+        .chain(["invalid"])
+        .zip(counts)
+        .filter(|&(_, n)| n > 0)
+        .collect()
 }
 
 /// One point of a coverage-vs-virtual-time progress curve.
@@ -40,8 +53,8 @@ pub struct CoveragePoint {
 pub fn coverage_curve(jsonl: &str) -> Vec<CoveragePoint> {
     let mut curve: Vec<CoveragePoint> = Vec::new();
     let mut total = 0u64;
-    for line in jsonl.lines() {
-        if let Some(TraceRecord::Coverage { t, gained, .. }) = TraceRecord::parse_line(line) {
+    for rec in records(jsonl) {
+        if let Some(TraceRecord::Coverage { t, gained, .. }) = rec {
             total += gained as u64;
             match curve.last_mut() {
                 Some(last) if last.t == t => last.learnings = total,
@@ -171,6 +184,19 @@ mod tests {
         let _ = writeln!(trace, r#"{{"k":"send","t":1,"from":4294967296,"to":1}}"#);
         let counts = kind_counts(&trace);
         assert_eq!((counts["invalid"], counts["send"]), (2, 1));
+        // Only the canonical form counts as a record: whitespace,
+        // reordered keys, a repeated "k" and a signed value are garbage.
+        for line in [
+            r#"{"k":"send", "t":1,"from":0,"to":1}"#,
+            r#"{"k":"send","from":0,"t":1,"to":1}"#,
+            r#"{"k":"send","k":"send","t":1,"from":0,"to":1}"#,
+            r#"{"k":"send","t":+7,"from":0,"to":1}"#,
+        ] {
+            let _ = writeln!(trace, "{line}");
+        }
+        let counts = kind_counts(&trace);
+        assert_eq!((counts["invalid"], counts["send"]), (6, 1));
+        assert_eq!(counts.values().sum::<u64>(), trace.lines().count() as u64);
     }
 
     #[test]

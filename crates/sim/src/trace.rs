@@ -51,7 +51,6 @@
 //! assert!(jsonl.lines().all(|l| l.starts_with("{\"k\":\"")));
 //! ```
 
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// One structured trace event. All fields are deterministic functions of
@@ -223,220 +222,176 @@ pub enum TraceRecord {
     },
 }
 
-impl TraceRecord {
-    /// The record's kind tag — the `"k"` field of its JSONL form.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceRecord::Round { .. } => "round",
-            TraceRecord::Phase { .. } => "phase",
-            TraceRecord::Send { .. } => "send",
-            TraceRecord::Broadcast { .. } => "bcast",
-            TraceRecord::Scheduled { .. } => "sched",
-            TraceRecord::Dropped { .. } => "drop",
-            TraceRecord::Duplicated { .. } => "dup",
-            TraceRecord::Unroutable { .. } => "unroutable",
-            TraceRecord::Delivered { .. } => "deliver",
-            TraceRecord::TimerArmed { .. } => "timer_armed",
-            TraceRecord::TimerFired { .. } => "timer_fired",
-            TraceRecord::Retransmission { .. } => "retransmit",
-            TraceRecord::BackoffReset { .. } => "backoff_reset",
-            TraceRecord::NodeCrashed { .. } => "crash",
-            TraceRecord::NodeRecovered { .. } => "recover",
-            TraceRecord::PartitionStarted { .. } => "part",
-            TraceRecord::PartitionHealed { .. } => "heal",
-            TraceRecord::Coverage { .. } => "cov",
-        }
-    }
+/// What every line starts with, before its kind tag.
+const HEAD: &str = "{\"k\":\"";
 
-    /// Appends the record's JSONL line (including the trailing newline)
-    /// to `out`. The serialization is canonical: fixed field order, no
-    /// whitespace — two equal records always produce equal bytes.
-    pub fn write_jsonl(&self, out: &mut String) {
-        out.push_str("{\"k\":\"");
-        out.push_str(self.kind());
-        out.push('"');
-        match *self {
-            TraceRecord::Round {
-                r,
-                inserted,
-                removed,
-            } => {
-                let _ = write!(out, ",\"r\":{r},\"ins\":{inserted},\"del\":{removed}");
-            }
-            TraceRecord::Phase { p } => {
-                let _ = write!(out, ",\"p\":{p}");
-            }
-            TraceRecord::Send { t, from, to }
-            | TraceRecord::Dropped { t, from, to }
-            | TraceRecord::Unroutable { t, from, to }
-            | TraceRecord::Delivered { t, from, to } => {
-                let _ = write!(out, ",\"t\":{t},\"from\":{from},\"to\":{to}");
-            }
-            TraceRecord::Broadcast { t, from } => {
-                let _ = write!(out, ",\"t\":{t},\"from\":{from}");
-            }
-            TraceRecord::Scheduled { t, from, to, at } => {
-                let _ = write!(out, ",\"t\":{t},\"from\":{from},\"to\":{to},\"at\":{at}");
-            }
-            TraceRecord::Duplicated { t, from, to, extra } => {
-                let _ = write!(
-                    out,
-                    ",\"t\":{t},\"from\":{from},\"to\":{to},\"extra\":{extra}"
-                );
-            }
-            TraceRecord::TimerArmed { t, node, id, at } => {
-                let _ = write!(out, ",\"t\":{t},\"node\":{node},\"id\":{id},\"at\":{at}");
-            }
-            TraceRecord::TimerFired { t, node, id } => {
-                let _ = write!(out, ",\"t\":{t},\"node\":{node},\"id\":{id}");
-            }
-            TraceRecord::Retransmission { t, node }
-            | TraceRecord::BackoffReset { t, node }
-            | TraceRecord::NodeCrashed { t, node }
-            | TraceRecord::NodeRecovered { t, node } => {
-                let _ = write!(out, ",\"t\":{t},\"node\":{node}");
-            }
-            TraceRecord::PartitionStarted { t, episode }
-            | TraceRecord::PartitionHealed { t, episode } => {
-                let _ = write!(out, ",\"t\":{t},\"ep\":{episode}");
-            }
-            TraceRecord::Coverage {
-                t,
-                node,
-                gained,
-                known,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"t\":{t},\"node\":{node},\"gained\":{gained},\"known\":{known}"
-                );
-            }
-        }
-        out.push_str("}\n");
+/// The key of each field, as the line spells it before the digits:
+/// `,"<name>":`. Kinds share fields, so each name is written here once.
+mod key {
+    macro_rules! keys {
+        ($($id:ident = $name:literal),+) => {
+            $(pub(super) const $id: &str = concat!(",\"", $name, "\":");)+
+        };
     }
+    keys!(
+        R = "r",
+        INS = "ins",
+        DEL = "del",
+        P = "p",
+        T = "t",
+        FROM = "from",
+        TO = "to",
+        AT = "at",
+        EXTRA = "extra",
+        NODE = "node",
+        ID = "id",
+        EP = "ep",
+        GAINED = "gained",
+        KNOWN = "known"
+    );
+}
 
-    /// Parses one JSONL line produced by [`TraceRecord::write_jsonl`].
-    ///
-    /// Returns `None` for lines that are not well-formed trace records
-    /// (unknown kind, missing field, non-numeric or out-of-range value).
-    pub fn parse_line(line: &str) -> Option<TraceRecord> {
-        let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-        let mut kind: Option<&str> = None;
-        // Numeric fields, in a tiny fixed-capacity map (records have at
-        // most 4 numeric fields).
-        let mut fields: [(&str, u64); 4] = [("", 0); 4];
-        let mut nfields = 0usize;
-        for pair in body.split(',') {
-            let (key, value) = pair.split_once(':')?;
-            let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
-            let value = value.trim();
-            if key == "k" {
-                kind = Some(value.strip_prefix('"')?.strip_suffix('"')?);
-            } else {
-                if nfields == fields.len() {
-                    return None;
+/// Derives the whole JSONL codec from one table: per kind, its variant,
+/// its tag, and its fields in line order with each field's key. A
+/// field's width is its type in [`TraceRecord`] — a 32-bit field is
+/// parsed through `u32::try_from`, so the table cannot disagree with
+/// the enum.
+macro_rules! grammar {
+    ($($variant:ident $tag:literal { $($field:ident: $key:ident),+ }),+ $(,)?) => {
+        /// The position of each kind in [`TraceRecord::KINDS`].
+        enum Kind {
+            $($variant),+
+        }
+
+        impl TraceRecord {
+            /// Every kind tag, in the enum's declaration order.
+            pub const KINDS: &'static [&'static str] = &[$($tag),+];
+
+            /// The record's index into [`TraceRecord::KINDS`].
+            pub fn kind_index(&self) -> usize {
+                match self {
+                    $(TraceRecord::$variant { .. } => Kind::$variant as usize),+
                 }
-                fields[nfields] = (key, value.parse().ok()?);
-                nfields += 1;
+            }
+
+            /// The record's kind tag — the `"k"` field of its JSONL form.
+            pub fn kind(&self) -> &'static str {
+                Self::KINDS[self.kind_index()]
+            }
+
+            /// Appends the record's JSONL line (including the trailing
+            /// newline) to `out`: the one canonical form
+            /// [`parse_line`](TraceRecord::parse_line) accepts — fixed field
+            /// order, no whitespace, plain decimal digits — so two equal
+            /// records always produce equal bytes.
+            pub fn write_jsonl(&self, out: &mut String) {
+                out.push_str(HEAD);
+                out.push_str(self.kind());
+                out.push('"');
+                match *self {
+                    $(TraceRecord::$variant { $($field),+ } => {
+                        $(
+                            out.push_str(key::$key);
+                            push_decimal(out, u64::from($field));
+                        )+
+                    })+
+                }
+                out.push_str("}\n");
+            }
+
+            /// Parses one JSONL line produced by
+            /// [`TraceRecord::write_jsonl`], in one forward pass.
+            ///
+            /// Accepts exactly the canonical grammar, plus one optional
+            /// trailing `\n`:
+            ///
+            /// ```text
+            /// line  = '{"k":"' tag '"' field* '}'
+            /// field = ',"' name '":' digits
+            /// ```
+            ///
+            /// where `tag` is one of [`TraceRecord::KINDS`], the fields
+            /// are that kind's, in the order `write_jsonl` writes them,
+            /// and `digits` is `0` or a nonzero digit followed by digits,
+            /// no larger than the field's type holds. Anything else —
+            /// whitespace, reordered or repeated keys, a sign, a leading
+            /// zero, bytes after `}`, a 32-bit field past `u32::MAX` —
+            /// yields `None`, so `parse_line(l) == Some(r)` exactly when
+            /// `l` is `r`'s line.
+            pub fn parse_line(line: &str) -> Option<TraceRecord> {
+                let line = line.strip_suffix('\n').unwrap_or(line);
+                let (tag, mut rest) = line.strip_prefix(HEAD)?.split_once('"')?;
+                let rec = match tag {
+                    $($tag => TraceRecord::$variant {
+                        $($field: field(&mut rest, key::$key)?),+
+                    },)+
+                    _ => return None,
+                };
+                (rest == "}").then_some(rec)
             }
         }
-        let get = |name: &str| -> Option<u64> {
-            fields[..nfields]
-                .iter()
-                .find(|(k, _)| *k == name)
-                .map(|&(_, v)| v)
-        };
-        // Node IDs, episodes and counts are 32-bit: a value that does not
-        // fit is malformed, not some other node.
-        let get32 = |name: &str| -> Option<u32> { u32::try_from(get(name)?).ok() };
-        let rec = match kind? {
-            "round" => TraceRecord::Round {
-                r: get("r")?,
-                inserted: get("ins")?,
-                removed: get("del")?,
-            },
-            "phase" => TraceRecord::Phase { p: get32("p")? },
-            "send" => TraceRecord::Send {
-                t: get("t")?,
-                from: get32("from")?,
-                to: get32("to")?,
-            },
-            "bcast" => TraceRecord::Broadcast {
-                t: get("t")?,
-                from: get32("from")?,
-            },
-            "sched" => TraceRecord::Scheduled {
-                t: get("t")?,
-                from: get32("from")?,
-                to: get32("to")?,
-                at: get("at")?,
-            },
-            "drop" => TraceRecord::Dropped {
-                t: get("t")?,
-                from: get32("from")?,
-                to: get32("to")?,
-            },
-            "dup" => TraceRecord::Duplicated {
-                t: get("t")?,
-                from: get32("from")?,
-                to: get32("to")?,
-                extra: get32("extra")?,
-            },
-            "unroutable" => TraceRecord::Unroutable {
-                t: get("t")?,
-                from: get32("from")?,
-                to: get32("to")?,
-            },
-            "deliver" => TraceRecord::Delivered {
-                t: get("t")?,
-                from: get32("from")?,
-                to: get32("to")?,
-            },
-            "timer_armed" => TraceRecord::TimerArmed {
-                t: get("t")?,
-                node: get32("node")?,
-                id: get("id")?,
-                at: get("at")?,
-            },
-            "timer_fired" => TraceRecord::TimerFired {
-                t: get("t")?,
-                node: get32("node")?,
-                id: get("id")?,
-            },
-            "retransmit" => TraceRecord::Retransmission {
-                t: get("t")?,
-                node: get32("node")?,
-            },
-            "backoff_reset" => TraceRecord::BackoffReset {
-                t: get("t")?,
-                node: get32("node")?,
-            },
-            "crash" => TraceRecord::NodeCrashed {
-                t: get("t")?,
-                node: get32("node")?,
-            },
-            "recover" => TraceRecord::NodeRecovered {
-                t: get("t")?,
-                node: get32("node")?,
-            },
-            "part" => TraceRecord::PartitionStarted {
-                t: get("t")?,
-                episode: get32("ep")?,
-            },
-            "heal" => TraceRecord::PartitionHealed {
-                t: get("t")?,
-                episode: get32("ep")?,
-            },
-            "cov" => TraceRecord::Coverage {
-                t: get("t")?,
-                node: get32("node")?,
-                gained: get32("gained")?,
-                known: get32("known")?,
-            },
-            _ => return None,
-        };
-        Some(rec)
+    };
+}
+
+grammar! {
+    Round "round" { r: R, inserted: INS, removed: DEL },
+    Phase "phase" { p: P },
+    Send "send" { t: T, from: FROM, to: TO },
+    Broadcast "bcast" { t: T, from: FROM },
+    Scheduled "sched" { t: T, from: FROM, to: TO, at: AT },
+    Dropped "drop" { t: T, from: FROM, to: TO },
+    Duplicated "dup" { t: T, from: FROM, to: TO, extra: EXTRA },
+    Unroutable "unroutable" { t: T, from: FROM, to: TO },
+    Delivered "deliver" { t: T, from: FROM, to: TO },
+    TimerArmed "timer_armed" { t: T, node: NODE, id: ID, at: AT },
+    TimerFired "timer_fired" { t: T, node: NODE, id: ID },
+    Retransmission "retransmit" { t: T, node: NODE },
+    BackoffReset "backoff_reset" { t: T, node: NODE },
+    NodeCrashed "crash" { t: T, node: NODE },
+    NodeRecovered "recover" { t: T, node: NODE },
+    PartitionStarted "part" { t: T, episode: EP },
+    PartitionHealed "heal" { t: T, episode: EP },
+    Coverage "cov" { t: T, node: NODE, gained: GAINED, known: KNOWN },
+}
+
+/// Appends `v` in decimal: the digits `write!` would print, without the
+/// formatting machinery.
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// Reads one `key` and its canonical digits off the front of `rest`:
+/// at least one digit, no leading zero, no overflow of `u64` or of the
+/// field's own type `T`. Inlined into each of `parse_line`'s call sites,
+/// where `key` is a constant: left to the optimizer, it stays a call and
+/// a trace parses ≈ 30 % slower.
+#[inline(always)]
+fn field<T: TryFrom<u64>>(rest: &mut &str, key: &str) -> Option<T> {
+    let digits = rest.strip_prefix(key)?;
+    let mut value = 0u64;
+    let mut len = 0;
+    for &b in digits.as_bytes() {
+        if !b.is_ascii_digit() {
+            break;
+        }
+        value = value.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+        len += 1;
+    }
+    if len == 0 || (len > 1 && digits.starts_with('0')) {
+        return None;
+    }
+    *rest = &digits[len..];
+    T::try_from(value).ok()
 }
 
 /// A sink for [`TraceRecord`]s.
@@ -586,13 +541,33 @@ mod tests {
 
     #[test]
     fn every_kind_round_trips_through_jsonl() {
-        for rec in samples() {
-            let mut line = String::new();
-            rec.write_jsonl(&mut line);
-            assert!(line.ends_with('\n'));
-            let parsed = TraceRecord::parse_line(&line).expect("parses");
-            assert_eq!(parsed, rec, "round-trip of {line}");
+        // Each kind as sampled, then with its fields — one at a time and
+        // all at once — at 0, 1 and their width's max.
+        let mut checked = 0;
+        for base in samples() {
+            let line = line_of(&base);
+            assert_eq!(TraceRecord::parse_line(&line), Some(base), "{line}");
+            let fields = field_count(base);
+            let picks: [fn(u64) -> u64; 3] = [|_| 0, |_| 1, |max| max];
+            for pick in picks {
+                for only in (0..fields).map(Some).chain([None]) {
+                    let mut rec = base;
+                    for (i, slot) in slots(&mut rec).into_iter().enumerate() {
+                        if only.is_none_or(|j| j == i) {
+                            let v = pick(slot.max());
+                            slot.set(v);
+                        }
+                    }
+                    let line = line_of(&rec);
+                    assert_eq!(TraceRecord::parse_line(&line), Some(rec), "{line}");
+                    let bare = line.strip_suffix('\n').expect("line-terminated");
+                    assert_eq!(TraceRecord::parse_line(bare), Some(rec), "{line}");
+                    checked += 1;
+                }
+            }
         }
+        // 18 kinds, 49 fields: (49 + 18) lines for each of 0, 1 and max.
+        assert_eq!(checked, 3 * (49 + 18));
     }
 
     #[test]
@@ -622,6 +597,27 @@ mod tests {
         assert_eq!(TraceRecord::parse_line("not json"), None);
         assert_eq!(TraceRecord::parse_line("{\"k\":\"nope\"}"), None);
         assert_eq!(TraceRecord::parse_line("{\"k\":\"send\",\"t\":1}"), None);
+        // Only the canonical form parses: one line per record, so a
+        // record's line is the one line it can be read back from.
+        let canonical = r#"{"k":"send","t":7,"from":1,"to":2}"#;
+        assert!(TraceRecord::parse_line(canonical).is_some());
+        for line in [
+            r#"{"k":"send", "t":7,"from":1,"to":2}"#,
+            r#" {"k":"send","t":7,"from":1,"to":2}"#,
+            r#"{"k":"send","t":7,"from":1,"to":2} "#,
+            r#"{"k":"send","from":1,"t":7,"to":2}"#,
+            r#"{"t":7,"k":"send","from":1,"to":2}"#,
+            r#"{"k":"send","k":"send","t":7,"from":1,"to":2}"#,
+            r#"{"k":"send","t":7,"t":7,"from":1,"to":2}"#,
+            r#"{"k":"send","t":+7,"from":1,"to":2}"#,
+            r#"{"k":"send","t":07,"from":1,"to":2}"#,
+            r#"{"k":"send","t":7,"from":1,"to":2,"at":3}"#,
+            r#"{"k":"send","t":7,"from":1,"to":2}}"#,
+            "{\"k\":\"send\",\"t\":7,\"from\":1,\"to\":2}\n\n",
+            "{\"k\":\"send\",\"t\":7,\"from\":1,\"to\":2}\r\n",
+        ] {
+            assert_eq!(TraceRecord::parse_line(line), None, "{line:?}");
+        }
     }
 
     #[test]
@@ -647,6 +643,221 @@ mod tests {
         // The largest node ID fits, and 64-bit fields keep their range.
         let line = "{\"k\":\"send\",\"t\":4294967296,\"from\":4294967295,\"to\":1}";
         assert!(TraceRecord::parse_line(line).is_some());
+    }
+
+    /// One field of a record and its width. `slots` lists every kind's
+    /// fields in line order, written out here independently of the
+    /// codec's table.
+    enum Slot<'a> {
+        Narrow(&'a mut u32),
+        Wide(&'a mut u64),
+    }
+
+    impl Slot<'_> {
+        fn max(&self) -> u64 {
+            match self {
+                Slot::Narrow(_) => u32::MAX.into(),
+                Slot::Wide(_) => u64::MAX,
+            }
+        }
+
+        /// Stores `v`, which must fit the slot's width.
+        fn set(self, v: u64) {
+            match self {
+                Slot::Narrow(f) => *f = u32::try_from(v).expect("fits 32 bits"),
+                Slot::Wide(f) => *f = v,
+            }
+        }
+    }
+
+    fn slots(rec: &mut TraceRecord) -> Vec<Slot<'_>> {
+        use Slot::{Narrow as N, Wide as W};
+        use TraceRecord::*;
+        match rec {
+            Round {
+                r,
+                inserted,
+                removed,
+            } => vec![W(r), W(inserted), W(removed)],
+            Phase { p } => vec![N(p)],
+            Send { t, from, to }
+            | Dropped { t, from, to }
+            | Unroutable { t, from, to }
+            | Delivered { t, from, to } => vec![W(t), N(from), N(to)],
+            Broadcast { t, from } => vec![W(t), N(from)],
+            Scheduled { t, from, to, at } => vec![W(t), N(from), N(to), W(at)],
+            Duplicated { t, from, to, extra } => vec![W(t), N(from), N(to), N(extra)],
+            TimerArmed { t, node, id, at } => vec![W(t), N(node), W(id), W(at)],
+            TimerFired { t, node, id } => vec![W(t), N(node), W(id)],
+            Retransmission { t, node }
+            | BackoffReset { t, node }
+            | NodeCrashed { t, node }
+            | NodeRecovered { t, node } => vec![W(t), N(node)],
+            PartitionStarted { t, episode } | PartitionHealed { t, episode } => {
+                vec![W(t), N(episode)]
+            }
+            Coverage {
+                t,
+                node,
+                gained,
+                known,
+            } => vec![W(t), N(node), N(gained), N(known)],
+        }
+    }
+
+    fn field_count(mut rec: TraceRecord) -> usize {
+        slots(&mut rec).len()
+    }
+
+    fn line_of(rec: &TraceRecord) -> String {
+        let mut line = String::new();
+        rec.write_jsonl(&mut line);
+        line
+    }
+
+    #[test]
+    fn samples_cover_every_kind_in_table_order() {
+        let indices: Vec<usize> = samples().iter().map(TraceRecord::kind_index).collect();
+        assert_eq!(indices, (0..TraceRecord::KINDS.len()).collect::<Vec<_>>());
+        for rec in samples() {
+            assert_eq!(rec.kind(), TraceRecord::KINDS[rec.kind_index()]);
+        }
+    }
+
+    #[test]
+    fn a_field_accepts_exactly_the_canonical_digits_its_width_holds() {
+        // The oracle is `str::parse` plus "prints back the same", checked
+        // against the slot's width: the canonical decimal form of a value
+        // that fits, and nothing else.
+        const MARK: u64 = 1_234_567;
+        let tokens = [
+            "0",
+            "1",
+            "9",
+            "10",
+            "99",
+            "100",
+            "4294967295",
+            "4294967296",
+            "18446744073709551614",
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999",
+            "00",
+            "01",
+            "007",
+            "+7",
+            "-1",
+            " 7",
+            "7 ",
+            "",
+            "1e3",
+            "0x1",
+            "\"7\"",
+            "7.0",
+        ];
+        let mut accepted = 0;
+        for base in samples() {
+            let fields = field_count(base);
+            for i in 0..fields {
+                let mut rec = base;
+                let mut max = 0;
+                for (j, slot) in slots(&mut rec).into_iter().enumerate() {
+                    if j == i {
+                        max = slot.max();
+                        slot.set(MARK);
+                    } else {
+                        slot.set(0);
+                    }
+                }
+                let line = line_of(&rec);
+                for token in tokens {
+                    let edited = line.replacen(&format!(":{MARK}"), &format!(":{token}"), 1);
+                    let want = token
+                        .parse::<u64>()
+                        .ok()
+                        .filter(|v| v.to_string() == token && *v <= max);
+                    let got = TraceRecord::parse_line(&edited);
+                    match want {
+                        None => assert_eq!(got, None, "{edited}"),
+                        Some(v) => {
+                            let mut expected = rec;
+                            slots(&mut expected).remove(i).set(v);
+                            assert_eq!(got, Some(expected), "{edited}");
+                            assert_eq!(line_of(&expected), edited, "written back");
+                            accepted += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // 0, 1, 9, 10, 99, 100 and u32::MAX in every field; 2³², u64::MAX
+        // and one below it in the 23 wide ones only (of 49). Each was
+        // also written back digit for digit, as `to_string` prints it.
+        assert_eq!(accepted, 7 * 49 + 3 * 23);
+    }
+
+    #[test]
+    fn acceptance_is_a_bijection_onto_the_canonical_lines() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+
+        // Bytes the grammar is made of, so most edits land near a valid
+        // line; any other ASCII byte otherwise.
+        const ALPHABET: &[u8] = b"0123456789{}\":,+- \nkabcdefghilmnoprstuvw_";
+        let kinds = samples();
+        let mut rng = StdRng::seed_from_u64(0x7ace);
+        let (mut accepted, mut rejected) = (0u32, 0u32);
+        for _ in 0..40_000 {
+            let mut rec = kinds[rng.gen_range(0..kinds.len())];
+            for slot in slots(&mut rec) {
+                let max = slot.max();
+                let v = match rng.gen_range(0..4) {
+                    0 => max,
+                    1 => rng.next_u64() & max,
+                    2 => 0,
+                    _ => rng.gen_range(0..300),
+                };
+                slot.set(v);
+            }
+            let canonical = line_of(&rec);
+            let mut bytes = canonical.into_bytes();
+            if rng.gen_range(0..2) == 0 {
+                bytes.pop();
+            }
+            for _ in 0..rng.gen_range(1..4) {
+                let byte = if rng.gen_range(0..4) == 0 {
+                    rng.gen_range(0..128u8)
+                } else {
+                    ALPHABET[rng.gen_range(0..ALPHABET.len())]
+                };
+                match rng.gen_range(0..3) {
+                    0 if !bytes.is_empty() => {
+                        bytes.remove(rng.gen_range(0..bytes.len()));
+                    }
+                    1 if !bytes.is_empty() => {
+                        let at = rng.gen_range(0..bytes.len());
+                        bytes[at] = byte;
+                    }
+                    _ => bytes.insert(rng.gen_range(0..=bytes.len()), byte),
+                }
+            }
+            let line = String::from_utf8(bytes).expect("ASCII edits");
+            match TraceRecord::parse_line(&line) {
+                Some(parsed) => {
+                    let written = line_of(&parsed);
+                    let bare = line.strip_suffix('\n').unwrap_or(&line);
+                    assert_eq!(written.strip_suffix('\n'), Some(bare), "{line:?}");
+                    accepted += 1;
+                }
+                None => rejected += 1,
+            }
+        }
+        // Digit-for-digit edits keep some mutants canonical; most are not.
+        assert!(
+            accepted > 1_000 && rejected > 30_000,
+            "{accepted}/{rejected}"
+        );
     }
 
     #[test]

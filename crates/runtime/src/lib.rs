@@ -20,12 +20,13 @@
 //!
 //! Two execution surfaces sit on top:
 //!
-//! * **Synchronizers** ([`sync::UnicastSynchronizer`],
-//!   [`sync::BroadcastSynchronizer`]) run the *existing* round-based
+//! * **The synchronizer** ([`sync::Synchronizer`], named
+//!   [`sync::UnicastSynchronizer`] / [`sync::BroadcastSynchronizer`] in
+//!   its two modes) runs the *existing* round-based
 //!   [`UnicastProtocol`](dynspread_sim::protocol::UnicastProtocol) /
 //!   [`BroadcastProtocol`](dynspread_sim::protocol::BroadcastProtocol)
-//!   implementations unchanged, mapping one tick to one round. They are
-//!   `dynspread_sim`'s round engines themselves, built with
+//!   implementations unchanged, mapping one tick to one round. It is
+//!   `dynspread_sim`'s round engine itself, built with
 //!   [`sync::LinkTransport`] — a link model and the event queue — in
 //!   place of the synchronous `Direct` transport. Under
 //!   [`link::PerfectLink`] they make the synchronous engines' `receive`
@@ -147,5 +148,5 @@ pub use scenario::{Scenario, ScenarioObliviousOutcome, ScenarioOutcome, ServiceO
 pub use session::{
     SessionBoard, SessionId, SessionMux, SessionSpec, SessionWorkload, WireEnvelope,
 };
-pub use sync::{BroadcastSynchronizer, UnicastSynchronizer};
+pub use sync::{BroadcastSynchronizer, Synchronizer, UnicastSynchronizer};
 pub use trace::{JsonlTracer, NoopTracer, TraceRecord, Tracer};

@@ -444,6 +444,31 @@ impl Settings {
         }
     }
 
+    /// Builds the event engine for one run, with the fault axis (no faults
+    /// when none were given) and the tracer armed. `tracked` is the initial
+    /// knowledge completion is tracked against; `None` runs untracked.
+    fn arm<P: EventProtocol, A: Adversary, L: LinkModel>(
+        &self,
+        nodes: Vec<P>,
+        adversary: A,
+        link: L,
+        tracked: Option<&TokenAssignment>,
+    ) -> EventSim<P, A, PartitionLink<L>> {
+        let n = self.assignment.node_count();
+        let fplan = self.faults.clone().unwrap_or_else(|| FaultPlan::none(n));
+        let link = PartitionLink::new(link, Arc::new(fplan.clone()));
+        let (ticks, seed) = (self.ticks_per_round, self.seed);
+        let mut sim = match tracked {
+            Some(initial) => EventSim::with_tracking(nodes, adversary, link, ticks, seed, initial),
+            None => EventSim::new(nodes, adversary, link, ticks, seed),
+        };
+        sim.set_fault_plan(fplan);
+        if let Some(tr) = &self.tracer {
+            sim.set_tracer(tr.clone());
+        }
+        sim
+    }
+
     /// The one execution core behind every protocol entry point: arm
     /// every axis over `nodes` (neutral elements when absent), run to
     /// `max_time`, and audit the transcripts when a Byzantine plan is
@@ -466,29 +491,13 @@ impl Settings {
         L: LinkModel,
     {
         let n = self.assignment.node_count();
-        let fplan = self.faults.clone().unwrap_or_else(|| FaultPlan::none(n));
         let nodes = match &self.byzantine {
             Some(plan) => plan.wrap(nodes),
             None => MisbehaviorPlan::honest(n).wrap(nodes),
         };
-        let link = PartitionLink::new(link, Arc::new(fplan.clone()));
-        let mut sim = match tracked {
-            Some(initial) => EventSim::with_tracking(
-                nodes,
-                adversary,
-                link,
-                self.ticks_per_round,
-                self.seed,
-                initial,
-            ),
-            None => EventSim::new(nodes, adversary, link, self.ticks_per_round, self.seed),
-        };
-        sim.set_fault_plan(fplan);
+        let mut sim = self.arm(nodes, adversary, link, tracked);
         if self.byzantine.is_some() {
             sim.record_transcripts();
-        }
-        if let Some(tr) = &self.tracer {
-            sim.set_tracer(tr.clone());
         }
         let event = sim.run(self.max_time);
         let evidence = if self.byzantine.is_some() {
@@ -940,7 +949,7 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
         let Scenario {
             adversary,
             link,
-            settings: s,
+            settings: mut s,
         } = self;
         let n = s.assignment.node_count();
         assert!(
@@ -955,22 +964,11 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
             assert_eq!(plan.node_count(), n, "plan size");
         }
         let mut workload = SessionWorkload::new(n);
-        for spec in s.sessions {
+        for spec in s.sessions.drain(..) {
             workload.push(spec);
         }
         let (nodes, board) = SessionMux::nodes(&workload, factory);
-        let fplan = s.faults.unwrap_or_else(|| FaultPlan::none(n));
-        let mut sim = EventSim::new(
-            nodes,
-            adversary,
-            PartitionLink::new(link, Arc::new(fplan.clone())),
-            s.ticks_per_round,
-            s.seed,
-        );
-        sim.set_fault_plan(fplan);
-        if let Some(tr) = &s.tracer {
-            sim.set_tracer(tr.clone());
-        }
+        let mut sim = s.arm(nodes, adversary, link, None);
         let event = sim.run(s.max_time);
         let report = sim.run_report(s.name.as_deref().unwrap_or("session-service"));
         let (decode_errors, foreign_drops) = NodeId::all(n)

@@ -1,15 +1,16 @@
-//! Synchronizers: the paper's round engines over a link transport.
+//! The synchronizer: the paper's round engine over a link transport.
 //!
-//! `dynspread-sim` has one round loop per communication mode, generic over
-//! a [`Transport`]. This module supplies the transport that is about links
-//! — [`LinkTransport`] routes every transmitted message through a
-//! [`LinkModel`] and the runtime's event queue: each copy that survives the
-//! link waits on the queue until round `send round + delay` and is handed
-//! to its receiver in that round's delivery phase, straight from the queue.
-//! One virtual-clock tick equals one round. [`UnicastSynchronizer`] and
-//! [`BroadcastSynchronizer`] are [`UnicastSim`] and [`BroadcastSim`] built
-//! with it, driving the *unchanged* `UnicastProtocol`/`BroadcastProtocol`
-//! state machines.
+//! `dynspread-sim` has one round engine, [`RoundSim`], with one step body
+//! per communication mode, generic over a [`Transport`]. This module
+//! supplies the transport that is about links — [`LinkTransport`] routes
+//! every transmitted message through a [`LinkModel`] and the runtime's
+//! event queue: each copy that survives the link waits on the queue until
+//! round `send round + delay` and is handed to its receiver in that round's
+//! delivery phase, straight from the queue. One virtual-clock tick equals
+//! one round. [`Synchronizer`] is [`RoundSim`] built with it, driving the
+//! *unchanged* `UnicastProtocol`/`BroadcastProtocol` state machines;
+//! [`UnicastSynchronizer`] and [`BroadcastSynchronizer`] name its two
+//! modes.
 //!
 //! **Equivalence contract**: under [`PerfectLink`](crate::link::PerfectLink)
 //! (zero latency, no loss, no duplication) every copy arrives in the round
@@ -37,10 +38,11 @@
 use crate::event::{EventQueue, VirtualTime};
 use crate::link::{LinkModel, LinkPlanner};
 use dynspread_graph::{NodeId, Round};
-use dynspread_sim::adversary::{BroadcastAdversary, SentRecord, UnicastAdversary};
+use dynspread_sim::adversary::SentRecord;
 use dynspread_sim::profile::{self, Phase};
-use dynspread_sim::protocol::{BroadcastProtocol, UnicastProtocol};
-use dynspread_sim::sim::{BroadcastSim, RoundIo, SimConfig, Transport, UnicastSim};
+use dynspread_sim::sim::{
+    BroadcastRound, RoundIo, RoundMode, RoundSim, SimConfig, Transport, UnicastRound,
+};
 use dynspread_sim::token::TokenAssignment;
 use dynspread_sim::RunReport;
 use std::ops::{Deref, DerefMut};
@@ -62,7 +64,6 @@ pub struct LinkTransport<M, L> {
     /// across broadcasters so the payload can be cloned per surviving
     /// copy (move-last) instead of per neighbor.
     plan: Vec<(NodeId, VirtualTime)>,
-    transmissions: u64,
     copies_delivered: u64,
 }
 
@@ -72,24 +73,14 @@ impl<M, L: LinkModel> LinkTransport<M, L> {
             planner: LinkPlanner::new(link, link_seed),
             queue: EventQueue::new(),
             plan: Vec::new(),
-            transmissions: 0,
             copies_delivered: 0,
         }
-    }
-
-    fn link_stats(&self) -> (u64, u64, u64) {
-        (
-            self.transmissions,
-            self.planner.copies_scheduled,
-            self.copies_delivered,
-        )
     }
 }
 
 impl<M: Clone, L: LinkModel> Transport<M> for LinkTransport<M, L> {
     fn unicast(&mut self, round: Round, from: NodeId, to: NodeId, msg: &M, io: &mut RoundIo) {
         profile::lap(&mut io.prof, Phase::ProtocolSend);
-        self.transmissions += 1;
         for &delay in self.planner.plan(round, from, to, &mut io.tracer) {
             let msg = msg.clone();
             self.queue.schedule(round + delay, Flight { to, from, msg });
@@ -110,7 +101,6 @@ impl<M: Clone, L: LinkModel> Transport<M> for LinkTransport<M, L> {
         _receive: F,
     ) {
         self.plan.clear();
-        self.transmissions += neighbors.len() as u64;
         for &to in neighbors {
             let fates = self.planner.plan(round, from, to, &mut io.tracer);
             self.plan
@@ -149,36 +139,37 @@ impl<M: Clone, L: LinkModel> Transport<M> for LinkTransport<M, L> {
     }
 }
 
-/// Runs round-based **unicast** protocols over a [`LinkModel`]:
-/// [`UnicastSim`] on a [`LinkTransport`], which it derefs to.
-pub struct UnicastSynchronizer<P: UnicastProtocol, A: UnicastAdversary<P::Msg>, L>(
-    UnicastSim<P, A, LinkTransport<P::Msg, L>>,
-);
+/// Runs round-based protocols over a [`LinkModel`]: [`RoundSim`] on a
+/// [`LinkTransport`], which it derefs to.
+pub struct Synchronizer<R: RoundMode, L>(RoundSim<R, LinkTransport<R::Msg, L>>);
 
-impl<P, A, L> UnicastSynchronizer<P, A, L>
+/// Round-based **unicast** protocols over a [`LinkModel`].
+pub type UnicastSynchronizer<P, A, L> = Synchronizer<UnicastRound<P, A>, L>;
+
+/// Round-based **local-broadcast** protocols over a [`LinkModel`].
+pub type BroadcastSynchronizer<P, A, L> = Synchronizer<BroadcastRound<P, A>, L>;
+
+impl<R: RoundMode, L: LinkModel> Synchronizer<R, L>
 where
-    P: UnicastProtocol,
-    P::Msg: Clone,
-    A: UnicastAdversary<P::Msg>,
-    L: LinkModel,
+    R::Msg: Clone,
 {
     /// Creates the engine. `link_seed` seeds the link model's RNG stream
     /// (independent of the adversary's seed).
     ///
     /// # Panics
     ///
-    /// Same validation as [`UnicastSim::new`].
+    /// Same validation as [`RoundSim::new`].
     pub fn new(
         algorithm_name: impl Into<String>,
-        nodes: Vec<P>,
-        adversary: A,
+        nodes: Vec<R::Node>,
+        adversary: R::Adversary,
         assignment: &TokenAssignment,
         cfg: SimConfig,
         link: L,
         link_seed: u64,
     ) -> Self {
         let transport = LinkTransport::new(link, link_seed);
-        UnicastSynchronizer(UnicastSim::with_transport(
+        Synchronizer(RoundSim::with_transport(
             algorithm_name,
             nodes,
             adversary,
@@ -193,90 +184,25 @@ where
         self.0.transport().queue.len()
     }
 
-    /// `(transmissions, copies scheduled, copies delivered)` so far; a
-    /// transmission is one per-link plan.
+    /// `(transmissions, copies scheduled, copies delivered)` so far. A
+    /// transmission is one per-link plan — one per unicast, one per
+    /// neighbor of a local broadcast — so it is the report's `link_sends`.
     pub fn link_stats(&self) -> (u64, u64, u64) {
-        self.0.transport().link_stats()
+        let link = self.0.transport();
+        let scheduled = link.planner.copies_scheduled;
+        (self.0.report().link_sends, scheduled, link.copies_delivered)
     }
 }
 
-impl<P: UnicastProtocol, A: UnicastAdversary<P::Msg>, L> Deref for UnicastSynchronizer<P, A, L> {
-    type Target = UnicastSim<P, A, LinkTransport<P::Msg, L>>;
+impl<R: RoundMode, L> Deref for Synchronizer<R, L> {
+    type Target = RoundSim<R, LinkTransport<R::Msg, L>>;
 
     fn deref(&self) -> &Self::Target {
         &self.0
     }
 }
 
-impl<P: UnicastProtocol, A: UnicastAdversary<P::Msg>, L> DerefMut for UnicastSynchronizer<P, A, L> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.0
-    }
-}
-
-/// Runs round-based **local-broadcast** protocols over a [`LinkModel`]:
-/// [`BroadcastSim`] on a [`LinkTransport`], which it derefs to.
-pub struct BroadcastSynchronizer<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>, L>(
-    BroadcastSim<P, A, LinkTransport<P::Msg, L>>,
-);
-
-impl<P, A, L> BroadcastSynchronizer<P, A, L>
-where
-    P: BroadcastProtocol,
-    P::Msg: Clone,
-    A: BroadcastAdversary<P::Msg>,
-    L: LinkModel,
-{
-    /// Creates the engine (see [`UnicastSynchronizer::new`]).
-    ///
-    /// # Panics
-    ///
-    /// Same validation as [`BroadcastSim::new`].
-    pub fn new(
-        algorithm_name: impl Into<String>,
-        nodes: Vec<P>,
-        adversary: A,
-        assignment: &TokenAssignment,
-        cfg: SimConfig,
-        link: L,
-        link_seed: u64,
-    ) -> Self {
-        let transport = LinkTransport::new(link, link_seed);
-        BroadcastSynchronizer(BroadcastSim::with_transport(
-            algorithm_name,
-            nodes,
-            adversary,
-            assignment,
-            cfg,
-            transport,
-        ))
-    }
-
-    /// Copies still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.0.transport().queue.len()
-    }
-
-    /// `(transmissions, copies scheduled, copies delivered)` — for
-    /// broadcast, "transmissions" counts per-link plans, not broadcasts.
-    pub fn link_stats(&self) -> (u64, u64, u64) {
-        self.0.transport().link_stats()
-    }
-}
-
-impl<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>, L> Deref
-    for BroadcastSynchronizer<P, A, L>
-{
-    type Target = BroadcastSim<P, A, LinkTransport<P::Msg, L>>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.0
-    }
-}
-
-impl<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>, L> DerefMut
-    for BroadcastSynchronizer<P, A, L>
-{
+impl<R: RoundMode, L> DerefMut for Synchronizer<R, L> {
     fn deref_mut(&mut self) -> &mut Self::Target {
         &mut self.0
     }

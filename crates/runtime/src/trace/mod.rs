@@ -5,13 +5,13 @@
 //! are re-exported here so runtime users have one import surface:
 //!
 //! * **Channel 1 — deterministic trace.** A [`Tracer`] installed via
-//!   `set_tracer` on [`EventSim`](crate::EventSim), the synchronizers
-//!   ([`UnicastSynchronizer`](crate::UnicastSynchronizer),
-//!   [`BroadcastSynchronizer`](crate::BroadcastSynchronizer)), or the
-//!   sync engines receives structured [`TraceRecord`]s: round/epoch
-//!   boundaries, sends, per-copy link fates (scheduled / dropped /
-//!   duplicated / unroutable), deliveries, timers, protocol-reported
-//!   retransmissions and backoff resets, and per-node coverage deltas.
+//!   `set_tracer` on [`EventSim`](crate::EventSim), the synchronizer
+//!   ([`Synchronizer`](crate::Synchronizer), in either mode), or the
+//!   round engine ([`RoundSim`](dynspread_sim::sim::RoundSim)) receives
+//!   structured [`TraceRecord`]s: round/epoch boundaries, sends, per-copy
+//!   link fates (scheduled / dropped / duplicated / unroutable),
+//!   deliveries, timers, protocol-reported retransmissions and backoff
+//!   resets, and per-node coverage deltas.
 //!   Every field is a pure function of the run's seeds, so the
 //!   [`JsonlTracer`]'s serialized output is **byte-identical under
 //!   replay** — two same-seed traces that differ expose a determinism

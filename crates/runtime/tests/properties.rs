@@ -340,8 +340,9 @@ proptest! {
 }
 
 /// Deterministic non-property check: a duplicating link inflates copies,
-/// a lossy link sheds them, and the counters stay consistent — in both
-/// engines that plan through the shared link planner.
+/// a lossy link sheds them, and the counters stay consistent — in the
+/// synchronizer's two modes and in the event engine, all of which plan
+/// through the shared link planner.
 #[test]
 fn link_stat_invariants_hold_under_loss_and_duplication() {
     let (n, k) = (12, 8);
@@ -366,6 +367,30 @@ fn link_stat_invariants_hold_under_loss_and_duplication() {
     // A drop sheds one transmission, a duplicate adds one copy.
     assert!(report.link_drops > 0 && report.link_duplicates > 0);
     assert_eq!(scheduled, tx - report.link_drops + report.link_duplicates);
+    assert_eq!(tx, report.link_sends);
+
+    // Local broadcast: one transmission per neighbor of a broadcaster, and
+    // with latency the copies wait in flight across rounds.
+    let mut sim = BroadcastSynchronizer::new(
+        "flood",
+        PhasedFlooding::nodes(&assignment),
+        PeriodicRewiring::new(Topology::RandomTree, 3, 9),
+        &assignment,
+        SimConfig::with_max_rounds(2_000),
+        PerfectLink.with_latency(2).duplicating(0.3).lossy(0.2),
+        13,
+    );
+    for _ in 0..3 {
+        sim.step();
+    }
+    assert!(sim.in_flight() > 0);
+    let report = sim.run_to_completion();
+    assert!(report.completed, "{report}");
+    let (tx, scheduled, delivered) = sim.link_stats();
+    assert_eq!(tx, report.link_sends);
+    assert!(report.link_drops > 0 && report.link_duplicates > 0);
+    assert_eq!(scheduled, tx - report.link_drops + report.link_duplicates);
+    assert_eq!(scheduled, delivered + sim.in_flight() as u64);
 
     // The event engine: the same identity, less the sends that never
     // reached the link for lack of an edge.

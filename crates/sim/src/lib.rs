@@ -19,15 +19,16 @@
 //! * **Adaptive adversaries** ([`adversary`]): the strongly adaptive
 //!   interfaces; every oblivious `dynspread_graph` adversary lifts into
 //!   them.
-//! * **Engines** ([`sim`]): [`UnicastSim`] and [`BroadcastSim`] — one
-//!   round loop per communication mode, the only ones in the workspace —
-//!   drive protocols against adversaries, asserting the model invariants
+//! * **The engine** ([`sim`]): one shell, [`sim::RoundSim`], with two
+//!   step bodies — its [`sim::RoundMode`]s, named [`UnicastSim`] and
+//!   [`BroadcastSim`], the only round loops in the workspace — drives
+//!   protocols against adversaries, asserting the model invariants
 //!   (connectivity, bandwidth, neighbor-only delivery) every round and
-//!   producing [`run::RunReport`]s. Each is generic over a
+//!   producing [`run::RunReport`]s. It is generic over a
 //!   [`sim::Transport`] that carries the round's messages to `receive`:
 //!   [`sim::Direct`], the default, is the paper's synchronous lossless
-//!   model; `dynspread-runtime`'s synchronizers are the same engines over
-//!   a link transport. The unicast engine calls only its active set
+//!   model; `dynspread-runtime`'s one synchronizer is the same engine over
+//!   a link transport. The unicast mode calls only its active set
 //!   ([`round`]): a node that [parks](protocol::Outbox::park) is skipped
 //!   until an adjacent edge changes or a message reaches it.
 //! * **Observability** ([`trace`], [`profile`]): the two-channel layer —

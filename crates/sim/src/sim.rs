@@ -1,19 +1,22 @@
-//! The round engines: one loop per communication mode, over a transport.
+//! The round engine: one shell, two step bodies, over a transport.
 //!
-//! The paper's model has two round shapes, and this module holds the only
-//! loop for each:
+//! The paper's model has two round shapes. [`RoundSim`] is the one engine
+//! for both — construction, accessors, the run loops and the report are
+//! written once — and its [`RoundMode`] is the round itself, with the
+//! buffers that round reuses:
 //!
-//! * [`UnicastSim`] — rewire-then-send rounds: the adversary commits `G_r`
-//!   (seeing last round's traffic if adaptive), nodes learn their neighbor
-//!   IDs, send per-neighbor messages, and receive.
-//! * [`BroadcastSim`] — choose-then-rewire rounds: nodes commit their local
-//!   broadcast first, the (strongly adaptive) adversary picks `G_r` knowing
-//!   the choices, then delivery happens.
+//! * [`UnicastRound`] ([`UnicastSim`]) — rewire-then-send rounds: the
+//!   adversary commits `G_r` (seeing last round's traffic if adaptive),
+//!   nodes learn their neighbor IDs, send per-neighbor messages, and
+//!   receive.
+//! * [`BroadcastRound`] ([`BroadcastSim`]) — choose-then-rewire rounds:
+//!   nodes commit their local broadcast first, the (strongly adaptive)
+//!   adversary picks `G_r` knowing the choices, then delivery happens.
 //!
 //! How a round's messages get from `send`/`broadcast` to `receive` is the
 //! engine's [`Transport`]. [`Direct`] — the default, and what `new` builds —
 //! is the paper's model: every message arrives in the round it was sent,
-//! exactly once. `dynspread-runtime`'s synchronizers are these same engines
+//! exactly once. `dynspread-runtime`'s synchronizer is this same engine
 //! over a link transport (a link model and an event queue), so a message
 //! may also arrive late, twice, or never. Everything that is not
 //! carrying messages belongs to the engine and is therefore the same under
@@ -24,10 +27,10 @@
 //! that ends a round and detects termination (the tracker is a global
 //! observer; protocols never see it), the trace and the profiler.
 //!
-//! A round costs what it touches. [`UnicastSim`] calls `send` and
+//! A round costs what it touches. A unicast round calls `send` and
 //! `end_round` only on its **active set** — nodes that have not
 //! [parked](crate::protocol::Outbox::park), woken again by an adjacent edge
-//! change or a delivery — and both engines diff only the round's receivers
+//! change or a delivery — and both modes diff only the round's receivers
 //! against the tracker; see [`crate::round`] for the bookkeeping and why the
 //! execution is the one a whole-network sweep produces.
 
@@ -44,6 +47,7 @@ use crate::tracker::TokenTracker;
 use dynspread_graph::dynamic::GraphUpdate;
 use dynspread_graph::stability::StabilityChecker;
 use dynspread_graph::{DynamicGraph, NodeId, Round};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Engine configuration.
@@ -200,7 +204,7 @@ impl<M> Transport<M> for Direct {
     fn stamp(&self, _: &mut RunReport) {}
 }
 
-/// What both engines keep besides their nodes, adversary and transport.
+/// What the engine keeps besides its nodes, adversary, transport and mode.
 struct Core {
     dg: DynamicGraph,
     meter: MessageMeter,
@@ -222,8 +226,8 @@ impl Core {
         adversary_name: &str,
         known: impl ExactSizeIterator<Item = &'a TokenSet>,
         assignment: &TokenAssignment,
-        cfg: SimConfig,
         meter: MessageMeter,
+        cfg: SimConfig,
     ) -> Self {
         let n = known.len();
         assert_eq!(n, assignment.node_count(), "node count mismatch");
@@ -326,21 +330,54 @@ impl Core {
     }
 }
 
-/// Round engine for the **unicast** communication model.
-pub struct UnicastSim<P: UnicastProtocol, A: UnicastAdversary<P::Msg>, T = Direct> {
-    nodes: Vec<P>,
-    adversary: A,
-    transport: T,
-    core: Core,
-    /// Everything sent in the last round (the adaptive adversary's view).
-    /// The adversary is done with it before the send sweep starts, so the
-    /// same buffer collects the next round's records.
-    last_sent: Vec<SentRecord<P::Msg>>,
-    /// The one outbox every node's `send` fills and the engine drains.
-    outbox: Outbox<P::Msg>,
+/// One communication mode of [`RoundSim`]: its node, message and adversary
+/// types, the buffers its rounds reuse, and the round itself. The two
+/// modes are [`UnicastRound`] and [`BroadcastRound`].
+pub trait RoundMode: Sized {
+    /// The per-node protocol.
+    type Node;
+    /// What the nodes send.
+    type Msg;
+    /// The adversary that picks each round's graph.
+    type Adversary;
+
+    /// Empty round buffers for `n` nodes.
+    fn buffers(n: usize) -> Self;
+
+    /// The adversary's name, for reports.
+    fn adversary_name(adversary: &Self::Adversary) -> &str;
+
+    /// The meter this mode's sends are charged to.
+    fn meter(cfg: &SimConfig) -> MessageMeter;
+
+    /// The tokens `node` knows.
+    fn known(node: &Self::Node) -> &TokenSet;
+
+    /// Executes one round of `sim`: the body of [`RoundSim::step`].
+    fn step<T: Transport<Self::Msg>>(sim: &mut RoundSim<Self, T>) -> Round;
 }
 
-impl<P: UnicastProtocol, A: UnicastAdversary<P::Msg>> UnicastSim<P, A> {
+/// The round engine: one protocol instance per node of mode `R`, played
+/// against `R`'s adversary, messages carried by `T`.
+pub struct RoundSim<R: RoundMode, T = Direct> {
+    nodes: Vec<R::Node>,
+    adversary: R::Adversary,
+    transport: T,
+    core: Core,
+    mode: R,
+}
+
+/// Round engine for the **unicast** communication model.
+pub type UnicastSim<P, A, T = Direct> = RoundSim<UnicastRound<P, A>, T>;
+
+/// Round engine for the **local broadcast** communication model.
+///
+/// Each local broadcast is metered once (Definition 1.1); what happens per
+/// neighbor is the transport's business, so over a lossy link different
+/// neighbors of one broadcaster can independently miss the same broadcast.
+pub type BroadcastSim<P, A, T = Direct> = RoundSim<BroadcastRound<P, A>, T>;
+
+impl<R: RoundMode> RoundSim<R> {
     /// Creates the synchronous engine (the [`Direct`] transport) over one
     /// protocol instance per node.
     ///
@@ -351,8 +388,8 @@ impl<P: UnicastProtocol, A: UnicastAdversary<P::Msg>> UnicastSim<P, A> {
     /// the assignment.
     pub fn new(
         algorithm_name: impl Into<String>,
-        nodes: Vec<P>,
-        adversary: A,
+        nodes: Vec<R::Node>,
+        adversary: R::Adversary,
         assignment: &TokenAssignment,
         cfg: SimConfig,
     ) -> Self {
@@ -360,40 +397,34 @@ impl<P: UnicastProtocol, A: UnicastAdversary<P::Msg>> UnicastSim<P, A> {
     }
 }
 
-impl<P, A, T> UnicastSim<P, A, T>
-where
-    P: UnicastProtocol,
-    A: UnicastAdversary<P::Msg>,
-    T: Transport<P::Msg>,
-{
+impl<R: RoundMode, T: Transport<R::Msg>> RoundSim<R, T> {
     /// Creates an engine whose messages travel over `transport`.
     ///
     /// # Panics
     ///
-    /// Same validation as [`UnicastSim::new`].
+    /// Same validation as [`RoundSim::new`].
     pub fn with_transport(
         algorithm_name: impl Into<String>,
-        nodes: Vec<P>,
-        adversary: A,
+        nodes: Vec<R::Node>,
+        adversary: R::Adversary,
         assignment: &TokenAssignment,
         cfg: SimConfig,
         transport: T,
     ) -> Self {
         let core = Core::new(
             algorithm_name.into(),
-            <A as UnicastAdversary<P::Msg>>::name(&adversary),
-            nodes.iter().map(|node| node.known_tokens()),
+            R::adversary_name(&adversary),
+            nodes.iter().map(R::known),
             assignment,
+            R::meter(&cfg),
             cfg,
-            MessageMeter::new(),
         );
-        UnicastSim {
+        RoundSim {
+            mode: R::buffers(nodes.len()),
             nodes,
             adversary,
             transport,
             core,
-            last_sent: Vec::new(),
-            outbox: Outbox::new(),
         }
     }
 
@@ -428,18 +459,18 @@ where
     }
 
     /// Immutable access to a node's protocol state.
-    pub fn node(&self, v: NodeId) -> &P {
+    pub fn node(&self, v: NodeId) -> &R::Node {
         &self.nodes[v.index()]
     }
 
     /// Immutable access to all node protocols.
-    pub fn nodes(&self) -> &[P] {
+    pub fn nodes(&self) -> &[R::Node] {
         &self.nodes
     }
 
     /// Immutable access to the adversary (e.g. to read analysis records
     /// kept by adaptive adversaries after a run).
-    pub fn adversary(&self) -> &A {
+    pub fn adversary(&self) -> &R::Adversary {
         &self.adversary
     }
 
@@ -450,76 +481,7 @@ where
 
     /// Executes one round. Returns the round number just executed.
     pub fn step(&mut self) -> Round {
-        let core = &mut self.core;
-        let round = core.dg.round() + 1;
-        // 1. Adversary commits G_r (sees last round's traffic if adaptive).
-        let update = self
-            .adversary
-            .evolve(round, core.dg.current(), &self.last_sent);
-        core.install_round(round, update);
-        let delta = core.dg.last_delta();
-        if core.cfg.charge_neighbor_discovery {
-            // KT0: both endpoints of every freshly inserted edge exchange
-            // a hello message before the round's payload traffic.
-            core.meter
-                .record_unicasts(MessageClass::Control, 2 * delta.inserted.len() as u64);
-        }
-        let io = &mut core.io;
-        io.scratch.wake_endpoints(delta);
-        // 2. Active nodes see neighbor IDs and queue messages (a parked
-        //    node would queue nothing); each message is metered at send
-        //    time and handed to the transport.
-        let mut sent = std::mem::take(&mut self.last_sent);
-        sent.clear();
-        let mut from = 0;
-        while let Some(v) = io.scratch.next_active(from) {
-            from = v.index() + 1;
-            let neighbors = core.dg.current().neighbors(v);
-            self.nodes[v.index()].send(round, neighbors, &mut self.outbox);
-            if self.outbox.take_parked() {
-                io.scratch.park(v);
-            }
-            for (to, msg) in self.outbox.drain() {
-                assert!(
-                    core.dg.current().has_edge(v, to),
-                    "round {round}: {v} sent to non-neighbor {to}"
-                );
-                assert!(
-                    msg.token_count() <= MAX_TOKENS_PER_MESSAGE,
-                    "round {round}: {v} exceeded the bandwidth constraint"
-                );
-                core.meter.record_unicast(msg.class());
-                core.link_sends += 1;
-                emit(
-                    &mut io.tracer,
-                    TraceRecord::Send {
-                        t: round,
-                        from: v.value(),
-                        to: to.value(),
-                    },
-                );
-                self.transport.unicast(round, v, to, &msg, io);
-                sent.push(SentRecord { from: v, to, msg });
-            }
-        }
-        profile::lap(&mut io.prof, Phase::ProtocolSend);
-        // 3. Delivery: whatever the transport has for this round.
-        let nodes = &mut self.nodes;
-        self.transport.deliver(round, &sent, io, |to, sender, msg| {
-            nodes[to.index()].receive(round, sender, msg)
-        });
-        profile::lap(&mut io.prof, Phase::Delivery);
-        let mut from = 0;
-        while let Some(v) = io.scratch.next_live(from) {
-            from = v.index() + 1;
-            self.nodes[v.index()].end_round(round);
-        }
-        profile::lap(&mut io.prof, Phase::EndRound);
-        // 4. Global observation over this round's receivers.
-        let nodes = &self.nodes;
-        core.observe(round, |v| nodes[v.index()].known_tokens());
-        self.last_sent = sent;
-        round
+        R::step(self)
     }
 
     /// Runs until every node is complete or `max_rounds` is hit.
@@ -544,137 +506,164 @@ where
     }
 }
 
-/// Round engine for the **local broadcast** communication model.
-///
-/// Each local broadcast is metered once (Definition 1.1); what happens per
-/// neighbor is the transport's business, so over a lossy link different
-/// neighbors of one broadcaster can independently miss the same broadcast.
-pub struct BroadcastSim<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>, T = Direct> {
-    nodes: Vec<P>,
-    adversary: A,
-    transport: T,
-    core: Core,
-    /// Every node's broadcast choice of the current round, refilled in
-    /// place each round.
-    choices: Vec<Option<P::Msg>>,
+/// The **unicast** mode: its round and the buffers that round reuses.
+pub struct UnicastRound<P: UnicastProtocol, A> {
+    /// Everything sent in the last round (the adaptive adversary's view).
+    /// The adversary is done with it before the send sweep starts, so the
+    /// same buffer collects the next round's records.
+    last_sent: Vec<SentRecord<P::Msg>>,
+    /// The one outbox every node's `send` fills and the engine drains.
+    outbox: Outbox<P::Msg>,
+    adversary: PhantomData<A>,
 }
 
-impl<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>> BroadcastSim<P, A> {
-    /// Creates the synchronous engine (the [`Direct`] transport) over one
-    /// protocol instance per node.
-    ///
-    /// # Panics
-    ///
-    /// Same validation as [`UnicastSim::new`].
-    pub fn new(
-        algorithm_name: impl Into<String>,
-        nodes: Vec<P>,
-        adversary: A,
-        assignment: &TokenAssignment,
-        cfg: SimConfig,
-    ) -> Self {
-        Self::with_transport(algorithm_name, nodes, adversary, assignment, cfg, Direct)
-    }
-}
+impl<P: UnicastProtocol, A: UnicastAdversary<P::Msg>> RoundMode for UnicastRound<P, A> {
+    type Node = P;
+    type Msg = P::Msg;
+    type Adversary = A;
 
-impl<P, A, T> BroadcastSim<P, A, T>
-where
-    P: BroadcastProtocol,
-    A: BroadcastAdversary<P::Msg>,
-    T: Transport<P::Msg>,
-{
-    /// Creates an engine whose messages travel over `transport`.
-    ///
-    /// # Panics
-    ///
-    /// Same validation as [`UnicastSim::new`].
-    pub fn with_transport(
-        algorithm_name: impl Into<String>,
-        nodes: Vec<P>,
-        adversary: A,
-        assignment: &TokenAssignment,
-        cfg: SimConfig,
-        transport: T,
-    ) -> Self {
-        let meter = MessageMeter::with_sampling(cfg.meter_sampling);
-        let core = Core::new(
-            algorithm_name.into(),
-            <A as BroadcastAdversary<P::Msg>>::name(&adversary),
-            nodes.iter().map(|node| node.known_tokens()),
-            assignment,
-            cfg,
-            meter,
-        );
-        BroadcastSim {
-            choices: Vec::with_capacity(nodes.len()),
-            nodes,
-            adversary,
-            transport,
-            core,
+    fn buffers(_: usize) -> Self {
+        UnicastRound {
+            last_sent: Vec::new(),
+            outbox: Outbox::new(),
+            adversary: PhantomData,
         }
     }
 
-    /// Installs a tracer (channel 1 of the observability layer). See
-    /// [`UnicastSim::set_tracer`] for the determinism contract.
-    pub fn set_tracer(&mut self, tracer: impl Tracer + 'static) {
-        self.core.io.tracer = Some(Box::new(tracer));
+    fn adversary_name(adversary: &A) -> &str {
+        <A as UnicastAdversary<P::Msg>>::name(adversary)
     }
 
-    /// Enables wall-clock self-profiling (channel 2). See
-    /// [`UnicastSim::enable_profiling`].
-    pub fn enable_profiling(&mut self) {
-        self.core.io.prof = Some(Profiler::new());
+    /// Exact: unicast traffic is sparse.
+    fn meter(_: &SimConfig) -> MessageMeter {
+        MessageMeter::new()
     }
 
-    /// The tracker (read-only global observer).
-    pub fn tracker(&self) -> &TokenTracker {
-        &self.core.tracker
+    fn known(node: &P) -> &TokenSet {
+        node.known_tokens()
     }
 
-    /// The message meter (counts broadcasts, not per-link copies).
-    pub fn meter(&self) -> &MessageMeter {
-        &self.core.meter
+    fn step<T: Transport<P::Msg>>(sim: &mut RoundSim<Self, T>) -> Round {
+        let core = &mut sim.core;
+        let round = core.dg.round() + 1;
+        // 1. Adversary commits G_r (sees last round's traffic if adaptive).
+        let update = sim
+            .adversary
+            .evolve(round, core.dg.current(), &sim.mode.last_sent);
+        core.install_round(round, update);
+        let delta = core.dg.last_delta();
+        if core.cfg.charge_neighbor_discovery {
+            // KT0: both endpoints of every freshly inserted edge exchange
+            // a hello message before the round's payload traffic.
+            core.meter
+                .record_unicasts(MessageClass::Control, 2 * delta.inserted.len() as u64);
+        }
+        let io = &mut core.io;
+        io.scratch.wake_endpoints(delta);
+        // 2. Active nodes see neighbor IDs and queue messages (a parked
+        //    node would queue nothing); each message is metered at send
+        //    time and handed to the transport.
+        let mut sent = std::mem::take(&mut sim.mode.last_sent);
+        sent.clear();
+        let mut from = 0;
+        while let Some(v) = io.scratch.next_active(from) {
+            from = v.index() + 1;
+            let neighbors = core.dg.current().neighbors(v);
+            sim.nodes[v.index()].send(round, neighbors, &mut sim.mode.outbox);
+            if sim.mode.outbox.take_parked() {
+                io.scratch.park(v);
+            }
+            for (to, msg) in sim.mode.outbox.drain() {
+                assert!(
+                    core.dg.current().has_edge(v, to),
+                    "round {round}: {v} sent to non-neighbor {to}"
+                );
+                assert!(
+                    msg.token_count() <= MAX_TOKENS_PER_MESSAGE,
+                    "round {round}: {v} exceeded the bandwidth constraint"
+                );
+                core.meter.record_unicast(msg.class());
+                core.link_sends += 1;
+                emit(
+                    &mut io.tracer,
+                    TraceRecord::Send {
+                        t: round,
+                        from: v.value(),
+                        to: to.value(),
+                    },
+                );
+                sim.transport.unicast(round, v, to, &msg, io);
+                sent.push(SentRecord { from: v, to, msg });
+            }
+        }
+        profile::lap(&mut io.prof, Phase::ProtocolSend);
+        // 3. Delivery: whatever the transport has for this round.
+        let nodes = &mut sim.nodes;
+        sim.transport.deliver(round, &sent, io, |to, sender, msg| {
+            nodes[to.index()].receive(round, sender, msg)
+        });
+        profile::lap(&mut io.prof, Phase::Delivery);
+        let mut from = 0;
+        while let Some(v) = io.scratch.next_live(from) {
+            from = v.index() + 1;
+            sim.nodes[v.index()].end_round(round);
+        }
+        profile::lap(&mut io.prof, Phase::EndRound);
+        // 4. Global observation over this round's receivers.
+        let nodes = &sim.nodes;
+        core.observe(round, |v| nodes[v.index()].known_tokens());
+        sim.mode.last_sent = sent;
+        round
+    }
+}
+
+/// The **local broadcast** mode: its round and the buffer that round
+/// reuses.
+pub struct BroadcastRound<P: BroadcastProtocol, A> {
+    /// Every node's broadcast choice of the current round, refilled in
+    /// place each round.
+    choices: Vec<Option<P::Msg>>,
+    adversary: PhantomData<A>,
+}
+
+impl<P: BroadcastProtocol, A: BroadcastAdversary<P::Msg>> RoundMode for BroadcastRound<P, A> {
+    type Node = P;
+    type Msg = P::Msg;
+    type Adversary = A;
+
+    fn buffers(n: usize) -> Self {
+        BroadcastRound {
+            choices: Vec::with_capacity(n),
+            adversary: PhantomData,
+        }
     }
 
-    /// The dynamic graph (current snapshot + TC accounting).
-    pub fn dynamic_graph(&self) -> &DynamicGraph {
-        &self.core.dg
+    fn adversary_name(adversary: &A) -> &str {
+        <A as BroadcastAdversary<P::Msg>>::name(adversary)
     }
 
-    /// Immutable access to a node's protocol state.
-    pub fn node(&self, v: NodeId) -> &P {
-        &self.nodes[v.index()]
+    /// Sampled at `cfg.meter_sampling` (see [`SimConfig::meter_sampling`]).
+    fn meter(cfg: &SimConfig) -> MessageMeter {
+        MessageMeter::with_sampling(cfg.meter_sampling)
     }
 
-    /// Immutable access to all node protocols.
-    pub fn nodes(&self) -> &[P] {
-        &self.nodes
+    fn known(node: &P) -> &TokenSet {
+        node.known_tokens()
     }
 
-    /// Immutable access to the adversary (e.g. to read the potential
-    /// history recorded by the Section 2 adversary).
-    pub fn adversary(&self) -> &A {
-        &self.adversary
-    }
-
-    /// The transport (e.g. to read a link transport's counters).
-    pub fn transport(&self) -> &T {
-        &self.transport
-    }
-
-    /// Executes one round. Returns the round number just executed.
-    pub fn step(&mut self) -> Round {
-        let core = &mut self.core;
+    fn step<T: Transport<P::Msg>>(sim: &mut RoundSim<Self, T>) -> Round {
+        let core = &mut sim.core;
         let round = core.dg.round() + 1;
         // 1. Nodes commit their broadcast choices first…
-        self.choices.clear();
-        self.choices
-            .extend(self.nodes.iter_mut().map(|node| node.broadcast(round)));
+        sim.mode.choices.clear();
+        sim.mode
+            .choices
+            .extend(sim.nodes.iter_mut().map(|node| node.broadcast(round)));
         profile::lap(&mut core.io.prof, Phase::ProtocolSend);
         // 2. …then the (strongly adaptive) adversary picks the topology.
-        let update = self
+        let update = sim
             .adversary
-            .evolve(round, core.dg.current(), &self.choices);
+            .evolve(round, core.dg.current(), &sim.mode.choices);
         core.install_round(round, update);
         let io = &mut core.io;
         // 3. Metering + hand-over: one message per broadcasting node, to
@@ -685,8 +674,8 @@ where
         let sampling = core.meter.sampling();
         let mut class_counts = [0u64; MessageClass::ALL.len()];
         let mut total = 0u64;
-        let nodes = &mut self.nodes;
-        for (v, choice) in NodeId::all(nodes.len()).zip(self.choices.drain(..)) {
+        let nodes = &mut sim.nodes;
+        for (v, choice) in NodeId::all(nodes.len()).zip(sim.mode.choices.drain(..)) {
             if let Some(msg) = choice {
                 if total.is_multiple_of(sampling) {
                     assert!(
@@ -706,14 +695,14 @@ where
                 // Each neighbor is one per-link copy for `link_sends`.
                 let neighbors = core.dg.current().neighbors(v);
                 core.link_sends += neighbors.len() as u64;
-                self.transport
+                sim.transport
                     .broadcast(round, v, neighbors, msg, io, |to, sender, msg| {
                         nodes[to.index()].receive(round, sender, msg)
                     });
             }
         }
         core.meter.record_broadcast_batch(&class_counts, total);
-        self.transport.deliver(round, &[], io, |to, sender, msg| {
+        sim.transport.deliver(round, &[], io, |to, sender, msg| {
             nodes[to.index()].receive(round, sender, msg)
         });
         profile::lap(&mut io.prof, Phase::Delivery);
@@ -722,30 +711,9 @@ where
         }
         profile::lap(&mut io.prof, Phase::EndRound);
         // 4. Global observation over this round's receivers.
-        let nodes = &self.nodes;
+        let nodes = &sim.nodes;
         core.observe(round, |v| nodes[v.index()].known_tokens());
         round
-    }
-
-    /// Runs until every node is complete or `max_rounds` is hit.
-    pub fn run_to_completion(&mut self) -> RunReport {
-        self.run_until(|sim| sim.core.tracker.all_complete())
-    }
-
-    /// Runs until `pred(self)` is true (checked after each round) or
-    /// `max_rounds` is hit.
-    pub fn run_until<F: FnMut(&Self) -> bool>(&mut self, mut pred: F) -> RunReport {
-        while !pred(self) && !self.core.capped() {
-            self.step();
-        }
-        self.report()
-    }
-
-    /// Builds the report for the execution so far.
-    pub fn report(&self) -> RunReport {
-        let mut report = self.core.report();
-        self.transport.stamp(&mut report);
-        report
     }
 }
 

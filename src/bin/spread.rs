@@ -54,6 +54,7 @@ use dynspread::graph::adversary::Adversary;
 use dynspread::runtime::protocol::AsyncObliviousConfig;
 use dynspread::runtime::spec::{Algorithm::*, CheckError, ScenarioSpec};
 use dynspread::runtime::{JsonlTracer, PerfectLink, Scenario};
+use dynspread::sim::sim::{RoundMode, RoundSim};
 use dynspread::sim::{BroadcastSim, SimConfig, UnicastSim};
 use std::num::ParseIntError;
 use std::str::FromStr;
@@ -126,27 +127,42 @@ fn run(spec: &ScenarioSpec, trace_out: Option<&str>) -> Result<String, String> {
     let adversary = spec.adversary.build(n, seed);
     let mut cfg = SimConfig::with_max_rounds(cap);
     cfg.charge_neighbor_discovery = spec.kt0;
-    // One round engine, `UnicastSim` or `BroadcastSim`, over `nodes`.
-    macro_rules! sim {
-        ($engine:ident, $name:literal, $nodes:expr) => {{
-            let mut sim = $engine::new($name, $nodes, adversary, &a, cfg);
-            sim.run_to_completion().to_string()
-        }};
-    }
     Ok(match spec.algorithm {
-        SingleSource => sim!(
-            UnicastSim,
+        SingleSource => finish(UnicastSim::new(
             "single-source-unicast",
-            SingleSourceNode::nodes(&a)
-        ),
-        MultiSource => sim!(
-            UnicastSim,
+            SingleSourceNode::nodes(&a),
+            adversary,
+            &a,
+            cfg,
+        )),
+        MultiSource => finish(UnicastSim::new(
             "multi-source-unicast",
-            MultiSourceNode::nodes(&a).0
-        ),
-        UnicastFlood => sim!(UnicastSim, "unicast-flooding", UnicastFlooding::nodes(&a)),
-        PhasedFlood => sim!(BroadcastSim, "phased-flooding", PhasedFlooding::nodes(&a)),
-        Rlnc => sim!(BroadcastSim, "rlnc-gossip", RlncNode::nodes(&a, seed)),
+            MultiSourceNode::nodes(&a).0,
+            adversary,
+            &a,
+            cfg,
+        )),
+        UnicastFlood => finish(UnicastSim::new(
+            "unicast-flooding",
+            UnicastFlooding::nodes(&a),
+            adversary,
+            &a,
+            cfg,
+        )),
+        PhasedFlood => finish(BroadcastSim::new(
+            "phased-flooding",
+            PhasedFlooding::nodes(&a),
+            adversary,
+            &a,
+            cfg,
+        )),
+        Rlnc => finish(BroadcastSim::new(
+            "rlnc-gossip",
+            RlncNode::nodes(&a, seed),
+            adversary,
+            &a,
+            cfg,
+        )),
         Oblivious => {
             let defaults = ObliviousConfig::default();
             let cfg = ObliviousConfig {
@@ -175,6 +191,11 @@ fn run(spec: &ScenarioSpec, trace_out: Option<&str>) -> Result<String, String> {
             run_scenario(spec, scenario.seed(seed).max_time(cap), trace_out)?
         }
     })
+}
+
+/// Runs a synchronous round engine to completion and renders its report.
+fn finish<R: RoundMode>(mut sim: RoundSim<R>) -> String {
+    sim.run_to_completion().to_string()
 }
 
 /// Adds the spec's fault, Byzantine and session axes to an event-engine

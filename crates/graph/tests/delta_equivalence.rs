@@ -3,10 +3,16 @@
 //! The overhaul's safety net: random update sequences driven through the
 //! in-place [`GraphUpdate`] path must produce snapshots, adjacency, meters,
 //! and connectivity verdicts identical to rebuilding every round's graph
-//! from its edge list from scratch.
+//! from its edge list from scratch — and every oblivious adversary's
+//! `graph_for_round` snapshots must be the graphs its `evolve` updates
+//! install.
 
+use dynspread_graph::adversary::{Adversary, FnAdversary};
 use dynspread_graph::dynamic::{GraphUpdate, RoundDelta};
 use dynspread_graph::generators::Topology;
+use dynspread_graph::oblivious::{
+    ChurnAdversary, EdgeMarkovian, PeriodicRewiring, ScriptedAdversary, StaticAdversary,
+};
 use dynspread_graph::{DynamicGraph, Edge, Graph, NodeId, UnionFind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -29,6 +35,44 @@ fn assert_same_graph(a: &Graph, b: &Graph) {
         assert_eq!(a.degree(v), b.degree(v));
     }
     assert_eq!(a.is_connected(), b.is_connected());
+}
+
+/// Number of oblivious families [`oblivious_family`] builds.
+const FAMILIES: u32 = 6;
+
+/// One adversary of oblivious family `family` on `n` nodes, a function of
+/// `seed` alone: two calls with the same arguments draw the same schedule.
+fn oblivious_family(family: u32, n: usize, seed: u64) -> Box<dyn Adversary> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    match family {
+        0 if seed.is_multiple_of(2) => Box::new(StaticAdversary::complete(n)),
+        0 => Box::new(StaticAdversary::from_topology(
+            Topology::SparseConnected(1.5),
+            n,
+            seed,
+        )),
+        1 => Box::new(PeriodicRewiring::new(
+            Topology::RandomTree,
+            1 + seed % 4,
+            seed,
+        )),
+        2 => Box::new(EdgeMarkovian::new(0.1, 0.3, 1 + seed % 3, seed)),
+        3 => Box::new(ChurnAdversary::new(
+            Topology::SparseConnected(2.0),
+            1 + (seed % 4) as usize,
+            1 + seed % 3,
+            seed,
+        )),
+        // Shorter than the run, so the clamped tail is driven too.
+        4 => Box::new(ScriptedAdversary::new(
+            (0..1 + seed % 12)
+                .map(|_| Topology::SparseConnected(1.5).sample(n, &mut rng))
+                .collect(),
+        )),
+        _ => Box::new(FnAdversary::new("resample", move |_, prev: &Graph| {
+            Topology::RandomTree.sample(prev.node_count(), &mut rng)
+        })),
+    }
 }
 
 proptest! {
@@ -115,6 +159,29 @@ proptest! {
             assert_same_graph(full.current(), delta.current());
             assert_eq!(full.meter(), delta.meter());
             assert_eq!(full.last_delta(), delta.last_delta());
+        }
+    }
+
+    /// Every oblivious family, driven twice from one seed — once through
+    /// `evolve` + `DynamicGraph::apply` as the engines drive it, once
+    /// through `graph_for_round` fed its own previous output — commits the
+    /// same graph every round.
+    #[test]
+    fn graph_for_round_is_evolve_applied_to_the_previous_round(
+        n in 3usize..20,
+        seed in 0u64..10_000,
+        rounds in 30u64..45,
+    ) {
+        for family in 0..FAMILIES {
+            let mut by_update = oblivious_family(family, n, seed);
+            let mut by_snapshot = oblivious_family(family, n, seed);
+            let mut dg = DynamicGraph::new(n);
+            let mut prev = Graph::empty(n);
+            for r in 1..=rounds {
+                dg.apply(by_update.evolve(r, dg.current()));
+                prev = by_snapshot.graph_for_round(r, &prev);
+                assert_same_graph(dg.current(), &prev);
+            }
         }
     }
 

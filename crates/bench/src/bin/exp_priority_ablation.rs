@@ -15,6 +15,7 @@ use dynspread_core::adaptive::RequestCuttingAdversary;
 use dynspread_core::single_source::RequestPolicy;
 use dynspread_graph::adversary::Adversary;
 use dynspread_graph::connectivity::connect_components;
+use dynspread_graph::dynamic::GraphUpdate;
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
 use dynspread_graph::{Edge, Graph, NodeId, Round};
@@ -46,7 +47,7 @@ impl AgingAdversary {
 }
 
 impl Adversary for AgingAdversary {
-    fn graph_for_round(&mut self, round: Round, prev: &Graph) -> Graph {
+    fn evolve(&mut self, round: Round, prev: &Graph) -> GraphUpdate {
         let n = prev.node_count();
         let lifetime = self.lifetime;
         self.births.retain(|_, b| round - *b < lifetime);
@@ -69,7 +70,7 @@ impl Adversary for AgingAdversary {
         for e in connect_components(&mut g, &mut self.rng) {
             self.births.insert(e, round);
         }
-        g
+        GraphUpdate::Full(g)
     }
 
     fn name(&self) -> &str {

@@ -16,6 +16,7 @@
 //! matters.
 
 use dynspread_graph::connectivity::connect_components;
+use dynspread_graph::dynamic::GraphUpdate;
 use dynspread_graph::generators::Topology;
 use dynspread_graph::{Edge, Graph, NodeId, Round};
 use dynspread_sim::adversary::{SentRecord, UnicastAdversary};
@@ -55,7 +56,6 @@ pub struct RequestCuttingAdversary {
     /// Random replacement edges added per round.
     replacement_edges: usize,
     rng: StdRng,
-    current: Option<Graph>,
 }
 
 impl RequestCuttingAdversary {
@@ -66,22 +66,17 @@ impl RequestCuttingAdversary {
             budget,
             replacement_edges,
             rng: StdRng::seed_from_u64(seed),
-            current: None,
         }
     }
 }
 
 impl<M: RequestView> UnicastAdversary<M> for RequestCuttingAdversary {
-    fn graph_for_round(
-        &mut self,
-        _round: Round,
-        prev: &Graph,
-        prev_sent: &[SentRecord<M>],
-    ) -> Graph {
+    fn evolve(&mut self, round: Round, prev: &Graph, prev_sent: &[SentRecord<M>]) -> GraphUpdate {
         let n = prev.node_count();
-        let mut g = match self.current.take() {
-            Some(g) => g,
-            None => self.topology.sample(n, &mut self.rng),
+        let mut g = if round == 1 {
+            self.topology.sample(n, &mut self.rng)
+        } else {
+            prev.clone()
         };
         // Cut the edges that carried requests last round.
         let mut cut = 0usize;
@@ -105,8 +100,7 @@ impl<M: RequestView> UnicastAdversary<M> for RequestCuttingAdversary {
             }
         }
         connect_components(&mut g, &mut self.rng);
-        self.current = Some(g.clone());
-        g
+        GraphUpdate::Full(g)
     }
 
     fn name(&self) -> &str {
@@ -147,12 +141,7 @@ impl StableRequestCutter {
 }
 
 impl<M: RequestView> UnicastAdversary<M> for StableRequestCutter {
-    fn graph_for_round(
-        &mut self,
-        round: Round,
-        prev: &Graph,
-        prev_sent: &[SentRecord<M>],
-    ) -> Graph {
+    fn evolve(&mut self, round: Round, prev: &Graph, prev_sent: &[SentRecord<M>]) -> GraphUpdate {
         let n = prev.node_count();
         // Cut mature request-carrying edges (σ-stability permitting).
         for rec in prev_sent {
@@ -185,7 +174,7 @@ impl<M: RequestView> UnicastAdversary<M> for StableRequestCutter {
         for e in connect_components(&mut g, &mut self.rng) {
             self.births.insert(e, round);
         }
-        g
+        GraphUpdate::Full(g)
     }
 
     fn name(&self) -> &str {
@@ -263,10 +252,11 @@ mod tests {
         let sigma = 3;
         let mut adv = StableRequestCutter::new(sigma, 3 * n, 9);
         let mut checker = StabilityChecker::new(sigma);
-        let mut prev = Graph::empty(n);
+        let mut dg = dynspread_graph::DynamicGraph::new(n);
         // Drive it with synthetic request traffic on every present edge.
         for r in 1..=40u64 {
-            let sent: Vec<SentRecord<SsMsg>> = prev
+            let sent: Vec<SentRecord<SsMsg>> = dg
+                .current()
                 .edges()
                 .iter()
                 .map(|e| SentRecord {
@@ -275,10 +265,9 @@ mod tests {
                     msg: SsMsg::Request(dynspread_sim::token::TokenId::new(0)),
                 })
                 .collect();
-            let g = UnicastAdversary::graph_for_round(&mut adv, r, &prev, &sent);
-            assert!(g.is_connected(), "round {r} disconnected");
-            checker.observe(&g).expect("must be σ-stable");
-            prev = g;
+            dg.apply(UnicastAdversary::evolve(&mut adv, r, dg.current(), &sent));
+            assert!(dg.current().is_connected(), "round {r} disconnected");
+            checker.observe(dg.current()).expect("must be σ-stable");
         }
     }
 

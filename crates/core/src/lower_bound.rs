@@ -19,6 +19,7 @@
 //! free-edge predicate, the potential function, the `K'` sampling, and the
 //! standalone free-edge-structure sampler behind Figure 1.
 
+use dynspread_graph::dynamic::GraphUpdate;
 use dynspread_graph::{Edge, Graph, NodeId, Round, UnionFind};
 use dynspread_sim::adversary::BroadcastAdversary;
 use dynspread_sim::token::{TokenAssignment, TokenId, TokenSet};
@@ -119,6 +120,31 @@ pub struct FreeEdgeStructure {
     pub connected: bool,
 }
 
+/// The free-edge graph `F(r)` for the broadcast choices `choices`
+/// (`choices[v] = i_v(r)`): walks every pair once, hands each free edge to
+/// `on_free`, and returns the union–find of `F(r)`'s components.
+fn free_edge_graph(
+    choices: &[Option<TokenId>],
+    know: &[TokenSet],
+    kprime: &KPrimeSets,
+    mut on_free: impl FnMut(Edge),
+) -> UnionFind {
+    let n = know.len();
+    let mut uf = UnionFind::new(n);
+    for u in 0..n {
+        let nu = NodeId::new(u as u32);
+        for v in (u + 1)..n {
+            let nv = NodeId::new(v as u32);
+            let (kpu, kpv) = (kprime.get(nu), kprime.get(nv));
+            if is_free_edge(choices[u], choices[v], &know[u], &know[v], kpu, kpv) {
+                on_free(Edge::new(nu, nv));
+                uf.union(u, v);
+            }
+        }
+    }
+    uf
+}
+
 /// Computes the component structure of the free-edge graph for a given
 /// token assignment `choices` (`choices[v] = i_v(r)`).
 pub fn free_edge_structure(
@@ -126,24 +152,8 @@ pub fn free_edge_structure(
     know: &[TokenSet],
     kprime: &KPrimeSets,
 ) -> FreeEdgeStructure {
-    let n = know.len();
-    let mut uf = UnionFind::new(n);
     let mut free_edges = 0usize;
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if is_free_edge(
-                choices[u],
-                choices[v],
-                &know[u],
-                &know[v],
-                kprime.get(NodeId::new(u as u32)),
-                kprime.get(NodeId::new(v as u32)),
-            ) {
-                free_edges += 1;
-                uf.union(u, v);
-            }
-        }
-    }
+    let uf = free_edge_graph(choices, know, kprime, |_| free_edges += 1);
     let components = uf.component_count();
     FreeEdgeStructure {
         free_edges,
@@ -237,24 +247,10 @@ impl PotentialAdversary {
     }
 
     fn build_graph(&mut self, choices: &[Option<TokenId>]) -> Graph {
-        let n = self.know.len();
-        let mut g = Graph::empty(n);
-        let mut uf = UnionFind::new(n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if is_free_edge(
-                    choices[u],
-                    choices[v],
-                    &self.know[u],
-                    &self.know[v],
-                    self.kprime.get(NodeId::new(u as u32)),
-                    self.kprime.get(NodeId::new(v as u32)),
-                ) {
-                    g.insert_edge(Edge::new(NodeId::new(u as u32), NodeId::new(v as u32)));
-                    uf.union(u, v);
-                }
-            }
-        }
+        let mut g = Graph::empty(self.know.len());
+        let mut uf = free_edge_graph(choices, &self.know, &self.kprime, |e| {
+            g.insert_edge(e);
+        });
         self.component_history.push(uf.component_count());
         // Repair connectivity with ℓ − 1 non-free edges between component
         // representatives (any inter-component edge is non-free because
@@ -285,14 +281,14 @@ impl PotentialAdversary {
 }
 
 impl<M: BroadcastTokenView> BroadcastAdversary<M> for PotentialAdversary {
-    fn graph_for_round(&mut self, _round: Round, _prev: &Graph, choices: &[Option<M>]) -> Graph {
+    fn evolve(&mut self, _round: Round, _prev: &Graph, choices: &[Option<M>]) -> GraphUpdate {
         let tokens: Vec<Option<TokenId>> = choices
             .iter()
             .map(|c| c.as_ref().and_then(|m| m.token_id()))
             .collect();
         let g = self.build_graph(&tokens);
         self.mirror_delivery(&g, &tokens);
-        g
+        GraphUpdate::Full(g)
     }
 
     fn name(&self) -> &str {
@@ -342,7 +338,7 @@ impl LaggedPotentialAdversary {
 }
 
 impl<M: BroadcastTokenView> BroadcastAdversary<M> for LaggedPotentialAdversary {
-    fn graph_for_round(&mut self, _round: Round, _prev: &Graph, choices: &[Option<M>]) -> Graph {
+    fn evolve(&mut self, _round: Round, _prev: &Graph, choices: &[Option<M>]) -> GraphUpdate {
         let current: Vec<Option<TokenId>> = choices
             .iter()
             .map(|c| c.as_ref().and_then(|m| m.token_id()))
@@ -352,7 +348,7 @@ impl<M: BroadcastTokenView> BroadcastAdversary<M> for LaggedPotentialAdversary {
         let lagged = std::mem::replace(&mut self.prev_choices, current.clone());
         let g = self.inner.build_graph(&lagged);
         self.inner.mirror_delivery(&g, &current);
-        g
+        GraphUpdate::Full(g)
     }
 
     fn name(&self) -> &str {
@@ -611,11 +607,11 @@ mod tests {
             .iter()
             .map(|s| s.iter().next().map(crate::flooding::BcastMsg))
             .collect();
-        let mut prev = Graph::empty(n);
+        let mut dg = dynspread_graph::DynamicGraph::new(n);
         for r in 1..=50 {
-            let g = BroadcastAdversary::graph_for_round(&mut adv, r, &prev, &choices);
-            assert!(g.is_connected());
-            prev = g;
+            let update = BroadcastAdversary::evolve(&mut adv, r, dg.current(), &choices);
+            dg.apply(update);
+            assert!(dg.current().is_connected());
             // Rotate choices a little for variety.
             choices.rotate_left(1);
         }

@@ -15,31 +15,37 @@ use crate::dynamic::GraphUpdate;
 use crate::graph::Graph;
 use crate::node::Round;
 
-/// An oblivious network adversary: produces the communication graph of each
+/// An oblivious network adversary: commits the communication graph of each
 /// round from the round number and previous snapshot only.
 ///
 /// # Contract
 ///
-/// * `graph_for_round(r, prev)` is called with `r = 1, 2, 3, …` in order.
-/// * The returned graph must have the same node count as `prev` and must be
-///   **connected** (the model's only constraint). The simulator asserts
-///   connectivity in debug builds.
+/// * One move per round: `evolve(r, prev)` is called once per round with
+///   `r = 1, 2, 3, …` in order and `prev = G_{r−1}`.
+/// * The committed graph must have the same node count as `prev` and must
+///   be **connected** (the model's only constraint). The round engines
+///   assert connectivity.
 /// * Implementations own their RNG so runs are reproducible from a seed.
 pub trait Adversary {
-    /// Produces `G_r` given the round number `r ≥ 1` and `G_{r-1}`.
-    fn graph_for_round(&mut self, round: Round, prev: &Graph) -> Graph;
+    /// Commits `G_r` given the round number `r ≥ 1` and `G_{r−1}`, as a
+    /// [`GraphUpdate`] against `prev`: wholesale rewiring returns `Full`,
+    /// incremental adversaries `Delta`/`Unchanged`, so the engine skips
+    /// snapshot construction and diffing.
+    fn evolve(&mut self, round: Round, prev: &Graph) -> GraphUpdate;
 
-    /// Produces the round-`r` topology as a [`GraphUpdate`] — the engines'
-    /// fast path. The default wraps [`Adversary::graph_for_round`] in
-    /// `GraphUpdate::Full`; incremental adversaries override this to return
-    /// `Delta`/`Unchanged` so the engine can skip snapshot construction and
-    /// diffing entirely.
-    ///
-    /// An execution must be driven through **either** `evolve` **or**
-    /// `graph_for_round`, never a mix: stateful adversaries advance their
-    /// RNG and round bookkeeping in both.
-    fn evolve(&mut self, round: Round, prev: &Graph) -> GraphUpdate {
-        GraphUpdate::Full(self.graph_for_round(round, prev))
+    /// `G_r` as a snapshot: [`Adversary::evolve`] applied to `prev`, which
+    /// must be `G_{r−1}` (a `Delta` is applied to it, `Unchanged` returns
+    /// it). It makes the round's move: call it instead of `evolve`.
+    fn graph_for_round(&mut self, round: Round, prev: &Graph) -> Graph {
+        match self.evolve(round, prev) {
+            GraphUpdate::Full(g) => g,
+            GraphUpdate::Unchanged => prev.clone(),
+            GraphUpdate::Delta(d) => {
+                let mut g = prev.clone();
+                g.apply_delta(&d.inserted, &d.removed);
+                g
+            }
+        }
     }
 
     /// A short human-readable name for reports.
@@ -49,10 +55,6 @@ pub trait Adversary {
 }
 
 impl<A: Adversary + ?Sized> Adversary for Box<A> {
-    fn graph_for_round(&mut self, round: Round, prev: &Graph) -> Graph {
-        (**self).graph_for_round(round, prev)
-    }
-
     fn evolve(&mut self, round: Round, prev: &Graph) -> GraphUpdate {
         (**self).evolve(round, prev)
     }
@@ -91,8 +93,8 @@ impl<F: FnMut(Round, &Graph) -> Graph> FnAdversary<F> {
 }
 
 impl<F: FnMut(Round, &Graph) -> Graph> Adversary for FnAdversary<F> {
-    fn graph_for_round(&mut self, round: Round, prev: &Graph) -> Graph {
-        (self.f)(round, prev)
+    fn evolve(&mut self, round: Round, prev: &Graph) -> GraphUpdate {
+        GraphUpdate::Full((self.f)(round, prev))
     }
 
     fn name(&self) -> &str {
@@ -145,9 +147,9 @@ mod tests {
             fn seen_push(r: u64) {
                 SEEN.with(|s| s.borrow_mut().push(r));
             }
-            let g0 = Graph::empty(3);
+            let mut g = Graph::empty(3);
             for r in 1..=3 {
-                adv.graph_for_round(r, &g0);
+                g = adv.graph_for_round(r, &g);
             }
             SEEN.with(|s| seen = s.borrow().clone());
         }

@@ -30,9 +30,8 @@
 //! let mut adv = PeriodicRewiring::new(Topology::RandomTree, 3, 42);
 //! let mut dg = DynamicGraph::new(16);
 //! for r in 1..=9 {
-//!     let g = adv.graph_for_round(r, dg.current());
-//!     assert!(g.is_connected());
-//!     dg.advance(g);
+//!     dg.apply(adv.evolve(r, dg.current()));
+//!     assert!(dg.current().is_connected());
 //! }
 //! // The adversary pays one unit per inserted edge:
 //! assert!(dg.topological_changes() >= 15);

@@ -83,10 +83,6 @@ fn checked(graph: Graph) -> Graph {
 }
 
 impl Adversary for StaticAdversary {
-    fn graph_for_round(&mut self, _round: Round, _prev: &Graph) -> Graph {
-        self.graph().clone()
-    }
-
     fn evolve(&mut self, round: Round, _prev: &Graph) -> GraphUpdate {
         if round == 1 {
             GraphUpdate::Full(self.graph().clone())
@@ -132,14 +128,6 @@ impl PeriodicRewiring {
 }
 
 impl Adversary for PeriodicRewiring {
-    fn graph_for_round(&mut self, round: Round, prev: &Graph) -> Graph {
-        // Single source of truth: drive the update path, return a snapshot.
-        match self.evolve(round, prev) {
-            GraphUpdate::Full(g) => g,
-            _ => prev.clone(),
-        }
-    }
-
     fn evolve(&mut self, round: Round, prev: &Graph) -> GraphUpdate {
         // Rounds start at 1, so the first call is always a rewire round and
         // the sampled graph can be handed over by value — the engine's
@@ -268,12 +256,6 @@ impl EdgeMarkovian {
 }
 
 impl Adversary for EdgeMarkovian {
-    fn graph_for_round(&mut self, round: Round, prev: &Graph) -> Graph {
-        // Single source of truth: drive the delta path, return a snapshot.
-        let _ = self.evolve(round, prev);
-        self.current.clone().expect("evolve installed a graph")
-    }
-
     fn evolve(&mut self, _round: Round, prev: &Graph) -> GraphUpdate {
         let n = prev.node_count();
         let Some(mut g) = self.current.take() else {
@@ -382,12 +364,6 @@ impl ChurnAdversary {
 }
 
 impl Adversary for ChurnAdversary {
-    fn graph_for_round(&mut self, round: Round, prev: &Graph) -> Graph {
-        // Single source of truth: drive the delta path, return a snapshot.
-        let _ = self.evolve(round, prev);
-        self.current.clone().expect("evolve installed a graph")
-    }
-
     fn evolve(&mut self, _round: Round, prev: &Graph) -> GraphUpdate {
         let n = prev.node_count();
         let Some(g) = self.current.as_mut() else {
@@ -488,8 +464,12 @@ fn merge_sorted(a: &[Edge], b: &[Edge], out: &mut Vec<Edge>) {
 /// use dynspread_graph::{oblivious::ScriptedAdversary, adversary::Adversary, Graph};
 ///
 /// let mut adv = ScriptedAdversary::new(vec![Graph::path(3), Graph::star(3)]);
-/// assert_eq!(adv.graph_for_round(1, &Graph::empty(3)).edge_count(), 2);
-/// assert_eq!(adv.graph_for_round(5, &Graph::empty(3)).degree(dynspread_graph::NodeId::new(0)), 2);
+/// let mut g = adv.graph_for_round(1, &Graph::empty(3));
+/// assert_eq!(g, Graph::path(3));
+/// for r in 2..=5 {
+///     g = adv.graph_for_round(r, &g);
+/// }
+/// assert_eq!(g, Graph::star(3));
 /// ```
 #[derive(Clone, Debug)]
 pub struct ScriptedAdversary {
@@ -512,19 +492,11 @@ impl ScriptedAdversary {
 }
 
 impl Adversary for ScriptedAdversary {
-    fn graph_for_round(&mut self, round: Round, _prev: &Graph) -> Graph {
-        let idx = ((round - 1) as usize).min(self.schedule.len() - 1);
-        self.schedule[idx].clone()
-    }
-
-    fn evolve(&mut self, round: Round, prev: &Graph) -> GraphUpdate {
-        let last = self.schedule.len() - 1;
-        let idx = ((round - 1) as usize).min(last);
-        if round > 1 && idx == last && ((round - 2) as usize).min(last) == last {
-            // Past the end of the script the topology is clamped: free.
-            GraphUpdate::Unchanged
-        } else {
-            GraphUpdate::Full(self.graph_for_round(round, prev))
+    fn evolve(&mut self, round: Round, _prev: &Graph) -> GraphUpdate {
+        // Past the end of the script the topology is clamped: free.
+        match self.schedule.get((round - 1) as usize) {
+            Some(g) => GraphUpdate::Full(g.clone()),
+            None => GraphUpdate::Unchanged,
         }
     }
 
@@ -698,10 +670,14 @@ mod tests {
     #[test]
     fn scripted_adversary_replays_then_clamps() {
         let mut adv = ScriptedAdversary::new(vec![Graph::path(4), Graph::star(4)]);
-        let g0 = Graph::empty(4);
-        assert_eq!(adv.graph_for_round(1, &g0), Graph::path(4));
-        assert_eq!(adv.graph_for_round(2, &g0), Graph::star(4));
-        assert_eq!(adv.graph_for_round(9, &g0), Graph::star(4));
+        let g1 = adv.graph_for_round(1, &Graph::empty(4));
+        assert_eq!(g1, Graph::path(4));
+        let mut g = adv.graph_for_round(2, &g1);
+        assert_eq!(g, Graph::star(4));
+        for r in 3..=9 {
+            g = adv.graph_for_round(r, &g);
+            assert_eq!(g, Graph::star(4));
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use dynspread_graph::{DynamicGraph, NodeId, Round};
 use dynspread_sim::message::MessageClass;
 use dynspread_sim::profile::{self, Phase, Profiler};
 use dynspread_sim::token::{TokenAssignment, TokenSet};
-use dynspread_sim::trace::{emit, TraceRecord, Tracer};
+use dynspread_sim::trace::{emit, emit_round, TraceRecord, Tracer};
 use dynspread_sim::tracker::TokenTracker;
 use dynspread_sim::RunReport;
 use std::sync::Arc;
@@ -356,10 +356,10 @@ pub struct EventSim<P: EventProtocol, A: Adversary, L: LinkModel> {
     /// Whether [`EventSim::run`] has scheduled the nodes' `Start` events.
     started: bool,
     tracker: Option<TokenTracker>,
-    // Fault injection (None = fault-free: `down` stays all-false and
-    // `incarnation` all-zero, so every path below behaves identically to
-    // an engine without these fields).
-    fault_plan: Option<FaultPlan>,
+    // Fault injection, driven by the events `set_fault_plan` queues (a
+    // fault-free run keeps `down` all-false and `incarnation` all-zero, so
+    // every path below behaves identically to an engine without these
+    // fields).
     down: Vec<bool>,
     incarnation: Vec<u32>,
     crashes: u64,
@@ -418,7 +418,6 @@ where
             clock: 0,
             started: false,
             tracker: None,
-            fault_plan: None,
             down: vec![false; n],
             incarnation: vec![0; n],
             crashes: 0,
@@ -539,7 +538,6 @@ where
                 .schedule(ep.start, Event::PartitionStart(i as u32));
             self.queue.schedule(ep.end, Event::PartitionHeal(i as u32));
         }
-        self.fault_plan = Some(plan);
     }
 
     /// Whether node `v` is currently crashed.
@@ -652,18 +650,7 @@ where
             let round = self.dg.round() + 1;
             let update = self.adversary.evolve(round, self.dg.current());
             self.dg.apply(update);
-            if self.tracer.is_some() {
-                let delta = self.dg.last_delta();
-                let (inserted, removed) = (delta.inserted.len() as u64, delta.removed.len() as u64);
-                emit(
-                    &mut self.tracer,
-                    TraceRecord::Round {
-                        r: round,
-                        inserted,
-                        removed,
-                    },
-                );
-            }
+            emit_round(&mut self.tracer, round, self.dg.last_delta());
         }
     }
 

@@ -14,9 +14,11 @@
 //!   knowledge of the execution history — in particular everything sent in
 //!   round `r-1` (e.g. which edges carry pending token requests).
 //!
-//! Both interfaces are generic over the protocol's message type `M`. Every
-//! oblivious [`Adversary`] lifts into both via blanket implementations, so
-//! simulators are always driven through the adaptive interface.
+//! Either way the adversary makes one move per round, `evolve`, which
+//! commits `G_r` as a [`GraphUpdate`] against `G_{r−1}`. Both interfaces
+//! are generic over the protocol's message type `M`. Every oblivious
+//! [`Adversary`] lifts into both via blanket implementations, so simulators
+//! are always driven through the adaptive interface.
 
 use dynspread_graph::adversary::Adversary;
 use dynspread_graph::dynamic::GraphUpdate;
@@ -36,18 +38,10 @@ pub struct SentRecord<M> {
 /// Adversary for the local-broadcast model: commits the round-`r` graph
 /// after observing every node's round-`r` broadcast choice.
 pub trait BroadcastAdversary<M> {
-    /// Produces `G_r`. `choices[v]` is node `v`'s committed broadcast for
-    /// this round (`None` = silent). Must return a connected graph on the
-    /// same node set.
-    fn graph_for_round(&mut self, round: Round, prev: &Graph, choices: &[Option<M>]) -> Graph;
-
-    /// Produces the round-`r` topology as a [`GraphUpdate`] — the engine's
-    /// fast path. Defaults to wrapping
-    /// [`BroadcastAdversary::graph_for_round`]; drive an execution through
-    /// either this or `graph_for_round`, never a mix.
-    fn evolve(&mut self, round: Round, prev: &Graph, choices: &[Option<M>]) -> GraphUpdate {
-        GraphUpdate::Full(self.graph_for_round(round, prev, choices))
-    }
+    /// Commits `G_r` against `prev = G_{r−1}`. `choices[v]` is node `v`'s
+    /// committed broadcast for this round (`None` = silent). The graph must
+    /// be connected, on the same node set.
+    fn evolve(&mut self, round: Round, prev: &Graph, choices: &[Option<M>]) -> GraphUpdate;
 
     /// Human-readable name for reports.
     fn name(&self) -> &str {
@@ -59,18 +53,10 @@ pub trait BroadcastAdversary<M> {
 /// messages are sent, knowing the full history — summarized here as the
 /// complete list of messages sent in round `r-1`.
 pub trait UnicastAdversary<M> {
-    /// Produces `G_r` given the previous graph and everything sent in the
-    /// previous round. Must return a connected graph on the same node set.
-    fn graph_for_round(&mut self, round: Round, prev: &Graph, prev_sent: &[SentRecord<M>])
-        -> Graph;
-
-    /// Produces the round-`r` topology as a [`GraphUpdate`] — the engine's
-    /// fast path. Defaults to wrapping
-    /// [`UnicastAdversary::graph_for_round`]; drive an execution through
-    /// either this or `graph_for_round`, never a mix.
-    fn evolve(&mut self, round: Round, prev: &Graph, prev_sent: &[SentRecord<M>]) -> GraphUpdate {
-        GraphUpdate::Full(self.graph_for_round(round, prev, prev_sent))
-    }
+    /// Commits `G_r` against `prev = G_{r−1}`, knowing everything sent in
+    /// the previous round. The graph must be connected, on the same node
+    /// set.
+    fn evolve(&mut self, round: Round, prev: &Graph, prev_sent: &[SentRecord<M>]) -> GraphUpdate;
 
     /// Human-readable name for reports.
     fn name(&self) -> &str {
@@ -79,10 +65,6 @@ pub trait UnicastAdversary<M> {
 }
 
 impl<M, A: Adversary> BroadcastAdversary<M> for A {
-    fn graph_for_round(&mut self, round: Round, prev: &Graph, _choices: &[Option<M>]) -> Graph {
-        Adversary::graph_for_round(self, round, prev)
-    }
-
     fn evolve(&mut self, round: Round, prev: &Graph, _choices: &[Option<M>]) -> GraphUpdate {
         Adversary::evolve(self, round, prev)
     }
@@ -93,15 +75,6 @@ impl<M, A: Adversary> BroadcastAdversary<M> for A {
 }
 
 impl<M, A: Adversary> UnicastAdversary<M> for A {
-    fn graph_for_round(
-        &mut self,
-        round: Round,
-        prev: &Graph,
-        _prev_sent: &[SentRecord<M>],
-    ) -> Graph {
-        Adversary::graph_for_round(self, round, prev)
-    }
-
     fn evolve(&mut self, round: Round, prev: &Graph, _prev_sent: &[SentRecord<M>]) -> GraphUpdate {
         Adversary::evolve(self, round, prev)
     }
@@ -116,11 +89,23 @@ mod tests {
     use super::*;
     use dynspread_graph::adversary::FnAdversary;
 
+    fn full(update: GraphUpdate) -> Graph {
+        match update {
+            GraphUpdate::Full(g) => g,
+            other => panic!("expected a full snapshot, got {other:?}"),
+        }
+    }
+
     #[test]
     fn oblivious_adversary_lifts_to_broadcast_interface() {
         let mut adv = FnAdversary::new("p", |_, prev: &Graph| Graph::path(prev.node_count()));
         let choices: Vec<Option<u8>> = vec![None; 4];
-        let g = BroadcastAdversary::graph_for_round(&mut adv, 1, &Graph::empty(4), &choices);
+        let g = full(BroadcastAdversary::evolve(
+            &mut adv,
+            1,
+            &Graph::empty(4),
+            &choices,
+        ));
         assert_eq!(g.edge_count(), 3);
         assert_eq!(BroadcastAdversary::<u8>::name(&adv), "p");
     }
@@ -129,7 +114,12 @@ mod tests {
     fn oblivious_adversary_lifts_to_unicast_interface() {
         let mut adv = FnAdversary::new("s", |_, prev: &Graph| Graph::star(prev.node_count()));
         let sent: Vec<SentRecord<u8>> = Vec::new();
-        let g = UnicastAdversary::graph_for_round(&mut adv, 1, &Graph::empty(4), &sent);
+        let g = full(UnicastAdversary::evolve(
+            &mut adv,
+            1,
+            &Graph::empty(4),
+            &sent,
+        ));
         assert_eq!(g.edge_count(), 3);
         assert_eq!(UnicastAdversary::<u8>::name(&adv), "s");
     }

@@ -42,7 +42,7 @@ use crate::protocol::{BroadcastProtocol, Outbox, UnicastProtocol};
 use crate::round::RoundScratch;
 use crate::run::RunReport;
 use crate::token::{TokenAssignment, TokenSet};
-use crate::trace::{emit, TraceRecord, Tracer};
+use crate::trace::{emit, emit_round, TraceRecord, Tracer};
 use crate::tracker::TokenTracker;
 use dynspread_graph::dynamic::GraphUpdate;
 use dynspread_graph::stability::StabilityChecker;
@@ -283,18 +283,7 @@ impl Core {
                 .expect("adversary violated σ-edge stability");
         }
         profile::lap(&mut self.io.prof, Phase::Connectivity);
-        if self.io.tracer.is_some() {
-            let delta = self.dg.last_delta();
-            let (inserted, removed) = (delta.inserted.len() as u64, delta.removed.len() as u64);
-            emit(
-                &mut self.io.tracer,
-                TraceRecord::Round {
-                    r: round,
-                    inserted,
-                    removed,
-                },
-            );
-        }
+        emit_round(&mut self.io.tracer, round, self.dg.last_delta());
         self.meter.begin_round(round);
     }
 

@@ -51,6 +51,7 @@
 //! assert!(jsonl.lines().all(|l| l.starts_with("{\"k\":\"")));
 //! ```
 
+use dynspread_graph::dynamic::RoundDelta;
 use std::sync::{Arc, Mutex};
 
 /// One structured trace event. All fields are deterministic functions of
@@ -466,6 +467,22 @@ pub fn emit(tracer: &mut Option<Box<dyn Tracer>>, rec: TraceRecord) {
     if let Some(tr) = tracer.as_deref_mut() {
         tr.record(&rec);
     }
+}
+
+/// Emits the [`TraceRecord::Round`] boundary of round (or epoch) `r`, sized
+/// by the `delta` that installed it — the one place both engines open a
+/// round on the trace.
+#[inline]
+pub fn emit_round(tracer: &mut Option<Box<dyn Tracer>>, r: u64, delta: &RoundDelta) {
+    let (inserted, removed) = (delta.inserted.len() as u64, delta.removed.len() as u64);
+    emit(
+        tracer,
+        TraceRecord::Round {
+            r,
+            inserted,
+            removed,
+        },
+    );
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //!   engine feeds per-neighbor retransmission windows and reliability is
 //!   the protocol's (explicit retransmission + receiver-side dedup).
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`DisseminationCore`] — token knowledge `K_v`, the in-flight request
 //!   set, and the distinct-missing-token assigner ("assign each eligible
@@ -25,6 +25,8 @@
 //!   lines 13–19). All three are bit words: starting a pass costs
 //!   O(k/64) and each assignment O(1), so a node with `k` missing tokens
 //!   and `d` eligible channels pays O(d + k/64) per pass, not O(k).
+//! * [`Requests`] — the round model's request side: that core plus the
+//!   edge tracker whose pending queues its in-flight set mirrors.
 //! * [`CompletenessLedger`] — the paper's `R_v` (whom we have informed of
 //!   our completeness) and `S_v` (who announced completeness to us), both
 //!   *monotone*: bits are only ever set. In the async ports `R_v` doubles
@@ -34,8 +36,10 @@
 //!   once, stored per peer *heard from* instead of per node of the
 //!   network: the asynchronous multi-source port's ledger.
 
+use crate::edge_history::{EdgeCategory, EdgeTracker};
 use dynspread_graph::node::IdHasher;
-use dynspread_graph::NodeId;
+use dynspread_graph::{NodeId, Round};
+use dynspread_sim::protocol::Outbox;
 use dynspread_sim::token::{TokenAssignment, TokenId, TokenSet};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -140,9 +144,8 @@ impl DisseminationCore {
     }
 
     /// Mutable access to the in-flight set, for callers that keep it in
-    /// sync with their own channel bookkeeping (the round-based nodes'
-    /// [`EdgeTracker`](crate::edge_history::EdgeTracker) drains dead
-    /// edges' pending queues directly into it).
+    /// sync with their own channel bookkeeping ([`Requests`] lets its
+    /// [`EdgeTracker`] drain dead edges' pending queues directly into it).
     pub fn in_flight_mut(&mut self) -> &mut TokenSet {
         &mut self.in_flight
     }
@@ -212,6 +215,133 @@ fn requestable<'a>(know: &'a TokenSet, in_flight: &'a TokenSet) -> impl Iterator
     know.missing_words()
         .zip(in_flight.as_words())
         .map(|(missing, &flying)| missing & !flying)
+}
+
+/// The round model's request side, written once for
+/// [`SingleSourceNode`](crate::single_source::SingleSourceNode) and
+/// [`MultiSourceNode`](crate::multi_source::MultiSourceNode): the core, the
+/// node's [`EdgeTracker`] and the requests waiting for their answer. A
+/// request is in flight from its assignment until its token arrives over
+/// its edge, the edge dies or the node completes; keeping the in-flight set
+/// equal to the tracker's pending queues is this type's job alone.
+#[derive(Clone, Debug)]
+pub struct Requests {
+    core: DisseminationCore,
+    edges: EdgeTracker,
+    /// Requests received this round (answered next round).
+    arriving: Vec<(NodeId, TokenId)>,
+    /// Requests received last round (answered this round).
+    to_answer: Vec<(NodeId, TokenId)>,
+    /// Whether the last `send` parked (see [`Outbox::park`]): the next
+    /// `open` reads the rounds it slept through as continuous presence.
+    parked: bool,
+}
+
+impl Requests {
+    /// The request side of `core`, before any round.
+    pub fn new(core: DisseminationCore) -> Self {
+        Requests {
+            core,
+            edges: EdgeTracker::new(),
+            arriving: Vec::new(),
+            to_answer: Vec::new(),
+            parked: false,
+        }
+    }
+
+    /// The decision state: `K_v` and the in-flight set.
+    pub fn core(&self) -> &DisseminationCore {
+        &self.core
+    }
+
+    /// Classifies the edge to current neighbor `u` in round `round`.
+    pub fn classify(&self, u: NodeId, round: Round) -> EdgeCategory {
+        self.edges.classify(u, round)
+    }
+
+    /// Starts `send`: requests on edges that left or were reinserted die.
+    pub fn open(&mut self, round: Round, neighbors: &[NodeId]) {
+        if std::mem::take(&mut self.parked) {
+            self.edges.resume(round);
+        }
+        self.edges
+            .refresh(round, neighbors, self.core.in_flight_mut());
+    }
+
+    /// Hands last round's requests and `K_v` to `f`; unanswered ones die.
+    pub fn answer(&mut self, f: impl FnOnce(&[(NodeId, TokenId)], &TokenSet)) {
+        f(&self.to_answer, self.core.known_tokens());
+        self.to_answer.clear();
+    }
+
+    /// One round's requests (Algorithm 1 lines 7–20): one pass over the
+    /// requestable tokens (of `scope`, if given), then per entry of
+    /// `passes` (`None` matches every category) a sweep that gives each
+    /// `eligible` neighbor on an edge of that category the next token,
+    /// pending on that edge, and calls `send(u, t, category)`.
+    pub fn assign(
+        &mut self,
+        round: Round,
+        neighbors: &[NodeId],
+        scope: Option<&TokenSet>,
+        passes: &[Option<EdgeCategory>],
+        eligible: impl Fn(NodeId) -> bool,
+        mut send: impl FnMut(NodeId, TokenId, EdgeCategory),
+    ) {
+        match scope {
+            Some(scope) => self.core.refill_within(scope),
+            None => self.core.refill(),
+        }
+        for &pass in passes {
+            for &u in neighbors {
+                if !self.core.has_assignable() {
+                    return;
+                }
+                if !eligible(u) {
+                    continue;
+                }
+                let category = self.edges.classify(u, round);
+                if pass.is_none_or(|c| c == category) {
+                    let t = self.core.assign_next().expect("has_assignable");
+                    self.edges.push_pending(u, t);
+                    send(u, t, category);
+                }
+            }
+        }
+    }
+
+    /// Ends `send`: parks if it was `silent` and no request awaits an answer.
+    pub fn settle<M>(&mut self, silent: bool, out: &mut Outbox<M>) {
+        self.parked = silent && self.to_answer.is_empty();
+        if self.parked {
+            out.park();
+        }
+    }
+
+    /// `from` asked for `t`; it is answered next round.
+    pub fn receive_request(&mut self, from: NodeId, t: TokenId) {
+        self.arriving.push((from, t));
+    }
+
+    /// Token `t` arrived over the edge from `from`: returns whether it is new.
+    pub fn receive_token(&mut self, from: NodeId, t: TokenId) -> bool {
+        let new = self.core.accept_token(t);
+        self.edges.note_token(from);
+        if self.edges.retire_pending(from, t) {
+            self.core.release(t);
+        }
+        new
+    }
+
+    /// Ends the round; a complete node drops every pending request.
+    pub fn close(&mut self) {
+        // Swap (not take) so both buffers' capacity survives the round.
+        std::mem::swap(&mut self.to_answer, &mut self.arriving);
+        self.arriving.clear();
+        if self.core.is_complete() {
+            self.edges.clear_all_pending(self.core.in_flight_mut());
+        }
+    }
 }
 
 /// The paper's per-node completeness bookkeeping: `R_v` (informed peers)

@@ -5,7 +5,8 @@
 //! and track outstanding token requests per edge. This state is purely
 //! local: in the KT1 unicast model a node is informed of its neighbor IDs
 //! at the beginning of each round, so it can detect insertions and removals
-//! of its adjacent edges by diffing consecutive neighbor lists.
+//! of its adjacent edges by diffing consecutive neighbor lists. The nodes
+//! reach their tracker through [`Requests`](crate::dissemination::Requests).
 
 use dynspread_graph::{NodeId, Round};
 use dynspread_sim::token::{TokenId, TokenSet};
@@ -84,7 +85,7 @@ impl EdgeSlot {
 /// the new list, into a second buffer the tracker keeps (steady state
 /// allocates nothing); every per-edge query is a binary search,
 /// O(log d).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EdgeTracker {
     /// Slots sorted by neighbor ID.
     slots: Vec<(NodeId, EdgeSlot)>,
@@ -97,14 +98,9 @@ pub struct EdgeTracker {
 }
 
 impl EdgeTracker {
-    /// Creates a tracker for a node in an `n`-node network.
-    pub fn new(_n: usize) -> Self {
-        EdgeTracker {
-            slots: Vec::new(),
-            spare: Vec::new(),
-            prev_neighbors: Vec::new(),
-            prev_round: None,
-        }
+    /// Creates a tracker that has seen no edge yet.
+    pub fn new() -> Self {
+        EdgeTracker::default()
     }
 
     /// Refreshes history at the start of round `round` given the current
@@ -251,7 +247,7 @@ mod tests {
 
     #[test]
     fn fresh_edge_is_new_for_two_rounds_then_idle() {
-        let mut tr = EdgeTracker::new(3);
+        let mut tr = EdgeTracker::new();
         let mut fl = TokenSet::new(4);
         tr.refresh(5, &[nid(1)], &mut fl);
         assert_eq!(tr.classify(nid(1), 5), EdgeCategory::New);
@@ -263,7 +259,7 @@ mod tests {
 
     #[test]
     fn token_arrival_makes_edge_contributive_until_reinsertion() {
-        let mut tr = EdgeTracker::new(3);
+        let mut tr = EdgeTracker::new();
         let mut fl = TokenSet::new(4);
         tr.refresh(1, &[nid(2)], &mut fl);
         tr.note_token(nid(2));
@@ -283,7 +279,7 @@ mod tests {
 
     #[test]
     fn pending_requests_die_with_the_edge() {
-        let mut tr = EdgeTracker::new(2);
+        let mut tr = EdgeTracker::new();
         let mut fl = TokenSet::new(4);
         tr.refresh(1, &[nid(1)], &mut fl);
         fl.insert(tid(2));
@@ -298,7 +294,7 @@ mod tests {
 
     #[test]
     fn retire_pending_matches_token() {
-        let mut tr = EdgeTracker::new(2);
+        let mut tr = EdgeTracker::new();
         let mut fl = TokenSet::new(4);
         tr.refresh(1, &[nid(1)], &mut fl);
         tr.push_pending(nid(1), tid(0));
@@ -311,7 +307,7 @@ mod tests {
 
     #[test]
     fn clear_all_pending_resets_in_flight() {
-        let mut tr = EdgeTracker::new(3);
+        let mut tr = EdgeTracker::new();
         let mut fl = TokenSet::new(4);
         tr.refresh(1, &[nid(1), nid(2)], &mut fl);
         for (u, t) in [(nid(1), tid(0)), (nid(2), tid(1))] {
@@ -326,7 +322,7 @@ mod tests {
 
     #[test]
     fn unchanged_neighbor_list_ages_edges_and_keeps_requests() {
-        let mut tr = EdgeTracker::new(4);
+        let mut tr = EdgeTracker::new();
         let mut fl = TokenSet::new(4);
         let nbrs = [nid(1), nid(3)];
         tr.refresh(5, &nbrs, &mut fl);
@@ -348,7 +344,7 @@ mod tests {
 
     #[test]
     fn skipped_round_reinserts_even_an_unchanged_list() {
-        let mut tr = EdgeTracker::new(4);
+        let mut tr = EdgeTracker::new();
         let mut fl = TokenSet::new(4);
         let nbrs = [nid(1), nid(3)];
         for round in 1..=3 {
@@ -372,7 +368,7 @@ mod tests {
 
     #[test]
     fn resumed_gap_is_continuous_presence() {
-        let mut tr = EdgeTracker::new(4);
+        let mut tr = EdgeTracker::new();
         let mut fl = TokenSet::new(4);
         let nbrs = [nid(1), nid(3)];
         for round in 1..=3 {
@@ -389,7 +385,7 @@ mod tests {
         assert_eq!(tr.classify(nid(2), 9), EdgeCategory::New);
         assert!(!fl.contains(tid(0)), "the request died with its edge");
         // Resuming a tracker that never refreshed invents no history.
-        let mut fresh = EdgeTracker::new(4);
+        let mut fresh = EdgeTracker::new();
         fresh.resume(5);
         fresh.refresh(5, &nbrs, &mut fl);
         assert_eq!(fresh.classify(nid(1), 5), EdgeCategory::New);
@@ -397,7 +393,7 @@ mod tests {
 
     #[test]
     fn merge_keeps_survivors_and_drops_the_rest() {
-        let mut tr = EdgeTracker::new(8);
+        let mut tr = EdgeTracker::new();
         let mut fl = TokenSet::new(8);
         tr.refresh(1, &[nid(2), nid(4), nid(6)], &mut fl);
         for (u, t) in [(nid(2), tid(0)), (nid(4), tid(1)), (nid(6), tid(2))] {
@@ -424,7 +420,7 @@ mod tests {
 
     #[test]
     fn gap_in_presence_is_reinsertion() {
-        let mut tr = EdgeTracker::new(2);
+        let mut tr = EdgeTracker::new();
         let mut fl = TokenSet::new(1);
         tr.refresh(1, &[nid(1)], &mut fl);
         tr.refresh(2, &[nid(1)], &mut fl);

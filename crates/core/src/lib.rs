@@ -32,7 +32,8 @@
 //!   ([`dissemination::DisseminationCore`],
 //!   [`dissemination::CompletenessLedger`]) shared by the round-based
 //!   nodes here and the asynchronous `EventProtocol` ports in
-//!   `dynspread-runtime`.
+//!   `dynspread-runtime`, and the round model's request side around it
+//!   ([`dissemination::Requests`]), written once for both unicast nodes.
 //! * [`walk`] — the transport-agnostic random-walk phase core
 //!   ([`walk::WalkCore`], [`walk::elect_centers`]) shared by the
 //!   round-based [`oblivious::WalkNode`] and the asynchronous

@@ -24,8 +24,8 @@
 //! common knowledge, fixed by the initial placement (this stands in for the
 //! paper's `⟨ID_x, i⟩` token labels, which every node can parse).
 
-use crate::dissemination::{CompletenessLedger, DisseminationCore};
-use crate::edge_history::{EdgeCategory, EdgeTracker};
+use crate::dissemination::{CompletenessLedger, DisseminationCore, Requests};
+use crate::single_source::RequestPolicy;
 use dynspread_graph::{NodeId, Round};
 use dynspread_sim::message::{MessageClass, MessagePayload};
 use dynspread_sim::protocol::{Outbox, UnicastProtocol};
@@ -108,6 +108,11 @@ impl SourceMap {
         &self.sources
     }
 
+    /// The index (rank) of node `x` among the sources, if it is one.
+    pub fn index_of(&self, x: NodeId) -> Option<usize> {
+        self.sources.binary_search(&x).ok()
+    }
+
     /// The source index (rank) of token `t`.
     pub fn source_index_of(&self, t: TokenId) -> usize {
         self.source_idx_of[t.index()] as usize
@@ -182,23 +187,12 @@ impl MessagePayload for MsMsg {
 pub struct MultiSourceNode {
     id: NodeId,
     map: Arc<SourceMap>,
-    /// Transport-agnostic decision state: `K_v`, the in-flight request
-    /// set, and the distinct-missing-token assigner (shared with the
-    /// asynchronous port in `dynspread-runtime`).
-    core: DisseminationCore,
+    /// `K_v`, the requests in flight and the requests to answer.
+    requests: Requests,
     /// Per source: how many of its tokens we hold.
     have_count: Vec<usize>,
     /// Per source `x`: `R_v(x)` / `S_v(x)` completeness bookkeeping.
     ledgers: Vec<CompletenessLedger>,
-    /// Requests received this round (answered next round).
-    requests_arriving: Vec<(NodeId, TokenId)>,
-    /// Requests received last round (answered this round).
-    requests_to_answer: Vec<(NodeId, TokenId)>,
-    /// Local edge histories and outstanding-request queues.
-    edges: EdgeTracker,
-    /// Whether the last `send` parked (see [`Outbox::park`]): the next one
-    /// tells the edge tracker that the rounds in between changed nothing.
-    parked: bool,
 }
 
 impl MultiSourceNode {
@@ -225,13 +219,9 @@ impl MultiSourceNode {
         }
         MultiSourceNode {
             id: v,
-            core: DisseminationCore::with_knowledge(know),
+            requests: Requests::new(DisseminationCore::with_knowledge(know)),
             have_count,
             ledgers: (0..s).map(|_| CompletenessLedger::new(n)).collect(),
-            requests_arriving: Vec::new(),
-            requests_to_answer: Vec::new(),
-            edges: EdgeTracker::new(n),
-            parked: false,
             map,
         }
     }
@@ -258,12 +248,20 @@ impl MultiSourceNode {
 
     /// Whether the node holds all `k` tokens.
     pub fn is_complete(&self) -> bool {
-        self.core.is_complete()
+        self.requests.core().is_complete()
     }
+}
 
-    /// Task 1: per edge, announce completeness for the minimum source the
-    /// neighbor hasn't been told about.
-    fn send_announcements(&mut self, neighbors: &[NodeId], out: &mut Outbox<MsMsg>) {
+impl UnicastProtocol for MultiSourceNode {
+    type Msg = MsMsg;
+
+    fn send(&mut self, round: Round, neighbors: &[NodeId], out: &mut Outbox<MsMsg>) {
+        self.requests.open(round, neighbors);
+        let queued = out.len();
+        // The three tasks run in parallel (Section 3.2.1); a node may send
+        // an announcement, a token, and a request over the same edge in the
+        // same round — they are separate messages and metered separately.
+        // Task 1: per edge, announce the minimum source the neighbor lacks.
         for &u in neighbors {
             for idx in 0..self.map.source_count() {
                 if self.complete_wrt(idx) && self.ledgers[idx].needs_inform(u) {
@@ -273,79 +271,36 @@ impl MultiSourceNode {
                 }
             }
         }
-    }
-
-    /// Task 2: answer last round's requests (if still connected and we hold
-    /// the token).
-    fn send_answers(&mut self, neighbors: &[NodeId], out: &mut Outbox<MsMsg>) {
-        for &(u, t) in &self.requests_to_answer {
-            if neighbors.binary_search(&u).is_ok() && self.core.known_tokens().contains(t) {
-                out.send(u, MsMsg::Token(t));
-            }
-        }
-        self.requests_to_answer.clear();
-    }
-
-    /// Task 3: single-source request logic for the minimum incomplete
-    /// source with a known-complete node.
-    fn send_requests(&mut self, round: Round, neighbors: &[NodeId], out: &mut Outbox<MsMsg>) {
-        // "Pick the minimum x such that x ∉ I_v and S_v(x) ≠ ∅."
-        let Some(active) = (0..self.map.source_count())
-            .find(|&idx| !self.complete_wrt(idx) && self.ledgers[idx].any_peer_complete())
-        else {
-            return;
-        };
-        // One assignment pass restricted to the active source's tokens.
-        self.core.refill_within(self.map.token_mask(active));
-        if self.core.has_assignable() {
-            'outer: for category in [
-                EdgeCategory::New,
-                EdgeCategory::Idle,
-                EdgeCategory::Contributive,
-            ] {
-                for &u in neighbors {
-                    if !self.core.has_assignable() {
-                        break 'outer;
-                    }
-                    if self.ledgers[active].peer_complete(u)
-                        && self.edges.classify(u, round) == category
-                    {
-                        let t = self.core.assign_next().expect("has_assignable");
-                        out.send(u, MsMsg::Request(t));
-                        self.edges.push_pending(u, t);
-                    }
+        // Task 2: answer last round's requests (if still connected and we
+        // hold the token).
+        self.requests.answer(|asked, know| {
+            for &(u, t) in asked {
+                if neighbors.binary_search(&u).is_ok() && know.contains(t) {
+                    out.send(u, MsMsg::Token(t));
                 }
             }
-        }
-    }
-}
-
-impl UnicastProtocol for MultiSourceNode {
-    type Msg = MsMsg;
-
-    fn send(&mut self, round: Round, neighbors: &[NodeId], out: &mut Outbox<MsMsg>) {
-        if std::mem::take(&mut self.parked) {
-            self.edges.resume(round);
-        }
-        self.edges
-            .refresh(round, neighbors, self.core.in_flight_mut());
-        let queued = out.len();
-        // The three tasks run in parallel (Section 3.2.1); a node may send
-        // an announcement, a token, and a request over the same edge in the
-        // same round — they are separate messages and metered separately.
-        self.send_announcements(neighbors, out);
-        self.send_answers(neighbors, out);
+        });
+        // Task 3: Algorithm 1's requests for the minimum `x ∉ I_v`, `S_v(x) ≠ ∅`.
         if !self.is_complete() {
-            self.send_requests(round, neighbors, out);
+            let active = (0..self.map.source_count())
+                .find(|&idx| !self.complete_wrt(idx) && self.ledgers[idx].any_peer_complete());
+            if let Some(active) = active {
+                let ledger = &self.ledgers[active];
+                self.requests.assign(
+                    round,
+                    neighbors,
+                    Some(self.map.token_mask(active)),
+                    RequestPolicy::Prioritized.passes(),
+                    |u| ledger.peer_complete(u),
+                    |u, t, _| out.send(u, MsMsg::Request(t)),
+                );
+            }
         }
         // A silent round changed no ledger, no knowledge and no in-flight
         // request, and left no request to answer; those (not edge age,
         // which only orders requests) decide what is sent, so silent stays
         // silent until a neighbor changes or a message arrives.
-        self.parked = out.len() == queued;
-        if self.parked {
-            out.park();
-        }
+        self.requests.settle(out.len() == queued, out);
     }
 
     fn receive(&mut self, _round: Round, from: NodeId, msg: &MsMsg) {
@@ -353,38 +308,25 @@ impl UnicastProtocol for MultiSourceNode {
             MsMsg::Completeness(x) => {
                 let idx = self
                     .map
-                    .sources()
-                    .binary_search(x)
+                    .index_of(*x)
                     .expect("announced source must be a source");
                 self.ledgers[idx].note_peer_complete(from);
             }
-            MsMsg::Request(t) => {
-                self.requests_arriving.push((from, *t));
-            }
+            MsMsg::Request(t) => self.requests.receive_request(from, *t),
             MsMsg::Token(t) => {
-                if self.core.accept_token(*t) {
+                if self.requests.receive_token(from, *t) {
                     self.have_count[self.map.source_index_of(*t)] += 1;
-                }
-                self.edges.note_token(from);
-                if self.edges.retire_pending(from, *t) {
-                    self.core.release(*t);
                 }
             }
         }
     }
 
     fn end_round(&mut self, _round: Round) {
-        // Swap (not take) so both buffers' capacity survives the round.
-        std::mem::swap(&mut self.requests_to_answer, &mut self.requests_arriving);
-        self.requests_arriving.clear();
-        if self.is_complete() {
-            let MultiSourceNode { edges, core, .. } = self;
-            edges.clear_all_pending(core.in_flight_mut());
-        }
+        self.requests.close();
     }
 
     fn known_tokens(&self) -> &TokenSet {
-        self.core.known_tokens()
+        self.requests.core().known_tokens()
     }
 }
 

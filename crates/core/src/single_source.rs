@@ -19,8 +19,8 @@
 //! Theorem 3.4: on 3-edge-stable dynamic graphs it terminates in `O(nk)`
 //! rounds.
 
-use crate::dissemination::{CompletenessLedger, DisseminationCore};
-use crate::edge_history::{EdgeCategory, EdgeTracker};
+use crate::dissemination::{CompletenessLedger, DisseminationCore, Requests};
+use crate::edge_history::EdgeCategory;
 use dynspread_graph::{NodeId, Round};
 use dynspread_sim::message::{MessageClass, MessagePayload};
 use dynspread_sim::protocol::{Outbox, UnicastProtocol};
@@ -69,6 +69,20 @@ pub enum RequestPolicy {
     Unprioritized,
 }
 
+impl RequestPolicy {
+    /// [`Requests::assign`]'s category sweeps (`None` matches every edge).
+    pub fn passes(self) -> &'static [Option<EdgeCategory>] {
+        match self {
+            RequestPolicy::Prioritized => &[
+                Some(EdgeCategory::New),
+                Some(EdgeCategory::Idle),
+                Some(EdgeCategory::Contributive),
+            ],
+            RequestPolicy::Unprioritized => &[None],
+        }
+    }
+}
+
 /// Per-node state of the Single-Source-Unicast algorithm.
 ///
 /// Construct one per node via [`SingleSourceNode::from_assignment`] and run
@@ -96,34 +110,14 @@ pub enum RequestPolicy {
 pub struct SingleSourceNode {
     policy: RequestPolicy,
     id: NodeId,
-    /// Transport-agnostic decision state: `K_v`, the in-flight request
-    /// set, and the distinct-missing-token assigner (shared with the
-    /// asynchronous port in `dynspread-runtime`).
-    core: DisseminationCore,
+    /// `K_v`, the requests in flight and the requests to answer.
+    requests: Requests,
     /// `R_v` / `S_v` completeness bookkeeping.
     ledger: CompletenessLedger,
-    /// Requests received this round (answered next round).
-    requests_arriving: Vec<(NodeId, TokenId)>,
-    /// Requests received last round (answered this round).
-    requests_to_answer: Vec<(NodeId, TokenId)>,
-    /// Local edge histories and outstanding-request queues.
-    edges: EdgeTracker,
     /// Cumulative requests sent per edge category (indexed new/idle/
     /// contributive) — instrumentation for the futile-round analysis
     /// (Definition 3.3, Lemmas 3.2/3.3).
     requests_by_category: [u64; 3],
-    /// Whether the last `send` parked (see [`Outbox::park`]): the next one
-    /// tells the edge tracker that the rounds in between changed nothing.
-    parked: bool,
-}
-
-/// Dense index of an [`EdgeCategory`] for instrumentation arrays.
-fn category_index(c: EdgeCategory) -> usize {
-    match c {
-        EdgeCategory::New => 0,
-        EdgeCategory::Idle => 1,
-        EdgeCategory::Contributive => 2,
-    }
 }
 
 impl SingleSourceNode {
@@ -148,13 +142,9 @@ impl SingleSourceNode {
         SingleSourceNode {
             policy,
             id: v,
-            core: DisseminationCore::from_assignment(v, assignment),
+            requests: Requests::new(DisseminationCore::from_assignment(v, assignment)),
             ledger: CompletenessLedger::new(n),
-            requests_arriving: Vec::new(),
-            requests_to_answer: Vec::new(),
-            edges: EdgeTracker::new(n),
             requests_by_category: [0; 3],
-            parked: false,
         }
     }
 
@@ -167,7 +157,7 @@ impl SingleSourceNode {
 
     /// Whether this node is complete (Definition 3.1).
     pub fn is_complete(&self) -> bool {
-        self.core.is_complete()
+        self.requests.core().is_complete()
     }
 
     /// This node's ID.
@@ -177,7 +167,7 @@ impl SingleSourceNode {
 
     /// Classifies the edge to current neighbor `u` in round `round`.
     pub fn classify_edge(&self, u: NodeId, round: Round) -> EdgeCategory {
-        self.edges.classify(u, round)
+        self.requests.classify(u, round)
     }
 
     /// Cumulative requests sent over new / idle / contributive edges —
@@ -187,94 +177,52 @@ impl SingleSourceNode {
     pub fn requests_sent_by_category(&self) -> [u64; 3] {
         self.requests_by_category
     }
-
-    /// Complete-node behavior: announce to the uninformed, answer last
-    /// round's requests (one message per neighbor per round, announcement
-    /// first — Algorithm 1 lines 1–6).
-    fn send_complete(&mut self, neighbors: &[NodeId], out: &mut Outbox<SsMsg>) {
-        // Disjoint field borrows: `requests_to_answer` is only read while
-        // the ledger is written, so no buffer needs to be taken (and thus
-        // dropped) per round.
-        for &u in neighbors {
-            if self.ledger.needs_inform(u) {
-                out.send(u, SsMsg::Completeness);
-                self.ledger.mark_informed(u);
-            } else if let Some(&(_, t)) = self.requests_to_answer.iter().find(|(w, _)| *w == u) {
-                out.send(u, SsMsg::Token(t));
-            }
-        }
-        // Requests from neighbors the adversary disconnected die here, as
-        // before: any unanswered leftovers are discarded.
-        self.requests_to_answer.clear();
-    }
-
-    /// Incomplete-node behavior: assign distinct missing-token requests to
-    /// eligible edges, new first, then idle, then contributive
-    /// (Algorithm 1 lines 7–20).
-    fn send_incomplete(&mut self, round: Round, neighbors: &[NodeId], out: &mut Outbox<SsMsg>) {
-        // One assignment pass over the requestable tokens, consumed front
-        // to back across the category sweeps.
-        self.core.refill();
-        if self.core.has_assignable() {
-            // One pass per category (a single pass in ID order for the
-            // unprioritized ablation — modeled as every category matching).
-            let passes: &[Option<EdgeCategory>] = match self.policy {
-                RequestPolicy::Prioritized => &[
-                    Some(EdgeCategory::New),
-                    Some(EdgeCategory::Idle),
-                    Some(EdgeCategory::Contributive),
-                ],
-                RequestPolicy::Unprioritized => &[None],
-            };
-            'outer: for &category in passes {
-                for &u in neighbors {
-                    if !self.core.has_assignable() {
-                        break 'outer;
-                    }
-                    if !self.ledger.peer_complete(u) {
-                        continue;
-                    }
-                    if let Some(c) = category {
-                        if self.edges.classify(u, round) != c {
-                            continue;
-                        }
-                    }
-                    let t = self.core.assign_next().expect("has_assignable");
-                    out.send(u, SsMsg::Request(t));
-                    self.edges.push_pending(u, t);
-                    self.requests_by_category[category_index(self.edges.classify(u, round))] += 1;
-                }
-            }
-        }
-    }
 }
 
 impl UnicastProtocol for SingleSourceNode {
     type Msg = SsMsg;
 
     fn send(&mut self, round: Round, neighbors: &[NodeId], out: &mut Outbox<SsMsg>) {
-        if std::mem::take(&mut self.parked) {
-            self.edges.resume(round);
-        }
-        self.edges
-            .refresh(round, neighbors, self.core.in_flight_mut());
-        if self.is_complete() {
-            self.send_complete(neighbors, out);
-            // Every neighbor is now informed and every request answered or
-            // dead: nothing more to say until an edge or a request arrives.
-            self.parked = true;
+        self.requests.open(round, neighbors);
+        let queued = out.len();
+        let complete = self.is_complete();
+        if complete {
+            // Announce to the uninformed, answer last round's requests (one
+            // message per neighbor per round, announcement first —
+            // Algorithm 1 lines 1–6).
+            let ledger = &mut self.ledger;
+            self.requests.answer(|asked, _| {
+                for &u in neighbors {
+                    if ledger.needs_inform(u) {
+                        out.send(u, SsMsg::Completeness);
+                        ledger.mark_informed(u);
+                    } else if let Some(&(_, t)) = asked.iter().find(|(w, _)| *w == u) {
+                        out.send(u, SsMsg::Token(t));
+                    }
+                }
+            });
         } else {
-            let queued = out.len();
-            self.send_incomplete(round, neighbors, out);
-            // A silent round leaves `K_v`, the in-flight set and `S_v` as
-            // they were, and those alone decide whether anything is sent
-            // (edge age only orders the requests): silent stays silent
-            // until a neighbor changes or a message arrives.
-            self.parked = out.len() == queued && self.requests_to_answer.is_empty();
+            // Assign distinct missing-token requests to edges to known
+            // complete neighbors, new first, then idle, then contributive
+            // (Algorithm 1 lines 7–20).
+            let (ledger, sent) = (&self.ledger, &mut self.requests_by_category);
+            self.requests.assign(
+                round,
+                neighbors,
+                None,
+                self.policy.passes(),
+                |u| ledger.peer_complete(u),
+                |u, t, category| {
+                    out.send(u, SsMsg::Request(t));
+                    sent[category as usize] += 1;
+                },
+            );
         }
-        if self.parked {
-            out.park();
-        }
+        // A complete node has nothing more to say until an edge or a request
+        // arrives. A silent incomplete round leaves `K_v`, the in-flight set
+        // and `S_v`, which alone decide what is sent (edge age only orders
+        // it), as they were: it stays silent until something changes.
+        self.requests.settle(complete || out.len() == queued, out);
     }
 
     fn receive(&mut self, _round: Round, from: NodeId, msg: &SsMsg) {
@@ -282,33 +230,19 @@ impl UnicastProtocol for SingleSourceNode {
             SsMsg::Completeness => {
                 self.ledger.note_peer_complete(from);
             }
-            SsMsg::Request(t) => {
-                self.requests_arriving.push((from, *t));
-            }
+            SsMsg::Request(t) => self.requests.receive_request(from, *t),
             SsMsg::Token(t) => {
-                self.core.accept_token(*t);
-                self.edges.note_token(from);
-                if self.edges.retire_pending(from, *t) {
-                    self.core.release(*t);
-                }
+                self.requests.receive_token(from, *t);
             }
         }
     }
 
     fn end_round(&mut self, _round: Round) {
-        // Swap (not take) so both buffers' capacity survives the round.
-        std::mem::swap(&mut self.requests_to_answer, &mut self.requests_arriving);
-        self.requests_arriving.clear();
-        if self.is_complete() {
-            // A node that just completed stops requesting; clear the
-            // bookkeeping of its incomplete phase.
-            let SingleSourceNode { edges, core, .. } = self;
-            edges.clear_all_pending(core.in_flight_mut());
-        }
+        self.requests.close();
     }
 
     fn known_tokens(&self) -> &TokenSet {
-        self.core.known_tokens()
+        self.requests.core().known_tokens()
     }
 }
 

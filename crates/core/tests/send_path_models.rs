@@ -1,13 +1,16 @@
-//! Model-based tests of the two data structures on the unicast send path:
-//! the word-level request assigner of `DisseminationCore` against the
-//! `Vec<TokenId>` queue it replaced, and the sorted-slot `EdgeTracker`
-//! against the `BTreeMap` it replaced. Each reference is the old
+//! Model-based tests of the unicast send path: the word-level request
+//! assigner of `DisseminationCore` against the `Vec<TokenId>` queue it
+//! replaced, the sorted-slot `EdgeTracker` against the `BTreeMap` it
+//! replaced, and `Requests` against the glue the two round-based nodes
+//! wrote around a core and a tracker before it. Each reference is the old
 //! implementation reduced to what the public API observes; the two must
 //! agree after every operation of a random sequence.
 
-use dynspread_core::dissemination::DisseminationCore;
+use dynspread_core::dissemination::{DisseminationCore, Requests};
 use dynspread_core::edge_history::{EdgeCategory, EdgeTracker};
+use dynspread_core::single_source::RequestPolicy;
 use dynspread_graph::{NodeId, Round};
+use dynspread_sim::protocol::Outbox;
 use dynspread_sim::token::{TokenId, TokenSet};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -236,6 +239,192 @@ fn tracker_op() -> impl Strategy<Value = TrackerOp> {
     ]
 }
 
+/// The round-model request side as `SingleSourceNode` and
+/// `MultiSourceNode` each wrote it before `Requests`: a core, a tracker,
+/// the two answer buffers and the parked flag, driven in the nodes' order.
+struct NodeGlue {
+    core: DisseminationCore,
+    edges: EdgeTracker,
+    requests_arriving: Vec<(NodeId, TokenId)>,
+    requests_to_answer: Vec<(NodeId, TokenId)>,
+    parked: bool,
+}
+
+impl NodeGlue {
+    fn new(core: DisseminationCore) -> Self {
+        NodeGlue {
+            core,
+            edges: EdgeTracker::new(),
+            requests_arriving: Vec::new(),
+            requests_to_answer: Vec::new(),
+            parked: false,
+        }
+    }
+
+    /// The head of `send`.
+    fn open(&mut self, round: Round, neighbors: &[NodeId]) {
+        if std::mem::take(&mut self.parked) {
+            self.edges.resume(round);
+        }
+        self.edges
+            .refresh(round, neighbors, self.core.in_flight_mut());
+    }
+
+    /// The answering half of `send`: read the requests, then drop them.
+    fn answer(&mut self) -> Vec<(NodeId, TokenId)> {
+        let asked = self.requests_to_answer.clone();
+        self.requests_to_answer.clear();
+        asked
+    }
+
+    /// `send_incomplete` / `send_requests`, returning what they sent and
+    /// the category each request was counted under.
+    fn assign(
+        &mut self,
+        round: Round,
+        neighbors: &[NodeId],
+        scope: Option<&TokenSet>,
+        passes: &[Option<EdgeCategory>],
+        eligible: impl Fn(NodeId) -> bool,
+    ) -> Vec<(NodeId, TokenId, EdgeCategory)> {
+        match scope {
+            Some(scope) => self.core.refill_within(scope),
+            None => self.core.refill(),
+        }
+        let mut sent = Vec::new();
+        if self.core.has_assignable() {
+            'outer: for &category in passes {
+                for &u in neighbors {
+                    if !self.core.has_assignable() {
+                        break 'outer;
+                    }
+                    if !eligible(u) {
+                        continue;
+                    }
+                    if let Some(c) = category {
+                        if self.edges.classify(u, round) != c {
+                            continue;
+                        }
+                    }
+                    let t = self.core.assign_next().expect("has_assignable");
+                    self.edges.push_pending(u, t);
+                    sent.push((u, t, self.edges.classify(u, round)));
+                }
+            }
+        }
+        sent
+    }
+
+    /// The tail of `send`.
+    fn settle(&mut self, silent: bool) -> bool {
+        self.parked = silent && self.requests_to_answer.is_empty();
+        self.parked
+    }
+
+    fn receive_token(&mut self, from: NodeId, t: TokenId) -> bool {
+        let new = self.core.accept_token(t);
+        self.edges.note_token(from);
+        if self.edges.retire_pending(from, t) {
+            self.core.release(t);
+        }
+        new
+    }
+
+    /// `end_round`.
+    fn close(&mut self) {
+        std::mem::swap(&mut self.requests_to_answer, &mut self.requests_arriving);
+        self.requests_arriving.clear();
+        if self.core.is_complete() {
+            self.edges.clear_all_pending(self.core.in_flight_mut());
+        }
+    }
+}
+
+/// A delivery after `send`; token arguments are reduced modulo `k`.
+#[derive(Clone, Debug)]
+enum Delivery {
+    Request(u32, u32),
+    Token(u32, u32),
+    /// The token of this round's `i`-th request (modulo their number)
+    /// arrives over its edge.
+    Answer(usize),
+}
+
+/// One round of a node: `send` (open, maybe answer, assign, settle), the
+/// deliveries, and `end_round` unless the node parked and heard nothing.
+#[derive(Clone, Debug)]
+struct NodeRound {
+    /// Rounds skipped while parked (ignored unless the node parked).
+    gap: u64,
+    /// The neighbor set (`None`: unchanged).
+    neighbors: Option<BTreeSet<u32>>,
+    /// The assignment pass's scope (`None`: every token).
+    scope: Option<BTreeSet<u32>>,
+    prioritized: bool,
+    /// Neighbors known complete.
+    eligible: BTreeSet<u32>,
+    answers: bool,
+    /// Whether `send` parks even if it sent (a complete node does).
+    quiet: bool,
+    deliveries: Vec<Delivery>,
+}
+
+fn node_round() -> impl Strategy<Value = NodeRound> {
+    let node = || 0u32..TRACKER_NODES;
+    let token = || 0u32..192;
+    let delivery = prop_oneof![
+        (node(), token()).prop_map(|(u, t)| Delivery::Request(u, t)),
+        (node(), token()).prop_map(|(u, t)| Delivery::Token(u, t)),
+        (0usize..8).prop_map(Delivery::Answer),
+        (0usize..8).prop_map(Delivery::Answer),
+    ];
+    (
+        (
+            0u64..4,
+            prop::option::of(prop::collection::btree_set(node(), 0..8)),
+        ),
+        (
+            prop::option::of(prop::collection::btree_set(token(), 0..60)),
+            prop::bool::ANY,
+            prop::collection::btree_set(node(), 0..TRACKER_NODES as usize),
+        ),
+        (prop::bool::ANY, prop::bool::ANY),
+        prop::collection::vec(delivery, 0..6),
+    )
+        .prop_map(
+            |((gap, neighbors), (scope, prioritized, eligible), (answers, quiet), deliveries)| {
+                NodeRound {
+                    gap,
+                    neighbors,
+                    scope,
+                    prioritized,
+                    eligible,
+                    answers,
+                    quiet,
+                    deliveries,
+                }
+            },
+        )
+}
+
+/// `Requests` and the glue agree on `K_v`, the in-flight set and every
+/// edge's category now and in the next two rounds.
+fn same_state(requests: &Requests, glue: &NodeGlue, k: usize, round: Round) {
+    assert_eq!(requests.core().known_tokens(), glue.core.known_tokens());
+    for t in TokenId::all(k) {
+        assert_eq!(requests.core().in_flight(t), glue.core.in_flight(t), "{t}");
+    }
+    for u in NodeId::all(TRACKER_NODES as usize) {
+        for r in [round, round + 1, round + 2] {
+            assert_eq!(
+                requests.classify(u, r),
+                glue.edges.classify(u, r),
+                "{u} in {r}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -293,7 +482,7 @@ proptest! {
     fn sorted_slot_tracker_matches_the_map_it_replaced(
         ops in prop::collection::vec(tracker_op(), 0..150),
     ) {
-        let mut tracker = EdgeTracker::new(TRACKER_NODES as usize);
+        let mut tracker = EdgeTracker::new();
         let mut model = MapTracker::default();
         let mut in_flight = TokenSet::new(TRACKER_TOKENS as usize);
         let mut model_in_flight = in_flight.clone();
@@ -350,6 +539,87 @@ proptest! {
                     prop_assert_eq!(tracker.classify(u, r), model.classify(u, r), "{} in {}", u, r);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn requests_match_the_node_glue_they_replaced(
+        k in prop_oneof![Just(1usize), Just(5), Just(70)],
+        initial in prop::collection::btree_set(0u32..192, 0..60),
+        rounds in prop::collection::vec(node_round(), 0..60),
+    ) {
+        let mut know = TokenSet::new(k);
+        for t in tokens_in_universe(&initial, k) {
+            know.insert(t);
+        }
+        let mut requests = Requests::new(DisseminationCore::with_knowledge(know.clone()));
+        let mut glue = NodeGlue::new(DisseminationCore::with_knowledge(know));
+        let tid = |t: u32| TokenId::new(t % k as u32);
+        let (mut round, mut skip): (Round, u64) = (0, 0);
+        let mut neighbors: Vec<NodeId> = Vec::new();
+        for step in rounds {
+            round += 1 + skip;
+            if let Some(set) = step.neighbors {
+                neighbors = set.into_iter().map(NodeId::new).collect();
+            }
+            requests.open(round, &neighbors);
+            glue.open(round, &neighbors);
+            same_state(&requests, &glue, k, round);
+            if step.answers {
+                let mut seen = None;
+                requests.answer(|asked, know| seen = Some((asked.to_vec(), know.clone())));
+                let (asked, know) = seen.expect("answer calls back");
+                prop_assert_eq!(asked, glue.answer());
+                prop_assert_eq!(&know, glue.core.known_tokens());
+            }
+            let scope = step.scope.map(|raw| {
+                let mut mask = TokenSet::new(k);
+                for t in tokens_in_universe(&raw, k) {
+                    mask.insert(t);
+                }
+                mask
+            });
+            let policy = if step.prioritized {
+                RequestPolicy::Prioritized
+            } else {
+                RequestPolicy::Unprioritized
+            };
+            let eligible = |u: NodeId| step.eligible.contains(&u.value());
+            let mut sent = Vec::new();
+            requests.assign(round, &neighbors, scope.as_ref(), policy.passes(), eligible, |u, t, c| {
+                sent.push((u, t, c))
+            });
+            let glue_sent = glue.assign(round, &neighbors, scope.as_ref(), policy.passes(), eligible);
+            prop_assert_eq!(&sent, &glue_sent);
+            same_state(&requests, &glue, k, round);
+            let silent = step.quiet || sent.is_empty();
+            let mut out = Outbox::<()>::new();
+            requests.settle(silent, &mut out);
+            let parked = out.take_parked();
+            prop_assert_eq!(parked, glue.settle(silent));
+            for delivery in &step.deliveries {
+                let (from, t) = match *delivery {
+                    Delivery::Request(u, t) => {
+                        requests.receive_request(NodeId::new(u), tid(t));
+                        glue.requests_arriving.push((NodeId::new(u), tid(t)));
+                        continue;
+                    }
+                    Delivery::Token(u, t) => (NodeId::new(u), tid(t)),
+                    Delivery::Answer(_) if sent.is_empty() => continue,
+                    Delivery::Answer(i) => (sent[i % sent.len()].0, sent[i % sent.len()].1),
+                };
+                prop_assert_eq!(requests.receive_token(from, t), glue.receive_token(from, t));
+                same_state(&requests, &glue, k, round);
+            }
+            // A node that parked runs `end_round` only if a delivery woke
+            // it; otherwise it sleeps through `gap` rounds.
+            let woken = !parked || !step.deliveries.is_empty();
+            if woken {
+                requests.close();
+                glue.close();
+                same_state(&requests, &glue, k, round);
+            }
+            skip = if woken { 0 } else { step.gap };
         }
     }
 }

@@ -181,20 +181,24 @@ pub trait Tamper: EventProtocol {
     /// Forged variants of a staged ownership transfer for the
     /// `SeqReplay` kind: `(destination, payload)` pairs reusing the
     /// original's sequence number against a different token or peer.
-    /// Empty for protocols without sequenced transfers.
+    /// Empty (the default) for protocols without sequenced transfers.
     fn replay_variants(
         &self,
-        to: NodeId,
-        msg: &Self::Msg,
-        neighbors: &[NodeId],
-    ) -> Vec<(NodeId, Self::Msg)>;
+        _to: NodeId,
+        _msg: &Self::Msg,
+        _neighbors: &[NodeId],
+    ) -> Vec<(NodeId, Self::Msg)> {
+        Vec::new()
+    }
 
     /// The `ForgeTransfers` response to an incoming message: `Some(ack)`
     /// means "acknowledge the transfer and destroy the token" — the
     /// wrapper swallows the delivery (the honest state never sees it) and
-    /// sends the forged ack. `None` for everything that is not an
-    /// ownership transfer.
-    fn theft_response(&self, from: NodeId, msg: &Self::Msg) -> Option<Self::Msg>;
+    /// sends the forged ack. `None` (the default) for everything that is
+    /// not an ownership transfer.
+    fn theft_response(&self, _from: NodeId, _msg: &Self::Msg) -> Option<Self::Msg> {
+        None
+    }
 }
 
 /// Picks a token id different from `t` (mod the universe of `known`),
@@ -228,19 +232,6 @@ impl Tamper for AsyncSingleSource {
         }
         false
     }
-
-    fn replay_variants(
-        &self,
-        _: NodeId,
-        _: &AsyncSsMsg,
-        _: &[NodeId],
-    ) -> Vec<(NodeId, AsyncSsMsg)> {
-        Vec::new()
-    }
-
-    fn theft_response(&self, _: NodeId, _: &AsyncSsMsg) -> Option<AsyncSsMsg> {
-        None
-    }
 }
 
 impl Tamper for AsyncMultiSource {
@@ -265,19 +256,6 @@ impl Tamper for AsyncMultiSource {
             }
         }
         false
-    }
-
-    fn replay_variants(
-        &self,
-        _: NodeId,
-        _: &AsyncMsMsg,
-        _: &[NodeId],
-    ) -> Vec<(NodeId, AsyncMsMsg)> {
-        Vec::new()
-    }
-
-    fn theft_response(&self, _: NodeId, _: &AsyncMsMsg) -> Option<AsyncMsMsg> {
-        None
     }
 }
 

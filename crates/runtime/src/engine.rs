@@ -61,7 +61,7 @@ pub struct EventCtx<'a, M> {
     tracer: &'a mut Option<Box<dyn Tracer>>,
 }
 
-impl<M: Clone> EventCtx<'_, M> {
+impl<'a, M: Clone> EventCtx<'a, M> {
     /// The current virtual time.
     pub fn now(&self) -> VirtualTime {
         self.now
@@ -73,7 +73,9 @@ impl<M: Clone> EventCtx<'_, M> {
     }
 
     /// The node's neighbors in the *current* topology epoch, sorted by ID.
-    pub fn neighbors(&self) -> &[NodeId] {
+    /// The slice outlives this borrow of the context, so a handler can
+    /// send while it walks the list.
+    pub fn neighbors(&self) -> &'a [NodeId] {
         self.neighbors
     }
 

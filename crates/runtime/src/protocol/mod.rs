@@ -30,11 +30,13 @@
 //!
 //! The decision logic — which tokens to request, from whom, the
 //! distinct-missing-token assignment per channel — is **not** duplicated
-//! here: it is the same
-//! [`DisseminationCore`](dynspread_core::dissemination::DisseminationCore)
-//! that drives the round-based nodes, fed from per-neighbor
-//! retransmission windows (the crate-private `RequestWindow`) instead of
-//! per-round edge sweeps.
+//! here: it is the same [`DisseminationCore`] that drives the round-based
+//! nodes, fed from per-neighbor retransmission windows (the crate-private
+//! `RequestWindow`) instead of per-round edge sweeps. Nor is the channel
+//! bookkeeping duplicated between the two unicast ports: [`Requests`]
+//! keeps the core's in-flight set in step with the open windows for both,
+//! as [`dissemination::Requests`](dynspread_core::dissemination::Requests)
+//! does with the edge tracker for the round-based nodes.
 //!
 //! # Running the ports
 //!
@@ -68,9 +70,12 @@ pub use multi_source::{AsyncMsMsg, AsyncMultiSource};
 pub use oblivious::{AsyncOblMsg, AsyncOblivious, AsyncObliviousConfig};
 pub use single_source::{AsyncSingleSource, AsyncSsMsg};
 
+use crate::engine::EventCtx;
 use crate::event::VirtualTime;
+use dynspread_core::dissemination::DisseminationCore;
 use dynspread_graph::NodeId;
-use dynspread_sim::token::TokenId;
+use dynspread_sim::token::{TokenId, TokenSet};
+use std::collections::BTreeMap;
 
 /// Tuning knobs of the asynchronous ports' retransmission machinery.
 #[derive(Clone, Copy, Debug)]
@@ -89,22 +94,6 @@ impl Default for AsyncConfig {
             base_interval: 2,
             max_interval: 32,
         }
-    }
-}
-
-impl AsyncConfig {
-    /// Validates the invariants (`base ≥ 1`, `max ≥ base`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when they do not hold.
-    pub(crate) fn validate(self) -> Self {
-        assert!(self.base_interval >= 1, "base_interval must be ≥ 1");
-        assert!(
-            self.max_interval >= self.base_interval,
-            "max_interval must be ≥ base_interval"
-        );
-        self
     }
 }
 
@@ -138,9 +127,13 @@ impl Retransmitter {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see [`AsyncConfig`]).
+    /// Panics unless `1 ≤ base_interval ≤ max_interval`.
     pub fn new(cfg: AsyncConfig) -> Self {
-        let cfg = cfg.validate();
+        assert!(cfg.base_interval >= 1, "base_interval must be ≥ 1");
+        assert!(
+            cfg.max_interval >= cfg.base_interval,
+            "max_interval must be ≥ base_interval"
+        );
         Retransmitter {
             base: cfg.base_interval,
             max: cfg.max_interval,
@@ -153,6 +146,12 @@ impl Retransmitter {
     /// (learned a token, a new ack, a new complete peer).
     pub fn note_progress(&mut self) {
         self.progress = true;
+    }
+
+    /// [`note_progress`](Self::note_progress), traced as a backoff reset.
+    pub fn progress<M: Clone>(&mut self, ctx: &mut EventCtx<'_, M>) {
+        self.note_progress();
+        ctx.note_backoff_reset();
     }
 
     /// The delay to arm for the next heartbeat: `base` after progress,
@@ -184,48 +183,43 @@ impl Retransmitter {
     }
 }
 
-/// Per-neighbor outstanding-request windows (window size 1).
-///
-/// The synchronous algorithms assign at most one distinct missing-token
-/// request per adjacent edge per round; the asynchronous ports keep the
-/// same discipline per neighbor, with the window entry doubling as the
-/// retransmission record: an open window is re-sent on every heartbeat
-/// until the token arrives or the neighbor churns away.
-///
-/// Stored sparsely (an ordered map keyed by neighbor): a node never holds
-/// more open windows than it has neighbors, so the dense
-/// `Vec<Option<TokenId>>` it replaced cost `O(n)` memory per node and
-/// `O(n)` per heartbeat sweep — `O(n²)` across the network, which is what
-/// capped the async grids below `n` in the thousands. Iteration order
-/// (ascending neighbor ID) is identical to the dense layout's, so release
-/// order — and with it replay identity — is unchanged.
-#[derive(Clone, Debug)]
-pub(crate) struct RequestWindow {
-    slots: std::collections::BTreeMap<NodeId, TokenId>,
+/// Per-neighbor outstanding-request windows (window size 1): the round
+/// model's one request per edge per round, kept per neighbor, each entry
+/// doubling as the retransmission record until the token arrives or the
+/// neighbor churns away. An entry's tag `S` is nothing for a request and
+/// the sequence number for a walk transfer. Sparse, in ascending neighbor
+/// ID order (the order of release).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RequestWindow<S = ()> {
+    slots: BTreeMap<NodeId, (TokenId, S)>,
 }
 
-impl RequestWindow {
-    pub(crate) fn new() -> Self {
-        RequestWindow {
-            slots: std::collections::BTreeMap::new(),
-        }
-    }
-
+impl<S: Copy + PartialEq> RequestWindow<S> {
     /// The token currently requested from `u`, if any.
     pub(crate) fn outstanding(&self, u: NodeId) -> Option<TokenId> {
-        self.slots.get(&u).copied()
+        self.slots.get(&u).map(|&(t, _)| t)
+    }
+
+    /// Whether no window is open.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The open windows in ascending neighbor ID order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, TokenId, S)> + '_ {
+        self.slots.iter().map(|(&u, &(t, tag))| (u, t, tag))
     }
 
     /// Opens the window to `u` with a request for `t`.
-    pub(crate) fn open(&mut self, u: NodeId, t: TokenId) {
-        let prev = self.slots.insert(u, t);
+    pub(crate) fn open(&mut self, u: NodeId, t: TokenId, tag: S) {
+        let prev = self.slots.insert(u, (t, tag));
         debug_assert!(prev.is_none(), "window already open");
     }
 
-    /// Closes the window to `u` if it holds exactly `t`; returns whether
-    /// it did.
-    pub(crate) fn close(&mut self, u: NodeId, t: TokenId) -> bool {
-        if self.slots.get(&u) == Some(&t) {
+    /// Closes the window to `u` if it holds exactly `(t, tag)`; returns
+    /// whether it did.
+    pub(crate) fn close(&mut self, u: NodeId, t: TokenId, tag: S) -> bool {
+        if self.slots.get(&u) == Some(&(t, tag)) {
             self.slots.remove(&u);
             true
         } else {
@@ -238,11 +232,11 @@ impl RequestWindow {
     /// becomes assignable to live channels again. Releases in ascending
     /// neighbor ID order.
     pub(crate) fn sweep_stale(&mut self, neighbors: &[NodeId], mut release: impl FnMut(TokenId)) {
-        self.slots.retain(|u, t| {
+        self.slots.retain(|u, &mut (t, _)| {
             if neighbors.binary_search(u).is_ok() {
                 true
             } else {
-                release(*t);
+                release(t);
                 false
             }
         });
@@ -251,9 +245,97 @@ impl RequestWindow {
     /// Drops every window (the node completed), releasing the tokens in
     /// ascending neighbor ID order.
     pub(crate) fn clear_all(&mut self, mut release: impl FnMut(TokenId)) {
-        for (_, t) in std::mem::take(&mut self.slots) {
+        for (_, (t, _)) in std::mem::take(&mut self.slots) {
             release(t);
         }
+    }
+}
+
+/// The event model's request side, written once for [`AsyncSingleSource`]
+/// and [`AsyncMultiSource`]: a [`DisseminationCore`] whose in-flight set
+/// this type alone keeps in step with one request window per neighbor. The
+/// ports choose whom to ask and send: a method that opens or re-sends a
+/// request returns the token to ask for.
+#[derive(Clone, Debug)]
+pub struct Requests {
+    core: DisseminationCore,
+    window: RequestWindow,
+}
+
+impl Requests {
+    /// The request side of `core`, with no request open.
+    pub fn new(core: DisseminationCore) -> Self {
+        Requests {
+            core,
+            window: RequestWindow::default(),
+        }
+    }
+
+    /// The decision state: `K_v` and the in-flight set.
+    pub fn core(&self) -> &DisseminationCore {
+        &self.core
+    }
+
+    /// Whether a request to `u` is open.
+    pub fn is_open(&self, u: NodeId) -> bool {
+        self.window.outstanding(u).is_some()
+    }
+
+    /// Starts an assignment pass over `scope` (every token if `None`).
+    pub fn refill(&mut self, scope: Option<&TokenSet>) {
+        match scope {
+            Some(scope) => self.core.refill_within(scope),
+            None => self.core.refill(),
+        }
+    }
+
+    /// Opens a request to `u` from the current pass if `u`'s window is free.
+    pub fn assign(&mut self, u: NodeId) -> Option<TokenId> {
+        if self.is_open(u) {
+            return None;
+        }
+        let t = self.core.assign_next()?;
+        self.window.open(u, t, ());
+        Some(t)
+    }
+
+    /// [`assign`](Self::assign) from a fresh pass over `scope`.
+    pub fn request(&mut self, u: NodeId, scope: Option<&TokenSet>) -> Option<TokenId> {
+        if self.is_open(u) {
+            return None;
+        }
+        self.refill(scope);
+        self.assign(u)
+    }
+
+    /// Token `t` arrived from `from`: returns whether it is new to `K_v`.
+    pub fn receive_token(&mut self, from: NodeId, t: TokenId) -> bool {
+        self.window.close(from, t, ());
+        self.core.release(t);
+        self.core.accept_token(t)
+    }
+
+    /// Drops every open request (completion, crash-amnesia).
+    pub fn forget(&mut self) {
+        self.window.clear_all(|t| self.core.release(t));
+    }
+
+    /// A heartbeat's first step: drops the requests to churned-away
+    /// neighbors. One [`refill`](Self::refill) then serves the heartbeat, as
+    /// one pass serves a round in the round model.
+    pub fn sweep(&mut self, neighbors: &[NodeId]) {
+        self.window.sweep_stale(neighbors, |t| self.core.release(t));
+    }
+
+    /// The token to re-send to `u`, if any; retires a request since answered.
+    pub fn resend(&mut self, u: NodeId) -> Option<TokenId> {
+        let t = self.window.outstanding(u)?;
+        if !self.core.known_tokens().contains(t) {
+            return Some(t);
+        }
+        self.window.close(u, t, ());
+        self.core.release(t);
+        None
     }
 }
 
@@ -302,15 +384,15 @@ mod tests {
 
     #[test]
     fn window_lifecycle() {
-        let mut w = RequestWindow::new();
+        let mut w = RequestWindow::default();
         let (u, v) = (NodeId::new(1), NodeId::new(3));
         let (a, b) = (TokenId::new(5), TokenId::new(7));
         assert_eq!(w.outstanding(u), None);
-        w.open(u, a);
-        w.open(v, b);
+        w.open(u, a, ());
+        w.open(v, b, ());
         assert_eq!(w.outstanding(u), Some(a));
-        assert!(!w.close(u, b), "wrong token leaves the window open");
-        assert!(w.close(u, a));
+        assert!(!w.close(u, b, ()), "wrong token leaves the window open");
+        assert!(w.close(u, a, ()));
         assert_eq!(w.outstanding(u), None);
         // Sweep: v is no longer a neighbor → its token is released.
         let mut released = Vec::new();
@@ -321,9 +403,9 @@ mod tests {
 
     #[test]
     fn clear_all_releases_everything() {
-        let mut w = RequestWindow::new();
-        w.open(NodeId::new(0), TokenId::new(1));
-        w.open(NodeId::new(2), TokenId::new(2));
+        let mut w = RequestWindow::default();
+        w.open(NodeId::new(0), TokenId::new(1), ());
+        w.open(NodeId::new(2), TokenId::new(2), ());
         let mut released = Vec::new();
         w.clear_all(|t| released.push(t));
         assert_eq!(released.len(), 2);

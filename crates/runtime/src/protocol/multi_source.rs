@@ -8,7 +8,7 @@
 //! per-source acked announcements, per-neighbor request windows, probes,
 //! and an adaptive-backoff heartbeat.
 
-use super::{AsyncConfig, RequestWindow, Retransmitter};
+use super::{AsyncConfig, Requests, Retransmitter};
 use crate::engine::{EventCtx, EventProtocol};
 use crate::faults::RecoveryMode;
 use dynspread_core::dissemination::{DisseminationCore, PeerLedger};
@@ -64,8 +64,8 @@ pub enum AsyncMsMsg {
 pub struct AsyncMultiSource {
     id: NodeId,
     map: Arc<SourceMap>,
-    /// Shared transport-agnostic decision state.
-    core: DisseminationCore,
+    /// `K_v` and one outstanding request per neighbor.
+    requests: Requests,
     /// Per source: how many of its tokens we hold.
     have_count: Vec<usize>,
     /// Source mask of the sources we are complete for (`complete_wrt`),
@@ -73,8 +73,6 @@ pub struct AsyncMultiSource {
     mine: Vec<u64>,
     /// `R_v(x)` (ack state) / `S_v(x)` of every source `x`, by peer.
     ledger: PeerLedger,
-    /// One outstanding request per neighbor.
-    window: RequestWindow,
     /// Heartbeat pacing with adaptive backoff.
     pacer: Retransmitter,
 }
@@ -106,11 +104,10 @@ impl AsyncMultiSource {
         }
         AsyncMultiSource {
             id: v,
-            core,
+            requests: Requests::new(core),
             have_count,
             mine,
             ledger: PeerLedger::new(s),
-            window: RequestWindow::new(),
             pacer: Retransmitter::new(cfg),
             map,
         }
@@ -140,7 +137,7 @@ impl AsyncMultiSource {
 
     /// Whether the node holds all `k` tokens.
     pub fn is_complete(&self) -> bool {
-        self.core.is_complete()
+        self.requests.core().is_complete()
     }
 
     /// The shared source map (read-only).
@@ -148,38 +145,15 @@ impl AsyncMultiSource {
         &self.map
     }
 
-    /// The minimum incomplete source with a known-complete peer — the
-    /// request focus ("pick the minimum `x ∉ I_v` with `S_v(x) ≠ ∅`").
-    fn active_source(&self) -> Option<usize> {
-        self.ledger.active_source(&self.mine)
-    }
-
-    /// Opens a request toward `u` from the *current* assignment pass over
-    /// `active`'s tokens, if `u` serves that source and the window is
-    /// free. Callers must have refreshed the pass with
-    /// `core.refill_within(..)` since the last knowledge/in-flight change.
-    fn assign_to(&mut self, active: usize, u: NodeId, ctx: &mut EventCtx<'_, AsyncMsMsg>) {
-        if self.window.outstanding(u).is_some() || !self.ledger.peer_complete(active, u) {
-            return;
-        }
-        if let Some(t) = self.core.assign_next() {
-            ctx.send(u, AsyncMsMsg::Request(t));
-            self.window.open(u, t);
-        }
-    }
-
-    /// Message-triggered single request toward `u`: recomputes the active
-    /// source, refreshes the assignment pass (knowledge just changed),
-    /// and assigns one token.
+    /// Message-triggered request toward `u`, if it serves the active
+    /// source ("the minimum `x ∉ I_v` with `S_v(x) ≠ ∅`").
     fn try_request(&mut self, u: NodeId, ctx: &mut EventCtx<'_, AsyncMsMsg>) {
-        if self.window.outstanding(u).is_some() {
-            return;
+        let active = self.ledger.active_source(&self.mine);
+        if let Some(active) = active.filter(|&a| self.ledger.peer_complete(a, u)) {
+            if let Some(t) = self.requests.request(u, Some(self.map.token_mask(active))) {
+                ctx.send(u, AsyncMsMsg::Request(t));
+            }
         }
-        let Some(active) = self.active_source() else {
-            return;
-        };
-        self.core.refill_within(self.map.token_mask(active));
-        self.assign_to(active, u, ctx);
     }
 
     /// Announces per-source completeness to `u`: the minimum unacked
@@ -190,25 +164,13 @@ impl AsyncMultiSource {
             ctx.send(u, AsyncMsMsg::Completeness(self.map.sources()[idx]));
         }
     }
-
-    /// Whether any current announcement work remains toward `u`.
-    fn owes_announcement(&self, u: NodeId) -> bool {
-        self.ledger.lowest_owed(&self.mine, u).is_some()
-    }
-
-    /// Whether probing `u` could still teach us something: some source we
-    /// are incomplete for, with `u` not yet known complete for it.
-    fn worth_probing(&self, u: NodeId) -> bool {
-        self.ledger.worth_probing(&self.mine, u)
-    }
 }
 
 impl EventProtocol for AsyncMultiSource {
     type Msg = AsyncMsMsg;
 
     fn on_start(&mut self, ctx: &mut EventCtx<'_, AsyncMsMsg>) {
-        for i in 0..ctx.neighbors().len() {
-            let u = ctx.neighbors()[i];
+        for &u in ctx.neighbors() {
             self.announce_to(u, ctx);
             if !self.is_complete() {
                 ctx.send(u, AsyncMsMsg::Probe);
@@ -231,12 +193,10 @@ impl EventProtocol for AsyncMultiSource {
             AsyncMsMsg::Completeness(x) => {
                 let idx = self
                     .map
-                    .sources()
-                    .binary_search(x)
+                    .index_of(*x)
                     .expect("announced source must be a source");
                 if self.ledger.note_peer_complete(idx, from) {
-                    self.pacer.note_progress();
-                    ctx.note_backoff_reset();
+                    self.pacer.progress(ctx);
                 }
                 ctx.send(from, AsyncMsMsg::Ack(*x));
                 if !self.is_complete() {
@@ -246,42 +206,35 @@ impl EventProtocol for AsyncMultiSource {
             AsyncMsMsg::Ack(x) => {
                 let idx = self
                     .map
-                    .sources()
-                    .binary_search(x)
+                    .index_of(*x)
                     .expect("acked source must be a source");
                 if self.ledger.mark_informed(idx, from) {
-                    self.pacer.note_progress();
-                    ctx.note_backoff_reset();
+                    self.pacer.progress(ctx);
                 }
             }
             AsyncMsMsg::Request(t) => {
                 // Serve any held token (the round algorithm answers from
                 // `K_v`, not from completeness).
-                if self.core.known_tokens().contains(*t) {
+                if self.requests.core().known_tokens().contains(*t) {
                     ctx.send(from, AsyncMsMsg::Token(*t));
                 }
             }
             AsyncMsMsg::Token(t) => {
-                self.window.close(from, *t);
-                self.core.release(*t);
-                if self.core.accept_token(*t) {
-                    self.pacer.note_progress();
-                    ctx.note_backoff_reset();
+                if self.requests.receive_token(from, *t) {
+                    self.pacer.progress(ctx);
                     let idx = self.map.source_index_of(*t);
                     self.have_count[idx] += 1;
                     if self.complete_wrt(idx) {
                         // Newly complete w.r.t. this source: announce it.
                         self.mine[idx / 64] |= 1 << (idx % 64);
-                        for i in 0..ctx.neighbors().len() {
-                            let u = ctx.neighbors()[i];
+                        for &u in ctx.neighbors() {
                             if self.ledger.needs_inform(idx, u) {
                                 ctx.send(u, AsyncMsMsg::Completeness(self.map.sources()[idx]));
                             }
                         }
                     }
                     if self.is_complete() {
-                        let core = &mut self.core;
-                        self.window.clear_all(|t| core.release(t));
+                        self.requests.forget();
                     } else {
                         self.try_request(from, ctx);
                     }
@@ -294,10 +247,9 @@ impl EventProtocol for AsyncMultiSource {
         if mode == RecoveryMode::Amnesia {
             // Volatile state is gone: open request windows (tokens become
             // assignable again) and the ledger — both who we believe
-            // complete and who acked us. Token knowledge (`core`,
-            // and with it `have_count`) is durable.
-            let core = &mut self.core;
-            self.window.clear_all(|t| core.release(t));
+            // complete and who acked us. Token knowledge (`K_v`, and
+            // with it `have_count`) is durable.
+            self.requests.forget();
             self.ledger.reset();
         }
         // Rejoin like a fresh start: re-announce what we are complete
@@ -311,57 +263,47 @@ impl EventProtocol for AsyncMultiSource {
         // side is re-probed promptly; no timer armed here (incomplete
         // nodes always have one pending, quiet complete nodes answer
         // probes).
-        self.pacer.note_progress();
-        ctx.note_backoff_reset();
+        self.pacer.progress(ctx);
     }
 
     fn on_timer(&mut self, _id: u64, ctx: &mut EventCtx<'_, AsyncMsMsg>) {
         // Announcement work runs regardless of overall completeness: a
         // node can be complete w.r.t. its own source from the start.
-        for i in 0..ctx.neighbors().len() {
-            let u = ctx.neighbors()[i];
+        for &u in ctx.neighbors() {
             self.announce_to(u, ctx);
         }
         if !self.is_complete() {
-            let core = &mut self.core;
-            self.window
-                .sweep_stale(ctx.neighbors(), |t| core.release(t));
-            // One active source and one assignment pass for the whole
-            // heartbeat, mirroring the round protocol's per-round sweep
-            // instead of re-taking the snapshot per neighbor.
-            let active = self.active_source();
+            self.requests.sweep(ctx.neighbors());
+            // One active source for the whole heartbeat, like its one pass.
+            let active = self.ledger.active_source(&self.mine);
             if let Some(active) = active {
-                self.core.refill_within(self.map.token_mask(active));
+                self.requests.refill(Some(self.map.token_mask(active)));
             }
-            for i in 0..ctx.neighbors().len() {
-                let u = ctx.neighbors()[i];
-                if let Some(t) = self.window.outstanding(u) {
-                    if self.core.known_tokens().contains(t) {
-                        self.window.close(u, t);
-                        self.core.release(t);
-                    } else {
+            for &u in ctx.neighbors() {
+                if let Some(t) = self.requests.resend(u) {
+                    ctx.send(u, AsyncMsMsg::Request(t));
+                    ctx.note_retransmission();
+                    continue;
+                }
+                if active.is_some_and(|active| self.ledger.peer_complete(active, u)) {
+                    if let Some(t) = self.requests.assign(u) {
                         ctx.send(u, AsyncMsMsg::Request(t));
-                        ctx.note_retransmission();
-                        continue;
                     }
                 }
-                if let Some(active) = active {
-                    self.assign_to(active, u, ctx);
-                }
-                if self.window.outstanding(u).is_none() && self.worth_probing(u) {
+                if !self.requests.is_open(u) && self.ledger.worth_probing(&self.mine, u) {
                     ctx.send(u, AsyncMsMsg::Probe);
                 }
             }
             ctx.set_timer(self.pacer.next_delay(), 0);
         } else {
-            let any_unacked = ctx.neighbors().iter().any(|&u| self.owes_announcement(u));
-            if any_unacked {
+            let owed = |&u: &NodeId| self.ledger.lowest_owed(&self.mine, u).is_some();
+            if ctx.neighbors().iter().any(owed) {
                 ctx.set_timer(self.pacer.next_delay(), 0);
             }
         }
     }
 
     fn known_tokens(&self) -> Option<&TokenSet> {
-        Some(self.core.known_tokens())
+        Some(self.requests.core().known_tokens())
     }
 }

@@ -123,10 +123,8 @@ pub struct AsyncOblivious {
     /// Shared transport-agnostic decision state (same type the
     /// round-based node uses).
     walk: WalkCore,
-    /// One outstanding ownership transfer per neighbor.
-    window: RequestWindow,
-    /// Sequence number of each open transfer, parallel to `window`.
-    transfer_seq: BTreeMap<NodeId, u64>,
+    /// One open ownership transfer per neighbor, tagged with its `seq`.
+    window: RequestWindow<u64>,
     /// Next transfer sequence number (unique per sender, starts at 1).
     next_seq: u64,
     /// Per-sender highest applied transfer sequence — the receiver half
@@ -142,8 +140,6 @@ pub struct AsyncOblivious {
     timer_armed: bool,
     /// Duplicate transfer deliveries absorbed (observability).
     duplicate_transfers: u64,
-    /// Reusable neighbor snapshot for the planning pass.
-    nbrs: Vec<NodeId>,
 }
 
 impl AsyncOblivious {
@@ -175,8 +171,7 @@ impl AsyncOblivious {
                 gamma,
                 seed,
             ),
-            window: RequestWindow::new(),
-            transfer_seq: BTreeMap::new(),
+            window: RequestWindow::default(),
             next_seq: 1,
             seen: BTreeMap::new(),
             pacer: Retransmitter::new(cfg),
@@ -184,7 +179,6 @@ impl AsyncOblivious {
             frozen: false,
             timer_armed: false,
             duplicate_transfers: 0,
-            nbrs: Vec::new(),
         }
     }
 
@@ -244,7 +238,7 @@ impl AsyncOblivious {
     /// Whether any walk work remains: queued tokens or open transfers.
     /// Centers never have walk work (their holdings are final).
     fn has_walk_work(&self) -> bool {
-        !self.walk.is_center() && (self.walk.has_queued() || !self.transfer_seq.is_empty())
+        !self.walk.is_center() && (self.walk.has_queued() || !self.window.is_empty())
     }
 
     /// Arms the heartbeat if there is work and none is armed.
@@ -276,8 +270,7 @@ impl EventProtocol for AsyncOblivious {
             }
             AsyncOblMsg::CenterAnnounce => {
                 if self.walk.note_center(from) {
-                    self.pacer.note_progress();
-                    ctx.note_backoff_reset();
+                    self.pacer.progress(ctx);
                 }
             }
             AsyncOblMsg::Walk { token, seq } => {
@@ -289,8 +282,7 @@ impl EventProtocol for AsyncOblivious {
                     // double claim at the sender).
                     self.seen.insert(from, *seq);
                     if self.walk.accept(*token) {
-                        self.pacer.note_progress();
-                        ctx.note_backoff_reset();
+                        self.pacer.progress(ctx);
                     }
                 } else {
                     // Retransmission of an applied transfer: ownership
@@ -307,13 +299,11 @@ impl EventProtocol for AsyncOblivious {
                 self.ensure_heartbeat(ctx);
             }
             AsyncOblMsg::WalkAck { token, seq } => {
-                if self.transfer_seq.get(&from) == Some(seq) && self.window.close(from, *token) {
+                if self.window.close(from, *token, *seq) {
                     // The receiver applied this exact transfer: ownership
                     // has moved, release our responsibility.
-                    self.transfer_seq.remove(&from);
                     self.walk.confirm_transfer(*token);
-                    self.pacer.note_progress();
-                    ctx.note_backoff_reset();
+                    self.pacer.progress(ctx);
                 }
                 // Stale acks (an earlier, since-reclaimed transfer) are
                 // ignored; the hand-off dedups any resulting double claim.
@@ -334,9 +324,7 @@ impl EventProtocol for AsyncOblivious {
             // restarting at 1 would make every post-recovery transfer
             // look like a stale replay to peers whose `seen` entries for
             // us survived.
-            let AsyncOblivious { walk, window, .. } = self;
-            window.clear_all(|t| walk.reclaim(t));
-            self.transfer_seq.clear();
+            self.window.clear_all(|t| self.walk.reclaim(t));
             self.seen.clear();
         }
         // The engine invalidated the pre-crash heartbeat.
@@ -352,8 +340,7 @@ impl EventProtocol for AsyncOblivious {
         // Snap a partition-capped backoff back to base; re-arm in case
         // the node still owes walk work (a frozen or quiescent node
         // stays quiet).
-        self.pacer.note_progress();
-        ctx.note_backoff_reset();
+        self.pacer.progress(ctx);
         self.ensure_heartbeat(ctx);
     }
 
@@ -373,44 +360,32 @@ impl EventProtocol for AsyncOblivious {
             // re-arm — an arriving transfer re-awakens us.
             return;
         }
-        let AsyncOblivious {
-            walk,
-            window,
-            transfer_seq,
-            next_seq,
-            nbrs,
-            ..
-        } = self;
-        nbrs.clear();
-        nbrs.extend_from_slice(ctx.neighbors());
+        let nbrs = ctx.neighbors();
         // 1. Transfers to churned-away neighbors are reclaimed: the token
         //    goes back on the queue (responsibility was never released).
-        window.sweep_stale(nbrs, |t| walk.reclaim(t));
-        transfer_seq.retain(|u, _| nbrs.binary_search(u).is_ok());
+        self.window.sweep_stale(nbrs, |t| self.walk.reclaim(t));
         // 2. Retransmit still-open transfers.
-        for (&u, &seq) in transfer_seq.iter() {
-            let token = window.outstanding(u).expect("window and seq map in sync");
+        for (u, token, seq) in self.window.iter() {
             ctx.send(u, AsyncOblMsg::Walk { token, seq });
             ctx.note_retransmission();
         }
         // 3. Plan fresh steps into free transfer windows (ownership stays
         //    here until the ack: detach = false).
-        walk.plan(nbrs, false, |u, t| {
-            if window.outstanding(u).is_some() {
+        self.walk.plan(nbrs, false, |u, t| {
+            if self.window.outstanding(u).is_some() {
                 return false; // one outstanding transfer per edge
             }
-            let seq = *next_seq;
-            *next_seq += 1;
-            window.open(u, t);
-            transfer_seq.insert(u, seq);
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.window.open(u, t, seq);
             ctx.send(u, AsyncOblMsg::Walk { token: t, seq });
             true
         });
         // 4. High-degree discovery: probe neighbors not yet known to be
         //    centers (low-degree nodes walk blindly, as in the paper).
-        if walk.high_degree(nbrs.len()) {
-            for &u in nbrs.iter() {
-                if !walk.knows_center(u) {
+        if self.walk.high_degree(nbrs.len()) {
+            for &u in nbrs {
+                if !self.walk.knows_center(u) {
                     ctx.send(u, AsyncOblMsg::Probe);
                 }
             }

@@ -17,7 +17,7 @@
 //! * all state is monotone or idempotent — duplicate deliveries are
 //!   absorbed, never double-applied.
 
-use super::{AsyncConfig, RequestWindow, Retransmitter};
+use super::{AsyncConfig, Requests, Retransmitter};
 use crate::engine::{EventCtx, EventProtocol};
 use crate::faults::RecoveryMode;
 use dynspread_core::dissemination::{CompletenessLedger, DisseminationCore};
@@ -68,13 +68,10 @@ pub enum AsyncSsMsg {
 #[derive(Clone, Debug)]
 pub struct AsyncSingleSource {
     id: NodeId,
-    /// Shared transport-agnostic decision state (same type the
-    /// round-based node uses).
-    core: DisseminationCore,
+    /// `K_v` and one outstanding request per neighbor, re-sent until answered.
+    requests: Requests,
     /// `R_v` (ack state) / `S_v` bookkeeping.
     ledger: CompletenessLedger,
-    /// One outstanding request per neighbor, re-sent until answered.
-    window: RequestWindow,
     /// Heartbeat pacing with adaptive backoff.
     pacer: Retransmitter,
     /// Timer-driven re-sends of still-open request windows.
@@ -95,9 +92,8 @@ impl AsyncSingleSource {
         assert!(v.index() < n, "node out of range");
         AsyncSingleSource {
             id: v,
-            core: DisseminationCore::from_assignment(v, assignment),
+            requests: Requests::new(DisseminationCore::from_assignment(v, assignment)),
             ledger: CompletenessLedger::new(n),
-            window: RequestWindow::new(),
             pacer: Retransmitter::new(cfg),
             retransmitted_requests: 0,
             duplicate_tokens: 0,
@@ -118,7 +114,7 @@ impl AsyncSingleSource {
 
     /// Whether this node is complete (Definition 3.1).
     pub fn is_complete(&self) -> bool {
-        self.core.is_complete()
+        self.requests.core().is_complete()
     }
 
     /// Peers that acknowledged our completeness announcement — monotone
@@ -137,35 +133,17 @@ impl AsyncSingleSource {
         self.duplicate_tokens
     }
 
-    /// Opens a request toward `u` from the *current* assignment pass, if
-    /// the window to `u` is free and the pass has tokens left. Callers
-    /// must have refreshed the pass with `core.refill()` since the last
-    /// knowledge or in-flight change.
-    fn assign_to(&mut self, u: NodeId, ctx: &mut EventCtx<'_, AsyncSsMsg>) {
-        if self.window.outstanding(u).is_some() {
-            return;
-        }
-        if let Some(t) = self.core.assign_next() {
-            ctx.send(u, AsyncSsMsg::Request(t));
-            self.window.open(u, t);
-        }
-    }
-
-    /// Message-triggered single request toward `u`: refreshes the
-    /// assignment pass (knowledge just changed) and assigns one token.
+    /// Message-triggered request toward `u` over a fresh assignment pass.
     fn try_request(&mut self, u: NodeId, ctx: &mut EventCtx<'_, AsyncSsMsg>) {
-        if self.window.outstanding(u).is_some() {
-            return;
+        if let Some(t) = self.requests.request(u, None) {
+            ctx.send(u, AsyncSsMsg::Request(t));
         }
-        self.core.refill();
-        self.assign_to(u, ctx);
     }
 
     /// Announces completeness to every current neighbor (on becoming
     /// complete; re-sends happen on the heartbeat until acked).
     fn announce_everywhere(&mut self, ctx: &mut EventCtx<'_, AsyncSsMsg>) {
-        for i in 0..ctx.neighbors().len() {
-            let u = ctx.neighbors()[i];
+        for &u in ctx.neighbors() {
             if self.ledger.needs_inform(u) {
                 ctx.send(u, AsyncSsMsg::Completeness);
             }
@@ -194,8 +172,7 @@ impl EventProtocol for AsyncSingleSource {
             }
             AsyncSsMsg::Completeness => {
                 if self.ledger.note_peer_complete(from) {
-                    self.pacer.note_progress();
-                    ctx.note_backoff_reset();
+                    self.pacer.progress(ctx);
                 }
                 ctx.send(from, AsyncSsMsg::Ack);
                 if !self.is_complete() {
@@ -204,32 +181,26 @@ impl EventProtocol for AsyncSingleSource {
             }
             AsyncSsMsg::Ack => {
                 if self.ledger.mark_informed(from) {
-                    self.pacer.note_progress();
-                    ctx.note_backoff_reset();
+                    self.pacer.progress(ctx);
                 }
             }
             AsyncSsMsg::Request(t) => {
                 // Only complete nodes are ever asked (announcing is how a
                 // node becomes a target), and completeness is monotone —
                 // but a reordered probe answer can race, so check.
-                if self.core.known_tokens().contains(*t) {
+                if self.requests.core().known_tokens().contains(*t) {
                     ctx.send(from, AsyncSsMsg::Token(*t));
                 }
             }
             AsyncSsMsg::Token(t) => {
-                self.window.close(from, *t);
-                self.core.release(*t);
-                if self.core.accept_token(*t) {
-                    self.pacer.note_progress();
-                    ctx.note_backoff_reset();
+                if self.requests.receive_token(from, *t) {
+                    self.pacer.progress(ctx);
                     if self.is_complete() {
                         // Incomplete-phase bookkeeping is over; announce.
-                        let core = &mut self.core;
-                        self.window.clear_all(|t| core.release(t));
+                        self.requests.forget();
                         self.announce_everywhere(ctx);
                     } else {
-                        // Pipeline: keep this channel busy with the next
-                        // missing token.
+                        // Pipeline: keep this channel busy with the next token.
                         self.try_request(from, ctx);
                     }
                 } else {
@@ -244,9 +215,8 @@ impl EventProtocol for AsyncSingleSource {
             // Volatile state is gone: open request windows (their tokens
             // become assignable again) and everything learned about the
             // peers — who is complete, who acked us. Token knowledge is
-            // durable, so `core` survives and completeness is kept.
-            let core = &mut self.core;
-            self.window.clear_all(|t| core.release(t));
+            // durable, so `K_v` survives and completeness is kept.
+            self.requests.forget();
             self.ledger.reset();
         }
         // Either way the pre-crash heartbeat is invalidated by the
@@ -262,48 +232,28 @@ impl EventProtocol for AsyncSingleSource {
         // next heartbeat re-probes the reunited side promptly. No timer
         // is armed here: an incomplete node always has one pending, and
         // a complete quiet node is re-awakened by probes.
-        self.pacer.note_progress();
-        ctx.note_backoff_reset();
+        self.pacer.progress(ctx);
     }
 
     fn on_timer(&mut self, _id: u64, ctx: &mut EventCtx<'_, AsyncSsMsg>) {
         if !self.is_complete() {
-            // Windows to churned-away neighbors die; their tokens become
-            // assignable on live channels again.
-            let core = &mut self.core;
-            self.window
-                .sweep_stale(ctx.neighbors(), |t| core.release(t));
-            // One assignment pass for the whole heartbeat (tokens released
-            // mid-loop become assignable on the next one), mirroring the
-            // round protocol's one-pass-per-round discipline instead of
-            // re-taking the missing-token snapshot per neighbor.
-            self.core.refill();
-            for i in 0..ctx.neighbors().len() {
-                let u = ctx.neighbors()[i];
-                if let Some(t) = self.window.outstanding(u) {
-                    // A duplicate delivery may have satisfied the request
-                    // through another channel; otherwise retransmit.
-                    if self.core.known_tokens().contains(t) {
-                        self.window.close(u, t);
-                        self.core.release(t);
-                    } else {
-                        ctx.send(u, AsyncSsMsg::Request(t));
-                        self.retransmitted_requests += 1;
-                        ctx.note_retransmission();
-                        continue;
-                    }
-                }
-                if self.ledger.peer_complete(u) {
-                    self.assign_to(u, ctx);
-                } else {
+            self.requests.sweep(ctx.neighbors());
+            self.requests.refill(None);
+            for &u in ctx.neighbors() {
+                if let Some(t) = self.requests.resend(u) {
+                    ctx.send(u, AsyncSsMsg::Request(t));
+                    self.retransmitted_requests += 1;
+                    ctx.note_retransmission();
+                } else if !self.ledger.peer_complete(u) {
                     ctx.send(u, AsyncSsMsg::Probe);
+                } else if let Some(t) = self.requests.assign(u) {
+                    ctx.send(u, AsyncSsMsg::Request(t));
                 }
             }
             ctx.set_timer(self.pacer.next_delay(), 0);
         } else {
             self.announce_everywhere(ctx);
-            let any_unacked = ctx.neighbors().iter().any(|&u| self.ledger.needs_inform(u));
-            if any_unacked {
+            if ctx.neighbors().iter().any(|&u| self.ledger.needs_inform(u)) {
                 // Keep pushing until every current neighbor acked; once
                 // they all have, go quiet — probes re-awaken us if the
                 // adversary brings new incomplete neighbors.
@@ -313,6 +263,6 @@ impl EventProtocol for AsyncSingleSource {
     }
 
     fn known_tokens(&self) -> Option<&TokenSet> {
-        Some(self.core.known_tokens())
+        Some(self.requests.core().known_tokens())
     }
 }

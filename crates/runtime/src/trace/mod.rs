@@ -19,8 +19,8 @@
 //!   the first divergent decision.
 //! * **Channel 2 — wall-clock profiler.** `enable_profiling` on an
 //!   engine attaches a [`Profiler`] that attributes wall time to
-//!   [`Phase`]s with lap-style timing and log2-bucketed histograms,
-//!   surfaced as [`ProfileReport`] via `RunReport::profile` and the
+//!   [`Phase`]s with lap-style timing (total time and lap count per
+//!   phase), surfaced as [`ProfileReport`] via `RunReport::profile` and the
 //!   `exp_profile` bench bin (`BENCH_profile.json`). Wall times are not
 //!   functions of the seed, so profiling output never feeds channel 1.
 //!

@@ -33,8 +33,8 @@
 //!   until an adjacent edge changes or a message reaches it.
 //! * **Observability** ([`trace`], [`profile`]): the two-channel layer —
 //!   a deterministic structured trace (JSONL, a pure function of the
-//!   seed) and an opt-in wall-clock self-profiler with log2-bucketed
-//!   phase histograms. Both are off by default and free when disabled.
+//!   seed) and an opt-in wall-clock self-profiler that charges laps to
+//!   named phases. Both are off by default and free when disabled.
 //!
 //! # Examples
 //!

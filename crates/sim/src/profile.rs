@@ -9,11 +9,6 @@
 //! `exp_profile` assert that ≥ 90% of a run's wall time is accounted for
 //! by named phases.
 //!
-//! Each phase also keeps a **log2-bucketed histogram** of lap durations,
-//! so a phase whose mean hides a heavy tail (one slow connectivity pass
-//! per rewire round amid cheap no-delta rounds) is visible in its bucket
-//! spread, not just its total.
-//!
 //! Profiling is off by default (`Option<Profiler>` in the engines — one
 //! predictable branch per boundary when disabled) and is **not** part of
 //! the determinism contract: wall times differ run to run, so a
@@ -89,25 +84,10 @@ impl Phase {
     }
 }
 
-/// Number of log2 duration buckets (bucket `i` holds laps with
-/// `floor(log2(ns)) == i`; 2^63 ns ≈ 292 years, so 64 covers `u64`).
-const BUCKETS: usize = 64;
-
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct PhaseStat {
     ns: u64,
     laps: u64,
-    hist: [u64; BUCKETS],
-}
-
-impl PhaseStat {
-    const fn new() -> Self {
-        PhaseStat {
-            ns: 0,
-            laps: 0,
-            hist: [0; BUCKETS],
-        }
-    }
 }
 
 /// Lap-style wall-clock profiler (see the module docs).
@@ -130,7 +110,7 @@ impl Profiler {
         Profiler {
             started: now,
             mark: now,
-            stats: vec![PhaseStat::new(); Phase::ALL.len()],
+            stats: vec![PhaseStat::default(); Phase::ALL.len()],
         }
     }
 
@@ -154,7 +134,6 @@ impl Profiler {
         let stat = &mut self.stats[phase as usize];
         stat.ns += ns;
         stat.laps += 1;
-        stat.hist[ns.max(1).ilog2() as usize] += 1;
     }
 
     /// Snapshots the profile so far.
@@ -168,13 +147,6 @@ impl Profiler {
                 phase: p.label(),
                 ns: s.ns,
                 laps: s.laps,
-                hist: s
-                    .hist
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| c > 0)
-                    .map(|(i, &c)| (i as u32, c))
-                    .collect(),
             })
             .collect();
         phases.sort_by_key(|p| std::cmp::Reverse(p.ns));
@@ -200,10 +172,6 @@ pub struct PhaseReport {
     pub ns: u64,
     /// Number of laps that ended in this phase.
     pub laps: u64,
-    /// Sparse log2 histogram of lap durations: `(bucket, count)` pairs
-    /// where `bucket = floor(log2(lap_ns))`, ascending, zero counts
-    /// omitted.
-    pub hist: Vec<(u32, u64)>,
 }
 
 impl PhaseReport {
@@ -291,19 +259,6 @@ mod tests {
             report.attributed_fraction() * 100.0
         );
         assert!(report.dominant().is_some());
-    }
-
-    #[test]
-    fn histogram_buckets_are_log2() {
-        let mut stat = PhaseStat::new();
-        for ns in [0u64, 1, 2, 3, 4, 1023, 1024] {
-            stat.hist[ns.max(1).ilog2() as usize] += 1;
-        }
-        assert_eq!(stat.hist[0], 2, "0 and 1 land in bucket 0");
-        assert_eq!(stat.hist[1], 2, "2 and 3 land in bucket 1");
-        assert_eq!(stat.hist[2], 1);
-        assert_eq!(stat.hist[9], 1, "1023 lands in bucket 9");
-        assert_eq!(stat.hist[10], 1, "1024 lands in bucket 10");
     }
 
     #[test]

@@ -91,6 +91,62 @@ fn profile() {
     gate(env!("CARGO_BIN_EXE_exp_profile"), "profile");
 }
 
+/// The sixteen bins that write no file, pinned by their stdout: each runs
+/// with no arguments and must print `stdout/<bin>.txt` back byte for byte.
+/// Every one asserts what it reproduces, so a failing assert is red here too.
+mod stdout {
+    use super::{same_bytes, Command, SERIAL};
+
+    fn pin(bin: &str, name: &str) {
+        let out = {
+            let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+            Command::new(bin)
+                .current_dir(std::env::temp_dir())
+                .output()
+                .expect("spawn")
+        };
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{bin} failed: {stderr}");
+        let file = format!("stdout/{name}.txt");
+        let committed_path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
+        let committed = std::fs::read_to_string(&committed_path)
+            .unwrap_or_else(|e| panic!("read {committed_path}: {e}"));
+        let fresh = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        if let Err(report) = same_bytes(&file, &committed, &fresh) {
+            panic!("{report}");
+        }
+    }
+
+    macro_rules! pins {
+        ($($bin:ident),* $(,)?) => {$(
+            #[test]
+            #[ignore = "≈ 35 s for all sixteen in release; CI runs them in the release job"]
+            fn $bin() {
+                pin(env!(concat!("CARGO_BIN_EXE_", stringify!($bin))), stringify!($bin));
+            }
+        )*};
+    }
+
+    pins!(
+        table1,
+        fig1_free_edges,
+        exp_adaptivity_gap,
+        exp_async_vs_sync,
+        exp_latency_sweep,
+        exp_local_broadcast_lb,
+        exp_lossy_links,
+        exp_multi_source,
+        exp_network_coding,
+        exp_oblivious,
+        exp_oblivious_async,
+        exp_priority_ablation,
+        exp_random_walk,
+        exp_single_source,
+        exp_stability_ablation,
+        exp_time_vs_messages,
+    );
+}
+
 #[test]
 fn a_difference_is_reported_by_file_count_and_first_line_of_both_sides() {
     let cell = |events: u32| format!("    {{\"n\": 24, \"events\": {events}}}");

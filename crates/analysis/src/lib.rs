@@ -13,8 +13,9 @@
 //!   (Theorem 3.1) and `c(n²s + nk)` (Theorem 3.5).
 //! * [`progress`] — per-round token-learning curves (the quantity the
 //!   Section 2 lower bound throttles).
-//! * [`table`] — aligned ASCII tables, used to regenerate
-//!   the paper's Table 1 and the per-theorem experiment reports.
+//! * [`table`] — [`table::fmt_f64`], the compact float format of the
+//!   experiment tables' cells (the bins lay the tables out with
+//!   `dynspread_bench::row::render_table`).
 //! * [`trace`] — deterministic-trace analysis: per-kind event census,
 //!   coverage-vs-virtual-time progress curves, and a two-trace diff
 //!   whose first divergent line localizes determinism violations.
@@ -33,5 +34,4 @@ pub mod trace;
 pub use competitive::{competitive_records, worst_ratio, CompetitiveRecord};
 pub use fit::{linear_fit, power_law_fit, LinearFit};
 pub use stats::Summary;
-pub use table::Table;
 pub use trace::{coverage_curve, first_divergence, kind_counts, TraceDivergence};

@@ -1,101 +1,8 @@
-//! ASCII tables for experiment results.
+//! The number format of experiment tables.
 //!
-//! The benchmark harness prints the paper's tables as aligned ASCII (so a
-//! terminal run reads like the paper).
-
-use std::fmt::Write as _;
-
-/// A simple column-aligned table builder.
-///
-/// # Examples
-///
-/// ```
-/// use dynspread_analysis::table::Table;
-///
-/// let mut t = Table::new(&["n", "messages"]);
-/// t.row(&["16", "1234"]);
-/// t.row(&["32", "5678"]);
-/// let s = t.render();
-/// assert!(s.contains("n"));
-/// assert!(s.contains("5678"));
-/// ```
-#[derive(Clone, Debug)]
-pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates a table with the given column headers.
-    pub fn new(headers: &[&str]) -> Self {
-        Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count differs from the header count.
-    pub fn row(&mut self, cells: &[&str]) -> &mut Self {
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows
-            .push(cells.iter().map(|s| s.to_string()).collect());
-        self
-    }
-
-    /// Appends a row of already-owned cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count differs from the header count.
-    pub fn row_owned(&mut self, cells: Vec<String>) -> &mut Self {
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(cells);
-        self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Renders the table as aligned ASCII with a header separator.
-    pub fn render(&self) -> String {
-        let cols = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let write_row = |out: &mut String, cells: &[String]| {
-            for (i, cell) in cells.iter().enumerate() {
-                let _ = write!(out, "{:>width$}", cell, width = widths[i]);
-                if i + 1 < cols {
-                    out.push_str("  ");
-                }
-            }
-            out.push('\n');
-        };
-        write_row(&mut out, &self.headers);
-        let total: usize = widths.iter().sum::<usize>() + 2 * (cols - 1);
-        out.push_str(&"-".repeat(total));
-        out.push('\n');
-        for row in &self.rows {
-            write_row(&mut out, row);
-        }
-        out
-    }
-}
+//! The experiment bins print the paper's tables as aligned ASCII (so a
+//! terminal run reads like the paper); `dynspread_bench::row::render_table`
+//! lays them out, and [`fmt_f64`] is how their float cells read.
 
 /// Formats a float compactly for table cells (`1234.5` → `"1234.5"`,
 /// `0.000123` → `"1.23e-4"`).
@@ -115,39 +22,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn render_aligns_columns() {
-        let mut t = Table::new(&["x", "value"]);
-        t.row(&["1", "10"]).row(&["100", "2"]);
-        let s = t.render();
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
-        // All rows the same width.
-        assert_eq!(lines[0].len(), lines[2].len());
-        assert_eq!(lines[2].len(), lines[3].len());
-    }
-
-    #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn row_width_checked() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(&["only-one"]);
-    }
-
-    #[test]
     fn fmt_f64_modes() {
         assert_eq!(fmt_f64(0.0), "0");
         assert_eq!(fmt_f64(1234.5), "1234.5");
         assert_eq!(fmt_f64(2.0), "2");
         assert_eq!(fmt_f64(0.000123), "1.230e-4");
         assert_eq!(fmt_f64(1e9), "1.000e9");
-    }
-
-    #[test]
-    fn row_owned_appends() {
-        let mut t = Table::new(&["a"]);
-        assert!(t.is_empty());
-        t.row_owned(vec!["x".to_string()]);
-        assert_eq!(t.len(), 1);
-        assert!(t.render().contains('x'));
     }
 }

@@ -11,8 +11,9 @@
 //! adversary, but completes against the weak one.
 
 use dynspread_analysis::progress::stall_fraction;
-use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_analysis::table::fmt_f64;
 use dynspread_bench::arms::run_section2;
+use dynspread_bench::row::{render_table, Row};
 use dynspread_core::flooding::RoundRobinBroadcast;
 use dynspread_core::lower_bound::{LaggedPotentialAdversary, PotentialAdversary};
 
@@ -21,14 +22,6 @@ fn main() {
     println!("Adaptivity gap: the §2 adversary with and without the one-round lag");
     println!("algorithm: round-robin flooding (rotating token choice); k = n/2\n");
 
-    let mut table = Table::new(&[
-        "n",
-        "adversary",
-        "completed?",
-        "rounds",
-        "messages",
-        "stall fraction",
-    ]);
     // Both arms per n are independent seeded runs: fan across cores. Same
     // seed, so same K' sets and initial assignment for the two of them.
     let runs = dynspread_bench::par_map(
@@ -51,22 +44,24 @@ fn main() {
             (n, strong, strong_stalls, weak, weak_stalls)
         },
     );
+    let mut rows = Vec::new();
     for (n, strong, strong_stalls, weak, weak_stalls) in runs {
         for (adversary, report, stalls) in [
             ("strongly adaptive", strong, strong_stalls),
             ("weakly adaptive", weak, weak_stalls),
         ] {
-            table.row_owned(vec![
-                n.to_string(),
-                adversary.into(),
-                report.completed.to_string(),
-                report.rounds.to_string(),
-                report.total_messages.to_string(),
-                fmt_f64(stalls),
-            ]);
+            rows.push(
+                Row::default()
+                    .table("n", n)
+                    .table("adversary", adversary)
+                    .table("completed?", report.completed)
+                    .table("rounds", report.rounds)
+                    .table("messages", report.total_messages)
+                    .table("stall fraction", fmt_f64(stalls)),
+            );
         }
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
     println!(
         "expected shape: identical K' sets and initial knowledge, yet the strong \
          adversary stalls round-robin indefinitely while the weak one cannot — \

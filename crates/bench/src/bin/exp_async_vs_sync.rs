@@ -20,9 +20,10 @@
 //! independent seeded run fanned through `par_map` (parallel output is
 //! byte-identical to serial — set `DYNSPREAD_THREADS=1` to check).
 
-use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_analysis::table::fmt_f64;
 use dynspread_bench::arms::{link_sweep, link_sweep_adversary, LINK_SWEEP_ARMS};
 use dynspread_bench::derive_seed;
+use dynspread_bench::row::{render_table, Row};
 use dynspread_core::single_source::SingleSourceNode;
 use dynspread_graph::NodeId;
 use dynspread_runtime::engine::{EventSim, StopReason};
@@ -76,20 +77,7 @@ fn main() {
     let drops = [0.0, 0.15, 0.3];
     let runs = link_sweep(47, &drops, |p, arm, seed| run_cell(n, k, p, arm, seed));
 
-    let mut table = Table::new(&[
-        "adversary",
-        "drop p",
-        "seed#",
-        "async done",
-        "vtime",
-        "epochs",
-        "events",
-        "async msgs",
-        "unrt",
-        "sync rounds",
-        "sync msgs",
-        "msg ×",
-    ]);
+    let mut rows = Vec::new();
     for (p, arm, s, cell) in &runs {
         let name = LINK_SWEEP_ARMS[*arm];
         assert!(cell.sync.completed, "sync reference failed: {}", cell.sync);
@@ -100,22 +88,24 @@ fn main() {
             cell.async_report
         );
         assert_eq!(cell.async_report.learnings, cell.sync.learnings);
-        table.row_owned(vec![
-            name.to_string(),
-            fmt_f64(*p),
-            s.to_string(),
-            cell.async_report.completed.to_string(),
-            cell.final_time.to_string(),
-            cell.async_report.rounds.to_string(),
-            cell.events.to_string(),
-            cell.async_report.total_messages.to_string(),
-            cell.async_report.unroutable.to_string(),
-            cell.sync.rounds.to_string(),
-            cell.sync.total_messages.to_string(),
-            fmt_f64(cell.async_report.total_messages as f64 / cell.sync.total_messages as f64),
-        ]);
+        let premium = cell.async_report.total_messages as f64 / cell.sync.total_messages as f64;
+        rows.push(
+            Row::default()
+                .table("adversary", name)
+                .table("drop p", fmt_f64(*p))
+                .table("seed#", s)
+                .table("async done", cell.async_report.completed)
+                .table("vtime", cell.final_time)
+                .table("epochs", cell.async_report.rounds)
+                .table("events", cell.events)
+                .table("async msgs", cell.async_report.total_messages)
+                .table("unrt", cell.async_report.unroutable)
+                .table("sync rounds", cell.sync.rounds)
+                .table("sync msgs", cell.sync.total_messages)
+                .table("msg ×", fmt_f64(premium)),
+        );
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
 
     println!("reading the table:");
     println!("  vtime/epochs — async virtual completion time and elapsed topology epochs;");

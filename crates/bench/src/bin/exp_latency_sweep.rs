@@ -11,7 +11,8 @@
 //! Sweeps latency × jitter × seed through `par_map` (deterministic:
 //! parallel output is byte-identical to `DYNSPREAD_THREADS=1`).
 
-use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_analysis::table::fmt_f64;
+use dynspread_bench::row::{render_table, Row};
 use dynspread_bench::{derive_seed, par_map};
 use dynspread_core::single_source::SingleSourceNode;
 use dynspread_graph::generators::Topology;
@@ -55,17 +56,6 @@ fn main() {
         (lat, jit, s, run_latent(n, k, lat, jit, seed))
     });
 
-    let mut table = Table::new(&[
-        "latency",
-        "jitter",
-        "seed#",
-        "completed",
-        "rounds",
-        "stretch",
-        "messages",
-        "TC(E)",
-        "residual",
-    ]);
     // Per-seed lossless baselines: same adversary schedule, latency 0.
     let mut baseline = vec![0u64; seeds_per_cell];
     for (lat, jit, s, report) in &runs {
@@ -73,21 +63,24 @@ fn main() {
             baseline[*s] = report.rounds;
         }
     }
+    let mut rows = Vec::new();
     for (lat, jit, s, report) in &runs {
         assert!(report.completed, "lat={lat} jit={jit} seed#{s}: {report}");
-        table.row_owned(vec![
-            lat.to_string(),
-            jit.to_string(),
-            s.to_string(),
-            report.completed.to_string(),
-            report.rounds.to_string(),
-            fmt_f64(report.rounds as f64 / baseline[*s].max(1) as f64),
-            report.total_messages.to_string(),
-            report.tc().to_string(),
-            fmt_f64(report.competitive_residual(1.0)),
-        ]);
+        let stretch = report.rounds as f64 / baseline[*s].max(1) as f64;
+        rows.push(
+            Row::default()
+                .table("latency", lat)
+                .table("jitter", jit)
+                .table("seed#", s)
+                .table("completed", report.completed)
+                .table("rounds", report.rounds)
+                .table("stretch", fmt_f64(stretch))
+                .table("messages", report.total_messages)
+                .table("TC(E)", report.tc())
+                .table("residual", fmt_f64(report.competitive_residual(1.0))),
+        );
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
     println!("expected: stretch ≈ 1 + latency per handshake leg; messages barely move");
     println!("(the handshake is latency-tolerant — only round counts pay for delay).");
 }

@@ -14,8 +14,9 @@
 use dynspread_analysis::fit::power_law_fit;
 use dynspread_analysis::plot::column_chart;
 use dynspread_analysis::progress::{cumulative, stall_fraction};
-use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_analysis::table::fmt_f64;
 use dynspread_bench::arms::run_section2;
+use dynspread_bench::row::{render_table, Row};
 use dynspread_core::flooding::{PhasedFlooding, RoundRobinBroadcast};
 use dynspread_core::lower_bound::PotentialAdversary;
 
@@ -25,16 +26,7 @@ fn main() {
     println!("initial knowledge density 1/4, K' density 1/4, k = n/2, seed = {seed}\n");
 
     let ns = [16usize, 24, 32, 48, 64];
-    let mut table = Table::new(&[
-        "n",
-        "k",
-        "rounds",
-        "amortized msgs/token",
-        "n²/ln²n (LB shape)",
-        "n² (UB shape)",
-        "max Φ-increase/round",
-        "ln n",
-    ]);
+    let mut rows = Vec::new();
     let mut xs = Vec::new();
     let mut ys = Vec::new();
     let mut last_curve: Vec<f64> = Vec::new();
@@ -64,21 +56,22 @@ fn main() {
     for (n, k, report, max_phi, curve) in runs {
         assert!(report.completed, "phased flooding must complete: {report}");
         let ln = (n as f64).ln();
-        table.row_owned(vec![
-            n.to_string(),
-            k.to_string(),
-            report.rounds.to_string(),
-            fmt_f64(report.amortized()),
-            fmt_f64((n * n) as f64 / (ln * ln)),
-            fmt_f64((n * n) as f64),
-            max_phi.to_string(),
-            fmt_f64(ln),
-        ]);
+        rows.push(
+            Row::default()
+                .table("n", n)
+                .table("k", k)
+                .table("rounds", report.rounds)
+                .table("amortized msgs/token", fmt_f64(report.amortized()))
+                .table("n²/ln²n (LB shape)", fmt_f64((n * n) as f64 / (ln * ln)))
+                .table("n² (UB shape)", fmt_f64((n * n) as f64))
+                .table("max Φ-increase/round", max_phi)
+                .table("ln n", fmt_f64(ln)),
+        );
         xs.push(n as f64);
         ys.push(report.amortized());
         last_curve = curve;
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
     println!(
         "cumulative token learnings over time (n = {}) — the adversary \
          flattens the curve to O(log n) per round:",
@@ -94,7 +87,7 @@ fn main() {
 
     // Round-robin arm: the adversary stalls it (Lemma 2.2 in action).
     println!("round-robin flooding arm (no phase structure):");
-    let mut stall_table = Table::new(&["n", "completed?", "stall fraction (zero-learning rounds)"]);
+    let mut stall_rows = Vec::new();
     for (i, &n) in [16usize, 32].iter().enumerate() {
         let (report, sim) = run_section2(
             "round-robin",
@@ -105,12 +98,13 @@ fn main() {
             4,
         );
         let stalls = stall_fraction(sim.tracker().learnings_per_round());
-        stall_table.row_owned(vec![
-            n.to_string(),
-            report.completed.to_string(),
-            fmt_f64(stalls),
-        ]);
+        stall_rows.push(
+            Row::default()
+                .table("n", n)
+                .table("completed?", report.completed)
+                .table("stall fraction (zero-learning rounds)", fmt_f64(stalls)),
+        );
     }
-    println!("{}", stall_table.render());
+    println!("{}", render_table(&stall_rows));
     println!("expected: round-robin does not complete; almost all rounds are stalls");
 }

@@ -15,9 +15,10 @@
 //! independent seeded run fanned through `par_map` (parallel output is
 //! byte-identical to serial — set `DYNSPREAD_THREADS=1` to check).
 
-use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_analysis::table::fmt_f64;
 use dynspread_bench::arms::{link_sweep, link_sweep_adversary, LINK_SWEEP_ARMS};
 use dynspread_bench::derive_seed;
+use dynspread_bench::row::{render_table, Row};
 use dynspread_core::single_source::SingleSourceNode;
 use dynspread_graph::NodeId;
 use dynspread_runtime::link::{LinkModelExt, PerfectLink};
@@ -48,19 +49,9 @@ fn main() {
     let drops = [0.0, 0.1, 0.2, 0.35, 0.5];
     let runs = link_sweep(29, &drops, |p, arm, seed| run_lossy(n, k, p, arm, seed));
 
-    let mut table = Table::new(&[
-        "adversary",
-        "drop p",
-        "seed#",
-        "completed",
-        "rounds",
-        "messages",
-        "dropped",
-        "TC(E)",
-        "residual",
-    ]);
     // Baseline rounds per arm at p = 0 (seed 0) for the stretch summary.
     let mut baseline = [0u64; 2];
+    let mut rows = Vec::new();
     for (p, arm, s, report) in &runs {
         let name = LINK_SWEEP_ARMS[*arm];
         if *p == 0.0 {
@@ -69,19 +60,20 @@ fn main() {
         if *p == 0.0 && *s == 0 {
             baseline[*arm] = report.rounds;
         }
-        table.row_owned(vec![
-            name.to_string(),
-            fmt_f64(*p),
-            s.to_string(),
-            report.completed.to_string(),
-            report.rounds.to_string(),
-            report.total_messages.to_string(),
-            report.link_drops.to_string(),
-            report.tc().to_string(),
-            fmt_f64(report.competitive_residual(1.0)),
-        ]);
+        rows.push(
+            Row::default()
+                .table("adversary", name)
+                .table("drop p", fmt_f64(*p))
+                .table("seed#", s)
+                .table("completed", report.completed)
+                .table("rounds", report.rounds)
+                .table("messages", report.total_messages)
+                .table("dropped", report.link_drops)
+                .table("TC(E)", report.tc())
+                .table("residual", fmt_f64(report.competitive_residual(1.0))),
+        );
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
 
     println!("round stretch vs lossless (seed 0):");
     for (p, arm, s, report) in &runs {

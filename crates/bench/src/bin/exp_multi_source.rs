@@ -7,7 +7,8 @@
 
 use dynspread_analysis::competitive::{competitive_records, multi_source_bound, worst_ratio};
 use dynspread_analysis::fit::linear_fit;
-use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_analysis::table::fmt_f64;
+use dynspread_bench::row::{render_table, Row};
 use dynspread_bench::{default_adversary, par_map, run_multi_source};
 use dynspread_sim::message::MessageClass;
 use dynspread_sim::token::TokenAssignment;
@@ -19,16 +20,7 @@ fn main() {
     println!("Theorems 3.5 & 3.6 reproduction: Multi-Source-Unicast, n = {n}, k = {k}");
     println!("bound: M − TC(E) ≤ c(n²s + nk); rounds ≤ c'·nk on 3-stable graphs\n");
 
-    let mut table = Table::new(&[
-        "s",
-        "messages",
-        "completeness msgs",
-        "TC(E)",
-        "residual",
-        "n²s+nk",
-        "ratio",
-        "rounds/nk",
-    ]);
+    let mut rows = Vec::new();
     let ss = [1usize, 2, 4, 8, 16, 24];
     let mut announce = Vec::new();
     let mut svals = Vec::new();
@@ -44,23 +36,27 @@ fn main() {
         assert!(report.completed, "s={s}: {report}");
         let residual = report.competitive_residual(1.0);
         let bound = (n * n * s + n * k) as f64;
-        table.row_owned(vec![
-            s.to_string(),
-            report.total_messages.to_string(),
-            report.class(MessageClass::Completeness).to_string(),
-            report.tc().to_string(),
-            fmt_f64(residual),
-            fmt_f64(bound),
-            fmt_f64(residual / bound),
-            fmt_f64(report.rounds as f64 / (n * k) as f64),
-        ]);
+        rows.push(
+            Row::default()
+                .table("s", s)
+                .table("messages", report.total_messages)
+                .table(
+                    "completeness msgs",
+                    report.class(MessageClass::Completeness),
+                )
+                .table("TC(E)", report.tc())
+                .table("residual", fmt_f64(residual))
+                .table("n²s+nk", fmt_f64(bound))
+                .table("ratio", fmt_f64(residual / bound))
+                .table("rounds/nk", fmt_f64(report.rounds as f64 / (n * k) as f64)),
+        );
         announce.push(report.class(MessageClass::Completeness) as f64);
         svals.push(s as f64);
         // Per-s competitive record for the worst-ratio summary.
         let records = competitive_records(&[report], 1.0, multi_source_bound(s));
         assert!(worst_ratio(&records) < 8.0, "ratio exploded for s={s}");
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
 
     let fit = linear_fit(&svals, &announce);
     println!(

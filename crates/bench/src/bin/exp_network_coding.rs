@@ -11,8 +11,9 @@
 //! flooding rounds grow ~quadratically (`Θ(nk) = Θ(n²)`).
 
 use dynspread_analysis::fit::power_law_fit;
-use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_analysis::table::fmt_f64;
 use dynspread_bench::par_map;
+use dynspread_bench::row::{render_table, Row};
 use dynspread_core::flooding::PhasedFlooding;
 use dynspread_core::network_coding::RlncNode;
 use dynspread_graph::generators::Topology;
@@ -25,14 +26,7 @@ fn main() {
     println!("Token forwarding vs network coding (n-gossip, rewired random trees)\n");
 
     let ns = [8usize, 12, 16, 24, 32];
-    let mut table = Table::new(&[
-        "n (=k)",
-        "flooding rounds",
-        "RLNC rounds",
-        "flooding msgs",
-        "RLNC msgs",
-        "round speedup",
-    ]);
+    let mut rows = Vec::new();
     let mut xs = Vec::new();
     let mut flood_rounds = Vec::new();
     let mut rlnc_rounds = Vec::new();
@@ -61,19 +55,23 @@ fn main() {
         assert!(flood.completed, "flooding n={n}");
         assert!(rlnc.completed, "rlnc n={n}");
 
-        table.row_owned(vec![
-            n.to_string(),
-            flood.rounds.to_string(),
-            rlnc.rounds.to_string(),
-            flood.total_messages.to_string(),
-            rlnc.total_messages.to_string(),
-            fmt_f64(flood.rounds as f64 / rlnc.rounds as f64),
-        ]);
+        rows.push(
+            Row::default()
+                .table("n (=k)", n)
+                .table("flooding rounds", flood.rounds)
+                .table("RLNC rounds", rlnc.rounds)
+                .table("flooding msgs", flood.total_messages)
+                .table("RLNC msgs", rlnc.total_messages)
+                .table(
+                    "round speedup",
+                    fmt_f64(flood.rounds as f64 / rlnc.rounds as f64),
+                ),
+        );
         xs.push(n as f64);
         flood_rounds.push(flood.rounds as f64);
         rlnc_rounds.push(rlnc.rounds as f64);
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
     let ff = power_law_fit(&xs, &flood_rounds);
     let rf = power_law_fit(&xs, &rlnc_rounds);
     println!(

@@ -9,7 +9,8 @@
 //! Multi-Source (whose amortized cost is Θ(n²s/k + n)) once `s` is large.
 
 use dynspread_analysis::fit::power_law_fit;
-use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_analysis::table::fmt_f64;
+use dynspread_bench::row::{render_table, Row};
 use dynspread_bench::{par_map, run_oblivious_vs_multi_source};
 use dynspread_sim::message::MessageClass;
 
@@ -21,16 +22,7 @@ fn main() {
     println!("(log factors dropped at laptop scale; see table1.rs's module doc)\n");
 
     let ks = [n / 2, n, 2 * n, 4 * n, 8 * n];
-    let mut table = Table::new(&[
-        "k",
-        "s",
-        "centers",
-        "walk msgs",
-        "oblivious total",
-        "oblivious amortized",
-        "multi-source amortized",
-        "predicted n^(5/2)/k^(3/4)",
-    ]);
+    let mut rows = Vec::new();
     let mut kv = Vec::new();
     let mut av = Vec::new();
     // Both arms of every k cell are independent seeded runs: fan across
@@ -46,20 +38,24 @@ fn main() {
             .phase1
             .as_ref()
             .map_or(0, |r| r.class(MessageClass::Walk));
-        table.row_owned(vec![
-            k.to_string(),
-            s.to_string(),
-            out.centers.len().to_string(),
-            walk_msgs.to_string(),
-            out.total_messages().to_string(),
-            fmt_f64(out.amortized()),
-            fmt_f64(ms.amortized()),
-            fmt_f64(nf.powf(2.5) / (k as f64).powf(0.75)),
-        ]);
+        rows.push(
+            Row::default()
+                .table("k", k)
+                .table("s", s)
+                .table("centers", out.centers.len())
+                .table("walk msgs", walk_msgs)
+                .table("oblivious total", out.total_messages())
+                .table("oblivious amortized", fmt_f64(out.amortized()))
+                .table("multi-source amortized", fmt_f64(ms.amortized()))
+                .table(
+                    "predicted n^(5/2)/k^(3/4)",
+                    fmt_f64(nf.powf(2.5) / (k as f64).powf(0.75)),
+                ),
+        );
         kv.push(k as f64);
         av.push(out.amortized());
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
     let fit = power_law_fit(&kv, &av);
     println!(
         "measured oblivious amortized ~ k^{:.3} (R² = {:.3}); paper predicts k^-0.75",

@@ -22,7 +22,7 @@
 //!
 //! Usage: `cargo run --release -p dynspread-bench --bin exp_oblivious_async`
 
-use dynspread_analysis::table::Table;
+use dynspread_bench::row::{render_table, Row};
 use dynspread_bench::{derive_seed, par_map};
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
@@ -102,29 +102,28 @@ fn main() {
         .collect();
     let cells = par_map(jobs, |(d, j, s)| run_cell(n, d, j, s));
 
-    let mut table = Table::new(&[
-        "drop", "jitter", "seed", "done", "sources", "strand", "p1 t", "p2 t", "sent", "events",
-    ]);
+    let mut rows = Vec::new();
     for c in &cells {
         assert!(
             c.completed,
             "drop {} jitter {} seed {}: did not complete",
             c.drop, c.jitter, c.seed
         );
-        table.row_owned(vec![
-            format!("{:.2}", c.drop),
-            c.jitter.to_string(),
-            c.seed.to_string(),
-            c.completed.to_string(),
-            c.sources.to_string(),
-            c.stranded.to_string(),
-            c.p1_time.to_string(),
-            c.p2_time.to_string(),
-            c.transmissions.to_string(),
-            c.events.to_string(),
-        ]);
+        rows.push(
+            Row::default()
+                .table("drop", format!("{:.2}", c.drop))
+                .table("jitter", c.jitter)
+                .table("seed", c.seed)
+                .table("done", c.completed)
+                .table("sources", c.sources)
+                .table("strand", c.stranded)
+                .table("p1 t", c.p1_time)
+                .table("p2 t", c.p2_time)
+                .table("sent", c.transmissions)
+                .table("events", c.events),
+        );
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
     println!("sent = link-layer transmissions incl. retransmissions; the");
     println!("drop-0 rows are the lossless reference for the premium.");
 }

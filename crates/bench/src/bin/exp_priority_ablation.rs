@@ -9,7 +9,8 @@
 //! (request cutting and fast rewiring).
 
 use dynspread_analysis::stats::Summary;
-use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_analysis::table::fmt_f64;
+use dynspread_bench::row::{render_table, Row};
 use dynspread_bench::run_single_source_with_policy;
 use dynspread_core::adaptive::RequestCuttingAdversary;
 use dynspread_core::single_source::RequestPolicy;
@@ -88,14 +89,6 @@ fn main() {
         "Request-priority ablation: Single-Source-Unicast, n = {n}, k = {k}, {trials} seeds/cell\n"
     );
 
-    let mut table = Table::new(&[
-        "adversary",
-        "policy",
-        "completed",
-        "rounds (mean)",
-        "messages (mean)",
-        "wasted requests (mean)",
-    ]);
     // The full (family × policy × trial) grid is embarrassingly parallel:
     // fan it across cores, then aggregate per-cell trial means in order.
     let families = [
@@ -148,6 +141,7 @@ fn main() {
         }
     });
     let trials_us = trials as usize;
+    let mut rows = Vec::new();
     for (f, family) in families.iter().enumerate() {
         for (p, policy) in policies.iter().enumerate() {
             let cell = &runs[(f * policies.len() + p) * trials_us..][..trials_us];
@@ -158,17 +152,27 @@ fn main() {
                 .iter()
                 .map(|r| (r.class(MessageClass::Request) - r.class(MessageClass::Token)) as f64)
                 .collect();
-            table.row_owned(vec![
-                (*family).into(),
-                format!("{policy:?}"),
-                format!("{done}/{trials}"),
-                fmt_f64(Summary::from_samples(&rounds).mean),
-                fmt_f64(Summary::from_samples(&msgs).mean),
-                fmt_f64(Summary::from_samples(&wasted).mean),
-            ]);
+            rows.push(
+                Row::default()
+                    .table("adversary", family)
+                    .table("policy", format!("{policy:?}"))
+                    .table("completed", format!("{done}/{trials}"))
+                    .table(
+                        "rounds (mean)",
+                        fmt_f64(Summary::from_samples(&rounds).mean),
+                    )
+                    .table(
+                        "messages (mean)",
+                        fmt_f64(Summary::from_samples(&msgs).mean),
+                    )
+                    .table(
+                        "wasted requests (mean)",
+                        fmt_f64(Summary::from_samples(&wasted).mean),
+                    ),
+            );
         }
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
     println!(
         "expected shape: under oblivious dynamics the policies coincide (every \
          eligible edge gets a request when tokens outnumber edges); under the σ-stable \

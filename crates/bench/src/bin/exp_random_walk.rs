@@ -10,8 +10,9 @@
 //!   shape.
 
 use dynspread_analysis::stats::Summary;
-use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_analysis::table::fmt_f64;
 use dynspread_bench::par_map;
+use dynspread_bench::row::{render_table, Row};
 use dynspread_core::random_walk::{distinct_visit_bound, lazy_walk, visit_count_bound};
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
@@ -23,15 +24,6 @@ fn main() {
     let trials = 5;
     println!("Lemma 3.7 reproduction: lazy walks on near-d-regular dynamic graphs, n = {n}, {trials} trials/row\n");
 
-    let mut table = Table::new(&[
-        "d",
-        "rounds",
-        "actual steps (mean)",
-        "distinct visits (mean)",
-        "√L/(d·ln n) (LB shape)",
-        "max visits (mean)",
-        "d·√(t+1)·ln n (UB shape)",
-    ]);
     // Every (d, rounds, trial) walk is independent: fan the whole grid
     // across cores, then aggregate trial means per cell.
     let cells: Vec<(usize, u64)> = [3usize, 4, 6]
@@ -51,25 +43,35 @@ fn main() {
             stats.actual_steps as f64,
         )
     });
+    let mut rows = Vec::new();
     for (ci, &(d, rounds)) in cells.iter().enumerate() {
-        {
-            let cell = &walks[ci * trials..(ci + 1) * trials];
-            let distinct: Vec<f64> = cell.iter().map(|w| w.0).collect();
-            let maxv: Vec<f64> = cell.iter().map(|w| w.1).collect();
-            let actual: Vec<f64> = cell.iter().map(|w| w.2).collect();
-            let mean_actual = Summary::from_samples(&actual).mean;
-            table.row_owned(vec![
-                d.to_string(),
-                rounds.to_string(),
-                fmt_f64(mean_actual),
-                fmt_f64(Summary::from_samples(&distinct).mean),
-                fmt_f64(distinct_visit_bound(mean_actual as u64, d, n)),
-                fmt_f64(Summary::from_samples(&maxv).mean),
-                fmt_f64(visit_count_bound(rounds, d, n)),
-            ]);
-        }
+        let cell = &walks[ci * trials..(ci + 1) * trials];
+        let distinct: Vec<f64> = cell.iter().map(|w| w.0).collect();
+        let maxv: Vec<f64> = cell.iter().map(|w| w.1).collect();
+        let actual: Vec<f64> = cell.iter().map(|w| w.2).collect();
+        let mean_actual = Summary::from_samples(&actual).mean;
+        let lb = distinct_visit_bound(mean_actual as u64, d, n);
+        rows.push(
+            Row::default()
+                .table("d", d)
+                .table("rounds", rounds)
+                .table("actual steps (mean)", fmt_f64(mean_actual))
+                .table(
+                    "distinct visits (mean)",
+                    fmt_f64(Summary::from_samples(&distinct).mean),
+                )
+                .table("√L/(d·ln n) (LB shape)", fmt_f64(lb))
+                .table(
+                    "max visits (mean)",
+                    fmt_f64(Summary::from_samples(&maxv).mean),
+                )
+                .table(
+                    "d·√(t+1)·ln n (UB shape)",
+                    fmt_f64(visit_count_bound(rounds, d, n)),
+                ),
+        );
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
     println!(
         "expected shape: distinct visits ≥ the LB column (walks cover nodes at \
          least at the Lemma 3.7 rate); max visits ≤ the UB column up to the 2^(c+3) constant"

@@ -7,7 +7,8 @@
 //! holds iff it stays O(1)), and `rounds/(nk)` (Theorem 3.4's constant).
 
 use dynspread_analysis::competitive::{competitive_records, single_source_bound, worst_ratio};
-use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_analysis::table::fmt_f64;
+use dynspread_bench::row::{render_table, Row};
 use dynspread_bench::{par_map, run_single_source};
 use dynspread_core::adaptive::RequestCuttingAdversary;
 use dynspread_graph::generators::Topology;
@@ -19,17 +20,6 @@ fn main() {
     println!("Theorems 3.1 & 3.4 reproduction: Single-Source-Unicast");
     println!("bound: M − TC(E) ≤ c(n² + nk); rounds ≤ c'·nk on 3-stable graphs\n");
 
-    let mut table = Table::new(&[
-        "adversary",
-        "n",
-        "k",
-        "messages",
-        "TC(E)",
-        "residual",
-        "n²+nk",
-        "ratio",
-        "rounds/nk",
-    ]);
     let cases: Vec<(usize, usize)> =
         vec![(16, 8), (16, 32), (24, 24), (32, 16), (32, 64), (48, 48)];
     // Every (case, adversary) cell is an independent seeded simulation:
@@ -69,27 +59,27 @@ fn main() {
             ),
         ),
     });
+    let mut rows = Vec::new();
     let mut reports = Vec::new();
-    {
-        for (name, n, k, report) in runs {
-            assert!(report.completed, "{name} n={n} k={k}: {report}");
-            let residual = report.competitive_residual(1.0);
-            let bound = single_source_bound(&report);
-            table.row_owned(vec![
-                name,
-                n.to_string(),
-                k.to_string(),
-                report.total_messages.to_string(),
-                report.tc().to_string(),
-                fmt_f64(residual),
-                fmt_f64(bound),
-                fmt_f64(residual / bound),
-                fmt_f64(report.rounds as f64 / (n * k) as f64),
-            ]);
-            reports.push(report);
-        }
+    for (name, n, k, report) in runs {
+        assert!(report.completed, "{name} n={n} k={k}: {report}");
+        let residual = report.competitive_residual(1.0);
+        let bound = single_source_bound(&report);
+        rows.push(
+            Row::default()
+                .table("adversary", name)
+                .table("n", n)
+                .table("k", k)
+                .table("messages", report.total_messages)
+                .table("TC(E)", report.tc())
+                .table("residual", fmt_f64(residual))
+                .table("n²+nk", fmt_f64(bound))
+                .table("ratio", fmt_f64(residual / bound))
+                .table("rounds/nk", fmt_f64(report.rounds as f64 / (n * k) as f64)),
+        );
+        reports.push(report);
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
     let records = competitive_records(&reports, 1.0, single_source_bound);
     println!(
         "worst residual/(n²+nk) ratio across all runs: {:.3} — Theorem 3.1 holds with this constant\n",
@@ -99,32 +89,24 @@ fn main() {
     // Adaptive arm: unbounded request cutting may prevent termination but
     // cannot break the competitive bound (run capped).
     println!("strongly adaptive arm: request-cutting adversary (capped at 3000 rounds)");
-    let mut adv_table = Table::new(&[
-        "n",
-        "k",
-        "completed?",
-        "messages",
-        "TC(E)",
-        "residual",
-        "ratio",
-    ]);
     let adaptive_runs = par_map(vec![(16usize, 8usize), (24, 12)], |(n, k)| {
         let adv = RequestCuttingAdversary::new(Topology::SparseConnected(2.0), usize::MAX, 2, seed);
         (n, k, run_single_source(n, k, adv, 3_000))
     });
-    for (n, k, report) in adaptive_runs {
-        let residual = report.competitive_residual(1.0);
-        let bound = single_source_bound(&report);
-        adv_table.row_owned(vec![
-            n.to_string(),
-            k.to_string(),
-            report.completed.to_string(),
-            report.total_messages.to_string(),
-            report.tc().to_string(),
-            fmt_f64(residual),
-            fmt_f64(residual / bound),
-        ]);
-    }
-    println!("{}", adv_table.render());
+    let adv_rows: Vec<Row> = adaptive_runs
+        .into_iter()
+        .map(|(n, k, report)| {
+            let residual = report.competitive_residual(1.0);
+            Row::default()
+                .table("n", n)
+                .table("k", k)
+                .table("completed?", report.completed)
+                .table("messages", report.total_messages)
+                .table("TC(E)", report.tc())
+                .table("residual", fmt_f64(residual))
+                .table("ratio", fmt_f64(residual / single_source_bound(&report)))
+        })
+        .collect();
+    println!("{}", render_table(&adv_rows));
     println!("expected: residual ratio stays O(1) even when the adversary stalls termination");
 }

@@ -7,7 +7,8 @@
 //! σ ∈ {1, 2, 3, 5, 8} and reports rounds, messages, and wasted requests
 //! (requests whose edge died before the token arrived).
 
-use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_analysis::table::fmt_f64;
+use dynspread_bench::row::{render_table, Row};
 use dynspread_bench::{par_map, run_single_source};
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
@@ -19,15 +20,6 @@ fn main() {
     println!("σ-stability ablation: Single-Source-Unicast, n = {n}, k = {k}");
     println!("adversary: fresh random tree every σ rounds (σ-edge-stable by construction)\n");
 
-    let mut table = Table::new(&[
-        "σ (rewire period)",
-        "rounds",
-        "rounds/nk",
-        "messages",
-        "requests",
-        "wasted requests",
-        "TC(E)",
-    ]);
     // One independent run per σ: fan across cores.
     let runs = par_map(
         [1u64, 2, 3, 5, 8].into_iter().enumerate().collect(),
@@ -36,21 +28,23 @@ fn main() {
             (sigma, run_single_source(n, k, adv, 8_000_000))
         },
     );
+    let mut rows = Vec::new();
     for (sigma, report) in runs {
         assert!(report.completed, "σ={sigma}: {report}");
         let requests = report.class(MessageClass::Request);
         let tokens = report.class(MessageClass::Token);
-        table.row_owned(vec![
-            sigma.to_string(),
-            report.rounds.to_string(),
-            fmt_f64(report.rounds as f64 / (n * k) as f64),
-            report.total_messages.to_string(),
-            requests.to_string(),
-            (requests - tokens).to_string(),
-            report.tc().to_string(),
-        ]);
+        rows.push(
+            Row::default()
+                .table("σ (rewire period)", sigma)
+                .table("rounds", report.rounds)
+                .table("rounds/nk", fmt_f64(report.rounds as f64 / (n * k) as f64))
+                .table("messages", report.total_messages)
+                .table("requests", requests)
+                .table("wasted requests", requests - tokens)
+                .table("TC(E)", report.tc()),
+        );
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
     println!(
         "expected shape: σ ≥ 3 keeps rounds/nk and wasted requests low (Theorem 3.4's \
          regime); σ < 3 kills in-flight handshakes every rewiring, inflating both — \

@@ -9,8 +9,9 @@
 //! the tradeoff: flooding finishes faster; Algorithm 1 sends far fewer
 //! messages net of the adversary's budget.
 
-use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_analysis::table::fmt_f64;
 use dynspread_bench::par_map;
+use dynspread_bench::row::{render_table, Row};
 use dynspread_core::baselines::UnicastFlooding;
 use dynspread_core::single_source::SingleSourceNode;
 use dynspread_graph::generators::Topology;
@@ -23,14 +24,6 @@ fn main() {
     let seed = 61u64;
     println!("Time vs messages (unicast): naive flooding vs Algorithm 1, k = 2n\n");
 
-    let mut table = Table::new(&[
-        "n",
-        "algorithm",
-        "rounds",
-        "messages",
-        "residual M−TC",
-        "amortized msgs/token",
-    ]);
     // Both arms of every n are independent seeded runs: fan across cores.
     let jobs: Vec<(usize, usize, bool)> = [12usize, 16, 24, 32]
         .into_iter()
@@ -63,20 +56,20 @@ fn main() {
         };
         (n, report)
     });
+    let mut rows = Vec::new();
     for (n, r) in &runs {
         assert!(r.completed, "n={n}: {r}");
-        {
-            table.row_owned(vec![
-                n.to_string(),
-                r.algorithm.to_string(),
-                r.rounds.to_string(),
-                r.total_messages.to_string(),
-                fmt_f64(r.competitive_residual(1.0)),
-                fmt_f64(r.amortized()),
-            ]);
-        }
+        rows.push(
+            Row::default()
+                .table("n", n)
+                .table("algorithm", &r.algorithm)
+                .table("rounds", r.rounds)
+                .table("messages", r.total_messages)
+                .table("residual M−TC", fmt_f64(r.competitive_residual(1.0)))
+                .table("amortized msgs/token", fmt_f64(r.amortized())),
+        );
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&rows));
     println!(
         "expected shape: flooding wins on rounds (pays Θ(n²) messages/token for it); \
          Algorithm 1 wins on messages — its residual stays O(n² + nk) while flooding's \

@@ -22,7 +22,8 @@
 //! exactly the `O(log n)`-per-round progress cap behind Theorem 2.3.
 
 use dynspread_analysis::stats::Summary;
-use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_analysis::table::fmt_f64;
+use dynspread_bench::row::{render_table, Row};
 use dynspread_core::lower_bound::{free_edge_structure, FreeEdgeStructure, KPrimeSets};
 use dynspread_sim::token::{TokenId, TokenSet};
 use rand::rngs::StdRng;
@@ -120,10 +121,7 @@ fn run_arm(
 }
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(96);
+    let n = dynspread_bench::size_arg(96, 4);
     let k = n / 2;
     let trials = 40;
     let seed = 7u64;
@@ -136,14 +134,6 @@ fn main() {
         (n as f64).ln()
     );
 
-    let mut table = Table::new(&[
-        "β",
-        "P(conn) random",
-        "comps random",
-        "P(conn) adversarial",
-        "comps adversarial (mean)",
-        "comps adversarial (max)",
-    ]);
     let mut betas = vec![];
     let mut beta = 1usize;
     while beta < n {
@@ -163,19 +153,21 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(stream);
         run_arm(n, k, beta, trials, adversarial, 0.25, &mut rng)
     });
+    let mut table = Vec::new();
     for (bi, &beta) in betas.iter().enumerate() {
         let (p_rand, c_rand, _) = cells[2 * bi];
         let (p_adv, c_adv, _) = cells[2 * bi + 1];
-        table.row_owned(vec![
-            beta.to_string(),
-            fmt_f64(p_rand),
-            fmt_f64(c_rand.mean),
-            fmt_f64(p_adv),
-            fmt_f64(c_adv.mean),
-            fmt_f64(c_adv.max),
-        ]);
+        table.push(
+            Row::default()
+                .table("β", beta)
+                .table("P(conn) random", fmt_f64(p_rand))
+                .table("comps random", fmt_f64(c_rand.mean))
+                .table("P(conn) adversarial", fmt_f64(p_adv))
+                .table("comps adversarial (mean)", fmt_f64(c_adv.mean))
+                .table("comps adversarial (max)", fmt_f64(c_adv.max)),
+        );
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&table));
     println!(
         "at the paper's density 1/4, F(r) is connected for every β at this scale — \
          the adversary concedes zero potential progress in (nearly) every round, which \
@@ -187,14 +179,6 @@ fn main() {
     // where q ≈ P(token harmless) — lowering the K/K' density exposes the
     // Figure 1 structure's failure point.
     println!("density sweep (adversarial token choices):");
-    let mut dtable = Table::new(&[
-        "K/K' density",
-        "β",
-        "P(F connected)",
-        "components (mean)",
-        "components (max)",
-        "ln n",
-    ]);
     // Density × β sweep: independent cells, fanned across cores.
     let djobs: Vec<(f64, usize)> = [0.25, 0.05, 0.02]
         .iter()
@@ -208,19 +192,20 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(stream);
         run_arm(n, k, beta, trials, true, density, &mut rng)
     });
-    for ((density, beta), (p, c, _)) in djobs.into_iter().zip(dcells) {
-        {
-            dtable.row_owned(vec![
-                fmt_f64(density),
-                beta.to_string(),
-                fmt_f64(p),
-                fmt_f64(c.mean),
-                fmt_f64(c.max),
-                fmt_f64((n as f64).ln()),
-            ]);
-        }
-    }
-    println!("{}", dtable.render());
+    let dtable: Vec<Row> = djobs
+        .into_iter()
+        .zip(dcells)
+        .map(|((density, beta), (p, c, _))| {
+            Row::default()
+                .table("K/K' density", fmt_f64(density))
+                .table("β", beta)
+                .table("P(F connected)", fmt_f64(p))
+                .table("components (mean)", fmt_f64(c.mean))
+                .table("components (max)", fmt_f64(c.max))
+                .table("ln n", fmt_f64((n as f64).ln()))
+        })
+        .collect();
+    println!("{}", render_table(&dtable));
     println!(
         "expected shape: sparse β stays connected even at low density (Lemma 2.2's \
          regime: every broadcaster finds a free edge into the silent clique); large β \

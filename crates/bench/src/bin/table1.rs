@@ -20,14 +20,12 @@
 //! against plain Multi-Source-Unicast.
 
 use dynspread_analysis::fit::power_law_fit;
-use dynspread_analysis::table::{fmt_f64, Table};
-use dynspread_bench::{par_map, run_oblivious_vs_multi_source};
+use dynspread_analysis::table::fmt_f64;
+use dynspread_bench::row::{render_table, Row};
+use dynspread_bench::{par_map, run_oblivious_vs_multi_source, size_arg};
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(48);
+    let n = size_arg(48, 2);
     let seed = 42u64;
     println!("Table 1 reproduction: n = {n}, seed = {seed}");
     println!("(log factors dropped at laptop scale; see table1.rs's module doc)\n");
@@ -40,15 +38,7 @@ fn main() {
         ("n^2/2", n * n / 2),
     ];
 
-    let mut table = Table::new(&[
-        "k",
-        "k (label)",
-        "s",
-        "oblivious total",
-        "oblivious amortized",
-        "multi-source amortized",
-        "predicted n^(5/2)/k^(3/4)",
-    ]);
+    let mut table = Vec::new();
     let mut ks = Vec::new();
     let mut amortized = Vec::new();
     // Each table row is an independent pair of seeded runs: fan across
@@ -62,19 +52,20 @@ fn main() {
         assert!(out.completed(), "oblivious run for k={k} did not complete");
         assert!(ms.completed, "multi-source run for k={k} did not complete");
         let predicted = nf.powf(2.5) / (k as f64).powf(0.75);
-        table.row_owned(vec![
-            k.to_string(),
-            label.to_string(),
-            s.to_string(),
-            out.total_messages().to_string(),
-            fmt_f64(out.amortized()),
-            fmt_f64(ms.amortized()),
-            fmt_f64(predicted),
-        ]);
+        table.push(
+            Row::default()
+                .table("k", k)
+                .table("k (label)", label)
+                .table("s", s)
+                .table("oblivious total", out.total_messages())
+                .table("oblivious amortized", fmt_f64(out.amortized()))
+                .table("multi-source amortized", fmt_f64(ms.amortized()))
+                .table("predicted n^(5/2)/k^(3/4)", fmt_f64(predicted)),
+        );
         ks.push(k as f64);
         amortized.push(out.amortized());
     }
-    println!("{}", table.render());
+    println!("{}", render_table(&table));
 
     let fit = power_law_fit(&ks, &amortized);
     println!(

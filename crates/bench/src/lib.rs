@@ -6,21 +6,23 @@
 //! `README.md` § Experiment binaries is the index, and each binary's module
 //! doc states the claim it checks and the shape to expect.
 //!
-//! What two binaries share is written once, here: a grid cell is a
-//! [`row::Row`] of `(JSON name, table label, value)` columns from which
-//! both the printed table and the committed file are rendered, and the
-//! protocol arms of the scale/profile grids, the three async ports of the
-//! fault/Byzantine grids, the link sweeps' grid and the Section 2
-//! lower-bound setup are the functions of [`arms`].
+//! What two binaries share is written once, here: every table a binary
+//! prints is a list of [`row::Row`]s of `(JSON name, table label, value)`
+//! columns, rendered by the one [`row::render_table`] (and, in the gate
+//! binaries, into the committed file too), and the protocol arms of the
+//! scale/profile grids, the three async ports of the fault/Byzantine grids,
+//! the link sweeps' grid and the Section 2 lower-bound setup are the
+//! functions of [`arms`].
 //!
 //! Five binaries (`exp_{scale,profile,faults,byzantine,sessions}`) write a
 //! `BENCH_*.json` at the repo root. Such a file holds only what the seeds
 //! determine, so the behaviour gate is a comparison of bytes:
 //! `tests/committed_baselines.rs` runs each of the five and demands the
-//! committed file back. A baseline is refreshed by re-running its bin with
-//! no arguments and committing the result. Wall time is not gated here:
-//! speed is claimed through alternating parent/change pairs of the
-//! standalone `benchmark/` package.
+//! committed file back, and runs the other sixteen with no arguments and
+//! demands their committed stdout (`stdout/<bin>.txt`) back. A baseline is
+//! refreshed by re-running its bin with no arguments and committing the
+//! result. Wall time is not gated here: speed is claimed through
+//! alternating parent/change pairs of the standalone `benchmark/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,12 +54,46 @@ pub fn default_adversary(seed: u64) -> PeriodicRewiring {
 /// go (`default_out` when no path is given). A `--flag` or a second path
 /// prints `error: …` and the usage to stderr and exits with status 2.
 pub fn gate_args(default_out: &str) -> String {
+    parse_or_exit("[OUT.json]", |args| parse_gate_args(args, default_out))
+}
+
+/// Parses `table1`'s and `fig1_free_edges`'s command line, `[N]`: the
+/// network size (`default_n` when none is given). A non-number, a second
+/// argument or an `N` below `min_n`, the smallest size the bin runs to
+/// completion, prints `error: …` and the usage to stderr and exits with
+/// status 2.
+pub fn size_arg(default_n: usize, min_n: usize) -> usize {
+    let usage = format!("[N]  (N ≥ {min_n}, default {default_n})");
+    parse_or_exit(&usage, |args| parse_size_arg(args, default_n, min_n))
+}
+
+/// Runs `parse` over the arguments after the binary's name; on an error,
+/// prints it and `usage` to stderr and exits with status 2.
+fn parse_or_exit<T>(usage: &str, parse: impl FnOnce(std::env::Args) -> Result<T, String>) -> T {
     let mut args = std::env::args();
     let bin = args.next().unwrap_or_default();
-    parse_gate_args(args, default_out).unwrap_or_else(|e| {
-        eprintln!("error: {e}\nusage: {bin} [OUT.json]");
+    parse(args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: {bin} {usage}");
         std::process::exit(2);
     })
+}
+
+fn parse_size_arg(
+    mut args: impl Iterator<Item = String>,
+    default_n: usize,
+    min_n: usize,
+) -> Result<usize, String> {
+    let Some(arg) = args.next() else {
+        return Ok(default_n);
+    };
+    if let Some(extra) = args.next() {
+        return Err(format!("unexpected second argument `{extra}`"));
+    }
+    match arg.parse() {
+        Ok(n) if n >= min_n => Ok(n),
+        Ok(n) => Err(format!("N = {n} is below {min_n}")),
+        Err(_) => Err(format!("`{arg}` is not a size")),
+    }
 }
 
 fn parse_gate_args(

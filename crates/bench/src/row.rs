@@ -1,16 +1,18 @@
 //! A grid cell written once: an ordered [`Row`] of `(JSON name, table
 //! label, value)` columns, built where the run finishes.
 //!
-//! The gate bins (`exp_{scale,profile,faults,byzantine,sessions}`) print an
-//! ASCII table and write a `BENCH_*.json` from the same cells. Both come
-//! from the rows — [`render_table`] lays out the labelled columns,
-//! [`gate_json`] the named ones, and is the one place that knows the
-//! `{"…": …, "cells": [ … ]}` format — so a column is added, renamed or
-//! dropped on one line of its bin. The file is compared with a fresh run's
-//! byte for byte (`tests/committed_baselines.rs`), one cell per line, so
-//! what reads the wall clock is [`Row::table`]d, never recorded.
+//! Every experiment bin prints its tables through [`render_table`], the one
+//! table renderer: a column is its label next to its value, on one line of
+//! its bin. The gate bins (`exp_{scale,profile,faults,byzantine,sessions}`)
+//! also write a `BENCH_*.json` from the same cells — [`gate_json`] renders
+//! the named columns, and is the one place that knows the
+//! `{"…": …, "cells": [ … ]}` format. The other sixteen bins only tabulate
+//! ([`Row::table`]). `tests/committed_baselines.rs` compares a fresh run
+//! with the committed bytes: a gate bin's file, one cell per line — so what
+//! reads the wall clock is [`Row::table`]d, never recorded — and every
+//! other bin's whole stdout.
 
-use dynspread_analysis::table::{fmt_f64, Table};
+use dynspread_analysis::table::fmt_f64;
 use std::fmt::Display;
 
 /// One cell of a grid: its columns in output order.
@@ -96,19 +98,47 @@ impl Row {
 }
 
 /// Renders the rows' tabulated columns as an aligned ASCII table, headed by
-/// the first row's labels.
+/// the first row's labels and a dash rule: cells right-aligned, two spaces
+/// apart. A column is as wide as its longest cell in *bytes* (`str::len`),
+/// so a `β` or `²` label widens its column by a space — the committed
+/// tables are laid out that way. No rows render as nothing.
 ///
 /// # Panics
 ///
 /// Panics if a row tabulates a different number of columns than the first.
 pub fn render_table(rows: &[Row]) -> String {
-    let labels = |row: &Row| -> Vec<&str> { row.columns.iter().filter_map(|c| c.label).collect() };
-    let mut table = Table::new(&rows.first().map(labels).unwrap_or_default());
-    for row in rows {
-        let tabulated = row.columns.iter().filter(|c| c.label.is_some());
-        table.row_owned(tabulated.map(|c| c.shown.clone()).collect());
+    let Some(first) = rows.first() else {
+        return String::new();
+    };
+    let labels: Vec<&str> = first.columns.iter().filter_map(|c| c.label).collect();
+    let mut widths: Vec<usize> = labels.iter().map(|l| l.len()).collect();
+    let cells: Vec<Vec<&str>> = rows
+        .iter()
+        .map(|row| {
+            let tabulated = row.columns.iter().filter(|c| c.label.is_some());
+            tabulated.map(|c| c.shown.as_str()).collect()
+        })
+        .collect();
+    for row in &cells {
+        assert_eq!(row.len(), widths.len(), "row width mismatch");
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
+        }
     }
-    table.render()
+    let line = |cells: &[&str]| -> String {
+        let padded: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(cell, width)| format!("{cell:>width$}"))
+            .collect();
+        padded.join("  ") + "\n"
+    };
+    let rule = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
+    let mut out = line(&labels) + &"-".repeat(rule) + "\n";
+    for row in &cells {
+        out += &line(row);
+    }
+    out
 }
 
 /// Renders a gate bin's baseline file —

@@ -4,12 +4,18 @@
 //! counts of the profile grid, any byte of them. A failure quotes the first
 //! differing line of both sides — a file holds one cell per line with named
 //! columns, so the line is the `(cell, column, committed, fresh)` report.
+//! The sixteen bins that write no file are pinned the same way by their
+//! stdout (`stdout/<bin>.txt`, module `stdout`): every experiment bin
+//! asserts what it reproduces (completion, bounds, soundness), so an assert
+//! that starts failing is red here, not left for someone to run by hand.
 //!
 //! `faults` and `sessions` take tens of milliseconds in release and run in
-//! every `cargo test --workspace`; the other three take seconds in release
-//! and minutes in debug, and run under the release job's `--ignored`. A new
-//! deterministic artefact joins the gate by committing its file and adding
-//! one test here.
+//! every `cargo test --workspace`; the others take seconds in release
+//! (≈ 20 s for the sixteen stdout pins on two cores, `exp_random_walk`
+//! most of it) and far longer in debug, and run under the release job's
+//! `--ignored`. A new deterministic artefact — a `BENCH_*.json` or a new
+//! bin's stdout — joins the gate by committing its file and adding one
+//! test (or one name to `stdout`'s list) here.
 
 use dynspread_analysis::trace::first_divergence;
 use std::process::Command;
@@ -93,7 +99,8 @@ fn profile() {
 
 /// The sixteen bins that write no file, pinned by their stdout: each runs
 /// with no arguments and must print `stdout/<bin>.txt` back byte for byte.
-/// Every one asserts what it reproduces, so a failing assert is red here too.
+/// A legitimate change is re-pinned from the repo root with
+/// `./target/release/<bin> > crates/bench/stdout/<bin>.txt`.
 mod stdout {
     use super::{same_bytes, Command, SERIAL};
 
@@ -120,7 +127,7 @@ mod stdout {
     macro_rules! pins {
         ($($bin:ident),* $(,)?) => {$(
             #[test]
-            #[ignore = "≈ 35 s for all sixteen in release; CI runs them in the release job"]
+            #[ignore = "seconds in release, minutes in debug; CI runs it in the release job"]
             fn $bin() {
                 pin(env!(concat!("CARGO_BIN_EXE_", stringify!($bin))), stringify!($bin));
             }

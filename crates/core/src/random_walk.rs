@@ -12,7 +12,7 @@
 //! harness can check the bound's shape empirically.
 
 use dynspread_graph::adversary::Adversary;
-use dynspread_graph::{Graph, NodeId, Round};
+use dynspread_graph::{DynamicGraph, NodeId, Round};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -67,13 +67,15 @@ pub fn lazy_walk<A: Adversary>(
 ) -> WalkStats {
     assert!(start.index() < n, "start out of range");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Graph::empty(n);
+    let mut dg = DynamicGraph::new(n);
     let mut pos = start;
     let mut visit_counts = vec![0u64; n];
     visit_counts[pos.index()] += 1;
     let mut actual_steps = 0u64;
     for r in 1..=rounds {
-        g = adversary.graph_for_round(r as Round, &g);
+        let update = adversary.evolve(r as Round, dg.current());
+        dg.apply(update);
+        let g = dg.current();
         debug_assert!(g.is_connected(), "adversary must keep the graph connected");
         let d = g.degree(pos);
         if d > 0 && rng.gen_bool((d as f64 / n as f64).min(1.0)) {
@@ -113,6 +115,7 @@ mod tests {
     use super::*;
     use dynspread_graph::generators::Topology;
     use dynspread_graph::oblivious::{PeriodicRewiring, StaticAdversary};
+    use dynspread_graph::Graph;
 
     #[test]
     fn walk_on_static_cycle_moves() {

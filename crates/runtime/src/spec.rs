@@ -1,4 +1,4 @@
-//! A run as a value: [`ScenarioSpec`] and the one grammar it is read from.
+//! A run as a value: [`ScenarioSpec`], its grammar and its one driver.
 //!
 //! Every run `spread` can describe is a point in (algorithm × adversary ×
 //! n, k, s × seed), plus — for the event-engine algorithms — optional
@@ -6,14 +6,15 @@
 //! piece parses through its [`FromStr`] from the colon grammar stated in
 //! `crates/runtime/README.md` (§ The scenario grammar);
 //! [`ScenarioSpec::check`] holds every rule that ties a piece to `n` or to
-//! another piece; and a checked piece's `build(n, seed)` returns the
-//! runtime's own value — a `Box<dyn Adversary>`, a [`FaultPlan`], a
-//! [`MisbehaviorPlan`], a [`SessionWorkload`]. No other module reads this
-//! grammar. Every error message, bare or inside a [`CheckError`], is what
-//! `spread` prints after `error:`.
+//! another piece; a checked piece's `build(n, seed)` returns the runtime's
+//! own value — a `Box<dyn Adversary>`, a [`FaultPlan`], a
+//! [`MisbehaviorPlan`], a [`SessionWorkload`]; and [`ScenarioSpec::run`]
+//! picks the engine, runs it and returns the text `spread` prints. No other
+//! module reads this grammar. Every error message, bare or inside a
+//! [`CheckError`], is what `spread` prints after `error:`.
 //!
 //! ```
-//! use dynspread_runtime::spec::{Algorithm, ScenarioSpec};
+//! use dynspread_runtime::spec::ScenarioSpec;
 //!
 //! let spec = ScenarioSpec {
 //!     algorithm: "async-single-source".parse().unwrap(),
@@ -23,24 +24,30 @@
 //!     ..ScenarioSpec::default()
 //! };
 //! assert_eq!(spec.check(), Ok(()));
-//! assert_eq!(spec.algorithm, Algorithm::AsyncSingleSource);
-//! assert!(!spec.faults.unwrap().build(24, 7).is_empty());
+//! let text = spec.run(None).unwrap();
+//! assert!(text.starts_with("scenario-async-single-source vs churn"));
 //! ```
 
 use std::str::FromStr;
 
+use dynspread_core::baselines::UnicastFlooding;
+use dynspread_core::flooding::PhasedFlooding;
+use dynspread_core::multi_source::MultiSourceNode;
+use dynspread_core::network_coding::RlncNode;
+use dynspread_core::oblivious::{run_oblivious_multi_source, ObliviousConfig};
+use dynspread_core::single_source::SingleSourceNode;
 use dynspread_graph::adversary::Adversary;
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::{
     ChurnAdversary, EdgeMarkovian, PeriodicRewiring, StaticAdversary,
 };
 use dynspread_graph::NodeId;
-use dynspread_sim::TokenAssignment;
+use dynspread_sim::sim::{RoundMode, RoundSim};
+use dynspread_sim::{BroadcastSim, SimConfig, TokenAssignment, UnicastSim};
 
-use crate::byzantine::{MisbehaviorKind, MisbehaviorPlan};
-use crate::event::VirtualTime;
-use crate::faults::{FaultPlan, RecoveryMode};
-use crate::session::SessionWorkload;
+use crate::protocol::AsyncObliviousConfig;
+use crate::{FaultPlan, JsonlTracer, MisbehaviorKind, MisbehaviorPlan, PerfectLink, RecoveryMode};
+use crate::{Scenario, SessionWorkload, VirtualTime};
 use Algorithm::*;
 
 /// A dissemination algorithm, named as `--alg` names it.
@@ -96,7 +103,7 @@ impl Algorithm {
     /// The initial placement of `k` tokens on `n` nodes: all at node 0 for
     /// the single-source algorithms and unicast flooding, round-robin over
     /// `s` sources for the others.
-    pub fn assignment(self, n: usize, k: usize, s: usize) -> TokenAssignment {
+    fn assignment(self, n: usize, k: usize, s: usize) -> TokenAssignment {
         if let SingleSource | UnicastFlood | AsyncSingleSource = self {
             return TokenAssignment::single_source(n, k, NodeId::new(0));
         }
@@ -460,6 +467,167 @@ impl ScenarioSpec {
         }
         Ok(())
     }
+
+    /// Runs the spec and returns what `spread` prints. `trace` receives an
+    /// `async-*` run's JSONL trace; the round engines ignore it. The only
+    /// error is a session trace file that cannot be read, parsed or holds
+    /// no session; a spec that fails [`check`](Self::check) may panic.
+    pub fn run(&self, trace: Option<JsonlTracer>) -> Result<String, String> {
+        let (n, seed, cap) = (self.n, self.seed, self.max_rounds);
+        let a = self.algorithm.assignment(n, self.k, self.s);
+        let adversary = self.adversary.build(n, seed);
+        let mut cfg = SimConfig::with_max_rounds(cap);
+        cfg.charge_neighbor_discovery = self.kt0;
+        Ok(match self.algorithm {
+            SingleSource => finish(UnicastSim::new(
+                "single-source-unicast",
+                SingleSourceNode::nodes(&a),
+                adversary,
+                &a,
+                cfg,
+            )),
+            MultiSource => finish(UnicastSim::new(
+                "multi-source-unicast",
+                MultiSourceNode::nodes(&a).0,
+                adversary,
+                &a,
+                cfg,
+            )),
+            UnicastFlood => finish(UnicastSim::new(
+                "unicast-flooding",
+                UnicastFlooding::nodes(&a),
+                adversary,
+                &a,
+                cfg,
+            )),
+            PhasedFlood => finish(BroadcastSim::new(
+                "phased-flooding",
+                PhasedFlooding::nodes(&a),
+                adversary,
+                &a,
+                cfg,
+            )),
+            Rlnc => finish(BroadcastSim::new(
+                "rlnc-gossip",
+                RlncNode::nodes(&a, seed),
+                adversary,
+                &a,
+                cfg,
+            )),
+            Oblivious => {
+                let defaults = ObliviousConfig::default();
+                let cfg = ObliviousConfig {
+                    seed,
+                    source_threshold: Some((n as f64).powf(2.0 / 3.0)),
+                    phase1_max_rounds: defaults.phase1_max_rounds.min(cap),
+                    phase2_max_rounds: defaults.phase2_max_rounds.min(cap),
+                    ..defaults
+                };
+                // Phase 2 draws its own schedule.
+                let adversary2 = self.adversary.build(n, seed.wrapping_add(1));
+                let out = run_oblivious_multi_source(&a, adversary, adversary2, &cfg);
+                format!(
+                    "{}{}\ntotal: {} messages in {} rounds, amortized {:.1}/token, {} centers",
+                    out.phase1
+                        .as_ref()
+                        .map_or(String::new(), |p1| format!("{p1}\n")),
+                    out.phase2,
+                    out.total_messages(),
+                    out.total_rounds(),
+                    out.amortized(),
+                    out.centers.len()
+                )
+            }
+            AsyncSingleSource | AsyncMultiSource | AsyncOblivious => {
+                let mut scenario = Scenario::from_assignment(a).topology(adversary);
+                if let Some(tracer) = trace {
+                    scenario = scenario.trace(tracer);
+                }
+                self.run_scenario(scenario.seed(seed).max_time(cap))?
+            }
+        })
+    }
+
+    /// Adds the spec's fault, Byzantine and session axes to an event-engine
+    /// run, and runs it.
+    fn run_scenario(&self, mut scenario: Scenario<Box<dyn Adversary>>) -> Result<String, String> {
+        let (n, seed, cap) = (self.n, self.seed, self.max_rounds);
+        if let Some(faults) = &self.faults {
+            scenario = scenario.faults(faults.build(n, seed ^ 0xFA17));
+        }
+        if let Some(byz) = &self.byz {
+            scenario = scenario.byzantine(byz.build(n, seed ^ 0xB42));
+        }
+        Ok(if let Some(sessions) = &self.sessions {
+            let out = scenario.workload(&sessions.build(n, seed)?).run_sessions();
+            let mut text = format!("{}\n", out.report);
+            for s in &out.sessions {
+                let latency = match s.latency {
+                    Some(latency) => format!("latency {latency:>8}"),
+                    None => "incomplete".into(),
+                };
+                text += &format!(
+                    "session {:>8}: arrival {:>8} {latency} messages {:>8}\n",
+                    s.label, s.arrival, s.messages
+                );
+            }
+            text + &format!(
+                "sessions: {}/{} complete, p50 latency {:?}, p95 latency {:?}, \
+                 {} session messages, {} decode errors, {} foreign drops",
+                out.completed_sessions(),
+                out.sessions.len(),
+                out.latency_percentile(0.50),
+                out.latency_percentile(0.95),
+                out.total_session_messages(),
+                out.decode_errors,
+                out.foreign_drops
+            )
+        } else if self.algorithm == AsyncOblivious {
+            // `run_oblivious` takes its caps from the config, not the builder.
+            let defaults = AsyncObliviousConfig::default();
+            let cfg = AsyncObliviousConfig {
+                seed,
+                phase1_deadline: defaults.phase1_deadline.min(cap),
+                phase1_max_time: defaults.phase1_max_time.min(cap),
+                phase2_max_time: defaults.phase2_max_time.min(cap),
+                ..defaults
+            };
+            // Phase 2 draws its own schedule and faults.
+            let adversary2 = self.adversary.build(n, seed.wrapping_add(1));
+            let faults2 = self.faults.as_ref().map(|f| f.build(n, seed ^ 0xFA172));
+            let out = scenario.run_oblivious(adversary2, PerfectLink, &cfg, faults2.as_ref());
+            format!(
+                "{}\n{} centers, {} sources, {} stranded, {} reclaimed, {} recovered, \
+                 live coverage {:.3}, honest coverage {:.3}",
+                out.report,
+                out.centers.len(),
+                out.sources.len(),
+                out.stranded_tokens,
+                out.crash_reclaimed,
+                out.stolen_recovered,
+                out.live_coverage,
+                out.honest_coverage
+            )
+        } else {
+            let out = match self.algorithm {
+                AsyncSingleSource => scenario.run_single_source(),
+                _ => scenario.run_multi_source(),
+            };
+            format!(
+                "{}\nlive coverage {:.3}, honest coverage {:.3}, {} violations, {} injected",
+                out.report,
+                out.live_coverage,
+                out.honest_coverage,
+                out.evidence.len(),
+                out.injected
+            )
+        })
+    }
+}
+
+/// Runs a synchronous round engine to completion and renders its report.
+fn finish<R: RoundMode>(mut sim: RoundSim<R>) -> String {
+    sim.run_to_completion().to_string()
 }
 
 /// Parses a fraction or probability: a number in `[0, 1]` (NaN is not).

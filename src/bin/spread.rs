@@ -1,5 +1,6 @@
 //! `spread` — run any dissemination algorithm against any adversary from
-//! the command line.
+//! the command line: the flags are read into one `ScenarioSpec`
+//! (`dynspread_runtime::spec`), and what its `run` returns is printed.
 //!
 //! ```text
 //! Usage: spread [OPTIONS]
@@ -19,8 +20,7 @@
 //!                  each phase at min(its default, R)       [1000000]
 //!   --kt0          charge neighbor-discovery hellos (unicast algorithms)
 //!
-//! Scenario flags (async-* algorithms only, backed by the unified
-//! `Scenario` builder):
+//! Scenario flags (async-* algorithms only):
 //!   --faults SPEC    comma-separated fault segments:
 //!                    stop:FRAC:AT | recover:FRAC:T0:T1[:amnesia|durable]
 //!                    | part:T0:T1
@@ -44,18 +44,8 @@
 //! spread --alg async-single-source --sessions uniform:20:8:40 --n 24
 //! ```
 
-use dynspread::core::baselines::UnicastFlooding;
-use dynspread::core::flooding::PhasedFlooding;
-use dynspread::core::multi_source::MultiSourceNode;
-use dynspread::core::network_coding::RlncNode;
-use dynspread::core::oblivious::{run_oblivious_multi_source, ObliviousConfig};
-use dynspread::core::single_source::SingleSourceNode;
-use dynspread::graph::adversary::Adversary;
-use dynspread::runtime::protocol::AsyncObliviousConfig;
-use dynspread::runtime::spec::{Algorithm::*, CheckError, ScenarioSpec};
-use dynspread::runtime::{JsonlTracer, PerfectLink, Scenario};
-use dynspread::sim::sim::{RoundMode, RoundSim};
-use dynspread::sim::{BroadcastSim, SimConfig, UnicastSim};
+use dynspread::runtime::spec::{CheckError, ScenarioSpec};
+use dynspread::runtime::JsonlTracer;
 use std::num::ParseIntError;
 use std::str::FromStr;
 
@@ -120,172 +110,6 @@ fn piece<T: FromStr<Err = String>>(text: Option<&str>, bad: &mut Option<String>)
     parsed.map_err(|e| *bad = bad.take().or(Some(e))).ok()
 }
 
-/// Runs what `spec` describes and returns what to print.
-fn run(spec: &ScenarioSpec, trace_out: Option<&str>) -> Result<String, String> {
-    let (n, seed, cap) = (spec.n, spec.seed, spec.max_rounds);
-    let a = spec.algorithm.assignment(n, spec.k, spec.s);
-    let adversary = spec.adversary.build(n, seed);
-    let mut cfg = SimConfig::with_max_rounds(cap);
-    cfg.charge_neighbor_discovery = spec.kt0;
-    Ok(match spec.algorithm {
-        SingleSource => finish(UnicastSim::new(
-            "single-source-unicast",
-            SingleSourceNode::nodes(&a),
-            adversary,
-            &a,
-            cfg,
-        )),
-        MultiSource => finish(UnicastSim::new(
-            "multi-source-unicast",
-            MultiSourceNode::nodes(&a).0,
-            adversary,
-            &a,
-            cfg,
-        )),
-        UnicastFlood => finish(UnicastSim::new(
-            "unicast-flooding",
-            UnicastFlooding::nodes(&a),
-            adversary,
-            &a,
-            cfg,
-        )),
-        PhasedFlood => finish(BroadcastSim::new(
-            "phased-flooding",
-            PhasedFlooding::nodes(&a),
-            adversary,
-            &a,
-            cfg,
-        )),
-        Rlnc => finish(BroadcastSim::new(
-            "rlnc-gossip",
-            RlncNode::nodes(&a, seed),
-            adversary,
-            &a,
-            cfg,
-        )),
-        Oblivious => {
-            let defaults = ObliviousConfig::default();
-            let cfg = ObliviousConfig {
-                seed,
-                source_threshold: Some((n as f64).powf(2.0 / 3.0)),
-                phase1_max_rounds: defaults.phase1_max_rounds.min(cap),
-                phase2_max_rounds: defaults.phase2_max_rounds.min(cap),
-                ..defaults
-            };
-            // Phase 2 draws its own schedule.
-            let adversary2 = spec.adversary.build(n, seed.wrapping_add(1));
-            let out = run_oblivious_multi_source(&a, adversary, adversary2, &cfg);
-            let phase1 = out.phase1.as_ref().map(|p1| format!("{p1}\n"));
-            format!(
-                "{}{}\ntotal: {} messages in {} rounds, amortized {:.1}/token, {} centers",
-                phase1.unwrap_or_default(),
-                out.phase2,
-                out.total_messages(),
-                out.total_rounds(),
-                out.amortized(),
-                out.centers.len()
-            )
-        }
-        AsyncSingleSource | AsyncMultiSource | AsyncOblivious => {
-            let scenario = Scenario::from_assignment(a).topology(adversary);
-            run_scenario(spec, scenario.seed(seed).max_time(cap), trace_out)?
-        }
-    })
-}
-
-/// Runs a synchronous round engine to completion and renders its report.
-fn finish<R: RoundMode>(mut sim: RoundSim<R>) -> String {
-    sim.run_to_completion().to_string()
-}
-
-/// Adds the spec's fault, Byzantine and session axes to an event-engine
-/// run, runs it, and writes the trace file if one was asked for.
-fn run_scenario(
-    spec: &ScenarioSpec,
-    mut scenario: Scenario<Box<dyn Adversary>>,
-    trace_out: Option<&str>,
-) -> Result<String, String> {
-    let (n, seed, cap) = (spec.n, spec.seed, spec.max_rounds);
-    if let Some(faults) = &spec.faults {
-        scenario = scenario.faults(faults.build(n, seed ^ 0xFA17));
-    }
-    if let Some(byz) = &spec.byz {
-        scenario = scenario.byzantine(byz.build(n, seed ^ 0xB42));
-    }
-    let tracer = JsonlTracer::new();
-    if trace_out.is_some() {
-        scenario = scenario.trace(tracer.clone());
-    }
-    let text = if let Some(sessions) = &spec.sessions {
-        let out = scenario.workload(&sessions.build(n, seed)?).run_sessions();
-        let mut text = format!("{}\n", out.report);
-        for s in &out.sessions {
-            let latency = match s.latency {
-                Some(latency) => format!("latency {latency:>8}"),
-                None => "incomplete".into(),
-            };
-            text += &format!(
-                "session {:>8}: arrival {:>8} {latency} messages {:>8}\n",
-                s.label, s.arrival, s.messages
-            );
-        }
-        text + &format!(
-            "sessions: {}/{} complete, p50 latency {:?}, p95 latency {:?}, \
-             {} session messages, {} decode errors, {} foreign drops",
-            out.completed_sessions(),
-            out.sessions.len(),
-            out.latency_percentile(0.50),
-            out.latency_percentile(0.95),
-            out.total_session_messages(),
-            out.decode_errors,
-            out.foreign_drops
-        )
-    } else if spec.algorithm == AsyncOblivious {
-        // `run_oblivious` takes its caps from the config, not the builder.
-        let defaults = AsyncObliviousConfig::default();
-        let cfg = AsyncObliviousConfig {
-            seed,
-            phase1_deadline: defaults.phase1_deadline.min(cap),
-            phase1_max_time: defaults.phase1_max_time.min(cap),
-            phase2_max_time: defaults.phase2_max_time.min(cap),
-            ..defaults
-        };
-        // Phase 2 draws its own schedule and faults.
-        let adversary2 = spec.adversary.build(n, seed.wrapping_add(1));
-        let faults2 = spec.faults.as_ref().map(|f| f.build(n, seed ^ 0xFA172));
-        let out = scenario.run_oblivious(adversary2, PerfectLink, &cfg, faults2.as_ref());
-        format!(
-            "{}\n{} centers, {} sources, {} stranded, {} reclaimed, {} recovered, \
-             live coverage {:.3}, honest coverage {:.3}",
-            out.report,
-            out.centers.len(),
-            out.sources.len(),
-            out.stranded_tokens,
-            out.crash_reclaimed,
-            out.stolen_recovered,
-            out.live_coverage,
-            out.honest_coverage
-        )
-    } else {
-        let out = match spec.algorithm {
-            AsyncSingleSource => scenario.run_single_source(),
-            _ => scenario.run_multi_source(),
-        };
-        format!(
-            "{}\nlive coverage {:.3}, honest coverage {:.3}, {} violations, {} injected",
-            out.report,
-            out.live_coverage,
-            out.honest_coverage,
-            out.evidence.len(),
-            out.injected
-        )
-    };
-    if let Some(path) = trace_out {
-        std::fs::write(path, tracer.take_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    Ok(text)
-}
-
 const USAGE: &str = "\
 usage: spread [--alg ALG] [--adv ADV] [--n N] [--k K] [--s S] [--seed SEED] [--max-rounds R] [--kt0]
               [--faults SPEC] [--byz FRAC:KIND] [--trace-out PATH] [--sessions SRC]
@@ -298,10 +122,18 @@ SRC:  a trace file (`ARRIVAL SOURCE K [LEAVE]` lines) | uniform:SESSIONS:K:SPACI
 R:    round cap; for async-* algorithms it caps virtual ticks (two per round)";
 
 /// Parses `args` and runs them: every value is parsed before anything runs,
-/// and a run that cannot be built (an unreadable trace file, say) exits 1.
+/// and a run that cannot be built (an unreadable trace file, say) or a
+/// trace that cannot be written exits 1.
 fn spread(args: &[String]) -> Result<String, Failure> {
     let (spec, trace_out) = parse_args(args)?;
-    run(&spec, trace_out.as_deref()).map_err(|e| (1, e))
+    let tracer = JsonlTracer::new();
+    let trace = trace_out.as_ref().map(|_| tracer.clone());
+    let text = spec.run(trace).map_err(|e| (1, e))?;
+    if let Some(path) = trace_out {
+        let written = std::fs::write(&path, tracer.take_jsonl());
+        written.map_err(|e| (1, format!("writing {path}: {e}")))?;
+    }
+    Ok(text)
 }
 
 fn main() {

@@ -34,7 +34,8 @@ pub mod row;
 pub use parallel::{derive_seed, par_map, worker_count};
 
 use dynspread_core::multi_source::MultiSourceNode;
-use dynspread_core::oblivious::{run_oblivious_multi_source, ObliviousConfig, ObliviousOutcome};
+use dynspread_core::oblivious::{laptop_scale, run_oblivious_multi_source};
+use dynspread_core::oblivious::{ObliviousConfig, ObliviousOutcome};
 use dynspread_core::single_source::{RequestPolicy, SingleSourceNode, SsMsg};
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
@@ -175,24 +176,22 @@ where
 /// algorithm (phase 1 on `G(n, 0.15)`, phase 2 on random trees, both
 /// rewired every 3 rounds) and by plain Multi-Source-Unicast (random
 /// trees). `i` is the cell's index in its bin's `k` grid and offsets every
-/// seed. The config uses the paper's formulas with the log factors dropped
-/// (`threshold = n^{2/3}`, `f = √n·k^{1/4}` capped at `n/2`; `table1.rs`'s
-/// module doc says why).
+/// seed. The config is [`laptop_scale`]'s (`table1.rs`'s module doc says
+/// why).
 pub fn run_oblivious_vs_multi_source(
     n: usize,
     k: usize,
     i: usize,
     seed: u64,
 ) -> (ObliviousOutcome, RunReport) {
-    let nf = n as f64;
     let seed = seed + i as u64;
     let assignment = TokenAssignment::round_robin_sources(n, k, k.min(n));
-    let f = (nf.sqrt() * (k as f64).powf(0.25)).min(nf / 2.0);
+    let (threshold, p, gamma) = laptop_scale(n, k);
     let cfg = ObliviousConfig {
         seed,
-        source_threshold: Some(nf.powf(2.0 / 3.0)),
-        center_probability: Some((f / nf).min(0.5)),
-        degree_threshold: Some(nf / f),
+        source_threshold: Some(threshold),
+        center_probability: Some(p),
+        degree_threshold: Some(gamma),
         phase1_max_rounds: 300_000,
         phase2_max_rounds: 4_000_000,
     };

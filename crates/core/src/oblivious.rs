@@ -66,6 +66,16 @@ pub fn degree_threshold(n: usize, f: f64) -> f64 {
     nf * nf.ln().max(1.0) / f.max(1.0)
 }
 
+/// The three formulas above with their log factors dropped, for runs at
+/// laptop scale, where the paper's `f` exceeds `n` and every node would be
+/// a center: `(threshold, p, γ)` with threshold `n^{2/3}`, `f = √n·k^{1/4}`
+/// capped at `n/2`, center probability `p = f/n` and `γ = n/f`.
+pub fn laptop_scale(n: usize, k: usize) -> (f64, f64, f64) {
+    let nf = n as f64;
+    let f = (nf.sqrt() * (k as f64).powf(0.25)).min(nf / 2.0);
+    (nf.powf(2.0 / 3.0), f / nf, nf / f)
+}
+
 /// Messages of phase 1 (the random-walk phase).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WalkMsg {

@@ -34,7 +34,7 @@ use dynspread_core::baselines::UnicastFlooding;
 use dynspread_core::flooding::PhasedFlooding;
 use dynspread_core::multi_source::MultiSourceNode;
 use dynspread_core::network_coding::RlncNode;
-use dynspread_core::oblivious::{run_oblivious_multi_source, ObliviousConfig};
+use dynspread_core::oblivious::{laptop_scale, run_oblivious_multi_source, ObliviousConfig};
 use dynspread_core::single_source::SingleSourceNode;
 use dynspread_graph::adversary::Adversary;
 use dynspread_graph::generators::Topology;
@@ -516,12 +516,14 @@ impl ScenarioSpec {
             )),
             Oblivious => {
                 let defaults = ObliviousConfig::default();
+                let (threshold, p, gamma) = laptop_scale(n, self.k);
                 let cfg = ObliviousConfig {
                     seed,
-                    source_threshold: Some((n as f64).powf(2.0 / 3.0)),
+                    source_threshold: Some(threshold),
+                    center_probability: Some(p),
+                    degree_threshold: Some(gamma),
                     phase1_max_rounds: defaults.phase1_max_rounds.min(cap),
                     phase2_max_rounds: defaults.phase2_max_rounds.min(cap),
-                    ..defaults
                 };
                 // Phase 2 draws its own schedule.
                 let adversary2 = self.adversary.build(n, seed.wrapping_add(1));
@@ -585,8 +587,12 @@ impl ScenarioSpec {
         } else if self.algorithm == AsyncOblivious {
             // `run_oblivious` takes its caps from the config, not the builder.
             let defaults = AsyncObliviousConfig::default();
+            let (threshold, p, gamma) = laptop_scale(n, self.k);
             let cfg = AsyncObliviousConfig {
                 seed,
+                source_threshold: Some(threshold),
+                center_probability: Some(p),
+                degree_threshold: Some(gamma),
                 phase1_deadline: defaults.phase1_deadline.min(cap),
                 phase1_max_time: defaults.phase1_max_time.min(cap),
                 phase2_max_time: defaults.phase2_max_time.min(cap),

@@ -82,6 +82,29 @@ fn formerly_broken_inputs() {
     check(None, FORMERLY_BROKEN);
 }
 
+/// Algorithm 2 on the event engine, every node a source: phase 1 walks the
+/// tokens to fewer centers than nodes instead of skipping to multi-source.
+#[test]
+fn async_oblivious_walks_to_fewer_centers() {
+    let out = Command::new(env!("CARGO_BIN_EXE_spread"))
+        .args([
+            "--alg",
+            "async-oblivious",
+            "--n",
+            "16",
+            "--k",
+            "16",
+            "--s",
+            "16",
+        ])
+        .output()
+        .unwrap();
+    let out = String::from_utf8(out.stdout).unwrap();
+    assert!(out.starts_with("scenario-async-oblivious vs "), "{out}");
+    let centers = out.lines().last().and_then(|l| l.split(' ').next());
+    assert!(centers.unwrap().parse::<usize>().unwrap() < 16, "{out}");
+}
+
 /// `--sessions` read from a trace file.
 #[test]
 fn session_trace_files() {
@@ -240,16 +263,18 @@ const ALGORITHMS: &[Row] = &[
         "--alg oblivious --n 8 --k 8 --s 4 --seed 5",
         0,
         "",
-        r"oblivious-multi-source(phase1) vs rewire(RandomTree, ρ=3) (n=8, k=8): DID NOT COMPLETE in 0 rounds
-  messages: 0 total (0 unicast, 0 broadcast), amortized 0.0/token
-  TC(E) = 0 insertions (0 deletions); 1-competitive residual = 0
-oblivious-multi-source(phase2) vs rewire(RandomTree, ρ=3) (n=8, k=8): completed in 36 rounds
-  messages: 301 total (301 unicast, 0 broadcast), amortized 37.6/token
-               token: 56
-        completeness: 173
-             request: 72
-  TC(E) = 64 insertions (57 deletions); 1-competitive residual = 237
-total: 301 messages in 36 rounds, amortized 37.6/token, 8 centers
+        r"oblivious-multi-source(phase1) vs rewire(RandomTree, ρ=3) (n=8, k=8): DID NOT COMPLETE in 9 rounds
+  messages: 11 total (11 unicast, 0 broadcast), amortized 1.4/token
+                walk: 6
+     center-announce: 5
+  TC(E) = 16 insertions (9 deletions); 1-competitive residual = -5
+oblivious-multi-source(phase2) vs rewire(RandomTree, ρ=3) (n=8, k=8): completed in 35 rounds
+  messages: 150 total (150 unicast, 0 broadcast), amortized 18.8/token
+               token: 50
+        completeness: 35
+             request: 65
+  TC(E) = 64 insertions (57 deletions); 1-competitive residual = 86
+total: 161 messages in 44 rounds, amortized 20.1/token, 1 centers
 ",
     ),
     (
@@ -276,10 +301,10 @@ live coverage 1.000, honest coverage 1.000, 0 violations, 0 injected
         "--alg async-oblivious --n 8 --k 8 --s 4 --seed 5",
         0,
         "",
-        r"scenario-async-multi-source vs rewire(RandomTree, ρ=3) (n=8, k=8): completed in 1 rounds
-  messages: 256 total (256 unicast, 0 broadcast), amortized 32.0/token
-  TC(E) = 7 insertions (0 deletions); 1-competitive residual = 249
-4 centers, 4 sources, 0 stranded, 0 reclaimed, 0 recovered, live coverage 1.000, honest coverage 1.000
+        r"scenario-async-oblivious vs rewire(RandomTree, ρ=3) (n=8, k=8): completed in 1 rounds
+  messages: 142 total (142 unicast, 0 broadcast), amortized 17.8/token
+  TC(E) = 7 insertions (0 deletions); 1-competitive residual = 135
+1 centers, 1 sources, 0 stranded, 0 reclaimed, 0 recovered, live coverage 1.000, honest coverage 1.000
 ",
     ),
 ];
@@ -289,26 +314,29 @@ const AXES: &[Row] = &[
         "--alg oblivious --adv markov:0.1:0.25:2 --n 16 --k 16 --s 16 --seed 9",
         0,
         "",
-        r"oblivious-multi-source(phase1) vs edge-markovian(p↑=0.1, p↓=0.25, σ=2) (n=16, k=16): DID NOT COMPLETE in 0 rounds
-  messages: 0 total (0 unicast, 0 broadcast), amortized 0.0/token
-  TC(E) = 0 insertions (0 deletions); 1-competitive residual = 0
-oblivious-multi-source(phase2) vs edge-markovian(p↑=0.1, p↓=0.25, σ=2) (n=16, k=16): completed in 61 rounds
-  messages: 3735 total (3735 unicast, 0 broadcast), amortized 233.4/token
-               token: 240
-        completeness: 3176
-             request: 319
-  TC(E) = 519 insertions (470 deletions); 1-competitive residual = 3216
-total: 3735 messages in 61 rounds, amortized 233.4/token, 16 centers
+        r"oblivious-multi-source(phase1) vs edge-markovian(p↑=0.1, p↓=0.25, σ=2) (n=16, k=16): DID NOT COMPLETE in 9 rounds
+  messages: 79 total (79 unicast, 0 broadcast), amortized 4.9/token
+                walk: 10
+     center-announce: 69
+  TC(E) = 87 insertions (54 deletions); 1-competitive residual = -8
+oblivious-multi-source(phase2) vs edge-markovian(p↑=0.1, p↓=0.25, σ=2) (n=16, k=16): completed in 41 rounds
+  messages: 1691 total (1691 unicast, 0 broadcast), amortized 105.7/token
+               token: 230
+        completeness: 1168
+             request: 293
+  TC(E) = 350 insertions (300 deletions); 1-competitive residual = 1341
+total: 1770 messages in 50 rounds, amortized 110.6/token, 6 centers
 ",
     ),
     (
         "--alg async-oblivious --adv churn:sparse:2.0:2:3 --n 16 --k 16 --s 16 --seed 9 --faults recover:0.2:30:120:durable,part:60:400",
         0,
         "",
-        r"scenario-async-multi-source vs churn(SparseConnected(2.0), c=2, σ=3) (n=16, k=16): completed in 1 rounds
-  messages: 2715 total (2715 unicast, 0 broadcast), amortized 169.7/token
-  TC(E) = 32 insertions (0 deletions); 1-competitive residual = 2683
-16 centers, 16 sources, 0 stranded, 0 reclaimed, 0 recovered, live coverage 1.000, honest coverage 1.000
+        r"scenario-async-oblivious vs churn(SparseConnected(2.0), c=2, σ=3) (n=16, k=16): completed in 1 rounds
+  messages: 1342 total (1342 unicast, 0 broadcast), amortized 83.9/token
+  faults: 3 crashes, 3 recoveries, 1 partition episodes
+  TC(E) = 32 insertions (0 deletions); 1-competitive residual = 1310
+6 centers, 6 sources, 0 stranded, 0 reclaimed, 0 recovered, live coverage 1.000, honest coverage 1.000
 ",
     ),
     (
@@ -373,14 +401,15 @@ live coverage 1.000, honest coverage 1.000, 3 violations, 10 injected
         "--alg oblivious --n 16 --k 16 --s 16 --max-rounds 1",
         0,
         "",
-        r"oblivious-multi-source(phase1) vs rewire(RandomTree, ρ=3) (n=16, k=16): DID NOT COMPLETE in 0 rounds
-  messages: 0 total (0 unicast, 0 broadcast), amortized 0.0/token
-  TC(E) = 0 insertions (0 deletions); 1-competitive residual = 0
+        r"oblivious-multi-source(phase1) vs rewire(RandomTree, ρ=3) (n=16, k=16): DID NOT COMPLETE in 1 rounds
+  messages: 7 total (7 unicast, 0 broadcast), amortized 0.4/token
+     center-announce: 7
+  TC(E) = 15 insertions (0 deletions); 1-competitive residual = -8
 oblivious-multi-source(phase2) vs rewire(RandomTree, ρ=3) (n=16, k=16): DID NOT COMPLETE in 1 rounds
   messages: 30 total (30 unicast, 0 broadcast), amortized 1.9/token
         completeness: 30
   TC(E) = 15 insertions (0 deletions); 1-competitive residual = 15
-total: 30 messages in 1 rounds, amortized 1.9/token, 16 centers
+total: 37 messages in 2 rounds, amortized 2.3/token, 4 centers
 ",
     ),
     (
@@ -551,26 +580,28 @@ const FORMERLY_BROKEN: &[Row] = &[
         "--alg oblivious --n 8 --k 8 --s 8 --seed 18446744073709551615",
         0,
         "",
-        r"oblivious-multi-source(phase1) vs rewire(RandomTree, ρ=3) (n=8, k=8): DID NOT COMPLETE in 0 rounds
-  messages: 0 total (0 unicast, 0 broadcast), amortized 0.0/token
-  TC(E) = 0 insertions (0 deletions); 1-competitive residual = 0
-oblivious-multi-source(phase2) vs rewire(RandomTree, ρ=3) (n=8, k=8): completed in 47 rounds
-  messages: 509 total (509 unicast, 0 broadcast), amortized 63.6/token
-               token: 56
-        completeness: 382
-             request: 71
-  TC(E) = 87 insertions (80 deletions); 1-competitive residual = 422
-total: 509 messages in 47 rounds, amortized 63.6/token, 8 centers
+        r"oblivious-multi-source(phase1) vs rewire(RandomTree, ρ=3) (n=8, k=8): DID NOT COMPLETE in 20 rounds
+  messages: 18 total (18 unicast, 0 broadcast), amortized 2.2/token
+                walk: 10
+     center-announce: 8
+  TC(E) = 37 insertions (30 deletions); 1-competitive residual = -19
+oblivious-multi-source(phase2) vs rewire(RandomTree, ρ=3) (n=8, k=8): completed in 29 rounds
+  messages: 135 total (135 unicast, 0 broadcast), amortized 16.9/token
+               token: 46
+        completeness: 27
+             request: 62
+  TC(E) = 56 insertions (49 deletions); 1-competitive residual = 79
+total: 153 messages in 49 rounds, amortized 19.1/token, 1 centers
 ",
     ),
     (
         "--alg async-oblivious --n 8 --k 8 --s 8 --seed 18446744073709551615",
         0,
         "",
-        r"scenario-async-multi-source vs rewire(RandomTree, ρ=3) (n=8, k=8): completed in 1 rounds
-  messages: 377 total (377 unicast, 0 broadcast), amortized 47.1/token
-  TC(E) = 7 insertions (0 deletions); 1-competitive residual = 370
-8 centers, 8 sources, 0 stranded, 0 reclaimed, 0 recovered, live coverage 1.000, honest coverage 1.000
+        r"scenario-async-oblivious vs rewire(RandomTree, ρ=3) (n=8, k=8): completed in 1 rounds
+  messages: 129 total (129 unicast, 0 broadcast), amortized 16.1/token
+  TC(E) = 7 insertions (0 deletions); 1-competitive residual = 122
+1 centers, 1 sources, 0 stranded, 0 reclaimed, 0 recovered, live coverage 1.000, honest coverage 1.000
 ",
     ),
     (

@@ -170,7 +170,7 @@ impl FaultPlan {
         // the constructor arguments.
         for &v in ids.iter().take(m) {
             let crash_at = rng.gen_range(1..=crash_window);
-            let recover_at = recovery_delay.map(|d| crash_at + rng.gen_range(1..=d));
+            let recover_at = recovery_delay.map(|d| crash_at.saturating_add(rng.gen_range(1..=d)));
             faults[v] = Some(NodeFault {
                 crash_at,
                 recover_at,

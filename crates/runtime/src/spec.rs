@@ -419,9 +419,15 @@ impl ScenarioSpec {
             AdversarySpec::Churn(topo, churn, _) => (Some(topo), churn),
             AdversarySpec::Markov(..) => (None, 0),
         };
-        if matches!(topo, Some(Topology::NearRegular(_))) && self.n < 3 {
-            let e = "regular:D needs --n of at least 3".to_string();
-            return Err(CheckError::Adversary(e));
+        if matches!(topo, Some(Topology::Cycle | Topology::NearRegular(_))) && self.n < 3 {
+            let name = if topo == Some(Topology::Cycle) {
+                "cycle"
+            } else {
+                "regular:D"
+            };
+            return Err(CheckError::Adversary(format!(
+                "{name} needs --n of at least 3"
+            )));
         }
         // The churn adversary makes up to 50·C + 50 insertion attempts a
         // round, so an unbounded C is a run that never prints.

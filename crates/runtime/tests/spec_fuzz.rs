@@ -7,7 +7,9 @@
 //! The contract is the one a command line owes its user: every input
 //! yields `Ok` or `Err`, never a panic (the vendored proptest turns a
 //! panic into a failed case). The hand-written cases below pin the
-//! messages and the boundaries the random ones cannot name.
+//! messages and the boundaries the random ones cannot name. Past the
+//! grammar, `check`'s own contract: a spec that passes it runs, and runs
+//! the same twice.
 
 use std::str::FromStr;
 
@@ -16,8 +18,9 @@ use dynspread_runtime::spec::{
     parse_topology, AdversarySpec, Algorithm, ByzSpec, CheckError, FaultSegment, FaultSpec,
     ScenarioSpec, SessionsSpec,
 };
-use dynspread_runtime::{MisbehaviorKind, RecoveryMode};
+use dynspread_runtime::{JsonlTracer, MisbehaviorKind, RecoveryMode};
 use proptest::prelude::*;
+use SessionsSpec::Uniform;
 
 /// Words of the grammar: keywords, algorithm and misbehavior names, and
 /// numbers at and past every boundary the parsers check.
@@ -67,11 +70,19 @@ const SEPARATORS: &[&str] = &[":", ":", ":", ",", ".", "-", "", "e"];
 
 /// A random sentence: words joined by separators.
 fn sentence() -> impl Strategy<Value = String> {
-    let pair = (0..WORDS.len(), 0..SEPARATORS.len());
-    prop::collection::vec(pair, 0..9).prop_map(|pairs| {
+    sentence_of(SEPARATORS, 0..9)
+}
+
+/// A sentence of `words` words, each followed by one of `separators`.
+fn sentence_of(
+    separators: &'static [&'static str],
+    words: std::ops::Range<usize>,
+) -> impl Strategy<Value = String> {
+    let pair = (0..WORDS.len(), 0..separators.len());
+    prop::collection::vec(pair, words).prop_map(move |pairs| {
         let parts = pairs
             .iter()
-            .map(|&(w, s)| format!("{}{}", WORDS[w], SEPARATORS[s]));
+            .map(|&(w, s)| format!("{}{}", WORDS[w], separators[s]));
         parts.collect::<String>().trim_end_matches(':').to_string()
     })
 }
@@ -149,6 +160,76 @@ proptest! {
     #[test]
     fn arbitrary_strings_never_panic(bytes in prop::collection::vec(0u8..=255, 0..24)) {
         parse_everything(&String::from_utf8_lossy(&bytes));
+    }
+}
+
+/// The first of 1024 sentences of one to four words behind one of
+/// `keywords` that parses as a `T`. Words are joined by ':' alone, so that
+/// most sentences reach the value parsers.
+fn piece<T: FromStr>(keywords: &'static [&'static str]) -> impl Strategy<Value = Option<T>> {
+    let sentences = prop::collection::vec(sentence_of(&[":"], 1..5), 1024..1025);
+    (0..keywords.len(), sentences).prop_map(move |(k, sentences)| {
+        let mut texts = sentences.iter().map(|t| format!("{}:{t}", keywords[k]));
+        texts.find_map(|text| text.parse().ok())
+    })
+}
+
+/// A small spec of any algorithm whose adversary, faults and Byzantine
+/// nodes come from the sentences above. Only the `async-*` algorithms get
+/// faults or Byzantine nodes, and only `async-single-source` sessions
+/// (then without Byzantine nodes), so that most specs pass `check`.
+fn small_spec() -> impl Strategy<Value = ScenarioSpec> {
+    let adversary = piece(&["static", "rewire", "markov", "churn"]);
+    let faults = piece(&["stop", "recover", "part"]);
+    let byz = piece::<ByzSpec>(&["0", "0.5", "1"]);
+    let sessions = (1usize..4, 1usize..5, 1u64..30).prop_map(|(m, k, gap)| Uniform(m, k, gap));
+    let sizes = (0..Algorithm::ALL.len(), 2usize..=8, 1usize..=8, 1usize..=8);
+    let rest = (0usize..4, 0u64..u64::MAX, 0u8..4, 0u8..8);
+    (sizes, rest, adversary, (faults, byz, sessions)).prop_map(
+        |((alg, n, k, s), (cap, seed, kt0, axes), adversary, (faults, byz, sessions))| {
+            let (algorithm, _) = Algorithm::ALL[alg];
+            // Bits: 1 faults, 2 Byzantine nodes, 4 sessions.
+            let axes = match algorithm {
+                Algorithm::AsyncSingleSource if axes & 4 == 4 => axes & 5,
+                _ if algorithm.axis("").is_ok() => axes & 3,
+                _ => 0,
+            };
+            ScenarioSpec {
+                algorithm,
+                adversary: adversary.unwrap_or(ScenarioSpec::default().adversary),
+                n,
+                k,
+                s: 1 + (s - 1) % n,
+                seed,
+                max_rounds: [0, 1, 50, 2000][cap],
+                kt0: kt0 == 0,
+                faults: faults.filter(|_| axes & 1 == 1),
+                byz: byz.filter(|_| axes & 2 == 2),
+                sessions: Some(sessions).filter(|_| axes & 4 == 4),
+            }
+        },
+    )
+}
+
+/// Runs `spec` with a tracer, naming the spec if the run panics.
+fn run_traced(spec: &ScenarioSpec) -> (Result<String, String>, String) {
+    let tracer = JsonlTracer::new();
+    let run = std::panic::catch_unwind(|| spec.run(Some(tracer.clone())));
+    let text = run.unwrap_or_else(|_| panic!("ScenarioSpec::run panicked on {spec:?}"));
+    (text, tracer.take_jsonl())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Every spec that passes `check` runs without panicking, and a second
+    /// run returns the same text and writes the same trace.
+    #[test]
+    fn checked_specs_run_the_same_twice(spec in small_spec()) {
+        if spec.check().is_ok() {
+            let first = run_traced(&spec);
+            assert_eq!(first, run_traced(&spec), "{spec:?}");
+        }
     }
 }
 
@@ -280,6 +361,11 @@ fn out_of_range_values_are_errors_not_panics() {
         Err("regular:D needs --n of at least 3".into())
     );
     assert!(adversary_at("static:regular:3", 3).is_ok());
+    assert_eq!(
+        adversary_at("rewire:cycle:2", 2),
+        Err("cycle needs --n of at least 3".into())
+    );
+    assert!(adversary_at("static:cycle", 3).is_ok());
     for byz in ["2:drop-acks", "-0.1:drop-acks", "nan:drop-acks"] {
         assert!(byz.parse::<ByzSpec>().is_err(), "{byz}");
     }

@@ -13,7 +13,8 @@
 //!                                                         [rewire:tree:3]
 //!   --n    N       nodes                                  [32]
 //!   --k    K       tokens                                 [64]
-//!   --s    S       sources (multi-source / rlnc / oblivious) [4]
+//!   --s    S       sources (multi-source / rlnc / oblivious)
+//!                                                         [min(4, N)]
 //!   --seed SEED    RNG seed                               [42]
 //!   --max-rounds R round cap; for async-* algorithms R caps virtual
 //!                  ticks (two per round); the oblivious pipelines cap
@@ -46,6 +47,7 @@
 
 use dynspread::runtime::spec::{CheckError, ScenarioSpec};
 use dynspread::runtime::JsonlTracer;
+use std::io::{ErrorKind, Write};
 use std::num::ParseIntError;
 use std::str::FromStr;
 
@@ -59,7 +61,7 @@ type Failure = (i32, String);
 fn parse_args(args: &[String]) -> Result<(ScenarioSpec, Option<String>), Failure> {
     let mut spec = ScenarioSpec::default();
     // --adv, --faults, --byz, --alg and --sessions, in the order they parse.
-    let (mut pieces, mut trace_out) = ([None; 5], None);
+    let (mut pieces, mut trace_out, mut s) = ([None; 5], None, None);
     let mut it = args.iter().map(String::as_str);
     while let Some(flag) = it.next() {
         let missing = || (2, format!("missing value for {flag}"));
@@ -72,7 +74,7 @@ fn parse_args(args: &[String]) -> Result<(ScenarioSpec, Option<String>), Failure
             "--sessions" => pieces[4] = Some(value()?),
             "--n" => spec.n = number(flag, value()?)?,
             "--k" => spec.k = number(flag, value()?)?,
-            "--s" => spec.s = number(flag, value()?)?,
+            "--s" => s = Some(number(flag, value()?)?),
             "--seed" => spec.seed = number(flag, value()?)?,
             "--max-rounds" => spec.max_rounds = number(flag, value()?)?,
             "--kt0" => spec.kt0 = true,
@@ -81,6 +83,7 @@ fn parse_args(args: &[String]) -> Result<(ScenarioSpec, Option<String>), Failure
             other => return Err((2, format!("unknown flag {other}"))),
         }
     }
+    spec.s = s.unwrap_or(spec.s.min(spec.n));
     let mut bad = None;
     let [adv, faults, byz, alg, sessions] = pieces;
     spec.adversary = piece(adv, &mut bad).unwrap_or(spec.adversary);
@@ -139,7 +142,14 @@ fn spread(args: &[String]) -> Result<String, Failure> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match spread(&args) {
-        Ok(text) => println!("{text}"),
+        Ok(text) => match writeln!(std::io::stdout(), "{text}") {
+            // A reader that closed the pipe (`spread … | head -2`) is no error.
+            Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+                eprintln!("error: writing stdout: {e}");
+                std::process::exit(1);
+            }
+            _ => {}
+        },
         Err((0, _)) => eprintln!("{USAGE}"),
         Err((code, error)) => {
             eprintln!("error: {error}\n\n{USAGE}");

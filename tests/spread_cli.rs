@@ -75,11 +75,28 @@ fn malformed_inputs() {
 
 /// Inputs that used to break the binary: a seed whose phase-2 successor
 /// overflowed (a panic in debug builds), `--kt0` where no engine charges
-/// hellos (silently ignored), and sizes beyond the `u32` id width (an
-/// allocation abort).
+/// hellos (silently ignored), sizes beyond the `u32` id width (an
+/// allocation abort), `--n` below 4 without `--s` (an error about a flag
+/// never given; the default is now min(4, n)), a cycle on two nodes (a
+/// panic) and a recovery time past `u64::MAX` (an overflow panic in debug
+/// builds).
 #[test]
 fn formerly_broken_inputs() {
     check(None, FORMERLY_BROKEN);
+}
+
+/// A reader that closes its end early (`spread … | head -2`) is no error:
+/// status 0 and nothing on stderr, where `println!` used to panic.
+#[test]
+fn closed_stdout_is_not_an_error() {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let spread = Command::new(env!("CARGO_BIN_EXE_spread"))
+        .stdout(writer)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(spread.stderr).unwrap();
+    assert_eq!((spread.status.code(), stderr.as_str()), (Some(0), ""));
 }
 
 /// Algorithm 2 on the event engine, every node a source: phase 1 walks the
@@ -615,6 +632,46 @@ total: 153 messages in 49 rounds, amortized 19.1/token, 1 centers
         2,
         r"error: --kt0 needs a unicast algorithm: single-source, multi-source or unicast-flood",
         "",
+    ),
+    (
+        "--n 3",
+        0,
+        "",
+        r"single-source-unicast vs rewire(RandomTree, ρ=3) (n=3, k=64): completed in 111 rounds
+  messages: 277 total (277 unicast, 0 broadcast), amortized 4.3/token
+               token: 128
+        completeness: 4
+             request: 145
+  TC(E) = 29 insertions (27 deletions); 1-competitive residual = 248
+",
+    ),
+    (
+        "--alg multi-source --n 3 --k 3",
+        0,
+        "",
+        r"multi-source-unicast vs rewire(RandomTree, ρ=3) (n=3, k=3): completed in 6 rounds
+  messages: 23 total (23 unicast, 0 broadcast), amortized 7.7/token
+               token: 6
+        completeness: 11
+             request: 6
+  TC(E) = 3 insertions (1 deletions); 1-competitive residual = 20
+",
+    ),
+    (
+        "--adv static:cycle --n 2",
+        1,
+        r"error: cycle needs --n of at least 3",
+        "",
+    ),
+    (
+        "--alg async-multi-source --n 8 --k 8 --faults recover:1:18446744073709551615:18446744073709551615",
+        0,
+        "",
+        r"scenario-async-multi-source vs rewire(RandomTree, ρ=3) (n=8, k=8): completed in 1 rounds
+  messages: 251 total (251 unicast, 0 broadcast), amortized 31.4/token
+  TC(E) = 7 insertions (0 deletions); 1-competitive residual = 244
+live coverage 1.000, honest coverage 1.000, 0 violations, 0 injected
+",
     ),
     (
         "--k 99999999999999",

@@ -78,8 +78,8 @@
 //! * **A run as a value** ([`spec`]): [`spec::ScenarioSpec`] types
 //!   everything `spread`'s flags describe — algorithm, adversary, sizes,
 //!   seed, faults, Byzantine plan, sessions — parsed by the one module that
-//!   knows the grammar, checked by one function, and built into the values
-//!   above.
+//!   knows the grammar, checked by one function, built into the values
+//!   above, and run by one driver, [`spec::ScenarioSpec::run`].
 //!
 //! # How the event model relates to the paper's rounds
 //!

@@ -21,7 +21,7 @@
 //!                  each phase at min(its default, R)       [1000000]
 //!   --kt0          charge neighbor-discovery hellos (unicast algorithms)
 //!
-//! Scenario flags (async-* algorithms only):
+//! Event-engine flags (async-* algorithms only):
 //!   --faults SPEC    comma-separated fault segments:
 //!                    stop:FRAC:AT | recover:FRAC:T0:T1[:amnesia|durable]
 //!                    | part:T0:T1
@@ -141,15 +141,13 @@ fn spread(args: &[String]) -> Result<String, Failure> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match spread(&args) {
-        Ok(text) => match writeln!(std::io::stdout(), "{text}") {
-            // A reader that closed the pipe (`spread … | head -2`) is no error.
-            Err(e) if e.kind() != ErrorKind::BrokenPipe => {
-                eprintln!("error: writing stdout: {e}");
-                std::process::exit(1);
-            }
-            _ => {}
-        },
+    // A reader that closed the pipe (`spread … | head -2`) is no error.
+    let printed = spread(&args).and_then(|text| match writeln!(std::io::stdout(), "{text}") {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err((1, format!("writing stdout: {e}"))),
+        _ => Ok(()),
+    });
+    match printed {
+        Ok(()) => {}
         Err((0, _)) => eprintln!("{USAGE}"),
         Err((code, error)) => {
             eprintln!("error: {error}\n\n{USAGE}");

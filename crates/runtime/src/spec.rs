@@ -419,15 +419,14 @@ impl ScenarioSpec {
             AdversarySpec::Churn(topo, churn, _) => (Some(topo), churn),
             AdversarySpec::Markov(..) => (None, 0),
         };
-        if matches!(topo, Some(Topology::Cycle | Topology::NearRegular(_))) && self.n < 3 {
-            let name = if topo == Some(Topology::Cycle) {
-                "cycle"
-            } else {
-                "regular:D"
-            };
-            return Err(CheckError::Adversary(format!(
-                "{name} needs --n of at least 3"
-            )));
+        let needs_three = match topo {
+            Some(Topology::Cycle) => Some("cycle"),
+            Some(Topology::NearRegular(_)) => Some("regular:D"),
+            _ => None,
+        };
+        if let Some(name) = needs_three.filter(|_| self.n < 3) {
+            let e = format!("{name} needs --n of at least 3");
+            return Err(CheckError::Adversary(e));
         }
         // The churn adversary makes up to 50·C + 50 insertion attempts a
         // round, so an unbounded C is a run that never prints.
@@ -534,11 +533,10 @@ impl ScenarioSpec {
                 // Phase 2 draws its own schedule.
                 let adversary2 = self.adversary.build(n, seed.wrapping_add(1));
                 let out = run_oblivious_multi_source(&a, adversary, adversary2, &cfg);
+                let phase1 = out.phase1.as_ref().map(|p1| format!("{p1}\n"));
                 format!(
                     "{}{}\ntotal: {} messages in {} rounds, amortized {:.1}/token, {} centers",
-                    out.phase1
-                        .as_ref()
-                        .map_or(String::new(), |p1| format!("{p1}\n")),
+                    phase1.unwrap_or_default(),
                     out.phase2,
                     out.total_messages(),
                     out.total_rounds(),

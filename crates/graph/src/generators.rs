@@ -136,18 +136,23 @@ pub fn near_regular<R: Rng>(n: usize, d: usize, rng: &mut R) -> Graph {
     let mut deg = vec![2usize; n];
     // Only nodes below degree `d` are ever paired: at most n·d/2 edges.
     let mut seen = seen_edges(&edges, n * d / 2);
+    // The nodes below degree `d`, ascending. Degrees only grow, so a node
+    // leaves the list once, when it reaches `d`; a stalled attempt changes
+    // nothing and draws from the same list.
+    let mut deficient: Vec<NodeId> = NodeId::all(n).collect();
     let mut stall = 0usize;
-    while stall < 50 {
-        let deficient: Vec<NodeId> = NodeId::all(n).filter(|&v| deg[v.index()] < d).collect();
-        if deficient.len() < 2 {
-            break;
-        }
+    while stall < 50 && deficient.len() >= 2 {
         let a = *deficient.choose(rng).expect("nonempty");
         let b = *deficient.choose(rng).expect("nonempty");
         if a != b && seen.insert(Edge::new(a, b)) {
             edges.push(Edge::new(a, b));
-            deg[a.index()] += 1;
-            deg[b.index()] += 1;
+            for v in [a, b] {
+                deg[v.index()] += 1;
+                if deg[v.index()] == d {
+                    let at = deficient.binary_search(&v).expect("deficient until now");
+                    deficient.remove(at);
+                }
+            }
             stall = 0;
         } else {
             stall += 1;

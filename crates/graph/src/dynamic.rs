@@ -139,8 +139,11 @@ impl DynamicGraph {
 
     /// Installs the snapshot of round `r+1` and updates the meter.
     ///
-    /// The delta is computed with a linear merge over the two sorted edge
-    /// slices (not a tree walk), then `next` is moved in wholesale.
+    /// The delta comes from one pass over the two sorted edge slices, then
+    /// `next` is moved in wholesale. The pass is a branch-free merge on
+    /// packed `(lo, hi)` keys: after a full resample the two slices
+    /// interleave at random, and a merge that branched on each comparison
+    /// would mispredict about half of them.
     ///
     /// Returns the delta `(E_{r+1}^+, E_{r+1}^-)`.
     ///
@@ -153,30 +156,33 @@ impl DynamicGraph {
             self.current.node_count(),
             "the vertex set is fixed; node counts must match"
         );
-        // Sorted-merge diff; reuses the delta buffers across rounds.
+        // Branch-free merge into the reused delta buffers. They start as
+        // copies of the two slices, so they are pre-sized and, since no
+        // write overtakes its read cursor, each unmerged tail is already in
+        // place. Each step writes both candidates; the comparison alone
+        // decides which cursors move.
         let mut delta = std::mem::take(&mut self.last_delta);
-        delta.inserted.clear();
-        delta.removed.clear();
         let (old, new) = (self.current.edges().as_slice(), next.edges().as_slice());
-        let (mut i, mut j) = (0, 0);
+        let (removed, inserted) = (&mut delta.removed, &mut delta.inserted);
+        removed.clear();
+        removed.extend_from_slice(old);
+        inserted.clear();
+        inserted.extend_from_slice(new);
+        let (mut i, mut j, mut r, mut s) = (0, 0, 0, 0);
         while i < old.len() && j < new.len() {
-            match old[i].cmp(&new[j]) {
-                std::cmp::Ordering::Less => {
-                    delta.removed.push(old[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    delta.inserted.push(new[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
+            let (a, b) = (old[i], new[j]);
+            removed[r] = a;
+            inserted[s] = b;
+            let (ka, kb) = (a.packed(), b.packed());
+            r += usize::from(ka < kb);
+            s += usize::from(ka > kb);
+            i += usize::from(ka <= kb);
+            j += usize::from(ka >= kb);
         }
-        delta.removed.extend_from_slice(&old[i..]);
-        delta.inserted.extend_from_slice(&new[j..]);
+        removed.copy_within(i.., r);
+        removed.truncate(r + old.len() - i);
+        inserted.copy_within(j.., s);
+        inserted.truncate(s + new.len() - j);
         self.current = next;
         self.finish_round(delta)
     }

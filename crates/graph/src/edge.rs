@@ -57,6 +57,14 @@ impl Edge {
         self.hi
     }
 
+    /// The edge as one integer, `(lo << 32) | hi`, ordered as `Ord` orders
+    /// edges: one comparison where the derived order may branch on the
+    /// first field before comparing the second.
+    #[inline]
+    pub(crate) const fn packed(self) -> u64 {
+        ((self.lo.value() as u64) << 32) | self.hi.value() as u64
+    }
+
     /// Both endpoints, smaller first.
     #[inline]
     pub const fn endpoints(self) -> (NodeId, NodeId) {

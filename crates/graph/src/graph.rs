@@ -99,10 +99,14 @@ impl Graph {
 
     /// Builds a graph on `n` nodes from an edge iterator.
     ///
-    /// Duplicate edges are deduplicated. This is the bulk path: the edge
-    /// list is put in order by `sort_dedup_by_rows` (skipped when it
-    /// already is), then one counting pass and a single contiguous fill of
-    /// the CSR arrays — no per-node allocations and no per-edge shifting.
+    /// Duplicate edges are deduplicated. This is the bulk path: an edge
+    /// list not already in order is sorted by two counting passes (by
+    /// larger, then smaller endpoint) and compacted, with no comparison
+    /// between edges — a rewiring adversary hands over a freshly sampled,
+    /// randomly ordered list every few rounds, on which each comparison
+    /// would be a mispredicted branch half the time. Then one degree pass
+    /// and a single contiguous fill of the CSR arrays — no per-node
+    /// allocations and no per-edge shifting.
     ///
     /// # Panics
     ///
@@ -458,38 +462,41 @@ impl Graph {
     }
 }
 
-/// Sorts and deduplicates an edge list on nodes `0..n` in place: a counting
-/// sort on the smaller endpoint, then a sort of each bucket's larger
-/// endpoints. Buckets hold a node's handful of upper neighbors, so this is
-/// O(n + m) plus tiny per-row sorts where a comparison sort of the whole list
-/// pays `log m` on every edge — the difference is a third of a sparse
-/// topology sample at `n` in the thousands.
+/// Sorts and deduplicates an edge list on nodes `0..n` in place, without a
+/// single comparison between edges: a stable counting pass by the larger
+/// endpoint, then one by the smaller, leaves the list in `(lo, hi)` order
+/// (an LSD radix sort with node-sized digits), and the compaction writes
+/// every edge and advances its cursor only past a new one. A freshly
+/// sampled edge list is in random order, so every comparison a comparison
+/// sort (or a per-row sort) makes on it is a coin flip the branch predictor
+/// loses half the time; here the only branches are loop bounds.
 fn sort_dedup_by_rows(n: usize, list: &mut Vec<Edge>) {
-    let mut start = vec![0u32; n + 1];
-    for e in list.iter() {
-        start[e.lo().index() + 1] += 1;
+    let mut by_hi = list.clone();
+    counting_pass(n, list, &mut by_hi, Edge::hi);
+    counting_pass(n, &by_hi, list, Edge::lo);
+    let mut len = usize::from(!list.is_empty());
+    for i in 1..list.len() {
+        let (prev, e) = (list[len - 1], list[i]);
+        list[len] = e;
+        len += usize::from(e.packed() != prev.packed());
+    }
+    list.truncate(len);
+}
+
+/// Scatters `src` into `dst` in ascending `key` order, keeping the order of
+/// equal keys (a stable counting sort on nodes `0..n`).
+fn counting_pass(n: usize, src: &[Edge], dst: &mut [Edge], key: fn(Edge) -> NodeId) {
+    let mut cursor = vec![0u32; n + 1];
+    for &e in src {
+        cursor[key(e).index() + 1] += 1;
     }
     for v in 0..n {
-        start[v + 1] += start[v];
+        cursor[v + 1] += cursor[v];
     }
-    let mut cursor: Vec<u32> = start[..n].to_vec();
-    let mut his = vec![NodeId::new(0); list.len()];
-    for e in list.iter() {
-        let slot = &mut cursor[e.lo().index()];
-        his[*slot as usize] = e.hi();
+    for &e in src {
+        let slot = &mut cursor[key(e).index()];
+        dst[*slot as usize] = e;
         *slot += 1;
-    }
-    list.clear();
-    for lo in NodeId::all(n) {
-        let row = &mut his[start[lo.index()] as usize..start[lo.index() + 1] as usize];
-        row.sort_unstable();
-        let mut prev = None;
-        for &hi in row.iter() {
-            if prev != Some(hi) {
-                list.push(Edge::new(lo, hi));
-                prev = Some(hi);
-            }
-        }
     }
 }
 

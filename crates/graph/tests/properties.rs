@@ -244,12 +244,14 @@ fn bridge_index_stays_exact_under_non_bridge_deletions() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Bulk construction (bucketed sort, duplicates, any order) agrees with
-    /// edge-by-edge insertion on the edge list, every row and `has_edge`.
+    /// Bulk construction (counting passes, duplicates, any order) agrees
+    /// with edge-by-edge insertion on the edge list, every row and
+    /// `has_edge`: up to 300 buckets per pass, empty ones first and last
+    /// included.
     #[test]
     fn bulk_build_matches_the_edge_set_model(
-        n in 2usize..30,
-        picks in prop::collection::vec((0u32..30, 0u32..30), 0..120),
+        n in 2usize..300,
+        picks in prop::collection::vec((0u32..300, 0u32..300), 0..1000),
     ) {
         let list: Vec<Edge> = picks
             .into_iter()
@@ -463,20 +465,49 @@ proptest! {
         }
     }
 
+    /// Each round's delta is the two set differences in edge order, and the
+    /// online meter agrees with the offline `TC(E)`. The steps reach both
+    /// tails of `advance`'s merge: from the empty `G_0` and back to it, the
+    /// same graph twice, and a graph edge-disjoint from the last.
     #[test]
     fn online_and_offline_tc_agree(
-        n in 2usize..15,
-        seeds in prop::collection::vec(0u64..1000, 1..15),
+        n in 2usize..40,
+        steps in prop::collection::vec((0u8..5, 0u64..1000), 1..15),
     ) {
         let mut dg = DynamicGraph::new(n);
         let mut schedule = Vec::new();
-        for seed in seeds {
+        for (kind, seed) in steps {
             let mut rng = StdRng::seed_from_u64(seed);
-            let g = Topology::RandomTree.sample(n, &mut rng);
+            let prev = dg.current().clone();
+            let g = match kind {
+                0 => Topology::RandomTree.sample(n, &mut rng),
+                1 => Topology::SparseConnected(2.0).sample(n, &mut rng),
+                2 => prev.clone(),
+                3 => Graph::empty(n),
+                _ => complement(&prev),
+            };
             dg.advance(g.clone());
+            let old: BTreeSet<Edge> = prev.edges().iter().collect();
+            let new: BTreeSet<Edge> = g.edges().iter().collect();
+            prop_assert_eq!(
+                &dg.last_delta().inserted,
+                &new.difference(&old).copied().collect::<Vec<_>>()
+            );
+            prop_assert_eq!(
+                &dg.last_delta().removed,
+                &old.difference(&new).copied().collect::<Vec<_>>()
+            );
             schedule.push(g);
         }
         prop_assert_eq!(dg.topological_changes(), topological_changes(n, &schedule));
         prop_assert!(dg.meter().deletions <= dg.meter().insertions);
     }
+}
+
+/// Every edge `g` lacks: a graph on the same nodes, edge-disjoint from `g`.
+fn complement(g: &Graph) -> Graph {
+    let n = g.node_count() as u32;
+    let all =
+        (0..n).flat_map(|u| (u + 1..n).map(move |v| Edge::new(NodeId::new(u), NodeId::new(v))));
+    Graph::from_edges(g.node_count(), all.filter(|&e| !g.edges().contains(e)))
 }

@@ -198,20 +198,15 @@ pub struct MultiSourceNode {
 impl MultiSourceNode {
     /// Creates node `v` with initial knowledge from `assignment` and the
     /// shared source map.
+    ///
+    /// The `map` describes token *ownership* (who answers requests as a
+    /// source); `assignment` is what each node already holds. They differ
+    /// in phase 2 of the oblivious algorithm, where nodes keep the tokens
+    /// they saw pass through during the random-walk phase.
     pub fn new(v: NodeId, assignment: &TokenAssignment, map: Arc<SourceMap>) -> Self {
         let n = assignment.node_count();
         assert!(v.index() < n, "node out of range");
-        MultiSourceNode::with_knowledge(v, n, assignment.initial_knowledge(v), map)
-    }
-
-    /// Creates node `v` with an explicit knowledge set (used by phase 2 of
-    /// the oblivious algorithm, where nodes keep the tokens they saw pass
-    /// through during the random-walk phase).
-    ///
-    /// The `map` describes token *ownership* (who answers requests as a
-    /// source); `know` is what this node already holds.
-    pub fn with_knowledge(v: NodeId, n: usize, know: TokenSet, map: Arc<SourceMap>) -> Self {
-        assert!(v.index() < n, "node out of range");
+        let know = assignment.initial_knowledge(v);
         let s = map.source_count();
         let mut have_count = vec![0usize; s];
         for t in know.iter() {

@@ -323,81 +323,67 @@ where
     let s = assignment.sources().len();
     let threshold = cfg.source_threshold.unwrap_or_else(|| source_threshold(n));
 
-    if (s as f64) <= threshold {
-        // Few sources: Multi-Source-Unicast directly (the paper's line 1-2).
-        let (nodes, _map) = MultiSourceNode::nodes(assignment);
-        let mut sim = UnicastSim::new(
-            "oblivious-multi-source(direct)",
+    // Phase 2 starts from a placement of knowledge and an owner per token:
+    // with few sources (the paper's lines 1-2) the initial holders, else
+    // the result of phase 1.
+    let (phase1, centers, knowledge, map, stranded) = if (s as f64) <= threshold {
+        let map = SourceMap::from_assignment(assignment);
+        (None, assignment.sources(), assignment.clone(), map, 0)
+    } else {
+        // ---- Phase 1: reduce the number of sources to the centers. ----
+        let f = center_count(n, k);
+        let p_center = cfg
+            .center_probability
+            .unwrap_or_else(|| (f / n as f64).min(1.0));
+        let gamma = cfg
+            .degree_threshold
+            .unwrap_or_else(|| degree_threshold(n, f));
+        let is_center = elect_centers(n, p_center, cfg.seed);
+        let nodes: Vec<WalkNode> = NodeId::all(n)
+            .map(|v| WalkNode::new(v, assignment, is_center[v.index()], gamma, cfg.seed))
+            .collect();
+        let mut sim1 = UnicastSim::new(
+            "oblivious-multi-source(phase1)",
             nodes,
-            adversary2,
+            adversary1,
             assignment,
-            SimConfig::with_max_rounds(cfg.phase2_max_rounds),
+            SimConfig::with_max_rounds(cfg.phase1_max_rounds),
         );
-        let phase2 = sim.run_to_completion();
-        return ObliviousOutcome {
-            phase1: None,
-            phase2,
-            centers: assignment.sources(),
-            stranded_tokens: 0,
-        };
-    }
+        let phase1 = sim1.run_until(|s| s.nodes().iter().all(|node| node.tokens_in_transit() == 0));
 
-    // ---- Phase 1: reduce the number of sources to the centers. ----
-    let f = center_count(n, k);
-    let p_center = cfg
-        .center_probability
-        .unwrap_or_else(|| (f / n as f64).min(1.0));
-    let gamma = cfg
-        .degree_threshold
-        .unwrap_or_else(|| degree_threshold(n, f));
-    let is_center = elect_centers(n, p_center, cfg.seed);
-    let nodes: Vec<WalkNode> = NodeId::all(n)
-        .map(|v| WalkNode::new(v, assignment, is_center[v.index()], gamma, cfg.seed))
-        .collect();
-    let mut sim1 = UnicastSim::new(
-        "oblivious-multi-source(phase1)",
-        nodes,
-        adversary1,
-        assignment,
-        SimConfig::with_max_rounds(cfg.phase1_max_rounds),
-    );
-    let phase1 = sim1.run_until(|s| s.nodes().iter().all(|node| node.tokens_in_transit() == 0));
-
-    // ---- Hand-off: ownership + knowledge snapshot. ----
-    let mut ownership = TokenAssignment::empty(n, k);
-    let mut knowledge = TokenAssignment::empty(n, k);
-    let mut stranded = 0usize;
-    for node in sim1.nodes() {
-        for t in node.owned_tokens() {
-            ownership.add_holder(t, node.id());
-            if !node.is_center() {
-                stranded += 1;
+        // ---- Hand-off: ownership + knowledge snapshot. ----
+        let mut ownership = TokenAssignment::empty(n, k);
+        let mut knowledge = TokenAssignment::empty(n, k);
+        let mut stranded = 0usize;
+        for node in sim1.nodes() {
+            for t in node.owned_tokens() {
+                ownership.add_holder(t, node.id());
+                if !node.is_center() {
+                    stranded += 1;
+                }
+            }
+            for t in node.known_tokens().iter() {
+                knowledge.add_holder(t, node.id());
             }
         }
-        for t in node.known_tokens().iter() {
-            knowledge.add_holder(t, node.id());
-        }
-    }
-    debug_assert!(ownership.is_valid(), "every token must have an owner");
-    let map = Arc::new(SourceMap::from_assignment(&ownership));
-    let centers: Vec<NodeId> = NodeId::all(n).filter(|v| is_center[v.index()]).collect();
+        debug_assert!(ownership.is_valid(), "every token must have an owner");
+        let centers = NodeId::all(n).filter(|v| is_center[v.index()]).collect();
+        let map = SourceMap::from_assignment(&ownership);
+        (Some(phase1), centers, knowledge, map, stranded)
+    };
 
-    // ---- Phase 2: Multi-Source-Unicast from the centers. ----
-    let nodes2: Vec<MultiSourceNode> = sim1
-        .nodes()
-        .iter()
-        .map(|node| {
-            MultiSourceNode::with_knowledge(
-                node.id(),
-                n,
-                node.known_tokens().clone(),
-                Arc::clone(&map),
-            )
-        })
+    // ---- Phase 2: Multi-Source-Unicast from the owners. ----
+    let map = Arc::new(map);
+    let nodes = NodeId::all(n)
+        .map(|v| MultiSourceNode::new(v, &knowledge, Arc::clone(&map)))
         .collect();
     let mut sim2 = UnicastSim::new(
-        "oblivious-multi-source(phase2)",
-        nodes2,
+        if phase1.is_some() {
+            "oblivious-multi-source(phase2)"
+        } else {
+            "oblivious-multi-source(direct)"
+        },
+        nodes,
         adversary2,
         &knowledge,
         SimConfig::with_max_rounds(cfg.phase2_max_rounds),
@@ -405,7 +391,7 @@ where
     let phase2 = sim2.run_to_completion();
 
     ObliviousOutcome {
-        phase1: Some(phase1),
+        phase1,
         phase2,
         centers,
         stranded_tokens: stranded,

@@ -60,7 +60,6 @@ use crate::trace::{JsonlTracer, TraceRecord};
 use bincodec::{Decode, Encode};
 use dynspread_core::multi_source::SourceMap;
 use dynspread_core::oblivious::{center_count, degree_threshold, source_threshold};
-use dynspread_core::walk::elect_centers;
 use dynspread_graph::adversary::Adversary;
 use dynspread_graph::oblivious::StaticAdversary;
 use dynspread_graph::NodeId;
@@ -812,84 +811,64 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
         let k = assignment.token_count();
         let name = phase2.name.as_deref().unwrap_or("scenario-async-oblivious");
         let byzantine_nodes = phase2.byzantine.as_ref().map_or(0, |p| p.byzantine_nodes());
-        let single_phase = |out: ScenarioOutcome, centers, sources| ScenarioObliviousOutcome {
-            phase1: None,
-            phase2: out.event,
-            report: out.report,
-            evidence: out.evidence,
-            centers,
-            sources,
-            crash_reclaimed: 0,
-            stolen_recovered: 0,
-            stranded_tokens: 0,
-            final_knowledge: out.final_knowledge,
-            live_coverage: out.live_coverage,
-            honest_coverage: out.honest_coverage,
-            byzantine_nodes,
-            injected: out.injected,
-            completed: out.completed,
-        };
 
-        // ---- Fast path: few sources, phase 2 alone. ----
+        // Phase 2 starts from a hand-off. With few sources it is the
+        // initial placement (the paper's lines 1-2) and the report is
+        // named for a multi-source run; otherwise phase 1 walks the tokens
+        // to the centers.
         let threshold = cfg.source_threshold.unwrap_or_else(|| source_threshold(n));
-        if (assignment.sources().len() as f64) <= threshold {
-            let fast_name = match name.strip_suffix("oblivious") {
+        let (walk, centers, hand_off, name) = if (assignment.sources().len() as f64) <= threshold {
+            let hand_off = HandOff {
+                knowledge: assignment.clone(),
+                map: Arc::new(SourceMap::from_assignment(assignment)),
+                crash_reclaimed: 0,
+                stolen_recovered: 0,
+                stranded: 0,
+            };
+            let name = match name.strip_suffix("oblivious") {
                 Some(prefix) => format!("{prefix}multi-source"),
                 None => name.to_string(),
             };
-            let centers = assignment.sources();
-            let sources = SourceMap::from_assignment(assignment).sources().to_vec();
-            phase2.mark_phase(2);
-            let out = Scenario {
-                adversary: adversary2,
-                link: link2,
-                settings: Settings {
-                    name: Some(fast_name),
-                    ..phase2
-                },
-            }
-            .run_multi_source();
-            return single_phase(out, centers, sources);
-        }
+            // No walk: no phase-1 report, evidence, injections or faults.
+            (Default::default(), assignment.sources(), hand_off, name)
+        } else {
+            // ---- Phase 1: the walk, audited against the *inner*
+            // (honest-state) final claims. ----
+            let f = center_count(n, k);
+            let p_center = cfg
+                .center_probability
+                .unwrap_or_else(|| (f / n as f64).min(1.0));
+            let gamma = cfg
+                .degree_threshold
+                .unwrap_or_else(|| degree_threshold(n, f));
+            let walkers = AsyncOblivious::nodes(
+                assignment,
+                p_center,
+                gamma,
+                cfg.seed,
+                cfg.retransmit,
+                cfg.phase1_deadline,
+            );
+            let is_center: Vec<bool> = walkers.iter().map(AsyncOblivious::is_center).collect();
+            let centers = NodeId::all(n).filter(|v| is_center[v.index()]).collect();
+            phase1.mark_phase(1);
+            let walk = phase1.run_phase(walkers, adversary, link, None, |sim| {
+                let final_claims: Vec<Vec<TokenId>> = NodeId::all(n)
+                    .map(|v| sim.node(v).inner().responsible_tokens().collect())
+                    .collect();
+                AuditSetup::oblivious(assignment, is_center.clone(), final_claims)
+            });
 
-        // ---- Phase 1: the walk, audited against the *inner*
-        // (honest-state) final claims. ----
-        let f = center_count(n, k);
-        let p_center = cfg
-            .center_probability
-            .unwrap_or_else(|| (f / n as f64).min(1.0));
-        let gamma = cfg
-            .degree_threshold
-            .unwrap_or_else(|| degree_threshold(n, f));
-        // The same election the walk nodes run internally, so
-        // `is_center[v]` matches `node(v).is_center()` exactly.
-        let is_center = elect_centers(n, p_center, cfg.seed);
-        let centers: Vec<NodeId> = NodeId::all(n).filter(|v| is_center[v.index()]).collect();
-        let walkers = AsyncOblivious::nodes(
-            assignment,
-            p_center,
-            gamma,
-            cfg.seed,
-            cfg.retransmit,
-            cfg.phase1_deadline,
-        );
-        phase1.mark_phase(1);
-        let walk = phase1.run_phase(walkers, adversary, link, None, |sim| {
-            let final_claims: Vec<Vec<TokenId>> = NodeId::all(n)
-                .map(|v| sim.node(v).inner().responsible_tokens().collect())
-                .collect();
-            AuditSetup::oblivious(assignment, is_center.clone(), final_claims)
-        });
-
-        // ---- Hand-off: resolved owners become phase 2's sources. ----
-        // Phase 1's engine (nodes, queue, transcripts) is dropped here,
-        // before phase 2's is built: all that outlives the hand-off is
-        // its fault counters.
-        let hand_off = resolve_hand_off(&walk.sim, assignment, &is_center);
-        let (crashes, recoveries, partition_episodes) = walk.sim.fault_counters();
-        drop(walk.sim);
+            // ---- Hand-off: resolved owners become phase 2's sources. ----
+            // Phase 1's engine (nodes, queue, transcripts) is dropped at
+            // the end of this block, before phase 2's is built: all that
+            // outlives the hand-off is its report, evidence and counters.
+            let hand_off = resolve_hand_off(&walk.sim, assignment, &is_center);
+            let faults = walk.sim.fault_counters();
+            let walk = (Some(walk.event), walk.evidence, walk.injected, faults);
+            (walk, centers, hand_off, name.to_string())
+        };
         let (knowledge, map) = (&hand_off.knowledge, &hand_off.map);
-        let sources = map.sources().to_vec();
 
         // ---- Phase 2: multi-source spread from the owners. ----
         let spreaders = NodeId::all(n)
@@ -902,18 +881,29 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
 
         // The outcome spans both phases: phase 1's evidence first,
         // injections and fault counters summed.
-        spread.evidence.splice(0..0, walk.evidence);
-        spread.injected += walk.injected;
-        let mut out = spread.into_outcome(&phase2, name);
+        let (phase1_report, evidence, injected, (crashes, recoveries, partition_episodes)) = walk;
+        spread.evidence.splice(0..0, evidence);
+        spread.injected += injected;
+        let mut out = spread.into_outcome(&phase2, &name);
         out.report.crashes += crashes;
         out.report.recoveries += recoveries;
         out.report.partition_episodes += partition_episodes;
         ScenarioObliviousOutcome {
-            phase1: Some(walk.event),
+            phase1: phase1_report,
+            phase2: out.event,
+            report: out.report,
+            evidence: out.evidence,
+            centers,
+            sources: map.sources().to_vec(),
             crash_reclaimed: hand_off.crash_reclaimed,
             stolen_recovered: hand_off.stolen_recovered,
             stranded_tokens: hand_off.stranded,
-            ..single_phase(out, centers, sources)
+            final_knowledge: out.final_knowledge,
+            live_coverage: out.live_coverage,
+            honest_coverage: out.honest_coverage,
+            byzantine_nodes,
+            injected: out.injected,
+            completed: out.completed,
         }
     }
 
@@ -1044,6 +1034,7 @@ mod tests {
     use crate::byzantine::MisbehaviorKind;
     use crate::faults::{NodeFault, RecoveryMode};
     use crate::link::{DropLink, LinkModelExt};
+    use dynspread_core::walk::elect_centers;
     use dynspread_graph::generators::Topology;
     use dynspread_graph::oblivious::PeriodicRewiring;
     use dynspread_graph::Graph;

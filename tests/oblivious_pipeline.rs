@@ -3,7 +3,7 @@
 //! and end-to-end correctness — for both the round-based pipeline and
 //! the asynchronous `Scenario::run_oblivious` port.
 
-use dynspread::core::oblivious::{run_oblivious_multi_source, ObliviousConfig};
+use dynspread::core::oblivious::{laptop_scale, run_oblivious_multi_source, ObliviousConfig};
 use dynspread::graph::generators::Topology;
 use dynspread::graph::oblivious::{EdgeMarkovian, PeriodicRewiring, StaticAdversary};
 use dynspread::graph::Graph;
@@ -96,6 +96,49 @@ fn direct_path_taken_for_few_sources() {
     assert!(out.phase1.is_none());
     assert!(out.completed());
     assert_eq!(out.centers, assignment.sources());
+}
+
+/// Algorithm 2 at laptop scale, with `laptop_scale`'s three overrides
+/// and every node a source: both engines run phase 1, elect the same
+/// centers, a proper subset of at least two, and complete.
+#[test]
+fn laptop_scale_walks_to_the_same_centers_in_both_engines() {
+    for n in [16, 64] {
+        let assignment = TokenAssignment::n_gossip(n);
+        let (threshold, p, gamma) = laptop_scale(n, n);
+        for seed in 1..=3 {
+            let tree = |s| PeriodicRewiring::new(Topology::RandomTree, 3, s);
+            let cfg = ObliviousConfig {
+                seed,
+                source_threshold: Some(threshold),
+                center_probability: Some(p),
+                degree_threshold: Some(gamma),
+                ..ObliviousConfig::default()
+            };
+            let sync = run_oblivious_multi_source(&assignment, tree(seed), tree(seed + 1), &cfg);
+            let cfg = AsyncObliviousConfig {
+                seed,
+                source_threshold: Some(threshold),
+                center_probability: Some(p),
+                degree_threshold: Some(gamma),
+                ..AsyncObliviousConfig::default()
+            };
+            let run = Scenario::from_assignment(assignment.clone())
+                .topology(tree(seed))
+                .run_oblivious(tree(seed + 1), PerfectLink, &cfg, None);
+            let at = format!("n = {n}, seed {seed}");
+            assert!(sync.phase1.is_some(), "{at}: sync phase 1 skipped");
+            assert!(run.phase1.is_some(), "{at}: async phase 1 skipped");
+            assert!(
+                1 < sync.centers.len() && sync.centers.len() < n,
+                "{at}: {} centers",
+                sync.centers.len()
+            );
+            assert_eq!(run.centers, sync.centers, "{at}");
+            assert!(sync.completed(), "{at}: {}", sync.phase2);
+            assert!(run.completed, "{at}: {:?}", run.phase2);
+        }
+    }
 }
 
 #[test]

@@ -326,6 +326,38 @@ fn lossy_link_changes_the_execution_but_still_completes() {
     assert_eq!(delivered, scheduled, "zero-latency copies all arrive");
 }
 
+/// The static counterpart of the test above, pinning a known gap: on a
+/// static path, Algorithm 1 through a 1 %-lossy synchronizer never
+/// completes. Completeness is announced once per neighbour and a request
+/// on a live edge is never re-sent, so one lost message stalls its edge
+/// for good; above, the rewiring adversary eventually kills that edge.
+/// A loss-tolerant Algorithm 1 that re-sends unanswered requests and
+/// re-announces completeness (`ROADMAP.md` item 3(b)) flips the lossy
+/// half of this test.
+#[test]
+fn lossy_link_on_a_static_path_stalls_algorithm_one() {
+    fn run(link: impl dynspread::runtime::link::LinkModel, seed: u64) -> dynspread::sim::RunReport {
+        let (n, k) = (24, 16);
+        let assignment = TokenAssignment::single_source(n, k, NodeId::new(0));
+        UnicastSynchronizer::new(
+            "ss",
+            SingleSourceNode::nodes(&assignment),
+            StaticAdversary::new(Graph::path(n)),
+            &assignment,
+            SimConfig::with_max_rounds(20_000),
+            link,
+            seed,
+        )
+        .run_to_completion()
+    }
+    for seed in 0..10 {
+        let perfect = run(PerfectLink, seed);
+        assert!(perfect.completed, "seed {seed}: {perfect}");
+        let lossy = run(PerfectLink.lossy(0.01), seed);
+        assert!(!lossy.completed, "seed {seed}: {lossy}");
+    }
+}
+
 /// Tracing is a pure observer: a run with a [`NoopTracer`] installed (and
 /// one with a recording [`JsonlTracer`]) yields a `RunReport` and
 /// learning log byte-identical to the untraced run — and under a perfect

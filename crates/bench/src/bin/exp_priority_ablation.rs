@@ -19,43 +19,47 @@ use dynspread_graph::connectivity::connect_components;
 use dynspread_graph::dynamic::GraphUpdate;
 use dynspread_graph::generators::Topology;
 use dynspread_graph::oblivious::PeriodicRewiring;
+use dynspread_graph::stability::StabilityEnforcer;
 use dynspread_graph::{Edge, Graph, NodeId, Round};
 use dynspread_sim::message::MessageClass;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 
 /// Every edge lives exactly `lifetime` rounds, with staggered births: in
 /// every round some edges are brand new (safe to request on) and some are
 /// one round from death (a request there is wasted). This is the regime
 /// where Algorithm 1's new > idle > contributive priority pays off.
+///
+/// Edge ages live in a σ = `lifetime` [`StabilityEnforcer`]: the pinned
+/// edges survive, every other edge dies, and each round commits its own
+/// `(born, dead)`, so an edge that dies and is redrawn is born again.
 struct AgingAdversary {
-    lifetime: Round,
     target_edges: usize,
     rng: StdRng,
-    births: BTreeMap<Edge, Round>,
+    ledger: StabilityEnforcer,
 }
 
 impl AgingAdversary {
     fn new(lifetime: Round, target_edges: usize, seed: u64) -> Self {
         AgingAdversary {
-            lifetime,
             target_edges,
             rng: StdRng::seed_from_u64(seed),
-            births: BTreeMap::new(),
+            ledger: StabilityEnforcer::new(lifetime),
         }
     }
 }
 
 impl Adversary for AgingAdversary {
-    fn evolve(&mut self, round: Round, prev: &Graph) -> GraphUpdate {
+    fn evolve(&mut self, _round: Round, prev: &Graph) -> GraphUpdate {
         let n = prev.node_count();
-        let lifetime = self.lifetime;
-        self.births.retain(|_, b| round - *b < lifetime);
-        let mut g = Graph::empty(n);
-        for e in self.births.keys() {
-            g.insert_edge(*e);
-        }
+        let pinned = self.ledger.pinned_edges();
+        let dead: Vec<Edge> = prev
+            .edges()
+            .iter()
+            .filter(|e| pinned.binary_search(e).is_err())
+            .collect();
+        let mut g = Graph::from_edges(n, pinned);
+        let mut born = Vec::new();
         let mut attempts = 0;
         while g.edge_count() < self.target_edges && attempts < 100 * self.target_edges {
             attempts += 1;
@@ -64,13 +68,14 @@ impl Adversary for AgingAdversary {
             if u != v {
                 let e = Edge::new(NodeId::new(u), NodeId::new(v));
                 if g.insert_edge(e) {
-                    self.births.insert(e, round);
+                    born.push(e);
                 }
             }
         }
-        for e in connect_components(&mut g, &mut self.rng) {
-            self.births.insert(e, round);
-        }
+        born.extend(connect_components(&mut g, &mut self.rng));
+        self.ledger
+            .commit_delta(&born, &dead)
+            .expect("only σ-mature edges die");
         GraphUpdate::Full(g)
     }
 

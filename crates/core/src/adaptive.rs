@@ -18,6 +18,7 @@
 use dynspread_graph::connectivity::connect_components;
 use dynspread_graph::dynamic::GraphUpdate;
 use dynspread_graph::generators::Topology;
+use dynspread_graph::stability::StabilityEnforcer;
 use dynspread_graph::{Edge, Graph, NodeId, Round};
 use dynspread_sim::adversary::{SentRecord, UnicastAdversary};
 use rand::rngs::StdRng;
@@ -119,46 +120,47 @@ impl<M: RequestView> UnicastAdversary<M> for RequestCuttingAdversary {
 /// contributive edges can be killed the moment they are sent. It therefore
 /// separates Algorithm 1's new > idle > contributive priority from naive
 /// edge choice — the `exp_priority_ablation` experiment.
+///
+/// Edge ages live in a [`StabilityEnforcer`], to which each round commits
+/// the adversary's own `(born, cut)`: an edge cut and redrawn in the same
+/// round is born again.
 pub struct StableRequestCutter {
-    sigma: u64,
     target_edges: usize,
     rng: StdRng,
-    /// Birth round of every currently present edge.
-    births: std::collections::BTreeMap<Edge, Round>,
+    ledger: StabilityEnforcer,
 }
 
 impl StableRequestCutter {
     /// Creates the adversary with stability parameter `sigma` and a target
     /// edge density.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sigma == 0`.
     pub fn new(sigma: u64, target_edges: usize, seed: u64) -> Self {
         StableRequestCutter {
-            sigma,
             target_edges,
             rng: StdRng::seed_from_u64(seed),
-            births: std::collections::BTreeMap::new(),
+            ledger: StabilityEnforcer::new(sigma),
         }
     }
 }
 
 impl<M: RequestView> UnicastAdversary<M> for StableRequestCutter {
-    fn evolve(&mut self, round: Round, prev: &Graph, prev_sent: &[SentRecord<M>]) -> GraphUpdate {
+    fn evolve(&mut self, _round: Round, prev: &Graph, prev_sent: &[SentRecord<M>]) -> GraphUpdate {
         let n = prev.node_count();
+        let mut g = prev.clone();
         // Cut mature request-carrying edges (σ-stability permitting).
+        let pinned = self.ledger.pinned_edges();
+        let mut cut = Vec::new();
         for rec in prev_sent {
-            if rec.msg.is_request() {
-                let e = Edge::new(rec.from, rec.to);
-                if let Some(&birth) = self.births.get(&e) {
-                    if round - birth >= self.sigma {
-                        self.births.remove(&e);
-                    }
-                }
+            let e = Edge::new(rec.from, rec.to);
+            if rec.msg.is_request() && pinned.binary_search(&e).is_err() && g.remove_edge(e) {
+                cut.push(e);
             }
         }
-        let mut g = Graph::empty(n);
-        for e in self.births.keys() {
-            g.insert_edge(*e);
-        }
         // Top up with fresh random edges.
+        let mut born = Vec::new();
         let mut attempts = 0usize;
         while g.edge_count() < self.target_edges && attempts < 100 * self.target_edges + 100 {
             attempts += 1;
@@ -167,13 +169,14 @@ impl<M: RequestView> UnicastAdversary<M> for StableRequestCutter {
             if u != v {
                 let e = Edge::new(NodeId::new(u), NodeId::new(v));
                 if g.insert_edge(e) {
-                    self.births.insert(e, round);
+                    born.push(e);
                 }
             }
         }
-        for e in connect_components(&mut g, &mut self.rng) {
-            self.births.insert(e, round);
-        }
+        born.extend(connect_components(&mut g, &mut self.rng));
+        self.ledger
+            .commit_delta(&born, &cut)
+            .expect("cuts only σ-mature edges");
         GraphUpdate::Full(g)
     }
 
@@ -247,11 +250,11 @@ mod tests {
 
     #[test]
     fn stable_cutter_produces_sigma_stable_schedules() {
-        use dynspread_graph::stability::StabilityChecker;
+        use dynspread_graph::stability::check_schedule;
         let n = 12;
         let sigma = 3;
         let mut adv = StableRequestCutter::new(sigma, 3 * n, 9);
-        let mut checker = StabilityChecker::new(sigma);
+        let mut schedule = Vec::new();
         let mut dg = dynspread_graph::DynamicGraph::new(n);
         // Drive it with synthetic request traffic on every present edge.
         for r in 1..=40u64 {
@@ -267,8 +270,15 @@ mod tests {
                 .collect();
             dg.apply(UnicastAdversary::evolve(&mut adv, r, dg.current(), &sent));
             assert!(dg.current().is_connected(), "round {r} disconnected");
-            checker.observe(dg.current()).expect("must be σ-stable");
+            schedule.push(dg.current().clone());
         }
+        check_schedule(sigma, &schedule).expect("must be σ-stable");
+    }
+
+    #[test]
+    #[should_panic(expected = "σ must be at least 1")]
+    fn stable_cutter_rejects_zero_sigma() {
+        let _ = StableRequestCutter::new(0, 8, 1);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`StaticAdversary`] — a fixed connected graph every round.
 //! * [`PeriodicRewiring`] — a fresh random topology every ρ rounds, hence
 //!   ρ-edge-stable.
-//! * [`EdgeMarkovian`] — independent per-edge birth/death chains with
-//!   σ-stability clamping and connectivity repair.
+//! * [`EdgeMarkovian`] — independent per-edge birth/death chains that
+//!   spare σ-young edges, with connectivity repair.
 //! * [`ChurnAdversary`] — bounded churn per round: deletes up to `c`
 //!   eligible non-bridge edges and inserts up to `c` random new edges.
 //! * [`ScriptedAdversary`] — replays an explicit schedule.
@@ -147,7 +147,7 @@ impl Adversary for PeriodicRewiring {
 
 /// Edge-Markovian dynamics: every potential edge turns on with probability
 /// `p_on` and turns off with probability `p_off`, independently per round,
-/// clamped to σ-edge stability and repaired to connectivity.
+/// sparing edges younger than σ rounds, and repaired to connectivity.
 ///
 /// This is the classic smoothly-dynamic model (e.g. Clementi et al.); the
 /// repair edges are charged to `TC(E)` like any other insertion.
@@ -169,7 +169,7 @@ pub struct EdgeMarkovian {
 }
 
 impl EdgeMarkovian {
-    /// Creates edge-Markovian dynamics with σ-stability clamping.
+    /// Creates σ-edge-stable edge-Markovian dynamics.
     ///
     /// # Panics
     ///
@@ -260,7 +260,7 @@ impl Adversary for EdgeMarkovian {
         let n = prev.node_count();
         let Some(mut g) = self.current.take() else {
             // First round: all pairs are absent in G_0, so the initial
-            // snapshot is one birth sweep plus repair, clamped wholesale.
+            // snapshot is one birth sweep plus repair, all born at once.
             let mut initial = Graph::empty(n);
             let mut births = Vec::new();
             self.sample_births(&initial, &mut births);
@@ -268,9 +268,11 @@ impl Adversary for EdgeMarkovian {
                 initial.insert_edge(e);
             }
             connect_components(&mut initial, &mut self.rng);
-            let clamped = self.enforcer.clamp(initial);
-            self.current = Some(clamped.clone());
-            return GraphUpdate::Full(clamped);
+            self.enforcer
+                .commit_delta(initial.edges().as_slice(), &[])
+                .expect("round 1 removes nothing");
+            self.current = Some(initial.clone());
+            return GraphUpdate::Full(initial);
         };
         let mut removed = Vec::new();
         let mut inserted = Vec::new();
@@ -301,7 +303,9 @@ impl Adversary for EdgeMarkovian {
             removed.retain(|e| !both.contains(e));
             inserted.extend(repairs.into_iter().filter(|e| !both.contains(e)));
         }
-        self.enforcer.commit_delta(&inserted, &removed);
+        self.enforcer
+            .commit_delta(&inserted, &removed)
+            .expect("deaths skip pinned edges");
         self.current = Some(g);
         GraphUpdate::Delta(RoundDelta { inserted, removed })
     }
@@ -367,11 +371,13 @@ impl Adversary for ChurnAdversary {
     fn evolve(&mut self, _round: Round, prev: &Graph) -> GraphUpdate {
         let n = prev.node_count();
         let Some(g) = self.current.as_mut() else {
-            // First round: sample and clamp a full topology (one-time cost).
+            // First round: sample a full topology (one-time cost).
             let initial = self.topology.sample(n, &mut self.rng);
-            let clamped = self.enforcer.clamp(initial);
-            self.current = Some(clamped.clone());
-            return GraphUpdate::Full(clamped);
+            self.enforcer
+                .commit_delta(initial.edges().as_slice(), &[])
+                .expect("round 1 removes nothing");
+            self.current = Some(initial.clone());
+            return GraphUpdate::Full(initial);
         };
         // Delete up to `churn` non-bridge edges that are mature enough,
         // each drawn uniformly among the eligible ones in edge order.
@@ -431,7 +437,9 @@ impl Adversary for ChurnAdversary {
             removed.retain(|e| !both.contains(e));
             inserted.retain(|e| !both.contains(e));
         }
-        self.enforcer.commit_delta(&inserted, &removed);
+        self.enforcer
+            .commit_delta(&inserted, &removed)
+            .expect("deletions skip pinned edges");
         GraphUpdate::Delta(RoundDelta { inserted, removed })
     }
 
@@ -508,7 +516,7 @@ impl Adversary for ScriptedAdversary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stability::StabilityChecker;
+    use crate::stability::{check_schedule, StabilityEnforcer};
 
     #[test]
     fn static_adversary_is_constant() {
@@ -550,28 +558,26 @@ mod tests {
     fn periodic_rewiring_is_period_stable() {
         let period = 3;
         let mut adv = PeriodicRewiring::new(Topology::RandomTree, period, 5);
-        let mut checker = StabilityChecker::new(period);
-        let mut prev = Graph::empty(10);
+        let mut schedule = vec![Graph::empty(10)];
         for r in 1..=30 {
-            let g = adv.graph_for_round(r, &prev);
-            checker.observe(&g).expect("period-stable by construction");
+            let g = adv.graph_for_round(r, &schedule[r as usize - 1]);
             assert!(g.is_connected());
-            prev = g;
+            schedule.push(g);
         }
+        check_schedule(period, &schedule[1..]).expect("period-stable by construction");
     }
 
     #[test]
     fn edge_markovian_stays_connected_and_stable() {
         let sigma = 2;
         let mut adv = EdgeMarkovian::new(0.1, 0.3, sigma, 17);
-        let mut checker = StabilityChecker::new(sigma);
-        let mut prev = Graph::empty(12);
+        let mut schedule = vec![Graph::empty(12)];
         for r in 1..=40 {
-            let g = adv.graph_for_round(r, &prev);
+            let g = adv.graph_for_round(r, &schedule[r as usize - 1]);
             assert!(g.is_connected(), "round {r} disconnected");
-            checker.observe(&g).expect("σ-stable by clamping");
-            prev = g;
+            schedule.push(g);
         }
+        check_schedule(sigma, &schedule[1..]).expect("σ-stable by construction");
     }
 
     #[test]
@@ -589,7 +595,7 @@ mod tests {
         let sigma = 2;
         let mut adv = EdgeMarkovian::new(0.05, 0.25, sigma, 41);
         let mut dg = crate::dynamic::DynamicGraph::new(12);
-        let mut checker = StabilityChecker::new(sigma);
+        let mut ledger = StabilityEnforcer::new(sigma);
         let mut full_rounds = 0;
         let mut delta_rounds = 0;
         for r in 1..=200 {
@@ -607,7 +613,10 @@ mod tests {
             }
             dg.apply(update);
             assert!(dg.current().is_connected(), "round {r} disconnected");
-            checker.observe(dg.current()).expect("σ-stable by clamping");
+            let d = dg.last_delta();
+            ledger
+                .commit_delta(&d.inserted, &d.removed)
+                .expect("σ-stable by construction");
             // Meter stays consistent with the live snapshot.
             assert_eq!(
                 dg.current().edge_count() as u64,
@@ -657,14 +666,13 @@ mod tests {
     fn churn_adversary_respects_sigma() {
         let sigma = 3;
         let mut adv = ChurnAdversary::new(Topology::SparseConnected(1.5), 3, sigma, 31);
-        let mut checker = StabilityChecker::new(sigma);
-        let mut prev = Graph::empty(10);
+        let mut schedule = vec![Graph::empty(10)];
         for r in 1..=30 {
-            let g = adv.graph_for_round(r, &prev);
-            checker.observe(&g).expect("σ-stable by clamping");
+            let g = adv.graph_for_round(r, &schedule[r as usize - 1]);
             assert!(g.is_connected(), "round {r} disconnected");
-            prev = g;
+            schedule.push(g);
         }
+        check_schedule(sigma, &schedule[1..]).expect("σ-stable by construction");
     }
 
     #[test]

@@ -5,40 +5,18 @@
 //! stable; Algorithm 1's `O(nk)` running-time bound (Theorem 3.4) requires
 //! 3-edge stability.
 //!
-//! This module provides an online [`StabilityChecker`] (verifies a schedule
-//! as it unfolds) and [`StabilityEnforcer`] (clamps an adversary's proposed
-//! deletions so the produced schedule is σ-stable by construction).
+//! [`StabilityEnforcer`] is the one record of edge ages. Its owner commits
+//! each round's change to it, and what counts as a change is what the
+//! owner's delta says: an edge on both sides is removed and born again.
+//! [`check_schedule`] and the round engine's stability check commit the
+//! delta [`DynamicGraph`] read off the schedule; a σ-aware adversary
+//! commits its own, after leaving [`StabilityEnforcer::pinned_edges`] alone.
 
+use crate::dynamic::DynamicGraph;
 use crate::edge::Edge;
 use crate::graph::Graph;
 use crate::node::Round;
 use std::collections::BTreeMap;
-
-/// Online verifier of σ-edge stability.
-///
-/// Feed it the snapshot of every round in order; it reports the first
-/// violation, i.e. an edge that was deleted before being present for σ
-/// consecutive rounds.
-///
-/// # Examples
-///
-/// ```
-/// use dynspread_graph::{Graph, stability::StabilityChecker};
-///
-/// let mut checker = StabilityChecker::new(3);
-/// checker.observe(&Graph::path(3)).unwrap();
-/// checker.observe(&Graph::path(3)).unwrap();
-/// checker.observe(&Graph::path(3)).unwrap();
-/// // After 3 rounds of presence the path edges may be dropped.
-/// checker.observe(&Graph::star(3)).unwrap();
-/// ```
-#[derive(Clone, Debug)]
-pub struct StabilityChecker {
-    sigma: u64,
-    round: Round,
-    /// For each currently present edge: the round it was (last) inserted.
-    inserted_at: BTreeMap<Edge, Round>,
-}
 
 /// A violation of σ-edge stability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,96 +45,46 @@ impl std::fmt::Display for StabilityViolation {
 
 impl std::error::Error for StabilityViolation {}
 
-impl StabilityChecker {
-    /// Creates a checker for σ-edge stability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma == 0` (σ ≥ 1 by definition).
-    pub fn new(sigma: u64) -> Self {
-        assert!(sigma >= 1, "σ must be at least 1");
-        StabilityChecker {
-            sigma,
-            round: 0,
-            inserted_at: BTreeMap::new(),
-        }
-    }
-
-    /// The σ parameter.
-    pub fn sigma(&self) -> u64 {
-        self.sigma
-    }
-
-    /// Observes the snapshot of the next round.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`StabilityViolation`] if an edge was removed
-    /// before completing σ consecutive rounds of presence.
-    pub fn observe(&mut self, g: &Graph) -> Result<(), StabilityViolation> {
-        self.round += 1;
-        let r = self.round;
-        // Check removals: edges tracked but no longer present (both sides
-        // are in edge order, so this is one merge walk).
-        let mut present = g.edges().ascending_probe();
-        let removed: Vec<(Edge, Round)> = self
-            .inserted_at
-            .iter()
-            .filter(|(e, _)| !present(**e))
-            .map(|(e, ins)| (*e, *ins))
-            .collect();
-        for (e, ins) in removed {
-            self.inserted_at.remove(&e);
-            let run = r - ins; // present during rounds ins .. r-1 inclusive
-            if run < self.sigma {
-                return Err(StabilityViolation {
-                    edge: e,
-                    inserted_at: ins,
-                    removed_at: r,
-                    run_length: run,
-                    sigma: self.sigma,
-                });
-            }
-        }
-        // Record insertions.
-        for e in g.edges().iter() {
-            self.inserted_at.entry(e).or_insert(r);
-        }
-        Ok(())
-    }
-}
-
 /// Verifies that a complete schedule `G_1, …, G_x` is σ-edge stable.
 ///
 /// # Errors
 ///
-/// Returns the first violation found.
+/// Returns the first violation found: the earliest round with one, and
+/// within it the smallest removed edge.
+///
+/// # Panics
+///
+/// Panics if `sigma == 0` or the snapshots' node counts differ.
 pub fn check_schedule(sigma: u64, schedule: &[Graph]) -> Result<(), StabilityViolation> {
-    let mut checker = StabilityChecker::new(sigma);
+    let mut ledger = StabilityEnforcer::new(sigma);
+    let mut dg = DynamicGraph::new(schedule.first().map_or(0, Graph::node_count));
     for g in schedule {
-        checker.observe(g)?;
+        let delta = dg.advance(g.clone());
+        ledger.commit_delta(&delta.inserted, &delta.removed)?;
     }
     Ok(())
 }
 
-/// Makes adversary proposals σ-stable by construction.
+/// The age of every present edge, kept for σ-edge stability.
 ///
-/// The enforcer tracks edge ages. Given a *proposed* next snapshot, it adds
-/// back every edge that is too young to be deleted. Adversaries route their
-/// proposals through [`StabilityEnforcer::clamp`] before publishing.
+/// Each round its owner records the round's change with
+/// [`StabilityEnforcer::commit_delta`], which reports a removal younger
+/// than σ; an adversary that must stay σ-stable removes nothing in
+/// [`StabilityEnforcer::pinned_edges`].
 #[derive(Clone, Debug)]
 pub struct StabilityEnforcer {
     sigma: u64,
     round: Round,
+    /// For each present edge: the round it was (last) inserted.
     inserted_at: BTreeMap<Edge, Round>,
 }
 
 impl StabilityEnforcer {
-    /// Creates an enforcer for σ-edge stability.
+    /// Creates an empty ledger for σ-edge stability, before round 1.
     ///
     /// # Panics
     ///
-    /// Panics if `sigma == 0`.
+    /// Panics if `sigma == 0` (σ ≥ 1 by definition).
     pub fn new(sigma: u64) -> Self {
         assert!(sigma >= 1, "σ must be at least 1");
         StabilityEnforcer {
@@ -166,13 +94,8 @@ impl StabilityEnforcer {
         }
     }
 
-    /// The σ parameter.
-    pub fn sigma(&self) -> u64 {
-        self.sigma
-    }
-
     /// Returns the edges that may *not* be deleted in the upcoming round
-    /// (present, but for fewer than σ rounds so far).
+    /// (present, but for fewer than σ rounds so far), in edge order.
     pub fn pinned_edges(&self) -> Vec<Edge> {
         let next_round = self.round + 1;
         self.inserted_at
@@ -182,53 +105,45 @@ impl StabilityEnforcer {
             .collect()
     }
 
-    /// Clamps a proposed snapshot for the next round: re-inserts every
-    /// pinned edge, then records the result as the next round's graph.
+    /// Records the next round's change in O(|delta| log m): the `removed`
+    /// edges leave first, then the `inserted` edges are born, so an edge
+    /// on both sides is born again.
     ///
-    /// Returns the clamped graph.
-    pub fn clamp(&mut self, mut proposal: Graph) -> Graph {
-        for e in self.pinned_edges() {
-            proposal.insert_edge(e);
-        }
-        self.round += 1;
-        let r = self.round;
-        {
-            // `retain` visits keys in ascending order: one merge walk.
-            let mut present = proposal.edges().ascending_probe();
-            self.inserted_at.retain(|e, _| present(*e));
-        }
-        for e in proposal.edges().iter() {
-            self.inserted_at.entry(e).or_insert(r);
-        }
-        proposal
-    }
-
-    /// Records an already-σ-legal delta as the next round's change — the
-    /// incremental counterpart of [`StabilityEnforcer::clamp`], costing
-    /// O(|delta| log m) instead of a full edge-set sweep.
+    /// # Errors
+    ///
+    /// Returns the first edge of `removed` that was present for fewer than
+    /// σ rounds. The ledger is then left mid-round.
     ///
     /// # Panics
     ///
-    /// Panics if a removed edge is still pinned (callers must filter their
-    /// deletions through [`StabilityEnforcer::pinned_edges`] first).
-    pub fn commit_delta(&mut self, inserted: &[Edge], removed: &[Edge]) {
+    /// Panics if a removed edge is not present.
+    pub fn commit_delta(
+        &mut self,
+        inserted: &[Edge],
+        removed: &[Edge],
+    ) -> Result<(), StabilityViolation> {
         self.round += 1;
         let r = self.round;
-        for e in removed {
+        for &edge in removed {
             let ins = self
                 .inserted_at
-                .remove(e)
+                .remove(&edge)
                 .expect("removed edge was never recorded");
-            assert!(
-                r - ins >= self.sigma,
-                "delta deletes pinned edge {e} (present {} < σ = {} rounds)",
-                r - ins,
-                self.sigma
-            );
+            let run_length = r - ins; // present during rounds ins .. r-1 inclusive
+            if run_length < self.sigma {
+                return Err(StabilityViolation {
+                    edge,
+                    inserted_at: ins,
+                    removed_at: r,
+                    run_length,
+                    sigma: self.sigma,
+                });
+            }
         }
-        for e in inserted {
-            self.inserted_at.entry(*e).or_insert(r);
+        for &e in inserted {
+            self.inserted_at.insert(e, r);
         }
+        Ok(())
     }
 }
 
@@ -300,54 +215,33 @@ mod tests {
     }
 
     #[test]
-    fn enforcer_pins_young_edges() {
-        let mut enf = StabilityEnforcer::new(3);
-        let g1 = enf.clamp(Graph::path(3));
-        assert_eq!(g1, Graph::path(3));
-        // Proposal drops {1,2} immediately; enforcer must re-add it.
-        let g2 = enf.clamp(Graph::from_edges(3, [e(0, 1), e(0, 2)]));
-        assert!(g2.edges().contains(e(1, 2)));
-        assert!(g2.edges().contains(e(0, 2)));
-    }
-
-    #[test]
-    fn enforcer_allows_deletion_after_sigma() {
-        let mut enf = StabilityEnforcer::new(2);
-        enf.clamp(Graph::path(3));
-        enf.clamp(Graph::path(3));
-        // Path edges have now been present 2 rounds; deletion is allowed.
-        let g3 = enf.clamp(Graph::from_edges(3, [e(0, 1), e(0, 2)]));
-        assert!(!g3.edges().contains(e(1, 2)));
-    }
-
-    #[test]
-    fn enforcer_output_is_always_sigma_stable() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let sigma = 3;
-        let mut enf = StabilityEnforcer::new(sigma);
-        let mut checker = StabilityChecker::new(sigma);
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..50 {
-            // Random proposal: each of the 6 possible edges on 4 nodes w.p. 1/2.
-            let mut g = Graph::empty(4);
-            for u in 0..4u32 {
-                for v in (u + 1)..4 {
-                    if rng.gen_bool(0.5) {
-                        g.insert_edge(e(u, v));
-                    }
-                }
-            }
-            let clamped = enf.clamp(g);
-            checker
-                .observe(&clamped)
-                .expect("enforcer must be σ-stable");
+    fn ledger_pins_young_edges_and_rebirth_restarts_the_clock() {
+        let mut ledger = StabilityEnforcer::new(3);
+        let path = [e(0, 1), e(1, 2)];
+        // Born in round 1: pinned until σ rounds have passed, then free.
+        ledger.commit_delta(&path, &[]).unwrap();
+        for _ in 0..2 {
+            assert_eq!(ledger.pinned_edges(), path);
+            ledger.commit_delta(&[], &[]).unwrap();
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_sigma_checker_panics() {
-        let _ = StabilityChecker::new(0);
+        assert!(ledger.pinned_edges().is_empty());
+        // Round 4 commits {1,2} on both sides: it is born again and pinned
+        // for σ more rounds.
+        ledger.commit_delta(&[e(1, 2)], &[e(1, 2)]).unwrap();
+        let reborn = ledger.clone();
+        for _ in 0..2 {
+            assert_eq!(ledger.pinned_edges(), [e(1, 2)]);
+            ledger.commit_delta(&[], &[]).unwrap();
+        }
+        assert!(ledger.pinned_edges().is_empty());
+        ledger.commit_delta(&[], &[e(1, 2)]).unwrap();
+        // Removing it early is an error dated from the rebirth.
+        let mut early = reborn;
+        let err = early.commit_delta(&[], &[e(0, 1), e(1, 2)]).unwrap_err();
+        assert_eq!(
+            (err.edge, err.inserted_at, err.removed_at, err.run_length),
+            (e(1, 2), 4, 5, 1)
+        );
     }
 
     #[test]

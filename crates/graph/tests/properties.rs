@@ -1,10 +1,12 @@
 //! Property-based tests of the dynamic-graph substrate.
 
+use dynspread_graph::adversary::Adversary;
 use dynspread_graph::connectivity::{bridges, connect_components, BridgeIndex};
 use dynspread_graph::dynamic::{topological_changes, GraphUpdate, RoundDelta};
 use dynspread_graph::generators::Topology;
-use dynspread_graph::stability::{check_schedule, StabilityEnforcer};
-use dynspread_graph::{DynamicGraph, Edge, Graph, NodeId};
+use dynspread_graph::oblivious::{ChurnAdversary, EdgeMarkovian};
+use dynspread_graph::stability::check_schedule;
+use dynspread_graph::{DynamicGraph, Edge, Graph, NodeId, Round};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -361,25 +363,57 @@ proptest! {
         prop_assert_eq!(bridges(&g), bridges_by_component_count(&g));
     }
 
+    /// `check_schedule` reports exactly the oracle's first violation on
+    /// schedules that keep, resample, thin out and re-insert edges.
     #[test]
-    fn enforcer_output_is_sigma_stable_and_supersets_proposal_minus_old(
+    fn check_schedule_matches_the_run_oracle(
         sigma in 1u64..5,
-        n in 3usize..15,
-        seeds in prop::collection::vec(0u64..1000, 3..20),
+        n in 3usize..8,
+        steps in prop::collection::vec((0u8..4, 0u64..1000), 1..20),
     ) {
-        let mut enforcer = StabilityEnforcer::new(sigma);
-        let mut schedule = Vec::new();
-        for seed in seeds {
+        let pairs: Vec<Edge> = complement(&Graph::empty(n)).edges().iter().collect();
+        let mut schedule: Vec<Graph> = Vec::new();
+        for (kind, seed) in steps {
             let mut rng = StdRng::seed_from_u64(seed);
-            let proposal = Topology::Gnp(0.3).sample(n, &mut rng);
-            let clamped = enforcer.clamp(proposal.clone());
-            // Clamping only adds edges.
-            for e in proposal.edges().iter() {
-                prop_assert!(clamped.edges().contains(e));
-            }
-            schedule.push(clamped);
+            let prev = schedule.last().cloned().unwrap_or_else(|| Graph::empty(n));
+            let g = match kind {
+                0 => prev,
+                1 => Graph::from_edges(n, pairs.iter().copied().filter(|_| rng.gen_bool(0.5))),
+                2 => Graph::from_edges(n, prev.edges().iter().filter(|_| rng.gen_bool(0.5))),
+                // Back in: the edges of two rounds ago.
+                _ => {
+                    let back = schedule.len().checked_sub(2).map(|i| &schedule[i]);
+                    let old = back.into_iter().flat_map(|g| g.edges().iter());
+                    Graph::from_edges(n, prev.edges().iter().chain(old))
+                }
+            };
+            schedule.push(g);
         }
-        prop_assert!(check_schedule(sigma, &schedule).is_ok());
+        prop_assert_eq!(checked(sigma, &schedule), first_violation_by_runs(sigma, &schedule));
+    }
+
+    /// The σ-aware adversaries' schedules are σ-stable by the oracle, and
+    /// `check_schedule` agrees.
+    #[test]
+    fn check_schedule_and_the_run_oracle_pass_sigma_aware_adversaries(
+        sigma in 1u64..5,
+        n in 4usize..14,
+        seed in 0u64..1000,
+    ) {
+        let adversaries: [Box<dyn Adversary>; 2] = [
+            Box::new(EdgeMarkovian::new(0.1, 0.4, sigma, seed)),
+            Box::new(ChurnAdversary::new(Topology::SparseConnected(2.0), 3, sigma, seed)),
+        ];
+        for mut adv in adversaries {
+            let mut schedule = vec![Graph::empty(n)];
+            for r in 1..=30 {
+                let g = adv.graph_for_round(r, &schedule[r as usize - 1]);
+                schedule.push(g);
+            }
+            let schedule = &schedule[1..];
+            prop_assert_eq!(first_violation_by_runs(sigma, schedule), None);
+            prop_assert_eq!(checked(sigma, schedule), None);
+        }
     }
 
     /// CSR equivalence: random delta sequences applied to the CSR-backed
@@ -502,6 +536,44 @@ proptest! {
         prop_assert_eq!(dg.topological_changes(), topological_changes(n, &schedule));
         prop_assert!(dg.meter().deletions <= dg.meter().insertions);
     }
+}
+
+/// The first σ-edge-stability violation of `schedule` (`G_1` first), found
+/// by brute force: every edge's maximal presence runs, a run ended by a
+/// removal shorter than σ rounds being a violation. Of the violations the
+/// earliest removal is reported, ties going to the smallest edge, as
+/// `(edge, inserted_at, removed_at)`.
+fn first_violation_by_runs(sigma: u64, schedule: &[Graph]) -> Option<(Edge, Round, Round)> {
+    let edges: BTreeSet<Edge> = schedule.iter().flat_map(|g| g.edges().iter()).collect();
+    let mut violations = Vec::new();
+    for e in edges {
+        let mut run_start = None;
+        for (i, g) in schedule.iter().enumerate() {
+            let r = i as Round + 1;
+            match (g.edges().contains(e), run_start) {
+                (true, None) => run_start = Some(r),
+                (false, Some(ins)) => {
+                    if r - ins < sigma {
+                        violations.push((r, e, ins));
+                    }
+                    run_start = None;
+                }
+                _ => {}
+            }
+        }
+    }
+    let (removed_at, e, inserted_at) = violations.into_iter().min()?;
+    Some((e, inserted_at, removed_at))
+}
+
+/// `check_schedule`'s verdict in the oracle's terms, its fields checked.
+fn checked(sigma: u64, schedule: &[Graph]) -> Option<(Edge, Round, Round)> {
+    let v = check_schedule(sigma, schedule).err()?;
+    assert_eq!(
+        (v.sigma, v.run_length),
+        (sigma, v.removed_at - v.inserted_at)
+    );
+    Some((v.edge, v.inserted_at, v.removed_at))
 }
 
 /// Every edge `g` lacks: a graph on the same nodes, edge-disjoint from `g`.

@@ -45,7 +45,7 @@ use crate::token::{TokenAssignment, TokenSet};
 use crate::trace::{emit, emit_round, TraceRecord, Tracer};
 use crate::tracker::TokenTracker;
 use dynspread_graph::dynamic::GraphUpdate;
-use dynspread_graph::stability::StabilityChecker;
+use dynspread_graph::stability::StabilityEnforcer;
 use dynspread_graph::{DynamicGraph, NodeId, Round};
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -55,7 +55,11 @@ use std::sync::Arc;
 pub struct SimConfig {
     /// Hard cap on rounds for `run_to_completion`.
     pub max_rounds: Round,
-    /// Verify σ-edge stability of the adversary's schedule online.
+    /// Verify σ-edge stability of the adversary's schedule online: each
+    /// round's delta is committed to a [`StabilityEnforcer`], and a removal
+    /// younger than σ rounds panics. The delta is read literally, as
+    /// `DynamicGraph`'s `TC(E)` meter reads it, so an edge on both sides of
+    /// a [`GraphUpdate::Delta`] counts as removed and re-inserted.
     pub check_stability: Option<u64>,
     /// Charge KT0-style neighbor discovery (unicast engine only): two
     /// control messages per inserted edge, modelling the "hello" exchange
@@ -210,7 +214,7 @@ struct Core {
     meter: MessageMeter,
     tracker: TokenTracker,
     cfg: SimConfig,
-    stability: Option<StabilityChecker>,
+    stability: Option<StabilityEnforcer>,
     io: RoundIo,
     algorithm_name: Arc<str>,
     adversary_name: Arc<str>,
@@ -247,7 +251,7 @@ impl Core {
             dg: DynamicGraph::new(n),
             meter,
             tracker,
-            stability: cfg.check_stability.map(StabilityChecker::new),
+            stability: cfg.check_stability.map(StabilityEnforcer::new),
             cfg,
             io: RoundIo {
                 scratch: RoundScratch::new(n),
@@ -278,8 +282,10 @@ impl Core {
             self.io.scratch.check_connected(self.dg.current(), removed),
             "adversary produced a disconnected graph in round {round}"
         );
-        if let Some(chk) = self.stability.as_mut() {
-            chk.observe(self.dg.current())
+        if let Some(ledger) = self.stability.as_mut() {
+            let delta = self.dg.last_delta();
+            ledger
+                .commit_delta(&delta.inserted, &delta.removed)
                 .expect("adversary violated σ-edge stability");
         }
         profile::lap(&mut self.io.prof, Phase::Connectivity);
@@ -933,6 +939,38 @@ mod tests {
             ..SimConfig::default()
         };
         let mut sim = UnicastSim::new("naive-uni", uni_nodes(n, &a), adv, &a, cfg);
+        sim.step();
+        sim.step();
+    }
+
+    #[test]
+    #[should_panic(expected = "σ-edge stability")]
+    fn stability_checking_reads_deltas() {
+        use dynspread_graph::adversary::Adversary;
+        use dynspread_graph::dynamic::RoundDelta;
+        use dynspread_graph::Edge;
+        /// The path in round 1; round 2's delta reroutes it around {1,2},
+        /// an edge one round old.
+        struct Reroute;
+        impl Adversary for Reroute {
+            fn evolve(&mut self, round: Round, prev: &Graph) -> GraphUpdate {
+                let e = |u, v| Edge::new(NodeId::new(u), NodeId::new(v));
+                match round {
+                    1 => GraphUpdate::Full(Graph::path(prev.node_count())),
+                    _ => GraphUpdate::Delta(RoundDelta {
+                        inserted: vec![e(0, 2)],
+                        removed: vec![e(1, 2)],
+                    }),
+                }
+            }
+        }
+        let n = 4;
+        let a = one_token_assignment(n);
+        let cfg = SimConfig {
+            check_stability: Some(3),
+            ..SimConfig::default()
+        };
+        let mut sim = UnicastSim::new("naive-uni", uni_nodes(n, &a), Reroute, &a, cfg);
         sim.step();
         sim.step();
     }

@@ -26,15 +26,17 @@
 //!   O(k/64) and each assignment O(1), so a node with `k` missing tokens
 //!   and `d` eligible channels pays O(d + k/64) per pass, not O(k).
 //! * [`Requests`] — the round model's request side: that core plus the
-//!   edge tracker whose pending queues its in-flight set mirrors.
-//! * [`CompletenessLedger`] — the paper's `R_v` (whom we have informed of
-//!   our completeness) and `S_v` (who announced completeness to us), both
-//!   *monotone*: bits are only ever set. In the async ports `R_v` doubles
-//!   as acknowledgment state (set on `Ack`, not on send), which is what
-//!   makes announcement retransmission idempotent.
-//! * [`PeerLedger`] — the same `R_v(x)` / `S_v(x)` for all `s` sources at
-//!   once, stored per peer *heard from* instead of per node of the
-//!   network: the asynchronous multi-source port's ledger.
+//!   edge tracker whose pending requests its in-flight set mirrors.
+//! * [`CompletenessLedger`] — the paper's `R_v(x)` (whom we have informed
+//!   of our completeness w.r.t. source `x`) and `S_v(x)` (who announced
+//!   completeness to us), for all `s` sources, both *monotone*: bits are
+//!   only ever set. Dense over the network and peer-major: the round-based
+//!   nodes' ledger, and the async single-source port's. In the async ports
+//!   `R_v` doubles as acknowledgment state (set on `Ack`, not on send),
+//!   which is what makes announcement retransmission idempotent.
+//! * [`PeerLedger`] — the same `R_v(x)` / `S_v(x)`, stored per peer *heard
+//!   from* instead of per node of the network: the asynchronous
+//!   multi-source port's ledger.
 
 use crate::edge_history::{EdgeCategory, EdgeTracker};
 use dynspread_graph::node::IdHasher;
@@ -145,7 +147,8 @@ impl DisseminationCore {
 
     /// Mutable access to the in-flight set, for callers that keep it in
     /// sync with their own channel bookkeeping ([`Requests`] lets its
-    /// [`EdgeTracker`] drain dead edges' pending queues directly into it).
+    /// [`EdgeTracker`] release dead edges' pending requests directly into
+    /// it).
     pub fn in_flight_mut(&mut self) -> &mut TokenSet {
         &mut self.in_flight
     }
@@ -223,7 +226,7 @@ fn requestable<'a>(know: &'a TokenSet, in_flight: &'a TokenSet) -> impl Iterator
 /// node's [`EdgeTracker`] and the requests waiting for their answer. A
 /// request is in flight from its assignment until its token arrives over
 /// its edge, the edge dies or the node completes; keeping the in-flight set
-/// equal to the tracker's pending queues is this type's job alone.
+/// equal to the tracker's pending requests is this type's job alone.
 #[derive(Clone, Debug)]
 pub struct Requests {
     core: DisseminationCore,
@@ -344,19 +347,42 @@ impl Requests {
     }
 }
 
-/// The paper's per-node completeness bookkeeping: `R_v` (informed peers)
-/// and `S_v` (peers known to be complete), as monotone bit vectors.
+/// The paper's per-node completeness bookkeeping for all `s` sources at
+/// once: `R_v(x)` (peers informed of our completeness w.r.t. source `x`)
+/// and `S_v(x)` (peers that announced it to us), as monotone bits over
+/// every node of the network. The single-source nodes, round-based and
+/// asynchronous, keep one at `s = 1` and use source index 0;
+/// `MultiSourceNode` keeps one at its `s`.
 ///
-/// The single-source protocols, round-based and asynchronous, keep one
-/// (at `s = 1`, `2n` bits is already minimal); the round-based
-/// `MultiSourceNode` keeps one per source (`R_v(x)`, `S_v(x)`), because a
+/// The layout is **peer-major**: peer `u` has one *lane* in each half,
+/// holding its bits of every source — `s` bits rounded up to a power of
+/// two when `s ≤ 64` (lanes never straddle a word), `⌈s/64⌉` whole words
+/// above; at `s = 1` a lane is one bit. Why dense and peer-major: a
 /// synchronous run lasts thousands of rounds and a node meets about half
-/// the network — [`PeerLedger`]'s rows measured `unicast_sparse` 1.00–1.11
-/// → 1.32–1.42 s and 31.5 → 70.9 MB there. The asynchronous
-/// ports reuse `R_v` as *acknowledgment* state: a peer is marked informed
-/// only when its `Ack` arrives, so unacked announcements keep being
-/// retransmitted and the at-most-once "announce ever" budget of the
-/// synchronous algorithm becomes an at-most-once *acknowledged* budget.
+/// the network, so [`PeerLedger`]'s hashed rows lost to dense bits there
+/// (`unicast_sparse` 1.00–1.11 → 1.32–1.42 s, 31.5 → 70.9 MB); and one
+/// bit vector per source spread a peer's bits over `s` heap blocks, so
+/// each round's per-edge questions (the lowest source `u` is owed, whether
+/// `u` is complete for the active source) cost up to `s` random reads and
+/// each incoming announcement two dependent ones. In one lane each is one
+/// word, read as a source mask as in [`PeerLedger`], at `lane/4` bytes
+/// per node of the network.
+///
+/// The asynchronous ports reuse `R_v` as *acknowledgment* state: a peer is
+/// marked informed only when its `Ack` arrives, so unacked announcements
+/// keep being retransmitted and the at-most-once "announce ever" budget of
+/// the synchronous algorithm becomes an at-most-once *acknowledged* budget.
+///
+/// Source masks (`mine` below) are `⌈s/64⌉` words, bit `idx % 64` of word
+/// `idx / 64` for source index `idx`, bits at or above `s` clear.
+///
+/// # Panics
+///
+/// The writes ([`note_peer_complete`](Self::note_peer_complete),
+/// [`mark_informed`](Self::mark_informed)) panic on a source index `idx ≥ s`
+/// or a peer `u ≥ n`: with packed lanes either would land in another
+/// peer's lane or the other half. The reads check the same in debug
+/// builds only.
 ///
 /// # Examples
 ///
@@ -364,28 +390,43 @@ impl Requests {
 /// use dynspread_core::dissemination::CompletenessLedger;
 /// use dynspread_graph::NodeId;
 ///
-/// let mut ledger = CompletenessLedger::new(3);
+/// let mut ledger = CompletenessLedger::new(3, 1);
 /// let u = NodeId::new(2);
-/// assert!(ledger.note_peer_complete(u), "first announcement is news");
-/// assert!(!ledger.note_peer_complete(u), "repeats are not");
-/// assert!(ledger.peer_complete(u));
-/// assert!(ledger.needs_inform(u));
-/// assert!(ledger.mark_informed(u));
-/// assert!(!ledger.needs_inform(u));
+/// assert!(ledger.note_peer_complete(0, u), "first announcement is news");
+/// assert!(!ledger.note_peer_complete(0, u), "repeats are not");
+/// assert!(ledger.peer_complete(0, u));
+/// assert!(ledger.needs_inform(0, u));
+/// assert!(ledger.mark_informed(0, u));
+/// assert!(!ledger.needs_inform(0, u));
+///
+/// // Three sources: we are complete for sources 0 and 2.
+/// let (mut ledger, mine) = (CompletenessLedger::new(3, 3), [0b101]);
+/// assert_eq!(ledger.lowest_owed(&mine, u), Some(0));
+/// assert!(ledger.mark_informed(0, u));
+/// assert_eq!(ledger.lowest_owed(&mine, u), Some(2));
+/// assert_eq!(ledger.active_source(&mine), None);
+/// assert!(ledger.note_peer_complete(1, u));
+/// assert_eq!(ledger.active_source(&mine), Some(1));
 /// ```
 #[derive(Clone, Debug)]
 pub struct CompletenessLedger {
     /// Number of nodes the ledger covers.
     n: usize,
-    /// `R_v`: peers informed of (async: that acknowledged) our
-    /// completeness, word-packed (bit `i % 64` of word `i / 64`).
-    informed: Vec<u64>,
-    /// `S_v`: peers that announced completeness to us, word-packed.
-    known_complete: Vec<u64>,
-    /// `|S_v|`, kept by [`Self::note_peer_complete`] and [`Self::reset`] so
-    /// the multi-source active-source scan asks `S_v ≠ ∅` per source
-    /// without reading the words.
-    complete_count: usize,
+    /// `s`, the number of sources.
+    sources: usize,
+    /// Bits per lane: `s` rounded up to a power of two, or to whole words
+    /// above 64. Peer `u`'s bit of source `idx` is bit `u · lane + idx` of
+    /// a half.
+    lane: usize,
+    /// Bits per half: `n` lanes, rounded up to whole words.
+    half: usize,
+    /// One allocation, word-packed (bit `i % 64` of word `i / 64`): the
+    /// `R_v(·)` half — peers informed of (async: that acknowledged) our
+    /// completeness — from bit 0, the `S_v(·)` half — peers that announced
+    /// completeness to us — from bit `half`, then from bit `2 · half` the
+    /// source mask of `{x : S_v(x) ≠ ∅}` (`S_v(x)` only grows within an
+    /// incarnation, so one bit per source stands in for `|S_v(x)|`).
+    bits: Vec<u64>,
 }
 
 /// Sets bit `i`; returns `true` iff it was previously clear.
@@ -403,60 +444,111 @@ fn get_bit(words: &[u64], i: usize) -> bool {
 }
 
 impl CompletenessLedger {
-    /// Creates an empty ledger for an `n`-node network.
+    /// Creates an empty ledger over `sources` sources for an `n`-node
+    /// network.
     ///
-    /// Word-packed: a ledger costs `2 ⌈n/64⌉` words per node instead of
-    /// `2n` bytes — the difference between 16 MB and 134 MB of ledger
-    /// state across all nodes at `n = 8192`.
-    pub fn new(n: usize) -> Self {
+    /// Word-packed: a ledger costs about `2 ⌈n · lane / 64⌉` words instead
+    /// of `2ns` bytes — at `s = 1`, the difference between 16 MB and 134 MB
+    /// of ledger state across all nodes at `n = 8192`.
+    pub fn new(n: usize, sources: usize) -> Self {
+        let lane = match sources {
+            0..=64 => sources.next_power_of_two(),
+            _ => sources.next_multiple_of(64),
+        };
+        let half = (n * lane).next_multiple_of(64);
         CompletenessLedger {
             n,
-            informed: vec![0; n.div_ceil(64)],
-            known_complete: vec![0; n.div_ceil(64)],
-            complete_count: 0,
+            sources,
+            lane,
+            half,
+            bits: vec![0; (2 * half + sources).div_ceil(64)],
         }
     }
 
-    /// Records that `u` announced its completeness. Returns `true` iff
-    /// this was news (monotone: never unset).
-    pub fn note_peer_complete(&mut self, u: NodeId) -> bool {
+    /// The bit of source `idx` in `u`'s lane of the `R_v(·)` half (add
+    /// `half` for `S_v(·)`).
+    #[inline]
+    fn bit(&self, idx: usize, u: NodeId) -> usize {
+        debug_assert!(idx < self.sources, "source index {idx} out of range");
         debug_assert!(u.index() < self.n, "{u} out of range");
-        let news = set_bit(&mut self.known_complete, u.index());
-        self.complete_count += usize::from(news);
-        news
+        u.index() * self.lane + idx
     }
 
-    /// Whether `u` is known to be complete (`u ∈ S_v`).
-    pub fn peer_complete(&self, u: NodeId) -> bool {
-        debug_assert!(u.index() < self.n, "{u} out of range");
-        get_bit(&self.known_complete, u.index())
+    /// [`Self::bit`] for a write, checked in every build.
+    #[inline]
+    fn bit_to_set(&self, idx: usize, u: NodeId) -> usize {
+        assert!(idx < self.sources, "source index {idx} out of range");
+        assert!(u.index() < self.n, "{u} out of range");
+        self.bit(idx, u)
     }
 
-    /// Whether any peer is known complete (`S_v ≠ ∅`).
-    pub fn any_peer_complete(&self) -> bool {
-        self.complete_count > 0
+    /// The source mask of `{x : S_v(x) ≠ ∅}`.
+    fn heard(&self) -> &[u64] {
+        &self.bits[2 * self.half / 64..]
     }
 
-    /// Whether `u` still needs to be informed of our completeness
-    /// (`u ∉ R_v`).
-    pub fn needs_inform(&self, u: NodeId) -> bool {
-        debug_assert!(u.index() < self.n, "{u} out of range");
-        !get_bit(&self.informed, u.index())
-    }
-
-    /// Records that `u` has been informed (async: has acknowledged).
+    /// Records that `u` announced its completeness w.r.t. source `idx`.
     /// Returns `true` iff this was news (monotone: never unset).
-    pub fn mark_informed(&mut self, u: NodeId) -> bool {
-        debug_assert!(u.index() < self.n, "{u} out of range");
-        set_bit(&mut self.informed, u.index())
+    pub fn note_peer_complete(&mut self, idx: usize, u: NodeId) -> bool {
+        let i = self.half + self.bit_to_set(idx, u);
+        set_bit(&mut self.bits, 2 * self.half + idx);
+        set_bit(&mut self.bits, i)
     }
 
-    /// Number of informed peers — monotone over any execution.
+    /// Whether `u` is known complete w.r.t. source `idx` (`u ∈ S_v(x)`).
+    pub fn peer_complete(&self, idx: usize, u: NodeId) -> bool {
+        get_bit(&self.bits, self.half + self.bit(idx, u))
+    }
+
+    /// Whether any peer is known complete w.r.t. source `idx`
+    /// (`S_v(x) ≠ ∅`).
+    pub fn any_peer_complete(&self, idx: usize) -> bool {
+        debug_assert!(idx < self.sources, "source index {idx} out of range");
+        get_bit(self.heard(), idx)
+    }
+
+    /// Whether `u` still needs to be informed of our completeness w.r.t.
+    /// source `idx` (`u ∉ R_v(x)`).
+    pub fn needs_inform(&self, idx: usize, u: NodeId) -> bool {
+        !get_bit(&self.bits, self.bit(idx, u))
+    }
+
+    /// Records that `u` has been informed (async: has acknowledged) of our
+    /// completeness w.r.t. source `idx`. Returns `true` iff this was news
+    /// (monotone: never unset).
+    pub fn mark_informed(&mut self, idx: usize, u: NodeId) -> bool {
+        let i = self.bit_to_set(idx, u);
+        set_bit(&mut self.bits, i)
+    }
+
+    /// Number of `(source, peer)` pairs informed — monotone over any
+    /// execution.
     pub fn informed_count(&self) -> usize {
-        self.informed.iter().map(|w| w.count_ones() as usize).sum()
+        let informed = &self.bits[..self.half / 64];
+        informed.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Forgets everything: clears both `R_v` and `S_v`.
+    /// The minimum source in `mine` (the sources this node is complete
+    /// for) that `u` has not been informed of: the announcement `u` is
+    /// owed.
+    pub fn lowest_owed(&self, mine: &[u64], u: NodeId) -> Option<usize> {
+        debug_assert!(u.index() < self.n, "{u} out of range");
+        lowest_bit((0..mine.len()).map(|w| {
+            // Word `w` of `u`'s `R_v(·)` lane, sources `64w..64w + 63`; the
+            // bits past the lane (another peer's) meet only clear bits of
+            // `mine`.
+            let i = u.index() * self.lane + w * 64;
+            mine[w] & !(self.bits[i / 64] >> (i % 64))
+        }))
+    }
+
+    /// The minimum source outside `mine` with a known-complete peer: the
+    /// request focus ("the minimum `x ∉ I_v` with `S_v(x) ≠ ∅`").
+    pub fn active_source(&self, mine: &[u64]) -> Option<usize> {
+        lowest_outside(self.heard(), mine)
+    }
+
+    /// Forgets everything: clears both `R_v(·)` and `S_v(·)`.
     ///
     /// This models **crash-amnesia** in the fault harness — the ledgers
     /// are volatile state, so a node rejoining without a durable snapshot
@@ -465,9 +557,7 @@ impl CompletenessLedger {
     /// The monotonicity contract above holds *within one incarnation* of
     /// the node; `reset` is the incarnation boundary.
     pub fn reset(&mut self) {
-        self.informed.fill(0);
-        self.known_complete.fill(0);
-        self.complete_count = 0;
+        self.bits.fill(0);
     }
 }
 
@@ -476,15 +566,16 @@ impl CompletenessLedger {
 /// `u` acknowledged (`u ∈ R_v(x)`) and those it announced itself complete
 /// for (`u ∈ S_v(x)`). The asynchronous multi-source port's ledger.
 ///
-/// `s` [`CompletenessLedger`]s cost `s/4` bytes per node *of the network*,
-/// met or not — 64 MB of `oblivious_pipeline`'s 212 MB peak at `n = 4096`,
-/// `s = 16` — while an asynchronous run is over within 60–150 epochs, each
-/// node having met a few dozen peers. A row (≈ 25 bytes) is created by the
-/// first *write* about a peer, an absent one reads as all-zero, and a
-/// heartbeat's per-neighbor questions are mask operations on one row
-/// instead of a walk over `s` ledgers. Rows sit in a hash map over the
-/// fixed [`IdHasher`], keyed by `(peer, mask word)` so that they are inline
-/// at any `s`; the protocol only ever probes it.
+/// The dense [`CompletenessLedger`] costs about `s/4` bytes per node *of
+/// the network*, met or not — 64 MB of `oblivious_pipeline`'s 212 MB peak
+/// at `n = 4096`, `s = 16` — while an asynchronous run is over within
+/// 60–150 epochs, each node having met a few dozen peers. A row (≈ 25
+/// bytes) is created by the first *write* about a peer, an absent one
+/// reads as all-zero, and a heartbeat's per-neighbor questions are mask
+/// operations on one row, as they are on one lane of the dense ledger.
+/// Rows sit in a hash map over the fixed [`IdHasher`], keyed by `(peer,
+/// mask word)` so that they are inline at any `s`; the protocol only ever
+/// probes it.
 ///
 /// Source masks (`mine` below) are `⌈s/64⌉` words, bit `idx % 64` of word
 /// `idx / 64` for source index `idx`, bits at or above `s` clear.
@@ -595,12 +686,7 @@ impl PeerLedger {
     /// The minimum source outside `mine` with a known-complete peer: the
     /// request focus ("the minimum `x ∉ I_v` with `S_v(x) ≠ ∅`").
     pub fn active_source(&self, mine: &[u64]) -> Option<usize> {
-        lowest_bit(
-            self.heard
-                .iter()
-                .zip(mine)
-                .map(|(&heard, &mine)| heard & !mine),
-        )
+        lowest_outside(&self.heard, mine)
     }
 
     /// Forgets everything, rows included: crash-amnesia, as
@@ -609,6 +695,11 @@ impl PeerLedger {
         self.rows.clear();
         self.heard.fill(0);
     }
+}
+
+/// The minimum source in `heard` and not in `mine`.
+fn lowest_outside(heard: &[u64], mine: &[u64]) -> Option<usize> {
+    lowest_bit(heard.iter().zip(mine).map(|(&heard, &mine)| heard & !mine))
 }
 
 /// Index of the lowest set bit of a mask given word by word.
@@ -739,48 +830,96 @@ mod tests {
 
     #[test]
     fn ledger_bits_cross_word_boundaries() {
-        let mut ledger = CompletenessLedger::new(200);
+        let mut ledger = CompletenessLedger::new(200, 1);
         let peers = [0u32, 63, 64, 127, 128, 199];
         for &p in peers.iter().rev() {
-            assert!(ledger.note_peer_complete(NodeId::new(p)));
+            assert!(ledger.note_peer_complete(0, NodeId::new(p)));
         }
         for &p in &peers {
-            assert!(ledger.peer_complete(NodeId::new(p)));
-            assert!(!ledger.note_peer_complete(NodeId::new(p)));
+            assert!(ledger.peer_complete(0, NodeId::new(p)));
+            assert!(!ledger.note_peer_complete(0, NodeId::new(p)));
         }
-        assert!(!ledger.peer_complete(NodeId::new(65)));
+        assert!(!ledger.peer_complete(0, NodeId::new(65)));
         assert_eq!(ledger.informed_count(), 0);
-        assert!(ledger.mark_informed(NodeId::new(64)));
-        assert!(ledger.mark_informed(NodeId::new(130)));
+        assert!(ledger.mark_informed(0, NodeId::new(64)));
+        assert!(ledger.mark_informed(0, NodeId::new(130)));
         assert_eq!(ledger.informed_count(), 2);
-        assert!(!ledger.needs_inform(NodeId::new(64)));
-        assert!(ledger.needs_inform(NodeId::new(63)));
+        assert!(!ledger.needs_inform(0, NodeId::new(64)));
+        assert!(ledger.needs_inform(0, NodeId::new(63)));
     }
 
     #[test]
     fn ledger_reset_clears_both_sides() {
-        let mut ledger = CompletenessLedger::new(70);
-        assert!(ledger.note_peer_complete(NodeId::new(69)));
-        assert!(ledger.mark_informed(NodeId::new(1)));
+        let mut ledger = CompletenessLedger::new(70, 1);
+        assert!(ledger.note_peer_complete(0, NodeId::new(69)));
+        assert!(ledger.mark_informed(0, NodeId::new(1)));
         ledger.reset();
-        assert!(!ledger.any_peer_complete());
+        assert!(!ledger.any_peer_complete(0));
         assert_eq!(ledger.informed_count(), 0);
-        assert!(ledger.needs_inform(NodeId::new(1)));
+        assert!(ledger.needs_inform(0, NodeId::new(1)));
         // A fresh incarnation re-earns the bits normally.
-        assert!(ledger.note_peer_complete(NodeId::new(69)));
-        assert!(ledger.any_peer_complete());
+        assert!(ledger.note_peer_complete(0, NodeId::new(69)));
+        assert!(ledger.any_peer_complete(0));
     }
 
     #[test]
     fn ledger_is_monotone() {
-        let mut ledger = CompletenessLedger::new(4);
-        assert!(!ledger.any_peer_complete());
-        assert!(ledger.note_peer_complete(NodeId::new(3)));
-        assert!(ledger.any_peer_complete());
-        assert!(ledger.peer_complete(NodeId::new(3)));
+        let mut ledger = CompletenessLedger::new(4, 1);
+        assert!(!ledger.any_peer_complete(0));
+        assert!(ledger.note_peer_complete(0, NodeId::new(3)));
+        assert!(ledger.any_peer_complete(0));
+        assert!(ledger.peer_complete(0, NodeId::new(3)));
         assert_eq!(ledger.informed_count(), 0);
-        assert!(ledger.mark_informed(NodeId::new(1)));
-        assert!(!ledger.mark_informed(NodeId::new(1)));
+        assert!(ledger.mark_informed(0, NodeId::new(1)));
+        assert!(!ledger.mark_informed(0, NodeId::new(1)));
         assert_eq!(ledger.informed_count(), 1);
+    }
+
+    #[test]
+    fn ledger_lanes_keep_peers_apart() {
+        // s = 3 packs four-bit lanes, s = 100 two-word lanes: the last
+        // source of one peer and the first of the next never alias.
+        for s in [3, 100] {
+            let mut ledger = CompletenessLedger::new(5, s);
+            assert!(ledger.note_peer_complete(s - 1, NodeId::new(1)));
+            assert!(!ledger.peer_complete(0, NodeId::new(2)));
+            assert!(!ledger.peer_complete(s - 1, NodeId::new(0)));
+            assert!(ledger.mark_informed(0, NodeId::new(2)));
+            assert!(ledger.needs_inform(s - 1, NodeId::new(1)));
+            let mut mine = vec![0u64; s.div_ceil(64)];
+            mine[0] = 1;
+            mine[(s - 1) / 64] |= 1 << ((s - 1) % 64);
+            assert_eq!(ledger.lowest_owed(&mine, NodeId::new(1)), Some(0));
+            assert_eq!(ledger.lowest_owed(&mine, NodeId::new(2)), Some(s - 1));
+            assert_eq!(ledger.active_source(&mine), None);
+            mine[(s - 1) / 64] = 0;
+            assert_eq!(ledger.active_source(&mine), Some(s - 1));
+        }
+    }
+
+    /// Out-of-range writes panic in every build: with packed lanes they
+    /// would otherwise set a bit of another peer.
+    #[test]
+    #[should_panic(expected = "source index 3 out of range")]
+    fn ledger_rejects_a_source_index_past_s() {
+        CompletenessLedger::new(5, 3).note_peer_complete(3, NodeId::new(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "source index 64 out of range")]
+    fn ledger_rejects_a_source_index_past_a_full_word() {
+        CompletenessLedger::new(5, 64).mark_informed(64, NodeId::new(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn ledger_rejects_a_peer_past_n() {
+        CompletenessLedger::new(5, 3).note_peer_complete(0, NodeId::new(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn ledger_rejects_informing_a_peer_past_n() {
+        CompletenessLedger::new(3, 1).mark_informed(0, NodeId::new(3));
     }
 }

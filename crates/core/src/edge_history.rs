@@ -10,7 +10,6 @@
 
 use dynspread_graph::{NodeId, Round};
 use dynspread_sim::token::{TokenId, TokenSet};
-use std::collections::VecDeque;
 
 /// The per-round category of an adjacent edge (Section 3.1).
 ///
@@ -41,8 +40,6 @@ struct EdgeSlot {
     inserted_round: Round,
     /// Whether a token arrived over this edge since its last insertion.
     contributive: bool,
-    /// Requests sent over this edge and not yet answered (front = oldest).
-    pending: VecDeque<TokenId>,
 }
 
 impl EdgeSlot {
@@ -51,15 +48,7 @@ impl EdgeSlot {
         EdgeSlot {
             observed: true,
             inserted_round: round,
-            ..EdgeSlot::default()
-        }
-    }
-
-    /// Kills every outstanding request: each token becomes requestable
-    /// again.
-    fn release_pending(&mut self, in_flight: &mut TokenSet) {
-        for t in self.pending.drain(..) {
-            in_flight.remove(t);
+            contributive: false,
         }
     }
 }
@@ -68,23 +57,28 @@ impl EdgeSlot {
 /// rounds, contributiveness, and outstanding requests.
 ///
 /// The companion `in_flight` [`TokenSet`] (owned by the caller) mirrors the
-/// union of all pending queues; the tracker keeps it in sync by removing a
-/// request's token whenever it kills the request.
+/// union of all pending requests; the tracker keeps it in sync by removing
+/// a request's token whenever it kills the request.
 ///
-/// Storage is **sparse and flat**: one `(neighbor, slot)` pair per edge
-/// the node currently has, in a `Vec` sorted by neighbor ID — O(degree)
-/// memory per node (a dense per-node table would be O(n²) across the
-/// network). A dead edge's slot is dropped outright: its pending requests
-/// are killed on removal and its `new`/`contributive` state is
+/// Storage is **sparse and flat**: one `(neighbor, slot)` pair of 24
+/// bytes per edge the node currently has, in a `Vec` sorted by neighbor
+/// ID — O(degree) memory per node (a dense per-node table would be O(n²)
+/// across the network) — and one list of the node's outstanding
+/// `(neighbor, token)` requests, whatever their edge. Nothing is allocated
+/// or freed per edge. A dead edge's slot is dropped outright: its
+/// requests are killed on removal and its `new`/`contributive` state is
 /// unconditionally reset on reinsertion, so absence and a default slot
 /// are indistinguishable.
 ///
-/// Costs, for a node of degree `d`: [`refresh`](EdgeTracker::refresh) is
-/// one `d`-element slice comparison when the neighbor list equals the
-/// previous round's, and otherwise one linear merge of the old slots with
-/// the new list, into a second buffer the tracker keeps (steady state
-/// allocates nothing); every per-edge query is a binary search,
-/// O(log d).
+/// Costs, for a node of degree `d` with `p` outstanding requests (at most
+/// about two per edge: a request is answered the round after it is
+/// sent): [`refresh`](EdgeTracker::refresh) is one `d`-element slice
+/// comparison when the neighbor list equals the previous round's, and
+/// otherwise one linear merge of the old slots with the new list, into a
+/// second buffer the tracker keeps (steady state allocates nothing),
+/// followed — only if `p > 0` — by one O(p log d) pass that kills the
+/// requests of removed and reinserted edges; every per-edge query is a
+/// binary search, O(log d), and a request lookup is a scan of the `p`.
 #[derive(Clone, Debug, Default)]
 pub struct EdgeTracker {
     /// Slots sorted by neighbor ID.
@@ -92,6 +86,9 @@ pub struct EdgeTracker {
     /// The merge target of the next topology change (always empty between
     /// calls; kept for its capacity).
     spare: Vec<(NodeId, EdgeSlot)>,
+    /// Requests sent and not yet answered, as `(edge, token)`, in no
+    /// particular order. Every entry's node has a slot.
+    pending: Vec<(NodeId, TokenId)>,
     /// The neighbor list and round of the last `refresh`.
     prev_neighbors: Vec<NodeId>,
     prev_round: Option<Round>,
@@ -128,15 +125,10 @@ impl EdgeTracker {
             if incoming.next_if_eq(&u).is_some() {
                 if !(consecutive && slot.observed) {
                     // Reinserted (or first observed): history starts over.
-                    slot.release_pending(in_flight);
-                    slot.observed = true;
-                    slot.inserted_round = round;
-                    slot.contributive = false;
+                    slot = EdgeSlot::inserted(round);
                 }
                 merged.push((u, slot));
-            } else if slot.observed {
-                slot.release_pending(in_flight);
-            } else {
+            } else if !slot.observed {
                 merged.push((u, slot));
             }
         }
@@ -145,6 +137,21 @@ impl EdgeTracker {
         self.spare = old;
         self.prev_neighbors.clear();
         self.prev_neighbors.extend_from_slice(neighbors);
+        if !self.pending.is_empty() {
+            // A request dies with its edge: the slot is gone (removed) or
+            // was (re)inserted by this refresh. Surviving slots were
+            // inserted in an earlier round, unobserved ones never.
+            let slots = &self.slots;
+            self.pending.retain(|&(u, t)| {
+                let alive = slots
+                    .binary_search_by_key(&u, |&(w, _)| w)
+                    .is_ok_and(|i| !(slots[i].1.observed && slots[i].1.inserted_round == round));
+                if !alive {
+                    in_flight.remove(t);
+                }
+                alive
+            });
+        }
     }
 
     /// Declares that in every round since the last
@@ -167,10 +174,6 @@ impl EdgeTracker {
         self.slots.binary_search_by_key(&u, |&(w, _)| w)
     }
 
-    fn slot(&self, u: NodeId) -> Option<&EdgeSlot> {
-        self.position(u).ok().map(|i| &self.slots[i].1)
-    }
-
     /// The slot of `u`, created (unobserved) if the tracker has none.
     fn slot_mut(&mut self, u: NodeId) -> &mut EdgeSlot {
         let i = self.position(u).unwrap_or_else(|i| {
@@ -182,9 +185,9 @@ impl EdgeTracker {
 
     /// Classifies the edge to current neighbor `u` in round `round`.
     pub fn classify(&self, u: NodeId, round: Round) -> EdgeCategory {
-        let (inserted_round, contributive) = self
-            .slot(u)
-            .map_or((0, false), |s| (s.inserted_round, s.contributive));
+        let (inserted_round, contributive) = self.position(u).map_or((0, false), |i| {
+            (self.slots[i].1.inserted_round, self.slots[i].1.contributive)
+        });
         if inserted_round + 1 >= round {
             EdgeCategory::New
         } else if contributive {
@@ -201,34 +204,32 @@ impl EdgeTracker {
 
     /// Records a request for `t` sent over the edge to `u`.
     pub fn push_pending(&mut self, u: NodeId, t: TokenId) {
-        self.slot_mut(u).pending.push_back(t);
+        self.slot_mut(u);
+        self.pending.push((u, t));
     }
 
     /// Whether the edge to `u` has any outstanding request.
     pub fn has_pending(&self, u: NodeId) -> bool {
-        self.slot(u).is_some_and(|s| !s.pending.is_empty())
+        self.pending.iter().any(|&(w, _)| w == u)
     }
 
     /// Retires an outstanding request for `t` on the edge to `u` (the
     /// requested token arrived). Returns `true` if one was found.
     pub fn retire_pending(&mut self, u: NodeId, t: TokenId) -> bool {
-        let Ok(i) = self.position(u) else {
-            return false;
-        };
-        let pending = &mut self.slots[i].1.pending;
-        if let Some(pos) = pending.iter().position(|p| *p == t) {
-            pending.remove(pos);
-            true
-        } else {
-            false
+        match self.pending.iter().position(|&p| p == (u, t)) {
+            Some(i) => {
+                self.pending.swap_remove(i);
+                true
+            }
+            None => false,
         }
     }
 
     /// Drops every outstanding request (used when the node becomes
     /// complete), clearing the matching `in_flight` entries.
     pub fn clear_all_pending(&mut self, in_flight: &mut TokenSet) {
-        for (_, slot) in &mut self.slots {
-            slot.release_pending(in_flight);
+        for (_, t) in self.pending.drain(..) {
+            in_flight.remove(t);
         }
     }
 }
@@ -303,6 +304,65 @@ mod tests {
         assert!(!tr.retire_pending(nid(1), tid(3)));
         assert!(tr.retire_pending(nid(1), tid(0)));
         assert!(!tr.has_pending(nid(1)));
+    }
+
+    #[test]
+    fn a_removed_edge_releases_only_its_own_requests() {
+        let mut tr = EdgeTracker::new();
+        let mut fl = TokenSet::new(8);
+        tr.refresh(1, &[nid(1), nid(2), nid(3)], &mut fl);
+        for (u, t) in [
+            (nid(1), tid(0)),
+            (nid(2), tid(1)),
+            (nid(2), tid(2)),
+            (nid(3), tid(3)),
+        ] {
+            fl.insert(t);
+            tr.push_pending(u, t);
+        }
+        tr.refresh(2, &[nid(1), nid(3)], &mut fl);
+        assert!(!tr.has_pending(nid(2)));
+        assert!(!fl.contains(tid(1)) && !fl.contains(tid(2)));
+        for (u, t) in [(nid(1), tid(0)), (nid(3), tid(3))] {
+            assert!(tr.has_pending(u) && fl.contains(t));
+        }
+        // The survivors are still retired by their own edge only.
+        assert!(!tr.retire_pending(nid(1), tid(3)));
+        assert!(tr.retire_pending(nid(3), tid(3)));
+        assert!(tr.retire_pending(nid(1), tid(0)));
+    }
+
+    #[test]
+    fn the_later_of_two_requests_on_one_edge_retires_first() {
+        let mut tr = EdgeTracker::new();
+        let mut fl = TokenSet::new(4);
+        tr.refresh(1, &[nid(1)], &mut fl);
+        tr.push_pending(nid(1), tid(2));
+        tr.push_pending(nid(1), tid(1));
+        // The later request's token arrives first: the earlier one stays.
+        assert!(tr.retire_pending(nid(1), tid(1)));
+        assert!(tr.has_pending(nid(1)));
+        assert!(!tr.retire_pending(nid(1), tid(1)));
+        assert!(tr.retire_pending(nid(1), tid(2)));
+        assert!(!tr.has_pending(nid(1)));
+    }
+
+    #[test]
+    fn a_request_on_an_unobserved_slot_survives_until_its_node_is_listed() {
+        let mut tr = EdgeTracker::new();
+        let mut fl = TokenSet::new(4);
+        tr.refresh(1, &[nid(1)], &mut fl);
+        // Node 4 is no neighbor: its slot exists but is unobserved.
+        fl.insert(tid(3));
+        tr.push_pending(nid(4), tid(3));
+        // A refresh that changes the list without node 4 keeps it.
+        tr.refresh(2, &[nid(2)], &mut fl);
+        assert!(tr.has_pending(nid(4)));
+        assert!(fl.contains(tid(3)));
+        // First observed: history starts over and the request dies.
+        tr.refresh(3, &[nid(2), nid(4)], &mut fl);
+        assert!(!tr.has_pending(nid(4)));
+        assert!(!fl.contains(tid(3)));
     }
 
     #[test]

@@ -134,6 +134,52 @@ impl SourceMap {
     }
 }
 
+/// A node's progress per source: how many of each source's tokens it
+/// holds, and `I_v`, the sources it holds every token of, as a source mask
+/// (bit `idx % 64` of word `idx / 64`) — the `mine` argument of the
+/// ledgers' mask queries.
+#[derive(Clone, Debug)]
+pub struct SourceProgress {
+    have_count: Vec<usize>,
+    mine: Vec<u64>,
+}
+
+impl SourceProgress {
+    /// The progress of a node that holds `know`.
+    pub fn new(map: &SourceMap, know: &TokenSet) -> Self {
+        let s = map.source_count();
+        let mut progress = SourceProgress {
+            have_count: vec![0; s],
+            mine: vec![0; s.div_ceil(64)],
+        };
+        for t in know.iter() {
+            progress.learn(map, t);
+        }
+        progress
+    }
+
+    /// Counts the newly learned token `t`; returns its source index if `t`
+    /// was that source's last missing token.
+    pub fn learn(&mut self, map: &SourceMap, t: TokenId) -> Option<usize> {
+        let idx = map.source_index_of(t);
+        self.have_count[idx] += 1;
+        (self.have_count[idx] == map.tokens_of(idx).len()).then(|| {
+            self.mine[idx / 64] |= 1 << (idx % 64);
+            idx
+        })
+    }
+
+    /// Whether the source with index `idx` is in `I_v`.
+    pub fn complete_wrt(&self, idx: usize) -> bool {
+        self.mine[idx / 64] >> (idx % 64) & 1 == 1
+    }
+
+    /// `I_v` as a source mask.
+    pub fn mine(&self) -> &[u64] {
+        &self.mine
+    }
+}
+
 /// Messages of the Multi-Source-Unicast algorithm.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MsMsg {
@@ -189,10 +235,10 @@ pub struct MultiSourceNode {
     map: Arc<SourceMap>,
     /// `K_v`, the requests in flight and the requests to answer.
     requests: Requests,
-    /// Per source: how many of its tokens we hold.
-    have_count: Vec<usize>,
-    /// Per source `x`: `R_v(x)` / `S_v(x)` completeness bookkeeping.
-    ledgers: Vec<CompletenessLedger>,
+    /// Tokens held per source, and `I_v`.
+    progress: SourceProgress,
+    /// `R_v(x)` / `S_v(x)` of every source `x`, peer-major.
+    ledger: CompletenessLedger,
 }
 
 impl MultiSourceNode {
@@ -207,16 +253,11 @@ impl MultiSourceNode {
         let n = assignment.node_count();
         assert!(v.index() < n, "node out of range");
         let know = assignment.initial_knowledge(v);
-        let s = map.source_count();
-        let mut have_count = vec![0usize; s];
-        for t in know.iter() {
-            have_count[map.source_index_of(t)] += 1;
-        }
         MultiSourceNode {
             id: v,
+            progress: SourceProgress::new(&map, &know),
             requests: Requests::new(DisseminationCore::with_knowledge(know)),
-            have_count,
-            ledgers: (0..s).map(|_| CompletenessLedger::new(n)).collect(),
+            ledger: CompletenessLedger::new(n, map.source_count()),
             map,
         }
     }
@@ -238,7 +279,7 @@ impl MultiSourceNode {
     /// Whether the node is complete w.r.t. the source with index `idx`
     /// (i.e. the source is in `I_v`).
     pub fn complete_wrt(&self, idx: usize) -> bool {
-        self.have_count[idx] == self.map.tokens_of(idx).len()
+        self.progress.complete_wrt(idx)
     }
 
     /// Whether the node holds all `k` tokens.
@@ -258,12 +299,9 @@ impl UnicastProtocol for MultiSourceNode {
         // same round — they are separate messages and metered separately.
         // Task 1: per edge, announce the minimum source the neighbor lacks.
         for &u in neighbors {
-            for idx in 0..self.map.source_count() {
-                if self.complete_wrt(idx) && self.ledgers[idx].needs_inform(u) {
-                    out.send(u, MsMsg::Completeness(self.map.sources()[idx]));
-                    self.ledgers[idx].mark_informed(u);
-                    break; // one announcement per edge per round
-                }
+            if let Some(idx) = self.ledger.lowest_owed(self.progress.mine(), u) {
+                out.send(u, MsMsg::Completeness(self.map.sources()[idx]));
+                self.ledger.mark_informed(idx, u);
             }
         }
         // Task 2: answer last round's requests (if still connected and we
@@ -277,16 +315,14 @@ impl UnicastProtocol for MultiSourceNode {
         });
         // Task 3: Algorithm 1's requests for the minimum `x ∉ I_v`, `S_v(x) ≠ ∅`.
         if !self.is_complete() {
-            let active = (0..self.map.source_count())
-                .find(|&idx| !self.complete_wrt(idx) && self.ledgers[idx].any_peer_complete());
-            if let Some(active) = active {
-                let ledger = &self.ledgers[active];
+            if let Some(active) = self.ledger.active_source(self.progress.mine()) {
+                let ledger = &self.ledger;
                 self.requests.assign(
                     round,
                     neighbors,
                     Some(self.map.token_mask(active)),
                     RequestPolicy::Prioritized.passes(),
-                    |u| ledger.peer_complete(u),
+                    |u| ledger.peer_complete(active, u),
                     |u, t, _| out.send(u, MsMsg::Request(t)),
                 );
             }
@@ -305,12 +341,12 @@ impl UnicastProtocol for MultiSourceNode {
                     .map
                     .index_of(*x)
                     .expect("announced source must be a source");
-                self.ledgers[idx].note_peer_complete(from);
+                self.ledger.note_peer_complete(idx, from);
             }
             MsMsg::Request(t) => self.requests.receive_request(from, *t),
             MsMsg::Token(t) => {
                 if self.requests.receive_token(from, *t) {
-                    self.have_count[self.map.source_index_of(*t)] += 1;
+                    self.progress.learn(&self.map, *t);
                 }
             }
         }

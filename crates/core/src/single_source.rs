@@ -112,7 +112,7 @@ pub struct SingleSourceNode {
     id: NodeId,
     /// `K_v`, the requests in flight and the requests to answer.
     requests: Requests,
-    /// `R_v` / `S_v` completeness bookkeeping.
+    /// `R_v` / `S_v` completeness bookkeeping (one source, index 0).
     ledger: CompletenessLedger,
     /// Cumulative requests sent per edge category (indexed new/idle/
     /// contributive) — instrumentation for the futile-round analysis
@@ -143,7 +143,7 @@ impl SingleSourceNode {
             policy,
             id: v,
             requests: Requests::new(DisseminationCore::from_assignment(v, assignment)),
-            ledger: CompletenessLedger::new(n),
+            ledger: CompletenessLedger::new(n, 1),
             requests_by_category: [0; 3],
         }
     }
@@ -193,9 +193,9 @@ impl UnicastProtocol for SingleSourceNode {
             let ledger = &mut self.ledger;
             self.requests.answer(|asked, _| {
                 for &u in neighbors {
-                    if ledger.needs_inform(u) {
+                    if ledger.needs_inform(0, u) {
                         out.send(u, SsMsg::Completeness);
-                        ledger.mark_informed(u);
+                        ledger.mark_informed(0, u);
                     } else if let Some(&(_, t)) = asked.iter().find(|(w, _)| *w == u) {
                         out.send(u, SsMsg::Token(t));
                     }
@@ -211,7 +211,7 @@ impl UnicastProtocol for SingleSourceNode {
                 neighbors,
                 None,
                 self.policy.passes(),
-                |u| ledger.peer_complete(u),
+                |u| ledger.peer_complete(0, u),
                 |u, t, category| {
                     out.send(u, SsMsg::Request(t));
                     sent[category as usize] += 1;
@@ -228,7 +228,7 @@ impl UnicastProtocol for SingleSourceNode {
     fn receive(&mut self, _round: Round, from: NodeId, msg: &SsMsg) {
         match msg {
             SsMsg::Completeness => {
-                self.ledger.note_peer_complete(from);
+                self.ledger.note_peer_complete(0, from);
             }
             SsMsg::Request(t) => self.requests.receive_request(from, *t),
             SsMsg::Token(t) => {

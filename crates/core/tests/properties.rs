@@ -16,6 +16,7 @@ use dynspread_sim::token::{TokenId, TokenSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -172,48 +173,77 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
 
-    /// [`PeerLedger`] against the structure it replaced in the asynchronous
-    /// multi-source port — one [`CompletenessLedger`] per source — and its
-    /// mask queries against that port's former per-source loops, written
-    /// out below. `s = 65` and `s = 130` cross the mask-word boundary.
+    /// Both `(source, peer)` ledgers — the dense, peer-major
+    /// [`CompletenessLedger`] of the round-based nodes and the sparse
+    /// [`PeerLedger`] of the asynchronous multi-source port — against one
+    /// naive model: two sets of `(source, peer)` pairs, `R_v(·)` and
+    /// `S_v(·)`, and the mask queries written out as loops over them. The
+    /// source counts cover every lane shape: one bit, sub-word powers of
+    /// two and the counts they round up from, a full word, and two- and
+    /// three-word lanes; `n` up to 300 puts many lanes in one word and
+    /// lanes across word boundaries.
     #[test]
-    fn peer_ledger_matches_one_completeness_ledger_per_source(
-        which in 0usize..6,
+    fn both_ledgers_match_a_set_of_source_peer_pairs(
+        which in 0usize..10,
+        n in 1usize..=300,
         seed in 0u64..1_000_000,
     ) {
-        let s = [1, 4, 16, 64, 65, 130][which];
-        let n = 7usize;
+        let s = [1, 2, 3, 4, 5, 16, 33, 64, 65, 130][which];
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut ledger = PeerLedger::new(s);
-        let mut model: Vec<CompletenessLedger> =
-            (0..s).map(|_| CompletenessLedger::new(n)).collect();
-        for _ in 0..80 {
+        let mut dense = CompletenessLedger::new(n, s);
+        let mut sparse = PeerLedger::new(s);
+        let mut complete: BTreeSet<(usize, NodeId)> = BTreeSet::new();
+        let mut informed: BTreeSet<(usize, NodeId)> = BTreeSet::new();
+        // Most draws hit a few peers, so that lanes fill up.
+        let hot = rng.gen_range(1..=n.min(6) as u32);
+        for _ in 0..40 {
             let idx = rng.gen_range(0..s);
-            let u = NodeId::new(rng.gen_range(0..n as u32));
+            let u = NodeId::new(match rng.gen_bool(0.8) {
+                true => rng.gen_range(0..hot),
+                false => rng.gen_range(0..n as u32),
+            });
             match rng.gen_range(0..24u32) {
                 0 => {
-                    ledger.reset();
-                    model.iter_mut().for_each(CompletenessLedger::reset);
+                    dense.reset();
+                    sparse.reset();
+                    complete.clear();
+                    informed.clear();
                 }
                 // A peer saturates: the only way `worth_probing` turns
                 // false or `lowest_owed` runs dry at s = 130.
                 1 => for x in 0..s {
-                    prop_assert_eq!(ledger.note_peer_complete(x, u), model[x].note_peer_complete(u));
+                    let news = complete.insert((x, u));
+                    prop_assert_eq!(dense.note_peer_complete(x, u), news);
+                    prop_assert_eq!(sparse.note_peer_complete(x, u), news);
                 },
                 2 => for x in 0..s {
-                    prop_assert_eq!(ledger.mark_informed(x, u), model[x].mark_informed(u));
+                    let news = informed.insert((x, u));
+                    prop_assert_eq!(dense.mark_informed(x, u), news);
+                    prop_assert_eq!(sparse.mark_informed(x, u), news);
                 },
-                3..=12 => prop_assert_eq!(
-                    ledger.note_peer_complete(idx, u),
-                    model[idx].note_peer_complete(u)
-                ),
-                _ => prop_assert_eq!(ledger.mark_informed(idx, u), model[idx].mark_informed(u)),
+                3..=12 => {
+                    let news = complete.insert((idx, u));
+                    prop_assert_eq!(dense.note_peer_complete(idx, u), news);
+                    prop_assert_eq!(sparse.note_peer_complete(idx, u), news);
+                }
+                _ => {
+                    let news = informed.insert((idx, u));
+                    prop_assert_eq!(dense.mark_informed(idx, u), news);
+                    prop_assert_eq!(sparse.mark_informed(idx, u), news);
+                }
             }
-            for (x, of_source) in model.iter().enumerate() {
-                prop_assert_eq!(ledger.any_peer_complete(x), of_source.any_peer_complete());
+            prop_assert_eq!(dense.informed_count(), informed.len());
+            for x in 0..s {
+                let heard = complete.iter().any(|&(y, _)| y == x);
+                prop_assert_eq!(dense.any_peer_complete(x), heard);
+                prop_assert_eq!(sparse.any_peer_complete(x), heard);
                 for v in NodeId::all(n) {
-                    prop_assert_eq!(ledger.needs_inform(x, v), of_source.needs_inform(v));
-                    prop_assert_eq!(ledger.peer_complete(x, v), of_source.peer_complete(v));
+                    let needs = !informed.contains(&(x, v));
+                    let known = complete.contains(&(x, v));
+                    prop_assert_eq!(dense.needs_inform(x, v), needs, "s={} {} {}", s, x, v);
+                    prop_assert_eq!(sparse.needs_inform(x, v), needs);
+                    prop_assert_eq!(dense.peer_complete(x, v), known, "s={} {} {}", s, x, v);
+                    prop_assert_eq!(sparse.peer_complete(x, v), known);
                 }
             }
             // A random own complete-for mask: sparse, even or nearly full.
@@ -224,17 +254,17 @@ proptest! {
                 mine[x / 64] |= 1 << (x % 64);
             }
             for v in NodeId::all(n) {
-                // `announce_to`, `owes_announcement`, `worth_probing`.
-                let owed = (0..s).find(|&x| complete_wrt[x] && model[x].needs_inform(v));
-                let owes = (0..s).any(|x| complete_wrt[x] && model[x].needs_inform(v));
-                let probe = (0..s).any(|x| !complete_wrt[x] && !model[x].peer_complete(v));
-                prop_assert_eq!(ledger.lowest_owed(&mine, v), owed);
-                prop_assert_eq!(ledger.lowest_owed(&mine, v).is_some(), owes);
-                prop_assert_eq!(ledger.worth_probing(&mine, v), probe);
+                // Task 1's announcement, the async heartbeat's probe test.
+                let owed = (0..s).find(|&x| complete_wrt[x] && !informed.contains(&(x, v)));
+                let probe = (0..s).any(|x| !complete_wrt[x] && !complete.contains(&(x, v)));
+                prop_assert_eq!(dense.lowest_owed(&mine, v), owed, "s={} {}", s, v);
+                prop_assert_eq!(sparse.lowest_owed(&mine, v), owed);
+                prop_assert_eq!(sparse.worth_probing(&mine, v), probe);
             }
-            // `active_source`.
-            let active = (0..s).find(|&x| !complete_wrt[x] && model[x].any_peer_complete());
-            prop_assert_eq!(ledger.active_source(&mine), active);
+            // Task 3's request focus.
+            let active = (0..s).find(|&x| !complete_wrt[x] && complete.iter().any(|&(y, _)| y == x));
+            prop_assert_eq!(dense.active_source(&mine), active);
+            prop_assert_eq!(sparse.active_source(&mine), active);
         }
     }
 }

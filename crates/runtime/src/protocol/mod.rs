@@ -17,7 +17,7 @@
 //! * **Ack/dedup state.** Announcements are acknowledged; the ack bit is
 //!   the monotone `R_v` of the shared
 //!   [`CompletenessLedger`](dynspread_core::dissemination::CompletenessLedger)
-//!   (single source) or
+//!   (single source, at source index 0) or
 //!   [`PeerLedger`](dynspread_core::dissemination::PeerLedger) (multi-source).
 //!   Token application is at-most-once by construction
 //!   (`DisseminationCore::accept_token` is a set insert), so duplicated

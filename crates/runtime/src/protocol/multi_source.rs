@@ -12,7 +12,7 @@ use super::{AsyncConfig, Requests, Retransmitter};
 use crate::engine::{EventCtx, EventProtocol};
 use crate::faults::RecoveryMode;
 use dynspread_core::dissemination::{DisseminationCore, PeerLedger};
-use dynspread_core::multi_source::SourceMap;
+use dynspread_core::multi_source::{SourceMap, SourceProgress};
 use dynspread_graph::NodeId;
 use dynspread_sim::token::{TokenAssignment, TokenId, TokenSet};
 use std::sync::Arc;
@@ -37,9 +37,12 @@ pub enum AsyncMsMsg {
 ///
 /// Nothing here is sized by `n`: completeness state is a [`PeerLedger`]
 /// (rows per peer heard from) where the round-based `MultiSourceNode` keeps
-/// `s` dense `CompletenessLedger`s, because an asynchronous run is over
-/// once each node has met a few dozen peers — the dense ledgers were 64 MB
-/// of `oblivious_pipeline`'s 212 MB peak at `n = 4096`, `s = 16`.
+/// one dense, peer-major `CompletenessLedger` of `2ns` bits, because an
+/// asynchronous run is over once each node has met a few dozen peers —
+/// dense ledgers were 64 MB of `oblivious_pipeline`'s 212 MB peak at
+/// `n = 4096`, `s = 16`. The two ledgers answer the same `(source, peer)`
+/// questions with the same mask operations (`lowest_owed`,
+/// `active_source`), so the two nodes' decisions read alike.
 ///
 /// ```
 /// use dynspread_graph::{oblivious::StaticAdversary, Graph};
@@ -66,11 +69,8 @@ pub struct AsyncMultiSource {
     map: Arc<SourceMap>,
     /// `K_v` and one outstanding request per neighbor.
     requests: Requests,
-    /// Per source: how many of its tokens we hold.
-    have_count: Vec<usize>,
-    /// Source mask of the sources we are complete for (`complete_wrt`),
-    /// kept in step with `have_count`.
-    mine: Vec<u64>,
+    /// Tokens held per source, and `I_v`.
+    progress: SourceProgress,
     /// `R_v(x)` (ack state) / `S_v(x)` of every source `x`, by peer.
     ledger: PeerLedger,
     /// Heartbeat pacing with adaptive backoff.
@@ -92,22 +92,12 @@ impl AsyncMultiSource {
     ) -> Self {
         let n = assignment.node_count();
         assert!(v.index() < n, "node out of range");
-        let s = map.source_count();
         let core = DisseminationCore::from_assignment(v, assignment);
-        let mut have_count = vec![0usize; s];
-        for t in core.known_tokens().iter() {
-            have_count[map.source_index_of(t)] += 1;
-        }
-        let mut mine = vec![0u64; s.div_ceil(64)];
-        for idx in (0..s).filter(|&idx| have_count[idx] == map.tokens_of(idx).len()) {
-            mine[idx / 64] |= 1 << (idx % 64);
-        }
         AsyncMultiSource {
             id: v,
+            progress: SourceProgress::new(&map, core.known_tokens()),
             requests: Requests::new(core),
-            have_count,
-            mine,
-            ledger: PeerLedger::new(s),
+            ledger: PeerLedger::new(map.source_count()),
             pacer: Retransmitter::new(cfg),
             map,
         }
@@ -132,7 +122,7 @@ impl AsyncMultiSource {
 
     /// Whether the node is complete w.r.t. the source with index `idx`.
     pub fn complete_wrt(&self, idx: usize) -> bool {
-        self.have_count[idx] == self.map.tokens_of(idx).len()
+        self.progress.complete_wrt(idx)
     }
 
     /// Whether the node holds all `k` tokens.
@@ -148,7 +138,7 @@ impl AsyncMultiSource {
     /// Message-triggered request toward `u`, if it serves the active
     /// source ("the minimum `x ∉ I_v` with `S_v(x) ≠ ∅`").
     fn try_request(&mut self, u: NodeId, ctx: &mut EventCtx<'_, AsyncMsMsg>) {
-        let active = self.ledger.active_source(&self.mine);
+        let active = self.ledger.active_source(self.progress.mine());
         if let Some(active) = active.filter(|&a| self.ledger.peer_complete(a, u)) {
             if let Some(t) = self.requests.request(u, Some(self.map.token_mask(active))) {
                 ctx.send(u, AsyncMsMsg::Request(t));
@@ -160,7 +150,7 @@ impl AsyncMultiSource {
     /// complete-w.r.t. source, mirroring the round algorithm's
     /// one-announcement-per-edge-per-round rule per heartbeat.
     fn announce_to(&mut self, u: NodeId, ctx: &mut EventCtx<'_, AsyncMsMsg>) {
-        if let Some(idx) = self.ledger.lowest_owed(&self.mine, u) {
+        if let Some(idx) = self.ledger.lowest_owed(self.progress.mine(), u) {
             ctx.send(u, AsyncMsMsg::Completeness(self.map.sources()[idx]));
         }
     }
@@ -222,11 +212,8 @@ impl EventProtocol for AsyncMultiSource {
             AsyncMsMsg::Token(t) => {
                 if self.requests.receive_token(from, *t) {
                     self.pacer.progress(ctx);
-                    let idx = self.map.source_index_of(*t);
-                    self.have_count[idx] += 1;
-                    if self.complete_wrt(idx) {
+                    if let Some(idx) = self.progress.learn(&self.map, *t) {
                         // Newly complete w.r.t. this source: announce it.
-                        self.mine[idx / 64] |= 1 << (idx % 64);
                         for &u in ctx.neighbors() {
                             if self.ledger.needs_inform(idx, u) {
                                 ctx.send(u, AsyncMsMsg::Completeness(self.map.sources()[idx]));
@@ -248,7 +235,7 @@ impl EventProtocol for AsyncMultiSource {
             // Volatile state is gone: open request windows (tokens become
             // assignable again) and the ledger — both who we believe
             // complete and who acked us. Token knowledge (`K_v`, and
-            // with it `have_count`) is durable.
+            // with it `progress`) is durable.
             self.requests.forget();
             self.ledger.reset();
         }
@@ -275,7 +262,7 @@ impl EventProtocol for AsyncMultiSource {
         if !self.is_complete() {
             self.requests.sweep(ctx.neighbors());
             // One active source for the whole heartbeat, like its one pass.
-            let active = self.ledger.active_source(&self.mine);
+            let active = self.ledger.active_source(self.progress.mine());
             if let Some(active) = active {
                 self.requests.refill(Some(self.map.token_mask(active)));
             }
@@ -290,13 +277,13 @@ impl EventProtocol for AsyncMultiSource {
                         ctx.send(u, AsyncMsMsg::Request(t));
                     }
                 }
-                if !self.requests.is_open(u) && self.ledger.worth_probing(&self.mine, u) {
+                if !self.requests.is_open(u) && self.ledger.worth_probing(self.progress.mine(), u) {
                     ctx.send(u, AsyncMsMsg::Probe);
                 }
             }
             ctx.set_timer(self.pacer.next_delay(), 0);
         } else {
-            let owed = |&u: &NodeId| self.ledger.lowest_owed(&self.mine, u).is_some();
+            let owed = |&u: &NodeId| self.ledger.lowest_owed(self.progress.mine(), u).is_some();
             if ctx.neighbors().iter().any(owed) {
                 ctx.set_timer(self.pacer.next_delay(), 0);
             }

@@ -70,7 +70,7 @@ pub struct AsyncSingleSource {
     id: NodeId,
     /// `K_v` and one outstanding request per neighbor, re-sent until answered.
     requests: Requests,
-    /// `R_v` (ack state) / `S_v` bookkeeping.
+    /// `R_v` (ack state) / `S_v` bookkeeping (one source, index 0).
     ledger: CompletenessLedger,
     /// Heartbeat pacing with adaptive backoff.
     pacer: Retransmitter,
@@ -93,7 +93,7 @@ impl AsyncSingleSource {
         AsyncSingleSource {
             id: v,
             requests: Requests::new(DisseminationCore::from_assignment(v, assignment)),
-            ledger: CompletenessLedger::new(n),
+            ledger: CompletenessLedger::new(n, 1),
             pacer: Retransmitter::new(cfg),
             retransmitted_requests: 0,
             duplicate_tokens: 0,
@@ -144,7 +144,7 @@ impl AsyncSingleSource {
     /// complete; re-sends happen on the heartbeat until acked).
     fn announce_everywhere(&mut self, ctx: &mut EventCtx<'_, AsyncSsMsg>) {
         for &u in ctx.neighbors() {
-            if self.ledger.needs_inform(u) {
+            if self.ledger.needs_inform(0, u) {
                 ctx.send(u, AsyncSsMsg::Completeness);
             }
         }
@@ -171,7 +171,7 @@ impl EventProtocol for AsyncSingleSource {
                 }
             }
             AsyncSsMsg::Completeness => {
-                if self.ledger.note_peer_complete(from) {
+                if self.ledger.note_peer_complete(0, from) {
                     self.pacer.progress(ctx);
                 }
                 ctx.send(from, AsyncSsMsg::Ack);
@@ -180,7 +180,7 @@ impl EventProtocol for AsyncSingleSource {
                 }
             }
             AsyncSsMsg::Ack => {
-                if self.ledger.mark_informed(from) {
+                if self.ledger.mark_informed(0, from) {
                     self.pacer.progress(ctx);
                 }
             }
@@ -244,7 +244,7 @@ impl EventProtocol for AsyncSingleSource {
                     ctx.send(u, AsyncSsMsg::Request(t));
                     self.retransmitted_requests += 1;
                     ctx.note_retransmission();
-                } else if !self.ledger.peer_complete(u) {
+                } else if !self.ledger.peer_complete(0, u) {
                     ctx.send(u, AsyncSsMsg::Probe);
                 } else if let Some(t) = self.requests.assign(u) {
                     ctx.send(u, AsyncSsMsg::Request(t));
@@ -253,7 +253,11 @@ impl EventProtocol for AsyncSingleSource {
             ctx.set_timer(self.pacer.next_delay(), 0);
         } else {
             self.announce_everywhere(ctx);
-            if ctx.neighbors().iter().any(|&u| self.ledger.needs_inform(u)) {
+            if ctx
+                .neighbors()
+                .iter()
+                .any(|&u| self.ledger.needs_inform(0, u))
+            {
                 // Keep pushing until every current neighbor acked; once
                 // they all have, go quiet — probes re-awaken us if the
                 // adversary brings new incomplete neighbors.

@@ -127,19 +127,19 @@ proptest! {
         n in 1usize..20,
         ops in prop::collection::vec((prop::bool::ANY, 0u32..20), 1..100),
     ) {
-        let mut ledger = CompletenessLedger::new(n);
+        let mut ledger = CompletenessLedger::new(n, 1);
         let mut complete = BTreeSet::new();
         let mut informed = BTreeSet::new();
         for (is_ack, raw) in ops {
             let u = NodeId::new(raw % n as u32);
             if is_ack {
-                prop_assert_eq!(ledger.mark_informed(u), informed.insert(u));
+                prop_assert_eq!(ledger.mark_informed(0, u), informed.insert(u));
             } else {
-                prop_assert_eq!(ledger.note_peer_complete(u), complete.insert(u));
+                prop_assert_eq!(ledger.note_peer_complete(0, u), complete.insert(u));
             }
             // Monotone: everything ever recorded is still recorded.
             for &v in &complete {
-                prop_assert!(ledger.peer_complete(v));
+                prop_assert!(ledger.peer_complete(0, v));
             }
             prop_assert_eq!(ledger.informed_count(), informed.len());
         }

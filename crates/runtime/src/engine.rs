@@ -111,12 +111,21 @@ impl<'a, M: Clone> EventCtx<'a, M> {
     /// in allocation terms for `Copy` payloads (their `clone` is a
     /// bitwise copy).
     pub fn broadcast(&mut self, msg: M) {
+        self.send_each(self.neighbors, msg);
+    }
+
+    /// Queues one copy of `msg` to each of `to`, in order, as one staged
+    /// op. The engine plans an op's destinations in order and schedules
+    /// the surviving copies in plan order, so this draws the link RNG and
+    /// fills the queue exactly as `to.len()` single sends would — while
+    /// storing the payload once.
+    pub(crate) fn send_each(&mut self, to: &[NodeId], msg: M) {
         let first = self.dests.len() as u32;
-        self.dests.extend_from_slice(self.neighbors);
+        self.dests.extend_from_slice(to);
         self.ops.push(SendOp {
             msg,
             first,
-            count: self.neighbors.len() as u32,
+            count: to.len() as u32,
         });
     }
 
@@ -194,9 +203,10 @@ impl<'a, M: Clone> EventCtx<'a, M> {
     /// This is the session-multiplexing hook: `SessionMux` dispatches an
     /// inner per-session protocol through a sub-context, then re-stages
     /// the captured sends through the outer context as wire envelopes —
-    /// one outer send per (op, destination) pair, in staging order, so
-    /// the engine's per-copy link planning consumes the RNG stream in
-    /// exactly the order the inner protocol produced sends.
+    /// one outer op per inner op over the same destinations, in staging
+    /// order ([`EventCtx::send_each`]), so the engine's per-copy link
+    /// planning consumes the RNG stream in exactly the order the inner
+    /// protocol produced sends.
     pub(crate) fn with_inner<N: Clone, R>(
         &mut self,
         ops: &mut Vec<SendOp<N>>,

@@ -348,6 +348,9 @@ pub struct SessionReport {
     pub messages: u64,
     /// Envelopes delivered to this session's instances.
     pub delivered: u64,
+    /// Nodes whose instance reached a full token set (`n` once the
+    /// session completed).
+    pub complete_nodes: usize,
     /// Order-sensitive chain hash over the session's envelope headers —
     /// equal across byte-identical replays.
     pub digest: u64,
@@ -1021,6 +1024,7 @@ where
                 latency: stats.completed_at.map(|t| t.saturating_sub(spec.arrival)),
                 messages: stats.sent,
                 delivered: stats.delivered,
+                complete_nodes: stats.complete_nodes,
                 digest: stats.digest,
                 report,
             }

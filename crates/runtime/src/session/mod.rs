@@ -29,5 +29,5 @@ pub mod wire;
 pub mod workload;
 
 pub use mux::{SessionBoard, SessionMux, SessionStats};
-pub use wire::{SessionId, WireEnvelope};
+pub use wire::{SessionId, WireEnvelope, WirePayload, INLINE_PAYLOAD};
 pub use workload::{SessionSpec, SessionWorkload};

@@ -13,11 +13,14 @@
 //!   envelopes and timers addressed to a departed (or never-joined, or
 //!   unknown) session are discarded and counted, never dispatched;
 //! * **dispatch** — inner handlers run against a sub-context
-//!   (`EventCtx::with_inner`) of the inner message type; the sends they
-//!   stage are re-staged through the outer context as envelopes **in
-//!   staging order, one per destination**, so the engine's per-copy link
-//!   planning draws from the seeded RNG stream in exactly the order a
-//!   standalone run of that protocol would. This is what makes a
+//!   (`EventCtx::with_inner`) of the inner message type; each send they
+//!   stage is encoded once, into a buffer the node reuses, and re-staged
+//!   through the outer context as **one envelope op over the inner op's
+//!   destinations, in staging order**. The engine plans an op's
+//!   destinations in order and schedules the surviving copies in plan
+//!   order, so one n-destination op draws the seeded link RNG and fills
+//!   the queue exactly as n single sends would — the same stream a
+//!   standalone run of that protocol draws. This is what makes a
 //!   single-session mux run reproduce the standalone engine run (see
 //!   `tests/determinism.rs`);
 //! * **timers** — inner timer IDs are remapped into the session's slice
@@ -36,7 +39,7 @@
 //! time at which the *last* node completed — the session's latency
 //! numerator.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bincodec::{Decode, Encode};
 use dynspread_graph::NodeId;
@@ -62,6 +65,9 @@ const INNER_TIMER_LIMIT: u64 = 1 << 32;
 /// The engine is single-threaded, so updates arrive in deterministic
 /// event order; the mutex exists only so whole-run outcomes can move
 /// across threads (`par_map` fans independent runs out across cores).
+/// A mux takes the lock once per event it handles for a session and
+/// chains all of that event's notes under it: the receive first, then
+/// the sends in staging order, then the node's completion.
 #[derive(Debug)]
 pub struct SessionBoard {
     n: usize,
@@ -122,7 +128,7 @@ impl SessionBoard {
 
     /// This session's accounting snapshot.
     pub fn stats(&self, session: usize) -> SessionStats {
-        let cells = self.cells.lock().expect("board poisoned");
+        let cells = self.cells();
         let cell = &cells[session];
         SessionStats {
             sent: cell.sent,
@@ -133,39 +139,39 @@ impl SessionBoard {
         }
     }
 
-    fn chain(digest: u64, tag: u8, t: VirtualTime, from: NodeId, to: NodeId, len: usize) -> u64 {
+    fn cells(&self) -> MutexGuard<'_, Vec<BoardCell>> {
+        self.cells.lock().expect("board poisoned")
+    }
+}
+
+impl BoardCell {
+    fn chain(&mut self, tag: u8, t: VirtualTime, from: NodeId, to: NodeId, len: usize) {
         let mut buf = [0u8; 29];
-        buf[0..8].copy_from_slice(&digest.to_le_bytes());
+        buf[0..8].copy_from_slice(&self.digest.to_le_bytes());
         buf[8] = tag;
         buf[9..17].copy_from_slice(&t.to_le_bytes());
         buf[17..21].copy_from_slice(&from.value().to_le_bytes());
         buf[21..25].copy_from_slice(&to.value().to_le_bytes());
         buf[25..29].copy_from_slice(&(len as u32).to_le_bytes());
-        fnv1a(&buf)
+        self.digest = fnv1a(&buf);
     }
 
-    fn note_send(&self, session: usize, t: VirtualTime, from: NodeId, to: NodeId, len: usize) {
-        let mut cells = self.cells.lock().expect("board poisoned");
-        let cell = &mut cells[session];
-        cell.sent += 1;
-        cell.digest = Self::chain(cell.digest, b'S', t, from, to, len);
+    fn note_send(&mut self, t: VirtualTime, from: NodeId, to: NodeId, len: usize) {
+        self.sent += 1;
+        self.chain(b'S', t, from, to, len);
     }
 
-    fn note_recv(&self, session: usize, t: VirtualTime, from: NodeId, to: NodeId, len: usize) {
-        let mut cells = self.cells.lock().expect("board poisoned");
-        let cell = &mut cells[session];
-        cell.delivered += 1;
-        cell.digest = Self::chain(cell.digest, b'R', t, from, to, len);
+    fn note_recv(&mut self, t: VirtualTime, from: NodeId, to: NodeId, len: usize) {
+        self.delivered += 1;
+        self.chain(b'R', t, from, to, len);
     }
 
-    fn node_complete(&self, session: usize, v: NodeId, now: VirtualTime) {
-        let mut cells = self.cells.lock().expect("board poisoned");
-        let cell = &mut cells[session];
-        if !cell.done[v.index()] {
-            cell.done[v.index()] = true;
-            cell.done_count += 1;
-            if cell.done_count == self.n {
-                cell.completed_at = Some(now);
+    fn node_complete(&mut self, v: NodeId, now: VirtualTime) {
+        if !self.done[v.index()] {
+            self.done[v.index()] = true;
+            self.done_count += 1;
+            if self.done_count == self.done.len() {
+                self.completed_at = Some(now);
             }
         }
     }
@@ -185,13 +191,20 @@ struct Slot<P> {
 /// See the [module docs](self) for semantics. Build the full network
 /// with [`SessionMux::nodes`].
 pub struct SessionMux<P: EventProtocol> {
+    board: Arc<SessionBoard>,
+    // Apart from the board so that a handler can hold the board's lock
+    // while it dispatches.
+    node: MuxNode<P>,
+}
+
+struct MuxNode<P: EventProtocol> {
     me: NodeId,
     slots: Vec<Slot<P>>,
-    board: Arc<SessionBoard>,
     // Scratch buffers reused across dispatches (cleared after each).
     ops: Vec<SendOp<P::Msg>>,
     dests: Vec<NodeId>,
     timers: Vec<(VirtualTime, u64)>,
+    wire: Vec<u8>,
     decode_errors: u64,
     foreign_drops: u64,
 }
@@ -225,14 +238,17 @@ impl<P: EventProtocol> SessionMux<P> {
             })
             .collect();
         SessionMux {
-            me,
-            slots,
             board,
-            ops: Vec::new(),
-            dests: Vec::new(),
-            timers: Vec::new(),
-            decode_errors: 0,
-            foreign_drops: 0,
+            node: MuxNode {
+                me,
+                slots,
+                ops: Vec::new(),
+                dests: Vec::new(),
+                timers: Vec::new(),
+                wire: Vec::new(),
+                decode_errors: 0,
+                foreign_drops: 0,
+            },
         }
     }
 
@@ -251,7 +267,7 @@ impl<P: EventProtocol> SessionMux<P> {
 
     /// This session's inner instance, if it joined and has not left.
     pub fn session_state(&self, session: usize) -> Option<&P> {
-        let slot = self.slots.get(session)?;
+        let slot = self.node.slots.get(session)?;
         if slot.joined {
             slot.state.as_ref()
         } else {
@@ -262,7 +278,7 @@ impl<P: EventProtocol> SessionMux<P> {
     /// Tokens this node learned for `session` beyond its initial
     /// knowledge (0 for untracked protocols or departed sessions).
     pub fn learned(&self, session: usize) -> u64 {
-        let Some(slot) = self.slots.get(session) else {
+        let Some(slot) = self.node.slots.get(session) else {
             return 0;
         };
         let Some(state) = slot.state.as_ref().filter(|_| slot.joined) else {
@@ -276,35 +292,41 @@ impl<P: EventProtocol> SessionMux<P> {
     /// Envelopes whose payload failed to decode (always 0 in honest
     /// runs; a nonzero count means payload corruption crossed the wire).
     pub fn decode_errors(&self) -> u64 {
-        self.decode_errors
+        self.node.decode_errors
     }
 
     /// Envelopes addressed to unknown, not-yet-joined, or departed
     /// sessions — dropped at the boundary, never dispatched.
     pub fn foreign_drops(&self) -> u64 {
-        self.foreign_drops
+        self.node.foreign_drops
     }
+}
 
+impl<P: EventProtocol> MuxNode<P>
+where
+    P::Msg: Encode,
+{
     /// Runs one inner handler for `session` through a sub-context, then
     /// re-stages its sends as envelopes and remaps its timers. Order is
-    /// load-bearing: envelopes go out one per (op, destination) pair in
-    /// staging order, which keeps the engine's link-planning RNG stream
-    /// aligned with what a standalone run of the inner protocol draws.
+    /// load-bearing: each inner op goes out as one envelope op over the
+    /// same destinations, in staging order, which keeps the engine's
+    /// link-planning RNG stream aligned with what a standalone run of the
+    /// inner protocol draws. The board notes go to `cells`, which the
+    /// caller locked once for the whole event.
     fn dispatch(
         &mut self,
+        cells: &mut [BoardCell],
         session: usize,
         ctx: &mut EventCtx<'_, WireEnvelope>,
         f: impl FnOnce(&mut P, &mut EventCtx<'_, P::Msg>),
-    ) where
-        P::Msg: Encode,
-    {
-        let SessionMux {
+    ) {
+        let MuxNode {
             me,
             slots,
-            board,
             ops,
             dests,
             timers,
+            wire,
             ..
         } = self;
         let slot = &mut slots[session];
@@ -314,14 +336,15 @@ impl<P: EventProtocol> SessionMux<P> {
         debug_assert!(ops.is_empty() && dests.is_empty() && timers.is_empty());
         ctx.with_inner(ops, dests, timers, |sub| f(state, sub));
         let sid = SessionId::new(session as u32);
+        let cell = &mut cells[session];
+        let now = ctx.now();
         for op in ops.drain(..) {
-            // Encode once per logical send; per-destination copies share
-            // the payload bytes through the Arc.
-            let env = WireEnvelope::encode_msg(sid, &op.msg);
-            for &to in &dests[op.first as usize..(op.first + op.count) as usize] {
-                board.note_send(session, ctx.now(), *me, to, env.payload.len());
-                ctx.send(to, env.clone());
+            let to = &dests[op.first as usize..(op.first + op.count) as usize];
+            let env = WireEnvelope::encode_msg_with(sid, &op.msg, wire);
+            for &v in to {
+                cell.note_send(now, *me, v, env.payload.len());
             }
+            ctx.send_each(to, env);
         }
         dests.clear();
         for &(delay, id) in timers.iter() {
@@ -339,15 +362,17 @@ impl<P: EventProtocol> SessionMux<P> {
                 .is_some_and(|s| s.known_tokens().is_some_and(TokenSet::is_full));
             if complete {
                 slot.done_reported = true;
-                board.node_complete(session, *me, ctx.now());
+                cell.node_complete(*me, now);
             }
         }
     }
 
-    fn join(&mut self, session: usize, ctx: &mut EventCtx<'_, WireEnvelope>)
-    where
-        P::Msg: Encode,
-    {
+    fn join(
+        &mut self,
+        cells: &mut [BoardCell],
+        session: usize,
+        ctx: &mut EventCtx<'_, WireEnvelope>,
+    ) {
         let Some(slot) = self.slots.get_mut(session) else {
             return;
         };
@@ -355,7 +380,7 @@ impl<P: EventProtocol> SessionMux<P> {
             return;
         }
         slot.joined = true;
-        self.dispatch(session, ctx, |state, sub| state.on_start(sub));
+        self.dispatch(cells, session, ctx, |state, sub| state.on_start(sub));
     }
 }
 
@@ -366,7 +391,7 @@ where
     type Msg = WireEnvelope;
 
     fn on_start(&mut self, ctx: &mut EventCtx<'_, WireEnvelope>) {
-        for (i, slot) in self.slots.iter().enumerate() {
+        for (i, slot) in self.node.slots.iter().enumerate() {
             ctx.set_timer(slot.arrival, JOIN_FLAG | i as u64);
             if let Some(leave) = slot.leave {
                 ctx.set_timer(leave, LEAVE_FLAG | i as u64);
@@ -380,39 +405,45 @@ where
         env: &WireEnvelope,
         ctx: &mut EventCtx<'_, WireEnvelope>,
     ) {
+        let node = &mut self.node;
         let session = env.session.index();
-        let live = self
+        let live = node
             .slots
             .get(session)
             .is_some_and(|s| s.joined && s.state.is_some());
         if !live {
-            self.foreign_drops += 1;
+            node.foreign_drops += 1;
             return;
         }
         let msg = match env.decode_msg::<P::Msg>() {
             Ok(msg) => msg,
             Err(_) => {
-                self.decode_errors += 1;
+                node.decode_errors += 1;
                 return;
             }
         };
-        self.board
-            .note_recv(session, ctx.now(), from, self.me, env.payload.len());
-        self.dispatch(session, ctx, |state, sub| state.on_message(from, &msg, sub));
+        let mut cells = self.board.cells();
+        cells[session].note_recv(ctx.now(), from, node.me, env.payload.len());
+        node.dispatch(&mut cells, session, ctx, |state, sub| {
+            state.on_message(from, &msg, sub)
+        });
     }
 
     fn on_timer(&mut self, id: u64, ctx: &mut EventCtx<'_, WireEnvelope>) {
+        let node = &mut self.node;
         if id & JOIN_FLAG != 0 {
-            self.join((id & !JOIN_FLAG) as usize, ctx);
+            node.join(&mut self.board.cells(), (id & !JOIN_FLAG) as usize, ctx);
         } else if id & LEAVE_FLAG != 0 {
-            if let Some(slot) = self.slots.get_mut((id & !LEAVE_FLAG) as usize) {
+            if let Some(slot) = node.slots.get_mut((id & !LEAVE_FLAG) as usize) {
                 slot.state = None;
             }
         } else {
             let session = (id >> 32) as usize;
             let inner = id & (INNER_TIMER_LIMIT - 1);
-            if self.slots.get(session).is_some_and(|s| s.joined) {
-                self.dispatch(session, ctx, |state, sub| state.on_timer(inner, sub));
+            if node.slots.get(session).is_some_and(|s| s.joined) {
+                node.dispatch(&mut self.board.cells(), session, ctx, |state, sub| {
+                    state.on_timer(inner, sub)
+                });
             }
         }
     }
@@ -423,9 +454,11 @@ where
         // the workload relative to `now`, then let live sessions run
         // their own recovery.
         let now = ctx.now();
-        for i in 0..self.slots.len() {
+        let node = &mut self.node;
+        let mut cells = self.board.cells();
+        for i in 0..node.slots.len() {
             let (joined, arrival, leave, has_state) = {
-                let s = &self.slots[i];
+                let s = &node.slots[i];
                 (s.joined, s.arrival, s.leave, s.state.is_some())
             };
             if !joined {
@@ -440,22 +473,24 @@ where
             match leave {
                 Some(l) if l <= now => {
                     // The leave elapsed while we were down.
-                    self.slots[i].state = None;
+                    node.slots[i].state = None;
                 }
                 other => {
                     if let Some(l) = other {
                         ctx.set_timer(l - now, LEAVE_FLAG | i as u64);
                     }
-                    self.dispatch(i, ctx, |state, sub| state.on_recover(mode, sub));
+                    node.dispatch(&mut cells, i, ctx, |state, sub| state.on_recover(mode, sub));
                 }
             }
         }
     }
 
     fn on_heal(&mut self, ctx: &mut EventCtx<'_, WireEnvelope>) {
-        for i in 0..self.slots.len() {
-            if self.slots[i].joined && self.slots[i].state.is_some() {
-                self.dispatch(i, ctx, |state, sub| state.on_heal(sub));
+        let node = &mut self.node;
+        let mut cells = self.board.cells();
+        for i in 0..node.slots.len() {
+            if node.slots[i].joined && node.slots[i].state.is_some() {
+                node.dispatch(&mut cells, i, ctx, |state, sub| state.on_heal(sub));
             }
         }
     }

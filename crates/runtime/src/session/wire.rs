@@ -19,11 +19,21 @@
 //! identity, and — because [`bincodec`] is deterministic — equal
 //! messages always produce equal bytes, so seeded replays are
 //! byte-identical through the serialization boundary.
+//!
+//! A payload of up to [`INLINE_PAYLOAD`] bytes lives inside the envelope
+//! itself ([`WirePayload`]); every message of the three ports fits (the
+//! largest, `AsyncOblMsg::Walk`, is 13 bytes). Building, cloning and
+//! dropping such an envelope touches no allocator — it is a 24-byte
+//! value the event queue copies like any other message — so a session
+//! envelope costs what its bytes cost. Longer caller-built payloads
+//! (fuzz inputs, [`WireEnvelope::from_bytes`] of arbitrary frames) go to
+//! the heap; both cases read through the same `&[u8]` view.
 
 use bincodec::{Decode, DecodeError, Encode, Reader};
 use dynspread_graph::NodeId;
 use dynspread_sim::token::TokenId;
-use std::sync::Arc;
+use std::num::NonZeroU8;
+use std::ops::Deref;
 
 use crate::protocol::{AsyncMsMsg, AsyncOblMsg, AsyncSsMsg};
 
@@ -67,18 +77,85 @@ impl Decode for SessionId {
     }
 }
 
+/// Payloads up to this many bytes are stored inside the envelope.
+pub const INLINE_PAYLOAD: usize = 15;
+
+/// The bytes of one envelope's payload: inline up to [`INLINE_PAYLOAD`]
+/// bytes, boxed beyond. Read it as a `&[u8]` (it derefs to one); equality
+/// and `Debug` are those of the byte slice.
+#[derive(Clone)]
+pub struct WirePayload(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `bytes[..len - 1]`. The length is stored plus one so that the byte
+    /// is never 0: that value tags the heap case, which keeps the payload
+    /// at 16 bytes and the envelope at 24.
+    Inline {
+        bytes: [u8; INLINE_PAYLOAD],
+        len: NonZeroU8,
+    },
+    /// Longer payloads. Boxed twice for the same reason: a thin pointer
+    /// fits beside the inline case's length byte, a slice pointer would
+    /// not.
+    Heap(Box<Box<[u8]>>),
+}
+
+impl WirePayload {
+    /// Copies `bytes` into a payload: in place when they fit, boxed
+    /// otherwise.
+    fn from_slice(bytes: &[u8]) -> Self {
+        if bytes.len() > INLINE_PAYLOAD {
+            return WirePayload(Repr::Heap(Box::new(bytes.into())));
+        }
+        let mut inline = [0; INLINE_PAYLOAD];
+        inline[..bytes.len()].copy_from_slice(bytes);
+        WirePayload(Repr::Inline {
+            bytes: inline,
+            len: NonZeroU8::MIN.saturating_add(bytes.len() as u8),
+        })
+    }
+}
+
+impl Deref for WirePayload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { bytes, len } => &bytes[..usize::from(len.get()) - 1],
+            Repr::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl PartialEq for WirePayload {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for WirePayload {}
+
+impl std::fmt::Debug for WirePayload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// A session-stamped message: what actually travels over the shared
 /// links when sessions are multiplexed.
 ///
-/// The payload is an [`Arc`]`<[u8]>` so the engine's per-copy fan-out
-/// clones are a refcount bump, not a buffer copy — the zero-clone
-/// property of the send path survives serialization.
+/// The payload is a [`WirePayload`]: a message of the three async ports
+/// is stored inline, so an envelope is a plain 24-byte value and the
+/// engine's per-copy fan-out clones are copies of it, with no allocation
+/// and no reference count. Only payloads longer than [`INLINE_PAYLOAD`]
+/// bytes are boxed (and deep-copied on clone).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireEnvelope {
     /// Which session this message belongs to.
     pub session: SessionId,
     /// The inner protocol message, serialized via [`bincodec`].
-    pub payload: Arc<[u8]>,
+    pub payload: WirePayload,
 }
 
 impl WireEnvelope {
@@ -86,13 +163,25 @@ impl WireEnvelope {
     pub fn new(session: SessionId, payload: Vec<u8>) -> Self {
         WireEnvelope {
             session,
-            payload: payload.into(),
+            payload: WirePayload::from_slice(&payload),
         }
     }
 
     /// Encodes a typed message into an envelope for `session`.
     pub fn encode_msg<M: Encode>(session: SessionId, msg: &M) -> Self {
-        WireEnvelope::new(session, bincodec::to_bytes(msg))
+        WireEnvelope::encode_msg_with(session, msg, &mut Vec::new())
+    }
+
+    /// Like [`WireEnvelope::encode_msg`], but encodes through `scratch`
+    /// (cleared first), so a caller that keeps one buffer pays no
+    /// allocation for a payload that fits inline.
+    pub fn encode_msg_with<M: Encode>(session: SessionId, msg: &M, scratch: &mut Vec<u8>) -> Self {
+        scratch.clear();
+        msg.encode(scratch);
+        WireEnvelope {
+            session,
+            payload: WirePayload::from_slice(scratch),
+        }
     }
 
     /// Decodes the payload back into the typed message, rejecting
@@ -104,8 +193,7 @@ impl WireEnvelope {
     /// Serializes the full envelope (header + payload) to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + self.payload.len());
-        self.session.encode(&mut out);
-        encode_bytes(&self.payload, &mut out);
+        self.encode(&mut out);
         out
     }
 
@@ -129,7 +217,7 @@ impl Decode for WireEnvelope {
         let payload = r.take(len)?;
         Ok(WireEnvelope {
             session,
-            payload: payload.to_vec().into(),
+            payload: WirePayload::from_slice(payload),
         })
     }
 }
@@ -302,6 +390,12 @@ mod tests {
             token: TokenId::new(4),
             seq: u64::MAX,
         });
+    }
+
+    #[test]
+    fn an_envelope_is_three_words() {
+        assert_eq!(std::mem::size_of::<WirePayload>(), 16);
+        assert_eq!(std::mem::size_of::<WireEnvelope>(), 24);
     }
 
     #[test]

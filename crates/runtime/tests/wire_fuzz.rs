@@ -9,18 +9,31 @@
 //! a panic into a failed case); the second by a counting global
 //! allocator that records the largest single request this test binary
 //! ever makes, which for inputs of a few dozen bytes must stay tiny.
+//!
+//! The same allocator counts each thread's allocations, which pins the
+//! envelope's other contract: a message of the three ports is carried
+//! inline, so encoding it through a warm buffer, cloning, decoding and
+//! dropping the envelope allocate nothing at all.
 
 use bincodec::{Decode, Encode};
 use dynspread_graph::NodeId;
 use dynspread_runtime::protocol::{AsyncMsMsg, AsyncOblMsg, AsyncSsMsg};
-use dynspread_runtime::session::{SessionId, WireEnvelope};
+use dynspread_runtime::session::{SessionId, WireEnvelope, INLINE_PAYLOAD};
 use dynspread_sim::token::TokenId;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Largest single allocation any thread of this binary has requested.
 static LARGEST_ALLOC: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Allocations this thread has made. Const-initialized and without a
+    /// destructor, so the allocator may touch it at any point of a
+    /// thread's life without allocating itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// No input here exceeds 80 bytes; a decoder that trusted a hostile
 /// `u32` length prefix would ask for far more than this.
@@ -29,14 +42,15 @@ const ALLOC_LIMIT: usize = 64 * 1024;
 struct CountingAlloc;
 
 // SAFETY: both methods forward their arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only addition is an
-// atomic max that touches no allocator state. `realloc` and
-// `alloc_zeroed` keep their default implementations, which go through
-// these two.
+// which upholds the `GlobalAlloc` contract; the only additions are an
+// atomic max and a thread-local count that touch no allocator state.
+// `realloc` and `alloc_zeroed` keep their default implementations,
+// which go through these two.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // A statistic that publishes no other data.
         LARGEST_ALLOC.fetch_max(layout.size(), Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: the caller's layout, passed through.
         unsafe { System.alloc(layout) }
     }
@@ -210,4 +224,95 @@ fn hostile_length_prefixes_allocate_nothing() {
         decode_everything(&bytes);
     }
     assert_allocations_stayed_small();
+}
+
+/// Allocations the calling thread makes while running `f`.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Encodes `msg` through the warm `scratch`, clones the envelope eight
+/// times, decodes every clone and drops them all.
+fn envelope_cycle<M: Encode + Decode + PartialEq + std::fmt::Debug>(
+    msg: &M,
+    scratch: &mut Vec<u8>,
+) {
+    let env = WireEnvelope::encode_msg_with(SessionId::new(u32::MAX), msg, scratch);
+    let clones: [WireEnvelope; 8] = std::array::from_fn(|_| env.clone());
+    for clone in &clones {
+        assert_eq!(clone.decode_msg::<M>().as_ref(), Ok(msg));
+    }
+    assert_eq!(env.payload.len(), scratch.len());
+}
+
+#[test]
+fn an_envelope_of_every_port_message_allocates_nothing() {
+    let t = TokenId::new(u32::MAX);
+    let x = NodeId::new(u32::MAX);
+    let ss = [
+        AsyncSsMsg::Probe,
+        AsyncSsMsg::Completeness,
+        AsyncSsMsg::Ack,
+        AsyncSsMsg::Request(t),
+        AsyncSsMsg::Token(t),
+    ];
+    let ms = [
+        AsyncMsMsg::Probe,
+        AsyncMsMsg::Completeness(x),
+        AsyncMsMsg::Ack(x),
+        AsyncMsMsg::Request(t),
+        AsyncMsMsg::Token(t),
+    ];
+    let obl = [
+        AsyncOblMsg::Probe,
+        AsyncOblMsg::CenterAnnounce,
+        AsyncOblMsg::Walk {
+            token: t,
+            seq: u64::MAX,
+        },
+        AsyncOblMsg::WalkAck {
+            token: t,
+            seq: u64::MAX,
+        },
+    ];
+    let mut scratch = Vec::with_capacity(64);
+    let allocs = allocations_in(|| {
+        ss.iter().for_each(|m| envelope_cycle(m, &mut scratch));
+        ms.iter().for_each(|m| envelope_cycle(m, &mut scratch));
+        obl.iter().for_each(|m| envelope_cycle(m, &mut scratch));
+    });
+    assert_eq!(allocs, 0, "allocations while carrying port messages");
+    // The largest message of the three ports still fits inline.
+    let walk = bincodec::to_bytes(&obl[2]);
+    assert!(walk.len() <= INLINE_PAYLOAD, "{} bytes", walk.len());
+}
+
+/// Payloads on both sides of the inline limit: the same bytes back
+/// through `new`, `to_bytes` and `from_bytes`, slice equality whichever
+/// way an envelope was built, and the byte-slice `Debug` text.
+#[test]
+fn payloads_round_trip_on_both_sides_of_the_inline_limit() {
+    for len in [0, INLINE_PAYLOAD, INLINE_PAYLOAD + 1, 80] {
+        let bytes: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37)).collect();
+        let env = WireEnvelope::new(SessionId::new(9), bytes.clone());
+        assert_eq!(&env.payload[..], &bytes[..]);
+        let wire = env.to_bytes();
+        assert_eq!(wire.len(), 8 + len);
+        assert_eq!(&wire[8..], &bytes[..]);
+        let back = WireEnvelope::from_bytes(&wire).expect("valid frame");
+        assert_eq!(back, env);
+        assert_eq!(back.to_bytes(), wire);
+        assert_eq!(
+            format!("{env:?}"),
+            format!("WireEnvelope {{ session: SessionId(9), payload: {bytes:?} }}")
+        );
+        let mut other = bytes.clone();
+        other.push(1);
+        assert_ne!(env, WireEnvelope::new(SessionId::new(9), other));
+        assert_ne!(env, WireEnvelope::new(SessionId::new(8), bytes));
+        let clone_allocs = allocations_in(|| drop(env.clone()));
+        assert_eq!(clone_allocs == 0, len <= INLINE_PAYLOAD, "{len} bytes");
+    }
 }

@@ -119,18 +119,30 @@ impl TokenTracker {
     /// Syncs node `v`'s knowledge after round `round`, recording every newly
     /// learned token. Returns the number of new learnings.
     ///
-    /// The diff is a word-level XOR over the two bitsets: rounds in which
-    /// `v` learned nothing cost O(k/64) with no allocation, and learned
-    /// tokens are extracted bit by bit only from the words that changed.
+    /// Knowledge only grows, so a set whose count equals the tracked
+    /// count is the tracked set: such a sync — most of them, since most
+    /// events and most receivers of a round teach a node nothing — returns
+    /// 0 after comparing two cached counts, without reading either bitset.
+    /// Otherwise the diff is a word-level XOR over the two bitsets, and
+    /// learned tokens are extracted bit by bit only from the words that
+    /// changed; neither path allocates.
     ///
     /// # Panics
     ///
     /// Panics if a token disappears from `v`'s knowledge (token-forwarding
-    /// algorithms never forget; checked in debug builds) or if the universe
-    /// size changed.
+    /// algorithms never forget; checked in debug builds, including a
+    /// same-count swap of one token for another) or if the universe size
+    /// changed.
     pub fn sync_node(&mut self, v: NodeId, current: &TokenSet, round: Round) -> usize {
         assert_eq!(current.universe(), self.k, "token universe changed");
         let prev = &self.knowledge[v.index()];
+        if current.count() == prev.count() {
+            debug_assert!(
+                current.as_words() == prev.as_words(),
+                "{v} forgot a token — token-forwarding algorithms never forget"
+            );
+            return 0;
+        }
         let mut learned = 0usize;
         let was_complete = prev.is_full();
         for (wi, (&cw, &pw)) in current
@@ -252,6 +264,38 @@ mod tests {
         assert_eq!(tr.sync_node(nid(1), &know, 1), 1);
         assert_eq!(tr.sync_node(nid(1), &know, 2), 0);
         assert_eq!(tr.total_learnings(), 1);
+    }
+
+    #[test]
+    fn an_unchanged_set_returns_zero_and_logs_nothing() {
+        let a = TokenAssignment::single_source(3, 70, nid(0));
+        let mut tr = TokenTracker::new(&a);
+        let mut know = TokenSet::new(70);
+        know.insert(tid(3));
+        know.insert(tid(66));
+        assert_eq!(tr.sync_node(nid(1), &know, 1), 2);
+        for round in 2..5 {
+            assert_eq!(tr.sync_node(nid(1), &know, round), 0);
+        }
+        assert_eq!(tr.sync_node(nid(2), &TokenSet::new(70), 2), 0);
+        assert_eq!(tr.total_learnings(), 2);
+        assert_eq!(tr.learnings_per_round(), &[2]);
+        assert_eq!(tr.knowledge(nid(1)), &know);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "forgot a token")]
+    fn a_same_count_swap_is_a_forgotten_token() {
+        let a = TokenAssignment::single_source(2, 70, nid(0));
+        let mut tr = TokenTracker::new(&a);
+        let mut know = TokenSet::new(70);
+        know.insert(tid(1));
+        tr.sync_node(nid(1), &know, 1);
+        // Same count, different set: token 1 dropped, token 65 gained.
+        let mut swapped = TokenSet::new(70);
+        swapped.insert(tid(65));
+        tr.sync_node(nid(1), &swapped, 2);
     }
 
     #[test]

@@ -247,22 +247,18 @@ impl PotentialAdversary {
     }
 
     fn build_graph(&mut self, choices: &[Option<TokenId>]) -> Graph {
-        let mut g = Graph::empty(self.know.len());
-        let mut uf = free_edge_graph(choices, &self.know, &self.kprime, |e| {
-            g.insert_edge(e);
-        });
+        let mut edges = Vec::new();
+        let mut uf = free_edge_graph(choices, &self.know, &self.kprime, |e| edges.push(e));
         self.component_history.push(uf.component_count());
         // Repair connectivity with ℓ − 1 non-free edges between component
         // representatives (any inter-component edge is non-free because
         // F(r) contains *all* free edges).
         let reps = uf.representatives();
-        for w in reps.windows(2) {
-            g.insert_edge(Edge::new(
-                NodeId::new(w[0] as u32),
-                NodeId::new(w[1] as u32),
-            ));
-        }
-        g
+        edges.extend(
+            reps.windows(2)
+                .map(|w| Edge::new(NodeId::new(w[0] as u32), NodeId::new(w[1] as u32))),
+        );
+        Graph::from_edges(self.know.len(), edges)
     }
 
     /// Simulates delivery on the graph it just built to keep its knowledge

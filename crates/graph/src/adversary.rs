@@ -42,7 +42,7 @@ pub trait Adversary {
             GraphUpdate::Unchanged => prev.clone(),
             GraphUpdate::Delta(d) => {
                 let mut g = prev.clone();
-                g.apply_delta(&d.inserted, &d.removed);
+                d.apply_to(&mut g);
                 g
             }
         }

@@ -228,89 +228,6 @@ impl EdgeSet {
         let mut in_other = other.ascending_probe();
         self.edges.iter().copied().filter(move |&e| !in_other(e))
     }
-
-    /// Applies a whole round delta in one three-way merge: removes
-    /// `removed`, then inserts `inserted`, both given as **strictly
-    /// sorted** slices. The merged vector is built in `buf` and swapped
-    /// in, so the caller's buffer becomes the storage and the old vector
-    /// becomes the caller's scratch — zero steady-state allocation.
-    ///
-    /// `on_insert` / `on_remove` fire once per edge whose *membership
-    /// actually changed* (an edge both removed and re-inserted is a net
-    /// no-op and fires neither), which is exactly what a derived adjacency
-    /// structure needs to update itself. Returns `(inserted, removed)`
-    /// counts with the former per-edge semantics: a removal of an absent
-    /// edge or an insertion of a present edge is skipped (and trips a
-    /// debug assertion, since it indicates a corrupted delta).
-    pub(crate) fn apply_sorted_delta(
-        &mut self,
-        inserted: &[Edge],
-        removed: &[Edge],
-        buf: &mut Vec<Edge>,
-        mut on_insert: impl FnMut(Edge),
-        mut on_remove: impl FnMut(Edge),
-    ) -> (usize, usize) {
-        debug_assert!(inserted.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(removed.windows(2).all(|w| w[0] < w[1]));
-        let old = std::mem::take(&mut self.edges);
-        buf.clear();
-        buf.reserve(old.len() + inserted.len());
-        let (mut i, mut j, mut k) = (0, 0, 0);
-        let (mut ins_n, mut rm_n) = (0, 0);
-        loop {
-            // The smallest edge any of the three sorted cursors points at.
-            let mut next: Option<Edge> = None;
-            for head in [
-                old.get(i).copied(),
-                inserted.get(j).copied(),
-                removed.get(k).copied(),
-            ]
-            .into_iter()
-            .flatten()
-            {
-                next = Some(next.map_or(head, |n: Edge| n.min(head)));
-            }
-            let Some(e) = next else { break };
-            let in_old = old.get(i) == Some(&e);
-            let in_ins = inserted.get(j) == Some(&e);
-            let in_rm = removed.get(k) == Some(&e);
-            i += in_old as usize;
-            j += in_ins as usize;
-            k += in_rm as usize;
-            match (in_old, in_rm, in_ins) {
-                (true, false, false) => buf.push(e),
-                (true, true, false) => {
-                    rm_n += 1;
-                    on_remove(e);
-                }
-                (true, true, true) => {
-                    // Removed then re-inserted: both ops count, membership
-                    // and adjacency are net unchanged.
-                    rm_n += 1;
-                    ins_n += 1;
-                    buf.push(e);
-                }
-                (true, false, true) => {
-                    debug_assert!(false, "delta inconsistent: inserts duplicate edge {e}");
-                    buf.push(e);
-                }
-                (false, rm_absent, true) => {
-                    debug_assert!(!rm_absent, "delta inconsistent: removes absent edge {e}");
-                    ins_n += 1;
-                    on_insert(e);
-                    buf.push(e);
-                }
-                (false, true, false) => {
-                    debug_assert!(false, "delta inconsistent: removes absent edge {e}");
-                }
-                (false, false, false) => unreachable!("no cursor matched its own minimum"),
-            }
-        }
-        std::mem::swap(&mut self.edges, buf);
-        // Hand the retired vector's storage back as the caller's scratch.
-        *buf = old;
-        (ins_n, rm_n)
-    }
 }
 
 impl FromIterator<Edge> for EdgeSet {
@@ -457,52 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_sorted_delta_matches_per_edge_ops() {
-        let mut batched: EdgeSet = [e(0, 1), e(1, 2), e(2, 3)].into_iter().collect();
-        let mut per_edge = batched.clone();
-        let inserted = [e(0, 3), e(1, 3)];
-        let removed = [e(1, 2)];
-        let mut ins_seen = Vec::new();
-        let mut rm_seen = Vec::new();
-        let mut buf = Vec::new();
-        let counts = batched.apply_sorted_delta(
-            &inserted,
-            &removed,
-            &mut buf,
-            |x| ins_seen.push(x),
-            |x| rm_seen.push(x),
-        );
-        for x in removed {
-            per_edge.remove(x);
-        }
-        for x in inserted {
-            per_edge.insert(x);
-        }
-        assert_eq!(counts, (2, 1));
-        assert_eq!(ins_seen, inserted);
-        assert_eq!(rm_seen, removed);
-        assert_eq!(batched, per_edge);
-        assert!(batched.contains(e(3, 0)));
-        assert!(!batched.contains(e(1, 2)));
-    }
-
-    #[test]
-    fn apply_sorted_delta_remove_then_reinsert_is_net_neutral() {
-        let mut es: EdgeSet = [e(0, 1)].into_iter().collect();
-        let mut buf = Vec::new();
-        let counts = es.apply_sorted_delta(
-            &[e(0, 1)],
-            &[e(0, 1)],
-            &mut buf,
-            |_| panic!("no net insertion"),
-            |_| panic!("no net removal"),
-        );
-        assert_eq!(counts, (1, 1));
-        assert!(es.contains(e(0, 1)));
-        assert_eq!(es.len(), 1);
-    }
-
-    #[test]
     fn equality_is_by_contents_whatever_the_mutation_path() {
         // Same final contents, built along different mutation paths.
         let mut a = EdgeSet::new();
@@ -535,7 +406,6 @@ mod tests {
             };
             let mut set = EdgeSet::new();
             let mut model: BTreeSet<Edge> = BTreeSet::new();
-            let mut buf = Vec::new();
             for _ in 0..120 {
                 match rng.gen_range(0..5u32) {
                     0 => {
@@ -567,28 +437,16 @@ mod tests {
                         let both = present.first().copied();
                         removed.extend(both);
                         inserted.extend(both);
-                        let (ins, rm): (Vec<Edge>, Vec<Edge>) = (
-                            inserted.into_iter().collect(),
-                            removed.into_iter().collect(),
-                        );
-                        let (mut net_in, mut net_out) = (Vec::new(), Vec::new());
-                        let counts = set.apply_sorted_delta(
-                            &ins,
-                            &rm,
-                            &mut buf,
-                            |x| net_in.push(x),
-                            |x| net_out.push(x),
-                        );
-                        assert_eq!(counts, (ins.len(), rm.len()));
-                        for x in &rm {
-                            model.remove(x);
+                        // Applied as the engine applies a round delta:
+                        // every removal, then every insertion.
+                        for x in removed {
+                            assert!(set.remove(x), "delta removes present {x}");
+                            model.remove(&x);
                         }
-                        model.extend(ins.iter().copied());
-                        let net = |xs: &[Edge], other: &[Edge]| -> Vec<Edge> {
-                            xs.iter().copied().filter(|x| !other.contains(x)).collect()
-                        };
-                        assert_eq!(net_in, net(&ins, &rm));
-                        assert_eq!(net_out, net(&rm, &ins));
+                        for x in inserted {
+                            assert!(set.insert(x), "delta inserts absent {x}");
+                            model.insert(x);
+                        }
                     }
                     _ => {
                         let other: BTreeSet<Edge> =

@@ -16,22 +16,6 @@ use crate::edge::{Edge, EdgeSet};
 use crate::node::NodeId;
 use crate::union_find::UnionFind;
 
-/// Reusable buffers for the batched delta path, excluded from clones and
-/// comparisons (a cloned snapshot starts with empty scratch).
-#[derive(Default)]
-struct DeltaScratch {
-    /// Double buffer the merged `targets` array is built into.
-    targets: Vec<NodeId>,
-    /// Sorted copies of unsorted delta slices.
-    ins_sorted: Vec<Edge>,
-    rm_sorted: Vec<Edge>,
-    /// Directed `(node, neighbor)` pairs of the effective delta.
-    add_pairs: Vec<(NodeId, NodeId)>,
-    rm_pairs: Vec<(NodeId, NodeId)>,
-    /// Double buffer for the edge set's sorted vector.
-    edges: Vec<Edge>,
-}
-
 /// A snapshot of the communication graph of a single round.
 ///
 /// Stores both a sorted edge list (for round-delta computation and ordered
@@ -51,6 +35,7 @@ struct DeltaScratch {
 /// assert!(g.is_connected());
 /// assert_eq!(g.degree(NodeId::new(1)), 2);
 /// ```
+#[derive(Clone)]
 pub struct Graph {
     n: usize,
     edges: EdgeSet,
@@ -58,21 +43,6 @@ pub struct Graph {
     offsets: Vec<u32>,
     /// All neighbor lists, concatenated; each node's slice is sorted.
     targets: Vec<NodeId>,
-    /// Lazily allocated, boxed so a snapshot stays two pointers smaller
-    /// than the `large_enum_variant` threshold of `GraphUpdate::Full`.
-    scratch: Option<Box<DeltaScratch>>,
-}
-
-impl Clone for Graph {
-    fn clone(&self) -> Self {
-        Graph {
-            n: self.n,
-            edges: self.edges.clone(),
-            offsets: self.offsets.clone(),
-            targets: self.targets.clone(),
-            scratch: None,
-        }
-    }
 }
 
 impl PartialEq for Graph {
@@ -93,7 +63,6 @@ impl Graph {
             edges: EdgeSet::new(),
             offsets: vec![0; n + 1],
             targets: Vec::new(),
-            scratch: None,
         }
     }
 
@@ -146,7 +115,6 @@ impl Graph {
             edges: EdgeSet::from_sorted_vec(list),
             offsets,
             targets,
-            scratch: None,
         }
     }
 
@@ -265,9 +233,9 @@ impl Graph {
     /// Inserts an edge, keeping adjacency sorted. Returns `true` if new.
     ///
     /// Incremental inserts shift the flat `targets` array; adversaries use
-    /// this for their few-edges-per-round churn. Bulk construction should
-    /// go through [`Graph::from_edges`], and per-round deltas through
-    /// [`Graph::apply_delta`], which rebuilds the CSR in one merge pass.
+    /// this for their few-edges-per-round churn, and the engine to apply
+    /// their round deltas. Bulk construction should go through
+    /// [`Graph::from_edges`].
     ///
     /// # Panics
     ///
@@ -327,101 +295,6 @@ impl Graph {
         for &e in self.edges.as_slice() {
             uf.union(e.lo().index(), e.hi().index());
         }
-    }
-
-    /// Applies a round delta: removes `removed`, then inserts `inserted`,
-    /// in one epoch-batched pass. Returns `(actually_inserted,
-    /// actually_removed)` counts.
-    ///
-    /// Instead of per-edge adjacency shifts, the sorted delta is merged
-    /// into the edge set's sorted vector and into the sorted CSR `targets`
-    /// array in a single linear sweep each — `O(n + m + |δ| log |δ|)`
-    /// regardless of how many edges the round touches, with no per-node
-    /// allocations. The merge buffers are retained on the graph, so
-    /// steady-state rounds allocate nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an inserted edge's endpoint is `>= n` (like
-    /// [`Graph::insert_edge`]). Panics (in debug builds) if the delta is
-    /// inconsistent with the current edge set — an inserted edge already
-    /// present or a removed edge absent — since that indicates a corrupted
-    /// delta. In release builds inconsistent entries are skipped and
-    /// excluded from the returned counts, exactly like the former per-edge
-    /// path.
-    pub fn apply_delta(&mut self, inserted: &[Edge], removed: &[Edge]) -> (usize, usize) {
-        if inserted.is_empty() && removed.is_empty() {
-            return (0, 0);
-        }
-        for e in inserted {
-            assert!(
-                e.hi().index() < self.n,
-                "edge {e} out of range for n = {}",
-                self.n
-            );
-        }
-        let mut scratch = self.scratch.take().unwrap_or_default();
-        let inserted = sorted_view(inserted, &mut scratch.ins_sorted);
-        let removed = sorted_view(removed, &mut scratch.rm_sorted);
-
-        // Pass 1: merge the sorted delta into the edge set's sorted
-        // vector, collecting the *effective* changes as directed pairs.
-        scratch.add_pairs.clear();
-        scratch.rm_pairs.clear();
-        let (ins, rm) = self.edges.apply_sorted_delta(
-            inserted,
-            removed,
-            &mut scratch.edges,
-            |e| {
-                scratch.add_pairs.push((e.lo(), e.hi()));
-                scratch.add_pairs.push((e.hi(), e.lo()));
-            },
-            |e| {
-                scratch.rm_pairs.push((e.lo(), e.hi()));
-                scratch.rm_pairs.push((e.hi(), e.lo()));
-            },
-        );
-
-        // Pass 2: merge the directed pairs into the CSR arrays.
-        scratch.add_pairs.sort_unstable();
-        scratch.rm_pairs.sort_unstable();
-        scratch.targets.clear();
-        scratch
-            .targets
-            .reserve(self.targets.len() + scratch.add_pairs.len() - scratch.rm_pairs.len());
-        let (mut ai, mut ri) = (0, 0);
-        // `offsets` is rewritten in place as rows are emitted, so the old
-        // row bounds are carried forward separately.
-        let mut old_start = 0usize;
-        for v in 0..self.n {
-            let old_end = self.offsets[v + 1] as usize;
-            let vid = NodeId::new(v as u32);
-            for &t in &self.targets[old_start..old_end] {
-                if ri < scratch.rm_pairs.len() && scratch.rm_pairs[ri] == (vid, t) {
-                    ri += 1;
-                    continue;
-                }
-                while ai < scratch.add_pairs.len()
-                    && scratch.add_pairs[ai].0 == vid
-                    && scratch.add_pairs[ai].1 < t
-                {
-                    scratch.targets.push(scratch.add_pairs[ai].1);
-                    ai += 1;
-                }
-                scratch.targets.push(t);
-            }
-            while ai < scratch.add_pairs.len() && scratch.add_pairs[ai].0 == vid {
-                scratch.targets.push(scratch.add_pairs[ai].1);
-                ai += 1;
-            }
-            self.offsets[v + 1] = scratch.targets.len() as u32;
-            old_start = old_end;
-        }
-        debug_assert_eq!(ai, scratch.add_pairs.len());
-        debug_assert_eq!(ri, scratch.rm_pairs.len());
-        std::mem::swap(&mut self.targets, &mut scratch.targets);
-        self.scratch = Some(scratch);
-        (ins, rm)
     }
 
     /// Number of connected components.
@@ -498,20 +371,6 @@ fn counting_pass(n: usize, src: &[Edge], dst: &mut [Edge], key: fn(Edge) -> Node
         dst[*slot as usize] = e;
         *slot += 1;
     }
-}
-
-/// Returns `slice` if already strictly sorted, otherwise a sorted,
-/// deduplicated copy built in `buf`. Delta slices produced by the
-/// sorted-merge diff are always sorted, so the copy is the rare path.
-fn sorted_view<'a>(slice: &'a [Edge], buf: &'a mut Vec<Edge>) -> &'a [Edge] {
-    if slice.windows(2).all(|w| w[0] < w[1]) {
-        return slice;
-    }
-    buf.clear();
-    buf.extend_from_slice(slice);
-    buf.sort_unstable();
-    buf.dedup();
-    buf
 }
 
 impl std::fmt::Debug for Graph {
@@ -662,73 +521,5 @@ mod tests {
             assert!(bulk.neighbors(v).windows(2).all(|w| w[0] < w[1]));
         }
         assert_eq!(bulk, inc);
-    }
-
-    #[test]
-    fn apply_delta_matches_per_edge_mutation() {
-        let mut batched = Graph::path(6);
-        let mut per_edge = Graph::path(6);
-        let removed = [Edge::new(nid(2), nid(3)), Edge::new(nid(4), nid(5))];
-        let inserted = [
-            Edge::new(nid(0), nid(3)),
-            Edge::new(nid(2), nid(5)),
-            Edge::new(nid(1), nid(4)),
-        ];
-        let counts = batched.apply_delta(&inserted, &removed);
-        assert_eq!(counts, (3, 2));
-        for e in removed {
-            per_edge.remove_edge(e);
-        }
-        for e in inserted {
-            per_edge.insert_edge(e);
-        }
-        assert_eq!(batched, per_edge);
-        for v in batched.nodes() {
-            assert_eq!(batched.neighbors(v), per_edge.neighbors(v), "row {v}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn apply_delta_rejects_out_of_range_endpoints() {
-        let mut g = Graph::empty(6);
-        g.apply_delta(&[Edge::new(nid(5), nid(9))], &[]);
-    }
-
-    #[test]
-    fn apply_delta_accepts_unsorted_slices() {
-        let mut g = Graph::empty(4);
-        g.apply_delta(
-            &[
-                Edge::new(nid(2), nid(3)),
-                Edge::new(nid(0), nid(1)),
-                Edge::new(nid(1), nid(2)),
-            ],
-            &[],
-        );
-        assert!(g.is_connected());
-        assert_eq!(g.neighbors(nid(1)), &[nid(0), nid(2)]);
-    }
-
-    #[test]
-    fn apply_delta_reuses_buffers_across_rounds() {
-        // Two delta rounds through the same graph exercise the retained
-        // scratch path; equality with a fresh build checks the result.
-        let mut g = Graph::from_edges(5, [Edge::new(nid(0), nid(1)), Edge::new(nid(1), nid(2))]);
-        g.apply_delta(&[Edge::new(nid(2), nid(3))], &[Edge::new(nid(0), nid(1))]);
-        g.apply_delta(&[Edge::new(nid(3), nid(4)), Edge::new(nid(0), nid(4))], &[]);
-        let expect = Graph::from_edges(
-            5,
-            [
-                Edge::new(nid(1), nid(2)),
-                Edge::new(nid(2), nid(3)),
-                Edge::new(nid(3), nid(4)),
-                Edge::new(nid(0), nid(4)),
-            ],
-        );
-        assert_eq!(g, expect);
-        for v in g.nodes() {
-            assert_eq!(g.neighbors(v), expect.neighbors(v), "row {v}");
-        }
     }
 }

@@ -261,12 +261,9 @@ impl Adversary for EdgeMarkovian {
         let Some(mut g) = self.current.take() else {
             // First round: all pairs are absent in G_0, so the initial
             // snapshot is one birth sweep plus repair, all born at once.
-            let mut initial = Graph::empty(n);
             let mut births = Vec::new();
-            self.sample_births(&initial, &mut births);
-            for e in births {
-                initial.insert_edge(e);
-            }
+            self.sample_births(&Graph::empty(n), &mut births);
+            let mut initial = Graph::from_edges(n, births);
             connect_components(&mut initial, &mut self.rng);
             self.enforcer
                 .commit_delta(initial.edges().as_slice(), &[])

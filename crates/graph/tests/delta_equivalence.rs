@@ -124,7 +124,12 @@ proptest! {
         // Replaying the reported deltas reconstructs every snapshot.
         let mut replayed = Graph::empty(n);
         for (delta, want) in deltas.iter().zip(&naive_snapshots) {
-            replayed.apply_delta(&delta.inserted, &delta.removed);
+            for &e in &delta.removed {
+                assert!(replayed.remove_edge(e), "replay removes absent {e}");
+            }
+            for &e in &delta.inserted {
+                assert!(replayed.insert_edge(e), "replay inserts present {e}");
+            }
             assert_same_graph(&replayed, want);
         }
     }

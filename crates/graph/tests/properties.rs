@@ -243,6 +243,92 @@ fn bridge_index_stays_exact_under_non_bridge_deletions() {
     );
 }
 
+/// The message of the panic `f` raises.
+fn panic_message(f: impl FnOnce()) -> String {
+    let payload =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("expected a panic");
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload.downcast_ref::<&str>().unwrap().to_string(),
+    }
+}
+
+/// Random consistent deltas through `DynamicGraph::apply`, given as
+/// shuffled slices with one present edge removed and put back in the same
+/// delta. After every round the snapshot is the bulk build of a
+/// `BTreeSet` model row for row, the meter charges the put-back edge once
+/// as a deletion and once as an insertion, `last_delta` is the delta as
+/// given, and a delta inserting an endpoint `>= n` panics.
+#[test]
+fn per_edge_delta_application_matches_a_btreeset_model() {
+    for seed in 0..32u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(3..24usize);
+        let mut dg = DynamicGraph::new(n);
+        let mut model: BTreeSet<Edge> = BTreeSet::new();
+        for round in 1..=12 {
+            let present: Vec<Edge> = model.iter().copied().collect();
+            let mut removed: Vec<Edge> = present
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_bool(0.2))
+                .collect();
+            let mut inserted: Vec<Edge> = (0..rng.gen_range(0..2 * n))
+                .filter_map(|_| {
+                    let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+                    (u != v).then(|| Edge::new(NodeId::new(u), NodeId::new(v)))
+                })
+                .filter(|e| !model.contains(e))
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let back = present.choose(&mut rng).copied();
+            if let Some(e) = back {
+                if !removed.contains(&e) {
+                    removed.push(e);
+                }
+                inserted.push(e);
+            }
+            removed.shuffle(&mut rng);
+            inserted.shuffle(&mut rng);
+            for e in &removed {
+                model.remove(e);
+            }
+            model.extend(inserted.iter().copied());
+
+            let delta = RoundDelta { inserted, removed };
+            let before = dg.meter();
+            dg.apply(GraphUpdate::Delta(delta.clone()));
+            let want = Graph::from_edges(n, model.iter().copied());
+            assert_eq!(dg.current(), &want, "seed {seed} round {round}");
+            for v in want.nodes() {
+                assert_eq!(dg.current().neighbors(v), want.neighbors(v), "row {v}");
+            }
+            // `back` is in both slices once, so it is charged once each way.
+            assert_eq!(
+                dg.meter().insertions - before.insertions,
+                delta.inserted.len() as u64
+            );
+            assert_eq!(
+                dg.meter().deletions - before.deletions,
+                delta.removed.len() as u64
+            );
+            assert_eq!(dg.last_delta(), &delta);
+
+            let mut probe = dg.clone();
+            let u = NodeId::new(rng.gen_range(0..n as u32));
+            let far = NodeId::new(rng.gen_range(n as u32..2 * n as u32));
+            let msg = panic_message(|| {
+                probe.apply(GraphUpdate::Delta(RoundDelta {
+                    inserted: vec![Edge::new(u, far)],
+                    removed: Vec::new(),
+                }));
+            });
+            assert!(msg.contains("out of range"), "{msg}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -7,8 +7,11 @@
 //! allocation is sized by a length prefix the input cannot back. The
 //! first half is checked by running at all (the vendored proptest turns
 //! a panic into a failed case); the second by a counting global
-//! allocator that records the largest single request this test binary
-//! ever makes, which for inputs of a few dozen bytes must stay tiny.
+//! allocator that records the largest single request each thread
+//! makes, which for inputs of a few dozen bytes must stay tiny. The
+//! record is per thread so that one failing test's panic report (a
+//! captured backtrace allocates hundreds of kilobytes) does not fail
+//! the tests running beside it.
 //!
 //! The same allocator counts each thread's allocations, which pins the
 //! envelope's other contract: a message of the three ports is carried
@@ -23,16 +26,14 @@ use dynspread_sim::token::TokenId;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Largest single allocation any thread of this binary has requested.
-static LARGEST_ALLOC: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// Allocations this thread has made. Const-initialized and without a
-    /// destructor, so the allocator may touch it at any point of a
-    /// thread's life without allocating itself.
+    /// Allocations this thread has made, and the largest single one.
+    /// Const-initialized and without a destructor, so the allocator may
+    /// touch them at any point of a thread's life without allocating
+    /// itself.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
 }
 
 /// No input here exceeds 80 bytes; a decoder that trusted a hostile
@@ -42,15 +43,14 @@ const ALLOC_LIMIT: usize = 64 * 1024;
 struct CountingAlloc;
 
 // SAFETY: both methods forward their arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only additions are an
-// atomic max and a thread-local count that touch no allocator state.
+// which upholds the `GlobalAlloc` contract; the only additions are a
+// thread-local count and maximum that touch no allocator state.
 // `realloc` and `alloc_zeroed` keep their default implementations,
 // which go through these two.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // A statistic that publishes no other data.
-        LARGEST_ALLOC.fetch_max(layout.size(), Ordering::Relaxed);
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        let _ = LARGEST_ALLOC.try_with(|m| m.set(m.get().max(layout.size())));
         // SAFETY: the caller's layout, passed through.
         unsafe { System.alloc(layout) }
     }
@@ -64,8 +64,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Checks the largest allocation the calling thread has made.
 fn assert_allocations_stayed_small() {
-    let largest = LARGEST_ALLOC.load(Ordering::Relaxed);
+    let largest = LARGEST_ALLOC.with(Cell::get);
     assert!(
         largest < ALLOC_LIMIT,
         "a {largest}-byte allocation while decoding inputs under 80 bytes"

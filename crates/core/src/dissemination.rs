@@ -227,6 +227,12 @@ fn requestable<'a>(know: &'a TokenSet, in_flight: &'a TokenSet) -> impl Iterator
 /// request is in flight from its assignment until its token arrives over
 /// its edge, the edge dies or the node completes; keeping the in-flight set
 /// equal to the tracker's pending requests is this type's job alone.
+///
+/// Both nodes call [`open`](Self::open) only while incomplete: a complete
+/// node assigns nothing, and [`close`](Self::close) dropped its last
+/// pending request, so the edge history `open` refreshes has no reader
+/// left. [`answer`](Self::answer), [`settle`](Self::settle) and `close`
+/// still run every round.
 #[derive(Clone, Debug)]
 pub struct Requests {
     core: DisseminationCore,
@@ -262,7 +268,8 @@ impl Requests {
         self.edges.classify(u, round)
     }
 
-    /// Starts `send`: requests on edges that left or were reinserted die.
+    /// Starts an incomplete node's requests: requests on edges that left or
+    /// were reinserted die.
     pub fn open(&mut self, round: Round, neighbors: &[NodeId]) {
         if std::mem::take(&mut self.parked) {
             self.edges.resume(round);
@@ -367,6 +374,14 @@ impl Requests {
 /// each incoming announcement two dependent ones. In one lane each is one
 /// word, read as a source mask as in [`PeerLedger`], at `lane/4` bytes
 /// per node of the network.
+///
+/// The round-based nodes stop writing `S_v` once they are complete: it only
+/// ever picks whom to request from (and, at `s > 1`, the active source),
+/// and a complete node requests nothing again, so the announcements that
+/// keep arriving from complete neighbours are read and dropped. The
+/// asynchronous ports keep writing it at every node, because
+/// [`note_peer_complete`](Self::note_peer_complete)'s return value — was
+/// this news? — drives their heartbeat pacer.
 ///
 /// The asynchronous ports reuse `R_v` as *acknowledgment* state: a peer is
 /// marked informed only when its `Ack` arrives, so unacked announcements

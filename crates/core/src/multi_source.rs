@@ -20,6 +20,11 @@
 //! how Theorem 3.6 inherits the `O(nk)` running time. Theorem 3.5: the
 //! algorithm has 1-adversary-competitive message complexity `O(n²s + nk)`.
 //!
+//! A node complete for every source runs only tasks (1) and (2): knowledge
+//! only grows, so it never requests again, and it neither refreshes its
+//! edge history nor records `S_v(·)` from then on, since only task (3)
+//! reads either.
+//!
 //! Token identities stay global (`0..k`); the map from token to source is
 //! common knowledge, fixed by the initial placement (this stands in for the
 //! paper's `⟨ID_x, i⟩` token labels, which every node can parse).
@@ -292,7 +297,6 @@ impl UnicastProtocol for MultiSourceNode {
     type Msg = MsMsg;
 
     fn send(&mut self, round: Round, neighbors: &[NodeId], out: &mut Outbox<MsMsg>) {
-        self.requests.open(round, neighbors);
         let queued = out.len();
         // The three tasks run in parallel (Section 3.2.1); a node may send
         // an announcement, a token, and a request over the same edge in the
@@ -315,6 +319,7 @@ impl UnicastProtocol for MultiSourceNode {
         });
         // Task 3: Algorithm 1's requests for the minimum `x ∉ I_v`, `S_v(x) ≠ ∅`.
         if !self.is_complete() {
+            self.requests.open(round, neighbors);
             if let Some(active) = self.ledger.active_source(self.progress.mine()) {
                 let ledger = &self.ledger;
                 self.requests.assign(
@@ -341,7 +346,10 @@ impl UnicastProtocol for MultiSourceNode {
                     .map
                     .index_of(*x)
                     .expect("announced source must be a source");
-                self.ledger.note_peer_complete(idx, from);
+                // `S_v(·)` only steers task 3.
+                if !self.is_complete() {
+                    self.ledger.note_peer_complete(idx, from);
+                }
             }
             MsMsg::Request(t) => self.requests.receive_request(from, *t),
             MsMsg::Token(t) => {

@@ -14,6 +14,10 @@
 //! * a complete node receiving `Request(i)` in round `r − 1` sends back the
 //!   `i`-th token in round `r`, if the edge still exists.
 //!
+//! Knowledge only grows, so a complete node never requests again: it
+//! neither refreshes its edge history (the request side's `open`) nor
+//! records `S_v` from then on, since only request assignment reads either.
+//!
 //! Theorem 3.1: the algorithm has 1-adversary-competitive message
 //! complexity `O(n² + nk)` against a strongly adaptive adversary.
 //! Theorem 3.4: on 3-edge-stable dynamic graphs it terminates in `O(nk)`
@@ -166,6 +170,10 @@ impl SingleSourceNode {
     }
 
     /// Classifies the edge to current neighbor `u` in round `round`.
+    ///
+    /// Edge classification is the history of the incomplete phase: a
+    /// complete node stops refreshing it, so from completion on it is
+    /// frozen at the last incomplete round's view.
     pub fn classify_edge(&self, u: NodeId, round: Round) -> EdgeCategory {
         self.requests.classify(u, round)
     }
@@ -173,7 +181,8 @@ impl SingleSourceNode {
     /// Cumulative requests sent over new / idle / contributive edges —
     /// the inputs to the futile-round analysis (Definition 3.3: a round is
     /// futile if no request travels over a contributive edge and no token
-    /// is learned in the following two rounds).
+    /// is learned in the following two rounds). Only an incomplete node
+    /// requests, so the counts are frozen at completion.
     pub fn requests_sent_by_category(&self) -> [u64; 3] {
         self.requests_by_category
     }
@@ -183,7 +192,6 @@ impl UnicastProtocol for SingleSourceNode {
     type Msg = SsMsg;
 
     fn send(&mut self, round: Round, neighbors: &[NodeId], out: &mut Outbox<SsMsg>) {
-        self.requests.open(round, neighbors);
         let queued = out.len();
         let complete = self.is_complete();
         if complete {
@@ -205,6 +213,7 @@ impl UnicastProtocol for SingleSourceNode {
             // Assign distinct missing-token requests to edges to known
             // complete neighbors, new first, then idle, then contributive
             // (Algorithm 1 lines 7–20).
+            self.requests.open(round, neighbors);
             let (ledger, sent) = (&self.ledger, &mut self.requests_by_category);
             self.requests.assign(
                 round,
@@ -228,7 +237,10 @@ impl UnicastProtocol for SingleSourceNode {
     fn receive(&mut self, _round: Round, from: NodeId, msg: &SsMsg) {
         match msg {
             SsMsg::Completeness => {
-                self.ledger.note_peer_complete(0, from);
+                // `S_v` only picks whom to request from.
+                if !self.is_complete() {
+                    self.ledger.note_peer_complete(0, from);
+                }
             }
             SsMsg::Request(t) => self.requests.receive_request(from, *t),
             SsMsg::Token(t) => {

@@ -29,9 +29,12 @@
 //! `DYNSPREAD_THREADS` says), so re-running the bin reproduces the file
 //! byte for byte, which `tests/committed_baselines.rs` demands. The three
 //! timing columns (`wall ms`, `ns/round`, `ns/event`) are printed for
-//! orientation and recorded nowhere. Speed claims go through `benchmark/`
-//! parent/change pairs instead. `crates/runtime/README.md` explains how to
-//! read the file.
+//! orientation and recorded nowhere. Each times one cell while `par_map`
+//! runs other cells on the other workers, so a reading swings with its
+//! neighbours: the header prints the worker count, and the columns are
+//! comparable between runs only under `DYNSPREAD_THREADS=1`. Speed claims
+//! go through `benchmark/` parent/change pairs instead.
+//! `crates/runtime/README.md` explains how to read the file.
 //!
 //! Usage:
 //!   `cargo run --release -p dynspread-bench --bin exp_scale [OUT.json]`
@@ -39,7 +42,7 @@
 use dynspread_analysis::table::fmt_f64;
 use dynspread_bench::arms::{arm_seed, run_arm};
 use dynspread_bench::row::{render_table, write_gate_json, Row};
-use dynspread_bench::{gate_args, par_map};
+use dynspread_bench::{gate_args, par_map, worker_count};
 use std::time::Instant;
 
 const PROTOCOLS: [&str; 5] = [
@@ -85,10 +88,6 @@ fn main() {
     let out_path = gate_args("BENCH_runtime.json");
     let sizes = [1024, 2048, 4096, 8192];
     let k = 4;
-    println!(
-        "Scale grid: n ∈ {sizes:?} × {PROTOCOLS:?}, k = {k} (async-oblivious: k = {OBLIVIOUS_K})"
-    );
-
     let jobs: Vec<(usize, &'static str, u64)> = sizes
         .iter()
         .enumerate()
@@ -99,6 +98,10 @@ fn main() {
                 .map(move |(pi, &p)| (n, p, arm_seed(PROTOCOLS.len(), si, pi)))
         })
         .collect();
+    println!(
+        "Scale grid: n ∈ {sizes:?} × {PROTOCOLS:?}, k = {k} (async-oblivious: k = {OBLIVIOUS_K}), workers = {}",
+        worker_count().min(jobs.len())
+    );
     let rows = par_map(jobs, |(n, p, seed)| run_cell(p, n, k, seed));
 
     println!("{}", render_table(&rows));

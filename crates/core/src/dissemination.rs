@@ -26,7 +26,8 @@
 //!   O(k/64) and each assignment O(1), so a node with `k` missing tokens
 //!   and `d` eligible channels pays O(d + k/64) per pass, not O(k).
 //! * [`Requests`] — the round model's request side: that core plus the
-//!   edge tracker whose pending requests its in-flight set mirrors.
+//!   edge tracker whose [`Outstanding`](crate::edge_history::Outstanding)
+//!   requests its in-flight set mirrors.
 //! * [`CompletenessLedger`] — the paper's `R_v(x)` (whom we have informed
 //!   of our completeness w.r.t. source `x`) and `S_v(x)` (who announced
 //!   completeness to us), for all `s` sources, both *monotone*: bits are

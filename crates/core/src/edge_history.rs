@@ -28,6 +28,78 @@ pub enum EdgeCategory {
     Contributive,
 }
 
+/// The requests a node has sent and not yet seen answered, as
+/// `(neighbor, token, tag)`, in both execution models: the round nodes'
+/// pending requests, the event ports' request windows (one per neighbor,
+/// checked before they open) and the walk port's transfers (tagged with
+/// their sequence numbers). One `Vec` sorted by neighbor, one neighbor's
+/// entries in open order: `iter`, `retain` and `clear` visit and release
+/// in that order, the order the walk port re-sends and re-queues in.
+#[derive(Clone, Debug, Default)]
+pub struct Outstanding<S = ()> {
+    entries: Vec<(NodeId, TokenId, S)>,
+}
+
+impl<S: Copy + PartialEq> Outstanding<S> {
+    /// Whether no request is outstanding.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The outstanding requests in ascending neighbor order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, TokenId, S)> + '_ {
+        self.entries.iter().copied()
+    }
+
+    /// Records a request for `t` sent to `u`, after `u`'s earlier ones.
+    pub fn open(&mut self, u: NodeId, t: TokenId, tag: S) {
+        let i = self.entries.partition_point(|e| e.0 <= u);
+        self.entries.insert(i, (u, t, tag));
+    }
+
+    /// The token of the oldest request outstanding at `u`, if any.
+    pub fn outstanding(&self, u: NodeId) -> Option<TokenId> {
+        let i = self.entries.partition_point(|e| e.0 < u);
+        let &(w, t, _) = self.entries.get(i)?;
+        (w == u).then_some(t)
+    }
+
+    /// Closes the first request that is exactly `(u, t, tag)` (its token
+    /// arrived); returns whether there was one.
+    pub fn close(&mut self, u: NodeId, t: TokenId, tag: S) -> bool {
+        let start = self.entries.partition_point(|e| e.0 < u);
+        let mut run = self.entries[start..].iter().take_while(|e| e.0 == u);
+        let found = run.position(|&e| e == (u, t, tag));
+        found.map(|i| self.entries.remove(start + i)).is_some()
+    }
+
+    /// Keeps the requests whose neighbor passes `keep` and hands every
+    /// other one's token to `release` (their edges died).
+    pub fn retain(
+        &mut self,
+        mut keep: impl FnMut(NodeId) -> bool,
+        mut release: impl FnMut(TokenId),
+    ) {
+        // Round nodes call this on most topology changes, nearly always on
+        // an empty record, where even `Vec::retain` measurably costs them.
+        if !self.entries.is_empty() {
+            self.entries.retain(|&(u, t, _)| {
+                keep(u) || {
+                    release(t);
+                    false
+                }
+            });
+        }
+    }
+
+    /// Drops every request (the node completed), handing each token to `release`.
+    pub fn clear(&mut self, mut release: impl FnMut(TokenId)) {
+        for (_, t, _) in self.entries.drain(..) {
+            release(t);
+        }
+    }
+}
+
 /// One tracked adjacent edge.
 #[derive(Clone, Debug, Default)]
 struct EdgeSlot {
@@ -54,31 +126,24 @@ impl EdgeSlot {
 }
 
 /// Tracks the local view of all adjacent edges of one node: insertion
-/// rounds, contributiveness, and outstanding requests.
+/// rounds, contributiveness, and outstanding requests. The caller's
+/// `in_flight` [`TokenSet`] mirrors the pending requests' tokens; the
+/// tracker removes a request's token whenever it kills the request.
 ///
-/// The companion `in_flight` [`TokenSet`] (owned by the caller) mirrors the
-/// union of all pending requests; the tracker keeps it in sync by removing
-/// a request's token whenever it kills the request.
+/// Storage is **sparse and flat**: one 24-byte `(neighbor, slot)` pair per
+/// edge the node currently has, sorted by neighbor ID (O(degree) per node,
+/// where a dense table would be O(n²) across the network), and one
+/// [`Outstanding`] record of its requests. A dead edge's slot is dropped
+/// outright: its requests die on removal and its state resets on
+/// reinsertion, so absence and a default slot are indistinguishable.
 ///
-/// Storage is **sparse and flat**: one `(neighbor, slot)` pair of 24
-/// bytes per edge the node currently has, in a `Vec` sorted by neighbor
-/// ID — O(degree) memory per node (a dense per-node table would be O(n²)
-/// across the network) — and one list of the node's outstanding
-/// `(neighbor, token)` requests, whatever their edge. Nothing is allocated
-/// or freed per edge. A dead edge's slot is dropped outright: its
-/// requests are killed on removal and its `new`/`contributive` state is
-/// unconditionally reset on reinsertion, so absence and a default slot
-/// are indistinguishable.
-///
-/// Costs, for a node of degree `d` with `p` outstanding requests (at most
-/// about two per edge: a request is answered the round after it is
-/// sent): [`refresh`](EdgeTracker::refresh) is one `d`-element slice
-/// comparison when the neighbor list equals the previous round's, and
-/// otherwise one linear merge of the old slots with the new list, into a
-/// second buffer the tracker keeps (steady state allocates nothing),
-/// followed — only if `p > 0` — by one O(p log d) pass that kills the
-/// requests of removed and reinserted edges; every per-edge query is a
-/// binary search, O(log d), and a request lookup is a scan of the `p`.
+/// Costs, for degree `d` and `p` outstanding requests (about two per edge
+/// at most: a request is answered the round after it is sent):
+/// [`refresh`](EdgeTracker::refresh) is one slice comparison when the
+/// neighbor list is last round's, and otherwise one linear merge into a
+/// second buffer it keeps (steady state allocates nothing) and one
+/// O(p log d) pass that kills the requests of removed and reinserted
+/// edges. Every edge query and every request lookup is a binary search.
 #[derive(Clone, Debug, Default)]
 pub struct EdgeTracker {
     /// Slots sorted by neighbor ID.
@@ -86,9 +151,8 @@ pub struct EdgeTracker {
     /// The merge target of the next topology change (always empty between
     /// calls; kept for its capacity).
     spare: Vec<(NodeId, EdgeSlot)>,
-    /// Requests sent and not yet answered, as `(edge, token)`, in no
-    /// particular order. Every entry's node has a slot.
-    pending: Vec<(NodeId, TokenId)>,
+    /// Requests sent and not yet answered. Every entry's node has a slot.
+    pending: Outstanding,
     /// The neighbor list and round of the last `refresh`.
     prev_neighbors: Vec<NodeId>,
     prev_round: Option<Round>,
@@ -137,21 +201,18 @@ impl EdgeTracker {
         self.spare = old;
         self.prev_neighbors.clear();
         self.prev_neighbors.extend_from_slice(neighbors);
-        if !self.pending.is_empty() {
-            // A request dies with its edge: the slot is gone (removed) or
-            // was (re)inserted by this refresh. Surviving slots were
-            // inserted in an earlier round, unobserved ones never.
-            let slots = &self.slots;
-            self.pending.retain(|&(u, t)| {
-                let alive = slots
-                    .binary_search_by_key(&u, |&(w, _)| w)
-                    .is_ok_and(|i| !(slots[i].1.observed && slots[i].1.inserted_round == round));
-                if !alive {
-                    in_flight.remove(t);
-                }
-                alive
-            });
-        }
+        // A request dies with its edge: the slot is gone (removed) or was
+        // (re)inserted by this refresh (unobserved slots never were).
+        let slots = &self.slots;
+        self.pending.retain(
+            |u| match slots.binary_search_by_key(&u, |&(w, _)| w) {
+                Ok(i) => !(slots[i].1.observed && slots[i].1.inserted_round == round),
+                Err(_) => false,
+            },
+            |t| {
+                in_flight.remove(t);
+            },
+        );
     }
 
     /// Declares that in every round since the last
@@ -205,32 +266,26 @@ impl EdgeTracker {
     /// Records a request for `t` sent over the edge to `u`.
     pub fn push_pending(&mut self, u: NodeId, t: TokenId) {
         self.slot_mut(u);
-        self.pending.push((u, t));
+        self.pending.open(u, t, ());
     }
 
     /// Whether the edge to `u` has any outstanding request.
     pub fn has_pending(&self, u: NodeId) -> bool {
-        self.pending.iter().any(|&(w, _)| w == u)
+        self.pending.outstanding(u).is_some()
     }
 
     /// Retires an outstanding request for `t` on the edge to `u` (the
     /// requested token arrived). Returns `true` if one was found.
     pub fn retire_pending(&mut self, u: NodeId, t: TokenId) -> bool {
-        match self.pending.iter().position(|&p| p == (u, t)) {
-            Some(i) => {
-                self.pending.swap_remove(i);
-                true
-            }
-            None => false,
-        }
+        self.pending.close(u, t, ())
     }
 
     /// Drops every outstanding request (used when the node becomes
     /// complete), clearing the matching `in_flight` entries.
     pub fn clear_all_pending(&mut self, in_flight: &mut TokenSet) {
-        for (_, t) in self.pending.drain(..) {
+        self.pending.clear(|t| {
             in_flight.remove(t);
-        }
+        });
     }
 }
 
@@ -244,6 +299,54 @@ mod tests {
 
     fn tid(i: u32) -> TokenId {
         TokenId::new(i)
+    }
+
+    /// A record opened out of neighbor order, as the round nodes' new,
+    /// idle and contributive passes open it, with two entries on node 2.
+    fn scattered() -> Outstanding<u8> {
+        let mut o = Outstanding::default();
+        for (u, t, tag) in [(3, 0, 0), (1, 1, 0), (2, 2, 7), (0, 3, 0), (2, 4, 8)] {
+            o.open(nid(u), tid(t), tag);
+        }
+        o
+    }
+
+    fn listed(o: &Outstanding<u8>) -> Vec<(usize, usize, u8)> {
+        o.iter()
+            .map(|(u, t, tag)| (u.index(), t.index(), tag))
+            .collect()
+    }
+
+    #[test]
+    fn outstanding_visits_and_releases_by_neighbor_then_open_order() {
+        let mut o = scattered();
+        assert_eq!(
+            listed(&o),
+            [(0, 3, 0), (1, 1, 0), (2, 2, 7), (2, 4, 8), (3, 0, 0)]
+        );
+        assert_eq!(o.outstanding(nid(2)), Some(tid(2)), "the older of two");
+        assert_eq!(o.outstanding(nid(4)), None);
+        let mut released = Vec::new();
+        o.retain(|u| u == nid(1), |t| released.push(t.index()));
+        assert_eq!(released, [3, 2, 4, 0]);
+        assert_eq!(listed(&o), [(1, 1, 0)]);
+        let mut o = scattered();
+        released.clear();
+        o.clear(|t| released.push(t.index()));
+        assert_eq!(released, [3, 1, 2, 4, 0]);
+        assert!(o.is_empty());
+    }
+
+    #[test]
+    fn outstanding_closes_only_an_exact_first_match() {
+        let mut o = scattered();
+        assert!(!o.close(nid(2), tid(2), 8), "right token, wrong tag");
+        assert!(!o.close(nid(3), tid(2), 7), "right pair, wrong neighbor");
+        assert!(o.close(nid(2), tid(4), 8), "the later entry closes alone");
+        assert!(!o.close(nid(2), tid(4), 8));
+        o.open(nid(1), tid(1), 0); // two identical entries: a close takes one
+        assert!(o.close(nid(1), tid(1), 0));
+        assert_eq!(listed(&o), [(0, 3, 0), (1, 1, 0), (2, 2, 7), (3, 0, 0)]);
     }
 
     #[test]
@@ -279,34 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_requests_die_with_the_edge() {
-        let mut tr = EdgeTracker::new();
-        let mut fl = TokenSet::new(4);
-        tr.refresh(1, &[nid(1)], &mut fl);
-        fl.insert(tid(2));
-        tr.push_pending(nid(1), tid(2));
-        assert!(tr.has_pending(nid(1)));
-        // Edge disappears: pending dies, token requestable again.
-        tr.refresh(2, &[], &mut fl);
-        assert!(!fl.contains(tid(2)));
-        tr.refresh(3, &[nid(1)], &mut fl);
-        assert!(!tr.has_pending(nid(1)));
-    }
-
-    #[test]
-    fn retire_pending_matches_token() {
-        let mut tr = EdgeTracker::new();
-        let mut fl = TokenSet::new(4);
-        tr.refresh(1, &[nid(1)], &mut fl);
-        tr.push_pending(nid(1), tid(0));
-        tr.push_pending(nid(1), tid(3));
-        assert!(tr.retire_pending(nid(1), tid(3)));
-        assert!(!tr.retire_pending(nid(1), tid(3)));
-        assert!(tr.retire_pending(nid(1), tid(0)));
-        assert!(!tr.has_pending(nid(1)));
-    }
-
-    #[test]
     fn a_removed_edge_releases_only_its_own_requests() {
         let mut tr = EdgeTracker::new();
         let mut fl = TokenSet::new(8);
@@ -326,10 +401,13 @@ mod tests {
         for (u, t) in [(nid(1), tid(0)), (nid(3), tid(3))] {
             assert!(tr.has_pending(u) && fl.contains(t));
         }
-        // The survivors are still retired by their own edge only.
+        // The survivors are still retired by their own edge only, and the
+        // dead requests stay dead when their edge returns.
         assert!(!tr.retire_pending(nid(1), tid(3)));
         assert!(tr.retire_pending(nid(3), tid(3)));
         assert!(tr.retire_pending(nid(1), tid(0)));
+        tr.refresh(3, &[nid(1), nid(2), nid(3)], &mut fl);
+        assert!(!tr.has_pending(nid(2)));
     }
 
     #[test]
@@ -363,21 +441,6 @@ mod tests {
         tr.refresh(3, &[nid(2), nid(4)], &mut fl);
         assert!(!tr.has_pending(nid(4)));
         assert!(!fl.contains(tid(3)));
-    }
-
-    #[test]
-    fn clear_all_pending_resets_in_flight() {
-        let mut tr = EdgeTracker::new();
-        let mut fl = TokenSet::new(4);
-        tr.refresh(1, &[nid(1), nid(2)], &mut fl);
-        for (u, t) in [(nid(1), tid(0)), (nid(2), tid(1))] {
-            fl.insert(t);
-            tr.push_pending(u, t);
-        }
-        tr.clear_all_pending(&mut fl);
-        assert!(fl.is_empty());
-        assert!(!tr.has_pending(nid(1)));
-        assert!(!tr.has_pending(nid(2)));
     }
 
     #[test]
@@ -476,6 +539,9 @@ mod tests {
         }
         assert_eq!(tr.classify(nid(4), 3), EdgeCategory::Idle);
         assert_eq!(tr.classify(nid(5), 3), EdgeCategory::New);
+        // Completion drops the survivor and its in-flight token.
+        tr.clear_all_pending(&mut fl);
+        assert!(fl.is_empty() && !tr.has_pending(nid(4)));
     }
 
     #[test]

@@ -31,12 +31,14 @@
 //! The decision logic — which tokens to request, from whom, the
 //! distinct-missing-token assignment per channel — is **not** duplicated
 //! here: it is the same [`DisseminationCore`] that drives the round-based
-//! nodes, fed from per-neighbor retransmission windows (the crate-private
-//! `RequestWindow`) instead of per-round edge sweeps. Nor is the channel
-//! bookkeeping duplicated between the two unicast ports: [`Requests`]
-//! keeps the core's in-flight set in step with the open windows for both,
-//! as [`dissemination::Requests`](dynspread_core::dissemination::Requests)
-//! does with the edge tracker for the round-based nodes.
+//! nodes, fed from per-neighbor retransmission windows instead of
+//! per-round edge sweeps. Nor is the channel bookkeeping duplicated:
+//! [`Requests`] keeps the core's in-flight set in step with the open
+//! requests for both unicast ports, as
+//! [`dissemination::Requests`](dynspread_core::dissemination::Requests)
+//! does with the edge tracker for the round-based nodes, and both — like
+//! [`AsyncOblivious`]'s walk transfers — keep them in one
+//! [`Outstanding`] record.
 //!
 //! # Running the ports
 //!
@@ -73,9 +75,9 @@ pub use single_source::{AsyncSingleSource, AsyncSsMsg};
 use crate::engine::EventCtx;
 use crate::event::VirtualTime;
 use dynspread_core::dissemination::DisseminationCore;
+use dynspread_core::edge_history::Outstanding;
 use dynspread_graph::NodeId;
 use dynspread_sim::token::{TokenId, TokenSet};
-use std::collections::BTreeMap;
 
 /// Tuning knobs of the asynchronous ports' retransmission machinery.
 #[derive(Clone, Copy, Debug)]
@@ -183,83 +185,15 @@ impl Retransmitter {
     }
 }
 
-/// Per-neighbor outstanding-request windows (window size 1): the round
-/// model's one request per edge per round, kept per neighbor, each entry
-/// doubling as the retransmission record until the token arrives or the
-/// neighbor churns away. An entry's tag `S` is nothing for a request and
-/// the sequence number for a walk transfer. Sparse, in ascending neighbor
-/// ID order (the order of release).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct RequestWindow<S = ()> {
-    slots: BTreeMap<NodeId, (TokenId, S)>,
-}
-
-impl<S: Copy + PartialEq> RequestWindow<S> {
-    /// The token currently requested from `u`, if any.
-    pub(crate) fn outstanding(&self, u: NodeId) -> Option<TokenId> {
-        self.slots.get(&u).map(|&(t, _)| t)
-    }
-
-    /// Whether no window is open.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// The open windows in ascending neighbor ID order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, TokenId, S)> + '_ {
-        self.slots.iter().map(|(&u, &(t, tag))| (u, t, tag))
-    }
-
-    /// Opens the window to `u` with a request for `t`.
-    pub(crate) fn open(&mut self, u: NodeId, t: TokenId, tag: S) {
-        let prev = self.slots.insert(u, (t, tag));
-        debug_assert!(prev.is_none(), "window already open");
-    }
-
-    /// Closes the window to `u` if it holds exactly `(t, tag)`; returns
-    /// whether it did.
-    pub(crate) fn close(&mut self, u: NodeId, t: TokenId, tag: S) -> bool {
-        if self.slots.get(&u) == Some(&(t, tag)) {
-            self.slots.remove(&u);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Drops every window whose neighbor is not in the (sorted) current
-    /// neighbor list, handing each abandoned token to `release` so it
-    /// becomes assignable to live channels again. Releases in ascending
-    /// neighbor ID order.
-    pub(crate) fn sweep_stale(&mut self, neighbors: &[NodeId], mut release: impl FnMut(TokenId)) {
-        self.slots.retain(|u, &mut (t, _)| {
-            if neighbors.binary_search(u).is_ok() {
-                true
-            } else {
-                release(t);
-                false
-            }
-        });
-    }
-
-    /// Drops every window (the node completed), releasing the tokens in
-    /// ascending neighbor ID order.
-    pub(crate) fn clear_all(&mut self, mut release: impl FnMut(TokenId)) {
-        for (_, (t, _)) in std::mem::take(&mut self.slots) {
-            release(t);
-        }
-    }
-}
-
 /// The event model's request side, written once for [`AsyncSingleSource`]
 /// and [`AsyncMultiSource`]: a [`DisseminationCore`] whose in-flight set
-/// this type alone keeps in step with one request window per neighbor. The
-/// ports choose whom to ask and send: a method that opens or re-sends a
-/// request returns the token to ask for.
+/// this type alone keeps in step with an [`Outstanding`] record of at most
+/// one request per neighbor. The ports choose whom to ask and send: a
+/// method that opens or re-sends a request returns the token to ask for.
 #[derive(Clone, Debug)]
 pub struct Requests {
     core: DisseminationCore,
-    window: RequestWindow,
+    pending: Outstanding,
 }
 
 impl Requests {
@@ -267,7 +201,7 @@ impl Requests {
     pub fn new(core: DisseminationCore) -> Self {
         Requests {
             core,
-            window: RequestWindow::default(),
+            pending: Outstanding::default(),
         }
     }
 
@@ -278,7 +212,7 @@ impl Requests {
 
     /// Whether a request to `u` is open.
     pub fn is_open(&self, u: NodeId) -> bool {
-        self.window.outstanding(u).is_some()
+        self.pending.outstanding(u).is_some()
     }
 
     /// Starts an assignment pass over `scope` (every token if `None`).
@@ -289,13 +223,13 @@ impl Requests {
         }
     }
 
-    /// Opens a request to `u` from the current pass if `u`'s window is free.
+    /// Opens a request to `u` from the current pass if none is open to `u`.
     pub fn assign(&mut self, u: NodeId) -> Option<TokenId> {
         if self.is_open(u) {
             return None;
         }
         let t = self.core.assign_next()?;
-        self.window.open(u, t, ());
+        self.pending.open(u, t, ());
         Some(t)
     }
 
@@ -310,30 +244,33 @@ impl Requests {
 
     /// Token `t` arrived from `from`: returns whether it is new to `K_v`.
     pub fn receive_token(&mut self, from: NodeId, t: TokenId) -> bool {
-        self.window.close(from, t, ());
+        self.pending.close(from, t, ());
         self.core.release(t);
         self.core.accept_token(t)
     }
 
     /// Drops every open request (completion, crash-amnesia).
     pub fn forget(&mut self) {
-        self.window.clear_all(|t| self.core.release(t));
+        self.pending.clear(|t| self.core.release(t));
     }
 
     /// A heartbeat's first step: drops the requests to churned-away
     /// neighbors. One [`refill`](Self::refill) then serves the heartbeat, as
     /// one pass serves a round in the round model.
     pub fn sweep(&mut self, neighbors: &[NodeId]) {
-        self.window.sweep_stale(neighbors, |t| self.core.release(t));
+        self.pending.retain(
+            |u| neighbors.binary_search(&u).is_ok(),
+            |t| self.core.release(t),
+        );
     }
 
     /// The token to re-send to `u`, if any; retires a request since answered.
     pub fn resend(&mut self, u: NodeId) -> Option<TokenId> {
-        let t = self.window.outstanding(u)?;
+        let t = self.pending.outstanding(u)?;
         if !self.core.known_tokens().contains(t) {
             return Some(t);
         }
-        self.window.close(u, t, ());
+        self.pending.close(u, t, ());
         self.core.release(t);
         None
     }
@@ -380,35 +317,5 @@ mod tests {
             base_interval: 0,
             max_interval: 4,
         });
-    }
-
-    #[test]
-    fn window_lifecycle() {
-        let mut w = RequestWindow::default();
-        let (u, v) = (NodeId::new(1), NodeId::new(3));
-        let (a, b) = (TokenId::new(5), TokenId::new(7));
-        assert_eq!(w.outstanding(u), None);
-        w.open(u, a, ());
-        w.open(v, b, ());
-        assert_eq!(w.outstanding(u), Some(a));
-        assert!(!w.close(u, b, ()), "wrong token leaves the window open");
-        assert!(w.close(u, a, ()));
-        assert_eq!(w.outstanding(u), None);
-        // Sweep: v is no longer a neighbor → its token is released.
-        let mut released = Vec::new();
-        w.sweep_stale(&[u], |t| released.push(t));
-        assert_eq!(released, vec![b]);
-        assert_eq!(w.outstanding(v), None);
-    }
-
-    #[test]
-    fn clear_all_releases_everything() {
-        let mut w = RequestWindow::default();
-        w.open(NodeId::new(0), TokenId::new(1), ());
-        w.open(NodeId::new(2), TokenId::new(2), ());
-        let mut released = Vec::new();
-        w.clear_all(|t| released.push(t));
-        assert_eq!(released.len(), 2);
-        assert_eq!(w.outstanding(NodeId::new(0)), None);
     }
 }

@@ -8,10 +8,10 @@
 //! model's:
 //!
 //! * **Walk steps are ownership transfers, not fire-and-forget sends.**
-//!   A planned step opens a per-neighbor transfer window (the PR 3
-//!   `RequestWindow` discipline: one outstanding transfer per edge,
-//!   re-sent on an adaptive-backoff heartbeat) tagged
-//!   with a per-sender sequence number. The sender stays *responsible*
+//!   A planned step opens a per-neighbor transfer window (the request
+//!   ports' discipline: one outstanding transfer per edge, kept in an
+//!   [`Outstanding`] record and re-sent on an adaptive-backoff heartbeat)
+//!   tagged with a per-sender sequence number. The sender stays *responsible*
 //!   for the token until the matching [`AsyncOblMsg::WalkAck`] arrives;
 //!   the receiver applies a transfer at most once (sequence dedup on top
 //!   of the idempotent
@@ -21,9 +21,13 @@
 //!   retransmitted, a lost `WalkAck` is re-elicited by the
 //!   retransmission, and duplicated copies are absorbed. If the adversary
 //!   removes the edge mid-transfer the sender reclaims the token
-//!   (conservative: responsibility is never destroyed), so a token can
-//!   transiently gain a second claimant — never lose its last — and the
-//!   phase hand-off resolves claimants deterministically.
+//!   (conservative: the sender stays responsible), so a token can
+//!   transiently gain a second claimant, and the phase hand-off resolves
+//!   claimants deterministically. Only on lossless FIFO links does a token
+//!   never lose its last: over drops or two ticks of jitter it can walk
+//!   back to a node whose own transfer of it is still open, and the late
+//!   `WalkAck` then releases it for good (the hand-off counts the orphan
+//!   as `stolen_recovered`).
 //! * **The phase-1 → phase-2 transition is distributed.** The synchronous
 //!   pipeline stops phase 1 by *global observation* (the harness checks
 //!   every node's transit count each round). Here each node detects its
@@ -46,10 +50,11 @@
 //! — the same hand-off the synchronous `run_oblivious_multi_source`
 //! performs, against the asynchronous engine.
 
-use super::{AsyncConfig, RequestWindow, Retransmitter};
+use super::{AsyncConfig, Retransmitter};
 use crate::engine::{EventCtx, EventProtocol};
 use crate::event::VirtualTime;
 use crate::faults::RecoveryMode;
+use dynspread_core::edge_history::Outstanding;
 use dynspread_core::walk::{elect_centers, WalkCore};
 use dynspread_graph::NodeId;
 use dynspread_sim::token::{TokenAssignment, TokenId, TokenSet};
@@ -116,7 +121,7 @@ const HEARTBEAT: u64 = 0;
 /// let claimants: usize = (0..8)
 ///     .map(|v| sim.node(dynspread_graph::NodeId::new(v)).responsible_tokens().count())
 ///     .sum();
-/// assert!(claimants >= 8, "responsibility is never destroyed");
+/// assert!(claimants >= 8, "no claim lost on this run");
 /// ```
 #[derive(Clone, Debug)]
 pub struct AsyncOblivious {
@@ -124,7 +129,7 @@ pub struct AsyncOblivious {
     /// round-based node uses).
     walk: WalkCore,
     /// One open ownership transfer per neighbor, tagged with its `seq`.
-    window: RequestWindow<u64>,
+    transfers: Outstanding<u64>,
     /// Next transfer sequence number (unique per sender, starts at 1).
     next_seq: u64,
     /// Per-sender highest applied transfer sequence — the receiver half
@@ -171,7 +176,7 @@ impl AsyncOblivious {
                 gamma,
                 seed,
             ),
-            window: RequestWindow::default(),
+            transfers: Outstanding::default(),
             next_seq: 1,
             seen: BTreeMap::new(),
             pacer: Retransmitter::new(cfg),
@@ -238,7 +243,7 @@ impl AsyncOblivious {
     /// Whether any walk work remains: queued tokens or open transfers.
     /// Centers never have walk work (their holdings are final).
     fn has_walk_work(&self) -> bool {
-        !self.walk.is_center() && (self.walk.has_queued() || !self.window.is_empty())
+        !self.walk.is_center() && (self.walk.has_queued() || !self.transfers.is_empty())
     }
 
     /// Arms the heartbeat if there is work and none is armed.
@@ -299,7 +304,7 @@ impl EventProtocol for AsyncOblivious {
                 self.ensure_heartbeat(ctx);
             }
             AsyncOblMsg::WalkAck { token, seq } => {
-                if self.window.close(from, *token, *seq) {
+                if self.transfers.close(from, *token, *seq) {
                     // The receiver applied this exact transfer: ownership
                     // has moved, release our responsibility.
                     self.walk.confirm_transfer(*token);
@@ -324,7 +329,7 @@ impl EventProtocol for AsyncOblivious {
             // restarting at 1 would make every post-recovery transfer
             // look like a stale replay to peers whose `seen` entries for
             // us survived.
-            self.window.clear_all(|t| self.walk.reclaim(t));
+            self.transfers.clear(|t| self.walk.reclaim(t));
             self.seen.clear();
         }
         // The engine invalidated the pre-crash heartbeat.
@@ -363,21 +368,22 @@ impl EventProtocol for AsyncOblivious {
         let nbrs = ctx.neighbors();
         // 1. Transfers to churned-away neighbors are reclaimed: the token
         //    goes back on the queue (responsibility was never released).
-        self.window.sweep_stale(nbrs, |t| self.walk.reclaim(t));
+        self.transfers
+            .retain(|u| nbrs.binary_search(&u).is_ok(), |t| self.walk.reclaim(t));
         // 2. Retransmit still-open transfers.
-        for (u, token, seq) in self.window.iter() {
+        for (u, token, seq) in self.transfers.iter() {
             ctx.send(u, AsyncOblMsg::Walk { token, seq });
             ctx.note_retransmission();
         }
         // 3. Plan fresh steps into free transfer windows (ownership stays
         //    here until the ack: detach = false).
         self.walk.plan(nbrs, false, |u, t| {
-            if self.window.outstanding(u).is_some() {
+            if self.transfers.outstanding(u).is_some() {
                 return false; // one outstanding transfer per edge
             }
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.window.open(u, t, seq);
+            self.transfers.open(u, t, seq);
             ctx.send(u, AsyncOblMsg::Walk { token: t, seq });
             true
         });
@@ -476,6 +482,20 @@ mod tests {
         (sim, report)
     }
 
+    /// How many nodes are responsible for each token.
+    fn claimants<A: Adversary, L: LinkModel>(
+        sim: &EventSim<AsyncOblivious, A, L>,
+        n: usize,
+    ) -> Vec<usize> {
+        let mut claimants = vec![0usize; n];
+        for v in NodeId::all(n) {
+            for t in sim.node(v).responsible_tokens() {
+                claimants[t.index()] += 1;
+            }
+        }
+        claimants
+    }
+
     /// Exactly-once under drops and duplication: on a *static* topology
     /// no transfer is ever reclaimed, so every token must end with
     /// exactly one responsible claimant even though the link drops and
@@ -493,14 +513,8 @@ mod tests {
             50_000,
         );
         assert_eq!(report.stopped, StopReason::Quiescent, "{report}");
-        let mut claimants = vec![0usize; n];
-        for v in NodeId::all(n) {
-            for t in sim.node(v).responsible_tokens() {
-                claimants[t.index()] += 1;
-            }
-        }
         assert_eq!(
-            claimants,
+            claimants(&sim, n),
             vec![1; n],
             "static topology: exactly one claimant per token"
         );
@@ -519,8 +533,9 @@ mod tests {
         }
     }
 
-    /// Under churn a token may transiently gain a second claimant, but
-    /// never lose its last one.
+    /// Under churn a token may transiently gain a second claimant. This
+    /// seed also loses none, though over drops a token can lose its last
+    /// (see the module doc).
     #[test]
     fn responsibility_is_never_destroyed_under_churn_and_loss() {
         let n = 12;
@@ -532,13 +547,7 @@ mod tests {
             17,
             3_000,
         );
-        let mut claimants = vec![0usize; n];
-        for v in NodeId::all(n) {
-            for t in sim.node(v).responsible_tokens() {
-                claimants[t.index()] += 1;
-            }
-        }
-        for (t, &c) in claimants.iter().enumerate() {
+        for (t, &c) in claimants(&sim, n).iter().enumerate() {
             assert!(c >= 1, "token t{t} lost its last claimant");
         }
     }
@@ -564,14 +573,13 @@ mod tests {
         assert!(report.final_time <= 1, "{report}");
     }
 
-    /// The deadline freeze is the conservative fallback: a node that
-    /// cannot shed its tokens keeps them and stops.
-    #[test]
-    fn deadline_freezes_owners_with_their_tokens() {
+    /// Phase 1 on a static path whose one center the far-end owners rarely
+    /// reach before the deadline at tick 40; returns each token's
+    /// claimant count.
+    fn frozen_path<L: LinkModel>(link: L, seed: u64) -> Vec<usize> {
         let n = 6;
         let assignment = TokenAssignment::n_gossip(n);
-        // No centers reachable: probability 0 forces exactly one center,
-        // on a path the far-end owners rarely shed within 40 ticks.
+        // Probability 0 forces exactly one center.
         let nodes = AsyncOblivious::nodes(
             &assignment,
             0.0,
@@ -580,20 +588,33 @@ mod tests {
             AsyncConfig::default(),
             40,
         );
-        let mut sim = EventSim::new(
-            nodes,
-            StaticAdversary::new(Graph::path(n)),
-            PerfectLink,
-            2,
-            21,
-        );
+        let mut sim = EventSim::new(nodes, StaticAdversary::new(Graph::path(n)), link, 2, seed);
         let report = sim.run(10_000);
         assert_eq!(report.stopped, StopReason::Quiescent, "{report}");
-        let mut claimants = 0usize;
-        for v in NodeId::all(n) {
-            claimants += sim.node(v).responsible_tokens().count();
+        claimants(&sim, n)
+    }
+
+    /// The deadline freeze is the conservative fallback: a node that
+    /// cannot shed its tokens keeps them and stops.
+    #[test]
+    fn deadline_freezes_owners_with_their_tokens() {
+        let claimants = frozen_path(PerfectLink, 21);
+        assert!(!claimants.contains(&0), "an orphan: {claimants:?}");
+    }
+
+    /// On a perfect link, bare or with one tick of jitter, no token loses
+    /// its last claimant. (Over drops or wider jitter a late `WalkAck` can
+    /// orphan a token: see the module doc.)
+    #[test]
+    fn every_token_keeps_a_claimant_on_fifo_links() {
+        for seed in 0..64 {
+            for claimants in [
+                frozen_path(PerfectLink, seed),
+                frozen_path(PerfectLink.with_jitter(1), seed),
+            ] {
+                assert!(!claimants.contains(&0), "seed {seed}: {claimants:?}");
+            }
         }
-        assert!(claimants >= n, "every token still has a claimant");
     }
 
     /// Seeded replay identity of the full two-phase pipeline.
